@@ -50,6 +50,30 @@ def _term(text: str, entry: _theories.TheoryEntry) -> _terms.Term:
         raise click.UsageError(str(exc)) from None
 
 
+def _report(report: _monads.LawReport) -> None:
+    """Case counts, then OK or the first violations (exit 1); a condition
+    that saw no case fails too, since its pass would be vacuous."""
+    for name in sorted(report.checked):
+        click.echo(f"{name}: {report.checked[name]} cases")
+    click.echo(f"elapsed {report.elapsed:.2f}s", err=True)
+    if report.ok:
+        click.echo("OK")
+        return
+    for name, w, got, want in report.violations[:5]:
+        click.echo(
+            f"{name} violated at {format_value(w)}: "
+            f"{format_value(got)} != {format_value(want)}"
+        )
+    for name in report.unchecked():
+        click.echo(f"{name}: no cases checked")
+    sys.exit(1)
+
+
+# carriers are the letters a..j
+_CARRIER = click.IntRange(1, 10)
+_BOUND = click.IntRange(min=0)
+
+
 @click.group()
 def main():
     """Monads, equational theories, and distributive-law checking."""
@@ -117,24 +141,12 @@ def prove_eq(theory, lhs, rhs, depth, bounded):
 
 @main.command("monad-laws")
 @click.argument("monad")
-@click.option("--carrier", default=2, show_default=True, help="carrier size")
-@click.option("--bound", default=3, show_default=True, help="value size bound")
+@click.option("--carrier", default=2, show_default=True, type=_CARRIER, help="carrier size")
+@click.option("--bound", default=3, show_default=True, type=_BOUND, help="value size bound")
 def monad_laws(monad, carrier, bound):
     """Exhaustively check the unit and associativity laws."""
     m = _monad(monad)
-    report = _monads.check_monad_laws(m, carrier_size=carrier, bound=bound)
-    for name in sorted(report.checked):
-        click.echo(f"{name}: {report.checked[name]} cases")
-    click.echo(f"elapsed {report.elapsed:.2f}s", err=True)
-    if report.ok:
-        click.echo("OK")
-        return
-    for name, w, got, want in report.violations[:5]:
-        click.echo(
-            f"{name} violated at {format_value(w)}: "
-            f"{format_value(got)} != {format_value(want)}"
-        )
-    sys.exit(1)
+    _report(_monads.check_monad_laws(m, carrier_size=carrier, bound=bound))
 
 
 # ---------------------------------------------------------------------------
@@ -161,30 +173,19 @@ def law_apply(law_id, value):
 
 @law.command("check")
 @click.argument("law_id", metavar="LAW")
-@click.option("--carrier", default=2, show_default=True, help="carrier size")
-@click.option("--bound", default=3, show_default=True, help="value size bound")
+@click.option("--carrier", default=2, show_default=True, type=_CARRIER, help="carrier size")
+@click.option("--bound", default=3, show_default=True, type=_BOUND, help="value size bound")
 def law_check(law_id, carrier, bound):
     """Check the unit, multiplication, and naturality conditions."""
-    report = _distlaws.check_beck(_law(law_id), carrier_size=carrier, bound=bound)
-    for name in sorted(report.checked):
-        click.echo(f"{name}: {report.checked[name]} cases")
-    click.echo(f"elapsed {report.elapsed:.2f}s", err=True)
-    if report.ok:
-        click.echo("OK")
-        return
-    for name, w, got, want in report.violations[:5]:
-        click.echo(
-            f"{name} violated at {format_value(w)}: "
-            f"{format_value(got)} != {format_value(want)}"
-        )
-    sys.exit(1)
+    _report(_distlaws.check_beck(_law(law_id), carrier_size=carrier, bound=bound))
 
 
 @law.command("search")
 @click.argument("s_monad", metavar="S")
 @click.argument("t_monad", metavar="T")
-@click.option("--carrier", default=1, show_default=True, help="starting carrier size")
-@click.option("--bound", default=2, show_default=True, help="value size bound")
+@click.option("--carrier", default=1, show_default=True, type=_CARRIER,
+              help="starting carrier size")
+@click.option("--bound", default=2, show_default=True, type=_BOUND, help="value size bound")
 def law_search(s_monad, t_monad, carrier, bound):
     """Search the finite fragment for laws S(T(X)) -> T(S(X)).
 

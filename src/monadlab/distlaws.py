@@ -11,19 +11,19 @@ from __future__ import annotations
 
 import difflib
 import itertools
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from monadlab.monads import FinMonad, NoMonadError, monad_for
-from monadlab.values import Value, format_value, mk_grp, mk_list, mk_mset, mk_set
+from monadlab.monads import FinMonad, LawReport, NoMonadError, monad_for
+from monadlab.values import Value, letters, mk_list
 
 __all__ = [
     "DistLaw",
     "NoLawError",
     "law_for",
     "law_ids",
-    "BeckReport",
     "check_beck",
     "check_times_over_plus_form",
     "composite_monad",
@@ -52,74 +52,40 @@ class DistLaw:
 # concrete laws
 
 
-def _ring_apply(v: Value) -> Value:
-    """Expand a product of integer sums: list of abgroup values to an
-    abgroup of lists, multiplying coefficients along each choice."""
-    out: dict = {}
-    for choice in itertools.product(*(g[1] for g in v[1:])):
-        coeff = 1
-        elems = []
-        for x, c in choice:
-            coeff *= c
-            elems.append(x)
-        key = ("list",) + tuple(elems)
-        out[key] = out.get(key, 0) + coeff
-    return mk_grp(out.items())
+def _choice_law(law_id: str, pair: str):
+    """Choose one element per position of a linear S from the commutative T
+    sitting there, weighting each combination of picks by the product of
+    the picked weights (the swap construction of Jones & Duponcheel 1993;
+    Manes & Mulry 2007, Thm 4.3.4). Over abgroup this expands products of
+    sums into sums of products. `pair` is "S:T"; either id may contain
+    colons, so every split is tried. None when no split names two monads."""
+    parts = pair.split(":")
+    for k in range(1, len(parts)):
+        s_name, t_name = ":".join(parts[:k]), ":".join(parts[k:])
+        try:
+            s, t = monad_for(s_name), monad_for(t_name)
+        except NoMonadError:
+            continue
+        if not hasattr(s, "rebuild"):
+            raise NoLawError(f"{law_id}: {s.monad_id} is not a linear monad")
+        if not hasattr(t, "weighted"):
+            raise NoLawError(f"{law_id}: {t.monad_id} has no (element, weight) view")
 
-
-def _occurrence_payloads(s: FinMonad, v: Value):
-    """The inner values sitting in `v` as an ordered tuple, plus a rebuild
-    function that replaces them in place from an iterator."""
-    sid = s.monad_id
-    if sid in ("list", "nonempty-list"):
-        return v[1:], lambda it: ("list",) + tuple(it)
-    if sid == "multiset":
-        payloads = tuple(x for x, n in v[1] for _ in range(n))
-        return payloads, lambda it: mk_mset(items=tuple(it))
-    if sid == "powerset":
-        return v[1:], lambda it: mk_set(tuple(it))
-    if sid == "bintree" or sid.startswith("narytree:"):
-        payloads = s.members(v)
-
-        def rebuild(it, shape=v):
-            vals = iter(it)
-
-            def go(t):
-                if t[0] in ("bleaf", "nleaf"):
-                    return (t[0], next(vals))
-                if t[0] == "nunit":
-                    return t
-                return (t[0],) + tuple(go(c) for c in t[1:])
-
-            return go(shape)
-
-        return payloads, rebuild
-    raise NoLawError(f"no choice expansion over {sid!r}")
-
-
-def _choice_apply(s: FinMonad, t: FinMonad) -> Callable[[Value], Value]:
-    """Cartesian choice: pick one element from the inner collection at each
-    position of the outer shape; multiset choices multiply multiplicities."""
-
-    def apply(v: Value) -> Value:
-        payloads, rebuild = _occurrence_payloads(s, v)
-        if t.monad_id == "powerset":
-            picks = [p[1:] for p in payloads]
-            return mk_set(
-                rebuild(chosen) for chosen in itertools.product(*picks)
+        def apply(v: Value) -> Value:
+            picks = itertools.product(*(t.weighted(p) for p in s.members(v)))
+            return t.from_weighted(
+                (s.rebuild(v, [x for x, _ in chosen]), math.prod(w for _, w in chosen))
+                for chosen in picks
             )
-        out: dict = {}
-        for chosen in itertools.product(*(p[1] for p in payloads)):
-            count = 1
-            elems = []
-            for x, n in chosen:
-                count *= n
-                elems.append(x)
-            key = rebuild(elems)
-            out[key] = out.get(key, 0) + count
-        return mk_mset(entries=out.items())
 
-    return apply
+        return DistLaw(
+            law_id,
+            s,
+            t,
+            apply,
+            f"choose one element per {s_name} position from each {t_name}",
+        )
+    return None
 
 
 def _mm1_apply(v: Value) -> Value:
@@ -178,28 +144,17 @@ def _faulty_apply(v: Value) -> Value:
 # ---------------------------------------------------------------------------
 # registry
 
-_CHOICE_S = {"tree": "narytree:2", "list": "list", "multiset": "multiset", "mset": "multiset"}
-_CHOICE_T = {"multiset": "multiset", "mset": "multiset", "powerset": "powerset", "set": "powerset"}
+# names kept for laws that are instances of the choice law
+_LAW_ALIASES = {
+    "ring": "choice:list:abgroup",
+    "mset-cartesian": "choice:multiset:multiset",
+}
 
 
 def _fixed_laws() -> dict:
     nel = monad_for("nonempty-list")
     exc = monad_for("exception:{a,b}")
     laws = {
-        "ring": DistLaw(
-            "ring",
-            monad_for("list"),
-            monad_for("abgroup"),
-            _ring_apply,
-            "expand products of sums into sums of products (polynomial ring)",
-        ),
-        "mset-cartesian": DistLaw(
-            "mset-cartesian",
-            monad_for("multiset"),
-            monad_for("multiset"),
-            _choice_apply(monad_for("multiset"), monad_for("multiset")),
-            "multiply out a multiset of multisets multinomially",
-        ),
         "mm-nel-1": DistLaw(
             "mm-nel-1",
             nel,
@@ -233,17 +188,10 @@ def _fixed_laws() -> dict:
 
 
 _LAWS = _fixed_laws()
+_NAMED = tuple(_LAW_ALIASES) + tuple(_LAWS)
 
 
 def law_ids() -> tuple:
-    fixed = [
-        "ring",
-        "mset-cartesian",
-        "mm-nel-1",
-        "mm-nel-2",
-        "mm-nel-3",
-        "faulty-list-exception",
-    ]
     choices = [
         f"choice:{s}:{t}"
         for s in ("tree", "list", "multiset")
@@ -252,30 +200,19 @@ def law_ids() -> tuple:
     from monadlab.monads import ALL_MONAD_IDS
 
     excs = [f"exception-over:{t}" for t in ALL_MONAD_IDS]
-    return tuple(fixed + choices + excs)
+    return _NAMED + tuple(choices + excs)
 
 
 def law_for(law_id: str) -> DistLaw:
     if law_id in _LAWS:
         return _LAWS[law_id]
-    parts = law_id.split(":")
-    if parts[0] == "choice" and len(parts) == 3:
-        s_name, t_name = parts[1], parts[2]
-        if s_name in _CHOICE_S and t_name in _CHOICE_T:
-            s = monad_for(_CHOICE_S[s_name])
-            t = monad_for(_CHOICE_T[t_name])
-            law = DistLaw(
-                law_id,
-                s,
-                t,
-                _choice_apply(s, t),
-                f"choose one element per {s_name} position from each {t_name}",
-            )
-            return _LAWS.setdefault(law_id, law)
-    if parts[0] == "exception-over" and len(parts) >= 2:
-        t_id = law_id.split(":", 1)[1]
+    kind, _, rest = _LAW_ALIASES.get(law_id, law_id).partition(":")
+    law = None
+    if kind == "choice":
+        law = _choice_law(law_id, rest)
+    elif kind == "exception-over":
         try:
-            t = monad_for(t_id)
+            t = monad_for(rest)
         except NoMonadError:
             t = None
         if t is not None:
@@ -286,7 +223,8 @@ def law_for(law_id: str) -> DistLaw:
                 _exception_over_apply(t),
                 "push exceptional values inside the structure",
             )
-            return _LAWS.setdefault(law_id, law)
+    if law is not None:
+        return _LAWS.setdefault(law_id, law)
     near = difflib.get_close_matches(law_id, law_ids(), n=3)
     hint = f"; did you mean {', '.join(near)}?" if near else ""
     raise NoLawError(f"unknown law {law_id!r}{hint}")
@@ -296,52 +234,13 @@ def law_for(law_id: str) -> DistLaw:
 # Beck conditions
 
 
-@dataclass
-class BeckReport:
-    law_id: str
-    carrier: tuple
-    bound: int
-    nested_caps: tuple
-    checked: dict = field(default_factory=dict)
-    pool_sizes: dict = field(default_factory=dict)
-    violations: list = field(default_factory=list)
-    elapsed: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def violated(self, component: str) -> list:
-        return [v for v in self.violations if v[0] == component]
-
-    def describe(self) -> str:
-        head = (
-            f"{self.law_id}: carrier={len(self.carrier)} bound={self.bound}"
-        )
-        counts = ", ".join(f"{k}={v}" for k, v in sorted(self.checked.items()))
-        if self.ok:
-            return f"{head} OK ({counts}) in {self.elapsed:.2f}s"
-        comp, w, lhs, rhs = self.violations[0]
-        return (
-            f"{head} VIOLATION of {comp} at {format_value(w)}: "
-            f"{format_value(lhs)} != {format_value(rhs)}"
-        )
-
-
-def _letters(n: int) -> tuple:
-    return tuple("abcdefghij"[:n])
-
-
 def check_beck(
     law: DistLaw,
     carrier_size: int = 2,
     bound: int = 3,
     nested_caps: tuple = (32, 12),
     max_violations: int = 1000,
-) -> BeckReport:
+) -> LawReport:
     """Test the four Beck conditions plus naturality over graded pools.
 
     Single-level pools are complete up to the bound; the doubly nested pools
@@ -351,8 +250,8 @@ def check_beck(
     """
     start = time.perf_counter()
     s, t, lam = law.s_monad, law.t_monad, law.apply
-    X = _letters(carrier_size)
-    report = BeckReport(law.law_id, X, bound, tuple(nested_caps))
+    X = letters(carrier_size)
+    report = LawReport(law.law_id, X, bound, tuple(nested_caps))
     cap2, cap3 = nested_caps
 
     def note(component, w, lhs, rhs):

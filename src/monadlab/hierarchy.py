@@ -109,17 +109,13 @@ class VerdictTable:
         return out
 
 
-def build_table(
-    variant: str, depth: int = 3, num_vars: int = 4, verify_positive: bool = True
-) -> VerdictTable:
+def build_table(variant: str, depth: int = 3, num_vars: int = 4) -> VerdictTable:
     labels = variant_labels(variant)
     entries = {lbl: lookup_theory(lbl) for lbl in labels}
     cells = {}
     for r in labels:
         for c in labels:
-            cells[(r, c)] = verdict(
-                entries[r], entries[c], depth, num_vars, verify_positive
-            )
+            cells[(r, c)] = verdict(entries[r], entries[c], depth, num_vars)
     return VerdictTable(variant, labels, cells, depth, num_vars)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from monadlab.monads import FinMonad, monad_for
-from monadlab.values import Value, format_value
+from monadlab.values import Value, format_value, letters
 
 __all__ = [
     "SearchOutcome",
@@ -88,10 +88,6 @@ class SearchResult:
         return f"{head} ({self.conflict or 'domains too large to decide'})"
 
 
-def _letters(n: int) -> tuple:
-    return tuple("abcdefghij"[:n])
-
-
 def _all_functions(src: tuple, dst: tuple) -> list:
     return [dict(zip(src, img)) for img in itertools.product(dst, repeat=len(src))]
 
@@ -111,11 +107,11 @@ def search_distlaw_bounded(
     # capped; this is what lets naturality squeeze values between levels
     sizes = [carrier_size]
     while len(sizes) < max_levels:
-        nxt = min(len(t.enumerate(_letters(sizes[-1]), bound)), max_carrier)
+        nxt = min(len(t.enumerate(letters(sizes[-1]), bound)), max_carrier)
         if nxt <= sizes[-1]:
             break
         sizes.append(nxt)
-    carriers = [_letters(n) for n in sizes]
+    carriers = [letters(n) for n in sizes]
 
     result = SearchResult(
         SearchOutcome.INCONCLUSIVE,

@@ -21,6 +21,7 @@ from monadlab.values import (
     Value,
     canon_key,
     format_value,
+    letters,
     mk_bnode,
     mk_dist,
     mk_grp,
@@ -47,8 +48,7 @@ __all__ = [
     "monad_for",
     "monad_ids",
     "ALL_MONAD_IDS",
-    "MONAD_FAMILIES",
-    "MonadLawReport",
+    "LawReport",
     "check_monad_laws",
     "FreeModelReport",
     "free_model_iso_check",
@@ -69,6 +69,13 @@ class FinMonad:
     Subclasses define `monad_id`, `family`, `theory_id` (the presentation
     whose free models this monad gives, if registered), `unit`, `fmap`,
     `join`, `size`, and the graded generator `iter_values`.
+
+    Two optional views feed the choice laws of `distlaws`. A linear monad
+    (each element occurrence sits at its own position) defines
+    `rebuild(shape, elems)`, which puts `elems` at the positions that
+    `members(shape)` lists, in order. A commutative monad defines
+    `weighted(v)`, its (element, weight) pairs, and the inverse
+    `from_weighted(entries)`, which sums the weights of repeated elements.
     """
 
     monad_id: str = ""
@@ -107,6 +114,12 @@ class FinMonad:
         return f"<FinMonad {self.monad_id}>"
 
 
+def _refill(self, shape, elems):
+    """`rebuild` for monads whose fmap visits positions in `members` order."""
+    it = iter(elems)
+    return self.fmap(lambda _: next(it), shape)
+
+
 class ListMonad(FinMonad):
     family = "list"
 
@@ -133,6 +146,8 @@ class ListMonad(FinMonad):
 
     def members(self, v):
         return v[1:]
+
+    rebuild = _refill
 
     def iter_values(self, carrier, bound):
         lo = 1 if self.nonempty else 0
@@ -167,6 +182,15 @@ class MultisetMonad(FinMonad):
     def members(self, v):
         return tuple(x for x, n in v[1] for _ in range(n))
 
+    def rebuild(self, shape, elems):
+        return mk_mset(items=elems)
+
+    def weighted(self, v):
+        return v[1]
+
+    def from_weighted(self, entries):
+        return mk_mset(entries=entries)
+
     def iter_values(self, carrier, bound):
         for s in range(bound + 1):
             for combo in itertools.combinations_with_replacement(carrier, s):
@@ -198,6 +222,12 @@ class PowersetMonad(FinMonad):
 
     def members(self, v):
         return v[1:]
+
+    def weighted(self, v):
+        return tuple((x, 1) for x in v[1:])
+
+    def from_weighted(self, entries):
+        return mk_set(x for x, _ in entries)
 
     def iter_values(self, carrier, bound):
         for s in range(bound + 1):
@@ -237,6 +267,8 @@ class BinTreeMonad(FinMonad):
         if v[0] == "bleaf":
             return (v[1],)
         return self.members(v[1]) + self.members(v[2])
+
+    rebuild = _refill
 
     def iter_values(self, carrier, bound):
         layers: list[list] = [[]]
@@ -305,6 +337,8 @@ class NaryTreeMonad(FinMonad):
         for c in v[1:]:
             out += self.members(c)
         return out
+
+    rebuild = _refill
 
     def iter_values(self, carrier, bound):
         n = self.width
@@ -492,6 +526,12 @@ class DistMonad(FinMonad):
     def members(self, v):
         return tuple(x for x, _ in v[1])
 
+    def weighted(self, v):
+        return v[1]
+
+    def from_weighted(self, entries):
+        return mk_dist(entries)
+
     def iter_values(self, carrier, bound):
         for s in range(1, bound + 1):
             tuples = _weight_tuples(s, self.max_denominator)
@@ -528,6 +568,12 @@ class AbGroupMonad(FinMonad):
     def members(self, v):
         return tuple(x for x, _ in v[1])
 
+    def weighted(self, v):
+        return v[1]
+
+    def from_weighted(self, entries):
+        return mk_grp(entries)
+
     def iter_values(self, carrier, bound):
         for s in range(bound + 1):
             if s == 0:
@@ -553,20 +599,6 @@ class AbGroupMonad(FinMonad):
 
 # ---------------------------------------------------------------------------
 # registry
-
-MONAD_FAMILIES = (
-    "list",
-    "nonempty-list",
-    "multiset",
-    "powerset",
-    "bintree",
-    "narytree",
-    "exception",
-    "lift",
-    "reader",
-    "dist",
-    "abgroup",
-)
 
 _MONADS: dict = {}
 
@@ -630,8 +662,12 @@ def monad_for(monad_id: str) -> FinMonad:
 
 
 @dataclass
-class MonadLawReport:
-    monad_id: str
+class LawReport:
+    """Bounded check of named conditions (monad laws or Beck conditions) on
+    one subject, a monad id or a law id. `checked` counts the cases each
+    condition saw; violations are (condition, input, lhs, rhs)."""
+
+    subject: str
     carrier: tuple
     bound: int
     nested_caps: tuple
@@ -640,27 +676,32 @@ class MonadLawReport:
     violations: list = field(default_factory=list)
     elapsed: float = 0.0
 
+    def unchecked(self) -> list:
+        """Conditions that saw no case: a pass on them would be vacuous."""
+        return sorted(k for k, n in self.checked.items() if n == 0)
+
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.violations and not self.unchecked()
 
     def __bool__(self) -> bool:
         return self.ok
 
+    def violated(self, condition: str) -> list:
+        return [v for v in self.violations if v[0] == condition]
+
     def describe(self) -> str:
-        head = f"{self.monad_id}: carrier={len(self.carrier)} bound={self.bound}"
+        head = f"{self.subject}: carrier={len(self.carrier)} bound={self.bound}"
         counts = ", ".join(f"{k}={v}" for k, v in sorted(self.checked.items()))
-        if self.ok:
-            return f"{head} OK ({counts}) in {self.elapsed:.2f}s"
-        law, v, lhs, rhs = self.violations[0]
-        return (
-            f"{head} VIOLATION of {law} at {format_value(v)}: "
-            f"{format_value(lhs)} != {format_value(rhs)}"
-        )
-
-
-def _letters(n: int) -> tuple:
-    return tuple("abcdefghij"[:n])
+        if self.violations:
+            law, v, lhs, rhs = self.violations[0]
+            return (
+                f"{head} VIOLATION of {law} at {format_value(v)}: "
+                f"{format_value(lhs)} != {format_value(rhs)}"
+            )
+        if not self.ok:
+            return f"{head} NO CASES for {', '.join(self.unchecked())} ({counts})"
+        return f"{head} OK ({counts}) in {self.elapsed:.2f}s"
 
 
 def check_monad_laws(
@@ -668,7 +709,7 @@ def check_monad_laws(
     carrier_size: int = 2,
     bound: int = 3,
     nested_caps: tuple = (32, 12),
-) -> MonadLawReport:
+) -> LawReport:
     """Exhaustively test unit and associativity laws over graded pools.
 
     The single-level pool is complete up to the bound. For associativity the
@@ -677,8 +718,8 @@ def check_monad_laws(
     claim; the report records how many values each law saw.
     """
     start = time.perf_counter()
-    carrier = _letters(carrier_size)
-    report = MonadLawReport(monad.monad_id, carrier, bound, tuple(nested_caps))
+    carrier = letters(carrier_size)
+    report = LawReport(monad.monad_id, carrier, bound, tuple(nested_caps))
 
     pool1 = monad.enumerate(carrier, bound)
     report.pool_sizes["T"] = len(pool1)
@@ -777,12 +818,8 @@ def free_model_ops(theory_id: str, monad_id: str) -> dict:
     }
     if key in tables:
         return tables[key]
-    if (
-        theory_id == monad_id
-        and theory_id.startswith("exception:{")
-        and theory_id.endswith("}")
-    ):
-        labels = tuple(p for p in theory_id[len("exception:{"):-1].split(",") if p)
+    if theory_id == monad_id and theory_id.startswith("exception:{"):
+        labels = monad_for(monad_id).labels
         return {lbl: (lambda lbl=lbl: ("err", lbl)) for lbl in labels}
     raise NoMonadError(
         f"no free-model interpretation registered for {theory_id!r} over {monad_id!r}"

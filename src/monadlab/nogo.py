@@ -9,6 +9,7 @@ distributive law (row)(col) => (col)(row)".
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -18,11 +19,8 @@ from monadlab import distlaws
 from monadlab.monads import monad_for
 from monadlab.terms import (
     App,
-    EqStatus,
     Term,
     Var,
-    decide_eq,
-    eq_bounded,
     render,
     substitute,
     term_vars,
@@ -30,6 +28,7 @@ from monadlab.terms import (
 from monadlab.theories import (
     PropertyId,
     TheoryEntry,
+    _decide,
     check_property,
     class_members,
     lookup_theory,
@@ -52,6 +51,7 @@ __all__ = [
     "PositiveEntry",
     "positive_entry",
     "NoGoVerdict",
+    "ReplayError",
     "verdict",
     "RefutationTrace",
     "plotkin_refute_bounded",
@@ -197,18 +197,10 @@ def _with_binary(entry: TheoryEntry, binary: Optional[Term]) -> TheoryEntry:
     return replace(entry, designated_binary=binary, _certificates={})
 
 
-def _holds(entry: TheoryEntry, lhs: Term, rhs: Term, depth: int):
-    """(verdict, exact): True/False/None, and whether a procedure answered."""
-    if entry.has_procedure:
-        return decide_eq(entry.theory_id, lhs, rhs), True
-    res = eq_bounded(entry.presentation, lhs, rhs, depth=depth)
-    return (True if res.status is EqStatus.EQUAL else None), False
-
-
 def _eq_record(
     side: str, entry: TheoryEntry, req: str, lhs: Term, rhs: Term, depth: int
 ) -> CheckRecord:
-    v, exact = _holds(entry, lhs, rhs, depth)
+    v, exact = _decide(entry, lhs, rhs, depth)
     how = "decision procedure" if exact else f"bounded search depth={depth}"
     text = f"{render(lhs)} = {render(rhs)} ({how})"
     if v is True:
@@ -343,7 +335,7 @@ def _distinct_constants(entry: TheoryEntry, depth: int) -> tuple[list, bool]:
         term = App(c, ())
         duplicate = False
         for r in reps:
-            v, was_exact = _holds(entry, term, r, depth)
+            v, was_exact = _decide(entry, term, r, depth)
             exact = exact and was_exact
             if v is True:
                 duplicate = True
@@ -533,22 +525,21 @@ def _positive_registry() -> dict:
 
 
 _POSITIVE: dict = _positive_registry()
-_LAW_VERIFIED: dict = {}
 
 
 def positive_entry(s_id: str, t_id: str) -> Optional[PositiveEntry]:
     return _POSITIVE.get((s_id, t_id))
 
 
-def _verify_law(law_id: str, carrier_size: int = 2, bound: int = 3) -> bool:
-    key = (law_id, carrier_size, bound)
-    got = _LAW_VERIFIED.get(key)
-    if got is None:
-        report = distlaws.check_beck(
-            distlaws.law_for(law_id), carrier_size=carrier_size, bound=bound
-        )
-        got = _LAW_VERIFIED[key] = report.ok
-    return got
+class ReplayError(Exception):
+    """A law registered as a positive witness failed its Beck replay."""
+
+
+@functools.lru_cache(maxsize=None)
+def _replay(law_id: str) -> None:
+    report = distlaws.check_beck(distlaws.law_for(law_id), carrier_size=2, bound=3)
+    if not report.ok:
+        raise ReplayError(f"positive law {law_id} failed its replay: {report.describe()}")
 
 
 # ---------------------------------------------------------------------------
@@ -595,10 +586,10 @@ def verdict(
     t_theory: Union[str, TheoryEntry],
     depth: int = 3,
     num_vars: int = 4,
-    verify_positive: bool = True,
 ) -> NoGoVerdict:
     """Combined answer for the pair: every applicable obstruction is
-    recorded; otherwise the positive registry decides; otherwise Unknown."""
+    recorded; otherwise the positive registry decides, after replaying its
+    implemented laws (ReplayError when one fails); otherwise Unknown."""
     se = _as_entry(s_theory)
     te = _as_entry(t_theory)
 
@@ -629,13 +620,8 @@ def verdict(
 
     entry = positive_entry(se.theory_id, te.theory_id)
     if entry is not None:
-        verified = []
-        if verify_positive:
-            for law_id in entry.law_ids:
-                if _verify_law(law_id):
-                    verified.append(law_id)
-                else:  # pragma: no cover - would indicate a broken law
-                    notes.append(f"law {law_id} FAILED its replay")
+        for law_id in entry.law_ids:
+            _replay(law_id)
         if entry.citation_only:
             notes.append("citation-only")
         return NoGoVerdict(
@@ -643,7 +629,7 @@ def verdict(
             te.theory_id,
             "Exists",
             positive=entry,
-            verified_laws=tuple(verified),
+            verified_laws=entry.law_ids,
             notes=tuple(notes),
             depth=depth,
             num_vars=num_vars,

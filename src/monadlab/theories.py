@@ -13,11 +13,10 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Hashable, Iterable, Optional
 
 from monadlab.terms import (
     App,
@@ -42,8 +41,6 @@ from monadlab.terms import (
     substitute,
     term_vars,
 )
-
-log = logging.getLogger(__name__)
 
 __all__ = [
     "BoomFlags",
@@ -473,7 +470,6 @@ class TheoryEntry:
     label: str
     designated_binary: Optional[Term] = None  # term over variables y1, y2
     designated_unit: Optional[Term] = None  # closed term
-    term_filter: Optional[Callable[[Term], bool]] = None  # stable universal set
     aliases: tuple[str, ...] = ()
     notes: str = ""
     _certificates: dict = field(default_factory=dict, repr=False)
@@ -615,15 +611,12 @@ def _class_map(entry: TheoryEntry, depth: int, num_vars: int):
 
 def _stream_classes(entry: TheoryEntry, proc: Procedure, depth: int, num_vars: int):
     sig = entry.presentation.signature
-    keep = entry.term_filter
     atoms: list[tuple[Term, Hashable, int]] = []
     for i in range(num_vars):
         name = f"x{i + 1}"
         atoms.append((Var(name), proc.var_key(name), 1 << i))
     for c in sig.constants:
         atoms.append((App(c, ()), proc.app_key(c, ()), 0))
-    if keep is not None:
-        atoms = [a for a in atoms if keep(a[0])]
 
     classes: dict[Hashable, dict[int, Term]] = {}
 
@@ -653,14 +646,6 @@ def _stream_classes(entry: TheoryEntry, proc: Procedure, depth: int, num_vars: i
                 def thunk(op=op, picked=picked):
                     return App(op, tuple(p[0] for p in picked))
 
-                if keep is not None:
-                    term = thunk()
-                    if not keep(term):
-                        continue
-                    record(lambda t=term: t, key, bits)
-                    if level < depth:
-                        fresh.append((term, key, bits))
-                    continue
                 record(thunk, key, bits)
                 if level < depth:
                     fresh.append((thunk(), key, bits))
@@ -696,8 +681,6 @@ def _classes_by_rewrite(entry: TheoryEntry, depth: int, num_vars: int):
     atoms: list[Term] = [Var(f"x{i + 1}") for i in range(num_vars)]
     atoms += [App(c, ()) for c in sig.constants]
     universe = list(enumerate_terms(sig, atoms, depth))
-    if entry.term_filter is not None:
-        universe = [t for t in universe if entry.term_filter(t)]
     index = {t: i for i, t in enumerate(universe)}
     uf = _UnionFind(len(universe))
     pool = tuple(atoms)
@@ -734,10 +717,6 @@ def _key_of(entry: TheoryEntry, term: Term, depth: int, num_vars: int):
             if res.status is EqStatus.EQUAL:
                 return key
     return None
-
-
-def _popcount(bits: int) -> int:
-    return bin(bits).count("1")
 
 
 def _decide(entry: TheoryEntry, t1: Term, t2: Term, depth: int):
@@ -945,7 +924,7 @@ def _check_bounded_property(entry, prop, depth, num_vars, method) -> PropertyCer
         key = _key_of(entry, pair, depth, num_vars)
         bucket = classes.get(key, {})
         for bits, witness in bucket.items():
-            if prop is PropertyId.P3 and _popcount(bits) > 2:
+            if prop is PropertyId.P3 and bits.bit_count() > 2:
                 return PropertyCertificate(
                     prop, PropertyStatus.FAILS, method, (pair, witness),
                     "class member with more than 2 variables",
@@ -1028,8 +1007,6 @@ def validate_procedure_against_rewrites(
     pres = entry.presentation
     atoms = [Var(f"x{i + 1}") for i in range(num_vars)]
     universe = list(enumerate_terms(pres.signature, atoms, depth))
-    if entry.term_filter is not None:
-        universe = [t for t in universe if entry.term_filter(t)]
     pool = tuple(atoms) + tuple(App(c, ()) for c in pres.signature.constants)
     index = {t: i for i, t in enumerate(universe)}
 
@@ -1345,22 +1322,12 @@ def _register_rest() -> None:
         ),
     )
 
-    def no_skewed_ops(term: Term) -> bool:
-        # stable universal set: keep away from the degenerate weightings
-        banned = {"p1", "p0"}
-        if isinstance(term, App):
-            if term.op.name in banned:
-                return False
-            return all(no_skewed_ops(a) for a in term.args)
-        return True
-
     register_theory(
         TheoryEntry(
             theory_id="convex",
             presentation=convex,
             label="convex",
             designated_binary=parse_term("mix(y1,y2)", mix_sig),
-            term_filter=no_skewed_ops,
         ),
         ConvexProc(),
     )

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence, Union
 __all__ = [
     "Value",
     "canon_key",
-    "sort_values",
+    "letters",
     "mk_list",
     "mk_mset",
     "mk_set",
@@ -53,8 +53,11 @@ def canon_key(v: Value):
     return (2, tuple(canon_key(x) for x in v))
 
 
-def sort_values(values: Iterable[Value]) -> list[Value]:
-    return sorted(values, key=canon_key)
+def letters(n: int) -> tuple:
+    """The carrier {a, b, ...} of size n, for n in 1..10."""
+    if not 1 <= n <= 10:
+        raise ValueError(f"carrier size must be in 1..10, got {n}")
+    return tuple("abcdefghij"[:n])
 
 
 # ---------------------------------------------------------------------------

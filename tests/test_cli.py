@@ -85,6 +85,12 @@ class TestLawCommands:
         assert res.stdout.endswith("OK\n")
         assert "assoc" in res.stdout
 
+    def test_monad_laws_with_no_cases_fails(self, run):
+        res = run("monad-laws", "nonempty-list", "--bound", "0")
+        assert res.exit_code == 1
+        assert "assoc: no cases checked" in res.stdout
+        assert "OK" not in res.stdout
+
     def test_law_check_ok(self, run):
         res = run("law", "check", "choice:list:powerset", "--carrier", "2",
                   "--bound", "2")
@@ -181,6 +187,13 @@ class TestUsageErrors:
             (("normalize", "L+", "mul(x1)"), "expects 2 argument"),
             (("prove-eq", "M", "mul(x1", "x1"), "unclosed"),
             (("boom-table", "weekly"), "Invalid value"),
+            # carriers are the letters a..j; a bound is a size, so >= 0
+            (("monad-laws", "lift", "--carrier", "12"), "--carrier"),
+            (("monad-laws", "list", "--carrier", "-1", "--bound", "-2"), "--carrier"),
+            (("monad-laws", "list", "--bound", "-2"), "--bound"),
+            (("law", "check", "mset-cartesian", "--carrier", "0"), "--carrier"),
+            (("law", "search", "lift", "lift", "--carrier", "11"), "--carrier"),
+            (("law", "search", "lift", "lift", "--bound", "-1"), "--bound"),
         ],
     )
     def test_exit_2_with_message(self, run, args, fragment):

@@ -44,6 +44,29 @@ def test_choice_alias_normalization():
     law = law_for("choice:tree:mset")
     assert law.s_monad.monad_id == "narytree:2"
     assert law.t_monad.monad_id == "multiset"
+    # ids containing colons split where both sides name monads
+    law = law_for("choice:narytree:3:dist")
+    assert law.s_monad.monad_id == "narytree:3"
+    assert law.t_monad.monad_id == "dist"
+
+
+def test_named_laws_are_choice_laws():
+    assert law_for("ring").s_monad.monad_id == "list"
+    assert law_for("ring").t_monad.monad_id == "abgroup"
+    assert law_for("mset-cartesian").t_monad.monad_id == "multiset"
+
+
+@pytest.mark.parametrize(
+    "law_id",
+    [
+        "choice:powerset:multiset",  # powerset is not linear
+        "choice:list:exception:{a,b}",  # exceptions carry no weights
+        "choice:list:nosuch",
+    ],
+)
+def test_choice_needs_linear_over_weighted(law_id):
+    with pytest.raises(NoLawError):
+        law_for(law_id)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +156,8 @@ def test_choice_tree_keeps_shape():
     )
     unit_tree = ("nunit",)
     assert law(unit_tree) == mk_set([unit_tree])
+    bin_shape = ("bnode", ("bleaf", mk_set("ab")), ("bleaf", mk_set("c")))
+    assert format_value(law_for("choice:bintree:powerset")(bin_shape)) == "{<a,c>,<b,c>}"
 
 
 def test_exception_over_list_examples():
@@ -184,6 +209,15 @@ def test_beck_conditions_hold(law_id):
     report = check_beck(law_for(law_id), carrier_size=2, bound=2)
     assert report.ok, report.describe()
     assert report.checked["mult-s"] > 0 and report.checked["mult-t"] > 0
+
+
+@pytest.mark.parametrize(
+    "s_id", ["list", "nonempty-list", "multiset", "bintree", "narytree:2"]
+)
+@pytest.mark.parametrize("t_id", ["multiset", "powerset", "abgroup", "dist"])
+def test_choice_grid_passes_beck(s_id, t_id):
+    report = check_beck(law_for(f"choice:{s_id}:{t_id}"), carrier_size=2, bound=2)
+    assert report.ok, report.describe()
 
 
 @pytest.mark.parametrize("law_id", ["mset-cartesian", "choice:list:powerset"])

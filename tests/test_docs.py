@@ -3,7 +3,8 @@
 Console blocks are parsed into (command, expected stdout, expected exit
 code) and replayed through the click runner; python blocks are executed
 and must assert their own claims. Non-monadlab commands (pip, pytest)
-are setup instructions, not behavior examples, and are skipped.
+are setup instructions, not behavior examples, and are skipped. Every
+`src/...` or `tests/...` path the README names must exist.
 """
 
 import os
@@ -21,6 +22,7 @@ README = ROOT / "README.md"
 
 _FENCE_RE = re.compile(r"^```(\w*)\s*$")
 _EXIT_RE = re.compile(r"#\s*exit\s+(\d+)\s*$")
+_PATH_RE = re.compile(r"(?<![\w/.-])((?:src|tests)/[\w./-]*\w)")
 
 
 def _blocks(kind: str) -> list:
@@ -68,6 +70,13 @@ def test_readme_has_the_expected_example_count():
     # a parser regression would otherwise skip examples silently
     assert len(CONSOLE) >= 12
     assert len(PYTHON) >= 1
+
+
+def test_readme_paths_exist():
+    named = set(_PATH_RE.findall(README.read_text()))
+    assert "tests/test_docs.py" in named  # the pattern still finds paths
+    missing = sorted(p for p in named if not (ROOT / p).exists())
+    assert not missing, f"README names missing paths: {missing}"
 
 
 @pytest.mark.parametrize(

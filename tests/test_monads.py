@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from monadlab import monads
 from monadlab.monads import (
     ListMonad,
-    MonadLawReport,
+    LawReport,
     NoMonadError,
     check_monad_laws,
     free_model_iso_check,
@@ -263,8 +263,17 @@ def test_negative_control_broken_join():
 
 def test_law_report_describe_mentions_counts():
     report = check_monad_laws(monad_for("lift"), carrier_size=2, bound=2)
-    assert isinstance(report, MonadLawReport)
+    assert isinstance(report, LawReport)
     assert "assoc=" in report.describe()
+
+
+def test_zero_cases_is_not_ok():
+    # nonempty lists have no value of size 0: every pool is empty
+    report = check_monad_laws(monad_for("nonempty-list"), 2, 0)
+    assert not report.violations
+    assert not report.ok
+    assert report.unchecked() == ["assoc", "unit-left", "unit-right"]
+    assert "NO CASES" in report.describe()
 
 
 # ---------------------------------------------------------------------------

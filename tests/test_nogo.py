@@ -299,6 +299,17 @@ class TestVerdict:
         assert "citation-only" in v.notes
         assert "citation-only" in v.describe()
 
+    def test_failed_replay_raises(self, monkeypatch):
+        from monadlab import nogo
+
+        key = ("boom:UA--", "boom:UACI")
+        broken = nogo.PositiveEntry(*key, ("faulty-list-exception",), "test")
+        monkeypatch.setitem(nogo._POSITIVE, key, broken)
+        with pytest.raises(nogo.ReplayError) as exc:
+            verdict(*key)
+        assert "faulty-list-exception" in str(exc.value)
+        assert "mult-s" in str(exc.value)
+
     def test_jsl_pair_gets_the_independent_refutation_note(self):
         v = verdict("jsl", "jsl")
         assert any("Klin & Salamanca 2018, Thm 3.2" in n for n in v.notes)
