@@ -88,6 +88,14 @@ class SearchResult:
         return f"{head} ({self.conflict or 'domains too large to decide'})"
 
 
+# caps checked before materializing: values in an explicit result domain, and
+# the (map between chain carriers, input) pairs naturality edges are built
+# from. Edges took 250-650 bytes per pair (2.2M pairs needed 1.4 GB), so the
+# cap keeps them under about 650 MB; lift over lift at carrier 6 has 373,248.
+_MAX_DOMAIN = 4096
+_MAX_EDGE_CHECKS = 1_000_000
+
+
 def _all_functions(src: tuple, dst: tuple) -> list:
     return [dict(zip(src, img)) for img in itertools.product(dst, repeat=len(src))]
 
@@ -169,6 +177,17 @@ def search_distlaw_bounded(
                 return result
 
     # naturality edges between every pair of chain carriers
+    maps = sum(len(Cj) ** len(Ci) for Ci in carriers for Cj in carriers)
+    checks = sum(
+        len(Cj) ** len(Ci) * len(pools[i])
+        for i, Ci in enumerate(carriers) for Cj in carriers
+    )
+    if checks > _MAX_EDGE_CHECKS:
+        result.conflict = (
+            f"naturality needs {checks} (map, input) pairs over {maps} maps "
+            f"between carriers, more than {_MAX_EDGE_CHECKS}"
+        )
+        return result
     edges: dict = {}
     for i, Ci in enumerate(carriers):
         for j, Cj in enumerate(carriers):
@@ -211,10 +230,14 @@ def search_distlaw_bounded(
     full_pools = []
     for C in carriers:
         s_full = s.enumerate(C, max(bound, len(C)))
-        t_full = t.enumerate(s_full, max(bound, len(s_full)))
-        if len(t_full) > 4096:
+        # count lazily: some result spaces do not fit in memory
+        t_full = list(itertools.islice(
+            t.iter_values(s_full, max(bound, len(s_full))), _MAX_DOMAIN + 1
+        ))
+        if len(t_full) > _MAX_DOMAIN:
             result.conflict = (
-                f"result space at |X|={len(C)} has {len(t_full)} values"
+                f"result space at |X|={len(C)} has more than "
+                f"{_MAX_DOMAIN} values"
             )
             return result
         full_pools.append(t_full)

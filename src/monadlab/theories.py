@@ -3,9 +3,10 @@
 Each registered theory bundles a finite presentation with an exact decision
 procedure for provable equality (registered into `monadlab.terms`), optional
 designated operations (a binary term over y1,y2 and a unit), and cached
-property certificates. The bounded structural properties are computed by
-streaming the whole term universe once per (depth, vars) bound and folding it
-into a class map; the exact properties go through decide_eq on specific terms.
+property certificates. The bounded structural properties read a class map,
+built once per (depth, vars) bound by closing the classes of the bounded term
+universe under the operations; the exact properties go through decide_eq on
+specific terms.
 """
 
 from __future__ import annotations
@@ -610,31 +611,41 @@ def _class_map(entry: TheoryEntry, depth: int, num_vars: int):
 
 
 def _stream_classes(entry: TheoryEntry, proc: Procedure, depth: int, num_vars: int):
+    """The class map of the terms of depth <= `depth`, built by closure.
+
+    Terms are ordered as `enumerate_terms` yields them: the atoms, then level
+    by level every operation applied to earlier terms with at least one child
+    from the newest level, children in index-tuple order. Each (key, mask)
+    pair keeps its first witness in that order.
+
+    Keys and masks are compositional, so the classes are the closure of their
+    own first witnesses under the operations (congruence closure, Nelson &
+    Oppen 1980). The pool therefore holds one entry per (key, mask) pair, not
+    one per term. This is exact, witnesses included: replacing each child of
+    a first witness by its own class's first witness keeps the key and mask,
+    never moves later in the order, and keeps a child on the newest level
+    (else the pair would have been recorded a level earlier). So every first
+    witness is built from first witnesses, which the pool enumerates in the
+    same relative order.
+    """
     sig = entry.presentation.signature
-    atoms: list[tuple[Term, Hashable, int]] = []
-    for i in range(num_vars):
-        name = f"x{i + 1}"
-        atoms.append((Var(name), proc.var_key(name), 1 << i))
-    for c in sig.constants:
-        atoms.append((App(c, ()), proc.app_key(c, ()), 0))
-
     classes: dict[Hashable, dict[int, Term]] = {}
-
-    def record(term_thunk, key, bits):
+    pool: list[tuple[Term, Hashable, int]] = []  # (first witness, key, mask)
+    atoms = [(Var(f"x{i + 1}"), 1 << i) for i in range(num_vars)]
+    atoms += [(App(c, ()), 0) for c in sig.constants]
+    for term, bits in atoms:
+        key = proc.term_key(term)
         bucket = classes.setdefault(key, {})
         if bits not in bucket:
-            bucket[bits] = term_thunk()
-
-    for term, key, bits in atoms:
-        record(lambda t=term: t, key, bits)
+            bucket[bits] = term
+            pool.append((term, key, bits))
 
     builders = [op for op in sig.ops if op.arity >= 1]
-    pool = list(atoms)
     newest_from = 0
     for level in range(1, depth + 1):
-        fresh: list[tuple[Term, Hashable, int]] = []
+        shallower = len(pool)
         for op in builders:
-            for combo in itertools.product(range(len(pool)), repeat=op.arity):
+            for combo in itertools.product(range(shallower), repeat=op.arity):
                 if max(combo) < newest_from:
                     continue  # all children too shallow; already generated
                 picked = [pool[i] for i in combo]
@@ -642,16 +653,12 @@ def _stream_classes(entry: TheoryEntry, proc: Procedure, depth: int, num_vars: i
                 bits = 0
                 for p in picked:
                     bits |= p[2]
-
-                def thunk(op=op, picked=picked):
-                    return App(op, tuple(p[0] for p in picked))
-
-                record(thunk, key, bits)
-                if level < depth:
-                    fresh.append((thunk(), key, bits))
-        if level < depth:
-            newest_from = len(pool)
-            pool.extend(fresh)
+                bucket = classes.setdefault(key, {})
+                if bits not in bucket:
+                    term = bucket[bits] = App(op, tuple(p[0] for p in picked))
+                    if level < depth:
+                        pool.append((term, key, bits))
+        newest_from = shallower
     return classes
 
 

@@ -43,10 +43,16 @@ _WEIGHTED_TAGS = ("mset", "dist", "grp")
 
 def canon_key(v: Value):
     """Total order key over nested values (labels, containers, weights)."""
-    if isinstance(v, str):
+    # exact-class tests first: Fraction's metaclass is ABCMeta, which makes
+    # isinstance against it slow on this hot path
+    cls = v.__class__
+    if cls is str:
         return (0, v)
-    if isinstance(v, (int, Fraction)):
-        return (1, v)
+    if cls is not tuple:
+        if isinstance(v, str):
+            return (0, v)
+        if isinstance(v, (int, Fraction)):
+            return (1, v)
     if v and v[0] in _WEIGHTED_TAGS:
         inner = ((0, v[0]),) + tuple((canon_key(x), -n) for x, n in v[1])
         return (2, inner)

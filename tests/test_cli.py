@@ -113,6 +113,20 @@ class TestLawCommands:
         assert "Candidates" in res.stdout
         assert "ok(bot) -> bot" in res.stdout
 
+    def test_law_search_too_many_maps_is_inconclusive(self, run):
+        # the 7^7 maps on 9 inputs do not fit in memory; at carrier 6 the
+        # 6^6 maps on 8 inputs still run
+        res = run("law", "search", "lift", "lift", "--carrier", "7")
+        assert res.exit_code == 0
+        assert res.stdout == (
+            "lift over lift, carriers (7,), bound 2: Inconclusive (naturality "
+            "needs 7411887 (map, input) pairs over 823543 maps between "
+            "carriers, more than 1000000)\n"
+        )
+        assert "Candidates" in run(
+            "law", "search", "lift", "lift", "--carrier", "6"
+        ).stdout
+
 
 class TestVerdictCommands:
     def test_nogo_yes_with_replayed_law(self, run):

@@ -129,3 +129,12 @@ def test_repeated_runs_are_identical():
     a2 = search_distlaw_bounded("lift", "lift", carrier_size=1, bound=2)
     b2 = search_distlaw_bounded("lift", "lift", carrier_size=1, bound=2)
     assert a2.candidates[0].entries == b2.candidates[0].entries
+
+
+@pytest.mark.parametrize("s_id,t_id", [("list", "list"), ("multiset", "multiset")])
+def test_huge_result_space_is_counted_lazily(s_id, t_id):
+    # both result spaces are far beyond the domain cap and do not fit in
+    # memory, so the cap must be checked while counting
+    r = search_distlaw_bounded(s_id, t_id)
+    assert r.outcome == SearchOutcome.INCONCLUSIVE
+    assert "more than 4096 values" in r.conflict

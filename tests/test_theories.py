@@ -36,6 +36,7 @@ from monadlab.theories import (
     ring_entry,
     theory_ids,
     validate_procedure_against_rewrites,
+    _class_map,
 )
 
 
@@ -447,6 +448,41 @@ def test_validation_catches_broken_procedure():
     report = validate_procedure_against_rewrites(entry, depth=2, num_vars=2)
     assert not report.ok
     assert report.disconnected_classes  # mul(x,y) and mul(y,x) share a key
+
+
+# ---------------------------------------------------------------------------
+# class maps against a brute-force oracle
+
+
+def _brute_force_class_map(entry, depth, num_vars):
+    """Walk every term, keeping the first witness per (key, variable mask)."""
+    proc = terms.procedure_for(entry.theory_id)
+    sig = entry.presentation.signature
+    atoms = [Var(f"x{i + 1}") for i in range(num_vars)]
+    atoms += [App(c, ()) for c in sig.constants]
+    classes = {}
+    for t in terms.enumerate_terms(sig, atoms, depth):
+        bits = 0
+        for name in terms.term_vars(t):
+            bits |= 1 << (int(name[1:]) - 1)
+        classes.setdefault(proc.term_key(t), {}).setdefault(bits, t)
+    return classes
+
+
+@pytest.mark.parametrize(
+    "tid,depth,num_vars",
+    [(tid, 2, 3) for tid in (*theory_ids(), "narytree-theory:2")]
+    + [("convex", 3, 3)],
+)
+def test_class_map_matches_brute_force(tid, depth, num_vars):
+    entry = lookup_theory(tid)
+    entry._class_maps.pop((depth, num_vars), None)  # build it here, not cached
+    got = _class_map(entry, depth, num_vars)
+    want = _brute_force_class_map(entry, depth, num_vars)
+    assert got == want  # witnesses included
+    assert [(k, list(b.items())) for k, b in got.items()] == [
+        (k, list(b.items())) for k, b in want.items()
+    ]
 
 
 # ---------------------------------------------------------------------------
