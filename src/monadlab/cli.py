@@ -214,22 +214,9 @@ def law_search(s_monad, t_monad, carrier, bound):
 def nogo(s_theory, t_theory, depth, num_vars):
     """Is there a distributive law S∘T => T∘S? Exit 1 when refuted."""
     v = _nogo.verdict(_theory(s_theory), _theory(t_theory), depth, num_vars)
+    click.echo(v.describe())
     if v.status == "NoDistLaw":
-        click.echo(f"NO ({', '.join(v.theorems)})")
-        for app in v.refutations:
-            for rec in app.records:
-                click.echo(f"  {app.theorem} {rec.describe()}")
-        for note in v.notes:
-            click.echo(f"  note: {note}")
         sys.exit(1)
-    if v.status == "Exists":
-        what = ", ".join(v.verified_laws) or v.positive.citation
-        click.echo(f"YES ({what})")
-        click.echo(f"  citation: {v.positive.citation}")
-        for law_id in v.verified_laws:
-            click.echo(f"  law {law_id} replayed green")
-        return
-    click.echo("UNKNOWN")
 
 
 @main.command("boom-table")

@@ -22,12 +22,10 @@ from monadlab.values import (
     canon_key,
     format_value,
     letters,
-    mk_bnode,
     mk_dist,
     mk_grp,
     mk_mset,
     mk_nnode,
-    mk_nunit,
     mk_set,
 )
 
@@ -76,11 +74,16 @@ class FinMonad:
     `members(shape)` lists, in order. A commutative monad defines
     `weighted(v)`, its (element, weight) pairs, and the inverse
     `from_weighted(entries)`, which sums the weights of repeated elements.
+
+    A monad that names a theory maps each of its operations, in `generics`,
+    to the operation's generic element: a value over the argument positions
+    "0", "1", ... `free_model_ops` derives the free models' operations.
     """
 
     monad_id: str = ""
     family: str = ""
     theory_id: Optional[str] = None
+    generics: dict = {}
 
     def unit(self, x: Value) -> Value:
         raise NotImplementedError
@@ -128,6 +131,9 @@ class ListMonad(FinMonad):
         self.monad_id = "nonempty-list" if nonempty else "list"
         self.family = self.monad_id
         self.theory_id = "boom:-A--" if nonempty else "boom:UA--"
+        self.generics = {"mul": ("list", "0", "1")}
+        if not nonempty:
+            self.generics["e"] = ("list",)
 
     def unit(self, x):
         return ("list", x)
@@ -159,10 +165,12 @@ class ListMonad(FinMonad):
         return ("list", a, b)
 
 
+
 class MultisetMonad(FinMonad):
     monad_id = "multiset"
     family = "multiset"
     theory_id = "boom:UAC-"
+    generics = {"mul": ("mset", (("0", 1), ("1", 1))), "e": ("mset", ())}
 
     def unit(self, x):
         return ("mset", ((x, 1),))
@@ -200,10 +208,12 @@ class MultisetMonad(FinMonad):
         return mk_mset(items=(a, b))
 
 
+
 class PowersetMonad(FinMonad):
     monad_id = "powerset"
     family = "powerset"
     theory_id = "boom:UACI"
+    generics = {"mul": ("set", "0", "1"), "e": ("set",)}
 
     def unit(self, x):
         return ("set", x)
@@ -238,12 +248,14 @@ class PowersetMonad(FinMonad):
         return mk_set((a, b))
 
 
+
 class BinTreeMonad(FinMonad):
     """Leaf-labelled binary trees; there is no empty tree."""
 
     monad_id = "bintree"
     family = "bintree"
     theory_id = "boom:----"
+    generics = {"mul": ("bnode", ("bleaf", "0"), ("bleaf", "1"))}
 
     def unit(self, x):
         return ("bleaf", x)
@@ -289,6 +301,7 @@ class BinTreeMonad(FinMonad):
         return ("bnode", ("bleaf", a), ("bleaf", b))
 
 
+
 class NaryTreeMonad(FinMonad):
     """n-ary leaf-labelled trees with a unit leaf; nodes with fewer than two
     proper children are pruned away, so values are normal forms."""
@@ -301,6 +314,8 @@ class NaryTreeMonad(FinMonad):
         self.width = width
         self.monad_id = f"narytree:{width}"
         self.theory_id = "boom:U---" if width == 2 else f"narytree-theory:{width}"
+        node = ("nnode",) + tuple(("nleaf", str(i)) for i in range(width))
+        self.generics = {"mul" if width == 2 else "node": node, "e": ("nunit",)}
 
     def unit(self, x):
         return ("nleaf", x)
@@ -365,6 +380,7 @@ class NaryTreeMonad(FinMonad):
         return mk_nnode(kids)
 
 
+
 class ExceptionMonad(FinMonad):
     family = "exception"
 
@@ -375,6 +391,7 @@ class ExceptionMonad(FinMonad):
         inner = ",".join(self.labels)
         self.monad_id = "exception:{" + inner + "}"
         self.theory_id = self.monad_id
+        self.generics = {label: ("err", label) for label in self.labels}
 
     def unit(self, x):
         return ("ok", x)
@@ -403,10 +420,12 @@ class ExceptionMonad(FinMonad):
                 yield ("ok", x)
 
 
+
 class LiftMonad(FinMonad):
     monad_id = "lift"
     family = "lift"
     theory_id = "pointed"
+    generics = {"bot": ("bot",)}
 
     def unit(self, x):
         return ("ok", x)
@@ -434,12 +453,14 @@ class LiftMonad(FinMonad):
                 yield ("ok", x)
 
 
+
 class ReaderMonad(FinMonad):
     """Functions out of a fixed two-point environment, kept as output tables."""
 
     monad_id = "reader:2"
     family = "reader"
     theory_id = "reader:2"
+    generics = {"mul": ("fun", "0", "1")}
 
     def unit(self, x):
         return ("fun", x, x)
@@ -465,6 +486,7 @@ class ReaderMonad(FinMonad):
 
     def pair(self, a, b):
         return ("fun", a, b)
+
 
 
 def _weight_tuples(slots: int, max_denominator: int) -> list[tuple]:
@@ -503,6 +525,7 @@ class DistMonad(FinMonad):
 
     family = "dist"
     theory_id = "convex"
+    generics = {"mix": ("dist", (("0", Fraction(1, 2)), ("1", Fraction(1, 2))))}
 
     def __init__(self, max_denominator: int = 4):
         self.max_denominator = max_denominator
@@ -543,12 +566,18 @@ class DistMonad(FinMonad):
         return mk_dist(((a, Fraction(1, 2)), (b, Fraction(1, 2))))
 
 
+
 class AbGroupMonad(FinMonad):
     """Free abelian groups: finite formal integer combinations."""
 
     monad_id = "abgroup"
     family = "abgroup"
     theory_id = "abgroup"
+    generics = {
+        "mul": ("grp", (("0", 1), ("1", 1))),
+        "e": ("grp", ()),
+        "inv": ("grp", (("0", -1),)),
+    }
 
     def unit(self, x):
         return ("grp", ((x, 1),))
@@ -595,6 +624,7 @@ class AbGroupMonad(FinMonad):
 
     def pair(self, a, b):
         return mk_grp(((a, 1), (b, 1)))
+
 
 
 # ---------------------------------------------------------------------------
@@ -757,73 +787,50 @@ def check_monad_laws(
 # free-model comparison
 
 
-def _v_concat(a, b):
-    return ("list",) + a[1:] + b[1:]
-
-
-def _v_mset_add(a, b):
-    return mk_mset(entries=a[1] + b[1])
-
-
-def _v_union(a, b):
-    return mk_set(a[1:] + b[1:])
-
-
-def _v_mix(a, b):
-    half = Fraction(1, 2)
-    return mk_dist(
-        [(x, w * half) for x, w in a[1]] + [(x, w * half) for x, w in b[1]]
-    )
-
-
-def _v_grp_add(a, b):
-    return mk_grp(a[1] + b[1])
-
-
-def _v_grp_neg(a):
-    return mk_grp((x, -c) for x, c in a[1])
-
-
 def free_model_ops(theory_id: str, monad_id: str) -> dict:
-    """Operation interpretations on the monad's values for the pairs where
-    the monad is the theory's free-model construction."""
-    key = (theory_id, monad_id)
-    tables: dict = {
-        ("boom:UA--", "list"): {"mul": _v_concat, "e": lambda: ("list",)},
-        ("boom:-A--", "nonempty-list"): {"mul": _v_concat},
-        ("boom:UAC-", "multiset"): {
-            "mul": _v_mset_add,
-            "e": lambda: ("mset", ()),
-        },
-        ("boom:UACI", "powerset"): {"mul": _v_union, "e": lambda: ("set",)},
-        ("boom:----", "bintree"): {"mul": mk_bnode},
-        ("boom:U---", "narytree:2"): {
-            "mul": lambda a, b: mk_nnode([a, b]),
-            "e": mk_nunit,
-        },
-        ("narytree-theory:3", "narytree:3"): {
-            "node": lambda a, b, c: mk_nnode([a, b, c]),
-            "e": mk_nunit,
-        },
-        ("pointed", "lift"): {"bot": lambda: ("bot",)},
-        ("abgroup", "abgroup"): {
-            "mul": _v_grp_add,
-            "e": lambda: ("grp", ()),
-            "inv": _v_grp_neg,
-        },
-        ("reader:2", "reader:2"): {
-            "mul": lambda a, b: ("fun", a[1], b[2])
-        },
-        ("convex", "dist"): {"mix": _v_mix},
-    }
-    if key in tables:
-        return tables[key]
-    if theory_id == monad_id and theory_id.startswith("exception:{"):
-        labels = monad_for(monad_id).labels
-        return {lbl: (lambda lbl=lbl: ("err", lbl)) for lbl in labels}
-    raise NoMonadError(
-        f"no free-model interpretation registered for {theory_id!r} over {monad_id!r}"
-    )
+    """The operations of the theory on the monad's values, when the monad is
+    the theory's free-model construction: the algebra structure its own join
+    gives, op(v0, v1, ...) = join(fmap(i -> vi, generic element of op))."""
+    monad = monad_for(monad_id)
+    if monad.theory_id != theory_id:
+        raise NoMonadError(f"{monad_id} is not the free-model monad of {theory_id}")
+
+    def interpret(generic):
+        return lambda *args: monad.join(monad.fmap(lambda i: args[int(i)], generic))
+
+    return {name: interpret(generic) for name, generic in monad.generics.items()}
+
+
+@dataclass
+class _Evaluation(terms.Procedure):
+    """A free-model evaluation as a compositional semantics: variables to
+    their values in `env`, operations through their interpretations."""
+
+    ops: dict
+    env: dict
+
+    def var_key(self, name):
+        return self.env[name]
+
+    def app_key(self, op, child_keys):
+        return self.ops[op.name](*child_keys)
+
+
+@dataclass
+class _Product(terms.Procedure):
+    """Pairs of keys of two procedures; compositional when both are."""
+
+    first: terms.Procedure
+    second: terms.Procedure
+
+    def var_key(self, name):
+        return self.first.var_key(name), self.second.var_key(name)
+
+    def app_key(self, op, child_keys):
+        return (
+            self.first.app_key(op, tuple(k[0] for k in child_keys)),
+            self.second.app_key(op, tuple(k[1] for k in child_keys)),
+        )
 
 
 @dataclass
@@ -861,6 +868,10 @@ def free_model_iso_check(
     values; for every b <= bound the values of size <= b are exactly the
     enumeration at bound b; and substitution followed by evaluation agrees
     with evaluating into nested values and joining.
+
+    Evaluation is compositional, so each check closes the universe under
+    the product of two compositional semantics (`terms.classes_by_closure`)
+    and sees every pair of results that some term has, one term per pair.
     """
     entry = theories.lookup_theory(theory_id)
     monad = monad_for(monad_id)
@@ -868,94 +879,63 @@ def free_model_iso_check(
     report = FreeModelReport(entry.theory_id, monad.monad_id, tuple(labels), bound, depth)
 
     sig = entry.presentation.signature
-    atoms = [terms.Var(x) for x in labels] + [
-        terms.App(c, ()) for c in sig.constants
-    ]
-    universe = list(terms.enumerate_terms(sig, atoms, depth))
-    report.term_count = len(universe)
+    atoms = [terms.Var(x) for x in labels] + [terms.App(c, ()) for c in sig.constants]
+    # terms of depth <= k: the atoms plus every operation over depth <= k-1
+    count = leaves = len(dict.fromkeys(atoms))
+    for _ in range(depth):
+        count = leaves + sum(count**op.arity for op in sig.ops if op.arity >= 1)
+    report.term_count = count
 
-    def evaluator(env: dict) -> Callable:
-        memo: dict = {}
-
-        def value_of(t):
-            got = memo.get(t)
-            if got is None:
-                if isinstance(t, terms.Var):
-                    got = env[t.name]
-                else:
-                    got = ops[t.op.name](*(value_of(s) for s in t.args))
-                memo[t] = got
-            return got
-
-        return value_of
-
-    base_value = evaluator({x: monad.unit(x) for x in labels})
-
-    proc = terms.procedure_for(entry.theory_id)
-    by_class: dict = {}
-    for t in universe:
-        by_class.setdefault(proc.term_key(t), []).append(t)
+    base = _Evaluation(ops, {x: monad.unit(x) for x in labels})
+    proc = _Product(terms.procedure_for(entry.theory_id), base)
+    by_class: dict = {}  # key -> (first witness, values)
+    for (key, val), bucket in terms.classes_by_closure(sig, proc, atoms, depth).items():
+        by_class.setdefault(key, (next(iter(bucket.values())), set()))[1].add(val)
     report.class_count = len(by_class)
 
-    class_values: dict = {}
-    for key, members in by_class.items():
-        vals = {base_value(t) for t in members}
+    class_values = []
+    for first, vals in by_class.values():
         if len(vals) > 1:
-            report.problems.append(
-                f"class of {terms.render(members[0])} maps to {len(vals)} values"
-            )
-        class_values[key] = vals.pop()
-
-    seen: dict = {}
-    for key, val in class_values.items():
+            shown = terms.render(first)
+            report.problems.append(f"class of {shown} maps to {len(vals)} values")
+        class_values.append(vals.pop())
+    seen: set = set()
+    for val in class_values:
         if val in seen:
-            report.problems.append(
-                f"distinct classes share value {format_value(val)}"
-            )
-        seen[val] = key
+            report.problems.append(f"distinct classes share value {format_value(val)}")
+        seen.add(val)
     report.value_count = len(seen)
 
-    term_values = set(class_values.values())
+    sizes = {v: monad.size(v) for v in seen}
     for b in range(bound + 1):
         enumerated = set(monad.enumerate(tuple(labels), b))
-        reached = {v for v in term_values if monad.size(v) <= b}
-        missing = enumerated - reached
-        extra = reached - enumerated
-        if missing:
-            report.problems.append(
-                f"bound {b}: {len(missing)} enumerated values unreachable from "
-                f"terms, e.g. {format_value(sorted(missing, key=canon_key)[0])}"
-            )
-        if extra:
-            report.problems.append(
-                f"bound {b}: {len(extra)} term values missing from enumeration, "
-                f"e.g. {format_value(sorted(extra, key=canon_key)[0])}"
-            )
+        reached = {v for v, n in sizes.items() if n <= b}
+        for odd, what in (
+            (enumerated - reached, "enumerated values unreachable from terms"),
+            (reached - enumerated, "term values missing from enumeration"),
+        ):
+            if odd:
+                example = format_value(min(odd, key=canon_key))
+                report.problems.append(f"bound {b}: {len(odd)} {what}, e.g. {example}")
 
     # substitution vs join: evaluating t[sigma] directly must agree with
     # evaluating t over unit-wrapped evaluated images and then joining
-    small = [t for t in universe if terms.term_depth(t) <= subst_depth]
-    subst_images = small[: 3 * len(labels)]
-    sigmas = []
-    if subst_images:
-        for shift in range(min(3, len(subst_images))):
-            sigma = {
-                x: subst_images[(i + shift) % len(subst_images)]
-                for i, x in enumerate(labels)
-            }
-            sigmas.append(sigma)
-    checked = 0
-    for sigma in sigmas:
-        outer_value = evaluator(
-            {x: monad.unit(base_value(sigma[x])) for x in labels}
-        )
-        for t in small:
-            direct = base_value(terms.substitute(t, sigma))
-            if monad.join(outer_value(t)) != direct:
-                report.problems.append(
-                    f"substitution mismatch at {terms.render(t)}"
-                )
-            checked += 1
-    if checked == 0:
+    small_depth = min(subst_depth, depth)
+    wanted = 3 * len(labels) if subst_depth >= 0 else 0
+    first_terms = terms.enumerate_terms(sig, atoms, small_depth)
+    subst_images = list(itertools.islice(first_terms, wanted))
+    for shift in range(min(3, len(subst_images))):
+        images = {
+            x: base.term_key(subst_images[(i + shift) % len(subst_images)])
+            for i, x in enumerate(labels)
+        }
+        direct = _Evaluation(ops, images)
+        outer = _Evaluation(ops, {x: monad.unit(v) for x, v in images.items()})
+        pairs = terms.classes_by_closure(sig, _Product(direct, outer), atoms, small_depth)
+        for (want, got), bucket in pairs.items():
+            if monad.join(got) != want:
+                witness = terms.render(next(iter(bucket.values())))
+                report.problems.append(f"substitution mismatch at {witness}")
+    if not subst_images:
         report.problems.append("no substitution cases checked")
     return report

@@ -564,21 +564,18 @@ class NoGoVerdict:
         return {"NoDistLaw": "N", "Exists": "Y", "Unknown": "?"}[self.status]
 
     def describe(self) -> str:
-        lines = [f"{self.s_id} over {self.t_id}: {self.status}"]
-        if self.theorems:
-            lines.append("  by " + ", ".join(self.theorems))
-        for app in self.refutations:
-            for rec in app.records:
-                lines.append(f"    {app.theorem} {rec.describe()}")
-        if self.positive is not None:
-            lines.append(f"  citation: {self.positive.citation}")
-            if self.positive.citation_only:
-                lines.append("  (citation-only: no implemented law to replay)")
-            for law in self.verified_laws:
-                lines.append(f"  law {law} replayed green")
-        for note in self.notes:
-            lines.append(f"  note: {note}")
-        return "\n".join(lines)
+        """The verdict as `monadlab nogo` prints it."""
+        if self.status == "NoDistLaw":
+            lines = [f"NO ({', '.join(self.theorems)})"]
+            lines += [f"  {app.theorem} {rec.describe()}"
+                      for app in self.refutations for rec in app.records]
+        elif self.status == "Exists":
+            what = ", ".join(self.verified_laws) or self.positive.citation
+            lines = [f"YES ({what})", f"  citation: {self.positive.citation}"]
+            lines += [f"  law {law} replayed green" for law in self.verified_laws]
+        else:
+            lines = ["UNKNOWN"]
+        return "\n".join(lines + [f"  note: {note}" for note in self.notes])
 
 
 def verdict(

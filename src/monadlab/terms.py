@@ -25,7 +25,6 @@ __all__ = [
     "render",
     "term_vars",
     "term_depth",
-    "term_size",
     "subterm_paths",
     "replace_at",
     "substitute",
@@ -35,6 +34,7 @@ __all__ = [
     "ParseError",
     "parse_term",
     "enumerate_terms",
+    "classes_by_closure",
     "rewrite_steps",
     "EqStatus",
     "EqResult",
@@ -43,7 +43,6 @@ __all__ = [
     "NoProcedureError",
     "register_procedure",
     "procedure_for",
-    "registered_procedures",
     "decide_eq",
     "normalize",
 ]
@@ -164,12 +163,6 @@ def term_depth(term: Term) -> int:
     if isinstance(term, Var) or not term.args:
         return 0
     return 1 + max(term_depth(a) for a in term.args)
-
-
-def term_size(term: Term) -> int:
-    if isinstance(term, Var):
-        return 1
-    return 1 + sum(term_size(a) for a in term.args)
 
 
 def subterm_paths(term: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
@@ -377,6 +370,63 @@ def enumerate_terms(
         current = layer
 
 
+def classes_by_closure(
+    sig: Signature, proc: Procedure, atoms: Sequence[Term], depth: int
+) -> dict:
+    """key -> {variable mask -> first witness} over the terms of depth <=
+    `depth` whose leaves come from `atoms`, built by closure.
+
+    Masks get one bit per variable atom, in order. Terms are ordered as
+    `enumerate_terms` yields them: the atoms, then level by level every
+    operation applied to earlier terms with at least one child from the
+    newest level, children in index-tuple order. Each (key, mask) pair keeps
+    its first witness in that order, and the map lists pairs in that order.
+
+    Keys and masks are compositional, so the classes are the closure of their
+    own first witnesses under the operations (congruence closure, Nelson &
+    Oppen 1980). The pool therefore holds one entry per (key, mask) pair, not
+    one per term. This is exact, witnesses included: replacing each child of
+    a first witness by its own class's first witness keeps the key and mask,
+    never moves later in the order, and keeps a child on the newest level
+    (else the pair would have been recorded a level earlier). So every first
+    witness is built from first witnesses, which the pool enumerates in the
+    same relative order.
+    """
+    classes: dict[Hashable, dict[int, Term]] = {}
+    pool: list[tuple[Term, Hashable, int]] = []  # (first witness, key, mask)
+    next_bit = 1
+    for term in atoms:
+        bits = 0
+        if isinstance(term, Var):
+            bits, next_bit = next_bit, next_bit << 1
+        key = proc.term_key(term)
+        bucket = classes.setdefault(key, {})
+        if bits not in bucket:
+            bucket[bits] = term
+            pool.append((term, key, bits))
+
+    builders = [op for op in sig.ops if op.arity >= 1]
+    newest_from = 0
+    for level in range(1, depth + 1):
+        shallower = len(pool)
+        for op in builders:
+            for combo in itertools.product(range(shallower), repeat=op.arity):
+                if max(combo) < newest_from:
+                    continue  # all children too shallow; already generated
+                picked = [pool[i] for i in combo]
+                key = proc.app_key(op, tuple(p[1] for p in picked))
+                bits = 0
+                for p in picked:
+                    bits |= p[2]
+                bucket = classes.setdefault(key, {})
+                if bits not in bucket:
+                    term = bucket[bits] = App(op, tuple(p[0] for p in picked))
+                    if level < depth:
+                        pool.append((term, key, bits))
+        newest_from = shallower
+    return classes
+
+
 # ---------------------------------------------------------------------------
 # bounded equational reasoning
 
@@ -498,8 +548,9 @@ class Procedure:
     """Decision procedure for one theory.
 
     Evaluation is compositional: the canonical key of an application depends
-    only on the operation and the keys of its children, which lets callers
-    stream large term universes without rebuilding terms. Subclasses must
+    only on the operation and the keys of its children, which lets
+    `classes_by_closure` visit one term per class instead of the whole
+    bounded universe. Subclasses must
     implement `var_key` and `app_key`; `reify` is optional and backs
     `normalize` (decide-only procedures leave it returning None).
     """
@@ -530,10 +581,6 @@ def register_procedure(theory_id: str, proc: Procedure, replace: bool = False) -
 
 def procedure_for(theory_id: str) -> Optional[Procedure]:
     return _PROCEDURES.get(theory_id)
-
-
-def registered_procedures() -> tuple[str, ...]:
-    return tuple(sorted(_PROCEDURES))
 
 
 def decide_eq(theory_id: str, t1: Term, t2: Term) -> bool:

@@ -29,6 +29,7 @@ from monadlab.terms import (
     Procedure,
     Term,
     Var,
+    classes_by_closure,
     decide_eq,
     enumerate_terms,
     eq_bounded,
@@ -601,64 +602,15 @@ def _class_map(entry: TheoryEntry, depth: int, num_vars: int):
     cached = entry._class_maps.get(cache_key)
     if cached is not None:
         return cached
+    sig = entry.presentation.signature
+    atoms: list[Term] = [Var(f"x{i + 1}") for i in range(num_vars)]
+    atoms += [App(c, ()) for c in sig.constants]
     proc = procedure_for(entry.theory_id)
     if proc is None:
-        classes = _classes_by_rewrite(entry, depth, num_vars)
+        classes = _classes_by_rewrite(entry, atoms, depth)
     else:
-        classes = _stream_classes(entry, proc, depth, num_vars)
+        classes = classes_by_closure(sig, proc, atoms, depth)
     entry._class_maps[cache_key] = classes
-    return classes
-
-
-def _stream_classes(entry: TheoryEntry, proc: Procedure, depth: int, num_vars: int):
-    """The class map of the terms of depth <= `depth`, built by closure.
-
-    Terms are ordered as `enumerate_terms` yields them: the atoms, then level
-    by level every operation applied to earlier terms with at least one child
-    from the newest level, children in index-tuple order. Each (key, mask)
-    pair keeps its first witness in that order.
-
-    Keys and masks are compositional, so the classes are the closure of their
-    own first witnesses under the operations (congruence closure, Nelson &
-    Oppen 1980). The pool therefore holds one entry per (key, mask) pair, not
-    one per term. This is exact, witnesses included: replacing each child of
-    a first witness by its own class's first witness keeps the key and mask,
-    never moves later in the order, and keeps a child on the newest level
-    (else the pair would have been recorded a level earlier). So every first
-    witness is built from first witnesses, which the pool enumerates in the
-    same relative order.
-    """
-    sig = entry.presentation.signature
-    classes: dict[Hashable, dict[int, Term]] = {}
-    pool: list[tuple[Term, Hashable, int]] = []  # (first witness, key, mask)
-    atoms = [(Var(f"x{i + 1}"), 1 << i) for i in range(num_vars)]
-    atoms += [(App(c, ()), 0) for c in sig.constants]
-    for term, bits in atoms:
-        key = proc.term_key(term)
-        bucket = classes.setdefault(key, {})
-        if bits not in bucket:
-            bucket[bits] = term
-            pool.append((term, key, bits))
-
-    builders = [op for op in sig.ops if op.arity >= 1]
-    newest_from = 0
-    for level in range(1, depth + 1):
-        shallower = len(pool)
-        for op in builders:
-            for combo in itertools.product(range(shallower), repeat=op.arity):
-                if max(combo) < newest_from:
-                    continue  # all children too shallow; already generated
-                picked = [pool[i] for i in combo]
-                key = proc.app_key(op, tuple(p[1] for p in picked))
-                bits = 0
-                for p in picked:
-                    bits |= p[2]
-                bucket = classes.setdefault(key, {})
-                if bits not in bucket:
-                    term = bucket[bits] = App(op, tuple(p[0] for p in picked))
-                    if level < depth:
-                        pool.append((term, key, bits))
-        newest_from = shallower
     return classes
 
 
@@ -680,14 +632,11 @@ class _UnionFind:
             self.parent[rj] = ri
 
 
-def _classes_by_rewrite(entry: TheoryEntry, depth: int, num_vars: int):
+def _classes_by_rewrite(entry: TheoryEntry, atoms: list[Term], depth: int):
     """Fallback for theories without a registered procedure: approximate the
     classes by closing one-step rewrites inside the bounded universe. Classes
     may be under-merged, which bounded certificates are allowed to be."""
-    sig = entry.presentation.signature
-    atoms: list[Term] = [Var(f"x{i + 1}") for i in range(num_vars)]
-    atoms += [App(c, ()) for c in sig.constants]
-    universe = list(enumerate_terms(sig, atoms, depth))
+    universe = list(enumerate_terms(entry.presentation.signature, atoms, depth))
     index = {t: i for i, t in enumerate(universe)}
     uf = _UnionFind(len(universe))
     pool = tuple(atoms)
@@ -696,7 +645,7 @@ def _classes_by_rewrite(entry: TheoryEntry, depth: int, num_vars: int):
             j = index.get(u)
             if j is not None:
                 uf.union(i, j)
-    var_index = {f"x{i + 1}": i for i in range(num_vars)}
+    var_index = {v.name: i for i, v in enumerate(a for a in atoms if isinstance(a, Var))}
     classes: dict[Hashable, dict[int, Term]] = {}
     for t, i in index.items():
         bits = 0

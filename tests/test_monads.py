@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from monadlab import monads
 from monadlab.monads import (
+    FreeModelReport,
     ListMonad,
     LawReport,
     NoMonadError,
@@ -15,6 +16,16 @@ from monadlab.monads import (
     free_model_iso_check,
     monad_for,
 )
+from monadlab.terms import (
+    App,
+    Var,
+    enumerate_terms,
+    procedure_for,
+    render,
+    substitute,
+    term_depth,
+)
+from monadlab.theories import lookup_theory
 from monadlab.values import (
     canon_key,
     format_value,
@@ -310,33 +321,31 @@ def test_fmap_functorial_and_join_natural(mid, data):
 # free models
 
 
-@pytest.mark.parametrize(
-    "theory_id,monad_id",
-    [
-        ("monoid", "list"),
-        ("comm-monoid", "multiset"),
-        ("jsl", "powerset"),
-        ("pointed", "lift"),
-    ],
-)
+CORE_PAIRS = [
+    ("monoid", "list"),
+    ("comm-monoid", "multiset"),
+    ("jsl", "powerset"),
+    ("pointed", "lift"),
+]
+MORE_PAIRS = [
+    ("semigroup", "nonempty-list", 3, 2),
+    ("magma", "bintree", 3, 2),
+    ("magma-unit", "narytree:2", 3, 2),
+    ("narytree-theory:3", "narytree:3", 3, 2),
+    ("reader:2", "reader:2", 1, 2),
+    ("abgroup", "abgroup", 2, 2),
+    ("exception:{a,b}", "exception:{a,b}", 1, 1),
+]
+
+
+@pytest.mark.parametrize("theory_id,monad_id", CORE_PAIRS)
 def test_free_model_iso_core_pairs(theory_id, monad_id):
     report = free_model_iso_check(theory_id, monad_id, depth=2)
     assert report.ok, report.problems
     assert report.value_count == report.class_count
 
 
-@pytest.mark.parametrize(
-    "theory_id,monad_id,bound,depth",
-    [
-        ("semigroup", "nonempty-list", 3, 2),
-        ("magma", "bintree", 3, 2),
-        ("magma-unit", "narytree:2", 3, 2),
-        ("narytree-theory:3", "narytree:3", 3, 2),
-        ("reader:2", "reader:2", 1, 2),
-        ("abgroup", "abgroup", 2, 2),
-        ("exception:{a,b}", "exception:{a,b}", 1, 1),
-    ],
-)
+@pytest.mark.parametrize("theory_id,monad_id,bound,depth", MORE_PAIRS)
 def test_free_model_iso_more_pairs(theory_id, monad_id, bound, depth):
     report = free_model_iso_check(theory_id, monad_id, bound=bound, depth=depth)
     assert report.ok, report.problems
@@ -348,6 +357,117 @@ def test_dist_is_not_free_over_binary_mix():
     report = free_model_iso_check("convex", "dist", bound=2, depth=3)
     assert not report.ok
     assert any("unreachable" in p for p in report.problems)
+
+
+def _brute_force_free_model(theory_id, monad_id, labels, bound, depth, subst_depth=2):
+    """The free-model report computed term by term over the whole universe."""
+    entry = lookup_theory(theory_id)
+    monad = monad_for(monad_id)
+    ops = monads.free_model_ops(entry.theory_id, monad.monad_id)
+    report = FreeModelReport(entry.theory_id, monad.monad_id, labels, bound, depth)
+    sig = entry.presentation.signature
+    atoms = [Var(x) for x in labels] + [App(c, ()) for c in sig.constants]
+    universe = list(enumerate_terms(sig, atoms, depth))
+    report.term_count = len(universe)
+
+    def evaluator(env):
+        memo = {}
+
+        def value(t):
+            if t not in memo:
+                if isinstance(t, Var):
+                    memo[t] = env[t.name]
+                else:
+                    memo[t] = ops[t.op.name](*(value(s) for s in t.args))
+            return memo[t]
+
+        return value
+
+    base = evaluator({x: monad.unit(x) for x in labels})
+    proc = procedure_for(entry.theory_id)
+    by_class = {}
+    for t in universe:
+        by_class.setdefault(proc.term_key(t), []).append(t)
+    report.class_count = len(by_class)
+    class_values = {}
+    for key, members in by_class.items():
+        vals = {base(t) for t in members}
+        if len(vals) > 1:
+            shown = render(members[0])
+            report.problems.append(f"class of {shown} maps to {len(vals)} values")
+        class_values[key] = vals.pop()
+    seen = {}
+    for key, val in class_values.items():
+        if val in seen:
+            report.problems.append(f"distinct classes share value {format_value(val)}")
+        seen[val] = key
+    report.value_count = len(seen)
+    for b in range(bound + 1):
+        enumerated = set(monad.enumerate(labels, b))
+        reached = {v for v in seen if monad.size(v) <= b}
+        for got, what in (
+            (enumerated - reached, "enumerated values unreachable from terms"),
+            (reached - enumerated, "term values missing from enumeration"),
+        ):
+            if got:
+                first = format_value(sorted(got, key=canon_key)[0])
+                report.problems.append(f"bound {b}: {len(got)} {what}, e.g. {first}")
+
+    small = [t for t in universe if term_depth(t) <= subst_depth]
+    images = small[: 3 * len(labels)]
+    for shift in range(min(3, len(images))):
+        sigma = {x: images[(i + shift) % len(images)] for i, x in enumerate(labels)}
+        outer = evaluator({x: monad.unit(base(sigma[x])) for x in labels})
+        mismatched = {}  # one report per distinct (direct, outer) pair
+        for t in small:
+            direct = base(substitute(t, sigma))
+            if monad.join(outer(t)) != direct:
+                mismatched.setdefault((direct, outer(t)), t)
+        for t in mismatched.values():
+            report.problems.append(f"substitution mismatch at {render(t)}")
+    if not images:
+        report.problems.append("no substitution cases checked")
+    return report
+
+
+@pytest.mark.parametrize(
+    "theory_id,monad_id,labels,bound,depth",
+    [(th, m, ("a", "b", "c"), 3, 2) for th, m in CORE_PAIRS]
+    + [
+        (th, m, ("a", "b") if th == "narytree-theory:3" else ("a", "b", "c"), b, d)
+        for th, m, b, d in MORE_PAIRS
+    ]
+    + [("convex", "dist", ("a", "b", "c"), 2, 3)],
+)
+def test_free_model_closure_matches_brute_force(theory_id, monad_id, labels, bound, depth):
+    got = free_model_iso_check(theory_id, monad_id, labels, bound, depth)
+    assert got == _brute_force_free_model(theory_id, monad_id, labels, bound, depth)
+
+
+def test_free_model_reports_one_substitution_mismatch_per_value_pair(monkeypatch):
+    # a product that drops its right argument once the left one has two
+    # elements does not commute with join; each (direct, outer) value pair
+    # is reported once
+    def clipped_ops(theory_id, monad_id):
+        clipped = lambda a, b: a if len(a) > 2 else a + b[1:]  # noqa: E731
+        return {"mul": clipped, "e": lambda: ("list",)}
+
+    monkeypatch.setattr(monads, "free_model_ops", clipped_ops)
+    labels = ("a", "b")
+    got = free_model_iso_check("monoid", "list", labels=labels, bound=1, depth=2)
+    assert got == _brute_force_free_model("monoid", "list", labels, 1, 2)
+    assert any(p.startswith("substitution mismatch") for p in got.problems)
+
+
+@pytest.mark.parametrize("monad_id", ALL_IDS)
+def test_free_model_ops_cover_the_signature(monad_id):
+    m = monad_for(monad_id)
+    sig = lookup_theory(m.theory_id).presentation.signature
+    ops = monads.free_model_ops(m.theory_id, monad_id)
+    assert sorted(ops) == sorted(op.name for op in sig.ops)
+    for op in sig.ops:
+        if op.arity == 2:
+            assert ops[op.name](m.unit("a"), m.unit("b")) == m.pair("a", "b")
 
 
 def test_free_model_detects_wrong_ops():
