@@ -72,6 +72,9 @@ def _report(report: _monads.LawReport) -> None:
 # carriers are the letters a..j
 _CARRIER = click.IntRange(1, 10)
 _BOUND = click.IntRange(min=0)
+# certificate bounds: P3 needs three variables to have a counterexample
+_DEPTH = click.IntRange(min=1)
+_VARS = click.IntRange(min=3)
 
 
 @click.group()
@@ -208,8 +211,8 @@ def law_search(s_monad, t_monad, carrier, bound):
 @main.command()
 @click.argument("s_theory", metavar="S")
 @click.argument("t_theory", metavar="T")
-@click.option("--depth", default=3, show_default=True, help="certificate depth")
-@click.option("--vars", "num_vars", default=4, show_default=True,
+@click.option("--depth", default=3, show_default=True, type=_DEPTH, help="certificate depth")
+@click.option("--vars", "num_vars", default=4, show_default=True, type=_VARS,
               help="variables in class analyses")
 def nogo(s_theory, t_theory, depth, num_vars):
     """Is there a distributive law S∘T => T∘S? Exit 1 when refuted."""
@@ -225,8 +228,8 @@ def nogo(s_theory, t_theory, depth, num_vars):
               show_default=True)
 @click.option("--golden", type=click.Path(exists=True, dir_okay=False), default=None,
               help="compare against a golden CSV instead of printing")
-@click.option("--depth", default=3, show_default=True)
-@click.option("--vars", "num_vars", default=4, show_default=True)
+@click.option("--depth", default=3, show_default=True, type=_DEPTH)
+@click.option("--vars", "num_vars", default=4, show_default=True, type=_VARS)
 def boom_table(variant, fmt, golden, depth, num_vars):
     """Reproduce a Boom-hierarchy verdict table."""
     table = _hierarchy.build_table(variant, depth, num_vars)

@@ -234,12 +234,15 @@ def law_for(law_id: str) -> DistLaw:
 # Beck conditions
 
 
+# violations recorded per report; the counts in `checked` stay complete
+_MAX_VIOLATIONS = 1000
+
+
 def check_beck(
     law: DistLaw,
     carrier_size: int = 2,
     bound: int = 3,
     nested_caps: tuple = (32, 12),
-    max_violations: int = 1000,
 ) -> LawReport:
     """Test the four Beck conditions plus naturality over graded pools.
 
@@ -255,7 +258,7 @@ def check_beck(
     cap2, cap3 = nested_caps
 
     def note(component, w, lhs, rhs):
-        if len(report.violations) < max_violations:
+        if len(report.violations) < _MAX_VIOLATIONS:
             report.violations.append((component, w, lhs, rhs))
 
     pool_t = t.enumerate(X, bound)

@@ -93,6 +93,8 @@ class SearchResult:
 # from. Edges took 250-650 bytes per pair (2.2M pairs needed 1.4 GB), so the
 # cap keeps them under about 650 MB; lift over lift at carrier 6 has 373,248.
 _MAX_DOMAIN = 4096
+_MAX_LEVELS = 4  # carriers in the chain
+_MAX_CARRIER = 4  # largest carrier size in the chain
 _MAX_EDGE_CHECKS = 1_000_000
 
 
@@ -105,8 +107,6 @@ def search_distlaw_bounded(
     t_id: str,
     carrier_size: int = 1,
     bound: int = 2,
-    max_levels: int = 4,
-    max_carrier: int = 4,
 ) -> SearchResult:
     s = monad_for(s_id)
     t = monad_for(t_id)
@@ -114,8 +114,8 @@ def search_distlaw_bounded(
     # carrier chain: each level is as large as the previous level's T-pool,
     # capped; this is what lets naturality squeeze values between levels
     sizes = [carrier_size]
-    while len(sizes) < max_levels:
-        nxt = min(len(t.enumerate(letters(sizes[-1]), bound)), max_carrier)
+    while len(sizes) < _MAX_LEVELS:
+        nxt = min(len(t.enumerate(letters(sizes[-1]), bound)), _MAX_CARRIER)
         if nxt <= sizes[-1]:
             break
         sizes.append(nxt)

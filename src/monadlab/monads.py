@@ -489,13 +489,17 @@ class ReaderMonad(FinMonad):
 
 
 
-def _weight_tuples(slots: int, max_denominator: int) -> list[tuple]:
+# DistMonad enumerates weights with denominators up to this
+_MAX_DENOMINATOR = 4
+
+
+def _weight_tuples(slots: int) -> list[tuple]:
     """All tuples of `slots` positive weights with small denominators summing
     to one, in lexicographic order over the ascending weight alphabet."""
     alphabet = sorted(
         {
             Fraction(p, q)
-            for q in range(1, max_denominator + 1)
+            for q in range(1, _MAX_DENOMINATOR + 1)
             for p in range(1, q + 1)
         }
     )
@@ -519,17 +523,14 @@ def _weight_tuples(slots: int, max_denominator: int) -> list[tuple]:
 class DistMonad(FinMonad):
     """Finitely supported probability distributions with exact weights.
 
-    The denominator bound only limits enumeration; values built by join keep
-    exact arbitrary-denominator weights.
+    The denominator bound `_MAX_DENOMINATOR` only limits enumeration; values
+    built by join keep exact arbitrary-denominator weights.
     """
 
+    monad_id = "dist"
     family = "dist"
     theory_id = "convex"
     generics = {"mix": ("dist", (("0", Fraction(1, 2)), ("1", Fraction(1, 2))))}
-
-    def __init__(self, max_denominator: int = 4):
-        self.max_denominator = max_denominator
-        self.monad_id = "dist"
 
     def unit(self, x):
         return ("dist", ((x, Fraction(1)),))
@@ -557,7 +558,7 @@ class DistMonad(FinMonad):
 
     def iter_values(self, carrier, bound):
         for s in range(1, bound + 1):
-            tuples = _weight_tuples(s, self.max_denominator)
+            tuples = _weight_tuples(s)
             for support in itertools.combinations(carrier, s):
                 for weights in tuples:
                     yield mk_dist(zip(support, weights))
@@ -671,8 +672,10 @@ def monad_for(monad_id: str) -> FinMonad:
     key = _MONAD_ALIASES.get(monad_id, monad_id)
     if key in _MONADS:
         return _MONADS[key]
-    if key.startswith("exception:{") and key.endswith("}"):
-        labels = tuple(p for p in key[len("exception:{"):-1].split(",") if p)
+    labels = theories.exception_labels(key)
+    if labels is not None:
+        if not labels:
+            raise NoMonadError(f"exception monad {monad_id!r} needs at least one label")
         m = ExceptionMonad(labels)
         return _MONADS.setdefault(m.monad_id, m)
     if key.startswith("narytree:"):

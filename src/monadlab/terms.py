@@ -1,8 +1,10 @@
 """Terms over finite algebraic signatures, plus bounded equational search.
 
 The syntax layer is deliberately tiny: frozen dataclasses, a recursive-descent
-parser, and a breadth-first prover that reads axioms as bidirectional rewrite
-rules. Per-theory decision procedures (normal forms, semantic evaluation) are
+parser, and a breadth-first prover. `Rewriter` is the one rewrite relation
+(axioms read as rules in both directions): the prover, the rewrite classes of
+procedure-less theories and procedure validation all go through it.
+Per-theory decision procedures (normal forms, semantic evaluation) are
 registered here by `monadlab.theories` and dispatched through `normalize` and
 `decide_eq`.
 """
@@ -35,7 +37,9 @@ __all__ = [
     "parse_term",
     "enumerate_terms",
     "classes_by_closure",
+    "Rewriter",
     "rewrite_steps",
+    "rewrite_components",
     "EqStatus",
     "EqResult",
     "eq_bounded",
@@ -431,35 +435,89 @@ def classes_by_closure(
 # bounded equational reasoning
 
 
+class Rewriter:
+    """The one-step rewrite relation of a presentation: each axiom read as a
+    rewrite rule in both directions. Its equivalence closure is provable
+    equality, so this is the one place the axioms are read as rules.
+
+    `pool` supplies instantiations for variables that occur on only one side
+    of an axiom (e.g. growing x into mul(x,inv(x)) needs an x from somewhere).
+    Root steps and the steps of argument subterms are memoized, so one
+    rewriter serves a whole search or universe.
+    """
+
+    def __init__(self, presentation: Presentation, pool: Sequence[Term] = ()):
+        self.rules: list[tuple[Term, Term]] = [
+            rule for e in presentation.equations for rule in ((e.lhs, e.rhs), (e.rhs, e.lhs))
+        ]
+        self.pool = tuple(pool)
+        self._root: dict[Term, tuple[Term, ...]] = {}
+        self._steps: dict[Term, tuple[Term, ...]] = {}
+
+    def at_root(self, term: Term) -> tuple[Term, ...]:
+        """Rewrites at the root, rule-major and in pool-fill order, without
+        repeats and without `term` itself."""
+        cached = self._root.get(term)
+        if cached is not None:
+            return cached
+        out: dict[Term, None] = {}
+        for pat, repl in self.rules:
+            bindings = match(pat, term)
+            if bindings is None:
+                continue
+            unbound = sorted(term_vars(repl) - bindings.keys())
+            for fills in itertools.product(self.pool, repeat=len(unbound)):
+                full = dict(bindings)
+                full.update(zip(unbound, fills))
+                out.setdefault(substitute(repl, full), None)
+        out.pop(term, None)
+        result = self._root[term] = tuple(out)
+        return result
+
+    def steps(self, term: Term) -> list[Term]:
+        """Rewrites at every position, positions in preorder (root first,
+        then each argument's steps lifted into place, arguments in order).
+        Never contains `term`; may repeat a term reached at two positions."""
+        out = list(self.at_root(term))
+        if isinstance(term, App):
+            for i, arg in enumerate(term.args):
+                inner = self._steps.get(arg)
+                if inner is None:
+                    inner = self._steps[arg] = tuple(self.steps(arg))
+                for u in inner:
+                    out.append(App(term.op, term.args[:i] + (u,) + term.args[i + 1 :]))
+        return out
+
+
 def rewrite_steps(
     presentation: Presentation, term: Term, pool: Sequence[Term] = ()
 ) -> list[Term]:
     """All one-step rewrites of `term`, reading each axiom in both directions.
 
-    `pool` supplies instantiations for variables that occur on only one side
-    of an axiom (e.g. growing x into mul(x,inv(x)) needs an x from somewhere).
-    Deterministic order, duplicates removed.
+    Deterministic order (positions in preorder, then rules, then pool
+    fills), duplicates removed.
     """
-    rules: list[tuple[Term, Term]] = []
-    for eqn in presentation.equations:
-        rules.append((eqn.lhs, eqn.rhs))
-        rules.append((eqn.rhs, eqn.lhs))
-    out: dict[Term, None] = {}
-    for path, sub in subterm_paths(term):
-        for pat, repl in rules:
-            bindings = match(pat, sub)
-            if bindings is None:
-                continue
-            unbound = sorted(term_vars(repl) - bindings.keys())
-            if unbound and not pool:
-                continue
-            for fills in itertools.product(pool, repeat=len(unbound)):
-                full = dict(bindings)
-                full.update(zip(unbound, fills))
-                rewritten = replace_at(term, path, substitute(repl, full))
-                out.setdefault(rewritten, None)
-    out.pop(term, None)
-    return list(out)
+    return list(dict.fromkeys(Rewriter(presentation, pool).steps(term)))
+
+
+def rewrite_components(rewriter: Rewriter, universe: Sequence[Term]) -> list[int]:
+    """For each universe term, the index of its class representative under
+    the one-step rewrites that stay inside the universe (union-find roots)."""
+    index = {t: i for i, t in enumerate(universe)}
+    parent = list(range(len(universe)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, t in enumerate(universe):
+        for u in rewriter.steps(t):
+            j = index.get(u)
+            if j is not None:
+                parent[find(j)] = find(i)
+    return [find(i) for i in range(len(universe))]
 
 
 class EqStatus(Enum):
@@ -501,6 +559,7 @@ def eq_bounded(
         )
     if t1 == t2:
         return EqResult(EqStatus.EQUAL, 0, 1)
+    rewriter = Rewriter(presentation, pool)
     seen: tuple[dict, dict] = ({t1: 0}, {t2: 0})  # term -> ball radius
     frontier: list[list[Term]] = [[t1], [t2]]
     radius = [0, 0]
@@ -517,7 +576,7 @@ def eq_bounded(
         grown = radius[i] + 1
         layer: list[Term] = []
         for t in frontier[i]:
-            for u in rewrite_steps(presentation, t, pool):
+            for u in rewriter.steps(t):
                 if u in mine:
                     continue
                 met = other.get(u)
@@ -573,8 +632,8 @@ class Procedure:
 _PROCEDURES: dict[str, Procedure] = {}
 
 
-def register_procedure(theory_id: str, proc: Procedure, replace: bool = False) -> None:
-    if theory_id in _PROCEDURES and not replace:
+def register_procedure(theory_id: str, proc: Procedure) -> None:
+    if theory_id in _PROCEDURES:
         raise ValueError(f"procedure already registered for {theory_id!r}")
     _PROCEDURES[theory_id] = proc
 

@@ -33,12 +33,12 @@ from monadlab.terms import (
     decide_eq,
     enumerate_terms,
     eq_bounded,
-    match,
     parse_term,
     procedure_for,
     register_procedure,
     render,
-    rewrite_steps,
+    Rewriter,
+    rewrite_components,
     signature,
     substitute,
     term_vars,
@@ -61,6 +61,7 @@ __all__ = [
     "theory_ids",
     "registry",
     "load_theory_file",
+    "exception_labels",
     "exception_theory",
     "narytree_theory",
     "ring_entry",
@@ -121,15 +122,11 @@ _UNIT_KEY = ("e",)
 class WordProc(Procedure):
     """Free monoid / semigroup: terms evaluate to words of variable names."""
 
-    def __init__(self, op_name: str = "mul", unit_name: str = "e"):
-        self.op_name = op_name
-        self.unit_name = unit_name
-
     def var_key(self, name: str) -> Hashable:
         return (name,)
 
     def app_key(self, op: OpSymbol, child_keys: tuple) -> Hashable:
-        if op.name == self.unit_name:
+        if op.name == "e":
             return ()
         word: tuple = ()
         for part in child_keys:
@@ -137,7 +134,13 @@ class WordProc(Procedure):
         return word
 
     def reify(self, key) -> Optional[Term]:
-        return _fold_word(key, self.op_name, self.unit_name)
+        if not key:
+            return App(OpSymbol("e", 0), ())
+        op = OpSymbol("mul", 2)
+        out: Term = Var(key[-1])
+        for name in reversed(key[:-1]):
+            out = App(op, (Var(name), out))
+        return out
 
 
 class MultisetProc(WordProc):
@@ -166,8 +169,7 @@ class BandProc(Procedure):
     invariant is a semigroup congruence.
     """
 
-    def __init__(self, unit_name: str = "e"):
-        self.unit_name = unit_name
+    def __init__(self):
         self._rep: dict[Hashable, tuple[str, ...]] = {}
         self._memo: dict[tuple[str, ...], Hashable] = {}
 
@@ -175,7 +177,7 @@ class BandProc(Procedure):
         return self._intern((name,))
 
     def app_key(self, op, child_keys):
-        if op.name == self.unit_name:
+        if op.name == "e":
             return self._intern(())
         word: tuple[str, ...] = ()
         for part in child_keys:
@@ -229,19 +231,16 @@ class TreeProc(Procedure):
     joinable critical pairs, so innermost normalization decides equality.
     """
 
-    def __init__(self, unital: bool, comm: bool, idem: bool,
-                 op_name: str = "mul", unit_name: str = "e"):
+    def __init__(self, unital: bool, comm: bool, idem: bool):
         self.unital = unital
         self.comm = comm
         self.idem = idem
-        self.op_name = op_name
-        self.unit_name = unit_name
 
     def var_key(self, name: str) -> Hashable:
         return ("v", name)
 
     def app_key(self, op, child_keys):
-        if op.name == self.unit_name:
+        if op.name == "e":
             return _UNIT_KEY
         a, b = child_keys
         if self.unital:
@@ -257,26 +256,24 @@ class TreeProc(Procedure):
 
     def reify(self, key) -> Optional[Term]:
         if key == _UNIT_KEY:
-            return App(OpSymbol(self.unit_name, 0), ())
+            return App(OpSymbol("e", 0), ())
         if key[0] == "v":
             return Var(key[1])
-        op = OpSymbol(self.op_name, 2)
+        op = OpSymbol("mul", 2)
         return App(op, (self.reify(key[1]), self.reify(key[2])))
 
 
 class NaryTreeProc(Procedure):
     """Unital n-ary trees: prune nodes where all but one child is the unit."""
 
-    def __init__(self, n: int, op_name: str = "node", unit_name: str = "e"):
+    def __init__(self, n: int):
         self.n = n
-        self.op_name = op_name
-        self.unit_name = unit_name
 
     def var_key(self, name):
         return ("v", name)
 
     def app_key(self, op, child_keys):
-        if op.name == self.unit_name:
+        if op.name == "e":
             return _UNIT_KEY
         proper = [k for k in child_keys if k != _UNIT_KEY]
         if not proper:
@@ -287,10 +284,10 @@ class NaryTreeProc(Procedure):
 
     def reify(self, key):
         if key == _UNIT_KEY:
-            return App(OpSymbol(self.unit_name, 0), ())
+            return App(OpSymbol("e", 0), ())
         if key[0] == "v":
             return Var(key[1])
-        op = OpSymbol(self.op_name, self.n)
+        op = OpSymbol("node", self.n)
         return App(op, tuple(self.reify(k) for k in key[1:]))
 
 
@@ -439,16 +436,6 @@ class RingProc(Procedure):
         return out
 
 
-def _fold_word(word: tuple, op_name: str, unit_name: str) -> Term:
-    if not word:
-        return App(OpSymbol(unit_name, 0), ())
-    op = OpSymbol(op_name, 2)
-    out: Term = Var(word[-1])
-    for name in reversed(word[:-1]):
-        out = App(op, (Var(name), out))
-    return out
-
-
 def _boom_procedure(flags: BoomFlags) -> Procedure:
     if flags.assoc:
         if flags.idem and not flags.comm:
@@ -516,10 +503,9 @@ def lookup_theory(name: str) -> TheoryEntry:
     tid = _ALIASES.get(name, name)
     if tid in _REGISTRY:
         return _REGISTRY[tid]
-    if name.startswith("exception:{") and name.endswith("}"):
-        labels = tuple(x.strip() for x in name[len("exception:{") : -1].split(",") if x.strip())
-        if labels:
-            return exception_theory(labels)
+    labels = exception_labels(name)
+    if labels:
+        return exception_theory(labels)
     if name.startswith("narytree-theory:"):
         try:
             width = int(name.split(":", 1)[1])
@@ -584,14 +570,17 @@ class PropertyCertificate:
         return f"{self.status.value}({inner})"
 
 
-_BOUNDED = {
-    PropertyId.S1,
-    PropertyId.S2,
-    PropertyId.T1,
-    PropertyId.T2,
-    PropertyId.P3,
-    PropertyId.V2,
-    PropertyId.V3,
+# class-based properties, with the fewest variables their counterexamples
+# need: an open term (S1/T1), a second variable for a foreign variable or for
+# b(x1,x2) itself (S2/T2/V2/V3), a third variable (P3)
+_MIN_VARS = {
+    PropertyId.S1: 1,
+    PropertyId.T1: 1,
+    PropertyId.S2: 2,
+    PropertyId.T2: 2,
+    PropertyId.V2: 2,
+    PropertyId.V3: 2,
+    PropertyId.P3: 3,
 }
 
 
@@ -614,46 +603,19 @@ def _class_map(entry: TheoryEntry, depth: int, num_vars: int):
     return classes
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[rj] = ri
-
-
 def _classes_by_rewrite(entry: TheoryEntry, atoms: list[Term], depth: int):
     """Fallback for theories without a registered procedure: approximate the
     classes by closing one-step rewrites inside the bounded universe. Classes
     may be under-merged, which bounded certificates are allowed to be."""
     universe = list(enumerate_terms(entry.presentation.signature, atoms, depth))
-    index = {t: i for i, t in enumerate(universe)}
-    uf = _UnionFind(len(universe))
-    pool = tuple(atoms)
-    for t, i in index.items():
-        for u in rewrite_steps(entry.presentation, t, pool):
-            j = index.get(u)
-            if j is not None:
-                uf.union(i, j)
+    reps = rewrite_components(Rewriter(entry.presentation, atoms), universe)
     var_index = {v.name: i for i, v in enumerate(a for a in atoms if isinstance(a, Var))}
     classes: dict[Hashable, dict[int, Term]] = {}
-    for t, i in index.items():
+    for t, root in zip(universe, reps):
         bits = 0
         for v in term_vars(t):
-            if v in var_index:
-                bits |= 1 << var_index[v]
-        bucket = classes.setdefault(uf.find(i), {})
-        bucket.setdefault(bits, t)
+            bits |= 1 << var_index[v]
+        classes.setdefault(root, {}).setdefault(bits, t)
     return classes
 
 
@@ -661,7 +623,8 @@ def _key_of(entry: TheoryEntry, term: Term, depth: int, num_vars: int):
     proc = procedure_for(entry.theory_id)
     if proc is not None:
         return proc.term_key(term)
-    # fallback classes are keyed by union-find root; locate the term's class
+    # fallback classes are keyed by rewrite-class representative; locate the
+    # term's class
     classes = _class_map(entry, depth, num_vars)
     for key, bucket in classes.items():
         for witness in bucket.values():
@@ -704,9 +667,10 @@ def check_property(
     P3: members of the class of b(x1,x2) use at most 2 distinct variables.
     V3: no member of the class of b(x1,x2) fits inside a single variable.
 
-    Class-based properties are bounded by (depth, num_vars); the rest are
-    exact when a decision procedure is registered and fall back to bounded
-    proof search otherwise.
+    Class-based properties are bounded by (depth, num_vars), and Unknown
+    when those bounds cannot hold a counterexample; the rest are exact when
+    a decision procedure is registered and fall back to bounded proof
+    search otherwise.
     """
     cache_key = (prop, depth, num_vars)
     cached = entry._certificates.get(cache_key)
@@ -753,20 +717,17 @@ def _check_property(entry, prop, depth, num_vars) -> PropertyCertificate:
                 prop, PropertyStatus.FAILS, "syntactic", detail="no constants to act as units"
             )
         all_bounded_ok = True
+        x = Var("x")
         for op in builders:
-            found = None
             for c in sig.constants:
-                unit = App(c, ())
-                verdicts = []
-                for pos in range(op.arity):
-                    args: list[Term] = [unit] * op.arity
-                    args[pos] = Var("x")
-                    v, was_exact = _decide(entry, App(op, tuple(args)), Var("x"), depth)
-                    verdicts.append((v, was_exact))
-                if all(v is True for v, _ in verdicts):
-                    found = c
+                units = (App(c, ()),) * op.arity
+                if all(
+                    _decide(entry, App(op, units[:pos] + (x,) + units[pos + 1 :]), x, depth)[0]
+                    is True
+                    for pos in range(op.arity)
+                ):
                     break
-            if found is None:
+            else:
                 if exact:
                     return exactish(False, detail=f"no unit constant for {op.name}/{op.arity}")
                 all_bounded_ok = False
@@ -784,8 +745,8 @@ def _check_property(entry, prop, depth, num_vars) -> PropertyCertificate:
             )
         u = entry.designated_unit
         x = Var("x")
-        left, el = _decide(entry, entry.binary_at(u, x), x, depth)
-        right, er = _decide(entry, entry.binary_at(x, u), x, depth)
+        left = _decide(entry, entry.binary_at(u, x), x, depth)[0]
+        right = _decide(entry, entry.binary_at(x, u), x, depth)[0]
         if left is True and right is True:
             return exactish(True)
         if left is False or right is False:
@@ -837,15 +798,20 @@ def _check_property(entry, prop, depth, num_vars) -> PropertyCertificate:
             return PropertyCertificate(prop, PropertyStatus.HOLDS, exact_method)
         return PropertyCertificate(prop, PropertyStatus.UNKNOWN, exact_method)
 
-    if prop in _BOUNDED:
+    if prop in _MIN_VARS:
         return _check_bounded_property(entry, prop, depth, num_vars, bounded_method)
 
     raise ValueError(f"unhandled property {prop}")
 
 
 def _check_bounded_property(entry, prop, depth, num_vars, method) -> PropertyCertificate:
+    """Search the class map for a counterexample. Finding none in a universe
+    that cannot hold one gives Unknown, not a vacuous HoldsBounded."""
+    if prop in (PropertyId.P3, PropertyId.V3) and entry.designated_binary is None:
+        return PropertyCertificate(
+            prop, PropertyStatus.FAILS, "syntactic", detail="no designated binary"
+        )
     classes = _class_map(entry, depth, num_vars)
-
     if prop in (PropertyId.S1, PropertyId.T1):
         for bucket in classes.values():
             closed = bucket.get(0)
@@ -857,42 +823,39 @@ def _check_bounded_property(entry, prop, depth, num_vars, method) -> PropertyCer
                         prop, PropertyStatus.FAILS, method, (closed, witness),
                         "open term in a closed term's class",
                     )
-        return PropertyCertificate(prop, PropertyStatus.HOLDS_BOUNDED, method)
-
-    if prop in (PropertyId.S2, PropertyId.T2, PropertyId.V2):
-        key = _key_of(entry, Var("x1"), depth, num_vars)
-        bucket = classes.get(key, {})
-        base = next((t for bits, t in bucket.items() if bits == 1), Var("x1"))
+    else:
+        x1 = Var("x1")
+        of_var = prop in (PropertyId.S2, PropertyId.T2, PropertyId.V2)
+        probe = x1 if of_var else entry.binary_at(x1, Var("x2"))
+        bucket = classes.get(_key_of(entry, probe, depth, num_vars))
+        if bucket is None:
+            return PropertyCertificate(
+                prop, PropertyStatus.UNKNOWN, method,
+                detail=f"{render(probe)} has no class in the bounded universe",
+            )
         for bits, witness in bucket.items():
-            if bits & ~1:
+            if of_var and bits & ~1:
+                base = next((t for b, t in bucket.items() if b == 1), x1)
                 return PropertyCertificate(
                     prop, PropertyStatus.FAILS, method, (base, witness),
                     "foreign variable in a variable's class",
                 )
-        return PropertyCertificate(prop, PropertyStatus.HOLDS_BOUNDED, method)
-
-    if prop in (PropertyId.P3, PropertyId.V3):
-        if entry.designated_binary is None:
-            return PropertyCertificate(
-                prop, PropertyStatus.FAILS, "syntactic", detail="no designated binary"
-            )
-        pair = entry.binary_at(Var("x1"), Var("x2"))
-        key = _key_of(entry, pair, depth, num_vars)
-        bucket = classes.get(key, {})
-        for bits, witness in bucket.items():
             if prop is PropertyId.P3 and bits.bit_count() > 2:
                 return PropertyCertificate(
-                    prop, PropertyStatus.FAILS, method, (pair, witness),
+                    prop, PropertyStatus.FAILS, method, (probe, witness),
                     "class member with more than 2 variables",
                 )
             if prop is PropertyId.V3 and (bits & ~1 == 0 or bits & ~2 == 0):
                 return PropertyCertificate(
-                    prop, PropertyStatus.FAILS, method, (pair, witness),
+                    prop, PropertyStatus.FAILS, method, (probe, witness),
                     "class member inside a single variable",
                 )
-        return PropertyCertificate(prop, PropertyStatus.HOLDS_BOUNDED, method)
-
-    raise ValueError(f"unhandled bounded property {prop}")
+    if num_vars < _MIN_VARS[prop]:
+        return PropertyCertificate(
+            prop, PropertyStatus.UNKNOWN, method,
+            detail=f"a counterexample needs {_MIN_VARS[prop]} variable(s)",
+        )
+    return PropertyCertificate(prop, PropertyStatus.HOLDS_BOUNDED, method)
 
 
 def class_members(
@@ -944,8 +907,6 @@ def validate_procedure_against_rewrites(
     entry: TheoryEntry,
     depth: int = 3,
     num_vars: int = 2,
-    bridge_depth: int = 3,
-    bridge_pair_limit: int = 400,
 ) -> ProcedureValidation:
     """Exhaustively compare decide_eq classes with rewrite-derived classes.
 
@@ -963,8 +924,7 @@ def validate_procedure_against_rewrites(
     pres = entry.presentation
     atoms = [Var(f"x{i + 1}") for i in range(num_vars)]
     universe = list(enumerate_terms(pres.signature, atoms, depth))
-    pool = tuple(atoms) + tuple(App(c, ()) for c in pres.signature.constants)
-    index = {t: i for i, t in enumerate(universe)}
+    rewriter = Rewriter(pres, atoms + [App(c, ()) for c in pres.signature.constants])
 
     key_memo: dict[Term, Hashable] = {}
 
@@ -978,89 +938,31 @@ def validate_procedure_against_rewrites(
             key_memo[t] = k
         return k
 
-    rules: list[tuple[Term, Term]] = []
-    for eqn in pres.equations:
-        rules.append((eqn.lhs, eqn.rhs))
-        rules.append((eqn.rhs, eqn.lhs))
-
-    root_memo: dict[Term, tuple[Term, ...]] = {}
-
-    def root_edges(t: Term) -> tuple[Term, ...]:
-        cached = root_memo.get(t)
-        if cached is not None:
-            return cached
-        out: dict[Term, None] = {}
-        for pat, repl in rules:
-            bindings = match(pat, t)
-            if bindings is None:
-                continue
-            unbound = sorted(term_vars(repl) - bindings.keys())
-            for fills in itertools.product(pool, repeat=len(unbound)):
-                full = dict(bindings)
-                full.update(zip(unbound, fills))
-                u = substitute(repl, full)
-                if u != t:
-                    out.setdefault(u, None)
-        result = tuple(out)
-        root_memo[t] = result
-        return result
-
     # Soundness needs root positions only: procedures are compositional, so a
     # key change under a context implies a key change at the rewritten root.
     soundness: list = []
     for t in universe:
         kt = key_of(t)
-        for u in root_edges(t):
+        for u in rewriter.at_root(t):
             if key_of(u) != kt:
                 soundness.append((t, u))
 
-    # One-step neighbors at arbitrary positions, composing child neighbor
-    # lists; memoized for the shallow terms that occur as children.
-    depth_memo: dict[Term, int] = {}
-    depth_of = {t: _term_depth_memo(t, depth_memo) for t in universe}
-    nbr_memo: dict[Term, tuple[Term, ...]] = {}
-
-    def neighbors(t: Term) -> tuple[Term, ...]:
-        cached = nbr_memo.get(t)
-        if cached is not None:
-            return cached
-        out = list(root_edges(t))
-        if isinstance(t, App):
-            for i, child in enumerate(t.args):
-                for u in neighbors(child):
-                    out.append(App(t.op, t.args[:i] + (u,) + t.args[i + 1 :]))
-        result = tuple(out)
-        if depth_of.get(t, 0) < depth:
-            nbr_memo[t] = result
-        return result
-
-    uf = _UnionFind(len(universe))
-    for t, i in index.items():
-        for u in neighbors(t):
-            j = index.get(u)
-            if j is not None:
-                uf.union(i, j)
-
-    by_key: dict[Hashable, list[int]] = {}
+    reps = rewrite_components(rewriter, universe)
+    by_key: dict[Hashable, dict[int, list[int]]] = {}
     for i, t in enumerate(universe):
-        by_key.setdefault(key_of(t), []).append(i)
+        by_key.setdefault(key_of(t), {}).setdefault(reps[i], []).append(i)
 
     disconnected: list = []
-    for key, members in by_key.items():
-        components: dict[int, list[int]] = {}
-        for i in members:
-            components.setdefault(uf.find(i), []).append(i)
+    for key, components in by_key.items():
         if len(components) == 1:
             continue
-        comps = sorted(components.values(), key=len, reverse=True)
-        merged = comps[0]
-        pending = comps[1:]
+        merged, *pending = sorted(components.values(), key=len, reverse=True)
         progress = True
         while pending and progress:
             progress = False
             still: list[list[int]] = []
             for comp in pending:
-                if _bridge(pres, universe, merged, comp, bridge_depth, bridge_pair_limit):
+                if _bridge(pres, universe, merged, comp):
                     merged = merged + comp
                     progress = True
                 else:
@@ -1075,27 +977,15 @@ def validate_procedure_against_rewrites(
     )
 
 
-def _term_depth_memo(t: Term, memo: dict) -> int:
-    d = memo.get(t)
-    if d is None:
-        if isinstance(t, Var) or not t.args:
-            d = 0
-        else:
-            d = 1 + max(_term_depth_memo(a, memo) for a in t.args)
-        memo[t] = d
-    return d
+# eq_bounded settings for joining rewrite components of one procedure class
+_BRIDGE_DEPTH = 3
+_BRIDGE_PAIR_LIMIT = 400
 
 
-def _bridge(pres, universe, comp_a, comp_b, depth, pair_limit) -> bool:
-    tried = 0
-    for i in comp_a:
-        for j in comp_b:
-            if tried >= pair_limit:
-                return False
-            tried += 1
-            if eq_bounded(pres, universe[i], universe[j], depth=depth):
-                return True
-    return False
+def _bridge(pres, universe, comp_a, comp_b) -> bool:
+    pairs = itertools.islice(itertools.product(comp_a, comp_b), _BRIDGE_PAIR_LIMIT)
+    return any(eq_bounded(pres, universe[i], universe[j], depth=_BRIDGE_DEPTH)
+               for i, j in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -1146,8 +1036,17 @@ def _register_boom() -> None:
             register_theory(entry, _boom_procedure(flags))
 
 
+def exception_labels(name: str) -> Optional[tuple[str, ...]]:
+    """The sorted distinct labels of an `exception:{a,b}` id, blanks and
+    surrounding spaces dropped; None when `name` is not of that form. The
+    theory and monad registries both read exception ids through this."""
+    if not (name.startswith("exception:{") and name.endswith("}")):
+        return None
+    return tuple(sorted({x.strip() for x in name[len("exception:{") : -1].split(",")} - {""}))
+
+
 def exception_theory(labels: Iterable[str]) -> TheoryEntry:
-    labels = tuple(sorted(labels))
+    labels = tuple(sorted(set(labels)))
     tid = "exception:{" + ",".join(labels) + "}"
     if tid in _REGISTRY:
         return _REGISTRY[tid]

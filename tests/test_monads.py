@@ -91,6 +91,15 @@ def test_dynamic_instances():
     assert monad_for("narytree:4").width == 4
 
 
+def test_exception_id_spellings_agree():
+    m = monad_for("exception:{b, a}")
+    assert m is monad_for("exception:{a,b}")
+    assert m.monad_id == lookup_theory("exception:{b, a}").theory_id
+    for empty in ("exception:{}", "exception:{ , }"):
+        with pytest.raises(NoMonadError):
+            monad_for(empty)
+
+
 def test_unknown_monad_suggests():
     with pytest.raises(NoMonadError) as exc:
         monad_for("pwoerset")

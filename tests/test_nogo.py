@@ -292,6 +292,12 @@ class TestVerdict:
         assert v.verified_laws == ("mm-nel-1", "mm-nel-2", "mm-nel-3")
         assert "Manes & Mulry" in v.positive.citation
 
+    def test_too_few_variables_is_not_a_refutation(self):
+        # with one variable, reader:2's S2/V2/P3/V3 rows cannot fail, so
+        # their passes must not feed Plotkin1
+        v = verdict("reader:2", "jsl", num_vars=1)
+        assert v.status != "NoDistLaw"
+
     def test_citation_only_cells_are_flagged(self):
         v = verdict("boom:U-C-", "boom:UAC-")
         assert v.status == "Exists"

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -14,6 +15,7 @@ from monadlab.terms import (
     decide_eq,
     normalize,
     parse_term,
+    render,
     rewrite_steps,
 )
 from monadlab.theories import (
@@ -80,6 +82,7 @@ def test_exception_theories_on_demand():
         OpSymbol("p", 0), OpSymbol("q", 0), OpSymbol("r", 0),
     )
     assert exception_theory(("q", "p", "r")) is entry  # sorted, deduped id
+    assert exception_theory(("r", "p", "q", "p")) is entry
 
 
 def test_boom_axioms_exactly_flagged():
@@ -300,6 +303,37 @@ def test_one_step_rewrites_preserve_keys(tid, data):
         assert decide_eq(tid, t, u), f"{u} should equal {t}"
 
 
+def _path_walk_steps(rules, term, pool):
+    """Reference one-step rewrites: every position in preorder, each rule
+    (an axiom read one way, with its right side's variables), pool fills for
+    one-sided variables, first occurrence kept and `term` itself dropped."""
+    out = {}
+    for path, sub in terms.subterm_paths(term):
+        for pat, repl, repl_vars in rules:
+            bindings = terms.match(pat, sub)
+            if bindings is None:
+                continue
+            unbound = sorted(repl_vars - bindings.keys())
+            for fills in itertools.product(pool, repeat=len(unbound)):
+                full = dict(bindings, **dict(zip(unbound, fills)))
+                rewritten = terms.replace_at(term, path, terms.substitute(repl, full))
+                out.setdefault(rewritten, None)
+    out.pop(term, None)
+    return list(out)
+
+
+@pytest.mark.parametrize("tid", [*theory_ids(), "ring"])
+def test_rewrite_steps_match_path_walk(tid):
+    pres = (ring_entry() if tid == "ring" else lookup_theory(tid)).presentation
+    rules = [(a, b, terms.term_vars(b))
+             for e in pres.equations for a, b in ((e.lhs, e.rhs), (e.rhs, e.lhs))]
+    atoms = [Var("x"), Var("y")] + [App(c, ()) for c in pres.signature.constants]
+    # ring's 3,244 terms run with the pool only, to keep the test short
+    for pool in (atoms,) if tid == "ring" else (atoms, ()):
+        for t in terms.enumerate_terms(pres.signature, atoms, 2):
+            assert rewrite_steps(pres, t, pool) == _path_walk_steps(rules, t, pool), (t, pool)
+
+
 # ---------------------------------------------------------------------------
 # structural properties
 
@@ -487,6 +521,60 @@ def test_class_map_matches_brute_force(tid, depth, num_vars):
 
 # ---------------------------------------------------------------------------
 # loading theory definitions
+
+
+def _load_copy(tmp_path, tid):
+    """A procedure-less copy of a registered theory, loaded from JSON."""
+    entry = lookup_theory(tid)
+    pres = entry.presentation
+    path = tmp_path / "copy.json"
+    path.write_text(json.dumps({
+        "id": f"copy:{tid}",
+        "ops": [[op.name, op.arity] for op in pres.signature.ops],
+        "axioms": [[render(e.lhs), render(e.rhs), e.name] for e in pres.equations],
+        "designated_binary": render(entry.designated_binary),
+    }))
+    return load_theory_file(str(path))
+
+
+@pytest.mark.parametrize("tid", ["boom:--C-", "boom:U-C-"])
+def test_rewrite_class_map_matches_procedure(tmp_path, tid):
+    # rewrite classes are keyed by representative, procedure classes by key;
+    # buckets, witnesses and their order must agree
+    copy = _load_copy(tmp_path, tid)
+    assert not copy.has_procedure
+    got = _class_map(copy, 2, 3)
+    want = _class_map(lookup_theory(tid), 2, 3)
+    assert [list(b.items()) for b in got.values()] == [
+        list(b.items()) for b in want.values()
+    ]
+
+
+def test_class_certificates_too_small_to_fail_are_unknown(tmp_path):
+    reader = lookup_theory("reader:2")
+    for prop in (PropertyId.S2, PropertyId.V2, PropertyId.P3, PropertyId.V3):
+        cert = check_property(reader, prop, depth=3, num_vars=1)
+        assert cert.status is PropertyStatus.UNKNOWN, prop
+        assert cert.detail, prop
+    for prop in (PropertyId.S1, PropertyId.T1):
+        assert status_of("convex", prop, num_vars=0) is PropertyStatus.UNKNOWN
+    assert status_of("convex", PropertyId.P3, num_vars=2) is PropertyStatus.UNKNOWN
+    assert status_of("convex", PropertyId.P3, num_vars=3) is PropertyStatus.HOLDS_BOUNDED
+    path = tmp_path / "leftzero.json"
+    path.write_text(json.dumps({
+        "id": "test:leftzero-small",
+        "ops": [["mul", 2]],
+        "axioms": [["mul(x,y)", "x", "leftzero"]],
+        "designated_binary": "mul(y1,y2)",
+    }))
+    leftzero = load_theory_file(str(path))
+    # at depth 0 mul(x1,x2) is outside the universe: no class to search
+    cert = check_property(leftzero, PropertyId.P3, depth=0, num_vars=3)
+    assert cert.status is PropertyStatus.UNKNOWN
+    assert "no class" in cert.detail
+    # a counterexample found in a small universe still refutes
+    cert = check_property(leftzero, PropertyId.V3, depth=2, num_vars=1)
+    assert cert.status is PropertyStatus.FAILS
 
 
 def test_load_theory_file(tmp_path):
