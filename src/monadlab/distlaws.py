@@ -238,6 +238,24 @@ def law_for(law_id: str) -> DistLaw:
 _MAX_VIOLATIONS = 1000
 
 
+class _Memo:
+    """`f` computed once per distinct input for as long as the memo lives;
+    `calls` counts the inputs asked for, `cache` holds the distinct ones."""
+
+    def __init__(self, f: Callable[[Value], Value]):
+        self.f = f
+        self.cache: dict = {}
+        self.calls = 0
+
+    def __call__(self, x: Value) -> Value:
+        self.calls += 1
+        try:
+            return self.cache[x]
+        except KeyError:
+            y = self.cache[x] = self.f(x)
+            return y
+
+
 def check_beck(
     law: DistLaw,
     carrier_size: int = 2,
@@ -250,9 +268,15 @@ def check_beck(
     for the multiplication conditions use deterministic enumeration prefixes
     (`nested_caps`) as carriers, and the report records the pool sizes so a
     pass is an explicit bounded claim.
+
+    Within one call the law, the naturality renames on T and S values, and
+    the joins that the multiplication conditions push through fmap are each
+    computed once per distinct input. The memos are locals of the call and
+    die when it returns; `stats` counts the law applications requested
+    (`lambda_requested`) and computed (`lambda_computed`).
     """
     start = time.perf_counter()
-    s, t, lam = law.s_monad, law.t_monad, law.apply
+    s, t, lam = law.s_monad, law.t_monad, _Memo(law.apply)
     X = letters(carrier_size)
     report = LawReport(law.law_id, X, bound, tuple(nested_caps))
     cap2, cap3 = nested_caps
@@ -290,10 +314,11 @@ def check_beck(
     if carrier_size == 1:
         renames = [{"a": "a"}]
     for f in renames:
-        inner = lambda tv: t.fmap(f.get, tv)  # noqa: E731
+        inner = _Memo(lambda tv: t.fmap(f.get, tv))
+        outer = _Memo(lambda sv: s.fmap(f.get, sv))
         for w in pool_st:
             lhs = lam(s.fmap(inner, w))
-            rhs = t.fmap(lambda sv: s.fmap(f.get, sv), lam(w))
+            rhs = t.fmap(outer, lam(w))
             if lhs != rhs:
                 note("natural", w, lhs, rhs)
     report.checked["natural"] = len(pool_st) * len(renames)
@@ -302,9 +327,10 @@ def check_beck(
     carrier_st = pool_st[:cap3]
     pool_sst = s.enumerate(carrier_st, bound)
     report.pool_sizes["SST"] = len(pool_sst)
+    s_join = _Memo(s.join)
     for w in pool_sst:
         lhs = lam(s.join(w))
-        rhs = t.fmap(s.join, lam(s.fmap(lam, w)))
+        rhs = t.fmap(s_join, lam(s.fmap(lam, w)))
         if lhs != rhs:
             note("mult-s", w, lhs, rhs)
     report.checked["mult-s"] = len(pool_sst)
@@ -315,13 +341,16 @@ def check_beck(
     pool_stt = s.enumerate(carrier_tt, bound)
     report.pool_sizes["TT"] = len(pool_tt)
     report.pool_sizes["STT"] = len(pool_stt)
+    t_join = _Memo(t.join)
     for w in pool_stt:
-        lhs = lam(s.fmap(t.join, w))
+        lhs = lam(s.fmap(t_join, w))
         rhs = t.join(t.fmap(lam, lam(w)))
         if lhs != rhs:
             note("mult-t", w, lhs, rhs)
     report.checked["mult-t"] = len(pool_stt)
 
+    report.stats["lambda_requested"] = lam.calls
+    report.stats["lambda_computed"] = len(lam.cache)
     report.elapsed = time.perf_counter() - start
     return report
 

@@ -708,6 +708,7 @@ class LawReport:
     pool_sizes: dict = field(default_factory=dict)
     violations: list = field(default_factory=list)
     elapsed: float = 0.0
+    stats: dict = field(default_factory=dict)
 
     def unchecked(self) -> list:
         """Conditions that saw no case: a pass on them would be vacuous."""

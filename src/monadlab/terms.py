@@ -65,6 +65,19 @@ class OpSymbol:
         if self.arity < 0:
             raise ValueError(f"negative arity for {self.name!r}")
 
+    # the generated methods build two tuples per comparison; operations of
+    # one signature are nearly always the same object, so identity decides
+    # most comparisons in matching and rewriting
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name and self.arity == other.arity
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.arity))
+
 
 @dataclass(frozen=True)
 class Signature:

@@ -5,10 +5,19 @@ plain string, everything structured starts with a tag. Smart constructors
 keep every value canonical (sorted set members, merged multiset entries,
 pruned trees), so structural equality is semantic equality and values can sit
 inside other values as elements.
+
+The constructors of sets and weighted containers put their entries in
+`canon_key` order without always computing `canon_key`: zero or one entry
+needs no sort, and entries that are all labels sort natively, since
+`canon_key` of a label is (0, label). Any other entries sort by their
+top-level key through a bounded LRU store (`_KEY_CACHE_SIZE` values), so
+the sub-values that recur inside one computation are keyed once while they
+stay in use, and the store never grows past its size.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -59,6 +68,22 @@ def canon_key(v: Value):
     return (2, tuple(canon_key(x) for x in v))
 
 
+# values whose sort key is kept; the nine positive-law Beck replays at
+# carrier 2 sort fewer than a thousand distinct non-label elements between
+# them, each about a hundred times
+_KEY_CACHE_SIZE = 4096
+_cached_key = functools.lru_cache(maxsize=_KEY_CACHE_SIZE)(canon_key)
+
+
+def _canonical_order(xs) -> list:
+    """The distinct values `xs` in `canon_key` order."""
+    if len(xs) <= 1:
+        return list(xs)
+    if all(isinstance(x, str) for x in xs):
+        return sorted(xs)
+    return sorted(xs, key=_cached_key)
+
+
 def letters(n: int) -> tuple:
     """The carrier {a, b, ...} of size n, for n in 1..10."""
     if not 1 <= n <= 10:
@@ -84,15 +109,13 @@ def mk_mset(items: Iterable[Value] = (), entries: Iterable[tuple] = ()) -> Value
     for x, n in counts.items():
         if n < 0:
             raise ValueError(f"negative multiplicity for {x!r}")
-    merged = tuple(
-        (x, counts[x]) for x in sorted(counts, key=canon_key) if counts[x] != 0
-    )
+    merged = tuple((x, counts[x]) for x in _canonical_order(counts) if counts[x] != 0)
     return ("mset", merged)
 
 
 def mk_set(items: Iterable[Value]) -> Value:
     distinct = {x: None for x in items}
-    return ("set",) + tuple(sorted(distinct, key=canon_key))
+    return ("set",) + tuple(_canonical_order(distinct))
 
 
 def mk_dist(entries: Iterable[tuple]) -> Value:
@@ -105,7 +128,7 @@ def mk_dist(entries: Iterable[tuple]) -> Value:
     if any(w < 0 for w in weights.values()):
         raise ValueError("negative weight in distribution")
     merged = tuple(
-        (x, weights[x]) for x in sorted(weights, key=canon_key) if weights[x] != 0
+        (x, weights[x]) for x in _canonical_order(weights) if weights[x] != 0
     )
     return ("dist", merged)
 
@@ -114,9 +137,7 @@ def mk_grp(entries: Iterable[tuple]) -> Value:
     coeffs: dict = {}
     for x, c in entries:
         coeffs[x] = coeffs.get(x, 0) + c
-    merged = tuple(
-        (x, coeffs[x]) for x in sorted(coeffs, key=canon_key) if coeffs[x] != 0
-    )
+    merged = tuple((x, coeffs[x]) for x in _canonical_order(coeffs) if coeffs[x] != 0)
     return ("grp", merged)
 
 

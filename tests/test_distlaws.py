@@ -1,5 +1,7 @@
 """Distributive laws: pinned examples, Beck conditions, the broken control."""
 
+import collections
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -242,6 +244,74 @@ def test_faulty_law_fails_first_multiplication():
     # every pool was complete at this size: 183 doubly nested values
     assert report.pool_sizes["SST"] == 183
     assert not report.violated("unit-s") and not report.violated("unit-t")
+
+
+def _counting(law):
+    """The law with an apply that counts how often it sees each input."""
+    seen = collections.Counter()
+
+    def apply(v):
+        seen[v] += 1
+        return law.apply(v)
+
+    return dataclasses.replace(law, apply=apply), seen
+
+
+@pytest.mark.parametrize(
+    "law_id", ["choice:tree:powerset", "mm-nel-1", "faulty-list-exception"]
+)
+def test_check_beck_applies_the_law_once_per_input_per_call(law_id):
+    law, seen = _counting(law_for(law_id))
+    report = check_beck(law, carrier_size=2, bound=2)
+    assert seen and set(seen.values()) == {1}
+    assert report.stats["lambda_computed"] == len(seen)
+    assert report.stats["lambda_requested"] > len(seen)
+    # nothing outlives the call: a second one applies every input again
+    again = check_beck(law, carrier_size=2, bound=2)
+    assert set(seen.values()) == {2}
+    assert again.stats == report.stats
+
+
+_ERR_B_LEFT = ("list", ("list",), ("list", ("err", "b")))
+_ERR_B_RIGHT = ("list", ("list", ("err", "b")), ("list",))
+
+
+@pytest.mark.parametrize(
+    "carrier, bound, checked, pool_sizes, witnesses",
+    [
+        (
+            1,
+            2,
+            {"unit-s": 3, "unit-t": 3, "natural": 13, "mult-s": 157, "mult-t": 31},
+            {"T": 3, "S": 3, "ST": 13, "SST": 157, "TT": 5, "STT": 31},
+            [_ERR_B_LEFT, _ERR_B_RIGHT],
+        ),
+        (
+            2,
+            3,
+            {"unit-s": 4, "unit-t": 15, "natural": 170, "mult-s": 1885, "mult-t": 259},
+            {"T": 4, "S": 15, "ST": 85, "SST": 1885, "TT": 6, "STT": 259},
+            [
+                _ERR_B_LEFT,
+                _ERR_B_RIGHT,
+                ("list", ("list",), ("list",), ("list", ("err", "b"))),
+                ("list", ("list",), ("list", ("err", "b")), ("list",)),
+                ("list", ("list", ("err", "b")), ("list",), ("list",)),
+            ],
+        ),
+    ],
+)
+def test_faulty_law_report_is_pinned(carrier, bound, checked, pool_sizes, witnesses):
+    # recorded from the check without memos: memoizing may change no count,
+    # pool or violation, nor the order in which violations are found
+    report = check_beck(
+        law_for("faulty-list-exception"), carrier_size=carrier, bound=bound
+    )
+    assert report.checked == checked
+    assert report.pool_sizes == pool_sizes
+    assert report.violations == [
+        ("mult-s", w, ("err", "b"), ("err", "a")) for w in witnesses
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monadlab import monads
@@ -33,6 +33,9 @@ from monadlab.values import (
     mk_grp,
     mk_list,
     mk_mset,
+    mk_nleaf,
+    mk_nnode,
+    mk_nunit,
     mk_set,
 )
 
@@ -55,6 +58,72 @@ def test_mset_value_order_label_asc_count_desc():
     a1b1 = mk_mset(items=("a", "b"))
     b2 = mk_mset(entries=[("b", 2)])
     assert sorted([b2, a1b1, a2], key=canon_key) == [a2, a1b1, b2]
+
+
+_LABELS = st.sampled_from("abcd")
+
+
+def _dist_of(entries):
+    total = sum(w for _, w in entries)
+    return mk_dist((x, Fraction(w, total)) for x, w in entries)
+
+
+def _nested_values():
+    """Labels, lists, binary and n-ary trees, sets, and weighted containers
+    with int and Fraction weights, nested."""
+
+    def extend(kids):
+        weighted = st.lists(st.tuples(kids, st.integers(1, 3)), min_size=1, max_size=3)
+        return st.one_of(
+            st.lists(kids, max_size=3).map(mk_list),
+            st.tuples(kids, kids).map(
+                lambda p: ("bnode", ("bleaf", p[0]), ("bleaf", p[1]))
+            ),
+            st.lists(
+                st.one_of(st.just(mk_nunit()), kids.map(mk_nleaf)), max_size=3
+            ).map(mk_nnode),
+            st.lists(kids, max_size=3).map(mk_set),
+            weighted.map(lambda es: mk_mset(entries=es)),
+            weighted.map(lambda es: mk_grp((x, -n) for x, n in es)),
+            weighted.map(_dist_of),
+        )
+
+    return st.recursive(_LABELS, extend, max_leaves=8)
+
+
+def _merged(entries, zero):
+    """Entries merged by element and ordered as `sorted(..., key=canon_key)`."""
+    totals: dict = {}
+    for x, n in entries:
+        totals[x] = totals.get(x, zero) + n
+    order = sorted(totals, key=canon_key)
+    return tuple((x, totals[x]) for x in order if totals[x] != 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.lists(_LABELS, max_size=4),
+        st.lists(_nested_values(), max_size=4),
+        st.lists(st.one_of(_LABELS, st.tuples(_LABELS).map(mk_list)), max_size=4),
+    ),
+    st.lists(st.integers(-2, 3), min_size=4, max_size=4),
+)
+@example([], [1, 1, 1, 1])
+@example(["b"], [2, 1, 1, 1])
+@example(["c", "a", "b", "a"], [1, 2, 1, 3])
+@example(["b", ("list", "a"), "a", ("set",)], [1, 1, 2, 1])
+def test_constructors_order_entries_by_canon_key(elems, counts):
+    distinct = dict.fromkeys(elems)
+    assert mk_set(elems) == ("set",) + tuple(sorted(distinct, key=canon_key))
+    positive = [(x, abs(n) + 1) for x, n in zip(elems, counts)]
+    assert mk_mset(entries=positive) == ("mset", _merged(positive, 0))
+    signed = list(zip(elems, counts))
+    assert mk_grp(signed) == ("grp", _merged(signed, 0))
+    if positive:
+        total = sum(n for _, n in positive)
+        shares = [(x, Fraction(n, total)) for x, n in positive]
+        assert mk_dist(shares) == ("dist", _merged(shares, Fraction(0)))
 
 
 def test_mk_dist_rejects_bad_weights():

@@ -7,6 +7,7 @@ from monadlab.terms import (
     EqStatus,
     Equation,
     NoProcedureError,
+    OpSymbol,
     ParseError,
     Presentation,
     Procedure,
@@ -140,6 +141,18 @@ def test_parse_render_roundtrip(t):
 
 # ---------------------------------------------------------------------------
 # structural helpers
+
+
+def test_op_symbol_equality_and_hash_follow_name_and_arity():
+    a, b = OpSymbol("mul", 2), OpSymbol("mul", 2)
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b) == hash(("mul", 2))
+    assert a != OpSymbol("mul", 1) and a != OpSymbol("add", 2)
+    assert a != ("mul", 2) and a != "mul"
+    assert {a: 1}[b] == 1
+    assert App(a, (Var("x"), Var("y"))) == App(b, (Var("x"), Var("y")))
+    with pytest.raises(ValueError):
+        OpSymbol("bad", -1)
 
 
 def test_term_vars_and_depth():
