@@ -336,10 +336,11 @@ def check_beck(
     report.checked["mult-s"] = len(pool_sst)
 
     # mu-T inside S then lambda versus lambda twice then mu-T outside
-    pool_tt = t.enumerate(carrier_t, bound)
-    carrier_tt = pool_tt[:cap3]
+    # only a prefix of the T-over-T pool is used; the rest is counted, not kept
+    values_tt = t.iter_values(carrier_t, bound)
+    carrier_tt = list(itertools.islice(values_tt, cap3))
     pool_stt = s.enumerate(carrier_tt, bound)
-    report.pool_sizes["TT"] = len(pool_tt)
+    report.pool_sizes["TT"] = len(carrier_tt) + sum(1 for _ in values_tt)
     report.pool_sizes["STT"] = len(pool_stt)
     t_join = _Memo(t.join)
     for w in pool_stt:

@@ -283,18 +283,21 @@ class BinTreeMonad(FinMonad):
     rebuild = _refill
 
     def iter_values(self, carrier, bound):
+        # layer s holds the trees of size s; the last one is never reused
         layers: list[list] = [[]]
         for s in range(1, bound + 1):
             if s == 1:
                 layer = [("bleaf", x) for x in carrier]
             else:
-                layer = [
+                layer = (
                     ("bnode", l, r)
                     for sl in range(1, s)
                     for l in layers[sl]
                     for r in layers[s - sl]
-                ]
-            layers.append(layer)
+                )
+            if s < bound:
+                layer = list(layer)
+                layers.append(layer)
             yield from layer
 
     def pair(self, a, b):
@@ -356,7 +359,7 @@ class NaryTreeMonad(FinMonad):
     rebuild = _refill
 
     def iter_values(self, carrier, bound):
-        n = self.width
+        # layer s holds the trees of size s; the last one is never reused
         layers: list[list] = []
         for s in range(bound + 1):
             if s == 0:
@@ -364,16 +367,20 @@ class NaryTreeMonad(FinMonad):
             elif s == 1:
                 layer = [("nleaf", x) for x in carrier]
             else:
-                layer = []
-                for split in itertools.product(range(s + 1), repeat=n):
-                    if sum(split) != s:
-                        continue
-                    if sum(1 for part in split if part > 0) < 2:
-                        continue
-                    for kids in itertools.product(*(layers[part] for part in split)):
-                        layer.append(("nnode",) + kids)
-            layers.append(layer)
+                layer = self._nodes_of_size(s, layers)
+            if s < bound:
+                layer = list(layer)
+                layers.append(layer)
             yield from layer
+
+    def _nodes_of_size(self, s, layers):
+        for split in itertools.product(range(s + 1), repeat=self.width):
+            if sum(split) != s:
+                continue
+            if sum(1 for part in split if part > 0) < 2:
+                continue
+            for kids in itertools.product(*(layers[part] for part in split)):
+                yield ("nnode",) + kids
 
     def pair(self, a, b):
         kids = [("nleaf", a), ("nleaf", b)] + [("nunit",)] * (self.width - 2)

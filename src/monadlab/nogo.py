@@ -31,6 +31,7 @@ from monadlab.theories import (
     _decide,
     check_property,
     class_members,
+    class_vars,
     lookup_theory,
 )
 from monadlab.values import Value, format_value, mk_dist, mk_set
@@ -247,6 +248,24 @@ def _collapse_to_one(term: Term) -> Term:
     return substitute(term, {x: Var("x1") for x in term_vars(term)})
 
 
+def _class_vars_record(
+    side: str, entry: TheoryEntry, term: Term, req: str, fits, depth: int, nv: int
+) -> CheckRecord:
+    """Whether every member of `term`'s class has a variable count that
+    `fits`: exact for a regular presentation, else over the bounded class."""
+    shared = class_vars(entry, term)
+    if shared is not None:
+        bad = [] if fits(len(shared)) else [term]
+        how = "regular presentation"
+    else:
+        members = class_members(entry, term, depth, nv)
+        bad = [w for mask, w in members if not fits(mask.bit_count())]
+        how = f"depth={depth},vars={nv}"
+    return CheckRecord(
+        side, req, not bad, how + (f"; witness {render(bad[0])}" if bad else "")
+    )
+
+
 def check_plotkin_general(
     p_theory: Union[str, TheoryEntry],
     v_theory: Union[str, TheoryEntry],
@@ -282,38 +301,16 @@ def check_plotkin_general(
         _eq_record("P", pe, "idempotent", _collapse_to_one(p), Var("x1"), depth)
     )
 
-    wide = []
-    for mask, witness in class_members(pe, p, depth, nv):
-        if mask.bit_count() > m:
-            wide.append(witness)
-    records.append(
-        CheckRecord(
-            "P",
-            f"class stays within {m} variables",
-            not wide,
-            f"depth={depth},vars={nv}"
-            + (f"; witness {render(wide[0])}" if wide else ""),
-        )
-    )
-
+    records.append(_class_vars_record(
+        "P", pe, p, f"class stays within {m} variables", lambda k: k <= m, depth, nv
+    ))
     records.append(
         _eq_record("V", ve, "idempotent", _collapse_to_one(v), Var("x1"), depth)
     )
     records.append(_prop_record("V", ve, PropertyId.V2, depth, num_vars))
-
-    thin = []
-    for mask, witness in class_members(ve, v, depth, nv):
-        if mask.bit_count() <= 1:
-            thin.append(witness)
-    records.append(
-        CheckRecord(
-            "V",
-            "class never fits in one variable",
-            not thin,
-            f"depth={depth},vars={nv}"
-            + (f"; witness {render(thin[0])}" if thin else ""),
-        )
-    )
+    records.append(_class_vars_record(
+        "V", ve, v, "class never fits in one variable", lambda k: k > 1, depth, nv
+    ))
     return Applicability(
         TheoremId.PLOTKIN2, ve.theory_id, pe.theory_id, tuple(records), depth, num_vars
     )

@@ -3,10 +3,17 @@
 Each registered theory bundles a finite presentation with an exact decision
 procedure for provable equality (registered into `monadlab.terms`), optional
 designated operations (a binary term over y1,y2 and a unit), and cached
-property certificates. The bounded structural properties read a class map,
-built once per (depth, vars) bound by closing the classes of the bounded term
-universe under the operations; the exact properties go through decide_eq on
-specific terms.
+property certificates. The exact properties go through decide_eq on specific
+terms.
+
+The class-based properties (S1/T1, S2/T2/V2, P3, V3) are facts about the
+variables of the members of equivalence classes. In a regular presentation,
+where both sides of every axiom have the same variables, every step of an
+equational derivation preserves the variable set, so each class shares its
+representative's variables and these properties are exact (`class_vars`).
+Other presentations read a class map instead, built once per (depth, vars)
+bound by closing the classes of the bounded term universe under the
+operations.
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ __all__ = [
     "PropertyStatus",
     "PropertyCertificate",
     "check_property",
+    "class_vars",
     "class_members",
     "abides_holds",
     "ProcedureValidation",
@@ -667,10 +675,13 @@ def check_property(
     P3: members of the class of b(x1,x2) use at most 2 distinct variables.
     V3: no member of the class of b(x1,x2) fits inside a single variable.
 
-    Class-based properties are bounded by (depth, num_vars), and Unknown
-    when those bounds cannot hold a counterexample; the rest are exact when
-    a decision procedure is registered and fall back to bounded proof
-    search otherwise.
+    Class-based properties (S1/T1, S2/T2/V2, P3, V3) are exact for a
+    regular presentation, whatever the bounds: derivations preserve variable
+    sets, so S1/T1 and S2/T2/V2 hold, P3 holds when b(x1,x2) has at most 2
+    variables and V3 when it has at least 2 (`class_vars`). Otherwise they
+    are bounded by (depth, num_vars), and Unknown when those bounds cannot
+    hold a counterexample. The rest are exact when a decision procedure is
+    registered and fall back to bounded proof search otherwise.
     """
     cache_key = (prop, depth, num_vars)
     cached = entry._certificates.get(cache_key)
@@ -682,7 +693,6 @@ def check_property(
 
 
 def _check_property(entry, prop, depth, num_vars) -> PropertyCertificate:
-    bounded_method = f"depth={depth},vars={num_vars}"
     exact = entry.has_procedure
     exact_method = "analytic via decide_eq" if exact else f"eq_bounded depth={depth}"
 
@@ -799,18 +809,61 @@ def _check_property(entry, prop, depth, num_vars) -> PropertyCertificate:
         return PropertyCertificate(prop, PropertyStatus.UNKNOWN, exact_method)
 
     if prop in _MIN_VARS:
-        return _check_bounded_property(entry, prop, depth, num_vars, bounded_method)
+        return _check_class_property(entry, prop, depth, num_vars)
 
     raise ValueError(f"unhandled property {prop}")
 
 
-def _check_bounded_property(entry, prop, depth, num_vars, method) -> PropertyCertificate:
-    """Search the class map for a counterexample. Finding none in a universe
-    that cannot hold one gives Unknown, not a vacuous HoldsBounded."""
+def class_vars(entry: TheoryEntry, term: Term) -> Optional[frozenset[str]]:
+    """The variables that every member of `term`'s class contains, exactly.
+
+    Known when the presentation is regular (both sides of every axiom have
+    the same variables): reflexivity, symmetry, transitivity, congruence and
+    instances of regular axioms all preserve the variable set, so it is the
+    term's own (Baader & Nipkow, Term Rewriting and All That, 1998). None
+    when the presentation is not regular.
+    """
+    if all(term_vars(eq.lhs) == term_vars(eq.rhs) for eq in entry.presentation.equations):
+        return term_vars(term)
+    return None
+
+
+def _class_property_probe(entry: TheoryEntry, prop: PropertyId) -> Term:
+    """The term whose class a class-based property inspects: b(x1,x2) for
+    P3/V3, else x1 (S1/T1 inspect every class and use it only for
+    `class_vars`, which answers for every term or for none)."""
+    x1 = Var("x1")
+    if prop in (PropertyId.P3, PropertyId.V3):
+        return entry.binary_at(x1, Var("x2"))
+    return x1
+
+
+def _check_class_property(entry, prop, depth, num_vars) -> PropertyCertificate:
+    """Exact from `class_vars` for a regular presentation, else bounded."""
     if prop in (PropertyId.P3, PropertyId.V3) and entry.designated_binary is None:
         return PropertyCertificate(
             prop, PropertyStatus.FAILS, "syntactic", detail="no designated binary"
         )
+    probe = _class_property_probe(entry, prop)
+    shared = class_vars(entry, probe)
+    if shared is None:
+        return _check_bounded_property(entry, prop, depth, num_vars)
+    method = "regular presentation"
+    if prop is PropertyId.P3 and len(shared) > 2:
+        return PropertyCertificate(
+            prop, PropertyStatus.FAILS, method, (probe,), "class with more than 2 variables"
+        )
+    if prop is PropertyId.V3 and len(shared) < 2:
+        return PropertyCertificate(
+            prop, PropertyStatus.FAILS, method, (probe,), "class inside a single variable"
+        )
+    return PropertyCertificate(prop, PropertyStatus.HOLDS, method)
+
+
+def _check_bounded_property(entry, prop, depth, num_vars) -> PropertyCertificate:
+    """Search the class map for a counterexample. Finding none in a universe
+    that cannot hold one gives Unknown, not a vacuous HoldsBounded."""
+    method = f"depth={depth},vars={num_vars}"
     classes = _class_map(entry, depth, num_vars)
     if prop in (PropertyId.S1, PropertyId.T1):
         for bucket in classes.values():
@@ -824,9 +877,8 @@ def _check_bounded_property(entry, prop, depth, num_vars, method) -> PropertyCer
                         "open term in a closed term's class",
                     )
     else:
-        x1 = Var("x1")
         of_var = prop in (PropertyId.S2, PropertyId.T2, PropertyId.V2)
-        probe = x1 if of_var else entry.binary_at(x1, Var("x2"))
+        probe = _class_property_probe(entry, prop)
         bucket = classes.get(_key_of(entry, probe, depth, num_vars))
         if bucket is None:
             return PropertyCertificate(
@@ -835,7 +887,7 @@ def _check_bounded_property(entry, prop, depth, num_vars, method) -> PropertyCer
             )
         for bits, witness in bucket.items():
             if of_var and bits & ~1:
-                base = next((t for b, t in bucket.items() if b == 1), x1)
+                base = next((t for b, t in bucket.items() if b == 1), probe)
                 return PropertyCertificate(
                     prop, PropertyStatus.FAILS, method, (base, witness),
                     "foreign variable in a variable's class",
@@ -1219,7 +1271,9 @@ def load_theory_file(path: str) -> TheoryEntry:
             "designated_binary": term?, "designated_unit": term?,
             "label": ?, "aliases": [...]}.
     Loaded theories have no decision procedure, so exact properties degrade
-    to bounded proof search and class maps to rewrite closure.
+    to bounded proof search. Class-based properties stay exact when the
+    presentation is regular and otherwise read classes approximated by
+    rewrite closure.
     """
     with open(path) as fh:
         raw = json.load(fh)

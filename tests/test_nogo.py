@@ -171,6 +171,30 @@ class TestPlotkinGeneral:
             "stable under sigma",
         ]
 
+    def test_class_records_are_exact_for_regular_theories(self):
+        app = check_plotkin_general(
+            "jsl", "convex",
+            pt("mul(x1,mul(x2,x3))", "jsl"), pt("mix(x1,x2)", "convex"),
+            PermutationSpec(3, (2, 3, 1)),
+        )
+        evidence = {r.requirement: r.evidence for r in app.records}
+        assert evidence["class stays within 3 variables"] == "regular presentation"
+        assert evidence["class never fits in one variable"] == "regular presentation"
+
+    def test_class_records_are_bounded_for_reader(self):
+        # reader:2 is not regular: mul(x1,mul(x3,x2)) = mul(x1,x2) brings in x3
+        app = check_plotkin_general(
+            "reader:2", "reader:2",
+            pt("mul(x1,x2)", "reader:2"), pt("mul(x1,x2)", "reader:2"),
+            PermutationSpec.swap(),
+        )
+        records = {r.requirement: r for r in app.records}
+        wide = records["class stays within 2 variables"]
+        assert not wide.passed
+        assert wide.evidence.startswith("depth=3,vars=4; witness ")
+        thin = records["class never fits in one variable"]
+        assert thin.passed and thin.evidence == "depth=3,vars=4"
+
     def test_sigma_with_fixed_point_is_rejected(self):
         with pytest.raises(ValueError):
             check_plotkin_general(

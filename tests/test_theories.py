@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monadlab import terms
+from monadlab import hierarchy, terms, theories
 from monadlab.terms import (
     App,
     NoProcedureError,
@@ -30,6 +31,7 @@ from monadlab.theories import (
     abides_holds,
     boom_theory,
     check_property,
+    class_vars,
     exception_theory,
     load_theory_file,
     lookup_theory,
@@ -38,6 +40,7 @@ from monadlab.theories import (
     ring_entry,
     theory_ids,
     validate_procedure_against_rewrites,
+    _check_bounded_property,
     _class_map,
 )
 
@@ -434,7 +437,9 @@ def test_abides_holds_matrix():
 def test_certificate_describe_strings():
     cert = check_property(lookup_theory("monoid"), PropertyId.T4B)
     assert cert.describe() == "Holds(analytic via decide_eq)"
-    bounded = check_property(lookup_theory("monoid"), PropertyId.S1)
+    regular = check_property(lookup_theory("monoid"), PropertyId.S1)
+    assert regular.describe() == "Holds(regular presentation)"
+    bounded = check_property(lookup_theory("reader:2"), PropertyId.S1)
     assert bounded.describe().startswith("HoldsBounded(depth=3,vars=4)")
 
 
@@ -520,6 +525,116 @@ def test_class_map_matches_brute_force(tid, depth, num_vars):
 
 
 # ---------------------------------------------------------------------------
+# exact certificates for regular presentations
+
+_CLASS_PROPS = (PropertyId.S1, PropertyId.T1, PropertyId.S2, PropertyId.T2,
+                PropertyId.V2, PropertyId.P3, PropertyId.V3)
+_BUILTIN_IDS = sorted({lookup_theory(label).theory_id for label in BOOM_FULL}
+                      | {"pointed", "exception:{a}", "exception:{a,b}", "abgroup",
+                         "convex", "reader:2"})
+_REGULAR_IDS = [tid for tid in _BUILTIN_IDS if tid not in ("abgroup", "reader:2")]
+
+
+def test_regular_theories_are_the_expected_ones():
+    irregular = [tid for tid in _BUILTIN_IDS
+                 if class_vars(lookup_theory(tid), Var("x1")) is None]
+    assert irregular == ["abgroup", "reader:2"] and len(_REGULAR_IDS) == 20
+    assert class_vars(narytree_theory(2), Var("x1")) == {"x1"}
+    assert class_vars(ring_entry(), Var("x1")) is None
+
+
+def _diagonal_jsl():
+    # a regular presentation whose designated binary uses one variable
+    jsl = lookup_theory("jsl")
+    return dataclasses.replace(
+        jsl, designated_binary=pt("jsl", "mul(y1,y1)"), _certificates={}
+    )
+
+
+@pytest.mark.parametrize("depth,num_vars", [(2, 3), (3, 3)])
+@pytest.mark.parametrize("tid", [*_REGULAR_IDS, "narytree-theory:2", "diagonal"])
+def test_regular_path_agrees_with_class_maps(tid, depth, num_vars):
+    entry = _diagonal_jsl() if tid == "diagonal" else lookup_theory(tid)
+    for prop in _CLASS_PROPS:
+        exact = check_property(entry, prop, depth, num_vars)
+        if exact.method == "syntactic":  # P3/V3 without a designated binary
+            continue
+        assert exact.method == "regular presentation", prop
+        bounded = _check_bounded_property(entry, prop, depth, num_vars)
+        if exact.status is PropertyStatus.HOLDS:
+            assert bounded.status is not PropertyStatus.FAILS, (prop, bounded)
+        else:
+            assert exact.status is bounded.status is PropertyStatus.FAILS, prop
+    if tid == "diagonal":
+        v3 = check_property(entry, PropertyId.V3, depth, num_vars)
+        assert v3.status is PropertyStatus.FAILS
+        assert v3.describe() == (
+            "Fails(regular presentation; class inside a single variable; "
+            "witness mul(x1,x1))"
+        )
+
+
+def test_regular_p3_fails_on_a_third_variable():
+    wide = dataclasses.replace(
+        lookup_theory("jsl"), designated_binary=pt("jsl", "mul(y1,mul(y2,z))"),
+        _certificates={},
+    )
+    p3 = check_property(wide, PropertyId.P3)
+    assert p3.describe() == (
+        "Fails(regular presentation; class with more than 2 variables; "
+        "witness mul(x1,mul(x2,z)))"
+    )
+
+
+@pytest.fixture
+def class_map_calls(monkeypatch):
+    """Theory ids of the `_class_map` calls made during the test."""
+    calls = []
+
+    def spy(entry, depth, num_vars):
+        calls.append(entry.theory_id)
+        return _class_map(entry, depth, num_vars)
+
+    monkeypatch.setattr(theories, "_class_map", spy)
+    return calls
+
+
+def test_boom_table_builds_no_class_map(monkeypatch, class_map_calls):
+    for entry in registry():  # certificates cached by earlier tests would hide calls
+        monkeypatch.setattr(entry, "_certificates", {})
+    table = hierarchy.build_table("full", 3, 3)
+    assert not hierarchy.diff_table(table, hierarchy.golden_path("full"))
+    assert class_map_calls == []
+
+
+def test_non_regular_theories_take_the_bounded_path(tmp_path, class_map_calls):
+    path = tmp_path / "leftzero.json"
+    path.write_text(json.dumps({
+        "id": "test:leftzero-bounded",
+        "ops": [["mul", 2]],
+        "axioms": [["mul(x,y)", "x", "leftzero"]],
+        "designated_binary": "mul(y1,y2)",
+    }))
+    leftzero = load_theory_file(str(path))
+    for entry in (lookup_theory("abgroup"), lookup_theory("reader:2"), ring_entry(),
+                  leftzero):
+        assert class_vars(entry, Var("x1")) is None
+        class_map_calls.clear()
+        cert = check_property(entry, PropertyId.S2, depth=2, num_vars=2)
+        assert cert.method == "depth=2,vars=2", entry.theory_id
+        assert set(class_map_calls) == {entry.theory_id}
+
+
+def test_loaded_regular_theory_is_exact(tmp_path):
+    copy = _load_copy(tmp_path, "boom:UA-I")
+    assert not copy.has_procedure
+    for prop in _CLASS_PROPS:
+        cert = check_property(copy, prop)
+        assert cert.describe() == "Holds(regular presentation)", prop
+    assert not copy._class_maps
+
+
+# ---------------------------------------------------------------------------
 # loading theory definitions
 
 
@@ -556,10 +671,11 @@ def test_class_certificates_too_small_to_fail_are_unknown(tmp_path):
         cert = check_property(reader, prop, depth=3, num_vars=1)
         assert cert.status is PropertyStatus.UNKNOWN, prop
         assert cert.detail, prop
+    # convex is regular: its certificates are exact at any bound
     for prop in (PropertyId.S1, PropertyId.T1):
-        assert status_of("convex", prop, num_vars=0) is PropertyStatus.UNKNOWN
-    assert status_of("convex", PropertyId.P3, num_vars=2) is PropertyStatus.UNKNOWN
-    assert status_of("convex", PropertyId.P3, num_vars=3) is PropertyStatus.HOLDS_BOUNDED
+        assert status_of("convex", prop, num_vars=0) is PropertyStatus.HOLDS
+    assert status_of("convex", PropertyId.P3, num_vars=2) is PropertyStatus.HOLDS
+    assert status_of("convex", PropertyId.P3, num_vars=3) is PropertyStatus.HOLDS
     path = tmp_path / "leftzero.json"
     path.write_text(json.dumps({
         "id": "test:leftzero-small",
