@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from monadlab.monads import FinMonad, LawReport, NoMonadError, monad_for
-from monadlab.values import Value, letters, mk_list
+from monadlab.values import Memo, Value, letters, mk_list
 
 __all__ = [
     "DistLaw",
@@ -238,24 +238,6 @@ def law_for(law_id: str) -> DistLaw:
 _MAX_VIOLATIONS = 1000
 
 
-class _Memo:
-    """`f` computed once per distinct input for as long as the memo lives;
-    `calls` counts the inputs asked for, `cache` holds the distinct ones."""
-
-    def __init__(self, f: Callable[[Value], Value]):
-        self.f = f
-        self.cache: dict = {}
-        self.calls = 0
-
-    def __call__(self, x: Value) -> Value:
-        self.calls += 1
-        try:
-            return self.cache[x]
-        except KeyError:
-            y = self.cache[x] = self.f(x)
-            return y
-
-
 def check_beck(
     law: DistLaw,
     carrier_size: int = 2,
@@ -276,7 +258,7 @@ def check_beck(
     (`lambda_requested`) and computed (`lambda_computed`).
     """
     start = time.perf_counter()
-    s, t, lam = law.s_monad, law.t_monad, _Memo(law.apply)
+    s, t, lam = law.s_monad, law.t_monad, Memo(law.apply)
     X = letters(carrier_size)
     report = LawReport(law.law_id, X, bound, tuple(nested_caps))
     cap2, cap3 = nested_caps
@@ -314,8 +296,8 @@ def check_beck(
     if carrier_size == 1:
         renames = [{"a": "a"}]
     for f in renames:
-        inner = _Memo(lambda tv: t.fmap(f.get, tv))
-        outer = _Memo(lambda sv: s.fmap(f.get, sv))
+        inner = Memo(lambda tv: t.fmap(f.get, tv))
+        outer = Memo(lambda sv: s.fmap(f.get, sv))
         for w in pool_st:
             lhs = lam(s.fmap(inner, w))
             rhs = t.fmap(outer, lam(w))
@@ -327,7 +309,7 @@ def check_beck(
     carrier_st = pool_st[:cap3]
     pool_sst = s.enumerate(carrier_st, bound)
     report.pool_sizes["SST"] = len(pool_sst)
-    s_join = _Memo(s.join)
+    s_join = Memo(s.join)
     for w in pool_sst:
         lhs = lam(s.join(w))
         rhs = t.fmap(s_join, lam(s.fmap(lam, w)))
@@ -342,7 +324,7 @@ def check_beck(
     pool_stt = s.enumerate(carrier_tt, bound)
     report.pool_sizes["TT"] = len(carrier_tt) + sum(1 for _ in values_tt)
     report.pool_sizes["STT"] = len(pool_stt)
-    t_join = _Memo(t.join)
+    t_join = Memo(t.join)
     for w in pool_stt:
         lhs = lam(s.fmap(t_join, w))
         rhs = t.join(t.fmap(lam, lam(w)))

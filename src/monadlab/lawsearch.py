@@ -6,16 +6,29 @@ every function between chain carriers propagates them, and the remaining
 inputs get domain reasoning. An empty domain is conclusive: any distributive
 law restricts to an assignment in this fragment, so none can exist. A
 surviving assignment is only fragment-consistent, never a proof of existence.
+
+Naturality pushes the same values through the same maps again and again:
+every input through its T values, every output once per edge, key and
+arc-consistency sweep. So each map between chain carriers carries memos of
+its images for the length of one search (`_MapImages`): of T values, of S
+values (which are also the members that set-valued domains transport) and of
+outputs. Edges, propagation and both kinds of domain reasoning read images
+through it, so each (map, value) image is computed once per search. Inputs
+are not memoized: every (map, input) pair is pushed exactly once. The memos
+are locals of the search and die with it; `SearchResult.stats` counts the
+maps, the (map, input) pairs examined, the edges kept, and the images
+requested and computed.
 """
 
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 from monadlab.monads import FinMonad, monad_for
-from monadlab.values import Value, format_value, letters
+from monadlab.values import Memo, Value, format_value, letters, mk_set
 
 __all__ = [
     "SearchOutcome",
@@ -68,6 +81,8 @@ class SearchResult:
     variables: int = 0
     candidates: list = field(default_factory=list)
     conflict: Optional[str] = None
+    elapsed: float = 0.0
+    stats: dict = field(default_factory=dict)
 
     @property
     def conclusive(self) -> bool:
@@ -102,12 +117,25 @@ def _all_functions(src: tuple, dst: tuple) -> list:
     return [dict(zip(src, img)) for img in itertools.product(dst, repeat=len(src))]
 
 
+class _MapImages:
+    """A map `f` between chain carriers with memos of the images it gives:
+    of T values (`t_image`), of S values (`s_image`) and of outputs in
+    T(S(X)) (`out`)."""
+
+    def __init__(self, f: dict, s: FinMonad, t: FinMonad):
+        self.t_image = Memo(lambda tv: t.fmap(f.get, tv))
+        self.s_image = Memo(lambda sv: s.fmap(f.get, sv))
+        self.out = Memo(lambda v: t.fmap(self.s_image, v))
+        self.memos = (self.t_image, self.s_image, self.out)
+
+
 def search_distlaw_bounded(
     s_id: str,
     t_id: str,
     carrier_size: int = 1,
     bound: int = 2,
 ) -> SearchResult:
+    start = time.perf_counter()
     s = monad_for(s_id)
     t = monad_for(t_id)
 
@@ -128,7 +156,22 @@ def search_distlaw_bounded(
         tuple(sizes),
         bound,
     )
+    result.stats = dict.fromkeys(("maps", "pairs", "edges"), 0)
+    images: list = []
+    _search(result, s, t, carriers, bound, images)
+    memos = [memo for m in images for memo in m.memos]
+    result.stats["images_requested"] = sum(memo.calls for memo in memos)
+    result.stats["images_computed"] = sum(len(memo.cache) for memo in memos)
+    result.elapsed = time.perf_counter() - start
+    return result
 
+
+def _search(
+    result: SearchResult, s: FinMonad, t: FinMonad, carriers: list, bound: int,
+    images: list,
+) -> SearchResult:
+    """Units, naturality edges, propagation, then domain reasoning; every
+    map between chain carriers built on the way is appended to `images`."""
     pools: list = []
     pool_index: list = []
     for C in carriers:
@@ -136,12 +179,6 @@ def search_distlaw_bounded(
         pools.append(pool)
         pool_index.append(set(pool))
     result.variables = sum(len(p) for p in pools)
-
-    def push_in(f: dict, w: Value) -> Value:
-        return s.fmap(lambda tv: t.fmap(f.get, tv), w)
-
-    def push_out(f: dict, v: Value) -> Value:
-        return t.fmap(lambda sv: s.fmap(f.get, sv), v)
 
     assigned: dict = {}
 
@@ -154,7 +191,7 @@ def search_distlaw_bounded(
             return None
         if old != v:
             return (
-                f"at |X|={sizes[level]} the input {format_value(w)} is forced "
+                f"at |X|={len(carriers[level])} the input {format_value(w)} is forced "
                 f"to both {format_value(old)} and {format_value(v)} ({why})"
             )
         return None
@@ -188,22 +225,26 @@ def search_distlaw_bounded(
             f"between carriers, more than {_MAX_EDGE_CHECKS}"
         )
         return result
+    result.stats.update(maps=maps, pairs=checks)
     edges: dict = {}
     for i, Ci in enumerate(carriers):
         for j, Cj in enumerate(carriers):
             for f in _all_functions(Ci, Cj):
+                m = _MapImages(f, s, t)
+                images.append(m)
                 for w in pools[i]:
-                    w2 = push_in(f, w)
+                    w2 = s.fmap(m.t_image, w)
                     if w2 in pool_index[j]:
-                        edges.setdefault((i, w), []).append((f, j, w2))
+                        edges.setdefault((i, w), []).append((m, j, w2))
+    result.stats["edges"] = sum(len(e) for e in edges.values())
 
     # forward propagation to a fixpoint
     while worklist:
         key = worklist.pop()
         level, w = key
         v = assigned[key]
-        for f, j, w2 in edges.get(key, ()):
-            err = assign(j, w2, push_out(f, v), "naturality")
+        for m, j, w2 in edges.get(key, ()):
+            err = assign(j, w2, m.out(v), "naturality")
             if err:
                 result.outcome = SearchOutcome.NO_LAW
                 result.conflict = err
@@ -222,9 +263,7 @@ def search_distlaw_bounded(
         return result
 
     if t.monad_id == "powerset":
-        return _powerset_domains(
-            result, s, t, carriers, assigned, unknown, edges, push_in
-        )
+        return _powerset_domains(result, s, carriers, assigned, unknown, edges)
 
     # generic explicit domains, complete only when the result space is small
     full_pools = []
@@ -242,39 +281,34 @@ def search_distlaw_bounded(
             return result
         full_pools.append(t_full)
 
-    return _explicit_domains(
-        result, s, t, carriers, assigned, unknown, edges, full_pools, push_out
-    )
+    return _explicit_domains(result, carriers, assigned, unknown, edges, full_pools)
 
 
-def _explicit_domains(
-    result, s, t, carriers, assigned, unknown, edges, full_pools, push_out
-):
-    """Arc consistency over complete enumerated domains, then backtracking."""
-    domains = {key: list(full_pools[key[0]]) for key in unknown}
+def _explicit_domains(result, carriers, assigned, unknown, edges, full_pools):
+    """Arc consistency over complete enumerated domains, then backtracking.
+    Each domain is an ordered list with its set of members beside it; a
+    level's full pool is shared until a sweep narrows a key's domain."""
+    domains = {key: full_pools[key[0]] for key in unknown}
+    pool_sets = [set(pool) for pool in full_pools]
+    members = {key: pool_sets[key[0]] for key in unknown}
 
     changed = True
     while changed:
         changed = False
         for key in unknown:
             level, w = key
-            kept = []
-            for v in domains[key]:
-                ok = True
-                for f, j, w2 in edges.get(key, ()):
-                    img = push_out(f, v)
-                    tgt = assigned.get((j, w2))
-                    if tgt is not None:
-                        if img != tgt:
-                            ok = False
-                            break
-                    elif (j, w2) in domains and img not in set(domains[(j, w2)]):
-                        ok = False
-                        break
-                if ok:
-                    kept.append(v)
+            # per edge, the image map and the images its target admits
+            rules = []
+            for m, j, w2 in edges.get(key, ()):
+                tgt = assigned.get((j, w2))
+                rules.append((m.out, members[(j, w2)] if tgt is None else {tgt}))
+            kept = [
+                v for v in domains[key]
+                if all(push(v) in admitted for push, admitted in rules)
+            ]
             if len(kept) != len(domains[key]):
                 domains[key] = kept
+                members[key] = set(kept)
                 changed = True
             if not kept:
                 result.outcome = SearchOutcome.NO_LAW
@@ -289,9 +323,9 @@ def _explicit_domains(
     solution: dict = {}
 
     def consistent(key, v) -> bool:
-        for f, j, w2 in edges.get(key, ()):
+        for m, j, w2 in edges.get(key, ()):
             tgt = assigned.get((j, w2), solution.get((j, w2)))
-            if tgt is not None and push_out(f, v) != tgt:
+            if tgt is not None and m.out(v) != tgt:
                 return False
         return True
 
@@ -319,9 +353,7 @@ def _explicit_domains(
     return result
 
 
-def _powerset_domains(
-    result, s, t, carriers, assigned, unknown, edges, push_in
-):
+def _powerset_domains(result, s, carriers, assigned, unknown, edges):
     """Domains for set-valued outputs, represented by their allowed members.
 
     An output is a set of S-structures; naturality transports members
@@ -330,49 +362,38 @@ def _powerset_domains(
     cannot cover some forced target, no subset can, which is a conclusive
     refutation.
     """
-    member_space = {
-        i: s.enumerate(C, len(C)) for i, C in enumerate(carriers)
-    }
-    allowed = {key: set(member_space[key[0]]) for key in unknown}
-
-    def member_push(f, A):
-        return s.fmap(f.get, A)
+    # one member space per level, shared until a sweep narrows a key's set
+    member_space = [set(s.enumerate(C, len(C))) for C in carriers]
+    allowed = {key: member_space[key[0]] for key in unknown}
 
     changed = True
     while changed:
         changed = False
         for key in unknown:
-            level, w = key
-            kept = set()
-            for A in allowed[key]:
-                ok = True
-                for f, j, w2 in edges.get(key, ()):
-                    img = member_push(f, A)
-                    tgt = assigned.get((j, w2))
-                    if tgt is not None:
-                        if img not in set(tgt[1:]):
-                            ok = False
-                            break
-                    elif (j, w2) in allowed and img not in allowed[(j, w2)]:
-                        ok = False
-                        break
-                if ok:
-                    kept.add(A)
+            # per edge, the member map and the members its target admits
+            rules = []
+            for m, j, w2 in edges.get(key, ()):
+                tgt = assigned.get((j, w2))
+                rules.append(
+                    (m.s_image, allowed[(j, w2)] if tgt is None else set(tgt[1:]))
+                )
+            kept = {
+                A for A in allowed[key]
+                if all(push(A) in admitted for push, admitted in rules)
+            }
             if kept != allowed[key]:
                 allowed[key] = kept
                 changed = True
 
     # maximal-set test against forced targets: the image of the largest
     # possible output must still reach every member the target requires
-    from monadlab.values import mk_set
-
     for key in unknown:
         level, w = key
-        for f, j, w2 in edges.get(key, ()):
+        for m, j, w2 in edges.get(key, ()):
             tgt = assigned.get((j, w2))
             if tgt is None:
                 continue
-            image = {member_push(f, A) for A in allowed[key]}
+            image = {m.s_image(A) for A in allowed[key]}
             missing = set(tgt[1:]) - image
             if missing:
                 result.outcome = SearchOutcome.NO_LAW
@@ -392,8 +413,8 @@ def _powerset_domains(
     for key in list(unknown) + list(assigned):
         level, w = key
         v = full[key]
-        for f, j, w2 in edges.get(key, ()):
-            img = mk_set(member_push(f, A) for A in v[1:])
+        for m, j, w2 in edges.get(key, ()):
+            img = mk_set(m.s_image(A) for A in v[1:])
             if img != full[(j, w2)]:
                 result.conflict = (
                     "maximal member sets are not exactly natural; "

@@ -249,10 +249,13 @@ def _collapse_to_one(term: Term) -> Term:
 
 
 def _class_vars_record(
-    side: str, entry: TheoryEntry, term: Term, req: str, fits, depth: int, nv: int
+    side: str, entry: TheoryEntry, term: Term, req: str, fits, need: int,
+    depth: int, nv: int,
 ) -> CheckRecord:
     """Whether every member of `term`'s class has a variable count that
-    `fits`: exact for a regular presentation, else over the bounded class."""
+    `fits`: exact for a regular presentation, else over the bounded class.
+    `need` is the fewest variables a member that does not fit has; a bounded
+    universe that cannot hold such a member fails the record, not passes it."""
     shared = class_vars(entry, term)
     if shared is not None:
         bad = [] if fits(len(shared)) else [term]
@@ -261,6 +264,19 @@ def _class_vars_record(
         members = class_members(entry, term, depth, nv)
         bad = [w for mask, w in members if not fits(mask.bit_count())]
         how = f"depth={depth},vars={nv}"
+        # a term of depth d has at most arity**d leaves, so at most that many
+        # variables: depth 0 holds only atoms
+        arity = max([1, *(op.arity for op in entry.presentation.signature.ops)])
+        most = min(nv, arity ** depth)
+        if not bad and not members:
+            why = f"{render(term)} has no class in the bounded universe"
+            return CheckRecord(side, req, False, f"{how}; {why}")
+        if not bad and need > most:
+            why = (
+                f"a counterexample needs {need} variables, "
+                f"terms in bounds have at most {most}"
+            )
+            return CheckRecord(side, req, False, f"{how}; {why}")
     return CheckRecord(
         side, req, not bad, how + (f"; witness {render(bad[0])}" if bad else "")
     )
@@ -302,14 +318,16 @@ def check_plotkin_general(
     )
 
     records.append(_class_vars_record(
-        "P", pe, p, f"class stays within {m} variables", lambda k: k <= m, depth, nv
+        "P", pe, p, f"class stays within {m} variables", lambda k: k <= m, m + 1,
+        depth, nv,
     ))
     records.append(
         _eq_record("V", ve, "idempotent", _collapse_to_one(v), Var("x1"), depth)
     )
     records.append(_prop_record("V", ve, PropertyId.V2, depth, num_vars))
     records.append(_class_vars_record(
-        "V", ve, v, "class never fits in one variable", lambda k: k > 1, depth, nv
+        "V", ve, v, "class never fits in one variable", lambda k: k > 1, 0,
+        depth, nv,
     ))
     return Applicability(
         TheoremId.PLOTKIN2, ve.theory_id, pe.theory_id, tuple(records), depth, num_vars

@@ -907,6 +907,12 @@ def _check_bounded_property(entry, prop, depth, num_vars) -> PropertyCertificate
             prop, PropertyStatus.UNKNOWN, method,
             detail=f"a counterexample needs {_MIN_VARS[prop]} variable(s)",
         )
+    if depth < 1:
+        # the universe holds atoms only, so no compound member was searched
+        return PropertyCertificate(
+            prop, PropertyStatus.UNKNOWN, method,
+            detail="a counterexample needs depth >= 1",
+        )
     return PropertyCertificate(prop, PropertyStatus.HOLDS_BOUNDED, method)
 
 

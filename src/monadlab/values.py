@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 __all__ = [
     "Value",
+    "Memo",
     "canon_key",
     "letters",
     "mk_list",
@@ -82,6 +83,24 @@ def _canonical_order(xs) -> list:
     if all(isinstance(x, str) for x in xs):
         return sorted(xs)
     return sorted(xs, key=_cached_key)
+
+
+class Memo:
+    """`f` computed once per distinct input for as long as the memo lives;
+    `calls` counts the inputs asked for, `cache` holds the distinct ones."""
+
+    def __init__(self, f: Callable[[Value], Value]):
+        self.f = f
+        self.cache: dict = {}
+        self.calls = 0
+
+    def __call__(self, x: Value) -> Value:
+        self.calls += 1
+        try:
+            return self.cache[x]
+        except KeyError:
+            y = self.cache[x] = self.f(x)
+            return y
 
 
 def letters(n: int) -> tuple:

@@ -1,7 +1,10 @@
 """Bounded search for distributive-law tables on small carriers."""
 
+import hashlib
+
 import pytest
 
+from monadlab import lawsearch
 from monadlab.distlaws import DistLaw, check_beck, law_for
 from monadlab.lawsearch import SearchOutcome, search_distlaw_bounded
 from monadlab.monads import NoMonadError, monad_for
@@ -138,3 +141,100 @@ def test_huge_result_space_is_counted_lazily(s_id, t_id):
     r = search_distlaw_bounded(s_id, t_id)
     assert r.outcome == SearchOutcome.INCONCLUSIVE
     assert "more than 4096 values" in r.conflict
+
+
+def _entries_digest(table) -> str:
+    lines = sorted(f"{level} {w!r} -> {v!r}" for (level, w), v in table.entries.items())
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+# one search per exit path, with its (outcome, carrier sizes, variables,
+# forced, conflict) and its candidate tables as (entries, digest), recorded
+# before naturality images were memoized per map
+PINNED_SEARCHES = {
+    # units and propagation force every entry
+    ("lift", "lift", 1): (
+        ("Candidates", (1, 2, 3, 4), 18, 18, None), [(18, "221576ec81469b43")],
+    ),
+    ("exception:{a}", "lift", 1): (
+        ("Candidates", (1, 2, 3, 4), 18, 18, None), [(18, "a7619fb2e1dce94d")],
+    ),
+    # explicit domains: arc consistency, then backtracking over 10 inputs
+    ("powerset", "exception:{a}", 1): (
+        ("Candidates", (1, 2, 3, 4), 38, 28, None), [(38, "b2070a968f8fbed3")],
+    ),
+    # set-valued domains empty a member set
+    ("powerset", "powerset", 1): (
+        ("NoLawInFragment", (1, 2, 4), 82, 27,
+         "at |X|=4 the input {{a,b},{c,d}} cannot reach member {a} of its "
+         "forced image {{a}} under naturality; allowed members: []"),
+        [],
+    ),
+    # the edge cap, checked before any edge is built
+    ("lift", "lift", 7): (
+        ("Inconclusive", (7,), 9, 0,
+         "naturality needs 7411887 (map, input) pairs over 823543 maps "
+         "between carriers, more than 1000000"),
+        [],
+    ),
+    # the domain cap, checked after propagation
+    ("list", "list", 1): (
+        ("Inconclusive", (1, 3, 4), 659, 66,
+         "result space at |X|=3 has more than 4096 values"),
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_SEARCHES), ids=lambda k: "|".join(map(str, k)))
+def test_search_results_are_pinned(key):
+    s_id, t_id, carrier = key
+    r = search_distlaw_bounded(s_id, t_id, carrier_size=carrier, bound=2)
+    summary = (r.outcome, r.carrier_sizes, r.variables, r.forced, r.conflict)
+    tables = [(len(c.entries), _entries_digest(c)) for c in r.candidates]
+    assert (summary, tables) == PINNED_SEARCHES[key]
+
+
+class TestStats:
+    def test_each_map_image_is_computed_once(self, monkeypatch):
+        # count every image asked for and every image actually computed, per
+        # memo, behind the search's back
+        asked: list = []
+        computed = [0]
+
+        class SpyMemo(lawsearch.Memo):
+            def __init__(self, f):
+                def counted(x):
+                    computed[0] += 1
+                    return f(x)
+
+                super().__init__(counted)
+
+            def __call__(self, x):
+                asked.append((id(self), x))
+                return super().__call__(x)
+
+        monkeypatch.setattr(lawsearch, "Memo", SpyMemo)
+        r = search_distlaw_bounded("powerset", "powerset", carrier_size=1, bound=2)
+        stats = r.stats
+        assert stats["images_requested"] == len(asked)
+        assert stats["images_computed"] == computed[0] == len(set(asked))
+        assert stats["images_computed"] < stats["images_requested"]
+
+    def test_counts_maps_pairs_and_edges(self):
+        r = search_distlaw_bounded("lift", "lift", carrier_size=1, bound=2)
+        sizes = r.carrier_sizes
+        pools = [2 + n for n in sizes]  # bot, ok(bot) and ok(ok(x)) per label
+        assert r.stats["maps"] == sum(j ** i for i in sizes for j in sizes)
+        assert r.stats["pairs"] == sum(
+            j ** i * pool for i, pool in zip(sizes, pools) for j in sizes
+        )
+        # lift keeps the shape of a value, so every pushed input is in a pool
+        assert r.stats["edges"] == r.stats["pairs"]
+        assert r.elapsed > 0
+
+    def test_capped_search_examines_no_pair(self):
+        r = search_distlaw_bounded("lift", "lift", carrier_size=7, bound=2)
+        assert r.stats == dict.fromkeys(
+            ("maps", "pairs", "edges", "images_requested", "images_computed"), 0
+        )

@@ -195,6 +195,46 @@ class TestPlotkinGeneral:
         thin = records["class never fits in one variable"]
         assert thin.passed and thin.evidence == "depth=3,vars=4"
 
+    def test_class_records_fail_when_the_universe_cannot_refute(self):
+        # a bounded universe that holds no counterexample proves nothing:
+        # at depth 0 mul(x1,x2) has no class, with 2 variables or at depth 1
+        # no term has the 3 variables that "within 2 variables" rules out
+        p = pt("mul(x1,x2)", "reader:2")
+
+        def records(**bounds):
+            app = check_plotkin_general(
+                "reader:2", "reader:2", p, p, PermutationSpec.swap(), **bounds
+            )
+            return {r.requirement: r for r in app.records}
+
+        at0 = records(depth=0)
+        for req in ("class stays within 2 variables", "class never fits in one variable"):
+            assert not at0[req].passed
+            assert at0[req].evidence == (
+                "depth=0,vars=4; mul(x1,x2) has no class in the bounded universe"
+            )
+        for bounds, evidence in (
+            (dict(depth=3, num_vars=2), "depth=3,vars=2; a counterexample needs 3 "
+             "variables, terms in bounds have at most 2"),
+            (dict(depth=1), "depth=1,vars=4; a counterexample needs 3 "
+             "variables, terms in bounds have at most 2"),
+        ):
+            wide = records(**bounds)["class stays within 2 variables"]
+            assert not wide.passed and wide.evidence == evidence
+        # a member with one variable fits any universe that holds the class
+        thin = records(depth=1)["class never fits in one variable"]
+        assert thin.passed and thin.evidence == "depth=1,vars=4"
+
+    def test_class_records_stay_exact_at_depth_zero_for_regular_theories(self):
+        app = check_plotkin_general(
+            "jsl", "jsl", pt("mul(x1,x2)", "jsl"), pt("mul(x1,x2)", "jsl"),
+            PermutationSpec.swap(), depth=0,
+        )
+        records = {r.requirement: r for r in app.records}
+        for req in ("class stays within 2 variables", "class never fits in one variable"):
+            assert records[req].passed
+            assert records[req].evidence == "regular presentation"
+
     def test_sigma_with_fixed_point_is_rejected(self):
         with pytest.raises(ValueError):
             check_plotkin_general(

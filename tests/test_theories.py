@@ -693,6 +693,20 @@ def test_class_certificates_too_small_to_fail_are_unknown(tmp_path):
     assert cert.status is PropertyStatus.FAILS
 
 
+def test_bounded_class_certificates_at_depth_zero_are_unknown():
+    # depth 0 holds only atoms: reader:2 S2 fails from depth 2 and ring T1
+    # from depth 1, so an atoms-only search must not read as HoldsBounded
+    cases = ((lookup_theory("reader:2"), PropertyId.S2, 2), (ring_entry(), PropertyId.T1, 1))
+    for entry, prop, fails_from in cases:
+        cert = check_property(entry, prop, depth=0)
+        assert cert.status is PropertyStatus.UNKNOWN, entry.theory_id
+        assert cert.detail == "a counterexample needs depth >= 1"
+        assert check_property(entry, prop, depth=fails_from).status is PropertyStatus.FAILS
+    # depth 1 is searched as before
+    reader_s2 = check_property(lookup_theory("reader:2"), PropertyId.S2, depth=1)
+    assert reader_s2.describe() == "HoldsBounded(depth=1,vars=4)"
+
+
 def test_load_theory_file(tmp_path):
     path = tmp_path / "leftzero.json"
     path.write_text(json.dumps({
