@@ -14,10 +14,11 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterator
 
 from monadlab.monads import FinMonad, LawReport, NoMonadError, monad_for
-from monadlab.values import Memo, Value, letters, mk_list
+from monadlab.values import Value, letters, memo, mk_list
 
 __all__ = [
     "DistLaw",
@@ -70,11 +71,12 @@ def _choice_law(law_id: str, pair: str):
             raise NoLawError(f"{law_id}: {s.monad_id} is not a linear monad")
         if not hasattr(t, "weighted"):
             raise NoLawError(f"{law_id}: {t.monad_id} has no (element, weight) view")
+        elem, weight = itemgetter(0), itemgetter(1)
 
         def apply(v: Value) -> Value:
-            picks = itertools.product(*(t.weighted(p) for p in s.members(v)))
+            picks = itertools.product(*map(t.weighted, s.members(v)))
             return t.from_weighted(
-                (s.rebuild(v, [x for x, _ in chosen]), math.prod(w for _, w in chosen))
+                (s.rebuild(v, map(elem, chosen)), math.prod(map(weight, chosen)))
                 for chosen in picks
             )
 
@@ -253,12 +255,12 @@ def check_beck(
 
     Within one call the law, the naturality renames on T and S values, and
     the joins that the multiplication conditions push through fmap are each
-    computed once per distinct input. The memos are locals of the call and
-    die when it returns; `stats` counts the law applications requested
-    (`lambda_requested`) and computed (`lambda_computed`).
+    computed once per distinct input (`values.memo`); mult-t binds the law
+    through T. The memos die with the call; `stats` counts law applications
+    requested (`lambda_requested`) and computed (`lambda_computed`).
     """
     start = time.perf_counter()
-    s, t, lam = law.s_monad, law.t_monad, Memo(law.apply)
+    s, t, lam = law.s_monad, law.t_monad, memo(law.apply)
     X = letters(carrier_size)
     report = LawReport(law.law_id, X, bound, tuple(nested_caps))
     cap2, cap3 = nested_caps
@@ -296,8 +298,8 @@ def check_beck(
     if carrier_size == 1:
         renames = [{"a": "a"}]
     for f in renames:
-        inner = Memo(lambda tv: t.fmap(f.get, tv))
-        outer = Memo(lambda sv: s.fmap(f.get, sv))
+        inner = memo(lambda tv: t.fmap(f.get, tv))
+        outer = memo(lambda sv: s.fmap(f.get, sv))
         for w in pool_st:
             lhs = lam(s.fmap(inner, w))
             rhs = t.fmap(outer, lam(w))
@@ -309,7 +311,7 @@ def check_beck(
     carrier_st = pool_st[:cap3]
     pool_sst = s.enumerate(carrier_st, bound)
     report.pool_sizes["SST"] = len(pool_sst)
-    s_join = Memo(s.join)
+    s_join = memo(s.join)
     for w in pool_sst:
         lhs = lam(s.join(w))
         rhs = t.fmap(s_join, lam(s.fmap(lam, w)))
@@ -324,16 +326,16 @@ def check_beck(
     pool_stt = s.enumerate(carrier_tt, bound)
     report.pool_sizes["TT"] = len(carrier_tt) + sum(1 for _ in values_tt)
     report.pool_sizes["STT"] = len(pool_stt)
-    t_join = Memo(t.join)
+    t_join = memo(t.join)
     for w in pool_stt:
         lhs = lam(s.fmap(t_join, w))
-        rhs = t.join(t.fmap(lam, lam(w)))
+        rhs = t.bind(lam(w), lam)
         if lhs != rhs:
             note("mult-t", w, lhs, rhs)
     report.checked["mult-t"] = len(pool_stt)
 
-    report.stats["lambda_requested"] = lam.calls
-    report.stats["lambda_computed"] = len(lam.cache)
+    info = lam.cache_info()
+    report.stats.update(lambda_requested=info.hits + info.misses, lambda_computed=info.misses)
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -377,7 +379,7 @@ class _CompositeMonad(FinMonad):
     def join(self, v):
         # T S T S -> T T S S (law inside T) -> T S S (outer mu) -> T S
         t, s, lam = self.law.t_monad, self.law.s_monad, self.law.apply
-        return t.fmap(s.join, t.join(t.fmap(lam, v)))
+        return t.fmap(s.join, t.bind(v, lam))
 
     def size(self, v):
         t, s = self.law.t_monad, self.law.s_monad

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from monadlab.monads import FinMonad, monad_for
-from monadlab.values import Memo, Value, format_value, letters, mk_set
+from monadlab.values import Value, format_value, letters, memo, mk_set
 
 __all__ = [
     "SearchOutcome",
@@ -123,9 +123,9 @@ class _MapImages:
     T(S(X)) (`out`)."""
 
     def __init__(self, f: dict, s: FinMonad, t: FinMonad):
-        self.t_image = Memo(lambda tv: t.fmap(f.get, tv))
-        self.s_image = Memo(lambda sv: s.fmap(f.get, sv))
-        self.out = Memo(lambda v: t.fmap(self.s_image, v))
+        self.t_image = memo(lambda tv: t.fmap(f.get, tv))
+        self.s_image = memo(lambda sv: s.fmap(f.get, sv))
+        self.out = memo(lambda v: t.fmap(self.s_image, v))
         self.memos = (self.t_image, self.s_image, self.out)
 
 
@@ -159,9 +159,9 @@ def search_distlaw_bounded(
     result.stats = dict.fromkeys(("maps", "pairs", "edges"), 0)
     images: list = []
     _search(result, s, t, carriers, bound, images)
-    memos = [memo for m in images for memo in m.memos]
-    result.stats["images_requested"] = sum(memo.calls for memo in memos)
-    result.stats["images_computed"] = sum(len(memo.cache) for memo in memos)
+    infos = [image.cache_info() for m in images for image in m.memos]
+    result.stats["images_requested"] = sum(i.hits + i.misses for i in infos)
+    result.stats["images_computed"] = sum(i.misses for i in infos)
     result.elapsed = time.perf_counter() - start
     return result
 

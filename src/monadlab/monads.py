@@ -61,12 +61,21 @@ class NoMonadError(Exception):
     pass
 
 
+def _identity(x):
+    return x
+
+
 class FinMonad:
     """A finitary monad on canonical values.
 
     Subclasses define `monad_id`, `family`, `theory_id` (the presentation
     whose free models this monad gives, if registered), `unit`, `fmap`,
-    `join`, `size`, and the graded generator `iter_values`.
+    `size`, the graded generator `iter_values`, and either `bind` or `join`.
+
+    `bind(v, f)` is join(fmap(f, v)) and `join(v)` is bind(v, identity); each
+    defaults to the other. List, multiset, powerset, dist and abgroup define
+    `bind`, flattening in one pass with one canonicalisation instead of
+    building T(T(X)); the other monads define `join`.
 
     Two optional views feed the choice laws of `distlaws`. A linear monad
     (each element occurrence sits at its own position) defines
@@ -92,7 +101,10 @@ class FinMonad:
         raise NotImplementedError
 
     def join(self, v: Value) -> Value:
-        raise NotImplementedError
+        return self.bind(v, _identity)
+
+    def bind(self, v: Value, f: Callable[[Value], Value]) -> Value:
+        return self.join(self.fmap(f, v))
 
     def size(self, v: Value) -> int:
         raise NotImplementedError
@@ -139,13 +151,13 @@ class ListMonad(FinMonad):
         return ("list", x)
 
     def fmap(self, f, v):
-        return ("list",) + tuple(f(x) for x in v[1:])
+        return ("list", *map(f, v[1:]))
 
-    def join(self, v):
-        out = []
-        for inner in v[1:]:
-            out.extend(inner[1:])
-        return ("list",) + tuple(out)
+    def bind(self, v, f):
+        out: list = []
+        for x in v[1:]:
+            out += f(x)[1:]
+        return ("list", *out)
 
     def size(self, v):
         return len(v) - 1
@@ -153,7 +165,8 @@ class ListMonad(FinMonad):
     def members(self, v):
         return v[1:]
 
-    rebuild = _refill
+    def rebuild(self, shape, elems):
+        return ("list", *elems)
 
     def iter_values(self, carrier, bound):
         lo = 1 if self.nonempty else 0
@@ -178,11 +191,8 @@ class MultisetMonad(FinMonad):
     def fmap(self, f, v):
         return mk_mset(entries=((f(x), n) for x, n in v[1]))
 
-    def join(self, v):
-        out = []
-        for inner, n in v[1]:
-            out.extend((x, n * m) for x, m in inner[1])
-        return mk_mset(entries=out)
+    def bind(self, v, f):
+        return mk_mset(entries=[(x, n * m) for y, n in v[1] for x, m in f(y)[1]])
 
     def size(self, v):
         return sum(n for _, n in v[1])
@@ -221,10 +231,10 @@ class PowersetMonad(FinMonad):
     def fmap(self, f, v):
         return mk_set(f(x) for x in v[1:])
 
-    def join(self, v):
-        out = []
-        for inner in v[1:]:
-            out.extend(inner[1:])
+    def bind(self, v, f):
+        out: list = []
+        for x in v[1:]:
+            out += f(x)[1:]
         return mk_set(out)
 
     def size(self, v):
@@ -324,11 +334,11 @@ class NaryTreeMonad(FinMonad):
         return ("nleaf", x)
 
     def fmap(self, f, v):
-        if v[0] == "nunit":
-            return v
         if v[0] == "nleaf":
             return ("nleaf", f(v[1]))
-        return ("nnode",) + tuple(self.fmap(f, c) for c in v[1:])
+        if v[0] == "nnode":
+            return ("nnode", *map(self.fmap, itertools.repeat(f), v[1:]))
+        return v
 
     def join(self, v):
         if v[0] == "nunit":
@@ -344,7 +354,7 @@ class NaryTreeMonad(FinMonad):
             return 0
         if v[0] == "nleaf":
             return 1
-        return sum(self.size(c) for c in v[1:])
+        return sum(map(self.size, v[1:]))
 
     def members(self, v):
         if v[0] == "nunit":
@@ -545,11 +555,8 @@ class DistMonad(FinMonad):
     def fmap(self, f, v):
         return mk_dist((f(x), w) for x, w in v[1])
 
-    def join(self, v):
-        out = []
-        for inner, w in v[1]:
-            out.extend((x, w * u) for x, u in inner[1])
-        return mk_dist(out)
+    def bind(self, v, f):
+        return mk_dist([(x, w * u) for y, w in v[1] for x, u in f(y)[1]])
 
     def size(self, v):
         return len(v[1])
@@ -593,11 +600,8 @@ class AbGroupMonad(FinMonad):
     def fmap(self, f, v):
         return mk_grp((f(x), c) for x, c in v[1])
 
-    def join(self, v):
-        out = []
-        for inner, c in v[1]:
-            out.extend((x, c * m) for x, m in inner[1])
-        return mk_grp(out)
+    def bind(self, v, f):
+        return mk_grp([(x, c * m) for y, c in v[1] for x, m in f(y)[1]])
 
     def size(self, v):
         return sum(abs(c) for _, c in v[1])
@@ -807,7 +811,7 @@ def free_model_ops(theory_id: str, monad_id: str) -> dict:
         raise NoMonadError(f"{monad_id} is not the free-model monad of {theory_id}")
 
     def interpret(generic):
-        return lambda *args: monad.join(monad.fmap(lambda i: args[int(i)], generic))
+        return lambda *args: monad.bind(generic, lambda i: args[int(i)])
 
     return {name: interpret(generic) for name, generic in monad.generics.items()}
 

@@ -29,6 +29,7 @@ from monadlab.theories import (
     PropertyId,
     TheoryEntry,
     _decide,
+    _most_vars_in_bounds,
     check_property,
     class_members,
     class_vars,
@@ -264,10 +265,7 @@ def _class_vars_record(
         members = class_members(entry, term, depth, nv)
         bad = [w for mask, w in members if not fits(mask.bit_count())]
         how = f"depth={depth},vars={nv}"
-        # a term of depth d has at most arity**d leaves, so at most that many
-        # variables: depth 0 holds only atoms
-        arity = max([1, *(op.arity for op in entry.presentation.signature.ops)])
-        most = min(nv, arity ** depth)
+        most = _most_vars_in_bounds(entry, depth, nv)
         if not bad and not members:
             why = f"{render(term)} has no class in the bounded universe"
             return CheckRecord(side, req, False, f"{how}; {why}")

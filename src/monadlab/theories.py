@@ -902,18 +902,23 @@ def _check_bounded_property(entry, prop, depth, num_vars) -> PropertyCertificate
                     prop, PropertyStatus.FAILS, method, (probe, witness),
                     "class member inside a single variable",
                 )
-    if num_vars < _MIN_VARS[prop]:
-        return PropertyCertificate(
-            prop, PropertyStatus.UNKNOWN, method,
-            detail=f"a counterexample needs {_MIN_VARS[prop]} variable(s)",
-        )
     if depth < 1:
         # the universe holds atoms only, so no compound member was searched
         return PropertyCertificate(
             prop, PropertyStatus.UNKNOWN, method,
             detail="a counterexample needs depth >= 1",
         )
+    need, most = _MIN_VARS[prop], _most_vars_in_bounds(entry, depth, num_vars)
+    if most < need:
+        why = f"a counterexample needs {need} variables, terms in bounds have at most {most}"
+        return PropertyCertificate(prop, PropertyStatus.UNKNOWN, method, detail=why)
     return PropertyCertificate(prop, PropertyStatus.HOLDS_BOUNDED, method)
+
+
+def _most_vars_in_bounds(entry: TheoryEntry, depth: int, num_vars: int) -> int:
+    """Most variables in a bounded term: depth d allows arity**d leaves."""
+    arity = max([1, *(op.arity for op in entry.presentation.signature.ops)])
+    return min(num_vars, arity ** depth)
 
 
 def class_members(

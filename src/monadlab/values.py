@@ -8,11 +8,15 @@ inside other values as elements.
 
 The constructors of sets and weighted containers put their entries in
 `canon_key` order without always computing `canon_key`: zero or one entry
-needs no sort, and entries that are all labels sort natively, since
-`canon_key` of a label is (0, label). Any other entries sort by their
-top-level key through a bounded LRU store (`_KEY_CACHE_SIZE` values), so
-the sub-values that recur inside one computation are keyed once while they
-stay in use, and the store never grows past its size.
+needs no sort, and entries that are all labels (a test made in C over their
+types) sort natively, since `canon_key` of a label is (0, label). Any other
+entries sort by their top-level key through a bounded LRU store
+(`_KEY_CACHE_SIZE` values). A flattening monad's `bind` calls its
+constructor once, on every entry of the flattened value.
+
+`memo(f)` is an unbounded `functools.lru_cache` of `f` for the life of one
+call (a Beck check, a law search): a repeated input is answered in C, and
+`cache_info()` counts inputs asked for (hits + misses) and computed (misses).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 __all__ = [
     "Value",
-    "Memo",
+    "memo",
     "canon_key",
     "letters",
     "mk_list",
@@ -80,27 +84,14 @@ def _canonical_order(xs) -> list:
     """The distinct values `xs` in `canon_key` order."""
     if len(xs) <= 1:
         return list(xs)
-    if all(isinstance(x, str) for x in xs):
+    if {*map(type, xs)} == {str}:
         return sorted(xs)
     return sorted(xs, key=_cached_key)
 
 
-class Memo:
-    """`f` computed once per distinct input for as long as the memo lives;
-    `calls` counts the inputs asked for, `cache` holds the distinct ones."""
-
-    def __init__(self, f: Callable[[Value], Value]):
-        self.f = f
-        self.cache: dict = {}
-        self.calls = 0
-
-    def __call__(self, x: Value) -> Value:
-        self.calls += 1
-        try:
-            return self.cache[x]
-        except KeyError:
-            y = self.cache[x] = self.f(x)
-            return y
+def memo(f: Callable[[Value], Value]) -> Callable[[Value], Value]:
+    """`f` computed once per distinct input for as long as the wrapper lives."""
+    return functools.lru_cache(maxsize=None)(f)
 
 
 def letters(n: int) -> tuple:
@@ -179,12 +170,12 @@ def mk_nleaf(x: Value) -> Value:
 def mk_nnode(children: Sequence[Value]) -> Value:
     """n-ary node, pruned: with at most one non-unit child it IS that child
     (or the unit), matching the algebra where units cancel positionally."""
-    proper = [c for c in children if c != ("nunit",)]
-    if not proper:
+    proper = len(children) - children.count(("nunit",))
+    if proper >= 2:
+        return ("nnode", *children)
+    if proper == 0:
         return ("nunit",)
-    if len(proper) == 1:
-        return proper[0]
-    return ("nnode",) + tuple(children)
+    return next(c for c in children if c != ("nunit",))
 
 
 def mk_ok(x: Value) -> Value:

@@ -272,6 +272,48 @@ def test_check_beck_applies_the_law_once_per_input_per_call(law_id):
     assert again.stats == report.stats
 
 
+# the nine positive laws that every cold Boom table replays, at carrier 2 and
+# bound 3, as recorded before the Kleisli `bind` and the C-level memo:
+# (checked per condition, pool sizes, law applications requested, computed)
+_REPLAYED = {
+    "choice:tree:multiset": (
+        (10, 23, 4222, 3613, 3613), (10, 23, 2111, 3613, 286, 3613), 36392, 9170
+    ),
+    "choice:tree:powerset": (
+        (4, 23, 298, 3613, 3613), (4, 23, 149, 3613, 15, 3613), 39842, 6980
+    ),
+    "choice:list:multiset": (
+        (10, 15, 2222, 1885, 1885), (10, 15, 1111, 1885, 286, 1885), 18957, 4761
+    ),
+    "choice:list:powerset": (
+        (4, 15, 170, 1885, 1885), (4, 15, 85, 1885, 15, 1885), 20623, 3300
+    ),
+    "mset-cartesian": (
+        (10, 10, 572, 455, 455), (10, 10, 286, 455, 286, 455), 4440, 1132
+    ),
+    "choice:multiset:powerset": (
+        (4, 10, 70, 455, 455), (4, 10, 35, 455, 15, 455), 4539, 767
+    ),
+    **{
+        law_id: (
+            (14, 14, 5908, 1884, 1884), (14, 14, 2954, 1884, 2954, 1884), 26748, 6708
+        )
+        for law_id in ("mm-nel-1", "mm-nel-2", "mm-nel-3")
+    },
+}
+
+
+@pytest.mark.parametrize("law_id", sorted(_REPLAYED))
+def test_replayed_law_counts_are_pinned(law_id):
+    checked, pools, requested, computed = _REPLAYED[law_id]
+    report = check_beck(law_for(law_id), carrier_size=2, bound=3)
+    assert report.ok
+    conditions = ("unit-s", "unit-t", "natural", "mult-s", "mult-t")
+    assert report.checked == dict(zip(conditions, checked))
+    assert report.pool_sizes == dict(zip(("T", "S", "ST", "SST", "TT", "STT"), pools))
+    assert report.stats == {"lambda_requested": requested, "lambda_computed": computed}
+
+
 _ERR_B_LEFT = ("list", ("list",), ("list", ("err", "b")))
 _ERR_B_RIGHT = ("list", ("list", ("err", "b")), ("list",))
 

@@ -320,6 +320,81 @@ def test_unit_is_enumerated(mid):
 
 
 # ---------------------------------------------------------------------------
+# bind and the direct paths
+
+
+_SWAP = {"a": "b", "b": "a"}
+_COLLAPSE = {"a": "a", "b": "a"}
+
+
+def _flatten(m, w):
+    """join by the loops the flattening monads had before `bind`; others'
+    own join"""
+    if m.family in ("list", "nonempty-list"):
+        return ("list",) + tuple(x for inner in w[1:] for x in inner[1:])
+    if m.family == "powerset":
+        return mk_set(x for inner in w[1:] for x in inner[1:])
+    build = {"multiset": lambda es: mk_mset(entries=es), "dist": mk_dist, "abgroup": mk_grp}
+    if m.family in build:
+        return build[m.family]([(x, n * k) for inner, n in w[1] for x, k in inner[1]])
+    return m.join(w)
+
+
+@pytest.mark.parametrize("mid", ALL_IDS)
+def test_bind_is_join_after_fmap(mid):
+    m = monad_for(mid)
+    pool = m.enumerate(("a", "b"), 2)
+    assert pool
+    kleislis = {
+        "unit": m.unit,
+        "swap": lambda x: m.unit(_SWAP[x]),
+        "collapse": lambda x: m.unit(_COLLAPSE[x]),
+        # nested results, so that flattening merges and reorders entries
+        "pool": lambda x: pool[-1] if x == "a" else pool[len(pool) // 2],
+    }
+    for name, f in kleislis.items():
+        for v in pool:
+            want = _flatten(m, m.fmap(f, v))
+            assert m.bind(v, f) == m.join(m.fmap(f, v)) == want, (name, format_value(v))
+
+
+@pytest.mark.parametrize("mid", [i for i in ALL_IDS if hasattr(monad_for(i), "rebuild")])
+def test_rebuild_refills_members_in_order(mid):
+    m = monad_for(mid)
+    for v in m.enumerate(("a", "b"), 3):
+        assert m.rebuild(v, m.members(v)) == v
+        swapped = [_SWAP[x] for x in m.members(v)]
+        assert m.rebuild(v, swapped) == m.fmap(_SWAP.get, v)
+
+
+_MIXED = [
+    "b",
+    mk_list(("a", "b")),
+    "a",
+    Fraction(1, 3),
+    mk_set(("a",)),
+    2,
+    mk_mset(entries=[("a", 2)]),
+    mk_list(("a",)),
+    mk_dist([("b", Fraction(1))]),
+]
+
+
+def test_constructors_order_mixed_entries_by_canon_key():
+    want = sorted(_MIXED, key=canon_key)
+    for shift in range(len(_MIXED)):
+        entries = _MIXED[shift:] + _MIXED[:shift]
+        assert mk_set(reversed(entries))[1:] == tuple(want)
+        assert [x for x, _ in mk_mset(entries)[1]] == want
+        assert [x for x, _ in mk_grp((x, -1) for x in entries)[1]] == want
+        n = len(entries)
+        assert [x for x, _ in mk_dist((x, Fraction(1, n)) for x in entries)[1]] == want
+    labels = ["c", "a", "b"]
+    assert mk_set(labels) == ("set", "a", "b", "c")
+    assert mk_mset(labels)[1] == (("a", 1), ("b", 1), ("c", 1))
+
+
+# ---------------------------------------------------------------------------
 # laws
 
 

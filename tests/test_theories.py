@@ -707,6 +707,20 @@ def test_bounded_class_certificates_at_depth_zero_are_unknown():
     assert reader_s2.describe() == "HoldsBounded(depth=1,vars=4)"
 
 
+def test_bounded_class_certificates_too_shallow_to_fail_are_unknown():
+    # a depth-1 term over binary operations has at most 2 variables, and a
+    # P3 counterexample needs 3: reader:2 P3 fails only from depth 2
+    reader = lookup_theory("reader:2")
+    cert = check_property(reader, PropertyId.P3, depth=1)
+    assert cert.status is PropertyStatus.UNKNOWN
+    assert cert.detail == (
+        "a counterexample needs 3 variables, terms in bounds have at most 2"
+    )
+    cert = check_property(reader, PropertyId.P3, depth=2)
+    assert cert.status is PropertyStatus.FAILS
+    assert "witness mul(x1,x2),mul(x1,mul(x3,x2))" in cert.describe()
+
+
 def test_load_theory_file(tmp_path):
     path = tmp_path / "leftzero.json"
     path.write_text(json.dumps({
