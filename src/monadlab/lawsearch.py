@@ -113,6 +113,10 @@ _MAX_CARRIER = 4  # largest carrier size in the chain
 _MAX_EDGE_CHECKS = 1_000_000
 
 
+class _Conflict(Exception):
+    """Naturality leaves some input no output: no law in the fragment."""
+
+
 def _all_functions(src: tuple, dst: tuple) -> list:
     return [dict(zip(src, img)) for img in itertools.product(dst, repeat=len(src))]
 
@@ -158,7 +162,11 @@ def search_distlaw_bounded(
     )
     result.stats = dict.fromkeys(("maps", "pairs", "edges"), 0)
     images: list = []
-    _search(result, s, t, carriers, bound, images)
+    try:
+        _search(result, s, t, carriers, bound, images)
+    except _Conflict as exc:
+        result.outcome = SearchOutcome.NO_LAW
+        result.conflict = str(exc)
     infos = [image.cache_info() for m in images for image in m.memos]
     result.stats["images_requested"] = sum(i.hits + i.misses for i in infos)
     result.stats["images_computed"] = sum(i.misses for i in infos)
@@ -171,7 +179,8 @@ def _search(
     images: list,
 ) -> SearchResult:
     """Units, naturality edges, propagation, then domain reasoning; every
-    map between chain carriers built on the way is appended to `images`."""
+    map between chain carriers built on the way is appended to `images`.
+    Every refutation raises `_Conflict` with the reason."""
     pools: list = []
     pool_index: list = []
     for C in carriers:
@@ -182,36 +191,26 @@ def _search(
 
     assigned: dict = {}
 
-    def assign(level: int, w: Value, v: Value, why: str) -> Optional[str]:
+    def assign(level: int, w: Value, v: Value, why: str) -> None:
         key = (level, w)
         old = assigned.get(key)
         if old is None:
             assigned[key] = v
             worklist.append(key)
-            return None
-        if old != v:
-            return (
+        elif old != v:
+            raise _Conflict(
                 f"at |X|={len(carriers[level])} the input {format_value(w)} is forced "
                 f"to both {format_value(old)} and {format_value(v)} ({why})"
             )
-        return None
 
     worklist: list = []
 
     # unit conditions pin the shapes eta-S(t) and S(eta-T)(s)
     for level, C in enumerate(carriers):
         for tv in t.enumerate(C, bound):
-            err = assign(level, s.unit(tv), t.fmap(s.unit, tv), "unit-s")
-            if err:
-                result.outcome = SearchOutcome.NO_LAW
-                result.conflict = err
-                return result
+            assign(level, s.unit(tv), t.fmap(s.unit, tv), "unit-s")
         for sv in s.enumerate(C, bound):
-            err = assign(level, s.fmap(t.unit, sv), t.unit(sv), "unit-t")
-            if err:
-                result.outcome = SearchOutcome.NO_LAW
-                result.conflict = err
-                return result
+            assign(level, s.fmap(t.unit, sv), t.unit(sv), "unit-t")
 
     # naturality edges between every pair of chain carriers
     maps = sum(len(Cj) ** len(Ci) for Ci in carriers for Cj in carriers)
@@ -244,11 +243,7 @@ def _search(
         level, w = key
         v = assigned[key]
         for m, j, w2 in edges.get(key, ()):
-            err = assign(j, w2, m.out(v), "naturality")
-            if err:
-                result.outcome = SearchOutcome.NO_LAW
-                result.conflict = err
-                return result
+            assign(j, w2, m.out(v), "naturality")
 
     result.forced = len(assigned)
     unknown = [
@@ -311,12 +306,10 @@ def _explicit_domains(result, carriers, assigned, unknown, edges, full_pools):
                 members[key] = set(kept)
                 changed = True
             if not kept:
-                result.outcome = SearchOutcome.NO_LAW
-                result.conflict = (
+                raise _Conflict(
                     f"no value remains for input {format_value(w)} at "
                     f"|X|={len(carriers[level])} (complete domain emptied)"
                 )
-                return result
 
     # backtracking over the (small) remaining product space
     order = sorted(unknown, key=lambda key: len(domains[key]))
@@ -341,15 +334,11 @@ def _explicit_domains(result, carriers, assigned, unknown, edges, full_pools):
                 del solution[key]
         return False
 
-    if dfs(0):
-        table = LambdaTable(tuple(carriers), {**assigned, **solution})
-        result.outcome = SearchOutcome.CANDIDATES
-        result.candidates = [table]
-    else:
-        result.outcome = SearchOutcome.NO_LAW
-        result.conflict = (
-            "complete domains admit no assignment consistent with naturality"
-        )
+    if not dfs(0):
+        raise _Conflict("complete domains admit no assignment consistent with naturality")
+    table = LambdaTable(tuple(carriers), {**assigned, **solution})
+    result.outcome = SearchOutcome.CANDIDATES
+    result.candidates = [table]
     return result
 
 
@@ -396,8 +385,7 @@ def _powerset_domains(result, s, carriers, assigned, unknown, edges):
             image = {m.s_image(A) for A in allowed[key]}
             missing = set(tgt[1:]) - image
             if missing:
-                result.outcome = SearchOutcome.NO_LAW
-                result.conflict = (
+                raise _Conflict(
                     f"at |X|={len(carriers[level])} the input "
                     f"{format_value(w)} cannot reach member "
                     f"{format_value(sorted(missing, key=str)[0])} of its "
@@ -405,7 +393,6 @@ def _powerset_domains(result, s, carriers, assigned, unknown, edges):
                     f"allowed members: "
                     f"{[format_value(A) for A in sorted(allowed[key], key=str)]}"
                 )
-                return result
 
     # try the maximal assignment everywhere and verify all edges exactly
     candidate = {key: mk_set(allowed[key]) for key in unknown}

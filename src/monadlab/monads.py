@@ -10,6 +10,7 @@ the free-model comparisons rely on that.
 from __future__ import annotations
 
 import difflib
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -38,6 +39,7 @@ __all__ = [
     "PowersetMonad",
     "BinTreeMonad",
     "NaryTreeMonad",
+    "WeightedMonad",
     "ExceptionMonad",
     "LiftMonad",
     "ReaderMonad",
@@ -73,9 +75,10 @@ class FinMonad:
     `size`, the graded generator `iter_values`, and either `bind` or `join`.
 
     `bind(v, f)` is join(fmap(f, v)) and `join(v)` is bind(v, identity); each
-    defaults to the other. List, multiset, powerset, dist and abgroup define
-    `bind`, flattening in one pass with one canonicalisation instead of
-    building T(T(X)); the other monads define `join`.
+    defaults to the other. List, powerset and the weighted combinations
+    (`WeightedMonad`: multiset, dist, abgroup) define `bind`, flattening in
+    one pass with one canonicalisation instead of building T(T(X)); the
+    other monads define `join`.
 
     Two optional views feed the choice laws of `distlaws`. A linear monad
     (each element occurrence sits at its own position) defines
@@ -86,7 +89,9 @@ class FinMonad:
 
     A monad that names a theory maps each of its operations, in `generics`,
     to the operation's generic element: a value over the argument positions
-    "0", "1", ... `free_model_ops` derives the free models' operations.
+    "0", "1", ... `free_model_ops` derives the free models' operations, and
+    `pair(a, b)` is the theory's designated binary evaluated through them
+    at unit(a), unit(b).
     """
 
     monad_id: str = ""
@@ -110,7 +115,7 @@ class FinMonad:
         raise NotImplementedError
 
     def members(self, v: Value) -> tuple:
-        """The element occurrences of a value (support only, for abgroup)."""
+        """The element occurrences of a value (the support, for dist and abgroup)."""
         raise NotImplementedError
 
     def iter_values(self, carrier: Sequence[Value], bound: int) -> Iterator[Value]:
@@ -120,10 +125,16 @@ class FinMonad:
         return list(self.iter_values(carrier, bound))
 
     def pair(self, a: Value, b: Value) -> Value:
-        """The two-element container over a then b, when one exists."""
-        raise PairUnsupportedError(
-            f"monad {self.monad_id!r} has no canonical two-element container"
-        )
+        """The two-element container over a then b: the designated binary of
+        the monad's theory, evaluated in the free model."""
+        entry = theories.lookup_theory(self.theory_id) if self.theory_id else None
+        if entry is None or entry.designated_binary is None:
+            raise PairUnsupportedError(
+                f"monad {self.monad_id!r} has no canonical two-element container"
+            )
+        ops = free_model_ops(self.theory_id, self.monad_id)
+        env = {"y1": self.unit(a), "y2": self.unit(b)}
+        return _Evaluation(ops, env).term_key(entry.designated_binary)
 
     def __repr__(self) -> str:
         return f"<FinMonad {self.monad_id}>"
@@ -174,25 +185,43 @@ class ListMonad(FinMonad):
             for combo in itertools.product(carrier, repeat=s):
                 yield ("list",) + combo
 
-    def pair(self, a, b):
-        return ("list", a, b)
+
+class WeightedMonad(FinMonad):
+    """Finite formal combinations (tag, ((x, w), ...)) with nonzero weights:
+    counts (multiset), convex weights (dist) or integers (abgroup), the
+    commutative setting of Manes & Mulry 2007, Thm 4.3.4. Subclasses set
+    `tag`, the unit weight `one` and the canonical constructor `make`."""
+
+    tag: str = ""
+    one = 1
+    make: Callable = None
+
+    def unit(self, x):
+        return (self.tag, ((x, self.one),))
+
+    def fmap(self, f, v):
+        return self.make((f(x), w) for x, w in v[1])
+
+    def bind(self, v, f):
+        return self.make([(x, w * u) for y, w in v[1] for x, u in f(y)[1]])
+
+    def members(self, v):
+        return tuple(x for x, _ in v[1])
+
+    def weighted(self, v):
+        return v[1]
+
+    def from_weighted(self, entries):
+        return self.make(entries)
 
 
-
-class MultisetMonad(FinMonad):
+class MultisetMonad(WeightedMonad):
     monad_id = "multiset"
     family = "multiset"
     theory_id = "boom:UAC-"
     generics = {"mul": ("mset", (("0", 1), ("1", 1))), "e": ("mset", ())}
-
-    def unit(self, x):
-        return ("mset", ((x, 1),))
-
-    def fmap(self, f, v):
-        return mk_mset(entries=((f(x), n) for x, n in v[1]))
-
-    def bind(self, v, f):
-        return mk_mset(entries=[(x, n * m) for y, n in v[1] for x, m in f(y)[1]])
+    tag = "mset"
+    make = functools.partial(mk_mset, ())
 
     def size(self, v):
         return sum(n for _, n in v[1])
@@ -203,20 +232,10 @@ class MultisetMonad(FinMonad):
     def rebuild(self, shape, elems):
         return mk_mset(items=elems)
 
-    def weighted(self, v):
-        return v[1]
-
-    def from_weighted(self, entries):
-        return mk_mset(entries=entries)
-
     def iter_values(self, carrier, bound):
         for s in range(bound + 1):
             for combo in itertools.combinations_with_replacement(carrier, s):
                 yield mk_mset(items=combo)
-
-    def pair(self, a, b):
-        return mk_mset(items=(a, b))
-
 
 
 class PowersetMonad(FinMonad):
@@ -253,10 +272,6 @@ class PowersetMonad(FinMonad):
         for s in range(bound + 1):
             for combo in itertools.combinations(carrier, s):
                 yield mk_set(combo)
-
-    def pair(self, a, b):
-        return mk_set((a, b))
-
 
 
 class BinTreeMonad(FinMonad):
@@ -309,10 +324,6 @@ class BinTreeMonad(FinMonad):
                 layer = list(layer)
                 layers.append(layer)
             yield from layer
-
-    def pair(self, a, b):
-        return ("bnode", ("bleaf", a), ("bleaf", b))
-
 
 
 class NaryTreeMonad(FinMonad):
@@ -392,13 +403,10 @@ class NaryTreeMonad(FinMonad):
             for kids in itertools.product(*(layers[part] for part in split)):
                 yield ("nnode",) + kids
 
-    def pair(self, a, b):
-        kids = [("nleaf", a), ("nleaf", b)] + [("nunit",)] * (self.width - 2)
-        return mk_nnode(kids)
-
-
 
 class ExceptionMonad(FinMonad):
+    """A value or one of the error values in `errors`, which propagate."""
+
     family = "exception"
 
     def __init__(self, labels: Sequence[str]):
@@ -408,67 +416,42 @@ class ExceptionMonad(FinMonad):
         inner = ",".join(self.labels)
         self.monad_id = "exception:{" + inner + "}"
         self.theory_id = self.monad_id
+        self.errors = tuple(("err", label) for label in self.labels)
         self.generics = {label: ("err", label) for label in self.labels}
 
     def unit(self, x):
         return ("ok", x)
 
     def fmap(self, f, v):
-        if v[0] == "err":
-            return v
-        return ("ok", f(v[1]))
+        return ("ok", f(v[1])) if v[0] == "ok" else v
 
     def join(self, v):
-        if v[0] == "err":
-            return v
-        return v[1]
+        return v[1] if v[0] == "ok" else v
 
     def size(self, v):
-        return 0 if v[0] == "err" else 1
+        return 1 if v[0] == "ok" else 0
 
     def members(self, v):
-        return () if v[0] == "err" else (v[1],)
+        return (v[1],) if v[0] == "ok" else ()
 
     def iter_values(self, carrier, bound):
-        for label in self.labels:
-            yield ("err", label)
+        yield from self.errors
         if bound >= 1:
             for x in carrier:
                 yield ("ok", x)
 
 
+class LiftMonad(ExceptionMonad):
+    """The exception monad with one error, bot."""
 
-class LiftMonad(FinMonad):
     monad_id = "lift"
     family = "lift"
     theory_id = "pointed"
+    errors = (("bot",),)
     generics = {"bot": ("bot",)}
 
-    def unit(self, x):
-        return ("ok", x)
-
-    def fmap(self, f, v):
-        if v[0] == "bot":
-            return v
-        return ("ok", f(v[1]))
-
-    def join(self, v):
-        if v[0] == "bot":
-            return v
-        return v[1]
-
-    def size(self, v):
-        return 0 if v[0] == "bot" else 1
-
-    def members(self, v):
-        return () if v[0] == "bot" else (v[1],)
-
-    def iter_values(self, carrier, bound):
-        yield ("bot",)
-        if bound >= 1:
-            for x in carrier:
-                yield ("ok", x)
-
+    def __init__(self):
+        pass
 
 
 class ReaderMonad(FinMonad):
@@ -500,10 +483,6 @@ class ReaderMonad(FinMonad):
         if bound >= 1:
             for a, b in itertools.product(carrier, repeat=2):
                 yield ("fun", a, b)
-
-    def pair(self, a, b):
-        return ("fun", a, b)
-
 
 
 # DistMonad enumerates weights with denominators up to this
@@ -537,7 +516,7 @@ def _weight_tuples(slots: int) -> list[tuple]:
     return out
 
 
-class DistMonad(FinMonad):
+class DistMonad(WeightedMonad):
     """Finitely supported probability distributions with exact weights.
 
     The denominator bound `_MAX_DENOMINATOR` only limits enumeration; values
@@ -548,27 +527,12 @@ class DistMonad(FinMonad):
     family = "dist"
     theory_id = "convex"
     generics = {"mix": ("dist", (("0", Fraction(1, 2)), ("1", Fraction(1, 2))))}
-
-    def unit(self, x):
-        return ("dist", ((x, Fraction(1)),))
-
-    def fmap(self, f, v):
-        return mk_dist((f(x), w) for x, w in v[1])
-
-    def bind(self, v, f):
-        return mk_dist([(x, w * u) for y, w in v[1] for x, u in f(y)[1]])
+    tag = "dist"
+    one = Fraction(1)
+    make = staticmethod(mk_dist)
 
     def size(self, v):
         return len(v[1])
-
-    def members(self, v):
-        return tuple(x for x, _ in v[1])
-
-    def weighted(self, v):
-        return v[1]
-
-    def from_weighted(self, entries):
-        return mk_dist(entries)
 
     def iter_values(self, carrier, bound):
         for s in range(1, bound + 1):
@@ -577,12 +541,8 @@ class DistMonad(FinMonad):
                 for weights in tuples:
                     yield mk_dist(zip(support, weights))
 
-    def pair(self, a, b):
-        return mk_dist(((a, Fraction(1, 2)), (b, Fraction(1, 2))))
 
-
-
-class AbGroupMonad(FinMonad):
+class AbGroupMonad(WeightedMonad):
     """Free abelian groups: finite formal integer combinations."""
 
     monad_id = "abgroup"
@@ -593,27 +553,11 @@ class AbGroupMonad(FinMonad):
         "e": ("grp", ()),
         "inv": ("grp", (("0", -1),)),
     }
-
-    def unit(self, x):
-        return ("grp", ((x, 1),))
-
-    def fmap(self, f, v):
-        return mk_grp((f(x), c) for x, c in v[1])
-
-    def bind(self, v, f):
-        return mk_grp([(x, c * m) for y, c in v[1] for x, m in f(y)[1]])
+    tag = "grp"
+    make = staticmethod(mk_grp)
 
     def size(self, v):
         return sum(abs(c) for _, c in v[1])
-
-    def members(self, v):
-        return tuple(x for x, _ in v[1])
-
-    def weighted(self, v):
-        return v[1]
-
-    def from_weighted(self, entries):
-        return mk_grp(entries)
 
     def iter_values(self, carrier, bound):
         for s in range(bound + 1):
@@ -633,10 +577,6 @@ class AbGroupMonad(FinMonad):
                                 (x, m * sg)
                                 for x, m, sg in zip(support, mag, signs)
                             )
-
-    def pair(self, a, b):
-        return mk_grp(((a, 1), (b, 1)))
-
 
 
 # ---------------------------------------------------------------------------

@@ -98,27 +98,30 @@ class BoomFlags:
         )
 
 
+def presentation(
+    tid: str, ops: Iterable[tuple[str, int]], axioms: Iterable[tuple[str, str, str]]
+) -> Presentation:
+    """The presentation over operations (name, arity) whose axioms are
+    (lhs, rhs, name) texts in `parse_term` syntax."""
+    sig = signature(*ops)
+    return Presentation(tid, sig, tuple(
+        Equation(parse_term(lhs, sig), parse_term(rhs, sig), name)
+        for lhs, rhs, name in axioms
+    ))
+
+
 def boom_theory(flags: BoomFlags) -> Presentation:
     """Presentation with exactly the flagged axioms over mul (and e if unital)."""
-    ops: list[tuple[str, int]] = [("mul", 2)]
-    if flags.unital:
-        ops.append(("e", 0))
-    sig = signature(*ops)
-    axioms: list[Equation] = []
-
-    def ax(lhs: str, rhs: str, name: str) -> None:
-        axioms.append(Equation(parse_term(lhs, sig), parse_term(rhs, sig), name))
-
-    if flags.unital:
-        ax("mul(e,x)", "x", "unitl")
-        ax("mul(x,e)", "x", "unitr")
-    if flags.assoc:
-        ax("mul(mul(x,y),z)", "mul(x,mul(y,z))", "assoc")
-    if flags.comm:
-        ax("mul(x,y)", "mul(y,x)", "comm")
-    if flags.idem:
-        ax("mul(x,x)", "x", "idem")
-    return Presentation(flags.theory_id, sig, tuple(axioms))
+    axioms = [
+        ("mul(e,x)", "x", "unitl"),
+        ("mul(x,e)", "x", "unitr"),
+        ("mul(mul(x,y),z)", "mul(x,mul(y,z))", "assoc"),
+        ("mul(x,y)", "mul(y,x)", "comm"),
+        ("mul(x,x)", "x", "idem"),
+    ]
+    on = (flags.unital, flags.unital, flags.assoc, flags.comm, flags.idem)
+    ops = [("mul", 2)] + ([("e", 0)] if flags.unital else [])
+    return presentation(flags.theory_id, ops, itertools.compress(axioms, on))
 
 
 # ---------------------------------------------------------------------------
@@ -1113,7 +1116,7 @@ def exception_theory(labels: Iterable[str]) -> TheoryEntry:
     tid = "exception:{" + ",".join(labels) + "}"
     if tid in _REGISTRY:
         return _REGISTRY[tid]
-    pres = Presentation(tid, signature(*((lbl, 0) for lbl in labels)), ())
+    pres = presentation(tid, ((lbl, 0) for lbl in labels), ())
     entry = TheoryEntry(theory_id=tid, presentation=pres, label=tid)
     return register_theory(entry, SyntacticProc())
 
@@ -1123,21 +1126,19 @@ def narytree_theory(n: int) -> TheoryEntry:
     tid = f"narytree-theory:{n}"
     if tid in _REGISTRY:
         return _REGISTRY[tid]
-    sig = signature(("node", n), ("e", 0))
     axioms = []
     for pos in range(n):
-        args: list[Term] = [parse_term("e", sig)] * n
-        args[pos] = Var("x")
-        axioms.append(Equation(App(sig.op("node"), tuple(args)), Var("x"), f"prune{pos}"))
-    pres = Presentation(tid, sig, tuple(axioms))
-    # a two-sided unital binary term derived from the n-ary operation
-    pad = [parse_term("e", sig)] * (n - 2)
-    binary = App(sig.op("node"), (Var("y1"), Var("y2"), *pad))
+        args = ["e"] * n
+        args[pos] = "x"
+        axioms.append((f"node({','.join(args)})", "x", f"prune{pos}"))
+    pres = presentation(tid, (("node", n), ("e", 0)), axioms)
+    sig = pres.signature
     entry = TheoryEntry(
         theory_id=tid,
         presentation=pres,
         label=tid,
-        designated_binary=binary,
+        # a two-sided unital binary term derived from the n-ary operation
+        designated_binary=parse_term("node(y1,y2" + ",e" * (n - 2) + ")", sig),
         designated_unit=parse_term("e", sig),
     )
     return register_theory(entry, NaryTreeProc(n))
@@ -1148,28 +1149,24 @@ def ring_entry() -> TheoryEntry:
     worked example for the constant-counting obstruction. The annihilation
     axioms are derivable but registered so bounded rewrite search can use
     them directly."""
-    sig = signature(("plus", 2), ("times", 2), ("neg", 1), ("zero", 0), ("one", 0))
-
-    def ax(lhs, rhs, name):
-        return Equation(parse_term(lhs, sig), parse_term(rhs, sig), name)
-
-    pres = Presentation(
+    pres = presentation(
         "ring",
-        sig,
+        (("plus", 2), ("times", 2), ("neg", 1), ("zero", 0), ("one", 0)),
         (
-            ax("plus(plus(x,y),z)", "plus(x,plus(y,z))", "plus-assoc"),
-            ax("plus(x,y)", "plus(y,x)", "plus-comm"),
-            ax("plus(zero,x)", "x", "plus-unitl"),
-            ax("plus(x,neg(x))", "zero", "plus-invr"),
-            ax("times(times(x,y),z)", "times(x,times(y,z))", "times-assoc"),
-            ax("times(one,x)", "x", "times-unitl"),
-            ax("times(x,one)", "x", "times-unitr"),
-            ax("times(x,plus(y,z))", "plus(times(x,y),times(x,z))", "distl"),
-            ax("times(plus(x,y),z)", "plus(times(x,z),times(y,z))", "distr"),
-            ax("times(x,zero)", "zero", "annr"),
-            ax("times(zero,x)", "zero", "annl"),
+            ("plus(plus(x,y),z)", "plus(x,plus(y,z))", "plus-assoc"),
+            ("plus(x,y)", "plus(y,x)", "plus-comm"),
+            ("plus(zero,x)", "x", "plus-unitl"),
+            ("plus(x,neg(x))", "zero", "plus-invr"),
+            ("times(times(x,y),z)", "times(x,times(y,z))", "times-assoc"),
+            ("times(one,x)", "x", "times-unitl"),
+            ("times(x,one)", "x", "times-unitr"),
+            ("times(x,plus(y,z))", "plus(times(x,y),times(x,z))", "distl"),
+            ("times(plus(x,y),z)", "plus(times(x,z),times(y,z))", "distr"),
+            ("times(x,zero)", "zero", "annr"),
+            ("times(zero,x)", "zero", "annl"),
         ),
     )
+    sig = pres.signature
     entry = TheoryEntry(
         theory_id="ring",
         presentation=pres,
@@ -1183,7 +1180,7 @@ def ring_entry() -> TheoryEntry:
 
 
 def _register_rest() -> None:
-    pointed = Presentation("pointed", signature(("bot", 0)), ())
+    pointed = presentation("pointed", (("bot", 0),), ())
     register_theory(
         TheoryEntry(theory_id="pointed", presentation=pointed, label="pointed"),
         SyntacticProc(),
@@ -1192,28 +1189,24 @@ def _register_rest() -> None:
     exception_theory(("a",))
     exception_theory(("a", "b"))
 
-    ab_sig = signature(("mul", 2), ("inv", 1), ("e", 0))
-
-    def ab(lhs, rhs, name):
-        return Equation(parse_term(lhs, ab_sig), parse_term(rhs, ab_sig), name)
-
-    abgroup = Presentation(
+    abgroup = presentation(
         "abgroup",
-        ab_sig,
+        (("mul", 2), ("inv", 1), ("e", 0)),
         (
-            ab("mul(e,x)", "x", "unitl"),
-            ab("mul(x,e)", "x", "unitr"),
-            ab("mul(mul(x,y),z)", "mul(x,mul(y,z))", "assoc"),
-            ab("mul(x,y)", "mul(y,x)", "comm"),
-            ab("mul(x,inv(x))", "e", "invr"),
-            ab("mul(inv(x),x)", "e", "invl"),
+            ("mul(e,x)", "x", "unitl"),
+            ("mul(x,e)", "x", "unitr"),
+            ("mul(mul(x,y),z)", "mul(x,mul(y,z))", "assoc"),
+            ("mul(x,y)", "mul(y,x)", "comm"),
+            ("mul(x,inv(x))", "e", "invr"),
+            ("mul(inv(x),x)", "e", "invl"),
             # consequences of the above, registered so the bounded rewrite
             # closure can reach them without deep detours
-            ab("inv(inv(x))", "x", "inv-inv"),
-            ab("inv(mul(x,y))", "mul(inv(x),inv(y))", "inv-mul"),
-            ab("inv(e)", "e", "inv-unit"),
+            ("inv(inv(x))", "x", "inv-inv"),
+            ("inv(mul(x,y))", "mul(inv(x),inv(y))", "inv-mul"),
+            ("inv(e)", "e", "inv-unit"),
         ),
     )
+    ab_sig = abgroup.signature
     register_theory(
         TheoryEntry(
             theory_id="abgroup",
@@ -1225,42 +1218,31 @@ def _register_rest() -> None:
         AbGroupProc(),
     )
 
-    mix_sig = signature(("mix", 2))
-
-    def cv(lhs, rhs, name):
-        return Equation(parse_term(lhs, mix_sig), parse_term(rhs, mix_sig), name)
-
-    convex = Presentation(
+    convex = presentation(
         "convex",
-        mix_sig,
+        (("mix", 2),),
         (
-            cv("mix(x,x)", "x", "idem"),
-            cv("mix(x,y)", "mix(y,x)", "comm"),
-            cv("mix(mix(a,b),mix(c,d))", "mix(mix(a,c),mix(b,d))", "medial"),
+            ("mix(x,x)", "x", "idem"),
+            ("mix(x,y)", "mix(y,x)", "comm"),
+            ("mix(mix(a,b),mix(c,d))", "mix(mix(a,c),mix(b,d))", "medial"),
         ),
     )
-
     register_theory(
         TheoryEntry(
             theory_id="convex",
             presentation=convex,
             label="convex",
-            designated_binary=parse_term("mix(y1,y2)", mix_sig),
+            designated_binary=parse_term("mix(y1,y2)", convex.signature),
         ),
         ConvexProc(),
     )
 
-    rd_sig = signature(("mul", 2))
-
-    def rd(lhs, rhs, name):
-        return Equation(parse_term(lhs, rd_sig), parse_term(rhs, rd_sig), name)
-
-    reader = Presentation(
+    reader = presentation(
         "reader:2",
-        rd_sig,
+        (("mul", 2),),
         (
-            rd("mul(x,x)", "x", "idem"),
-            rd("mul(mul(w,x),mul(y,z))", "mul(w,z)", "outer"),
+            ("mul(x,x)", "x", "idem"),
+            ("mul(mul(w,x),mul(y,z))", "mul(w,z)", "outer"),
         ),
     )
     register_theory(
@@ -1268,7 +1250,7 @@ def _register_rest() -> None:
             theory_id="reader:2",
             presentation=reader,
             label="reader:2",
-            designated_binary=parse_term("mul(y1,y2)", rd_sig),
+            designated_binary=parse_term("mul(y1,y2)", reader.signature),
         ),
         ReaderProc(),
     )
@@ -1288,13 +1270,12 @@ def load_theory_file(path: str) -> TheoryEntry:
     """
     with open(path) as fh:
         raw = json.load(fh)
-    sig = signature(*((name, int(arity)) for name, arity in raw["ops"]))
-    axioms = []
-    for item in raw.get("axioms", ()):
-        lhs, rhs = item[0], item[1]
-        name = item[2] if len(item) > 2 else ""
-        axioms.append(Equation(parse_term(lhs, sig), parse_term(rhs, sig), name))
-    pres = Presentation(raw["id"], sig, tuple(axioms))
+    pres = presentation(
+        raw["id"],
+        ((name, int(arity)) for name, arity in raw["ops"]),
+        ((item[0], item[1], item[2] if len(item) > 2 else "") for item in raw.get("axioms", ())),
+    )
+    sig = pres.signature
     entry = TheoryEntry(
         theory_id=raw["id"],
         presentation=pres,

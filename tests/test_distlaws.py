@@ -372,6 +372,12 @@ def test_times_over_plus_needs_pairs():
         check_times_over_plus_form(law_for("exception-over:list"))
 
 
+def test_composite_monad_has_no_pair():
+    comp = composite_monad(law_for("ring"))
+    with pytest.raises(PairUnsupportedError, match="no canonical two-element"):
+        comp.pair("a", "b")
+
+
 # ---------------------------------------------------------------------------
 # composite monads
 

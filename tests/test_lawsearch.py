@@ -7,7 +7,7 @@ import pytest
 from monadlab import lawsearch
 from monadlab.distlaws import DistLaw, check_beck, law_for
 from monadlab.lawsearch import SearchOutcome, search_distlaw_bounded
-from monadlab.monads import NoMonadError, monad_for
+from monadlab.monads import LiftMonad, NoMonadError, monad_for
 from monadlab.values import mk_set
 
 
@@ -118,6 +118,46 @@ class TestExplicitDomainPairs:
         assert tab.at(0, ("bot",)) == mk_set([("bot",)])
         assert tab.at(0, ("ok", mk_set([]))) == mk_set([])
         assert tab.at(0, ("ok", mk_set(["a"]))) == mk_set([("ok", "a")])
+
+    @pytest.mark.parametrize("kind", ["emptied", "backtracking"])
+    def test_refutations_raise_one_conflict(self, kind):
+        # no registered pair reaches these two exits at small carriers, so
+        # the edges are built by hand over the domain {x, y}
+        ident = type("Edge", (), {"out": staticmethod(lambda v: v)})
+        swap = type("Edge", (), {"out": staticmethod({"x": "y", "y": "x"}.get)})
+        result = lawsearch.SearchResult(SearchOutcome.INCONCLUSIVE, "s", "t", (1,), 1)
+        if kind == "emptied":
+            # w's only edge needs its output to be z, which the domain lacks
+            assigned, unknown = {(0, "u"): "z"}, [(0, "w")]
+            edges = {(0, "w"): [(ident, 0, "u")]}
+            want = "no value remains for input w at |X|=1 (complete domain emptied)"
+        else:
+            # u must equal w and also its swap, which arc consistency misses
+            assigned, unknown = {}, [(0, "w"), (0, "u")]
+            edges = {(0, "u"): [(ident, 0, "w"), (swap, 0, "w")]}
+            want = "complete domains admit no assignment consistent with naturality"
+        with pytest.raises(lawsearch._Conflict) as exc:
+            lawsearch._explicit_domains(result, [("a",)], assigned, unknown, edges,
+                                        [["x", "y"]])
+        assert str(exc.value) == want
+
+
+def test_conflicting_unit_conditions_are_no_law(monkeypatch):
+    # no registered pair has a unit or naturality conflict at small carriers;
+    # an S whose unit forgets its argument forces bot to both bot and ok(bot)
+    class Forgetful(LiftMonad):
+        monad_id = "forgetful"
+
+        def unit(self, x):
+            return ("bot",)
+
+    real = lawsearch.monad_for
+    monkeypatch.setattr(lawsearch, "monad_for",
+                        lambda mid: Forgetful() if mid == "forgetful" else real(mid))
+    r = search_distlaw_bounded("forgetful", "lift")
+    assert r.outcome == SearchOutcome.NO_LAW
+    assert r.conflict == "at |X|=1 the input bot is forced to both bot and bot (unit-s)"
+    assert r.forced == 0 and r.stats["maps"] == 0
 
 
 def test_repeated_runs_are_identical():

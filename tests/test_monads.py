@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from monadlab import monads
 from monadlab.monads import (
+    FinMonad,
     FreeModelReport,
     ListMonad,
     LawReport,
     NoMonadError,
+    PairUnsupportedError,
     check_monad_laws,
     free_model_iso_check,
     monad_for,
@@ -343,6 +345,9 @@ def _flatten(m, w):
 @pytest.mark.parametrize("mid", ALL_IDS)
 def test_bind_is_join_after_fmap(mid):
     m = monad_for(mid)
+    # FinMonad's bind and join call each other: a monad must define one
+    cls = type(m)
+    assert cls.bind is not FinMonad.bind or cls.join is not FinMonad.join
     pool = m.enumerate(("a", "b"), 2)
     assert pool
     kleislis = {
@@ -621,6 +626,33 @@ def test_free_model_ops_cover_the_signature(monad_id):
     for op in sig.ops:
         if op.arity == 2:
             assert ops[op.name](m.unit("a"), m.unit("b")) == m.pair("a", "b")
+
+
+# the designated binary of each monad's theory at unit(a), unit(b)
+_PAIRS = {
+    "list": ("list", "a", "b"),
+    "nonempty-list": ("list", "a", "b"),
+    "multiset": ("mset", (("a", 1), ("b", 1))),
+    "powerset": ("set", "a", "b"),
+    "bintree": ("bnode", ("bleaf", "a"), ("bleaf", "b")),
+    "narytree:2": ("nnode", ("nleaf", "a"), ("nleaf", "b")),
+    "narytree:3": ("nnode", ("nleaf", "a"), ("nleaf", "b"), ("nunit",)),
+    "reader:2": ("fun", "a", "b"),
+    "dist": ("dist", (("a", Fraction(1, 2)), ("b", Fraction(1, 2)))),
+    "abgroup": ("grp", (("a", 1), ("b", 1))),
+}
+
+
+@pytest.mark.parametrize("mid", ALL_IDS)
+def test_pair_is_pinned(mid):
+    m = monad_for(mid)
+    has_binary = lookup_theory(m.theory_id).designated_binary is not None
+    assert has_binary == (mid in _PAIRS)
+    if has_binary:
+        assert m.pair("a", "b") == _PAIRS[mid]
+    else:
+        with pytest.raises(PairUnsupportedError, match="no canonical two-element"):
+            m.pair("a", "b")
 
 
 def test_free_model_detects_wrong_ops():
