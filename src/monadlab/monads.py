@@ -12,6 +12,7 @@ from __future__ import annotations
 import difflib
 import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,6 +29,7 @@ from monadlab.values import (
     mk_mset,
     mk_nnode,
     mk_set,
+    weighted_value,
 )
 
 __all__ = [
@@ -80,12 +82,21 @@ class FinMonad:
     one pass with one canonicalisation instead of building T(T(X)); the
     other monads define `join`.
 
-    Two optional views feed the choice laws of `distlaws`. A linear monad
-    (each element occurrence sits at its own position) defines
-    `rebuild(shape, elems)`, which puts `elems` at the positions that
-    `members(shape)` lists, in order. A commutative monad defines
-    `weighted(v)`, its (element, weight) pairs, and the inverse
-    `from_weighted(entries)`, which sums the weights of repeated elements.
+    Two optional views feed the choice laws of `distlaws`. A commutative
+    monad T defines `weighted(v)`, its elements and their weights as two
+    tuples in `canon_key` order, and two inverses: `from_weighted(entries)`
+    sums the weights of repeated (element, weight) entries and sorts, while
+    `from_canonical(xs, ws)` wraps elements that are already distinct and
+    in `canon_key` order. A linear monad S (each element occurrence sits at
+    its own position) defines `choose(v, t)`: the T combination of every S
+    value that picks one element of T at each position of `v`, weighted by
+    the product of the picked weights. Positional S (list, the trees) build
+    the picks by their own structure. All picks of `v` share its shape, so
+    a pick is fixed by its elements and no two coincide; taking each
+    position's elements in order and the positions in product order lists
+    the picks lexicographically over their leaves, which is `canon_key`
+    order. So they need no merge and no sort. Multiset S sorts each pick
+    into a multiset; that map is not injective, so its picks merge.
 
     A monad that names a theory maps each of its operations, in `generics`,
     to the operation's generic element: a value over the argument positions
@@ -140,10 +151,36 @@ class FinMonad:
         return f"<FinMonad {self.monad_id}>"
 
 
-def _refill(self, shape, elems):
-    """`rebuild` for monads whose fmap visits positions in `members` order."""
-    it = iter(elems)
-    return self.fmap(lambda _: next(it), shape)
+def _picks(v, t, ws):
+    """The S values that pick one element of T at each position of the list
+    or tree `v`, in `canon_key` order (see `FinMonad`); each position's
+    weights go onto `ws`, left to right. A node's picks are the products of
+    its children's, so each node is built once per combination of them,
+    and in C."""
+    tag = v[0]
+    if tag == "list":
+        xs, w = zip(*map(t.weighted, v[1:]))
+        ws += w
+    elif tag == "bleaf" or tag == "nleaf":
+        xs, w = t.weighted(v[1])
+        ws.append(w)
+        return tuple(zip(itertools.repeat(tag), xs))
+    elif tag == "nunit":
+        return (v,)
+    else:
+        xs = [_picks(c, t, ws) for c in v[1:]]
+    return tuple(map((tag,).__add__, itertools.product(*xs)))
+
+
+def _choose_positional(self, v, t):
+    """`choose` for positional monads: distinct picks, already in order.
+    The picks come in the product order of their positions, so their
+    weights are the products of one weight per position in that order."""
+    if len(v) == 1:  # the empty list or the unit tree: nothing to pick
+        return t.unit(v)
+    ws: list = []
+    xs = _picks(v, t, ws)
+    return t.from_canonical(xs, map(math.prod, itertools.product(*ws)))
 
 
 class ListMonad(FinMonad):
@@ -176,8 +213,7 @@ class ListMonad(FinMonad):
     def members(self, v):
         return v[1:]
 
-    def rebuild(self, shape, elems):
-        return ("list", *elems)
+    choose = _choose_positional
 
     def iter_values(self, carrier, bound):
         lo = 1 if self.nonempty else 0
@@ -190,7 +226,10 @@ class WeightedMonad(FinMonad):
     """Finite formal combinations (tag, ((x, w), ...)) with nonzero weights:
     counts (multiset), convex weights (dist) or integers (abgroup), the
     commutative setting of Manes & Mulry 2007, Thm 4.3.4. Subclasses set
-    `tag`, the unit weight `one` and the canonical constructor `make`."""
+    `tag`, the unit weight `one` and the canonical constructor `make`.
+    The `fmap` and `bind` of valid values give valid values, so here they
+    sum the weights into one dict and sort it once, without `make`'s
+    checks; dist keeps them."""
 
     tag: str = ""
     one = 1
@@ -200,19 +239,30 @@ class WeightedMonad(FinMonad):
         return (self.tag, ((x, self.one),))
 
     def fmap(self, f, v):
-        return self.make((f(x), w) for x, w in v[1])
+        acc: dict = {}
+        for x, w in v[1]:
+            y = f(x)
+            acc[y] = acc.get(y, 0) + w
+        return weighted_value(self.tag, acc)
 
     def bind(self, v, f):
-        return self.make([(x, w * u) for y, w in v[1] for x, u in f(y)[1]])
+        acc: dict = {}
+        for y, w in v[1]:
+            for x, u in f(y)[1]:
+                acc[x] = acc.get(x, 0) + w * u
+        return weighted_value(self.tag, acc)
 
     def members(self, v):
         return tuple(x for x, _ in v[1])
 
     def weighted(self, v):
-        return v[1]
+        return tuple(zip(*v[1])) or ((), ())
 
     def from_weighted(self, entries):
         return self.make(entries)
+
+    def from_canonical(self, xs, ws):
+        return (self.tag, tuple(zip(xs, ws)))
 
 
 class MultisetMonad(WeightedMonad):
@@ -229,8 +279,12 @@ class MultisetMonad(WeightedMonad):
     def members(self, v):
         return tuple(x for x, n in v[1] for _ in range(n))
 
-    def rebuild(self, shape, elems):
-        return mk_mset(items=elems)
+    def choose(self, v, t):
+        if not v[1]:
+            return t.unit(v)
+        xs, ws = zip(*map(t.weighted, self.members(v)))
+        picks = map(mk_mset, itertools.product(*xs))
+        return t.from_weighted(zip(picks, map(math.prod, itertools.product(*ws))))
 
     def iter_values(self, carrier, bound):
         for s in range(bound + 1):
@@ -263,10 +317,13 @@ class PowersetMonad(FinMonad):
         return v[1:]
 
     def weighted(self, v):
-        return tuple((x, 1) for x in v[1:])
+        return v[1:], (1,) * (len(v) - 1)
 
     def from_weighted(self, entries):
         return mk_set(x for x, _ in entries)
+
+    def from_canonical(self, xs, ws):
+        return ("set", *xs)
 
     def iter_values(self, carrier, bound):
         for s in range(bound + 1):
@@ -305,7 +362,7 @@ class BinTreeMonad(FinMonad):
             return (v[1],)
         return self.members(v[1]) + self.members(v[2])
 
-    rebuild = _refill
+    choose = _choose_positional
 
     def iter_values(self, carrier, bound):
         # layer s holds the trees of size s; the last one is never reused
@@ -377,7 +434,7 @@ class NaryTreeMonad(FinMonad):
             out += self.members(c)
         return out
 
-    rebuild = _refill
+    choose = _choose_positional
 
     def iter_values(self, carrier, bound):
         # layer s holds the trees of size s; the last one is never reused
@@ -520,7 +577,8 @@ class DistMonad(WeightedMonad):
     """Finitely supported probability distributions with exact weights.
 
     The denominator bound `_MAX_DENOMINATOR` only limits enumeration; values
-    built by join keep exact arbitrary-denominator weights.
+    built by join keep exact arbitrary-denominator weights. `fmap` and
+    `bind` go through `mk_dist`, which checks that the weights sum to one.
     """
 
     monad_id = "dist"
@@ -530,6 +588,12 @@ class DistMonad(WeightedMonad):
     tag = "dist"
     one = Fraction(1)
     make = staticmethod(mk_dist)
+
+    def fmap(self, f, v):
+        return mk_dist((f(x), w) for x, w in v[1])
+
+    def bind(self, v, f):
+        return mk_dist([(x, w * u) for y, w in v[1] for x, u in f(y)[1]])
 
     def size(self, v):
         return len(v[1])
@@ -565,18 +629,21 @@ class AbGroupMonad(WeightedMonad):
                 yield ("grp", ())
                 continue
             for k in range(1, min(s, len(carrier)) + 1):
-                mags = [
-                    split
+                # the coefficients of k support letters: each split of s
+                # into k magnitudes, then each choice of signs
+                coeffs = [
+                    signed
                     for split in itertools.product(range(1, s + 1), repeat=k)
                     if sum(split) == s
+                    for signed in itertools.product(*((m, -m) for m in split))
                 ]
                 for support in itertools.combinations(carrier, k):
-                    for mag in mags:
-                        for signs in itertools.product((1, -1), repeat=k):
-                            yield mk_grp(
-                                (x, m * sg)
-                                for x, m, sg in zip(support, mag, signs)
-                            )
+                    # the support in canonical order, and where each of its
+                    # letters sits in `support`
+                    ordered = mk_set(support)[1:]
+                    at = [support.index(x) for x in ordered]
+                    for c in coeffs:
+                        yield ("grp", tuple(zip(ordered, map(c.__getitem__, at))))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,16 @@ The constructors of sets and weighted containers put their entries in
 needs no sort, and entries that are all labels (a test made in C over their
 types) sort natively, since `canon_key` of a label is (0, label). Any other
 entries sort by their top-level key through a bounded LRU store
-(`_KEY_CACHE_SIZE` values). A flattening monad's `bind` calls its
-constructor once, on every entry of the flattened value.
+(`_KEY_CACHE_SIZE` values). A flattening monad's `bind` sorts once, over
+every entry of the flattened value; multiset and abgroup sum their weights
+in one dict and hand it to `weighted_value`.
+
+Some values are built canonical and skip the constructors. The choice laws
+of `distlaws` over a list or tree S give T combinations of picks that all
+share one shape, so distinct picks differ at some position and no merge is
+needed. Product order over positions whose entries are in `canon_key` order
+is lexicographic over the leaves, which is `canon_key` order for values of
+one shape, so no sort is needed either (`monads.FinMonad`).
 
 `memo(f)` is an unbounded `functools.lru_cache` of `f` for the life of one
 call (a Beck check, a law search): a repeated input is answered in C, and
@@ -35,6 +43,7 @@ __all__ = [
     "mk_set",
     "mk_dist",
     "mk_grp",
+    "weighted_value",
     "mk_bleaf",
     "mk_bnode",
     "mk_nunit",
@@ -119,8 +128,7 @@ def mk_mset(items: Iterable[Value] = (), entries: Iterable[tuple] = ()) -> Value
     for x, n in counts.items():
         if n < 0:
             raise ValueError(f"negative multiplicity for {x!r}")
-    merged = tuple((x, counts[x]) for x in _canonical_order(counts) if counts[x] != 0)
-    return ("mset", merged)
+    return weighted_value("mset", counts)
 
 
 def mk_set(items: Iterable[Value]) -> Value:
@@ -137,18 +145,22 @@ def mk_dist(entries: Iterable[tuple]) -> Value:
         raise ValueError(f"distribution weights sum to {total}, not 1")
     if any(w < 0 for w in weights.values()):
         raise ValueError("negative weight in distribution")
-    merged = tuple(
-        (x, weights[x]) for x in _canonical_order(weights) if weights[x] != 0
-    )
-    return ("dist", merged)
+    return weighted_value("dist", weights)
 
 
 def mk_grp(entries: Iterable[tuple]) -> Value:
     coeffs: dict = {}
     for x, c in entries:
         coeffs[x] = coeffs.get(x, 0) + c
-    merged = tuple((x, coeffs[x]) for x in _canonical_order(coeffs) if coeffs[x] != 0)
-    return ("grp", merged)
+    return weighted_value("grp", coeffs)
+
+
+def weighted_value(tag: str, weights: dict) -> Value:
+    """The `tag` combination of the nonzero entries of the element -> weight
+    dict `weights`, in `canon_key` order. It checks nothing: the
+    constructors above validate first, and the `fmap` and `bind` of valid
+    multisets and abgroup values give valid ones."""
+    return (tag, tuple((x, weights[x]) for x in _canonical_order(weights) if weights[x]))
 
 
 def mk_bleaf(x: Value) -> Value:

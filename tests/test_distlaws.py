@@ -2,6 +2,8 @@
 
 import collections
 import dataclasses
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,15 @@ from monadlab.distlaws import (
     law_ids,
 )
 from monadlab.monads import PairUnsupportedError, check_monad_laws, monad_for
-from monadlab.values import format_value, mk_grp, mk_list, mk_mset, mk_set
+from monadlab.values import (
+    format_value,
+    letters,
+    mk_dist,
+    mk_grp,
+    mk_list,
+    mk_mset,
+    mk_set,
+)
 
 
 def _parse_free(*args):
@@ -180,6 +190,96 @@ def test_faulty_law_pointwise():
 
 
 # ---------------------------------------------------------------------------
+# choice laws and the mm-nel laws against their first formulations
+
+
+def _refill(s, shape, elems):
+    """`shape` with `elems` at its positions, in `members` order."""
+    it = iter(elems)
+    return s.fmap(lambda _: next(it), shape)
+
+
+# T's (element, weight) entries, and its constructor that merges and sorts them
+_ENTRIES = {
+    "multiset": (lambda tv: tv[1], lambda es: mk_mset(entries=es)),
+    "powerset": (lambda tv: [(x, 1) for x in tv[1:]], lambda es: mk_set(x for x, _ in es)),
+    "dist": (lambda tv: tv[1], mk_dist),
+    "abgroup": (lambda tv: tv[1], mk_grp),
+}
+
+
+def _reference_choice(s, t, v):
+    """Every pick of one element per position, rebuilt through fmap (sorted
+    into a multiset for multiset S) and weighted by the product of the
+    picked weights; T's constructor merges the picks and sorts them."""
+    entries, merge = _ENTRIES[t.monad_id]
+    picks = []
+    for chosen in itertools.product(*map(entries, s.members(v))):
+        elems = [x for x, _ in chosen]
+        pick = mk_mset(elems) if s.monad_id == "multiset" else _refill(s, v, elems)
+        picks.append((pick, math.prod(w for _, w in chosen)))
+    return merge(picks)
+
+
+@pytest.mark.parametrize("carrier", [2, 3])
+@pytest.mark.parametrize("t_id", sorted(_ENTRIES))
+@pytest.mark.parametrize(
+    "s_id", ["list", "nonempty-list", "bintree", "narytree:2", "narytree:3", "multiset"]
+)
+def test_choice_law_matches_merge_and_sort(s_id, t_id, carrier):
+    law = law_for(f"choice:{s_id}:{t_id}")
+    s, t = law.s_monad, law.t_monad
+    pool_t = t.enumerate(letters(carrier), 3)
+    # the smallest T values (the empty one, units) and the largest, so that
+    # the S pool stays small enough to replay whole at bound 3
+    pool = s.enumerate(pool_t[:3] + pool_t[-3:], 3)
+    assert len(pool) >= 84  # multiset S over six values, the smallest pool
+    for v in pool:
+        assert law(v) == _reference_choice(s, t, v), format_value(v)
+
+
+def _mm1_reference(v):
+    groups: list = []
+    current: list = []
+    for idx, inner in enumerate(v[1:]):
+        for j, x in enumerate(inner[1:]):
+            if idx > 0 and j == 0:
+                current.append(x)
+            else:
+                if current:
+                    groups.append(current)
+                current = [x]
+    groups.append(current)
+    return mk_list(mk_list(g) for g in groups)
+
+
+def _mm_project_reference(pick):
+    def apply(v):
+        inners = v[1:]
+        if len(inners) == 1:
+            return mk_list(mk_list((x,)) for x in inners[0][1:])
+        return mk_list([mk_list(pick(inner) for inner in inners)])
+
+    return apply
+
+
+def test_mm_nel_laws_match_their_first_formulation():
+    nel = monad_for("nonempty-list")
+    # the check_beck pool of nonempty lists of nonempty lists at carrier 3
+    pool = nel.enumerate(nel.enumerate(letters(3), 3)[:32], 3)
+    assert len(pool) == 33824
+    references = {
+        "mm-nel-1": _mm1_reference,
+        "mm-nel-2": _mm_project_reference(lambda inner: inner[1]),
+        "mm-nel-3": _mm_project_reference(lambda inner: inner[-1]),
+    }
+    for law_id, reference in references.items():
+        law = law_for(law_id)
+        wrong = [v for v in pool if law(v) != reference(v)]
+        assert not wrong, (law_id, len(wrong), format_value(wrong[0]))
+
+
+# ---------------------------------------------------------------------------
 # Beck conditions
 
 BECK_GREEN = [
@@ -312,6 +412,56 @@ def test_replayed_law_counts_are_pinned(law_id):
     assert report.checked == dict(zip(conditions, checked))
     assert report.pool_sizes == dict(zip(("T", "S", "ST", "SST", "TT", "STT"), pools))
     assert report.stats == {"lambda_requested": requested, "lambda_computed": computed}
+
+
+# T-over-T pool sizes at carriers 1, 2 and 3 (bound 3), as counted when the
+# whole pool was enumerated over the T values themselves; None where the
+# check raises at carrier 3 (the naturality renames send c to None)
+_TT_SIZES = {
+    "ring": (575, 22151, None),
+    "mset-cartesian": (35, 286, None),
+    "mm-nel-1": (39, 2954, 33824),
+    "mm-nel-2": (39, 2954, 33824),
+    "mm-nel-3": (39, 2954, 33824),
+    "faulty-list-exception": (5, 6, 7),
+    "choice:tree:multiset": (35, 286, None),
+    "choice:tree:powerset": (4, 15, None),
+    "choice:list:multiset": (35, 286, None),
+    "choice:list:powerset": (4, 15, None),
+    "choice:multiset:multiset": (35, 286, None),
+    "choice:multiset:powerset": (4, 15, None),
+    "exception-over:list": (85, 3616, 33825),
+    "exception-over:nonempty-list": (39, 2954, 33824),
+    "exception-over:multiset": (35, 286, None),
+    "exception-over:powerset": (4, 15, None),
+    "exception-over:bintree": (148, 21802, 66592),
+    "exception-over:narytree:2": (281, 24887, 66593),
+    "exception-over:narytree:3": (264409, 625697, 625697),
+    "exception-over:exception:{a}": (3, 4, 5),
+    "exception-over:exception:{a,b}": (5, 6, 7),
+    "exception-over:lift": (3, 4, 5),
+    "exception-over:reader:2": (1, 16, 81),
+    "exception-over:dist": (1, 252, None),
+    "exception-over:abgroup": (575, 22151, None),
+}
+
+
+def test_tt_sizes_cover_every_law():
+    assert sorted(_TT_SIZES) == sorted(law_ids())
+
+
+@pytest.mark.parametrize(
+    "law_id, carrier, size",
+    [
+        (law_id, carrier, size)
+        for law_id, sizes in _TT_SIZES.items()
+        for carrier, size in zip((1, 2, 3), sizes)
+        if size is not None
+    ],
+)
+def test_tt_pool_count_is_pinned(law_id, carrier, size):
+    report = check_beck(law_for(law_id), carrier_size=carrier)
+    assert report.pool_sizes["TT"] == size
 
 
 _ERR_B_LEFT = ("list", ("list",), ("list", ("err", "b")))

@@ -363,13 +363,15 @@ def test_bind_is_join_after_fmap(mid):
             assert m.bind(v, f) == m.join(m.fmap(f, v)) == want, (name, format_value(v))
 
 
-@pytest.mark.parametrize("mid", [i for i in ALL_IDS if hasattr(monad_for(i), "rebuild")])
-def test_rebuild_refills_members_in_order(mid):
+@pytest.mark.parametrize("mid", [i for i in ALL_IDS if hasattr(monad_for(i), "choose")])
+def test_choose_keeps_members_in_order(mid):
     m = monad_for(mid)
-    for v in m.enumerate(("a", "b"), 3):
-        assert m.rebuild(v, m.members(v)) == v
-        swapped = [_SWAP[x] for x in m.members(v)]
-        assert m.rebuild(v, swapped) == m.fmap(_SWAP.get, v)
+    for t in map(monad_for, ("powerset", "multiset")):
+        for v in m.enumerate(("a", "b"), 3):
+            # one element at each position: the only pick is v itself
+            assert m.choose(m.fmap(t.unit, v), t) == t.unit(v)
+            swapped = m.fmap(lambda x: t.unit(_SWAP[x]), v)
+            assert m.choose(swapped, t) == t.unit(m.fmap(_SWAP.get, v))
 
 
 _MIXED = [
