@@ -18,7 +18,6 @@ from . import monads as _monads
 from . import nogo as _nogo
 from . import terms as _terms
 from . import theories as _theories
-from .valuetext import ValueSyntaxError, parse_layered
 from .values import format_value
 
 
@@ -166,6 +165,8 @@ def law():
 @click.argument("value", metavar="VALUE")
 def law_apply(law_id, value):
     """Apply LAW to a VALUE of its inner-over-outer shape."""
+    from .valuetext import ValueSyntaxError, parse_layered
+
     lw = _law(law_id)
     try:
         v = parse_layered(value, (lw.s_monad, lw.t_monad))

@@ -9,13 +9,11 @@ every counterexample it finds.
 
 from __future__ import annotations
 
-import difflib
 import functools
 import itertools
 import time
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from monadlab.monads import FinMonad, LawReport, NoMonadError, monad_for
 from monadlab.values import Value, letters, memo
@@ -35,8 +33,7 @@ class NoLawError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class DistLaw:
+class DistLaw(NamedTuple):
     """A candidate distributive law of the inner monad over the outer one."""
 
     law_id: str
@@ -214,6 +211,8 @@ def law_for(law_id: str) -> DistLaw:
             )
     if law is not None:
         return _LAWS.setdefault(law_id, law)
+    import difflib
+
     near = difflib.get_close_matches(law_id, law_ids(), n=3)
     hint = f"; did you mean {', '.join(near)}?" if near else ""
     raise NoLawError(f"unknown law {law_id!r}{hint}")

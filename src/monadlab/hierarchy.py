@@ -8,12 +8,9 @@ against a golden file resolves footnotes to their content first, so the
 numbering itself never matters.
 """
 
-import csv
-import io
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import NamedTuple, Union
 
 from .nogo import NoGoVerdict, verdict
 from .theories import BOOM_EXTENDED, BOOM_FULL, BOOM_ORIGINAL, lookup_theory
@@ -68,8 +65,9 @@ def cell_content(v: NoGoVerdict) -> tuple[str, ...]:
     return ()
 
 
-@dataclass(frozen=True)
-class TableMismatch:
+class TableMismatch(NamedTuple):
+    """A cell whose content differs from the golden file's."""
+
     row: str
     col: str
     expected: str
@@ -79,8 +77,9 @@ class TableMismatch:
         return f"({self.row}, {self.col}): expected {self.expected}, got {self.got}"
 
 
-@dataclass(frozen=True)
-class VerdictTable:
+class VerdictTable(NamedTuple):
+    """The verdicts of every ordered pair of a variant's theories."""
+
     variant: str
     labels: tuple[str, ...]
     cells: dict  # (row label, col label) -> NoGoVerdict
@@ -129,6 +128,9 @@ def _cell_text(table: VerdictTable, numbers: dict, r: str, c: str, unknown: str)
 
 
 def to_csv(table: VerdictTable) -> str:
+    import csv
+    import io
+
     order, numbers = table.footnotes()
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -166,6 +168,9 @@ _CELL_RE = re.compile(r"^([NY?])(?:\[([0-9 ]*)\])?$")
 
 def parse_golden(text: str):
     """(variant, labels, {(row, col): (mark, content frozenset)}) or raise."""
+    import csv
+    import io
+
     rows = list(csv.reader(io.StringIO(text)))
     rows = [r for r in rows if r and any(f.strip() for f in r)]
     if len(rows) < 3 or rows[0][:1] != ["variant"] or len(rows[0]) != 2:

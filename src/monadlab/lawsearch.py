@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
 from typing import Optional
 
 from monadlab.monads import FinMonad, monad_for
@@ -44,12 +43,11 @@ class SearchOutcome:
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass
 class LambdaTable:
     """One fragment assignment: per carrier level, input value to output."""
 
-    carriers: tuple
-    entries: dict = field(default_factory=dict)
+    def __init__(self, carriers: tuple, entries: dict):
+        self.carriers, self.entries = carriers, entries
 
     def at(self, level: int, w: Value) -> Value:
         return self.entries[(level, w)]
@@ -70,19 +68,17 @@ class LambdaTable:
         return "\n".join(lines)
 
 
-@dataclass
 class SearchResult:
-    outcome: str
-    s_id: str
-    t_id: str
-    carrier_sizes: tuple
-    bound: int
-    forced: int = 0
-    variables: int = 0
-    candidates: list = field(default_factory=list)
-    conflict: Optional[str] = None
-    elapsed: float = 0.0
-    stats: dict = field(default_factory=dict)
+    """Outcome of one bounded law search, with its counts."""
+
+    def __init__(self, outcome: str, s_id: str, t_id: str, carrier_sizes: tuple, bound: int):
+        self.outcome, self.s_id, self.t_id = outcome, s_id, t_id
+        self.carrier_sizes, self.bound = carrier_sizes, bound
+        self.forced = self.variables = 0
+        self.candidates: list = []
+        self.conflict: Optional[str] = None
+        self.elapsed = 0.0
+        self.stats: dict = {}
 
     @property
     def conclusive(self) -> bool:

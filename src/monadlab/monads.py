@@ -9,7 +9,6 @@ the free-model comparisons rely on that.
 
 from __future__ import annotations
 
-import difflib
 import functools
 import itertools
 import math
@@ -703,6 +702,8 @@ def monad_for(monad_id: str) -> FinMonad:
             width = 0
         if width >= 2:
             return _MONADS.setdefault(key, NaryTreeMonad(width))
+    import difflib
+
     near = difflib.get_close_matches(key, list(_MONADS) + list(_MONAD_ALIASES), n=3)
     hint = f"; did you mean {', '.join(near)}?" if near else ""
     raise NoMonadError(f"unknown monad {monad_id!r}{hint}")
@@ -712,21 +713,19 @@ def monad_for(monad_id: str) -> FinMonad:
 # law checking
 
 
-@dataclass
 class LawReport:
     """Bounded check of named conditions (monad laws or Beck conditions) on
     one subject, a monad id or a law id. `checked` counts the cases each
     condition saw; violations are (condition, input, lhs, rhs)."""
 
-    subject: str
-    carrier: tuple
-    bound: int
-    nested_caps: tuple
-    checked: dict = field(default_factory=dict)
-    pool_sizes: dict = field(default_factory=dict)
-    violations: list = field(default_factory=list)
-    elapsed: float = 0.0
-    stats: dict = field(default_factory=dict)
+    def __init__(self, subject: str, carrier: tuple, bound: int, nested_caps: tuple):
+        self.subject, self.carrier, self.bound, self.nested_caps = (
+            subject, carrier, bound, nested_caps)
+        self.checked: dict = {}
+        self.pool_sizes: dict = {}
+        self.violations: list = []
+        self.elapsed = 0.0
+        self.stats: dict = {}
 
     def unchecked(self) -> list:
         """Conditions that saw no case: a pass on them would be vacuous."""
@@ -823,13 +822,12 @@ def free_model_ops(theory_id: str, monad_id: str) -> dict:
     return {name: interpret(generic) for name, generic in monad.generics.items()}
 
 
-@dataclass
 class _Evaluation(terms.Procedure):
     """A free-model evaluation as a compositional semantics: variables to
     their values in `env`, operations through their interpretations."""
 
-    ops: dict
-    env: dict
+    def __init__(self, ops: dict, env: dict):
+        self.ops, self.env = ops, env
 
     def var_key(self, name):
         return self.env[name]
@@ -838,12 +836,11 @@ class _Evaluation(terms.Procedure):
         return self.ops[op.name](*child_keys)
 
 
-@dataclass
 class _Product(terms.Procedure):
     """Pairs of keys of two procedures; compositional when both are."""
 
-    first: terms.Procedure
-    second: terms.Procedure
+    def __init__(self, first: terms.Procedure, second: terms.Procedure):
+        self.first, self.second = first, second
 
     def var_key(self, name):
         return self.first.var_key(name), self.second.var_key(name)
@@ -857,6 +854,8 @@ class _Product(terms.Procedure):
 
 @dataclass
 class FreeModelReport:
+    """Outcome of comparing a theory's free model with a monad."""
+
     theory_id: str
     monad_id: str
     labels: tuple

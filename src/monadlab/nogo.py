@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from monadlab import distlaws
 from monadlab.monads import monad_for
@@ -72,18 +72,22 @@ class TheoremId:
 # permutations and the row-set intersection bound
 
 
-@dataclass(frozen=True)
-class PermutationSpec:
-    """A bijection on {1..size}, stored as mapping[i-1] = image of i."""
-
+class _PermutationFields(NamedTuple):
     size: int
     mapping: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.size < 1 or len(self.mapping) != self.size:
-            raise ValueError(f"mapping must list images of 1..{self.size}")
-        if sorted(self.mapping) != list(range(1, self.size + 1)):
-            raise ValueError(f"{self.mapping} is not a permutation of 1..{self.size}")
+
+class PermutationSpec(_PermutationFields):
+    """A bijection on {1..size}, stored as mapping[i-1] = image of i."""
+
+    __slots__ = ()
+
+    def __new__(cls, size: int, mapping: tuple[int, ...]):
+        if size < 1 or len(mapping) != size:
+            raise ValueError(f"mapping must list images of 1..{size}")
+        if sorted(mapping) != list(range(1, size + 1)):
+            raise ValueError(f"{mapping} is not a permutation of 1..{size}")
+        return super().__new__(cls, size, mapping)
 
     def __call__(self, i: int) -> int:
         return self.mapping[i - 1]
@@ -138,8 +142,9 @@ def filter_common(
 # hypothesis certificates
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
+    """One hypothesis of a theorem checked on one side of the pair."""
+
     side: str  # which theory the requirement is about
     requirement: str
     passed: bool
@@ -150,8 +155,9 @@ class CheckRecord:
         return f"[{self.side}] {self.requirement}: {mark} ({self.evidence})"
 
 
-@dataclass(frozen=True)
-class Applicability:
+class Applicability(NamedTuple):
+    """A theorem's hypotheses checked for one pair of theories."""
+
     theorem: str
     s_id: str
     t_id: str
@@ -479,8 +485,9 @@ def uniqueness_applies(
 # known positive pairs
 
 
-@dataclass(frozen=True)
-class PositiveEntry:
+class PositiveEntry(NamedTuple):
+    """A pair known to have a distributive law, with its citation."""
+
     s_theory: str
     t_theory: str
     law_ids: tuple[str, ...]  # implemented witnesses, empty when citation-only
@@ -559,8 +566,9 @@ def _replay(law_id: str) -> None:
 # the combined verdict
 
 
-@dataclass(frozen=True)
-class NoGoVerdict:
+class NoGoVerdict(NamedTuple):
+    """The combined answer for one ordered pair of theories."""
+
     s_id: str
     t_id: str
     status: str  # NoDistLaw | Exists | Unknown
@@ -654,8 +662,9 @@ def verdict(
 # the mechanized two-layer counterexample
 
 
-@dataclass(frozen=True)
-class RefutationTrace:
+class RefutationTrace(NamedTuple):
+    """The eliminations of the two-layer Plotkin replay."""
+
     source: Value  # the probed element, a distribution of sets
     universe: tuple  # all denominator-<=2 distributions on the carrier
     constraints: tuple  # (name, renaming, forced image)

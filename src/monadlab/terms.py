@@ -15,7 +15,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Hashable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Hashable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 __all__ = [
     "OpSymbol",
@@ -58,6 +58,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OpSymbol:
+    """An operation name with its arity."""
+
     name: str
     arity: int
 
@@ -81,6 +83,8 @@ class OpSymbol:
 
 @dataclass(frozen=True)
 class Signature:
+    """Operations with distinct names."""
+
     ops: tuple[OpSymbol, ...]
 
     def __post_init__(self) -> None:
@@ -109,6 +113,8 @@ def signature(*ops: tuple[str, int]) -> Signature:
 
 @dataclass(frozen=True)
 class Var:
+    """A variable; equal only to a variable of the same name."""
+
     name: str
 
     # hashes are precomputed: term hashing is the hot path of every bounded
@@ -128,6 +134,8 @@ class Var:
 
 @dataclass(frozen=True)
 class App:
+    """An operation applied to as many argument terms as its arity."""
+
     op: OpSymbol
     args: "tuple[Term, ...]"
 
@@ -239,8 +247,9 @@ def match(pattern: Term, term: Term, bindings: Optional[dict] = None) -> Optiona
 # equations and presentations
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(NamedTuple):
+    """The axiom lhs = rhs, with an optional name."""
+
     lhs: Term
     rhs: Term
     name: str = ""
@@ -250,21 +259,27 @@ class Equation:
         return f"{label}{render(self.lhs)} = {render(self.rhs)}"
 
 
-@dataclass(frozen=True)
-class Presentation:
+class _PresentationFields(NamedTuple):
     name: str
     signature: Signature
     equations: tuple[Equation, ...]
 
-    def __post_init__(self) -> None:
-        for eqn in self.equations:
+
+class Presentation(_PresentationFields):
+    """A named signature with axioms that use only its operations."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, signature: Signature, equations: tuple[Equation, ...]):
+        for eqn in equations:
             for side in (eqn.lhs, eqn.rhs):
                 for _, sub in subterm_paths(side):
-                    if isinstance(sub, App) and sub.op not in self.signature.ops:
+                    if isinstance(sub, App) and sub.op not in signature.ops:
                         raise ValueError(
-                            f"axiom {eqn} of {self.name} uses {sub.op.name}/"
+                            f"axiom {eqn} of {name} uses {sub.op.name}/"
                             f"{sub.op.arity}, which is not in the signature"
                         )
+        return super().__new__(cls, name, signature, equations)
 
     def parse(self, text: str) -> Term:
         return parse_term(text, self.signature)
@@ -538,8 +553,9 @@ class EqStatus(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class EqResult:
+class EqResult(NamedTuple):
+    """A bounded proof search's answer; true when it found a proof."""
+
     status: EqStatus
     steps: Optional[int]
     explored: int

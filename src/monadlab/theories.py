@@ -18,13 +18,11 @@ operations.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Hashable, Iterable, Optional
+from typing import Hashable, Iterable, NamedTuple, Optional
 
 from monadlab.terms import (
     App,
@@ -83,8 +81,9 @@ __all__ = [
 # Boom-style presentations: one binary operation, flag-selected axioms
 
 
-@dataclass(frozen=True)
-class BoomFlags:
+class BoomFlags(NamedTuple):
+    """Which Boom axioms hold besides the binary operation itself."""
+
     unital: bool
     assoc: bool
     comm: bool
@@ -465,6 +464,8 @@ def _boom_procedure(flags: BoomFlags) -> Procedure:
 
 @dataclass
 class TheoryEntry:
+    """A registered theory: its presentation, designated terms and caches."""
+
     theory_id: str
     presentation: Presentation
     label: str
@@ -562,8 +563,9 @@ class PropertyStatus(Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class PropertyCertificate:
+class PropertyCertificate(NamedTuple):
+    """How a structural property was settled; true when it holds."""
+
     prop: PropertyId
     status: PropertyStatus
     method: str
@@ -787,7 +789,7 @@ def _check_property(entry, prop, depth, num_vars) -> PropertyCertificate:
 
     if prop is PropertyId.P2:
         base = _check_property(entry, PropertyId.S4B, depth, num_vars)
-        return dataclasses.replace(base, prop=prop)
+        return base._replace(prop=prop)
 
     if prop is PropertyId.T4B:
         # holds when the interchange (abides) law is NOT provable, so a
@@ -954,8 +956,7 @@ def _abides_verdict(entry: TheoryEntry, depth: int):
     return _decide(entry, lhs, rhs, depth)[0]
 
 
-@dataclass
-class ProcedureValidation:
+class ProcedureValidation(NamedTuple):
     """Outcome of cross-checking a decision procedure against the axioms."""
 
     theory_id: str
@@ -1268,6 +1269,8 @@ def load_theory_file(path: str) -> TheoryEntry:
     presentation is regular and otherwise read classes approximated by
     rewrite closure.
     """
+    import json
+
     with open(path) as fh:
         raw = json.load(fh)
     pres = presentation(

@@ -1,7 +1,6 @@
 """Distributive laws: pinned examples, Beck conditions, the broken control."""
 
 import collections
-import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -354,7 +353,7 @@ def _counting(law):
         seen[v] += 1
         return law.apply(v)
 
-    return dataclasses.replace(law, apply=apply), seen
+    return law._replace(apply=apply), seen
 
 
 @pytest.mark.parametrize(
