@@ -116,7 +116,8 @@ def normalize(theory, term):
 @click.argument("theory")
 @click.argument("lhs", metavar="TERM1")
 @click.argument("rhs", metavar="TERM2")
-@click.option("--depth", default=3, show_default=True, help="bounded-search depth")
+@click.option("--depth", default=3, show_default=True, type=click.IntRange(min=0),
+              help="bounded-search depth")
 @click.option("--bounded", is_flag=True,
               help="force bounded search even when a decision procedure exists")
 def prove_eq(theory, lhs, rhs, depth, bounded):

@@ -201,12 +201,14 @@ def _search(
 
     worklist: list = []
 
-    # unit conditions pin the shapes eta-S(t) and S(eta-T)(s)
+    # unit conditions pin the shapes eta-S(t) and S(eta-T)(s) on the inputs
+    # of the fragment (at bound 0 some unit inputs lie outside it)
     for level, C in enumerate(carriers):
-        for tv in t.enumerate(C, bound):
-            assign(level, s.unit(tv), t.fmap(s.unit, tv), "unit-s")
-        for sv in s.enumerate(C, bound):
-            assign(level, s.fmap(t.unit, sv), t.unit(sv), "unit-t")
+        units = [(s.unit(tv), t.fmap(s.unit, tv), "unit-s") for tv in t.enumerate(C, bound)]
+        units += [(s.fmap(t.unit, sv), t.unit(sv), "unit-t") for sv in s.enumerate(C, bound)]
+        for w, v, why in units:
+            if w in pool_index[level]:
+                assign(level, w, v, why)
 
     # naturality edges between every pair of chain carriers
     maps = sum(len(Cj) ** len(Ci) for Ci in carriers for Cj in carriers)

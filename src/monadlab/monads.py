@@ -122,7 +122,9 @@ class FinMonad:
         return self.join(self.fmap(f, v))
 
     def size(self, v: Value) -> int:
-        raise NotImplementedError
+        """The size that `bound` limits in enumeration: by default the
+        number of element occurrences."""
+        return len(self.members(v))
 
     def members(self, v: Value) -> tuple:
         """The element occurrences of a value (the support, for dist and abgroup)."""
@@ -206,9 +208,6 @@ class ListMonad(FinMonad):
             out += f(x)[1:]
         return ("list", *out)
 
-    def size(self, v):
-        return len(v) - 1
-
     def members(self, v):
         return v[1:]
 
@@ -272,9 +271,6 @@ class MultisetMonad(WeightedMonad):
     tag = "mset"
     make = functools.partial(mk_mset, ())
 
-    def size(self, v):
-        return sum(n for _, n in v[1])
-
     def members(self, v):
         return tuple(x for x, n in v[1] for _ in range(n))
 
@@ -308,9 +304,6 @@ class PowersetMonad(FinMonad):
         for x in v[1:]:
             out += f(x)[1:]
         return mk_set(out)
-
-    def size(self, v):
-        return len(v) - 1
 
     def members(self, v):
         return v[1:]
@@ -350,11 +343,6 @@ class BinTreeMonad(FinMonad):
         if v[0] == "bleaf":
             return v[1]
         return ("bnode", self.join(v[1]), self.join(v[2]))
-
-    def size(self, v):
-        if v[0] == "bleaf":
-            return 1
-        return self.size(v[1]) + self.size(v[2])
 
     def members(self, v):
         if v[0] == "bleaf":
@@ -416,13 +404,6 @@ class NaryTreeMonad(FinMonad):
         # constructor
         return mk_nnode([self.join(c) for c in v[1:]])
 
-    def size(self, v):
-        if v[0] == "nunit":
-            return 0
-        if v[0] == "nleaf":
-            return 1
-        return sum(map(self.size, v[1:]))
-
     def members(self, v):
         if v[0] == "nunit":
             return ()
@@ -483,9 +464,6 @@ class ExceptionMonad(FinMonad):
 
     def join(self, v):
         return v[1] if v[0] == "ok" else v
-
-    def size(self, v):
-        return 1 if v[0] == "ok" else 0
 
     def members(self, v):
         return (v[1],) if v[0] == "ok" else ()
@@ -593,9 +571,6 @@ class DistMonad(WeightedMonad):
 
     def bind(self, v, f):
         return mk_dist([(x, w * u) for y, w in v[1] for x, u in f(y)[1]])
-
-    def size(self, v):
-        return len(v[1])
 
     def iter_values(self, carrier, bound):
         for s in range(1, bound + 1):
@@ -874,13 +849,16 @@ class FreeModelReport:
         return self.ok
 
 
+# depth of the substitution images, and of the terms substituted into
+_SUBST_DEPTH = 2
+
+
 def free_model_iso_check(
     theory_id: str,
     monad_id: str,
     labels: tuple = ("a", "b", "c"),
     bound: int = 3,
     depth: int = 3,
-    subst_depth: int = 2,
 ) -> FreeModelReport:
     """Compare the theory's free model on `labels` with the monad.
 
@@ -941,10 +919,9 @@ def free_model_iso_check(
 
     # substitution vs join: evaluating t[sigma] directly must agree with
     # evaluating t over unit-wrapped evaluated images and then joining
-    small_depth = min(subst_depth, depth)
-    wanted = 3 * len(labels) if subst_depth >= 0 else 0
+    small_depth = min(_SUBST_DEPTH, depth)
     first_terms = terms.enumerate_terms(sig, atoms, small_depth)
-    subst_images = list(itertools.islice(first_terms, wanted))
+    subst_images = list(itertools.islice(first_terms, 3 * len(labels)))
     for shift in range(min(3, len(subst_images))):
         images = {
             x: base.term_key(subst_images[(i + shift) % len(subst_images)])

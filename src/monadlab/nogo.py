@@ -28,11 +28,9 @@ from monadlab.terms import (
 from monadlab.theories import (
     PropertyId,
     TheoryEntry,
-    _decide,
-    _most_vars_in_bounds,
     check_property,
-    class_members,
-    class_vars,
+    class_var_claim,
+    decide,
     lookup_theory,
 )
 from monadlab.values import Value, format_value, mk_dist, mk_set
@@ -208,7 +206,7 @@ def _with_binary(entry: TheoryEntry, binary: Optional[Term]) -> TheoryEntry:
 def _eq_record(
     side: str, entry: TheoryEntry, req: str, lhs: Term, rhs: Term, depth: int
 ) -> CheckRecord:
-    v, exact = _decide(entry, lhs, rhs, depth)
+    v, exact = decide(entry, lhs, rhs, depth)
     how = "decision procedure" if exact else f"bounded search depth={depth}"
     text = f"{render(lhs)} = {render(rhs)} ({how})"
     if v is True:
@@ -259,30 +257,12 @@ def _class_vars_record(
     side: str, entry: TheoryEntry, term: Term, req: str, fits, need: int,
     depth: int, nv: int,
 ) -> CheckRecord:
-    """Whether every member of `term`'s class has a variable count that
-    `fits`: exact for a regular presentation, else over the bounded class.
-    `need` is the fewest variables a member that does not fit has; a bounded
-    universe that cannot hold such a member fails the record, not passes it."""
-    shared = class_vars(entry, term)
-    if shared is not None:
-        bad = [] if fits(len(shared)) else [term]
-        how = "regular presentation"
-    else:
-        members = class_members(entry, term, depth, nv)
-        bad = [w for mask, w in members if not fits(mask.bit_count())]
-        how = f"depth={depth},vars={nv}"
-        most = _most_vars_in_bounds(entry, depth, nv)
-        if not bad and not members:
-            why = f"{render(term)} has no class in the bounded universe"
-            return CheckRecord(side, req, False, f"{how}; {why}")
-        if not bad and need > most:
-            why = (
-                f"a counterexample needs {need} variables, "
-                f"terms in bounds have at most {most}"
-            )
-            return CheckRecord(side, req, False, f"{how}; {why}")
+    """`class_var_claim` as a record: a claim it leaves unsettled fails."""
+    verdict, how, witness, why = class_var_claim(entry, term, fits, need, depth, nv)
+    if verdict is None:
+        return CheckRecord(side, req, False, f"{how}; {why}")
     return CheckRecord(
-        side, req, not bad, how + (f"; witness {render(bad[0])}" if bad else "")
+        side, req, verdict, how if verdict else f"{how}; witness {render(witness[-1])}"
     )
 
 
@@ -322,15 +302,15 @@ def check_plotkin_general(
     )
 
     records.append(_class_vars_record(
-        "P", pe, p, f"class stays within {m} variables", lambda k: k <= m, m + 1,
-        depth, nv,
+        "P", pe, p, f"class stays within {m} variables", lambda names: len(names) <= m,
+        m + 1, depth, nv,
     ))
     records.append(
         _eq_record("V", ve, "idempotent", _collapse_to_one(v), Var("x1"), depth)
     )
     records.append(_prop_record("V", ve, PropertyId.V2, depth, num_vars))
     records.append(_class_vars_record(
-        "V", ve, v, "class never fits in one variable", lambda k: k > 1, 0,
+        "V", ve, v, "class never fits in one variable", lambda names: len(names) >= 2, 2,
         depth, nv,
     ))
     return Applicability(
@@ -354,7 +334,7 @@ def _distinct_constants(entry: TheoryEntry, depth: int) -> tuple[list, bool]:
         term = App(c, ())
         duplicate = False
         for r in reps:
-            v, was_exact = _decide(entry, term, r, depth)
+            v, was_exact = decide(entry, term, r, depth)
             exact = exact and was_exact
             if v is True:
                 duplicate = True

@@ -3,17 +3,19 @@
 Each registered theory bundles a finite presentation with an exact decision
 procedure for provable equality (registered into `monadlab.terms`), optional
 designated operations (a binary term over y1,y2 and a unit), and cached
-property certificates. The exact properties go through decide_eq on specific
-terms.
+property certificates. The equational properties are equations between
+designated terms, settled by `decide`.
 
 The class-based properties (S1/T1, S2/T2/V2, P3, V3) are facts about the
-variables of the members of equivalence classes. In a regular presentation,
-where both sides of every axiom have the same variables, every step of an
-equational derivation preserves the variable set, so each class shares its
-representative's variables and these properties are exact (`class_vars`).
-Other presentations read a class map instead, built once per (depth, vars)
-bound by closing the classes of the bounded term universe under the
-operations.
+variables of the members of equivalence classes, and `class_var_claim` is
+the one place where such claims, the no-go checkers' included, are settled.
+In a regular presentation, where both sides of every axiom have the same
+variables, every step of an equational derivation preserves the variable
+set, so each class shares its representative's variables and the claim is
+exact (`class_vars`). Other presentations read a class map instead, built
+once per (depth, vars) bound by closing the classes of the bounded term
+universe under the operations; `class_var_claim` also holds the rules for
+when such a bounded search proves nothing.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ __all__ = [
     "PropertyCertificate",
     "check_property",
     "class_vars",
-    "class_members",
+    "class_var_claim",
+    "decide",
     "abides_holds",
     "ProcedureValidation",
     "validate_procedure_against_rewrites",
@@ -583,17 +586,46 @@ class PropertyCertificate(NamedTuple):
         return f"{self.status.value}({inner})"
 
 
-# class-based properties, with the fewest variables their counterexamples
-# need: an open term (S1/T1), a second variable for a foreign variable or for
-# b(x1,x2) itself (S2/T2/V2/V3), a third variable (P3)
-_MIN_VARS = {
-    PropertyId.S1: 1,
-    PropertyId.T1: 1,
-    PropertyId.S2: 2,
-    PropertyId.T2: 2,
-    PropertyId.V2: 2,
-    PropertyId.V3: 2,
-    PropertyId.P3: 3,
+# the designated terms each property needs
+_NEEDS = {
+    PropertyId.S4A: "binary/unit",
+    PropertyId.T4A: "binary/unit",
+    **dict.fromkeys(
+        (PropertyId.S4B, PropertyId.V1, PropertyId.P1, PropertyId.P2,
+         PropertyId.T4B, PropertyId.P3, PropertyId.V3),
+        "binary",
+    ),
+}
+
+
+def _b12(entry: TheoryEntry) -> Term:
+    return entry.binary_at(Var("x1"), Var("x2"))
+
+
+# class-based properties: the probed class (None: every class with a closed
+# member), the test every member's variable names must pass, the failure
+# detail, and the fewest variables a counterexample needs: an open term
+# (S1/T1), a second variable for a foreign variable or for b(x1,x2) itself
+# (S2/T2/V2/V3), a third variable (P3)
+_CLOSED_STAYS_CLOSED = (
+    lambda entry: None, lambda names: not names, "open term in a closed term's class", 1
+)
+_VAR_STAYS_ITSELF = (
+    lambda entry: Var("x1"), lambda names: names <= {"x1"},
+    "foreign variable in a variable's class", 2,
+)
+_CLASS_PROPERTIES = {
+    PropertyId.S1: _CLOSED_STAYS_CLOSED,
+    PropertyId.T1: _CLOSED_STAYS_CLOSED,
+    PropertyId.S2: _VAR_STAYS_ITSELF,
+    PropertyId.T2: _VAR_STAYS_ITSELF,
+    PropertyId.V2: _VAR_STAYS_ITSELF,
+    PropertyId.P3: (
+        _b12, lambda names: len(names) <= 2, "class member with more than 2 variables", 3
+    ),
+    PropertyId.V3: (
+        _b12, lambda names: len(names) >= 2, "class member inside a single variable", 2
+    ),
 }
 
 
@@ -651,9 +683,10 @@ def _key_of(entry: TheoryEntry, term: Term, depth: int, num_vars: int):
     return None
 
 
-def _decide(entry: TheoryEntry, t1: Term, t2: Term, depth: int):
-    """(verdict, exact) where verdict is True/False/None and exact means the
-    registered procedure answered (so False is a refutation)."""
+def decide(entry: TheoryEntry, t1: Term, t2: Term, depth: int):
+    """(verdict, exact) for t1 = t2: verdict is True/False/None, and exact
+    means the registered procedure answered (so False is a refutation);
+    otherwise a proof search to `depth` can only prove."""
     if entry.has_procedure:
         return decide_eq(entry.theory_id, t1, t2), True
     res = eq_bounded(entry.presentation, t1, t2, depth=depth)
@@ -678,15 +711,16 @@ def check_property(
     T4b: the designated binary abides with itself (the 2x2 interchange).
     P1/P2: the designated binary is commutative / idempotent on variables.
     P3: members of the class of b(x1,x2) use at most 2 distinct variables.
-    V3: no member of the class of b(x1,x2) fits inside a single variable.
+    V3: every member of the class of b(x1,x2) uses at least 2 variables.
 
-    Class-based properties (S1/T1, S2/T2/V2, P3, V3) are exact for a
-    regular presentation, whatever the bounds: derivations preserve variable
-    sets, so S1/T1 and S2/T2/V2 hold, P3 holds when b(x1,x2) has at most 2
-    variables and V3 when it has at least 2 (`class_vars`). Otherwise they
-    are bounded by (depth, num_vars), and Unknown when those bounds cannot
-    hold a counterexample. The rest are exact when a decision procedure is
-    registered and fall back to bounded proof search otherwise.
+    Class-based properties (S1/T1, S2/T2/V2, P3, V3) are settled by
+    `class_var_claim`, the one place where class-variable claims and the
+    rules for a bounded search that proves nothing live: exact for a regular
+    presentation whatever the bounds, otherwise bounded by (depth,
+    num_vars) and Unknown when those bounds cannot hold a counterexample.
+    T3 is syntactic; the rest are settled by `decide` on equations between
+    designated terms (S3: on the unit laws of the constants), exactly when a
+    decision procedure is registered and by bounded proof search otherwise.
     """
     cache_key = (prop, depth, num_vars)
     cached = entry._certificates.get(cache_key)
@@ -700,19 +734,11 @@ def check_property(
 def _check_property(entry, prop, depth, num_vars) -> PropertyCertificate:
     exact = entry.has_procedure
     exact_method = "analytic via decide_eq" if exact else f"eq_bounded depth={depth}"
-
-    def exactish(verdict, witness=None, detail=""):
-        if verdict is True:
-            status = PropertyStatus.HOLDS if exact else PropertyStatus.HOLDS_BOUNDED
-            return PropertyCertificate(prop, status, exact_method, detail=detail)
-        if verdict is False:
-            return PropertyCertificate(
-                prop, PropertyStatus.FAILS, exact_method, witness, detail
-            )
-        return PropertyCertificate(prop, PropertyStatus.UNKNOWN, exact_method, detail=detail)
+    holds = PropertyStatus.HOLDS if exact else PropertyStatus.HOLDS_BOUNDED
+    sig = entry.presentation.signature
 
     if prop is PropertyId.T3:
-        has = bool(entry.presentation.signature.constants)
+        has = bool(sig.constants)
         return PropertyCertificate(
             prop,
             PropertyStatus.HOLDS if has else PropertyStatus.FAILS,
@@ -721,7 +747,6 @@ def _check_property(entry, prop, depth, num_vars) -> PropertyCertificate:
         )
 
     if prop is PropertyId.S3:
-        sig = entry.presentation.signature
         builders = [op for op in sig.ops if op.arity >= 1]
         if not builders:
             return PropertyCertificate(
@@ -737,86 +762,66 @@ def _check_property(entry, prop, depth, num_vars) -> PropertyCertificate:
             for c in sig.constants:
                 units = (App(c, ()),) * op.arity
                 if all(
-                    _decide(entry, App(op, units[:pos] + (x,) + units[pos + 1 :]), x, depth)[0]
+                    decide(entry, App(op, units[:pos] + (x,) + units[pos + 1 :]), x, depth)[0]
                     is True
                     for pos in range(op.arity)
                 ):
                     break
             else:
                 if exact:
-                    return exactish(False, detail=f"no unit constant for {op.name}/{op.arity}")
+                    return PropertyCertificate(
+                        prop, PropertyStatus.FAILS, exact_method,
+                        detail=f"no unit constant for {op.name}/{op.arity}",
+                    )
                 all_bounded_ok = False
-        if not exact:
-            if all_bounded_ok:
-                return PropertyCertificate(prop, PropertyStatus.HOLDS_BOUNDED, exact_method)
-            return PropertyCertificate(prop, PropertyStatus.UNKNOWN, exact_method)
-        return exactish(True)
+        if all_bounded_ok:
+            return PropertyCertificate(prop, holds, exact_method)
+        return PropertyCertificate(prop, PropertyStatus.UNKNOWN, exact_method)
 
-    if prop in (PropertyId.S4A, PropertyId.T4A):
-        if entry.designated_binary is None or entry.designated_unit is None:
-            return PropertyCertificate(
-                prop, PropertyStatus.FAILS, "syntactic",
-                detail="no designated binary/unit",
-            )
-        u = entry.designated_unit
-        x = Var("x")
-        left = _decide(entry, entry.binary_at(u, x), x, depth)[0]
-        right = _decide(entry, entry.binary_at(x, u), x, depth)[0]
-        if left is True and right is True:
-            return exactish(True)
-        if left is False or right is False:
-            bad = entry.binary_at(u, x) if left is False else entry.binary_at(x, u)
-            return exactish(False, witness=(bad, x))
-        return exactish(None)
+    needs = _NEEDS.get(prop)
+    if needs and (entry.designated_binary is None
+                  or needs == "binary/unit" and entry.designated_unit is None):
+        return PropertyCertificate(
+            prop, PropertyStatus.FAILS, "syntactic", detail=f"no designated {needs}"
+        )
 
-    if prop in (PropertyId.S4B, PropertyId.V1):
-        if entry.designated_binary is None:
-            return PropertyCertificate(
-                prop, PropertyStatus.FAILS, "syntactic", detail="no designated binary"
-            )
-        x = Var("x")
-        v, _ = _decide(entry, entry.binary_at(x, x), x, depth)
-        return exactish(v, witness=None if v else (entry.binary_at(x, x), x))
-
-    if prop is PropertyId.P1:
-        if entry.designated_binary is None:
-            return PropertyCertificate(
-                prop, PropertyStatus.FAILS, "syntactic", detail="no designated binary"
-            )
-        a, b = Var("x1"), Var("x2")
-        v, _ = _decide(entry, entry.binary_at(a, b), entry.binary_at(b, a), depth)
-        return exactish(v, witness=None if v else (entry.binary_at(a, b), entry.binary_at(b, a)))
-
-    if prop is PropertyId.P2:
-        base = _check_property(entry, PropertyId.S4B, depth, num_vars)
-        return base._replace(prop=prop)
+    if prop in _CLASS_PROPERTIES:
+        return _class_certificate(entry, prop, depth, num_vars, class_var_claim)
 
     if prop is PropertyId.T4B:
-        # holds when the interchange (abides) law is NOT provable, so a
-        # bounded proof of the law refutes it while only an exact procedure
-        # can confirm it
-        if entry.designated_binary is None:
-            return PropertyCertificate(
-                prop, PropertyStatus.FAILS, "syntactic", detail="no designated binary"
-            )
-        verdict = _abides_verdict(entry, depth)
-        if verdict is True:
-            ys = [Var(f"y{i}") for i in (1, 2, 3, 4)]
-            lhs = entry.binary_at(
-                entry.binary_at(ys[0], ys[1]), entry.binary_at(ys[2], ys[3])
-            )
+        # holds when the interchange law is NOT provable, so a bounded proof
+        # of the law refutes it while only an exact procedure can confirm it
+        lhs, rhs = _interchange(entry)
+        verdict = decide(entry, lhs, rhs, depth)[0]
+        if verdict:
             return PropertyCertificate(
                 prop, PropertyStatus.FAILS, exact_method, (lhs,),
                 "interchange law is provable",
             )
+        status = PropertyStatus.HOLDS if verdict is False else PropertyStatus.UNKNOWN
+        return PropertyCertificate(prop, status, exact_method)
+
+    b, u = entry.binary_at, entry.designated_unit
+    x, x1, x2 = Var("x"), Var("x1"), Var("x2")
+    if prop in (PropertyId.S4A, PropertyId.T4A):
+        equations = ((b(u, x), x), (b(x, u), x))
+    elif prop is PropertyId.P1:
+        equations = ((b(x1, x2), b(x2, x1)),)
+    else:  # S4b, V1, P2: idempotence
+        equations = ((b(x, x), x),)
+    settled = True
+    for lhs, rhs in equations:
+        verdict = decide(entry, lhs, rhs, depth)[0]
         if verdict is False:
-            return PropertyCertificate(prop, PropertyStatus.HOLDS, exact_method)
-        return PropertyCertificate(prop, PropertyStatus.UNKNOWN, exact_method)
+            return PropertyCertificate(prop, PropertyStatus.FAILS, exact_method, (lhs, rhs))
+        settled = settled and verdict
+    status = holds if settled else PropertyStatus.UNKNOWN
+    return PropertyCertificate(prop, status, exact_method)
 
-    if prop in _MIN_VARS:
-        return _check_class_property(entry, prop, depth, num_vars)
 
-    raise ValueError(f"unhandled property {prop}")
+def _regular(entry: TheoryEntry) -> bool:
+    """Both sides of every axiom have the same variables."""
+    return all(term_vars(eq.lhs) == term_vars(eq.rhs) for eq in entry.presentation.equations)
 
 
 def class_vars(entry: TheoryEntry, term: Term) -> Optional[frozenset[str]]:
@@ -828,132 +833,95 @@ def class_vars(entry: TheoryEntry, term: Term) -> Optional[frozenset[str]]:
     term's own (Baader & Nipkow, Term Rewriting and All That, 1998). None
     when the presentation is not regular.
     """
-    if all(term_vars(eq.lhs) == term_vars(eq.rhs) for eq in entry.presentation.equations):
-        return term_vars(term)
-    return None
+    return term_vars(term) if _regular(entry) else None
 
 
-def _class_property_probe(entry: TheoryEntry, prop: PropertyId) -> Term:
-    """The term whose class a class-based property inspects: b(x1,x2) for
-    P3/V3, else x1 (S1/T1 inspect every class and use it only for
-    `class_vars`, which answers for every term or for none)."""
-    x1 = Var("x1")
-    if prop in (PropertyId.P3, PropertyId.V3):
-        return entry.binary_at(x1, Var("x2"))
-    return x1
+_REGULAR = "regular presentation"
 
 
-def _check_class_property(entry, prop, depth, num_vars) -> PropertyCertificate:
-    """Exact from `class_vars` for a regular presentation, else bounded."""
-    if prop in (PropertyId.P3, PropertyId.V3) and entry.designated_binary is None:
-        return PropertyCertificate(
-            prop, PropertyStatus.FAILS, "syntactic", detail="no designated binary"
-        )
-    probe = _class_property_probe(entry, prop)
-    shared = class_vars(entry, probe)
-    if shared is None:
-        return _check_bounded_property(entry, prop, depth, num_vars)
-    method = "regular presentation"
-    if prop is PropertyId.P3 and len(shared) > 2:
-        return PropertyCertificate(
-            prop, PropertyStatus.FAILS, method, (probe,), "class with more than 2 variables"
-        )
-    if prop is PropertyId.V3 and len(shared) < 2:
-        return PropertyCertificate(
-            prop, PropertyStatus.FAILS, method, (probe,), "class inside a single variable"
-        )
-    return PropertyCertificate(prop, PropertyStatus.HOLDS, method)
+def class_var_claim(
+    entry: TheoryEntry, term: Optional[Term], fits, need: int, depth: int, num_vars: int
+) -> tuple:
+    """Whether every member of `term`'s class has a set of variable names
+    that `fits`; when `term` is None, every member of every class with a
+    closed member. The one place where class-variable claims are settled.
+
+    Returns (verdict, method, witness, why). The verdict is True, False, or
+    None when the claim is not settled. A regular presentation settles it
+    exactly (`class_vars`), and a failing witness is (`term`,). Otherwise the
+    bounded class map is searched (`_class_var_search`).
+    """
+    if not _regular(entry):
+        return _class_var_search(entry, term, fits, need, depth, num_vars)
+    ok = fits(frozenset() if term is None else term_vars(term))
+    return ok, _REGULAR, None if ok else (term,), ""
+
+
+def _class_var_search(entry, term, fits, need, depth, num_vars) -> tuple:
+    """`class_var_claim` over the class map of (depth, num_vars), for any
+    presentation. A failing witness is (class representative, member).
+    Finding no counterexample in a universe that cannot hold one settles
+    nothing: not when `term` has no class there, not at depth 0 (atoms
+    only), and not when its terms have fewer than `need` variables, the
+    fewest a member that does not fit has."""
+    method = f"depth={depth},vars={num_vars}"
+    classes = _class_map(entry, depth, num_vars)
+    if term is None:
+        searched = ((bucket[0], bucket) for bucket in classes.values() if 0 in bucket)
+    else:
+        bucket = classes.get(_key_of(entry, term, depth, num_vars))
+        if bucket is None:
+            return None, method, None, f"{render(term)} has no class in the bounded universe"
+        searched = ((term, bucket),)
+    for rep, bucket in searched:
+        for member in bucket.values():
+            if not fits(term_vars(member)):
+                return False, method, (rep, member), ""
+    if depth < 1:
+        return None, method, None, "a counterexample needs depth >= 1"
+    # depth d allows arity**d leaves
+    arity = max([1, *(op.arity for op in entry.presentation.signature.ops)])
+    most = min(num_vars, arity ** depth)
+    if most < need:
+        why = f"a counterexample needs {need} variables, terms in bounds have at most {most}"
+        return None, method, None, why
+    return True, method, None, ""
+
+
+def _class_certificate(entry, prop, depth, num_vars, settle) -> PropertyCertificate:
+    """A class-based property's certificate from `settle`: `class_var_claim`,
+    or `_class_var_search` for the bounded certificate alone."""
+    probe, fits, detail, need = _CLASS_PROPERTIES[prop]
+    verdict, method, witness, why = settle(entry, probe(entry), fits, need, depth, num_vars)
+    exact = method == _REGULAR
+    if verdict is None:
+        return PropertyCertificate(prop, PropertyStatus.UNKNOWN, method, detail=why)
+    if verdict:
+        status = PropertyStatus.HOLDS if exact else PropertyStatus.HOLDS_BOUNDED
+        return PropertyCertificate(prop, status, method)
+    if exact:  # every member has the one failing variable set
+        detail = detail.replace("class member", "class")
+    return PropertyCertificate(prop, PropertyStatus.FAILS, method, witness, detail)
 
 
 def _check_bounded_property(entry, prop, depth, num_vars) -> PropertyCertificate:
-    """Search the class map for a counterexample. Finding none in a universe
-    that cannot hold one gives Unknown, not a vacuous HoldsBounded."""
-    method = f"depth={depth},vars={num_vars}"
-    classes = _class_map(entry, depth, num_vars)
-    if prop in (PropertyId.S1, PropertyId.T1):
-        for bucket in classes.values():
-            closed = bucket.get(0)
-            if closed is None:
-                continue
-            for bits, witness in bucket.items():
-                if bits != 0:
-                    return PropertyCertificate(
-                        prop, PropertyStatus.FAILS, method, (closed, witness),
-                        "open term in a closed term's class",
-                    )
-    else:
-        of_var = prop in (PropertyId.S2, PropertyId.T2, PropertyId.V2)
-        probe = _class_property_probe(entry, prop)
-        bucket = classes.get(_key_of(entry, probe, depth, num_vars))
-        if bucket is None:
-            return PropertyCertificate(
-                prop, PropertyStatus.UNKNOWN, method,
-                detail=f"{render(probe)} has no class in the bounded universe",
-            )
-        for bits, witness in bucket.items():
-            if of_var and bits & ~1:
-                base = next((t for b, t in bucket.items() if b == 1), probe)
-                return PropertyCertificate(
-                    prop, PropertyStatus.FAILS, method, (base, witness),
-                    "foreign variable in a variable's class",
-                )
-            if prop is PropertyId.P3 and bits.bit_count() > 2:
-                return PropertyCertificate(
-                    prop, PropertyStatus.FAILS, method, (probe, witness),
-                    "class member with more than 2 variables",
-                )
-            if prop is PropertyId.V3 and (bits & ~1 == 0 or bits & ~2 == 0):
-                return PropertyCertificate(
-                    prop, PropertyStatus.FAILS, method, (probe, witness),
-                    "class member inside a single variable",
-                )
-    if depth < 1:
-        # the universe holds atoms only, so no compound member was searched
-        return PropertyCertificate(
-            prop, PropertyStatus.UNKNOWN, method,
-            detail="a counterexample needs depth >= 1",
-        )
-    need, most = _MIN_VARS[prop], _most_vars_in_bounds(entry, depth, num_vars)
-    if most < need:
-        why = f"a counterexample needs {need} variables, terms in bounds have at most {most}"
-        return PropertyCertificate(prop, PropertyStatus.UNKNOWN, method, detail=why)
-    return PropertyCertificate(prop, PropertyStatus.HOLDS_BOUNDED, method)
+    """The bounded certificate of a class-based property, whatever the
+    presentation: the reference the regular path is tested against."""
+    return _class_certificate(entry, prop, depth, num_vars, _class_var_search)
 
 
-def _most_vars_in_bounds(entry: TheoryEntry, depth: int, num_vars: int) -> int:
-    """Most variables in a bounded term: depth d allows arity**d leaves."""
-    arity = max([1, *(op.arity for op in entry.presentation.signature.ops)])
-    return min(num_vars, arity ** depth)
-
-
-def class_members(
-    entry: TheoryEntry, term: Term, depth: int = 3, num_vars: int = 4
-) -> tuple[tuple[int, Term], ...]:
-    """Bounded equivalence class of `term` as (variable-mask, witness) pairs.
-
-    The mask's bit i-1 is set when x{i} occurs in the witness. Only one
-    witness per mask is kept; the universe is every term of depth <= depth
-    over x1..x{num_vars} and the signature's constants.
-    """
-    classes = _class_map(entry, depth, num_vars)
-    bucket = classes.get(_key_of(entry, term, depth, num_vars), {})
-    return tuple(sorted(bucket.items()))
+def _interchange(entry: TheoryEntry) -> tuple[Term, Term]:
+    """(y1*y2)*(y3*y4) = (y1*y3)*(y2*y4) over the designated binary."""
+    b = entry.binary_at
+    y1, y2, y3, y4 = (Var(f"y{i}") for i in (1, 2, 3, 4))
+    return b(b(y1, y2), b(y3, y4)), b(b(y1, y3), b(y2, y4))
 
 
 def abides_holds(entry: TheoryEntry, depth: int = 3) -> bool:
     """Whether the designated binary satisfies the 2x2 interchange law."""
-    verdict = _abides_verdict(entry, depth)
-    return verdict is True
-
-
-def _abides_verdict(entry: TheoryEntry, depth: int):
-    """True/False/None for (y1*y2)*(y3*y4) = (y1*y3)*(y2*y4)."""
     if entry.designated_binary is None:
         return False
-    ys = [Var(f"y{i}") for i in (1, 2, 3, 4)]
-    lhs = entry.binary_at(entry.binary_at(ys[0], ys[1]), entry.binary_at(ys[2], ys[3]))
-    rhs = entry.binary_at(entry.binary_at(ys[0], ys[2]), entry.binary_at(ys[1], ys[3]))
-    return _decide(entry, lhs, rhs, depth)[0]
+    return decide(entry, *_interchange(entry), depth)[0] is True
 
 
 class ProcedureValidation(NamedTuple):

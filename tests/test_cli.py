@@ -212,6 +212,9 @@ class TestUsageErrors:
             (("nogo", "reader:2", "jsl", "--vars", "1"), "--vars"),
             (("boom-table", "original", "--depth", "0"), "--depth"),
             (("monad-laws", "exception:{}"), "at least one label"),
+            # depth 0 is syntactic equality, a negative depth is no search
+            (("prove-eq", "M", "mul(x,y)", "mul(y,x)", "--bounded", "--depth", "-1"),
+             "--depth"),
         ],
     )
     def test_exit_2_with_message(self, run, args, fragment):

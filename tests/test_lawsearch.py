@@ -22,6 +22,20 @@ def test_unknown_monad_is_rejected():
         search_distlaw_bounded("powersett", "lift")
 
 
+@pytest.mark.parametrize("s_id,t_id", [
+    ("list", "powerset"), ("exception:{a}", "lift"), ("lift", "lift"),
+    ("powerset", "powerset"), ("lift", "exception:{a}"),
+])
+def test_bound_zero_forces_only_fragment_inputs(s_id, t_id):
+    # at bound 0 some unit inputs, such as [{}], lie outside the fragment
+    r = search_distlaw_bounded(s_id, t_id, carrier_size=1, bound=0)
+    assert r.forced <= r.variables
+    s, t = monad_for(s_id), monad_for(t_id)
+    for table in r.candidates:
+        for level, w in table.entries:
+            assert w in s.enumerate(t.enumerate(table.carriers[level], 0), 0)
+
+
 class TestPowersetOverPowerset:
     def test_refuted_in_fragment(self):
         r = search_distlaw_bounded("powerset", "powerset", carrier_size=1, bound=2)

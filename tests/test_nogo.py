@@ -24,8 +24,15 @@ from monadlab.nogo import (
     uniqueness_applies,
     verdict,
 )
-from monadlab.terms import parse_term
-from monadlab.theories import PropertyId, check_property, lookup_theory, ring_entry
+from monadlab.terms import Var, parse_term
+from monadlab.theories import (
+    BOOM_FULL,
+    PropertyId,
+    PropertyStatus,
+    check_property,
+    lookup_theory,
+    ring_entry,
+)
 from monadlab.values import mk_dist, mk_set
 
 HALF = Fraction(1, 2)
@@ -234,6 +241,31 @@ class TestPlotkinGeneral:
         for req in ("class stays within 2 variables", "class never fits in one variable"):
             assert records[req].passed
             assert records[req].evidence == "regular presentation"
+
+    @pytest.mark.parametrize("tid", [
+        lookup_theory(name).theory_id
+        for name in (*BOOM_FULL, "abgroup", "convex", "reader:2")
+    ])
+    def test_class_records_agree_with_p3_and_v3(self, tid):
+        entry = lookup_theory(tid)
+        b = entry.binary_at(Var("x1"), Var("x2"))
+        for depth in range(4):
+            for num_vars in range(1, 5):
+                app = check_plotkin_general(
+                    entry, entry, b, b, PermutationSpec.swap(), depth, num_vars
+                )
+                records = {r.requirement: r for r in app.records}
+                # the checker raises the variable bound to the arity of b
+                bounds = (depth, max(num_vars, 2))
+                for req, prop in (("class stays within 2 variables", PropertyId.P3),
+                                  ("class never fits in one variable", PropertyId.V3)):
+                    cert = check_property(entry, prop, *bounds)
+                    rec = records[req]
+                    assert rec.passed == bool(cert), (req, bounds)
+                    unsettled = not rec.passed and "; witness " not in rec.evidence
+                    assert unsettled == (cert.status is PropertyStatus.UNKNOWN), (req, bounds)
+                    if unsettled:
+                        assert rec.evidence == f"{cert.method}; {cert.detail}", (req, bounds)
 
     def test_sigma_with_fixed_point_is_rejected(self):
         with pytest.raises(ValueError):
