@@ -10,7 +10,7 @@ numbering itself never matters.
 
 import re
 from pathlib import Path
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .nogo import NoGoVerdict, verdict
 from .theories import BOOM_EXTENDED, BOOM_FULL, BOOM_ORIGINAL, lookup_theory
@@ -225,16 +225,10 @@ def _show(mark: str, contents) -> str:
     return mark + ("{" + "; ".join(sorted(contents)) + "}" if contents else "")
 
 
-def diff_table(table: VerdictTable, golden: Union[str, Path]) -> list[TableMismatch]:
-    """Content-level comparison; raises GoldenFileError on shape problems.
-
-    `golden` is a path, or the file's text when it contains a newline.
-    """
-    if isinstance(golden, str) and "\n" in golden:
-        text = golden
-    else:
-        text = Path(golden).read_text()
-    variant, labels, golden_cells = parse_golden(text)
+def diff_table(table: VerdictTable, golden: Path) -> list[TableMismatch]:
+    """Content-level comparison with the golden file at `golden`; raises
+    GoldenFileError on shape problems."""
+    variant, labels, golden_cells = parse_golden(golden.read_text())
     if variant != table.variant or labels != table.labels:
         raise GoldenFileError(
             f"dimension mismatch: golden is {variant} {len(labels)}x{len(labels)}, "

@@ -26,7 +26,7 @@ import itertools
 import time
 from typing import Optional
 
-from monadlab.monads import FinMonad, monad_for
+from monadlab.monads import FinMonad, PowersetMonad, monad_for
 from monadlab.values import Value, format_value, letters, memo, mk_set
 
 __all__ = [
@@ -184,6 +184,10 @@ def _search(
         pools.append(pool)
         pool_index.append(set(pool))
     result.variables = sum(len(p) for p in pools)
+    if not result.variables:
+        # a table over no input would be a green result that checked nothing
+        result.conflict = f"the fragment holds no input at bound {bound}"
+        return result
 
     assigned: dict = {}
 
@@ -255,7 +259,7 @@ def _search(
         result.candidates = [table]
         return result
 
-    if t.monad_id == "powerset":
+    if isinstance(t, PowersetMonad):
         return _powerset_domains(result, s, carriers, assigned, unknown, edges)
 
     # generic explicit domains, complete only when the result space is small

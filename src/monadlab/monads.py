@@ -68,6 +68,9 @@ def _identity(x):
     return x
 
 
+_NUNIT = ("nunit",)
+
+
 class FinMonad:
     """A finitary monad on canonical values.
 
@@ -79,7 +82,10 @@ class FinMonad:
     defaults to the other. List, powerset and the weighted combinations
     (`WeightedMonad`: multiset, dist, abgroup) define `bind`, flattening in
     one pass with one canonicalisation instead of building T(T(X)); the
-    other monads define `join`.
+    other monads define `join`. The tree monads share one encoding: leaves
+    ("nleaf", x), nodes ("nnode", child, ...) and, in the monads that have
+    one, the unit leaf ("nunit",). bintree is the width-2 `NaryTreeMonad`
+    with no unit leaf.
 
     Two optional views feed the choice laws of `distlaws`. A commutative
     monad T defines `weighted(v)`, its elements and their weights as two
@@ -162,7 +168,7 @@ def _picks(v, t, ws):
     if tag == "list":
         xs, w = zip(*map(t.weighted, v[1:]))
         ws += w
-    elif tag == "bleaf" or tag == "nleaf":
+    elif tag == "nleaf":
         xs, w = t.weighted(v[1])
         ws.append(w)
         return tuple(zip(itertools.repeat(tag), xs))
@@ -323,58 +329,13 @@ class PowersetMonad(FinMonad):
                 yield mk_set(combo)
 
 
-class BinTreeMonad(FinMonad):
-    """Leaf-labelled binary trees; there is no empty tree."""
-
-    monad_id = "bintree"
-    family = "bintree"
-    theory_id = "boom:----"
-    generics = {"mul": ("bnode", ("bleaf", "0"), ("bleaf", "1"))}
-
-    def unit(self, x):
-        return ("bleaf", x)
-
-    def fmap(self, f, v):
-        if v[0] == "bleaf":
-            return ("bleaf", f(v[1]))
-        return ("bnode", self.fmap(f, v[1]), self.fmap(f, v[2]))
-
-    def join(self, v):
-        if v[0] == "bleaf":
-            return v[1]
-        return ("bnode", self.join(v[1]), self.join(v[2]))
-
-    def members(self, v):
-        if v[0] == "bleaf":
-            return (v[1],)
-        return self.members(v[1]) + self.members(v[2])
-
-    choose = _choose_positional
-
-    def iter_values(self, carrier, bound):
-        # layer s holds the trees of size s; the last one is never reused
-        layers: list[list] = [[]]
-        for s in range(1, bound + 1):
-            if s == 1:
-                layer = [("bleaf", x) for x in carrier]
-            else:
-                layer = (
-                    ("bnode", l, r)
-                    for sl in range(1, s)
-                    for l in layers[sl]
-                    for r in layers[s - sl]
-                )
-            if s < bound:
-                layer = list(layer)
-                layers.append(layer)
-            yield from layer
-
-
 class NaryTreeMonad(FinMonad):
-    """n-ary leaf-labelled trees with a unit leaf; nodes with fewer than two
-    proper children are pruned away, so values are normal forms."""
+    """Leaf-labelled trees whose nodes have `width` children, with the unit
+    leaves `units`: nodes with fewer than two non-unit children are pruned
+    away, so values are normal forms."""
 
     family = "narytree"
+    units = (_NUNIT,)
 
     def __init__(self, width: int):
         if width < 2:
@@ -389,20 +350,30 @@ class NaryTreeMonad(FinMonad):
         return ("nleaf", x)
 
     def fmap(self, f, v):
-        if v[0] == "nleaf":
+        tag = v[0]
+        if tag == "nleaf":
             return ("nleaf", f(v[1]))
-        if v[0] == "nnode":
-            return ("nnode", *map(self.fmap, itertools.repeat(f), v[1:]))
-        return v
+        if tag != "nnode":
+            return v
+        out = ["nnode"]
+        for c in v[1:]:
+            out.append(self.fmap(f, c))
+        return tuple(out)
 
     def join(self, v):
-        if v[0] == "nunit":
-            return v
-        if v[0] == "nleaf":
+        tag = v[0]
+        if tag == "nleaf":
             return v[1]
-        # grafting can surface unit leaves, so rebuild through the pruning
-        # constructor
-        return mk_nnode([self.join(c) for c in v[1:]])
+        if tag != "nnode":
+            return v
+        kids = []
+        for c in v[1:]:
+            kids.append(self.join(c))
+        # grafting can surface unit leaves, which the pruning constructor
+        # takes away
+        if _NUNIT in kids:
+            return mk_nnode(kids)
+        return ("nnode", *kids)
 
     def members(self, v):
         if v[0] == "nunit":
@@ -421,7 +392,7 @@ class NaryTreeMonad(FinMonad):
         layers: list[list] = []
         for s in range(bound + 1):
             if s == 0:
-                layer = [("nunit",)]
+                layer = list(self.units)
             elif s == 1:
                 layer = [("nleaf", x) for x in carrier]
             else:
@@ -439,6 +410,21 @@ class NaryTreeMonad(FinMonad):
                 continue
             for kids in itertools.product(*(layers[part] for part in split)):
                 yield ("nnode",) + kids
+
+
+class BinTreeMonad(NaryTreeMonad):
+    """Leaf-labelled binary trees: the binary tree monad with no unit leaf,
+    so there is no empty tree."""
+
+    monad_id = "bintree"
+    family = "bintree"
+    theory_id = "boom:----"
+    width = 2
+    units = ()
+    generics = {"mul": ("nnode", ("nleaf", "0"), ("nleaf", "1"))}
+
+    def __init__(self):
+        pass
 
 
 class ExceptionMonad(FinMonad):

@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Hashable, Iterable, NamedTuple, Optional
+from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
 
 from monadlab.terms import (
     App,
@@ -132,6 +132,14 @@ def boom_theory(flags: BoomFlags) -> Presentation:
 _UNIT_KEY = ("e",)
 
 
+def _right_nested(op: OpSymbol, parts: Sequence[Term]) -> Term:
+    """op(t1, op(t2, ... op(t(n-1), tn))) over the nonempty `parts`."""
+    out = parts[-1]
+    for t in reversed(parts[:-1]):
+        out = App(op, (t, out))
+    return out
+
+
 class WordProc(Procedure):
     """Free monoid / semigroup: terms evaluate to words of variable names."""
 
@@ -149,11 +157,7 @@ class WordProc(Procedure):
     def reify(self, key) -> Optional[Term]:
         if not key:
             return App(OpSymbol("e", 0), ())
-        op = OpSymbol("mul", 2)
-        out: Term = Var(key[-1])
-        for name in reversed(key[:-1]):
-            out = App(op, (Var(name), out))
-        return out
+        return _right_nested(OpSymbol("mul", 2), [Var(name) for name in key])
 
 
 class MultisetProc(WordProc):
@@ -237,17 +241,19 @@ class BandProc(Procedure):
 
 
 class TreeProc(Procedure):
-    """Non-associative Boom flavors: bottom-up canonical trees.
+    """Tree theories: the non-associative Boom flavors over `mul`/2 and the
+    unital n-ary node algebras over `node`/n, as bottom-up canonical trees.
 
-    Prune units, collapse equal children under idempotence, order children
-    under commutativity. Each rewrite system involved is terminating with
-    joinable critical pairs, so innermost normalization decides equality.
+    A node with fewer than two non-unit children is that child, or the unit
+    (only theories with `e` have unit keys). Under idempotence equal
+    children collapse and under commutativity they are ordered; both are
+    binary axioms. Each rewrite system involved is terminating with joinable
+    critical pairs, so innermost normalization decides equality. `reify`
+    builds nodes with `op`.
     """
 
-    def __init__(self, unital: bool, comm: bool, idem: bool):
-        self.unital = unital
-        self.comm = comm
-        self.idem = idem
+    def __init__(self, op: OpSymbol, comm: bool = False, idem: bool = False):
+        self.op, self.comm, self.idem = op, comm, idem
 
     def var_key(self, name: str) -> Hashable:
         return ("v", name)
@@ -255,53 +261,20 @@ class TreeProc(Procedure):
     def app_key(self, op, child_keys):
         if op.name == "e":
             return _UNIT_KEY
-        a, b = child_keys
-        if self.unital:
-            if a == _UNIT_KEY:
-                return b
-            if b == _UNIT_KEY:
-                return a
-        if self.idem and a == b:
-            return a
-        if self.comm and b < a:
-            a, b = b, a
-        return ("n", a, b)
+        if len(child_keys) - child_keys.count(_UNIT_KEY) < 2:
+            return next((k for k in child_keys if k != _UNIT_KEY), _UNIT_KEY)
+        if self.idem and child_keys[0] == child_keys[1]:
+            return child_keys[0]
+        if self.comm and child_keys[1] < child_keys[0]:
+            return ("n", child_keys[1], child_keys[0])
+        return ("n", *child_keys)
 
     def reify(self, key) -> Optional[Term]:
         if key == _UNIT_KEY:
             return App(OpSymbol("e", 0), ())
         if key[0] == "v":
             return Var(key[1])
-        op = OpSymbol("mul", 2)
-        return App(op, (self.reify(key[1]), self.reify(key[2])))
-
-
-class NaryTreeProc(Procedure):
-    """Unital n-ary trees: prune nodes where all but one child is the unit."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def var_key(self, name):
-        return ("v", name)
-
-    def app_key(self, op, child_keys):
-        if op.name == "e":
-            return _UNIT_KEY
-        proper = [k for k in child_keys if k != _UNIT_KEY]
-        if not proper:
-            return _UNIT_KEY
-        if len(proper) == 1:
-            return proper[0]
-        return ("n",) + tuple(child_keys)
-
-    def reify(self, key):
-        if key == _UNIT_KEY:
-            return App(OpSymbol("e", 0), ())
-        if key[0] == "v":
-            return Var(key[1])
-        op = OpSymbol("node", self.n)
-        return App(op, tuple(self.reify(k) for k in key[1:]))
+        return App(self.op, tuple(map(self.reify, key[1:])))
 
 
 class SyntacticProc(Procedure):
@@ -345,10 +318,7 @@ class AbGroupProc(Procedure):
             if c < 0:
                 atom = App(inv, (atom,))
             factors.extend([atom] * abs(c))
-        out = factors[-1]
-        for t in reversed(factors[:-1]):
-            out = App(mul, (t, out))
-        return out
+        return _right_nested(mul, factors)
 
 
 class ConvexProc(Procedure):
@@ -432,10 +402,7 @@ class RingProc(Procedure):
         def monomial(word: tuple) -> Term:
             if not word:
                 return App(OpSymbol("one", 0), ())
-            out: Term = Var(word[-1])
-            for n in reversed(word[:-1]):
-                out = App(times, (Var(n), out))
-            return out
+            return _right_nested(times, [Var(n) for n in word])
 
         parts: list[Term] = []
         for word, c in key:
@@ -443,10 +410,7 @@ class RingProc(Procedure):
             if c < 0:
                 base = App(neg, (base,))
             parts.extend([base] * abs(c))
-        out = parts[-1]
-        for t in reversed(parts[:-1]):
-            out = App(plus, (t, out))
-        return out
+        return _right_nested(plus, parts)
 
 
 def _boom_procedure(flags: BoomFlags) -> Procedure:
@@ -458,7 +422,7 @@ def _boom_procedure(flags: BoomFlags) -> Procedure:
         if flags.comm:
             return MultisetProc()
         return WordProc()
-    return TreeProc(flags.unital, flags.comm, flags.idem)
+    return TreeProc(OpSymbol("mul", 2), flags.comm, flags.idem)
 
 
 # ---------------------------------------------------------------------------
@@ -1110,7 +1074,7 @@ def narytree_theory(n: int) -> TheoryEntry:
         designated_binary=parse_term("node(y1,y2" + ",e" * (n - 2) + ")", sig),
         designated_unit=parse_term("e", sig),
     )
-    return register_theory(entry, NaryTreeProc(n))
+    return register_theory(entry, TreeProc(OpSymbol("node", n)))
 
 
 def ring_entry() -> TheoryEntry:

@@ -4,7 +4,9 @@ Values are nested tagged tuples over string labels: a carrier element is a
 plain string, everything structured starts with a tag. Smart constructors
 keep every value canonical (sorted set members, merged multiset entries,
 pruned trees), so structural equality is semantic equality and values can sit
-inside other values as elements.
+inside other values as elements. Trees of every width, the unitless binary
+trees included, are `nleaf`/`nnode` values, with `nunit` for the unit leaf of
+the tree monads that have one.
 
 The constructors of sets and weighted containers put their entries in
 `canon_key` order without always computing `canon_key`: zero or one entry
@@ -44,8 +46,6 @@ __all__ = [
     "mk_dist",
     "mk_grp",
     "weighted_value",
-    "mk_bleaf",
-    "mk_bnode",
     "mk_nunit",
     "mk_nleaf",
     "mk_nnode",
@@ -163,14 +163,6 @@ def weighted_value(tag: str, weights: dict) -> Value:
     return (tag, tuple((x, weights[x]) for x in _canonical_order(weights) if weights[x]))
 
 
-def mk_bleaf(x: Value) -> Value:
-    return ("bleaf", x)
-
-
-def mk_bnode(left: Value, right: Value) -> Value:
-    return ("bnode", left, right)
-
-
 def mk_nunit() -> Value:
     return ("nunit",)
 
@@ -215,7 +207,7 @@ def format_value(v: Value, explicit_ok: bool = False) -> str:
     """Render a value in the surface syntax the CLI also parses.
 
     Lists are [a,b], sets {a,b}, weighted containers {a:1,b:2} (with p/q
-    weights for distributions), trees <l,r> with e for the unit leaf,
+    weights for distributions), trees <c1,...,cn> with e for the unit leaf,
     exceptions err(label) with ok values written transparently, bottom is
     bot, reader tables are (at0,at1). `explicit_ok` wraps ok payloads as
     ok(...) so nested exceptional layers stay distinguishable.
@@ -233,10 +225,6 @@ def format_value(v: Value, explicit_ok: bool = False) -> str:
             return "{" + ",".join(f"{go(x)}:{n}" for x, n in v[1]) + "}"
         if tag == "dist":
             return "{" + ",".join(f"{go(x)}:{w}" for x, w in v[1]) + "}"
-        if tag == "bleaf":
-            return go(v[1])
-        if tag == "bnode":
-            return f"<{go(v[1])},{go(v[2])}>"
         if tag == "nunit":
             return "e"
         if tag == "nleaf":

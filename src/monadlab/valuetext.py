@@ -4,8 +4,9 @@ The same surface text means different things under different monads
 ({a:1} is a multiset, a distribution, or an integer combination), so
 parsing is directed by a monad per layer: parse_layered reads nested
 container layers outside-in and bare labels at the bottom. Within a tree
-layer `<` always opens this layer's node, and `e` / `bot` / `err` / `ok`
-are reserved by the layer that uses them.
+layer `<` always opens this layer's node, of exactly the tree's width, and
+`e` / `bot` / `err` / `ok` are reserved by the layer that uses them: `e` is
+the unit leaf of the tree monads that have one, and a label under bintree.
 """
 
 import re
@@ -15,8 +16,6 @@ from typing import Sequence, Union
 from .monads import FinMonad, monad_for
 from .values import (
     Value,
-    mk_bleaf,
-    mk_bnode,
     mk_bot,
     mk_dist,
     mk_err,
@@ -120,7 +119,7 @@ def _layer(tokens: _Tokens, monads: tuple, i: int) -> Value:
     if fam in ("list", "nonempty-list"):
         tokens.expect("[")
         items = _comma_list(tokens, "]", inner)
-        if not items and m.monad_id == "nonempty-list":
+        if not items and m.nonempty:
             raise ValueSyntaxError("a nonempty list needs at least one element")
         return mk_list(items)
     if fam == "powerset":
@@ -139,17 +138,8 @@ def _layer(tokens: _Tokens, monads: tuple, i: int) -> Value:
             return mk_dist(entries)
         except ValueError as exc:
             raise ValueSyntaxError(str(exc)) from None
-    if fam == "bintree":
-        if tokens.peek() == "<":
-            tokens.expect("<")
-            left = _layer(tokens, monads, i)
-            tokens.expect(",")
-            right = _layer(tokens, monads, i)
-            tokens.expect(">")
-            return mk_bnode(left, right)
-        return mk_bleaf(inner())
-    if fam == "narytree":
-        if tokens.peek() == "e":
+    if fam in ("bintree", "narytree"):
+        if m.units and tokens.peek() == "e":
             tokens.expect("e")
             return mk_nunit()
         if tokens.peek() == "<":

@@ -167,7 +167,7 @@ def test_choice_tree_keeps_shape():
     )
     unit_tree = ("nunit",)
     assert law(unit_tree) == mk_set([unit_tree])
-    bin_shape = ("bnode", ("bleaf", mk_set("ab")), ("bleaf", mk_set("c")))
+    bin_shape = ("nnode", ("nleaf", mk_set("ab")), ("nleaf", mk_set("c")))
     assert format_value(law_for("choice:bintree:powerset")(bin_shape)) == "{<a,c>,<b,c>}"
 
 

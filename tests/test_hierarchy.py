@@ -73,9 +73,12 @@ class TestGoldenAgreement:
     def test_diff_is_empty(self, tables, variant):
         assert diff_table(tables[variant], golden_path(variant)) == []
 
-    def test_flipped_cell_is_the_only_mismatch(self, tables):
+    def test_flipped_cell_is_the_only_mismatch(self, tables, tmp_path):
         text = golden_path("original").read_text()
-        broken = text.replace("T,N[1],N[1],Y[2],Y[2]", "T,N[1],Y[2],Y[2],Y[2]", 1)
+        broken = tmp_path / "boom_original.csv"
+        broken.write_text(
+            text.replace("T,N[1],N[1],Y[2],Y[2]", "T,N[1],Y[2],Y[2],Y[2]", 1)
+        )
         diffs = diff_table(tables["original"], broken)
         assert len(diffs) == 1
         assert (diffs[0].row, diffs[0].col) == ("T", "L")

@@ -36,6 +36,21 @@ def test_bound_zero_forces_only_fragment_inputs(s_id, t_id):
             assert w in s.enumerate(t.enumerate(table.carriers[level], 0), 0)
 
 
+@pytest.mark.parametrize("s_id,t_id", [
+    ("dist", "powerset"), ("bintree", "lift"), ("reader:2", "lift"),
+])
+def test_empty_fragment_is_inconclusive(s_id, t_id):
+    # S has no value of size 0, so at bound 0 the fragment holds no input;
+    # a table over it would be a green result that checked nothing
+    r = search_distlaw_bounded(s_id, t_id, carrier_size=1, bound=0)
+    assert (r.outcome, r.variables, r.forced, r.candidates) == (
+        SearchOutcome.INCONCLUSIVE, 0, 0, [])
+    assert r.describe() == (
+        f"{s_id} over {t_id}, carriers (1,), bound 0: Inconclusive "
+        "(the fragment holds no input at bound 0)"
+    )
+
+
 class TestPowersetOverPowerset:
     def test_refuted_in_fragment(self):
         r = search_distlaw_bounded("powerset", "powerset", carrier_size=1, bound=2)

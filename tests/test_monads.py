@@ -79,7 +79,7 @@ def _nested_values():
         return st.one_of(
             st.lists(kids, max_size=3).map(mk_list),
             st.tuples(kids, kids).map(
-                lambda p: ("bnode", ("bleaf", p[0]), ("bleaf", p[1]))
+                lambda p: ("nnode", ("nleaf", p[0]), ("nleaf", p[1]))
             ),
             st.lists(
                 st.one_of(st.just(mk_nunit()), kids.map(mk_nleaf)), max_size=3
@@ -221,9 +221,24 @@ def test_reader_join_picks_diagonal():
 
 def test_bintree_join_grafts():
     m = monad_for("bintree")
-    t = ("bnode", ("bleaf", "a"), ("bleaf", "b"))
-    v = ("bnode", ("bleaf", t), ("bleaf", ("bleaf", "c")))
+    t = ("nnode", ("nleaf", "a"), ("nleaf", "b"))
+    v = ("nnode", ("nleaf", t), ("nleaf", ("nleaf", "c")))
     assert format_value(m.join(v)) == "<<a,b>,c>"
+
+
+def _has_unit(v) -> bool:
+    return v == ("nunit",) or (v[0] == "nnode" and any(map(_has_unit, v[1:])))
+
+
+@pytest.mark.parametrize("carrier", ["a", "ab", "abc"])
+def test_bintree_is_narytree2_without_units(carrier):
+    # the same trees in the same order: bintree is the width-2 tree monad
+    # with no unit leaf
+    bintree, tree = monad_for("bintree"), monad_for("narytree:2")
+    assert isinstance(bintree, type(tree))
+    for bound in range(5):
+        expected = [v for v in tree.enumerate(carrier, bound) if not _has_unit(v)]
+        assert bintree.enumerate(carrier, bound) == expected
 
 
 def test_narytree_join_reprunes():
@@ -636,7 +651,7 @@ _PAIRS = {
     "nonempty-list": ("list", "a", "b"),
     "multiset": ("mset", (("a", 1), ("b", 1))),
     "powerset": ("set", "a", "b"),
-    "bintree": ("bnode", ("bleaf", "a"), ("bleaf", "b")),
+    "bintree": ("nnode", ("nleaf", "a"), ("nleaf", "b")),
     "narytree:2": ("nnode", ("nleaf", "a"), ("nleaf", "b")),
     "narytree:3": ("nnode", ("nleaf", "a"), ("nleaf", "b"), ("nunit",)),
     "reader:2": ("fun", "a", "b"),

@@ -5,7 +5,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from monadlab.monads import monad_for
-from monadlab.values import format_value, mk_err, mk_list, mk_nleaf, mk_nnode, mk_ok
+from monadlab.values import (
+    format_value,
+    mk_err,
+    mk_list,
+    mk_nleaf,
+    mk_nnode,
+    mk_nunit,
+    mk_ok,
+)
 from monadlab.valuetext import ValueSyntaxError, parse_layered, parse_value
 
 # every shipped monad with a printable form
@@ -76,6 +84,13 @@ class TestLayered:
         b = parse_layered("<a,b>", ("narytree:2",))
         assert a == b == mk_nnode([mk_nleaf("a"), mk_nleaf("b")])
 
+    def test_e_is_a_label_in_a_tree_with_no_unit(self):
+        # bintree has no unit leaf, so `e` is not reserved there
+        v = parse_layered("<e,<a,e>>", ("bintree",))
+        assert v == mk_nnode([mk_nleaf("e"), mk_nnode([mk_nleaf("a"), mk_nleaf("e")])])
+        assert parse_value("e", "bintree") == mk_nleaf("e")
+        assert parse_value("e", "narytree:2") == mk_nunit()
+
     def test_reader_of_lists(self):
         v = parse_layered("([a],[b,a])", ("reader:2", "list"))
         assert v == ("fun", ("list", "a"), ("list", "b", "a"))
@@ -125,6 +140,8 @@ class TestErrors:
             ("{a:1/2,b:2/3}", "dist", "sum to 7/6"),
             ("<a,b,c>", "narytree:2", "width-2"),
             ("<a,b>", "narytree:3", "width-3"),
+            ("<a,b,c>", "bintree", "^node of width 3 in a width-2 tree$"),
+            ("<a>", "bintree", "^node of width 1 in a width-2 tree$"),
             ("err(c)", "exception:{a,b}", "unknown error label"),
             ("err(a", "exception:{a}", "expected '\\)'"),
             ("(a)", "reader:2", "expected ','"),
