@@ -92,9 +92,13 @@ class SearchResult:
         if self.outcome == SearchOutcome.NO_LAW:
             return f"{head}\n  {self.conflict}"
         if self.outcome == SearchOutcome.CANDIDATES:
+            # on the one-element carrier alone the only map is the identity
+            untested = ""
+            if self.carrier_sizes == (1,):
+                untested = "; no naturality condition tested"
             return (
                 f"{head} ({len(self.candidates)} fragment-consistent table(s), "
-                f"{self.forced}/{self.variables} inputs forced)"
+                f"{self.forced}/{self.variables} inputs forced{untested})"
             )
         return f"{head} ({self.conflict or 'domains too large to decide'})"
 

@@ -13,7 +13,6 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -813,19 +812,23 @@ class _Product(terms.Procedure):
         )
 
 
-@dataclass
 class FreeModelReport:
     """Outcome of comparing a theory's free model with a monad."""
 
-    theory_id: str
-    monad_id: str
-    labels: tuple
-    bound: int
-    depth: int
-    term_count: int = 0
-    class_count: int = 0
-    value_count: int = 0
-    problems: list = field(default_factory=list)
+    def __init__(self, theory_id: str, monad_id: str, labels: tuple, bound: int, depth: int):
+        self.theory_id, self.monad_id, self.labels = theory_id, monad_id, labels
+        self.bound, self.depth = bound, depth
+        self.term_count = self.class_count = self.value_count = 0
+        self.problems: list = []
+
+    def _fields(self) -> tuple:
+        return (self.theory_id, self.monad_id, self.labels, self.bound, self.depth,
+                self.term_count, self.class_count, self.value_count, self.problems)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
 
     @property
     def ok(self) -> bool:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
@@ -193,14 +192,10 @@ def _prop_record(
 
 
 def _with_binary(entry: TheoryEntry, binary: Optional[Term]) -> TheoryEntry:
-    """Entry variant whose designated binary is `binary` (over y1, y2).
-
-    The certificate cache is dropped because cached answers depend on the
-    designated term; the class-map cache is binary-independent and kept.
-    """
+    """Entry variant whose designated binary is `binary` (over y1, y2)."""
     if binary is None or binary == entry.designated_binary:
         return entry
-    return replace(entry, designated_binary=binary, _certificates={})
+    return entry.with_binary(binary)
 
 
 def _eq_record(

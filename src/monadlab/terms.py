@@ -1,7 +1,7 @@
 """Terms over finite algebraic signatures, plus bounded equational search.
 
-The syntax layer is deliberately tiny: frozen dataclasses, a recursive-descent
-parser, and a breadth-first prover. `Rewriter` is the one rewrite relation
+The syntax layer is deliberately tiny: plain slotted classes, a
+recursive-descent parser, and a breadth-first prover. `Rewriter` is the one rewrite relation
 (axioms read as rules in both directions): the prover, the rewrite classes of
 procedure-less theories and procedure validation all go through it.
 Per-theory decision procedures (normal forms, semantic evaluation) are
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import Hashable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -56,20 +55,18 @@ __all__ = [
 # signatures and terms
 
 
-@dataclass(frozen=True)
 class OpSymbol:
     """An operation name with its arity."""
 
-    name: str
-    arity: int
+    __slots__ = ("name", "arity")
 
-    def __post_init__(self) -> None:
-        if self.arity < 0:
-            raise ValueError(f"negative arity for {self.name!r}")
+    def __init__(self, name: str, arity: int):
+        if arity < 0:
+            raise ValueError(f"negative arity for {name!r}")
+        self.name, self.arity = name, arity
 
-    # the generated methods build two tuples per comparison; operations of
-    # one signature are nearly always the same object, so identity decides
-    # most comparisons in matching and rewriting
+    # operations of one signature are nearly always the same object, so
+    # identity decides most comparisons in matching and rewriting
     def __eq__(self, other) -> bool:
         if self is other:
             return True
@@ -80,17 +77,31 @@ class OpSymbol:
     def __hash__(self) -> int:
         return hash((self.name, self.arity))
 
+    def __repr__(self) -> str:
+        return f"OpSymbol(name={self.name!r}, arity={self.arity!r})"
 
-@dataclass(frozen=True)
+
 class Signature:
     """Operations with distinct names."""
 
-    ops: tuple[OpSymbol, ...]
+    __slots__ = ("ops",)
 
-    def __post_init__(self) -> None:
-        names = [op.name for op in self.ops]
+    def __init__(self, ops: tuple[OpSymbol, ...]):
+        names = [op.name for op in ops]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate operation names in signature: {names}")
+        self.ops = ops
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ops == other.ops
+
+    def __hash__(self) -> int:
+        return hash(self.ops)
+
+    def __repr__(self) -> str:
+        return f"Signature(ops={self.ops!r})"
 
     def op(self, name: str) -> OpSymbol:
         for candidate in self.ops:
@@ -111,53 +122,59 @@ def signature(*ops: tuple[str, int]) -> Signature:
     return Signature(tuple(OpSymbol(name, arity) for name, arity in ops))
 
 
-@dataclass(frozen=True)
+# Terms are never mutated after construction. Their hashes are precomputed:
+# term hashing is the hot path of every bounded search, and hashing the
+# fields would rewalk the whole tree each time.
+
+
 class Var:
     """A variable; equal only to a variable of the same name."""
 
-    name: str
+    __slots__ = ("name", "_hash")
 
-    # hashes are precomputed: term hashing is the hot path of every bounded
-    # search, and dataclass hashing would rewalk the whole tree each time
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(("var", self.name)))
+    def __init__(self, name: str):
+        self.name = name
+        self._hash = hash(("var", name))
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        return self._hash
 
     def __eq__(self, other) -> bool:
         return self is other or (type(other) is Var and self.name == other.name)
+
+    def __repr__(self) -> str:
+        return f"Var(name={self.name!r})"
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class App:
     """An operation applied to as many argument terms as its arity."""
 
-    op: OpSymbol
-    args: "tuple[Term, ...]"
+    __slots__ = ("op", "args", "_hash")
 
-    def __post_init__(self) -> None:
-        if len(self.args) != self.op.arity:
-            raise ValueError(
-                f"{self.op.name} has arity {self.op.arity}, got {len(self.args)} arguments"
-            )
-        object.__setattr__(self, "_hash", hash((self.op, self.args)))
+    def __init__(self, op: OpSymbol, args: "tuple[Term, ...]"):
+        if len(args) != op.arity:
+            raise ValueError(f"{op.name} has arity {op.arity}, got {len(args)} arguments")
+        self.op, self.args = op, args
+        self._hash = hash((op, args))
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        return self._hash
 
     def __eq__(self, other) -> bool:
         if self is other:
             return True
         return (
             type(other) is App
-            and self._hash == other._hash  # type: ignore[attr-defined]
+            and self._hash == other._hash
             and self.op == other.op
             and self.args == other.args
         )
+
+    def __repr__(self) -> str:
+        return f"App(op={self.op!r}, args={self.args!r})"
 
     def __str__(self) -> str:
         return render(self)

@@ -21,7 +21,6 @@ when such a bounded search proves nothing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
@@ -429,19 +428,37 @@ def _boom_procedure(flags: BoomFlags) -> Procedure:
 # theory entries and registry
 
 
-@dataclass
 class TheoryEntry:
-    """A registered theory: its presentation, designated terms and caches."""
+    """A registered theory: its presentation, designated terms and caches.
 
-    theory_id: str
-    presentation: Presentation
-    label: str
-    designated_binary: Optional[Term] = None  # term over variables y1, y2
-    designated_unit: Optional[Term] = None  # closed term
-    aliases: tuple[str, ...] = ()
-    notes: str = ""
-    _certificates: dict = field(default_factory=dict, repr=False)
-    _class_maps: dict = field(default_factory=dict, repr=False)
+    `designated_binary` is a term over variables y1, y2; `designated_unit`
+    a closed term. The certificate cache depends on the designated terms,
+    the class-map cache only on the presentation.
+    """
+
+    def __init__(
+        self,
+        theory_id: str,
+        presentation: Presentation,
+        label: str,
+        designated_binary: Optional[Term] = None,
+        designated_unit: Optional[Term] = None,
+        aliases: tuple[str, ...] = (),
+        notes: str = "",
+    ):
+        self.theory_id, self.presentation, self.label = theory_id, presentation, label
+        self.designated_binary, self.designated_unit = designated_binary, designated_unit
+        self.aliases, self.notes = aliases, notes
+        self._certificates: dict = {}
+        self._class_maps: dict = {}
+
+    def with_binary(self, binary: Term) -> TheoryEntry:
+        """This theory with `binary` as its designated binary: the class maps
+        are shared, the certificates start afresh."""
+        variant = TheoryEntry(self.theory_id, self.presentation, self.label, binary,
+                              self.designated_unit, self.aliases, self.notes)
+        variant._class_maps = self._class_maps
+        return variant
 
     def binary_at(self, a: Term, b: Term) -> Term:
         if self.designated_binary is None:

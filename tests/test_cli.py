@@ -1,24 +1,18 @@
-"""End-to-end command runs through click's test runner.
+"""End-to-end command runs of `main` in-process.
 
 Each check pins stdout and the exit code; timing must only ever appear
 on stderr.
 """
 
 import pytest
-from click.testing import CliRunner
+from cli_run import run_cli
 
-from monadlab.cli import main
 from monadlab.hierarchy import golden_path
 
 
 @pytest.fixture()
 def run():
-    runner = CliRunner()
-
-    def invoke(*args):
-        return runner.invoke(main, list(args))
-
-    return invoke
+    return run_cli
 
 
 class TestWorkedExamples:
@@ -221,3 +215,45 @@ class TestUsageErrors:
         res = run(*args)
         assert res.exit_code == 2
         assert fragment in res.output
+
+    def test_usage_error_writes_nothing_to_stdout(self, run):
+        res = run("normalize", "nosuch", "x1")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "unknown theory" in res.stderr
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_golden_must_be_an_existing_file(self, run, tmp_path, kind):
+        path = tmp_path / "golden.csv" if kind == "missing" else tmp_path
+        res = run("boom-table", "original", "--golden", str(path))
+        assert res.exit_code == 2
+        assert "--golden" in res.stderr
+        assert ("does not exist" if kind == "missing" else "is a directory") in res.stderr
+        assert res.stdout == ""
+
+    def test_extra_arguments_are_reported_with_the_command_usage(self, run):
+        res = run("nogo", "T", "P", "extra")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("usage: monadlab nogo ")
+        assert "unrecognized arguments: extra" in res.stderr
+
+
+class TestHelp:
+    @pytest.mark.parametrize("group,commands", [
+        ((), ["theories", "normalize", "prove-eq", "monad-laws", "law", "nogo",
+              "boom-table", "plotkin-refute"]),
+        (("law",), ["apply", "check", "search"]),
+        (("theories",), ["list"]),
+    ])
+    def test_help_lists_every_subcommand(self, run, group, commands):
+        res = run(*group, "--help")
+        assert res.exit_code == 0
+        words = res.stdout.split()
+        assert [c for c in commands if c not in words] == []
+
+    def test_group_without_a_command_is_a_usage_error(self, run):
+        res = run("law")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "search" in res.stderr

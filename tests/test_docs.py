@@ -1,7 +1,7 @@
 """Every example in README.md runs as a test.
 
 Console blocks are parsed into (command, expected stdout, expected exit
-code) and replayed through the click runner; python blocks are executed
+code) and replayed through `main` in-process; python blocks are executed
 and must assert their own claims. Non-monadlab commands (pip, pytest)
 are setup instructions, not behavior examples, and are skipped. Every
 `src/...` or `tests/...` path the README names must exist.
@@ -13,9 +13,7 @@ import shlex
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
-
-from monadlab.cli import main
+from cli_run import run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -84,7 +82,7 @@ def test_readme_paths_exist():
 )
 def test_console_example(entry):
     os.chdir(ROOT)  # golden paths in examples are repo-relative
-    res = CliRunner().invoke(main, entry["argv"][1:])
+    res = run_cli(*entry["argv"][1:])
     expected = "".join(line + "\n" for line in entry["stdout"])
     assert res.stdout == expected
     assert res.exit_code == entry["exit"]

@@ -325,3 +325,18 @@ class TestStats:
         assert r.stats == dict.fromkeys(
             ("maps", "pairs", "edges", "images_requested", "images_computed"), 0
         )
+
+
+@pytest.mark.parametrize("s_id, t_id, inputs", [("bintree", "dist", 2), ("list", "reader:2", 3)])
+def test_candidates_on_the_one_element_carrier_say_no_naturality_was_tested(
+    s_id, t_id, inputs
+):
+    # the chain stops at |X|=1, whose one map is the identity
+    r = search_distlaw_bounded(s_id, t_id)
+    assert r.carrier_sizes == (1,) and r.stats["maps"] == 1
+    assert r.describe() == (
+        f"{s_id} over {t_id}, carriers (1,), bound 2: Candidates (1 fragment-consistent "
+        f"table(s), {inputs}/{inputs} inputs forced; no naturality condition tested)"
+    )
+    longer = search_distlaw_bounded("lift", "lift")
+    assert longer.carrier_sizes != (1,) and "naturality" not in longer.describe()

@@ -619,6 +619,18 @@ def test_free_model_closure_matches_brute_force(theory_id, monad_id, labels, bou
     assert got == _brute_force_free_model(theory_id, monad_id, labels, bound, depth)
 
 
+def test_free_model_reports_with_equal_fields_are_equal():
+    a = FreeModelReport("monoid", "list", ("a", "b"), 2, 3)
+    b = FreeModelReport("monoid", "list", ("a", "b"), 2, 3)
+    assert a is not b and a == b
+    a.term_count = b.term_count = 7
+    a.problems.append("odd")
+    assert a != b
+    b.problems.append("odd")
+    assert a == b
+    assert a != ("monoid", "list", ("a", "b"), 2, 3)
+
+
 def test_free_model_reports_one_substitution_mismatch_per_value_pair(monkeypatch):
     # a product that drops its right argument once the left one has two
     # elements does not commute with join; each (direct, outer) value pair

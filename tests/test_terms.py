@@ -155,6 +155,29 @@ def test_op_symbol_equality_and_hash_follow_name_and_arity():
         OpSymbol("bad", -1)
 
 
+def test_terms_never_equal_tuples():
+    x = Var("x")
+    assert x != ("x",) and ("x",) != x and x != "x"
+    t = App(MUL, (x, Var("y")))
+    assert t != (MUL, (x, Var("y"))) and (MUL, (x, Var("y"))) != t
+
+
+def test_equal_terms_built_apart_hash_alike():
+    a, b = p("mul(x,mul(e,y))"), p("mul(x,mul(e,y))")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert Var("x") == Var("x") and hash(Var("x")) == hash(Var("x"))
+    assert len({a, b, p("mul(y,mul(e,x))")}) == 2
+
+
+def test_term_syntax_rejects_bad_shapes():
+    with pytest.raises(ValueError):
+        OpSymbol("f", -1)
+    with pytest.raises(ValueError, match="duplicate"):
+        signature(("f", 1), ("f", 2))
+    with pytest.raises(ValueError, match="arity"):
+        App(MUL, (Var("x"),))
+
+
 def test_term_vars_and_depth():
     t = p("mul(mul(x,e),y)")
     assert term_vars(t) == {"x", "y"}

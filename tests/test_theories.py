@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -546,9 +545,18 @@ def test_regular_theories_are_the_expected_ones():
 def _diagonal_jsl():
     # a regular presentation whose designated binary uses one variable
     jsl = lookup_theory("jsl")
-    return dataclasses.replace(
-        jsl, designated_binary=pt("jsl", "mul(y1,y1)"), _certificates={}
-    )
+    return jsl.with_binary(pt("jsl", "mul(y1,y1)"))
+
+
+def test_with_binary_shares_class_maps_and_starts_fresh_certificates():
+    jsl = lookup_theory("jsl")
+    check_property(jsl, PropertyId.P3)  # fills the certificate cache
+    variant = _diagonal_jsl()
+    assert variant.designated_binary == pt("jsl", "mul(y1,y1)") != jsl.designated_binary
+    assert variant._class_maps is jsl._class_maps
+    assert variant._certificates == {} != jsl._certificates
+    same = ("theory_id", "presentation", "label", "designated_unit", "aliases", "notes")
+    assert [getattr(variant, f) for f in same] == [getattr(jsl, f) for f in same]
 
 
 @pytest.mark.parametrize("depth,num_vars", [(2, 3), (3, 3)])
@@ -575,10 +583,7 @@ def test_regular_path_agrees_with_class_maps(tid, depth, num_vars):
 
 
 def test_regular_p3_fails_on_a_third_variable():
-    wide = dataclasses.replace(
-        lookup_theory("jsl"), designated_binary=pt("jsl", "mul(y1,mul(y2,z))"),
-        _certificates={},
-    )
+    wide = lookup_theory("jsl").with_binary(pt("jsl", "mul(y1,mul(y2,z))"))
     p3 = check_property(wide, PropertyId.P3)
     assert p3.describe() == (
         "Fails(regular presentation; class with more than 2 variables; "
