@@ -132,11 +132,11 @@ _VARS = _IntRange(3)
 
 
 def theories_list(args):
-    """One line per registered theory: id, label, aliases."""
+    """One line per registered theory: id, "exact" (every theory has a
+    decision procedure), label, aliases."""
     for entry in _theories.registry():
         aliases = ", ".join(entry.aliases)
-        proc = "exact" if entry.has_procedure else "bounded"
-        print(f"{entry.theory_id:<20} {proc:<8} {entry.label:<34} {aliases}")
+        print(f"{entry.theory_id:<20} exact    {entry.label:<34} {aliases}")
 
 
 def normalize(args):
@@ -153,7 +153,7 @@ def prove_eq(args):
     """Prove TERM1 = TERM2 in THEORY; exit 1 when not established."""
     entry = _theory(args.theory)
     a, b = _term(args.term1, entry), _term(args.term2, entry)
-    if entry.has_procedure and not args.bounded:
+    if not args.bounded:
         if _terms.decide_eq(entry.theory_id, a, b):
             print("EQUAL (decision procedure)")
             return
@@ -308,7 +308,7 @@ def _parser() -> argparse.ArgumentParser:
     p = _command(top, "prove-eq", prove_eq, "THEORY", "TERM1", "TERM2")
     _int_option(p, "--depth", 3, _IntRange(0), "bounded-search depth")
     p.add_argument("--bounded", action="store_true",
-                   help="force bounded search even when a decision procedure exists")
+                   help="search for a bounded proof instead of deciding")
 
     _size_options(_command(top, "monad-laws", monad_laws, "MONAD"), 2, 3)
 

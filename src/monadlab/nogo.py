@@ -20,6 +20,7 @@ from monadlab.terms import (
     App,
     Term,
     Var,
+    decide_eq,
     render,
     substitute,
     term_vars,
@@ -29,7 +30,6 @@ from monadlab.theories import (
     TheoryEntry,
     check_property,
     class_var_claim,
-    decide,
     lookup_theory,
 )
 from monadlab.values import Value, format_value, mk_dist, mk_set
@@ -198,17 +198,11 @@ def _with_binary(entry: TheoryEntry, binary: Optional[Term]) -> TheoryEntry:
     return entry.with_binary(binary)
 
 
-def _eq_record(
-    side: str, entry: TheoryEntry, req: str, lhs: Term, rhs: Term, depth: int
-) -> CheckRecord:
-    v, exact = decide(entry, lhs, rhs, depth)
-    how = "decision procedure" if exact else f"bounded search depth={depth}"
-    text = f"{render(lhs)} = {render(rhs)} ({how})"
-    if v is True:
+def _eq_record(side: str, entry: TheoryEntry, req: str, lhs: Term, rhs: Term) -> CheckRecord:
+    text = f"{render(lhs)} = {render(rhs)} (decision procedure)"
+    if decide_eq(entry.theory_id, lhs, rhs):
         return CheckRecord(side, req, True, text)
-    if v is False:
-        return CheckRecord(side, req, False, f"refuted: {text}")
-    return CheckRecord(side, req, False, f"not provable within bound: {text}")
+    return CheckRecord(side, req, False, f"refuted: {text}")
 
 
 # ---------------------------------------------------------------------------
@@ -291,18 +285,14 @@ def check_plotkin_general(
 
     records = []
     p_sigma = substitute(p, {f"x{i}": Var(f"x{sigma(i)}") for i in range(1, m + 1)})
-    records.append(_eq_record("P", pe, "stable under sigma", p, p_sigma, depth))
-    records.append(
-        _eq_record("P", pe, "idempotent", _collapse_to_one(p), Var("x1"), depth)
-    )
+    records.append(_eq_record("P", pe, "stable under sigma", p, p_sigma))
+    records.append(_eq_record("P", pe, "idempotent", _collapse_to_one(p), Var("x1")))
 
     records.append(_class_vars_record(
         "P", pe, p, f"class stays within {m} variables", lambda names: len(names) <= m,
         m + 1, depth, nv,
     ))
-    records.append(
-        _eq_record("V", ve, "idempotent", _collapse_to_one(v), Var("x1"), depth)
-    )
+    records.append(_eq_record("V", ve, "idempotent", _collapse_to_one(v), Var("x1")))
     records.append(_prop_record("V", ve, PropertyId.V2, depth, num_vars))
     records.append(_class_vars_record(
         "V", ve, v, "class never fits in one variable", lambda names: len(names) >= 2, 2,
@@ -317,31 +307,15 @@ def check_plotkin_general(
 # unit-driven obstructions
 
 
-def _distinct_constants(entry: TheoryEntry, depth: int) -> tuple[list, bool]:
-    """Representatives of pairwise provably-distinct constants.
-
-    Distinctness needs a refutation, which only a decision procedure gives;
-    the bool reports whether the count is exact.
-    """
+def _distinct_constants(entry: TheoryEntry) -> list:
+    """Representatives of the constants' classes, one per class: the
+    decision procedure refutes every equation between two of them."""
     reps: list = []
-    exact = True
     for c in entry.presentation.signature.constants:
         term = App(c, ())
-        duplicate = False
-        for r in reps:
-            v, was_exact = decide(entry, term, r, depth)
-            exact = exact and was_exact
-            if v is True:
-                duplicate = True
-                break
-            if v is None:
-                # unprovable either way: conservatively merge
-                exact = False
-                duplicate = True
-                break
-        if not duplicate:
+        if not any(decide_eq(entry.theory_id, term, r) for r in reps):
             reps.append(term)
-    return reps, exact
+    return reps
 
 
 def check_too_many_constants(
@@ -368,14 +342,10 @@ def check_too_many_constants(
     )
     records.append(_prop_record("T", te, PropertyId.T1, depth, num_vars))
 
-    reps, exact = _distinct_constants(te, depth)
+    reps = _distinct_constants(te)
     shown = ",".join(render(r) for r in reps)
     evidence = f"{len(reps)} pairwise distinct constants ({shown or 'none'})"
-    if not exact:
-        evidence += "; distinctness not certified without a decision procedure"
-    records.append(
-        CheckRecord("T", "two distinct constants", exact and len(reps) >= 2, evidence)
-    )
+    records.append(CheckRecord("T", "two distinct constants", len(reps) >= 2, evidence))
     return Applicability(
         TheoremId.TOO_MANY_CONSTANTS,
         se.theory_id,

@@ -1,11 +1,12 @@
 """Terms over finite algebraic signatures, plus bounded equational search.
 
 The syntax layer is deliberately tiny: plain slotted classes, a
-recursive-descent parser, and a breadth-first prover. `Rewriter` is the one rewrite relation
-(axioms read as rules in both directions): the prover, the rewrite classes of
-procedure-less theories and procedure validation all go through it.
-Per-theory decision procedures (normal forms, semantic evaluation) are
-registered here by `monadlab.theories` and dispatched through `normalize` and
+recursive-descent parser, and a breadth-first prover. `Rewriter` is the one
+rewrite relation (axioms read as rules in both directions): the bounded
+prover and the validation of decision procedures against the axioms go
+through it. Per-theory decision procedures (normal forms, semantic
+evaluation) are registered here by `monadlab.theories`, which registers none
+of its theories without one, and dispatched through `normalize` and
 `decide_eq`.
 """
 

@@ -1,10 +1,11 @@
 """Equational theories: registry, decision procedures, property certificates.
 
 Each registered theory bundles a finite presentation with an exact decision
-procedure for provable equality (registered into `monadlab.terms`), optional
-designated operations (a binary term over y1,y2 and a unit), and cached
-property certificates. The equational properties are equations between
-designated terms, settled by `decide`.
+procedure for provable equality (registered into `monadlab.terms`; a theory
+cannot be registered without one), optional designated operations (a binary
+term over y1,y2 and a unit), and cached property certificates. The
+equational properties are equations between designated terms, settled by
+`decide_eq`.
 
 The class-based properties (S1/T1, S2/T2/V2, P3, V3) are facts about the
 variables of the members of equivalence classes, and `class_var_claim` is
@@ -12,10 +13,11 @@ the one place where such claims, the no-go checkers' included, are settled.
 In a regular presentation, where both sides of every axiom have the same
 variables, every step of an equational derivation preserves the variable
 set, so each class shares its representative's variables and the claim is
-exact (`class_vars`). Other presentations read a class map instead, built
-once per (depth, vars) bound by closing the classes of the bounded term
-universe under the operations; `class_var_claim` also holds the rules for
-when such a bounded search proves nothing.
+exact (`class_vars`). Without constants there are no closed terms, so the
+claims about closed terms hold vacuously. Other presentations read a class
+map instead, built once per (depth, vars) bound by closing the procedure's
+classes of the bounded term universe under the operations; `class_var_claim`
+also holds the rules for when such a bounded search proves nothing.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
 from monadlab.terms import (
     App,
     Equation,
-    EqStatus,
     NoProcedureError,
     OpSymbol,
     Presentation,
@@ -60,15 +61,12 @@ __all__ = [
     "check_property",
     "class_vars",
     "class_var_claim",
-    "decide",
-    "abides_holds",
     "ProcedureValidation",
     "validate_procedure_against_rewrites",
     "register_theory",
     "lookup_theory",
     "theory_ids",
     "registry",
-    "load_theory_file",
     "exception_labels",
     "exception_theory",
     "narytree_theory",
@@ -465,25 +463,22 @@ class TheoryEntry:
             raise ValueError(f"{self.theory_id} has no designated binary operation")
         return substitute(self.designated_binary, {"y1": a, "y2": b})
 
-    @property
-    def has_procedure(self) -> bool:
-        return procedure_for(self.theory_id) is not None
-
 
 _REGISTRY: dict[str, TheoryEntry] = {}
 _ALIASES: dict[str, str] = {}
 
 
-def register_theory(entry: TheoryEntry, procedure: Optional[Procedure] = None) -> TheoryEntry:
+def register_theory(entry: TheoryEntry, procedure: Procedure) -> TheoryEntry:
+    """Register `entry` with the procedure that decides its equality: every
+    registered theory has one."""
     if entry.theory_id in _REGISTRY:
         raise ValueError(f"theory {entry.theory_id!r} already registered")
+    register_procedure(entry.theory_id, procedure)
     _REGISTRY[entry.theory_id] = entry
     for alias in entry.aliases:
         if alias in _ALIASES and _ALIASES[alias] != entry.theory_id:
             raise ValueError(f"alias {alias!r} already taken")
         _ALIASES[alias] = entry.theory_id
-    if procedure is not None and procedure_for(entry.theory_id) is None:
-        register_procedure(entry.theory_id, procedure)
     return entry
 
 
@@ -620,58 +615,9 @@ def _class_map(entry: TheoryEntry, depth: int, num_vars: int):
     sig = entry.presentation.signature
     atoms: list[Term] = [Var(f"x{i + 1}") for i in range(num_vars)]
     atoms += [App(c, ()) for c in sig.constants]
-    proc = procedure_for(entry.theory_id)
-    if proc is None:
-        classes = _classes_by_rewrite(entry, atoms, depth)
-    else:
-        classes = classes_by_closure(sig, proc, atoms, depth)
+    classes = classes_by_closure(sig, procedure_for(entry.theory_id), atoms, depth)
     entry._class_maps[cache_key] = classes
     return classes
-
-
-def _classes_by_rewrite(entry: TheoryEntry, atoms: list[Term], depth: int):
-    """Fallback for theories without a registered procedure: approximate the
-    classes by closing one-step rewrites inside the bounded universe. Classes
-    may be under-merged, which bounded certificates are allowed to be."""
-    universe = list(enumerate_terms(entry.presentation.signature, atoms, depth))
-    reps = rewrite_components(Rewriter(entry.presentation, atoms), universe)
-    var_index = {v.name: i for i, v in enumerate(a for a in atoms if isinstance(a, Var))}
-    classes: dict[Hashable, dict[int, Term]] = {}
-    for t, root in zip(universe, reps):
-        bits = 0
-        for v in term_vars(t):
-            bits |= 1 << var_index[v]
-        classes.setdefault(root, {}).setdefault(bits, t)
-    return classes
-
-
-def _key_of(entry: TheoryEntry, term: Term, depth: int, num_vars: int):
-    proc = procedure_for(entry.theory_id)
-    if proc is not None:
-        return proc.term_key(term)
-    # fallback classes are keyed by rewrite-class representative; locate the
-    # term's class
-    classes = _class_map(entry, depth, num_vars)
-    for key, bucket in classes.items():
-        for witness in bucket.values():
-            if witness == term:
-                return key
-    for key, bucket in classes.items():
-        for witness in bucket.values():
-            res = eq_bounded(entry.presentation, term, witness, depth=depth)
-            if res.status is EqStatus.EQUAL:
-                return key
-    return None
-
-
-def decide(entry: TheoryEntry, t1: Term, t2: Term, depth: int):
-    """(verdict, exact) for t1 = t2: verdict is True/False/None, and exact
-    means the registered procedure answered (so False is a refutation);
-    otherwise a proof search to `depth` can only prove."""
-    if entry.has_procedure:
-        return decide_eq(entry.theory_id, t1, t2), True
-    res = eq_bounded(entry.presentation, t1, t2, depth=depth)
-    return (True if res.status is EqStatus.EQUAL else None), False
 
 
 def check_property(
@@ -689,7 +635,8 @@ def check_property(
     S4a/T4a: the designated binary has the designated unit on both sides.
     S4b/V1: the designated binary is idempotent.
     T3: the signature contains a constant.
-    T4b: the designated binary abides with itself (the 2x2 interchange).
+    T4b: the designated binary lacks abides: the 2x2 interchange law is not
+        provable for it.
     P1/P2: the designated binary is commutative / idempotent on variables.
     P3: members of the class of b(x1,x2) use at most 2 distinct variables.
     V3: every member of the class of b(x1,x2) uses at least 2 variables.
@@ -697,11 +644,11 @@ def check_property(
     Class-based properties (S1/T1, S2/T2/V2, P3, V3) are settled by
     `class_var_claim`, the one place where class-variable claims and the
     rules for a bounded search that proves nothing live: exact for a regular
-    presentation whatever the bounds, otherwise bounded by (depth,
-    num_vars) and Unknown when those bounds cannot hold a counterexample.
-    T3 is syntactic; the rest are settled by `decide` on equations between
-    designated terms (S3: on the unit laws of the constants), exactly when a
-    decision procedure is registered and by bounded proof search otherwise.
+    presentation whatever the bounds, and for S1/T1 without constants;
+    otherwise bounded by (depth, num_vars) and Unknown when those bounds
+    cannot hold a counterexample. T3 is syntactic; the rest are settled
+    exactly by the theory's decision procedure (`decide_eq`) on equations
+    between designated terms (S3: on the unit laws of the constants).
     """
     cache_key = (prop, depth, num_vars)
     cached = entry._certificates.get(cache_key)
@@ -712,10 +659,12 @@ def check_property(
     return cert
 
 
+_DECIDED = "analytic via decide_eq"
+_VACUOUS = "vacuous"
+
+
 def _check_property(entry, prop, depth, num_vars) -> PropertyCertificate:
-    exact = entry.has_procedure
-    exact_method = "analytic via decide_eq" if exact else f"eq_bounded depth={depth}"
-    holds = PropertyStatus.HOLDS if exact else PropertyStatus.HOLDS_BOUNDED
+    tid = entry.theory_id
     sig = entry.presentation.signature
 
     if prop is PropertyId.T3:
@@ -731,33 +680,25 @@ def _check_property(entry, prop, depth, num_vars) -> PropertyCertificate:
         builders = [op for op in sig.ops if op.arity >= 1]
         if not builders:
             return PropertyCertificate(
-                prop, PropertyStatus.HOLDS, "vacuous", detail="no operations of arity >= 1"
+                prop, PropertyStatus.HOLDS, _VACUOUS, detail="no operations of arity >= 1"
             )
         if not sig.constants:
             return PropertyCertificate(
                 prop, PropertyStatus.FAILS, "syntactic", detail="no constants to act as units"
             )
-        all_bounded_ok = True
         x = Var("x")
         for op in builders:
             for c in sig.constants:
                 units = (App(c, ()),) * op.arity
-                if all(
-                    decide(entry, App(op, units[:pos] + (x,) + units[pos + 1 :]), x, depth)[0]
-                    is True
-                    for pos in range(op.arity)
-                ):
+                if all(decide_eq(tid, App(op, units[:pos] + (x,) + units[pos + 1 :]), x)
+                       for pos in range(op.arity)):
                     break
             else:
-                if exact:
-                    return PropertyCertificate(
-                        prop, PropertyStatus.FAILS, exact_method,
-                        detail=f"no unit constant for {op.name}/{op.arity}",
-                    )
-                all_bounded_ok = False
-        if all_bounded_ok:
-            return PropertyCertificate(prop, holds, exact_method)
-        return PropertyCertificate(prop, PropertyStatus.UNKNOWN, exact_method)
+                return PropertyCertificate(
+                    prop, PropertyStatus.FAILS, _DECIDED,
+                    detail=f"no unit constant for {op.name}/{op.arity}",
+                )
+        return PropertyCertificate(prop, PropertyStatus.HOLDS, _DECIDED)
 
     needs = _NEEDS.get(prop)
     if needs and (entry.designated_binary is None
@@ -770,17 +711,13 @@ def _check_property(entry, prop, depth, num_vars) -> PropertyCertificate:
         return _class_certificate(entry, prop, depth, num_vars, class_var_claim)
 
     if prop is PropertyId.T4B:
-        # holds when the interchange law is NOT provable, so a bounded proof
-        # of the law refutes it while only an exact procedure can confirm it
+        # holds when the interchange law is NOT provable
         lhs, rhs = _interchange(entry)
-        verdict = decide(entry, lhs, rhs, depth)[0]
-        if verdict:
+        if decide_eq(tid, lhs, rhs):
             return PropertyCertificate(
-                prop, PropertyStatus.FAILS, exact_method, (lhs,),
-                "interchange law is provable",
+                prop, PropertyStatus.FAILS, _DECIDED, (lhs,), "interchange law is provable"
             )
-        status = PropertyStatus.HOLDS if verdict is False else PropertyStatus.UNKNOWN
-        return PropertyCertificate(prop, status, exact_method)
+        return PropertyCertificate(prop, PropertyStatus.HOLDS, _DECIDED)
 
     b, u = entry.binary_at, entry.designated_unit
     x, x1, x2 = Var("x"), Var("x1"), Var("x2")
@@ -790,14 +727,10 @@ def _check_property(entry, prop, depth, num_vars) -> PropertyCertificate:
         equations = ((b(x1, x2), b(x2, x1)),)
     else:  # S4b, V1, P2: idempotence
         equations = ((b(x, x), x),)
-    settled = True
     for lhs, rhs in equations:
-        verdict = decide(entry, lhs, rhs, depth)[0]
-        if verdict is False:
-            return PropertyCertificate(prop, PropertyStatus.FAILS, exact_method, (lhs, rhs))
-        settled = settled and verdict
-    status = holds if settled else PropertyStatus.UNKNOWN
-    return PropertyCertificate(prop, status, exact_method)
+        if not decide_eq(tid, lhs, rhs):
+            return PropertyCertificate(prop, PropertyStatus.FAILS, _DECIDED, (lhs, rhs))
+    return PropertyCertificate(prop, PropertyStatus.HOLDS, _DECIDED)
 
 
 def _regular(entry: TheoryEntry) -> bool:
@@ -805,8 +738,9 @@ def _regular(entry: TheoryEntry) -> bool:
     return all(term_vars(eq.lhs) == term_vars(eq.rhs) for eq in entry.presentation.equations)
 
 
-def class_vars(entry: TheoryEntry, term: Term) -> Optional[frozenset[str]]:
-    """The variables that every member of `term`'s class contains, exactly.
+def class_vars(entry: TheoryEntry, term: Optional[Term]) -> Optional[frozenset[str]]:
+    """The variables that every member of `term`'s class contains, exactly;
+    `term` None stands for any closed term.
 
     Known when the presentation is regular (both sides of every axiom have
     the same variables): reflexivity, symmetry, transitivity, congruence and
@@ -814,7 +748,9 @@ def class_vars(entry: TheoryEntry, term: Term) -> Optional[frozenset[str]]:
     term's own (Baader & Nipkow, Term Rewriting and All That, 1998). None
     when the presentation is not regular.
     """
-    return term_vars(term) if _regular(entry) else None
+    if not _regular(entry):
+        return None
+    return frozenset() if term is None else term_vars(term)
 
 
 _REGULAR = "regular presentation"
@@ -829,18 +765,25 @@ def class_var_claim(
 
     Returns (verdict, method, witness, why). The verdict is True, False, or
     None when the claim is not settled. A regular presentation settles it
-    exactly (`class_vars`), and a failing witness is (`term`,). Otherwise the
-    bounded class map is searched (`_class_var_search`).
+    exactly (`class_vars`), and a failing witness is (`term`,). A signature
+    without constants has no closed terms, so the claim about them holds
+    vacuously. Otherwise the bounded class map is searched
+    (`_class_var_search`).
     """
-    if not _regular(entry):
-        return _class_var_search(entry, term, fits, need, depth, num_vars)
-    ok = fits(frozenset() if term is None else term_vars(term))
-    return ok, _REGULAR, None if ok else (term,), ""
+    shared = class_vars(entry, term)
+    if shared is not None:
+        ok = fits(shared)
+        return ok, _REGULAR, None if ok else (term,), ""
+    if term is None and not entry.presentation.signature.constants:
+        return True, _VACUOUS, None, "no closed terms"
+    return _class_var_search(entry, term, fits, need, depth, num_vars)
 
 
 def _class_var_search(entry, term, fits, need, depth, num_vars) -> tuple:
-    """`class_var_claim` over the class map of (depth, num_vars), for any
-    presentation. A failing witness is (class representative, member).
+    """`class_var_claim` over the class map of (depth, num_vars): the one
+    answer for an irregular presentation, and the reference the exact
+    answers are tested against. A failing witness is (class representative,
+    member).
     Finding no counterexample in a universe that cannot hold one settles
     nothing: not when `term` has no class there, not at depth 0 (atoms
     only), and not when its terms have fewer than `need` variables, the
@@ -850,7 +793,7 @@ def _class_var_search(entry, term, fits, need, depth, num_vars) -> tuple:
     if term is None:
         searched = ((bucket[0], bucket) for bucket in classes.values() if 0 in bucket)
     else:
-        bucket = classes.get(_key_of(entry, term, depth, num_vars))
+        bucket = classes.get(procedure_for(entry.theory_id).term_key(term))
         if bucket is None:
             return None, method, None, f"{render(term)} has no class in the bounded universe"
         searched = ((term, bucket),)
@@ -874,12 +817,12 @@ def _class_certificate(entry, prop, depth, num_vars, settle) -> PropertyCertific
     or `_class_var_search` for the bounded certificate alone."""
     probe, fits, detail, need = _CLASS_PROPERTIES[prop]
     verdict, method, witness, why = settle(entry, probe(entry), fits, need, depth, num_vars)
-    exact = method == _REGULAR
+    exact = method in (_REGULAR, _VACUOUS)
     if verdict is None:
         return PropertyCertificate(prop, PropertyStatus.UNKNOWN, method, detail=why)
     if verdict:
         status = PropertyStatus.HOLDS if exact else PropertyStatus.HOLDS_BOUNDED
-        return PropertyCertificate(prop, status, method)
+        return PropertyCertificate(prop, status, method, detail=why)
     if exact:  # every member has the one failing variable set
         detail = detail.replace("class member", "class")
     return PropertyCertificate(prop, PropertyStatus.FAILS, method, witness, detail)
@@ -896,13 +839,6 @@ def _interchange(entry: TheoryEntry) -> tuple[Term, Term]:
     b = entry.binary_at
     y1, y2, y3, y4 = (Var(f"y{i}") for i in (1, 2, 3, 4))
     return b(b(y1, y2), b(y3, y4)), b(b(y1, y3), b(y2, y4))
-
-
-def abides_holds(entry: TheoryEntry, depth: int = 3) -> bool:
-    """Whether the designated binary satisfies the 2x2 interchange law."""
-    if entry.designated_binary is None:
-        return False
-    return decide(entry, *_interchange(entry), depth)[0] is True
 
 
 class ProcedureValidation(NamedTuple):
@@ -1204,43 +1140,6 @@ def _register_rest() -> None:
         ),
         ReaderProc(),
     )
-
-
-def load_theory_file(path: str) -> TheoryEntry:
-    """Register a theory from a JSON definition file.
-
-    Shape: {"id": ..., "ops": [[name, arity], ...],
-            "axioms": [[lhs, rhs, name?], ...],
-            "designated_binary": term?, "designated_unit": term?,
-            "label": ?, "aliases": [...]}.
-    Loaded theories have no decision procedure, so exact properties degrade
-    to bounded proof search. Class-based properties stay exact when the
-    presentation is regular and otherwise read classes approximated by
-    rewrite closure.
-    """
-    import json
-
-    with open(path) as fh:
-        raw = json.load(fh)
-    pres = presentation(
-        raw["id"],
-        ((name, int(arity)) for name, arity in raw["ops"]),
-        ((item[0], item[1], item[2] if len(item) > 2 else "") for item in raw.get("axioms", ())),
-    )
-    sig = pres.signature
-    entry = TheoryEntry(
-        theory_id=raw["id"],
-        presentation=pres,
-        label=raw.get("label", raw["id"]),
-        designated_binary=(
-            parse_term(raw["designated_binary"], sig) if raw.get("designated_binary") else None
-        ),
-        designated_unit=(
-            parse_term(raw["designated_unit"], sig) if raw.get("designated_unit") else None
-        ),
-        aliases=tuple(raw.get("aliases", ())),
-    )
-    return register_theory(entry)
 
 
 # table label orders, smallest to largest fragment

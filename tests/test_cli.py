@@ -4,10 +4,43 @@ Each check pins stdout and the exit code; timing must only ever appear
 on stderr.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from cli_run import run_cli
 
 from monadlab.hierarchy import golden_path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# the registry at import: every theory is decided by its procedure
+THEORIES_LIST = (
+    'abgroup              exact    abgroup                            \n'
+    'boom:----            exact    T+                                 T+, magma\n'
+    'boom:---I            exact    I+                                 I+\n'
+    'boom:--C-            exact    C+                                 C+\n'
+    'boom:--CI            exact    CI+                                CI+\n'
+    'boom:-A--            exact    L+                                 L+, semigroup\n'
+    'boom:-A-I            exact    AI+                                AI+, band\n'
+    'boom:-AC-            exact    M+                                 M+, comm-semigroup\n'
+    'boom:-ACI            exact    P+                                 P+, nonempty-jsl\n'
+    'boom:U---            exact    T                                  T, tree, magma-unit\n'
+    'boom:U--I            exact    I                                  I\n'
+    'boom:U-C-            exact    C                                  C\n'
+    'boom:U-CI            exact    CI                                 CI\n'
+    'boom:UA--            exact    L                                  L, monoid\n'
+    'boom:UA-I            exact    AI                                 AI, unital-band\n'
+    'boom:UAC-            exact    M                                  M, comm-monoid\n'
+    'boom:UACI            exact    P                                  P, jsl\n'
+    'convex               exact    convex                             \n'
+    'exception:{a,b}      exact    exception:{a,b}                    \n'
+    'exception:{a}        exact    exception:{a}                      \n'
+    'pointed              exact    pointed                            \n'
+    'reader:2             exact    reader:2                           \n'
+)
 
 
 @pytest.fixture()
@@ -45,6 +78,14 @@ class TestTermCommands:
         assert "convex" in res.stdout
         assert "semigroup" in res.stdout  # aliases ride along
 
+    def test_theories_list_bytes(self):
+        # a fresh interpreter: tests register more theories as they run
+        res = subprocess.run([sys.executable, "-m", "monadlab", "theories", "list"],
+                             env=dict(os.environ, PYTHONPATH=SRC),
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == THEORIES_LIST
+
     def test_normalize(self, run):
         res = run("normalize", "M", "mul(x2, mul(x1, e))")
         assert res.exit_code == 0
@@ -66,10 +107,10 @@ class TestTermCommands:
     def test_prove_eq_bounded_search(self, run):
         res = run("prove-eq", "--bounded", "convex", "mix(x1,x2)", "mix(x2,x1)")
         assert res.exit_code == 0
-        assert res.stdout.startswith("EQUAL (bounded search")
+        assert res.stdout == "EQUAL (bounded search, depth 3, 1 steps)\n"
         res = run("prove-eq", "--bounded", "convex", "mix(x1,x2)", "x1")
         assert res.exit_code == 1
-        assert res.stdout.startswith("NOT PROVED (bounded search")
+        assert res.stdout == "NOT PROVED (bounded search, depth 3)\n"
 
 
 class TestLawCommands:

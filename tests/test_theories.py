@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 
 import pytest
@@ -15,7 +14,6 @@ from monadlab.terms import (
     decide_eq,
     normalize,
     parse_term,
-    render,
     rewrite_steps,
 )
 from monadlab.theories import (
@@ -27,14 +25,14 @@ from monadlab.theories import (
     PropertyId,
     PropertyStatus,
     TheoryEntry,
-    abides_holds,
     boom_theory,
     check_property,
     class_vars,
     exception_theory,
-    load_theory_file,
     lookup_theory,
     narytree_theory,
+    presentation,
+    register_theory,
     registry,
     ring_entry,
     theory_ids,
@@ -70,6 +68,17 @@ def test_aliases_resolve():
     assert lookup_theory("L").theory_id == "boom:UA--"
     assert lookup_theory("P+").theory_id == "boom:-ACI"
     assert lookup_theory("T").label == "T"
+
+
+def test_every_theory_has_a_decision_procedure():
+    # the registry, theories built on demand, and the unregistered ring
+    for tid in (*theory_ids(), "exception:{a,b,c}", "narytree-theory:4"):
+        assert terms.procedure_for(lookup_theory(tid).theory_id) is not None, tid
+    assert terms.procedure_for(ring_entry().theory_id) is not None
+    magma = boom_theory(BoomFlags(False, False, False, False))
+    with pytest.raises(TypeError):
+        register_theory(TheoryEntry("test:procedure-less", magma, "magma"))
+    assert "test:procedure-less" not in theory_ids()
 
 
 def test_unknown_theory_suggests():
@@ -423,14 +432,11 @@ def test_ring_fails_closed_class_purity():
 
 
 def test_abides_holds_matrix():
-    assert abides_holds(lookup_theory("comm-monoid"))
-    assert abides_holds(lookup_theory("jsl"))
-    assert abides_holds(lookup_theory("boom:-AC-"))
-    assert abides_holds(lookup_theory("boom:-ACI"))
-    for label in ("T", "I", "L", "AI", "T+", "I+", "L+", "AI+"):
-        assert not abides_holds(lookup_theory(label)), label
-    for label in ("C", "CI", "C+", "CI+"):
-        assert not abides_holds(lookup_theory(label)), label
+    # T4b ("lacks abides") fails exactly where the interchange law is provable
+    for label in ("M", "P", "M+", "P+"):
+        assert status_of(label, PropertyId.T4B) is PropertyStatus.FAILS, label
+    for label in ("T", "I", "C", "CI", "L", "AI", "T+", "I+", "C+", "CI+", "L+", "AI+"):
+        assert status_of(label, PropertyId.T4B) is PropertyStatus.HOLDS, label
 
 
 def test_certificate_describe_strings():
@@ -438,8 +444,11 @@ def test_certificate_describe_strings():
     assert cert.describe() == "Holds(analytic via decide_eq)"
     regular = check_property(lookup_theory("monoid"), PropertyId.S1)
     assert regular.describe() == "Holds(regular presentation)"
-    bounded = check_property(lookup_theory("reader:2"), PropertyId.S1)
-    assert bounded.describe().startswith("HoldsBounded(depth=3,vars=4)")
+    # reader:2 has no constants, hence no closed terms
+    vacuous = check_property(lookup_theory("reader:2"), PropertyId.S1)
+    assert vacuous.describe() == "Holds(vacuous; no closed terms)"
+    bounded = check_property(lookup_theory("abgroup"), PropertyId.V3, depth=2, num_vars=3)
+    assert bounded.describe() == "HoldsBounded(depth=2,vars=3)"
 
 
 def test_certificates_cached():
@@ -612,17 +621,8 @@ def test_boom_table_builds_no_class_map(monkeypatch, class_map_calls):
     assert class_map_calls == []
 
 
-def test_non_regular_theories_take_the_bounded_path(tmp_path, class_map_calls):
-    path = tmp_path / "leftzero.json"
-    path.write_text(json.dumps({
-        "id": "test:leftzero-bounded",
-        "ops": [["mul", 2]],
-        "axioms": [["mul(x,y)", "x", "leftzero"]],
-        "designated_binary": "mul(y1,y2)",
-    }))
-    leftzero = load_theory_file(str(path))
-    for entry in (lookup_theory("abgroup"), lookup_theory("reader:2"), ring_entry(),
-                  leftzero):
+def test_non_regular_theories_take_the_bounded_path(class_map_calls):
+    for entry in (lookup_theory("abgroup"), lookup_theory("reader:2"), ring_entry()):
         assert class_vars(entry, Var("x1")) is None
         class_map_calls.clear()
         cert = check_property(entry, PropertyId.S2, depth=2, num_vars=2)
@@ -630,47 +630,31 @@ def test_non_regular_theories_take_the_bounded_path(tmp_path, class_map_calls):
         assert set(class_map_calls) == {entry.theory_id}
 
 
-def test_loaded_regular_theory_is_exact(tmp_path):
-    copy = _load_copy(tmp_path, "boom:UA-I")
-    assert not copy.has_procedure
+def test_loaded_regular_theory_is_exact(monkeypatch):
+    # from cold caches, a regular theory's class certificates build no class map
+    entry = lookup_theory("boom:UA-I")
+    monkeypatch.setattr(entry, "_certificates", {})
+    monkeypatch.setattr(entry, "_class_maps", {})
     for prop in _CLASS_PROPS:
-        cert = check_property(copy, prop)
+        cert = check_property(entry, prop)
         assert cert.describe() == "Holds(regular presentation)", prop
-    assert not copy._class_maps
+    assert not entry._class_maps
 
 
-# ---------------------------------------------------------------------------
-# loading theory definitions
+class _LeftZeroProc(terms.Procedure):
+    """mul(x,y) = x: every term equals its leftmost variable."""
+
+    def var_key(self, name):
+        return name
+
+    def app_key(self, op, child_keys):
+        return child_keys[0]
+
+    def reify(self, key):
+        return Var(key)
 
 
-def _load_copy(tmp_path, tid):
-    """A procedure-less copy of a registered theory, loaded from JSON."""
-    entry = lookup_theory(tid)
-    pres = entry.presentation
-    path = tmp_path / "copy.json"
-    path.write_text(json.dumps({
-        "id": f"copy:{tid}",
-        "ops": [[op.name, op.arity] for op in pres.signature.ops],
-        "axioms": [[render(e.lhs), render(e.rhs), e.name] for e in pres.equations],
-        "designated_binary": render(entry.designated_binary),
-    }))
-    return load_theory_file(str(path))
-
-
-@pytest.mark.parametrize("tid", ["boom:--C-", "boom:U-C-"])
-def test_rewrite_class_map_matches_procedure(tmp_path, tid):
-    # rewrite classes are keyed by representative, procedure classes by key;
-    # buckets, witnesses and their order must agree
-    copy = _load_copy(tmp_path, tid)
-    assert not copy.has_procedure
-    got = _class_map(copy, 2, 3)
-    want = _class_map(lookup_theory(tid), 2, 3)
-    assert [list(b.items()) for b in got.values()] == [
-        list(b.items()) for b in want.values()
-    ]
-
-
-def test_class_certificates_too_small_to_fail_are_unknown(tmp_path):
+def test_class_certificates_too_small_to_fail_are_unknown():
     reader = lookup_theory("reader:2")
     for prop in (PropertyId.S2, PropertyId.V2, PropertyId.P3, PropertyId.V3):
         cert = check_property(reader, prop, depth=3, num_vars=1)
@@ -681,21 +665,20 @@ def test_class_certificates_too_small_to_fail_are_unknown(tmp_path):
         assert status_of("convex", prop, num_vars=0) is PropertyStatus.HOLDS
     assert status_of("convex", PropertyId.P3, num_vars=2) is PropertyStatus.HOLDS
     assert status_of("convex", PropertyId.P3, num_vars=3) is PropertyStatus.HOLDS
-    path = tmp_path / "leftzero.json"
-    path.write_text(json.dumps({
-        "id": "test:leftzero-small",
-        "ops": [["mul", 2]],
-        "axioms": [["mul(x,y)", "x", "leftzero"]],
-        "designated_binary": "mul(y1,y2)",
-    }))
-    leftzero = load_theory_file(str(path))
     # at depth 0 mul(x1,x2) is outside the universe: no class to search
-    cert = check_property(leftzero, PropertyId.P3, depth=0, num_vars=3)
+    cert = check_property(reader, PropertyId.P3, depth=0, num_vars=3)
     assert cert.status is PropertyStatus.UNKNOWN
     assert "no class" in cert.detail
-    # a counterexample found in a small universe still refutes
+    # a counterexample found in a small universe still refutes: in the
+    # left-zero theory the class of mul(x1,x2) holds x1
+    pres = presentation("test:leftzero", (("mul", 2),), (("mul(x,y)", "x", "leftzero"),))
+    leftzero = register_theory(
+        TheoryEntry("test:leftzero", pres, "leftzero", parse_term("mul(y1,y2)", pres.signature)),
+        _LeftZeroProc(),
+    )
     cert = check_property(leftzero, PropertyId.V3, depth=2, num_vars=1)
     assert cert.status is PropertyStatus.FAILS
+    assert cert.witness == (pres.parse("mul(x1,x2)"), Var("x1"))
 
 
 def test_bounded_class_certificates_at_depth_zero_are_unknown():
@@ -724,26 +707,3 @@ def test_bounded_class_certificates_too_shallow_to_fail_are_unknown():
     cert = check_property(reader, PropertyId.P3, depth=2)
     assert cert.status is PropertyStatus.FAILS
     assert "witness mul(x1,x2),mul(x1,mul(x3,x2))" in cert.describe()
-
-
-def test_load_theory_file(tmp_path):
-    path = tmp_path / "leftzero.json"
-    path.write_text(json.dumps({
-        "id": "test:leftzero",
-        "ops": [["mul", 2]],
-        "axioms": [["mul(x,y)", "x", "leftzero"]],
-        "designated_binary": "mul(y1,y2)",
-    }))
-    entry = load_theory_file(str(path))
-    assert lookup_theory("test:leftzero") is entry
-    assert not entry.has_procedure
-    # bounded fallback: the class of x1 contains mul(x1,x2)
-    cert = check_property(entry, PropertyId.S2, depth=2, num_vars=2)
-    assert cert.status is PropertyStatus.FAILS
-    # mul(x,x) = x is a one-step consequence, provable within the bound
-    v1 = check_property(entry, PropertyId.V1)
-    assert v1.status is PropertyStatus.HOLDS_BOUNDED
-    assert "eq_bounded" in v1.method
-    # commutativity is false but bounded search cannot refute, so Unknown
-    p1 = check_property(entry, PropertyId.P1)
-    assert p1.status is PropertyStatus.UNKNOWN
