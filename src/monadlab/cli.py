@@ -122,9 +122,6 @@ def _existing_file(text: str) -> str:
 # carriers are the letters a..j
 _CARRIER = _IntRange(1, 10)
 _BOUND = _IntRange(0)
-# certificate bounds: P3 needs three variables to have a counterexample
-_DEPTH = _IntRange(1)
-_VARS = _IntRange(3)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +218,7 @@ def law_search(args):
 
 def nogo(args):
     """Is there a distributive law S∘T => T∘S? Exit 1 when refuted."""
-    v = _nogo.verdict(_theory(args.s), _theory(args.t), args.depth, args.num_vars)
+    v = _nogo.verdict(_theory(args.s), _theory(args.t))
     print(v.describe())
     if v.status == "NoDistLaw":
         sys.exit(1)
@@ -229,7 +226,7 @@ def nogo(args):
 
 def boom_table(args):
     """Reproduce a Boom-hierarchy verdict table."""
-    table = _hierarchy.build_table(args.variant, args.depth, args.num_vars)
+    table = _hierarchy.build_table(args.variant)
     if args.golden is not None:
         try:
             diffs = _hierarchy.diff_table(table, Path(args.golden))
@@ -277,20 +274,14 @@ def _command(parent, name: str, run, *positionals: str):
     return p
 
 
-def _int_option(p, flag: str, default: int, kind, help: str = "", dest=None) -> None:
-    text = f"{help} " if help else ""
-    p.add_argument(flag, dest=dest, type=kind, default=default, metavar="N",
-                   help=f"{text}(default: {default}; {kind.span})")
+def _int_option(p, flag: str, default: int, kind, help: str) -> None:
+    p.add_argument(flag, type=kind, default=default, metavar="N",
+                   help=f"{help} (default: {default}; {kind.span})")
 
 
 def _size_options(p, carrier: int, bound: int, carrier_help: str = "carrier size") -> None:
     _int_option(p, "--carrier", carrier, _CARRIER, carrier_help)
     _int_option(p, "--bound", bound, _BOUND, "value size bound")
-
-
-def _certificate_options(p, depth_help: str = "", vars_help: str = "") -> None:
-    _int_option(p, "--depth", 3, _DEPTH, depth_help)
-    _int_option(p, "--vars", 4, _VARS, vars_help, dest="num_vars")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -318,8 +309,7 @@ def _parser() -> argparse.ArgumentParser:
     p = _command(law, "search", law_search, "S", "T")
     _size_options(p, 1, 2, "starting carrier size")
 
-    p = _command(top, "nogo", nogo, "S", "T")
-    _certificate_options(p, "certificate depth", "variables in class analyses")
+    _command(top, "nogo", nogo, "S", "T")
 
     p = _command(top, "boom-table", boom_table)
     variants = "{" + "|".join(_hierarchy.VARIANTS) + "}"
@@ -328,7 +318,6 @@ def _parser() -> argparse.ArgumentParser:
                    metavar="{md|csv}", help="(default: md)")
     p.add_argument("--golden", type=_existing_file, default=None, metavar="FILE",
                    help="compare against a golden CSV instead of printing")
-    _certificate_options(p)
 
     _command(top, "plotkin-refute", plotkin_refute)
     return root

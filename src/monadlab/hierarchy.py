@@ -83,8 +83,6 @@ class VerdictTable(NamedTuple):
     variant: str
     labels: tuple[str, ...]
     cells: dict  # (row label, col label) -> NoGoVerdict
-    depth: int
-    num_vars: int
 
     def verdict_at(self, row: str, col: str) -> NoGoVerdict:
         return self.cells[(row, col)]
@@ -109,13 +107,17 @@ class VerdictTable(NamedTuple):
 
 
 def build_table(variant: str, depth: int = 3, num_vars: int = 4) -> VerdictTable:
+    """The verdict of every ordered pair of the variant's theories.
+
+    Every certificate is exact, so `depth` and `num_vars` are ignored; they
+    stay only for callers that still pass them positionally."""
     labels = variant_labels(variant)
     entries = {lbl: lookup_theory(lbl) for lbl in labels}
     cells = {}
     for r in labels:
         for c in labels:
-            cells[(r, c)] = verdict(entries[r], entries[c], depth, num_vars)
-    return VerdictTable(variant, labels, cells, depth, num_vars)
+            cells[(r, c)] = verdict(entries[r], entries[c])
+    return VerdictTable(variant, labels, cells)
 
 
 def _cell_text(table: VerdictTable, numbers: dict, r: str, c: str, unknown: str) -> str:

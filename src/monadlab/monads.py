@@ -232,7 +232,7 @@ class WeightedMonad(FinMonad):
     `tag`, the unit weight `one` and the canonical constructor `make`.
     The `fmap` and `bind` of valid values give valid values, so here they
     sum the weights into one dict and sort it once, without `make`'s
-    checks; dist keeps them."""
+    checks."""
 
     tag: str = ""
     one = 1
@@ -539,8 +539,9 @@ class DistMonad(WeightedMonad):
     """Finitely supported probability distributions with exact weights.
 
     The denominator bound `_MAX_DENOMINATOR` only limits enumeration; values
-    built by join keep exact arbitrary-denominator weights. `fmap` and
-    `bind` go through `mk_dist`, which checks that the weights sum to one.
+    built by join keep exact arbitrary-denominator weights. `mk_dist`
+    checks that the weights of parsed and enumerated values sum to one;
+    `fmap` and `bind` keep that sum, so they build without the check.
     """
 
     monad_id = "dist"
@@ -550,12 +551,6 @@ class DistMonad(WeightedMonad):
     tag = "dist"
     one = Fraction(1)
     make = staticmethod(mk_dist)
-
-    def fmap(self, f, v):
-        return mk_dist((f(x), w) for x, w in v[1])
-
-    def bind(self, v, f):
-        return mk_dist([(x, w * u) for y, w in v[1] for x, u in f(y)[1]])
 
     def iter_values(self, carrier, bound):
         for s in range(1, bound + 1):

@@ -159,8 +159,6 @@ class Applicability(NamedTuple):
     s_id: str
     t_id: str
     records: tuple[CheckRecord, ...]
-    depth: int
-    num_vars: int
 
     @property
     def applicable(self) -> bool:
@@ -172,8 +170,7 @@ class Applicability(NamedTuple):
     def describe(self) -> str:
         head = (
             f"{self.theorem} for {self.s_id} over {self.t_id}: "
-            f"{'applicable' if self.applicable else 'not applicable'} "
-            f"(depth={self.depth}, vars={self.num_vars})"
+            f"{'applicable' if self.applicable else 'not applicable'}"
         )
         return "\n".join([head] + [f"  {r.describe()}" for r in self.records])
 
@@ -184,10 +181,8 @@ def _as_entry(theory: Union[str, TheoryEntry]) -> TheoryEntry:
     return lookup_theory(theory)
 
 
-def _prop_record(
-    side: str, entry: TheoryEntry, prop: PropertyId, depth: int, num_vars: int
-) -> CheckRecord:
-    cert = check_property(entry, prop, depth, num_vars)
+def _prop_record(side: str, entry: TheoryEntry, prop: PropertyId) -> CheckRecord:
+    cert = check_property(entry, prop)
     return CheckRecord(side, prop.value, bool(cert), cert.describe())
 
 
@@ -214,8 +209,6 @@ def check_plotkin_binary(
     v_theory: Union[str, TheoryEntry],
     p: Optional[Term] = None,
     v: Optional[Term] = None,
-    depth: int = 3,
-    num_vars: int = 4,
 ) -> Applicability:
     """Hypotheses of the binary variable-counting obstruction.
 
@@ -230,12 +223,10 @@ def check_plotkin_binary(
     ve = _with_binary(_as_entry(v_theory), v)
     records = []
     for prop in (PropertyId.P1, PropertyId.P2, PropertyId.P3):
-        records.append(_prop_record("P", pe, prop, depth, num_vars))
+        records.append(_prop_record("P", pe, prop))
     for prop in (PropertyId.V1, PropertyId.V2, PropertyId.V3):
-        records.append(_prop_record("V", ve, prop, depth, num_vars))
-    return Applicability(
-        TheoremId.PLOTKIN1, ve.theory_id, pe.theory_id, tuple(records), depth, num_vars
-    )
+        records.append(_prop_record("V", ve, prop))
+    return Applicability(TheoremId.PLOTKIN1, ve.theory_id, pe.theory_id, tuple(records))
 
 
 def _collapse_to_one(term: Term) -> Term:
@@ -243,13 +234,11 @@ def _collapse_to_one(term: Term) -> Term:
 
 
 def _class_vars_record(
-    side: str, entry: TheoryEntry, term: Term, req: str, fits, need: int,
-    depth: int, nv: int,
+    side: str, entry: TheoryEntry, term: Term, req: str, least: int = 0,
+    most: Optional[int] = None,
 ) -> CheckRecord:
-    """`class_var_claim` as a record: a claim it leaves unsettled fails."""
-    verdict, how, witness, why = class_var_claim(entry, term, fits, need, depth, nv)
-    if verdict is None:
-        return CheckRecord(side, req, False, f"{how}; {why}")
+    """`class_var_claim` as a record."""
+    verdict, how, witness, _ = class_var_claim(entry, term, least, most)
     return CheckRecord(
         side, req, verdict, how if verdict else f"{how}; witness {render(witness[-1])}"
     )
@@ -261,15 +250,12 @@ def check_plotkin_general(
     p: Term,
     v: Term,
     sigma: PermutationSpec,
-    depth: int = 3,
-    num_vars: int = 4,
 ) -> Applicability:
     """Arbitrary-arity version of the variable-counting obstruction.
 
-    `p` is a term over x1..x{sigma.size} stable under sigma and idempotent;
-    `v` is a term over x1..xn, idempotent, whose class members never fit in
-    one variable. Class bounds use at most `num_vars` variables, raised to
-    cover the arities when needed.
+    `p` is a term over x1..x{sigma.size} stable under sigma and idempotent,
+    whose class members stay within sigma.size variables; `v` is a term
+    over x1..xn, idempotent, whose class members never fit in one variable.
     """
     pe = _as_entry(p_theory)
     ve = _as_entry(v_theory)
@@ -280,27 +266,17 @@ def check_plotkin_general(
     allowed = {f"x{i}" for i in range(1, m + 1)}
     if not p_vars <= allowed:
         raise ValueError(f"p must use variables x1..x{m}, got {sorted(p_vars)}")
-    n = max((int(x[1:]) for x in term_vars(v)), default=0)
-    nv = max(num_vars, m, n)
 
     records = []
     p_sigma = substitute(p, {f"x{i}": Var(f"x{sigma(i)}") for i in range(1, m + 1)})
     records.append(_eq_record("P", pe, "stable under sigma", p, p_sigma))
     records.append(_eq_record("P", pe, "idempotent", _collapse_to_one(p), Var("x1")))
 
-    records.append(_class_vars_record(
-        "P", pe, p, f"class stays within {m} variables", lambda names: len(names) <= m,
-        m + 1, depth, nv,
-    ))
+    records.append(_class_vars_record("P", pe, p, f"class stays within {m} variables", most=m))
     records.append(_eq_record("V", ve, "idempotent", _collapse_to_one(v), Var("x1")))
-    records.append(_prop_record("V", ve, PropertyId.V2, depth, num_vars))
-    records.append(_class_vars_record(
-        "V", ve, v, "class never fits in one variable", lambda names: len(names) >= 2, 2,
-        depth, nv,
-    ))
-    return Applicability(
-        TheoremId.PLOTKIN2, ve.theory_id, pe.theory_id, tuple(records), depth, num_vars
-    )
+    records.append(_prop_record("V", ve, PropertyId.V2))
+    records.append(_class_vars_record("V", ve, v, "class never fits in one variable", least=2))
+    return Applicability(TheoremId.PLOTKIN2, ve.theory_id, pe.theory_id, tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +297,12 @@ def _distinct_constants(entry: TheoryEntry) -> list:
 def check_too_many_constants(
     s_theory: Union[str, TheoryEntry],
     t_theory: Union[str, TheoryEntry],
-    depth: int = 3,
-    num_vars: int = 4,
 ) -> Applicability:
     """S has unit constants for all its operations and a two-variable term;
     T keeps closed terms closed and has two provably distinct constants."""
     se = _as_entry(s_theory)
     te = _as_entry(t_theory)
-    records = [_prop_record("S", se, PropertyId.S3, depth, num_vars)]
+    records = [_prop_record("S", se, PropertyId.S3)]
 
     arities = [op.arity for op in se.presentation.signature.ops]
     max_arity = max(arities, default=0)
@@ -340,69 +314,52 @@ def check_too_many_constants(
             f"largest operation arity is {max_arity}",
         )
     )
-    records.append(_prop_record("T", te, PropertyId.T1, depth, num_vars))
+    records.append(_prop_record("T", te, PropertyId.T1))
 
     reps = _distinct_constants(te)
     shown = ",".join(render(r) for r in reps)
     evidence = f"{len(reps)} pairwise distinct constants ({shown or 'none'})"
     records.append(CheckRecord("T", "two distinct constants", len(reps) >= 2, evidence))
-    return Applicability(
-        TheoremId.TOO_MANY_CONSTANTS,
-        se.theory_id,
-        te.theory_id,
-        tuple(records),
-        depth,
-        num_vars,
-    )
+    return Applicability(TheoremId.TOO_MANY_CONSTANTS, se.theory_id, te.theory_id, tuple(records))
 
 
 _DISTRIB_S = (PropertyId.S1, PropertyId.S2, PropertyId.S3, PropertyId.S4A)
 _DISTRIB_T = (PropertyId.T1, PropertyId.T2, PropertyId.T3, PropertyId.T4A)
 
 
-def _times_over_plus_records(se, te, depth, num_vars) -> list:
-    recs = [_prop_record("S", se, p, depth, num_vars) for p in _DISTRIB_S]
-    recs += [_prop_record("T", te, p, depth, num_vars) for p in _DISTRIB_T]
+def _times_over_plus_records(se, te) -> list:
+    recs = [_prop_record("S", se, p) for p in _DISTRIB_S]
+    recs += [_prop_record("T", te, p) for p in _DISTRIB_T]
     return recs
 
 
 def check_lacking_abides(
     s_theory: Union[str, TheoryEntry],
     t_theory: Union[str, TheoryEntry],
-    depth: int = 3,
-    num_vars: int = 4,
 ) -> Applicability:
     """Times-over-plus hypotheses plus: T's binary does not interchange."""
     se = _as_entry(s_theory)
     te = _as_entry(t_theory)
-    records = _times_over_plus_records(se, te, depth, num_vars)
-    records.append(_prop_record("T", te, PropertyId.T4B, depth, num_vars))
-    return Applicability(
-        TheoremId.LACKING_ABIDES, se.theory_id, te.theory_id, tuple(records), depth, num_vars
-    )
+    records = _times_over_plus_records(se, te)
+    records.append(_prop_record("T", te, PropertyId.T4B))
+    return Applicability(TheoremId.LACKING_ABIDES, se.theory_id, te.theory_id, tuple(records))
 
 
 def check_idem_units(
     s_theory: Union[str, TheoryEntry],
     t_theory: Union[str, TheoryEntry],
-    depth: int = 3,
-    num_vars: int = 4,
 ) -> Applicability:
     """Times-over-plus hypotheses plus: S's binary is idempotent."""
     se = _as_entry(s_theory)
     te = _as_entry(t_theory)
-    records = _times_over_plus_records(se, te, depth, num_vars)
-    records.append(_prop_record("S", se, PropertyId.S4B, depth, num_vars))
-    return Applicability(
-        TheoremId.IDEM_UNITS, se.theory_id, te.theory_id, tuple(records), depth, num_vars
-    )
+    records = _times_over_plus_records(se, te)
+    records.append(_prop_record("S", se, PropertyId.S4B))
+    return Applicability(TheoremId.IDEM_UNITS, se.theory_id, te.theory_id, tuple(records))
 
 
 def uniqueness_applies(
     s_theory: Union[str, TheoryEntry],
     t_theory: Union[str, TheoryEntry],
-    depth: int = 3,
-    num_vars: int = 4,
 ) -> bool:
     """At most one law can exist: both signatures are exactly one constant
     plus one binary, the constants are units, and variable classes are tame."""
@@ -416,12 +373,12 @@ def uniqueness_applies(
     if not (shaped(se) and shaped(te)):
         return False
     needed = [
-        check_property(se, PropertyId.S4A, depth, num_vars),
-        check_property(se, PropertyId.S1, depth, num_vars),
-        check_property(se, PropertyId.S2, depth, num_vars),
-        check_property(te, PropertyId.T4A, depth, num_vars),
-        check_property(te, PropertyId.T1, depth, num_vars),
-        check_property(te, PropertyId.T2, depth, num_vars),
+        check_property(se, PropertyId.S4A),
+        check_property(se, PropertyId.S1),
+        check_property(se, PropertyId.S2),
+        check_property(te, PropertyId.T4A),
+        check_property(te, PropertyId.T1),
+        check_property(te, PropertyId.T2),
     ]
     return all(bool(c) for c in needed)
 
@@ -522,8 +479,6 @@ class NoGoVerdict(NamedTuple):
     positive: Optional[PositiveEntry] = None
     verified_laws: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
-    depth: int = 3
-    num_vars: int = 4
 
     @property
     def mark(self) -> str:
@@ -552,18 +507,21 @@ def verdict(
 ) -> NoGoVerdict:
     """Combined answer for the pair: every applicable obstruction is
     recorded; otherwise the positive registry decides, after replaying its
-    implemented laws (ReplayError when one fails); otherwise Unknown."""
+    implemented laws (ReplayError when one fails); otherwise Unknown.
+
+    Every certificate is exact, so `depth` and `num_vars` are ignored; they
+    stay only for callers that still pass them positionally."""
     se = _as_entry(s_theory)
     te = _as_entry(t_theory)
 
     checks = [
-        check_too_many_constants(se, te, depth, num_vars),
-        check_lacking_abides(se, te, depth, num_vars),
-        check_idem_units(se, te, depth, num_vars),
+        check_too_many_constants(se, te),
+        check_lacking_abides(se, te),
+        check_idem_units(se, te),
     ]
     if se.designated_binary is not None and te.designated_binary is not None:
         # row plays the idempotent side, column the commutative side
-        checks.append(check_plotkin_binary(te, se, depth=depth, num_vars=num_vars))
+        checks.append(check_plotkin_binary(te, se))
 
     applicable = tuple(c for c in checks if c.applicable)
     notes: list[str] = []
@@ -577,8 +535,6 @@ def verdict(
             theorems=tuple(c.theorem for c in applicable),
             refutations=applicable,
             notes=tuple(notes),
-            depth=depth,
-            num_vars=num_vars,
         )
 
     entry = positive_entry(se.theory_id, te.theory_id)
@@ -594,13 +550,9 @@ def verdict(
             positive=entry,
             verified_laws=entry.law_ids,
             notes=tuple(notes),
-            depth=depth,
-            num_vars=num_vars,
         )
 
-    return NoGoVerdict(
-        se.theory_id, te.theory_id, "Unknown", depth=depth, num_vars=num_vars
-    )
+    return NoGoVerdict(se.theory_id, te.theory_id, "Unknown")
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,17 @@ equational properties are equations between designated terms, settled by
 
 The class-based properties (S1/T1, S2/T2/V2, P3, V3) are facts about the
 variables of the members of equivalence classes, and `class_var_claim` is
-the one place where such claims, the no-go checkers' included, are settled.
-In a regular presentation, where both sides of every axiom have the same
-variables, every step of an equational derivation preserves the variable
-set, so each class shares its representative's variables and the claim is
-exact (`class_vars`). Without constants there are no closed terms, so the
-claims about closed terms hold vacuously. Other presentations read a class
-map instead, built once per (depth, vars) bound by closing the procedure's
-classes of the bounded term universe under the operations; `class_var_claim`
-also holds the rules for when such a bounded search proves nothing.
+the one place where such claims, the no-go checkers' included, are settled,
+always exactly. In a regular presentation, where both sides of every axiom
+have the same variables, every step of an equational derivation preserves
+the variable set, so each class shares its representative's variables
+(`class_vars`). Otherwise the decision procedure settles the claim: a member
+contains every variable essential in the term, and an absorbing term
+p(x,y) = x with y in p adds variables to a member at will.
+`register_theory` requires such a term of an irregular presentation, so
+every irregular theory here is strongly irregular in the sense of Płonka
+(Fund. Math. 1969). Without constants there are no closed terms, so the
+claims about closed terms hold vacuously.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from monadlab.terms import (
     Procedure,
     Term,
     Var,
-    classes_by_closure,
     decide_eq,
     enumerate_terms,
     eq_bounded,
@@ -430,8 +431,10 @@ class TheoryEntry:
     """A registered theory: its presentation, designated terms and caches.
 
     `designated_binary` is a term over variables y1, y2; `designated_unit`
-    a closed term. The certificate cache depends on the designated terms,
-    the class-map cache only on the presentation.
+    a closed term. `absorbing` is a term p over x, y with p = x and y in p,
+    which an irregular presentation must have (`class_var_claim` builds
+    class members with it). The certificate cache depends on the
+    designated terms.
     """
 
     def __init__(
@@ -443,20 +446,18 @@ class TheoryEntry:
         designated_unit: Optional[Term] = None,
         aliases: tuple[str, ...] = (),
         notes: str = "",
+        absorbing: Optional[Term] = None,
     ):
         self.theory_id, self.presentation, self.label = theory_id, presentation, label
         self.designated_binary, self.designated_unit = designated_binary, designated_unit
-        self.aliases, self.notes = aliases, notes
+        self.aliases, self.notes, self.absorbing = aliases, notes, absorbing
         self._certificates: dict = {}
-        self._class_maps: dict = {}
 
     def with_binary(self, binary: Term) -> TheoryEntry:
-        """This theory with `binary` as its designated binary: the class maps
-        are shared, the certificates start afresh."""
-        variant = TheoryEntry(self.theory_id, self.presentation, self.label, binary,
-                              self.designated_unit, self.aliases, self.notes)
-        variant._class_maps = self._class_maps
-        return variant
+        """This theory with `binary` as its designated binary and fresh
+        certificates."""
+        return TheoryEntry(self.theory_id, self.presentation, self.label, binary,
+                           self.designated_unit, self.aliases, self.notes, self.absorbing)
 
     def binary_at(self, a: Term, b: Term) -> Term:
         if self.designated_binary is None:
@@ -470,15 +471,23 @@ _ALIASES: dict[str, str] = {}
 
 def register_theory(entry: TheoryEntry, procedure: Procedure) -> TheoryEntry:
     """Register `entry` with the procedure that decides its equality: every
-    registered theory has one."""
-    if entry.theory_id in _REGISTRY:
-        raise ValueError(f"theory {entry.theory_id!r} already registered")
-    register_procedure(entry.theory_id, procedure)
-    _REGISTRY[entry.theory_id] = entry
+    registered theory has one, and an irregular one an absorbing term that
+    `procedure` decides equal to x. A rejected entry changes no registry."""
+    tid = entry.theory_id
+    if tid in _REGISTRY or procedure_for(tid) is not None:
+        raise ValueError(f"theory {tid!r} already registered")
     for alias in entry.aliases:
-        if alias in _ALIASES and _ALIASES[alias] != entry.theory_id:
+        if _ALIASES.get(alias, tid) != tid:
             raise ValueError(f"alias {alias!r} already taken")
-        _ALIASES[alias] = entry.theory_id
+    p = entry.absorbing
+    if not _regular(entry) and (
+        p is None or term_vars(p) != {"x", "y"}
+        or procedure.term_key(p) != procedure.var_key("x")
+    ):
+        raise ValueError(f"irregular theory {tid!r} needs an absorbing term p(x,y) = x")
+    register_procedure(tid, procedure)
+    _REGISTRY[tid] = entry
+    _ALIASES.update(dict.fromkeys(entry.aliases, tid))
     return entry
 
 
@@ -537,9 +546,7 @@ class PropertyId(Enum):
 
 class PropertyStatus(Enum):
     HOLDS = "Holds"
-    HOLDS_BOUNDED = "HoldsBounded"
     FAILS = "Fails"
-    UNKNOWN = "Unknown"
 
 
 class PropertyCertificate(NamedTuple):
@@ -552,7 +559,7 @@ class PropertyCertificate(NamedTuple):
     detail: str = ""
 
     def __bool__(self) -> bool:
-        return self.status in (PropertyStatus.HOLDS, PropertyStatus.HOLDS_BOUNDED)
+        return self.status is PropertyStatus.HOLDS
 
     def describe(self) -> str:
         inner = self.method if not self.detail else f"{self.method}; {self.detail}"
@@ -579,53 +586,22 @@ def _b12(entry: TheoryEntry) -> Term:
 
 
 # class-based properties: the probed class (None: every class with a closed
-# member), the test every member's variable names must pass, the failure
-# detail, and the fewest variables a counterexample needs: an open term
-# (S1/T1), a second variable for a foreign variable or for b(x1,x2) itself
-# (S2/T2/V2/V3), a third variable (P3)
-_CLOSED_STAYS_CLOSED = (
-    lambda entry: None, lambda names: not names, "open term in a closed term's class", 1
-)
-_VAR_STAYS_ITSELF = (
-    lambda entry: Var("x1"), lambda names: names <= {"x1"},
-    "foreign variable in a variable's class", 2,
-)
+# member), the fewest and the most variables a member may have (None: no
+# most), and the failure detail
+_CLOSED_STAYS_CLOSED = (lambda entry: None, 0, 0, "open term in a closed term's class")
+_VAR_STAYS_ITSELF = (lambda entry: Var("x1"), 0, 1, "foreign variable in a variable's class")
 _CLASS_PROPERTIES = {
     PropertyId.S1: _CLOSED_STAYS_CLOSED,
     PropertyId.T1: _CLOSED_STAYS_CLOSED,
     PropertyId.S2: _VAR_STAYS_ITSELF,
     PropertyId.T2: _VAR_STAYS_ITSELF,
     PropertyId.V2: _VAR_STAYS_ITSELF,
-    PropertyId.P3: (
-        _b12, lambda names: len(names) <= 2, "class member with more than 2 variables", 3
-    ),
-    PropertyId.V3: (
-        _b12, lambda names: len(names) >= 2, "class member inside a single variable", 2
-    ),
+    PropertyId.P3: (_b12, 0, 2, "class member with more than 2 variables"),
+    PropertyId.V3: (_b12, 2, None, "class member inside a single variable"),
 }
 
 
-def _class_map(entry: TheoryEntry, depth: int, num_vars: int):
-    """key -> {variable bitmask -> first witness term}, for the whole bounded
-    term universe (atoms: x1..xk plus the signature constants)."""
-    cache_key = (depth, num_vars)
-    cached = entry._class_maps.get(cache_key)
-    if cached is not None:
-        return cached
-    sig = entry.presentation.signature
-    atoms: list[Term] = [Var(f"x{i + 1}") for i in range(num_vars)]
-    atoms += [App(c, ()) for c in sig.constants]
-    classes = classes_by_closure(sig, procedure_for(entry.theory_id), atoms, depth)
-    entry._class_maps[cache_key] = classes
-    return classes
-
-
-def check_property(
-    entry: TheoryEntry,
-    prop: PropertyId,
-    depth: int = 3,
-    num_vars: int = 4,
-) -> PropertyCertificate:
+def check_property(entry: TheoryEntry, prop: PropertyId) -> PropertyCertificate:
     """Certificate for one structural property of the theory.
 
     S1/T1: the class of a closed term contains only closed terms.
@@ -641,21 +617,17 @@ def check_property(
     P3: members of the class of b(x1,x2) use at most 2 distinct variables.
     V3: every member of the class of b(x1,x2) uses at least 2 variables.
 
-    Class-based properties (S1/T1, S2/T2/V2, P3, V3) are settled by
-    `class_var_claim`, the one place where class-variable claims and the
-    rules for a bounded search that proves nothing live: exact for a regular
-    presentation whatever the bounds, and for S1/T1 without constants;
-    otherwise bounded by (depth, num_vars) and Unknown when those bounds
-    cannot hold a counterexample. T3 is syntactic; the rest are settled
-    exactly by the theory's decision procedure (`decide_eq`) on equations
+    Every certificate is exact. Class-based properties (S1/T1, S2/T2/V2,
+    P3, V3) are settled by `class_var_claim`, the one place where
+    class-variable claims are settled. T3 is syntactic; the rest are
+    settled by the theory's decision procedure (`decide_eq`) on equations
     between designated terms (S3: on the unit laws of the constants).
     """
-    cache_key = (prop, depth, num_vars)
-    cached = entry._certificates.get(cache_key)
+    cached = entry._certificates.get(prop)
     if cached is not None:
         return cached
-    cert = _check_property(entry, prop, depth, num_vars)
-    entry._certificates[cache_key] = cert
+    cert = _check_property(entry, prop)
+    entry._certificates[prop] = cert
     return cert
 
 
@@ -663,7 +635,7 @@ _DECIDED = "analytic via decide_eq"
 _VACUOUS = "vacuous"
 
 
-def _check_property(entry, prop, depth, num_vars) -> PropertyCertificate:
+def _check_property(entry, prop) -> PropertyCertificate:
     tid = entry.theory_id
     sig = entry.presentation.signature
 
@@ -708,7 +680,7 @@ def _check_property(entry, prop, depth, num_vars) -> PropertyCertificate:
         )
 
     if prop in _CLASS_PROPERTIES:
-        return _class_certificate(entry, prop, depth, num_vars, class_var_claim)
+        return _class_certificate(entry, prop)
 
     if prop is PropertyId.T4B:
         # holds when the interchange law is NOT provable
@@ -754,84 +726,102 @@ def class_vars(entry: TheoryEntry, term: Optional[Term]) -> Optional[frozenset[s
 
 
 _REGULAR = "regular presentation"
+_ESSENTIAL = "essential variables"
 
 
 def class_var_claim(
-    entry: TheoryEntry, term: Optional[Term], fits, need: int, depth: int, num_vars: int
+    entry: TheoryEntry, term: Optional[Term], least: int = 0, most: Optional[int] = None
 ) -> tuple:
-    """Whether every member of `term`'s class has a set of variable names
-    that `fits`; when `term` is None, every member of every class with a
-    closed member. The one place where class-variable claims are settled.
+    """Whether every member of `term`'s class has at least `least` and at
+    most `most` (None: any number of) variables; when `term` is None, every
+    member of every class with a closed member. The one place where
+    class-variable claims are settled, always exactly, in this order:
 
-    Returns (verdict, method, witness, why). The verdict is True, False, or
-    None when the claim is not settled. A regular presentation settles it
-    exactly (`class_vars`), and a failing witness is (`term`,). A signature
-    without constants has no closed terms, so the claim about them holds
-    vacuously. Otherwise the bounded class map is searched
-    (`_class_var_search`).
+    - a regular presentation: every member has `term`'s variables
+      (`class_vars`), and a failing witness is (`term`,);
+    - no constants: there is no closed term, so the claim about closed terms
+      holds vacuously; otherwise the first constant stands for them;
+    - an "at least" claim (`most` None): every member contains the
+      variables essential in `term`, and `_fewest_member` has no others;
+    - an "at most" claim: the entry's absorbing term builds members with
+      more variables than `most` (`_widened_member`), so the claim fails.
+
+    Returns (verdict, method, witness, why); a failing witness from the
+    procedure is (`term`, a member of its class that does not fit).
     """
+
+    def fits(names) -> bool:
+        return least <= len(names) and (most is None or len(names) <= most)
+
     shared = class_vars(entry, term)
     if shared is not None:
         ok = fits(shared)
         return ok, _REGULAR, None if ok else (term,), ""
-    if term is None and not entry.presentation.signature.constants:
-        return True, _VACUOUS, None, "no closed terms"
-    return _class_var_search(entry, term, fits, need, depth, num_vars)
-
-
-def _class_var_search(entry, term, fits, need, depth, num_vars) -> tuple:
-    """`class_var_claim` over the class map of (depth, num_vars): the one
-    answer for an irregular presentation, and the reference the exact
-    answers are tested against. A failing witness is (class representative,
-    member).
-    Finding no counterexample in a universe that cannot hold one settles
-    nothing: not when `term` has no class there, not at depth 0 (atoms
-    only), and not when its terms have fewer than `need` variables, the
-    fewest a member that does not fit has."""
-    method = f"depth={depth},vars={num_vars}"
-    classes = _class_map(entry, depth, num_vars)
+    constants = entry.presentation.signature.constants
     if term is None:
-        searched = ((bucket[0], bucket) for bucket in classes.values() if 0 in bucket)
+        if not constants:
+            return True, _VACUOUS, None, "no closed terms"
+        term = App(constants[0], ())
+    if most is None:
+        method, member = _ESSENTIAL, _fewest_member(entry, term)
     else:
-        bucket = classes.get(procedure_for(entry.theory_id).term_key(term))
-        if bucket is None:
-            return None, method, None, f"{render(term)} has no class in the bounded universe"
-        searched = ((term, bucket),)
-    for rep, bucket in searched:
-        for member in bucket.values():
-            if not fits(term_vars(member)):
-                return False, method, (rep, member), ""
-    if depth < 1:
-        return None, method, None, "a counterexample needs depth >= 1"
-    # depth d allows arity**d leaves
-    arity = max([1, *(op.arity for op in entry.presentation.signature.ops)])
-    most = min(num_vars, arity ** depth)
-    if most < need:
-        why = f"a counterexample needs {need} variables, terms in bounds have at most {most}"
-        return None, method, None, why
-    return True, method, None, ""
+        method = f"absorbing term {render(entry.absorbing)}"
+        member = _widened_member(entry.absorbing, term, most + 1)
+    ok = fits(term_vars(member))
+    return ok, method, None if ok else (term, member), ""
 
 
-def _class_certificate(entry, prop, depth, num_vars, settle) -> PropertyCertificate:
-    """A class-based property's certificate from `settle`: `class_var_claim`,
-    or `_class_var_search` for the bounded certificate alone."""
-    probe, fits, detail, need = _CLASS_PROPERTIES[prop]
-    verdict, method, witness, why = settle(entry, probe(entry), fits, need, depth, num_vars)
-    exact = method in (_REGULAR, _VACUOUS)
-    if verdict is None:
-        return PropertyCertificate(prop, PropertyStatus.UNKNOWN, method, detail=why)
+def _fresh_vars(term: Term):
+    """The variables x1, x2, ... that `term` does not use."""
+    used = term_vars(term)
+    return (Var(f"x{i}") for i in itertools.count(1) if f"x{i}" not in used)
+
+
+def _fewest_member(entry: TheoryEntry, term: Term) -> Term:
+    """A member of `term`'s class with the fewest variables.
+
+    x is essential in `term` when the procedure refutes term = term[x := z]
+    for a fresh z. Every member s contains each essential x: otherwise
+    s = s[x := z] = term[x := z]. An inessential y may be replaced by any
+    term, so substituting one essential variable for all the others gives a
+    member with exactly the essential ones; without any, a constant (or, in
+    a signature without constants, one variable) gives a member with as few
+    variables as any (Burris & Sankappanavar, A Course in Universal Algebra,
+    1981).
+    """
+    names = sorted(term_vars(term))
+    z = next(_fresh_vars(term))
+    essential = [x for x in names
+                 if not decide_eq(entry.theory_id, term, substitute(term, {x: z}))]
+    constants = entry.presentation.signature.constants
+    if essential:
+        into: Term = Var(essential[0])
+    elif constants:
+        into = App(constants[0], ())
+    else:
+        into = Var(names[0])
+    return substitute(term, {x: into for x in names if x not in essential})
+
+
+def _widened_member(absorbing: Term, term: Term, at_least: int) -> Term:
+    """A member of `term`'s class with at least `at_least` variables:
+    `term` under p(-, z) for fresh variables z, where p(x,y) = x."""
+    member = term
+    extra = at_least - len(term_vars(term))
+    for z in itertools.islice(_fresh_vars(term), max(extra, 0)):
+        member = substitute(absorbing, {"x": member, "y": z})
+    return member
+
+
+def _class_certificate(entry, prop) -> PropertyCertificate:
+    """A class-based property's certificate from `class_var_claim`."""
+    probe, least, most, detail = _CLASS_PROPERTIES[prop]
+    verdict, method, witness, why = class_var_claim(entry, probe(entry), least, most)
     if verdict:
-        status = PropertyStatus.HOLDS if exact else PropertyStatus.HOLDS_BOUNDED
-        return PropertyCertificate(prop, status, method, detail=why)
-    if exact:  # every member has the one failing variable set
+        return PropertyCertificate(prop, PropertyStatus.HOLDS, method, detail=why)
+    if method == _REGULAR:  # every member has the one failing variable set
         detail = detail.replace("class member", "class")
     return PropertyCertificate(prop, PropertyStatus.FAILS, method, witness, detail)
-
-
-def _check_bounded_property(entry, prop, depth, num_vars) -> PropertyCertificate:
-    """The bounded certificate of a class-based property, whatever the
-    presentation: the reference the regular path is tested against."""
-    return _class_certificate(entry, prop, depth, num_vars, _class_var_search)
 
 
 def _interchange(entry: TheoryEntry) -> tuple[Term, Term]:
@@ -1059,6 +1049,7 @@ def ring_entry() -> TheoryEntry:
         label="ring",
         designated_binary=parse_term("times(y1,y2)", sig),
         designated_unit=parse_term("one", sig),
+        absorbing=parse_term("plus(x,times(y,zero))", sig),
     )
     if procedure_for("ring") is None:
         register_procedure("ring", RingProc())
@@ -1100,6 +1091,7 @@ def _register_rest() -> None:
             label="abgroup",
             designated_binary=parse_term("mul(y1,y2)", ab_sig),
             designated_unit=parse_term("e", ab_sig),
+            absorbing=parse_term("mul(mul(x,y),inv(y))", ab_sig),
         ),
         AbGroupProc(),
     )
@@ -1137,6 +1129,7 @@ def _register_rest() -> None:
             presentation=reader,
             label="reader:2",
             designated_binary=parse_term("mul(y1,y2)", reader.signature),
+            absorbing=parse_term("mul(x,mul(y,x))", reader.signature),
         ),
         ReaderProc(),
     )

@@ -221,9 +221,7 @@ def format_value(v: Value, explicit_ok: bool = False) -> str:
             return "[" + ",".join(go(x) for x in v[1:]) + "]"
         if tag == "set":
             return "{" + ",".join(go(x) for x in v[1:]) + "}"
-        if tag in ("mset", "grp"):
-            return "{" + ",".join(f"{go(x)}:{n}" for x, n in v[1]) + "}"
-        if tag == "dist":
+        if tag in _WEIGHTED_TAGS:
             return "{" + ",".join(f"{go(x)}:{w}" for x, w in v[1]) + "}"
         if tag == "nunit":
             return "e"

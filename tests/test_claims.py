@@ -2,8 +2,8 @@
 
 `tests/data/claims.txt` holds `check_property(...).describe()` for every
 registered theory and property, and `verdict(S, T).describe()` (what
-`monadlab nogo S T` prints) for every ordered pair, all at the CLI
-defaults depth=3, vars=4. A change that alters a printed claim shows each
+`monadlab nogo S T` prints) for every ordered pair. Every certificate is
+exact, so no bound enters. A change that alters a printed claim shows each
 altered line in the diff of that file. Regenerate it with
 
     PYTHONPATH=src python tests/test_claims.py > tests/data/claims.txt
@@ -16,7 +16,6 @@ from monadlab.nogo import verdict
 from monadlab.theories import BOOM_FULL, PropertyId, check_property, lookup_theory
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "claims.txt"
-DEPTH, NUM_VARS = 3, 4
 # the registry at import; tests register more theories as they run
 BUILTIN = (*BOOM_FULL, "pointed", "exception:{a}", "exception:{a,b}", "abgroup",
            "convex", "reader:2")
@@ -27,12 +26,12 @@ def claim_lines() -> list:
     lines = []
     for entry in entries:
         for prop in PropertyId:
-            cert = check_property(entry, prop, DEPTH, NUM_VARS)
+            cert = check_property(entry, prop)
             lines.append(f"{entry.theory_id} {prop.value}: {cert.describe()}")
     for s in entries:
         for t in entries:
             lines.append(f"nogo {s.theory_id} {t.theory_id}")
-            lines += verdict(s, t, DEPTH, NUM_VARS).describe().splitlines()
+            lines += verdict(s, t).describe().splitlines()
     return lines
 
 

@@ -243,7 +243,7 @@ class TestUsageErrors:
             (("law", "check", "mset-cartesian", "--carrier", "0"), "--carrier"),
             (("law", "search", "lift", "lift", "--carrier", "11"), "--carrier"),
             (("law", "search", "lift", "lift", "--bound", "-1"), "--bound"),
-            # bounds too small for P3 to fail; an exception monad needs a label
+            # no such option; an exception monad needs a label
             (("nogo", "reader:2", "jsl", "--vars", "1"), "--vars"),
             (("boom-table", "original", "--depth", "0"), "--depth"),
             (("monad-laws", "exception:{}"), "at least one label"),

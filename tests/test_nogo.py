@@ -24,11 +24,10 @@ from monadlab.nogo import (
     uniqueness_applies,
     verdict,
 )
-from monadlab.terms import Var, parse_term
+from monadlab.terms import Var, parse_term, render
 from monadlab.theories import (
     BOOM_FULL,
     PropertyId,
-    PropertyStatus,
     check_property,
     lookup_theory,
     ring_entry,
@@ -188,8 +187,9 @@ class TestPlotkinGeneral:
         assert evidence["class stays within 3 variables"] == "regular presentation"
         assert evidence["class never fits in one variable"] == "regular presentation"
 
-    def test_class_records_are_bounded_for_reader(self):
-        # reader:2 is not regular: mul(x1,mul(x3,x2)) = mul(x1,x2) brings in x3
+    def test_class_records_are_exact_for_reader(self):
+        # reader:2 is not regular: mul(mul(x1,x2),mul(x3,mul(x1,x2))) =
+        # mul(x1,x2) brings in x3, and both x1 and x2 are essential
         app = check_plotkin_general(
             "reader:2", "reader:2",
             pt("mul(x1,x2)", "reader:2"), pt("mul(x1,x2)", "reader:2"),
@@ -198,49 +198,11 @@ class TestPlotkinGeneral:
         records = {r.requirement: r for r in app.records}
         wide = records["class stays within 2 variables"]
         assert not wide.passed
-        assert wide.evidence.startswith("depth=3,vars=4; witness ")
-        thin = records["class never fits in one variable"]
-        assert thin.passed and thin.evidence == "depth=3,vars=4"
-
-    def test_class_records_fail_when_the_universe_cannot_refute(self):
-        # a bounded universe that holds no counterexample proves nothing:
-        # at depth 0 mul(x1,x2) has no class, with 2 variables or at depth 1
-        # no term has the 3 variables that "within 2 variables" rules out
-        p = pt("mul(x1,x2)", "reader:2")
-
-        def records(**bounds):
-            app = check_plotkin_general(
-                "reader:2", "reader:2", p, p, PermutationSpec.swap(), **bounds
-            )
-            return {r.requirement: r for r in app.records}
-
-        at0 = records(depth=0)
-        for req in ("class stays within 2 variables", "class never fits in one variable"):
-            assert not at0[req].passed
-            assert at0[req].evidence == (
-                "depth=0,vars=4; mul(x1,x2) has no class in the bounded universe"
-            )
-        for bounds, evidence in (
-            (dict(depth=3, num_vars=2), "depth=3,vars=2; a counterexample needs 3 "
-             "variables, terms in bounds have at most 2"),
-            (dict(depth=1), "depth=1,vars=4; a counterexample needs 3 "
-             "variables, terms in bounds have at most 2"),
-        ):
-            wide = records(**bounds)["class stays within 2 variables"]
-            assert not wide.passed and wide.evidence == evidence
-        # a member with one variable fits any universe that holds the class
-        thin = records(depth=1)["class never fits in one variable"]
-        assert thin.passed and thin.evidence == "depth=1,vars=4"
-
-    def test_class_records_stay_exact_at_depth_zero_for_regular_theories(self):
-        app = check_plotkin_general(
-            "jsl", "jsl", pt("mul(x1,x2)", "jsl"), pt("mul(x1,x2)", "jsl"),
-            PermutationSpec.swap(), depth=0,
+        assert wide.evidence == (
+            "absorbing term mul(x,mul(y,x)); witness mul(mul(x1,x2),mul(x3,mul(x1,x2)))"
         )
-        records = {r.requirement: r for r in app.records}
-        for req in ("class stays within 2 variables", "class never fits in one variable"):
-            assert records[req].passed
-            assert records[req].evidence == "regular presentation"
+        thin = records["class never fits in one variable"]
+        assert thin.passed and thin.evidence == "essential variables"
 
     @pytest.mark.parametrize("tid", [
         lookup_theory(name).theory_id
@@ -249,23 +211,17 @@ class TestPlotkinGeneral:
     def test_class_records_agree_with_p3_and_v3(self, tid):
         entry = lookup_theory(tid)
         b = entry.binary_at(Var("x1"), Var("x2"))
-        for depth in range(4):
-            for num_vars in range(1, 5):
-                app = check_plotkin_general(
-                    entry, entry, b, b, PermutationSpec.swap(), depth, num_vars
-                )
-                records = {r.requirement: r for r in app.records}
-                # the checker raises the variable bound to the arity of b
-                bounds = (depth, max(num_vars, 2))
-                for req, prop in (("class stays within 2 variables", PropertyId.P3),
-                                  ("class never fits in one variable", PropertyId.V3)):
-                    cert = check_property(entry, prop, *bounds)
-                    rec = records[req]
-                    assert rec.passed == bool(cert), (req, bounds)
-                    unsettled = not rec.passed and "; witness " not in rec.evidence
-                    assert unsettled == (cert.status is PropertyStatus.UNKNOWN), (req, bounds)
-                    if unsettled:
-                        assert rec.evidence == f"{cert.method}; {cert.detail}", (req, bounds)
+        app = check_plotkin_general(entry, entry, b, b, PermutationSpec.swap())
+        records = {r.requirement: r for r in app.records}
+        for req, prop in (("class stays within 2 variables", PropertyId.P3),
+                          ("class never fits in one variable", PropertyId.V3)):
+            cert = check_property(entry, prop)
+            rec = records[req]
+            assert rec.passed == bool(cert), req
+            want = cert.method
+            if not cert:
+                want += f"; witness {render(cert.witness[-1])}"
+            assert rec.evidence == want, req
 
     def test_sigma_with_fixed_point_is_rejected(self):
         with pytest.raises(ValueError):
@@ -297,7 +253,7 @@ class TestTooManyConstants:
         # x*0 = 0 puts an open term in the class of a closed one, so the
         # closed-stays-closed hypothesis fails and the theorem does not
         # apply to rings as stated.
-        app = check_too_many_constants("monoid", ring_entry(), depth=2)
+        app = check_too_many_constants("monoid", ring_entry())
         assert not app.applicable
         failed = app.failed()
         assert [r.requirement for r in failed] == ["T1"]
@@ -389,10 +345,11 @@ class TestVerdict:
         assert "Manes & Mulry" in v.positive.citation
 
     def test_too_few_variables_is_not_a_refutation(self):
-        # with one variable, reader:2's S2/V2/P3/V3 rows cannot fail, so
-        # their passes must not feed Plotkin1
+        # reader:2's V2 fails exactly, whatever bound a caller passes, so
+        # reader:2 cannot play the idempotent side of Plotkin1
         v = verdict("reader:2", "jsl", num_vars=1)
         assert v.status != "NoDistLaw"
+        assert not check_property(lookup_theory("reader:2"), PropertyId.V2)
 
     def test_citation_only_cells_are_flagged(self):
         v = verdict("boom:U-C-", "boom:UAC-")
@@ -435,10 +392,10 @@ class TestVerdict:
         assert v.status == "Unknown"
 
     def test_raising_depth_does_not_flip_decided_statuses(self):
-        for s, t in (("monoid", "monoid"), ("monoid", "jsl")):
-            lo = verdict(s, t, depth=2)
-            hi = verdict(s, t, depth=3)
-            assert lo.status == hi.status
+        # every certificate is exact: the bounds a caller passes are ignored
+        for s, t in (("monoid", "monoid"), ("monoid", "jsl"), ("reader:2", "jsl"),
+                     ("abgroup", "abgroup")):
+            assert verdict(s, t, 0, 1) == verdict(s, t, 3, 4) == verdict(s, t)
 
     def test_refutation_certificates_replay_green(self):
         for (s, t), (status, _) in VERDICT_PINS.items():

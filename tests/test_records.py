@@ -49,12 +49,12 @@ RECORDS = [
     (ProcedureValidation, ("monoid", 3, 2, [], []), "class_count", 3, False),
     (PermutationSpec, (2, (2, 1)), "mapping", (1, 2), True),
     (CheckRecord, ("S", "S1", True, "ok"), "passed", False, True),
-    (Applicability, ("Plotkin1", "s", "t", (), 3, 2), "depth", 2, True),
+    (Applicability, ("Plotkin1", "s", "t", ()), "theorem", "Plotkin2", True),
     (PositiveEntry, ("s", "t", ("mm-nel-1",), "cite"), "law_ids", (), True),
     (NoGoVerdict, ("s", "t", "Unknown"), "status", "Exists", True),
     (RefutationTrace, ("v", ("u",), (), (), ("u",)), "survivors", (), True),
     (TableMismatch, ("T", "L", "N", "Y"), "got", "?", True),
-    (VerdictTable, ("original", ("T",), {}, 3, 3), "depth", 2, False),
+    (VerdictTable, ("original", ("T",), {}), "variant", "full", False),
     (DistLaw, ("id", monad_for("list"), monad_for("powerset"), repr), "description",
      "d", True),
 ]
@@ -102,7 +102,7 @@ def test_record_truth_values():
     assert not EqResult(EqStatus.UNKNOWN, None, 7, True)
     for status in PropertyStatus:
         cert = PropertyCertificate(PropertyId.S1, status, "m")
-        assert bool(cert) is (status in (PropertyStatus.HOLDS, PropertyStatus.HOLDS_BOUNDED))
+        assert bool(cert) is (status is PropertyStatus.HOLDS)
 
 
 def test_validated_records_reject_bad_input():

@@ -37,8 +37,6 @@ from monadlab.theories import (
     ring_entry,
     theory_ids,
     validate_procedure_against_rewrites,
-    _check_bounded_property,
-    _class_map,
 )
 
 
@@ -349,25 +347,23 @@ def test_rewrite_steps_match_path_walk(tid):
 # structural properties
 
 
-def status_of(tid, prop, **kw):
-    return check_property(lookup_theory(tid), prop, **kw).status
+def status_of(tid, prop):
+    return check_property(lookup_theory(tid), prop).status
 
 
 def test_monoid_property_row():
-    ok = (PropertyStatus.HOLDS, PropertyStatus.HOLDS_BOUNDED)
     for prop in (PropertyId.S1, PropertyId.S2, PropertyId.S3, PropertyId.S4A,
                  PropertyId.T1, PropertyId.T2, PropertyId.T3, PropertyId.T4A,
                  PropertyId.T4B):
-        assert status_of("monoid", prop) in ok, prop
+        assert status_of("monoid", prop) is PropertyStatus.HOLDS, prop
     assert status_of("monoid", PropertyId.S4B) is PropertyStatus.FAILS
 
 
 def test_jsl_property_row():
-    ok = (PropertyStatus.HOLDS, PropertyStatus.HOLDS_BOUNDED)
     for prop in (PropertyId.S1, PropertyId.S2, PropertyId.S3, PropertyId.S4A,
                  PropertyId.S4B, PropertyId.T1, PropertyId.T2, PropertyId.T3,
                  PropertyId.T4A):
-        assert status_of("jsl", prop) in ok, prop
+        assert status_of("jsl", prop) is PropertyStatus.HOLDS, prop
     # the interchange law is provable, so "lacks abides" fails
     cert = check_property(lookup_theory("jsl"), PropertyId.T4B)
     assert cert.status is PropertyStatus.FAILS
@@ -376,10 +372,9 @@ def test_jsl_property_row():
 
 def test_exception_property_row():
     tid = "exception:{a,b}"
-    ok = (PropertyStatus.HOLDS, PropertyStatus.HOLDS_BOUNDED)
     for prop in (PropertyId.S1, PropertyId.S2, PropertyId.T1, PropertyId.T2,
                  PropertyId.T3):
-        assert status_of(tid, prop) in ok, prop
+        assert status_of(tid, prop) is PropertyStatus.HOLDS, prop
     cert = check_property(lookup_theory(tid), PropertyId.S3)
     assert cert.status is PropertyStatus.HOLDS
     assert cert.method == "vacuous"
@@ -407,15 +402,15 @@ def test_reader_fails_variable_purity():
 
 
 def test_plotkin_side_properties():
-    ok = (PropertyStatus.HOLDS, PropertyStatus.HOLDS_BOUNDED)
+    ok = PropertyStatus.HOLDS
     for tid in ("boom:U-CI", "boom:UACI"):
         for prop in (PropertyId.P1, PropertyId.P2, PropertyId.P3):
-            assert status_of(tid, prop) in ok, (tid, prop)
+            assert status_of(tid, prop) is ok, (tid, prop)
     # not commutative, so it cannot play the P side
     assert status_of("boom:U--I", PropertyId.P1) is PropertyStatus.FAILS
     for tid in ("boom:U--I", "boom:U-CI", "boom:UACI", "convex"):
         for prop in (PropertyId.V1, PropertyId.V2, PropertyId.V3):
-            assert status_of(tid, prop) in ok, (tid, prop)
+            assert status_of(tid, prop) is ok, (tid, prop)
     # a monoid's binary is not idempotent, so it cannot play the V side
     assert status_of("monoid", PropertyId.V1) is PropertyStatus.FAILS
 
@@ -424,11 +419,12 @@ def test_ring_fails_closed_class_purity():
     # times(x, zero) sits in the class of zero, an open term equal to a
     # closed one
     entry = ring_entry()
-    cert = check_property(entry, PropertyId.T1, depth=2, num_vars=2)
+    cert = check_property(entry, PropertyId.T1)
     assert cert.status is PropertyStatus.FAILS
     closed, open_member = cert.witness
     assert terms.term_vars(closed) == frozenset()
     assert terms.term_vars(open_member)
+    assert decide_eq("ring", closed, open_member)
 
 
 def test_abides_holds_matrix():
@@ -447,8 +443,8 @@ def test_certificate_describe_strings():
     # reader:2 has no constants, hence no closed terms
     vacuous = check_property(lookup_theory("reader:2"), PropertyId.S1)
     assert vacuous.describe() == "Holds(vacuous; no closed terms)"
-    bounded = check_property(lookup_theory("abgroup"), PropertyId.V3, depth=2, num_vars=3)
-    assert bounded.describe() == "HoldsBounded(depth=2,vars=3)"
+    essential = check_property(lookup_theory("abgroup"), PropertyId.V3)
+    assert essential.describe() == "Holds(essential variables)"
 
 
 def test_certificates_cached():
@@ -501,6 +497,15 @@ def test_validation_catches_broken_procedure():
 # class maps against a brute-force oracle
 
 
+def _class_map(entry, depth, num_vars):
+    """key -> {variable bitmask -> first witness term} over the bounded term
+    universe (atoms: x1..xk plus the signature constants)."""
+    sig = entry.presentation.signature
+    atoms = [Var(f"x{i + 1}") for i in range(num_vars)]
+    atoms += [App(c, ()) for c in sig.constants]
+    return terms.classes_by_closure(sig, terms.procedure_for(entry.theory_id), atoms, depth)
+
+
 def _brute_force_class_map(entry, depth, num_vars):
     """Walk every term, keeping the first witness per (key, variable mask)."""
     proc = terms.procedure_for(entry.theory_id)
@@ -523,7 +528,6 @@ def _brute_force_class_map(entry, depth, num_vars):
 )
 def test_class_map_matches_brute_force(tid, depth, num_vars):
     entry = lookup_theory(tid)
-    entry._class_maps.pop((depth, num_vars), None)  # build it here, not cached
     got = _class_map(entry, depth, num_vars)
     want = _brute_force_class_map(entry, depth, num_vars)
     assert got == want  # witnesses included
@@ -533,7 +537,7 @@ def test_class_map_matches_brute_force(tid, depth, num_vars):
 
 
 # ---------------------------------------------------------------------------
-# exact certificates for regular presentations
+# exact class certificates against the bounded class maps
 
 _CLASS_PROPS = (PropertyId.S1, PropertyId.T1, PropertyId.S2, PropertyId.T2,
                 PropertyId.V2, PropertyId.P3, PropertyId.V3)
@@ -541,6 +545,96 @@ _BUILTIN_IDS = sorted({lookup_theory(label).theory_id for label in BOOM_FULL}
                       | {"pointed", "exception:{a}", "exception:{a,b}", "abgroup",
                          "convex", "reader:2"})
 _REGULAR_IDS = [tid for tid in _BUILTIN_IDS if tid not in ("abgroup", "reader:2")]
+
+
+def _claim(entry, prop):
+    """The probed term of a class-based property (None: every class with a
+    closed member) and the fewest and most (None: any) variables of its
+    class members."""
+    if prop in (PropertyId.S1, PropertyId.T1):
+        return None, 0, 0
+    if prop in (PropertyId.S2, PropertyId.T2, PropertyId.V2):
+        return Var("x1"), 0, 1
+    b12 = entry.binary_at(Var("x1"), Var("x2"))
+    return (b12, 0, 2) if prop is PropertyId.P3 else (b12, 2, None)
+
+
+def _breaks(names, least, most):
+    return len(names) < least or (most is not None and len(names) > most)
+
+
+def _bounded_counterexample(entry, classes, prop):
+    """The bounded class-map search: the first member of the probed class
+    (or of a class with a closed member) in the class map `classes` whose
+    variables break the property's bound, or None."""
+    term, least, most = _claim(entry, prop)
+    if term is None:
+        buckets = [bucket for bucket in classes.values() if 0 in bucket]
+    else:
+        buckets = [classes.get(terms.procedure_for(entry.theory_id).term_key(term), {})]
+    for bucket in buckets:
+        for member in bucket.values():
+            if _breaks(terms.term_vars(member), least, most):
+                return member
+    return None
+
+
+def _agrees_with_class_map(entry, classes, cert):
+    """No member in the class map `classes` contradicts a Holds; a Fails
+    witness is a decided member of the probed class that breaks the bound."""
+    found = _bounded_counterexample(entry, classes, cert.prop)
+    if cert.status is PropertyStatus.HOLDS:
+        assert found is None, (cert.prop, found)
+        return
+    assert cert.status is PropertyStatus.FAILS, cert
+    term, least, most = _claim(entry, cert.prop)
+    assert _breaks(terms.term_vars(cert.witness[-1]), least, most), cert
+    if cert.method == "regular presentation":  # the probed term itself breaks it
+        assert cert.witness == (term,) and found is not None, cert
+    else:
+        rep, member = cert.witness
+        assert decide_eq(entry.theory_id, rep, member), cert
+        assert term is None or rep == term, cert
+
+
+@pytest.mark.parametrize(
+    "tid,depth,num_vars", [(tid, 3, 4) for tid in _BUILTIN_IDS] + [("ring", 2, 4)]
+)
+def test_class_certificates_agree_with_class_maps(tid, depth, num_vars):
+    entry = ring_entry() if tid == "ring" else lookup_theory(tid)
+    classes = _class_map(entry, depth, num_vars)
+    for prop in _CLASS_PROPS:
+        cert = check_property(entry, prop)
+        if cert.method != "syntactic":  # P3/V3 without a designated binary
+            _agrees_with_class_map(entry, classes, cert)
+
+
+def test_ring_certificates_pinned():
+    got = {prop.value: check_property(ring_entry(), prop).describe() for prop in PropertyId}
+    absorbing = "absorbing term plus(x,times(y,zero))"
+    foreign = f"Fails({absorbing}; foreign variable in a variable's class; " \
+              "witness x1,plus(x1,times(x2,zero)))"
+    closed = f"Fails({absorbing}; open term in a closed term's class; " \
+             "witness zero,plus(zero,times(x1,zero)))"
+    assert got == {
+        "S1": closed,
+        "S2": foreign,
+        "S3": "Fails(analytic via decide_eq; no unit constant for neg/1)",
+        "S4a": "Holds(analytic via decide_eq)",
+        "S4b": "Fails(analytic via decide_eq; witness times(x,x),x)",
+        "T1": closed,
+        "T2": foreign,
+        "T3": "Holds(syntactic)",
+        "T4a": "Holds(analytic via decide_eq)",
+        "T4b": "Holds(analytic via decide_eq)",
+        "P1": "Fails(analytic via decide_eq; witness times(x1,x2),times(x2,x1))",
+        "P2": "Fails(analytic via decide_eq; witness times(x,x),x)",
+        "P3": f"Fails({absorbing}; class member with more than 2 variables; "
+              "witness times(x1,x2),plus(times(x1,x2),times(x3,zero)))",
+        "V1": "Fails(analytic via decide_eq; witness times(x,x),x)",
+        "V2": foreign,
+        "V3": "Holds(essential variables)",
+    }
 
 
 def test_regular_theories_are_the_expected_ones():
@@ -557,33 +651,32 @@ def _diagonal_jsl():
     return jsl.with_binary(pt("jsl", "mul(y1,y1)"))
 
 
-def test_with_binary_shares_class_maps_and_starts_fresh_certificates():
+def test_with_binary_starts_fresh_certificates():
     jsl = lookup_theory("jsl")
     check_property(jsl, PropertyId.P3)  # fills the certificate cache
     variant = _diagonal_jsl()
     assert variant.designated_binary == pt("jsl", "mul(y1,y1)") != jsl.designated_binary
-    assert variant._class_maps is jsl._class_maps
     assert variant._certificates == {} != jsl._certificates
-    same = ("theory_id", "presentation", "label", "designated_unit", "aliases", "notes")
+    same = ("theory_id", "presentation", "label", "designated_unit", "aliases", "notes",
+            "absorbing")
     assert [getattr(variant, f) for f in same] == [getattr(jsl, f) for f in same]
+    abgroup = lookup_theory("abgroup")
+    assert abgroup.with_binary(pt("abgroup", "mul(y2,y1)")).absorbing is abgroup.absorbing
 
 
 @pytest.mark.parametrize("depth,num_vars", [(2, 3), (3, 3)])
 @pytest.mark.parametrize("tid", [*_REGULAR_IDS, "narytree-theory:2", "diagonal"])
 def test_regular_path_agrees_with_class_maps(tid, depth, num_vars):
     entry = _diagonal_jsl() if tid == "diagonal" else lookup_theory(tid)
+    classes = _class_map(entry, depth, num_vars)
     for prop in _CLASS_PROPS:
-        exact = check_property(entry, prop, depth, num_vars)
+        exact = check_property(entry, prop)
         if exact.method == "syntactic":  # P3/V3 without a designated binary
             continue
         assert exact.method == "regular presentation", prop
-        bounded = _check_bounded_property(entry, prop, depth, num_vars)
-        if exact.status is PropertyStatus.HOLDS:
-            assert bounded.status is not PropertyStatus.FAILS, (prop, bounded)
-        else:
-            assert exact.status is bounded.status is PropertyStatus.FAILS, prop
+        _agrees_with_class_map(entry, classes, exact)
     if tid == "diagonal":
-        v3 = check_property(entry, PropertyId.V3, depth, num_vars)
+        v3 = check_property(entry, PropertyId.V3)
         assert v3.status is PropertyStatus.FAILS
         assert v3.describe() == (
             "Fails(regular presentation; class inside a single variable; "
@@ -601,44 +694,47 @@ def test_regular_p3_fails_on_a_third_variable():
 
 
 @pytest.fixture
-def class_map_calls(monkeypatch):
-    """Theory ids of the `_class_map` calls made during the test."""
+def closure_calls(monkeypatch):
+    """The `terms.classes_by_closure` calls made during the test."""
     calls = []
+    real = terms.classes_by_closure
 
-    def spy(entry, depth, num_vars):
-        calls.append(entry.theory_id)
-        return _class_map(entry, depth, num_vars)
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(theories, "_class_map", spy)
+    monkeypatch.setattr(terms, "classes_by_closure", spy)
     return calls
 
 
-def test_boom_table_builds_no_class_map(monkeypatch, class_map_calls):
+def test_boom_table_builds_no_class_map(monkeypatch, closure_calls):
     for entry in registry():  # certificates cached by earlier tests would hide calls
         monkeypatch.setattr(entry, "_certificates", {})
-    table = hierarchy.build_table("full", 3, 3)
+    table = hierarchy.build_table("full")
     assert not hierarchy.diff_table(table, hierarchy.golden_path("full"))
-    assert class_map_calls == []
+    assert closure_calls == []
 
 
-def test_non_regular_theories_take_the_bounded_path(class_map_calls):
-    for entry in (lookup_theory("abgroup"), lookup_theory("reader:2"), ring_entry()):
+def test_non_regular_theories_take_the_procedure_path(closure_calls):
+    for entry, absorbing in ((lookup_theory("abgroup"), "mul(mul(x,y),inv(y))"),
+                             (lookup_theory("reader:2"), "mul(x,mul(y,x))"),
+                             (ring_entry(), "plus(x,times(y,zero))")):
         assert class_vars(entry, Var("x1")) is None
-        class_map_calls.clear()
-        cert = check_property(entry, PropertyId.S2, depth=2, num_vars=2)
-        assert cert.method == "depth=2,vars=2", entry.theory_id
-        assert set(class_map_calls) == {entry.theory_id}
+        assert entry.absorbing == entry.presentation.parse(absorbing)
+        cert = check_property(entry, PropertyId.S2)
+        assert cert.method == f"absorbing term {absorbing}", entry.theory_id
+        assert check_property(entry, PropertyId.V3).describe() == "Holds(essential variables)"
+    assert closure_calls == []
 
 
-def test_loaded_regular_theory_is_exact(monkeypatch):
+def test_loaded_regular_theory_is_exact(monkeypatch, closure_calls):
     # from cold caches, a regular theory's class certificates build no class map
     entry = lookup_theory("boom:UA-I")
     monkeypatch.setattr(entry, "_certificates", {})
-    monkeypatch.setattr(entry, "_class_maps", {})
     for prop in _CLASS_PROPS:
         cert = check_property(entry, prop)
         assert cert.describe() == "Holds(regular presentation)", prop
-    assert not entry._class_maps
+    assert closure_calls == []
 
 
 class _LeftZeroProc(terms.Procedure):
@@ -654,56 +750,51 @@ class _LeftZeroProc(terms.Procedure):
         return Var(key)
 
 
-def test_class_certificates_too_small_to_fail_are_unknown():
-    reader = lookup_theory("reader:2")
-    for prop in (PropertyId.S2, PropertyId.V2, PropertyId.P3, PropertyId.V3):
-        cert = check_property(reader, prop, depth=3, num_vars=1)
-        assert cert.status is PropertyStatus.UNKNOWN, prop
-        assert cert.detail, prop
-    # convex is regular: its certificates are exact at any bound
-    for prop in (PropertyId.S1, PropertyId.T1):
-        assert status_of("convex", prop, num_vars=0) is PropertyStatus.HOLDS
-    assert status_of("convex", PropertyId.P3, num_vars=2) is PropertyStatus.HOLDS
-    assert status_of("convex", PropertyId.P3, num_vars=3) is PropertyStatus.HOLDS
-    # at depth 0 mul(x1,x2) is outside the universe: no class to search
-    cert = check_property(reader, PropertyId.P3, depth=0, num_vars=3)
-    assert cert.status is PropertyStatus.UNKNOWN
-    assert "no class" in cert.detail
-    # a counterexample found in a small universe still refutes: in the
-    # left-zero theory the class of mul(x1,x2) holds x1
+def test_essential_variables_give_the_fewest_member():
+    # in the left-zero theory only x1 is essential in mul(x1,x2), so its
+    # class holds mul(x1,x1)
     pres = presentation("test:leftzero", (("mul", 2),), (("mul(x,y)", "x", "leftzero"),))
+    sig = pres.signature
     leftzero = register_theory(
-        TheoryEntry("test:leftzero", pres, "leftzero", parse_term("mul(y1,y2)", pres.signature)),
+        TheoryEntry("test:leftzero", pres, "leftzero", parse_term("mul(y1,y2)", sig),
+                    absorbing=parse_term("mul(x,y)", sig)),
         _LeftZeroProc(),
     )
-    cert = check_property(leftzero, PropertyId.V3, depth=2, num_vars=1)
-    assert cert.status is PropertyStatus.FAILS
-    assert cert.witness == (pres.parse("mul(x1,x2)"), Var("x1"))
-
-
-def test_bounded_class_certificates_at_depth_zero_are_unknown():
-    # depth 0 holds only atoms: reader:2 S2 fails from depth 2 and ring T1
-    # from depth 1, so an atoms-only search must not read as HoldsBounded
-    cases = ((lookup_theory("reader:2"), PropertyId.S2, 2), (ring_entry(), PropertyId.T1, 1))
-    for entry, prop, fails_from in cases:
-        cert = check_property(entry, prop, depth=0)
-        assert cert.status is PropertyStatus.UNKNOWN, entry.theory_id
-        assert cert.detail == "a counterexample needs depth >= 1"
-        assert check_property(entry, prop, depth=fails_from).status is PropertyStatus.FAILS
-    # depth 1 is searched as before
-    reader_s2 = check_property(lookup_theory("reader:2"), PropertyId.S2, depth=1)
-    assert reader_s2.describe() == "HoldsBounded(depth=1,vars=4)"
-
-
-def test_bounded_class_certificates_too_shallow_to_fail_are_unknown():
-    # a depth-1 term over binary operations has at most 2 variables, and a
-    # P3 counterexample needs 3: reader:2 P3 fails only from depth 2
-    reader = lookup_theory("reader:2")
-    cert = check_property(reader, PropertyId.P3, depth=1)
-    assert cert.status is PropertyStatus.UNKNOWN
-    assert cert.detail == (
-        "a counterexample needs 3 variables, terms in bounds have at most 2"
+    assert check_property(leftzero, PropertyId.V3).describe() == (
+        "Fails(essential variables; class member inside a single variable; "
+        "witness mul(x1,x2),mul(x1,x1))"
     )
-    cert = check_property(reader, PropertyId.P3, depth=2)
-    assert cert.status is PropertyStatus.FAILS
-    assert "witness mul(x1,x2),mul(x1,mul(x3,x2))" in cert.describe()
+    # no variable is essential in mul(x1,inv(x1)): its class holds a closed term
+    abgroup = lookup_theory("abgroup")
+    verdict, method, witness, _ = theories.class_var_claim(
+        abgroup, pt("abgroup", "mul(x1,inv(x1))"), least=1
+    )
+    assert (verdict, method) == (False, "essential variables")
+    assert witness == (pt("abgroup", "mul(x1,inv(x1))"), pt("abgroup", "mul(e,inv(e))"))
+
+
+def test_rejected_registration_changes_nothing():
+    magma = boom_theory(BoomFlags(False, False, False, False))
+    leftzero = presentation("x:dup", (("mul", 2),), (("mul(x,y)", "x", "leftzero"),))
+    sig = leftzero.signature
+    before = theory_ids()
+    rejected = [
+        (TheoryEntry("x:dup", magma, "dup", aliases=("dup", "monoid")),
+         "alias 'monoid' already taken"),
+        (TheoryEntry("boom:UA--", magma, "dup"), "already registered"),
+        (TheoryEntry("x:dup", leftzero, "dup"), "needs an absorbing term"),
+        # mul(y,x) = y, and x = x has no y
+        (TheoryEntry("x:dup", leftzero, "dup", absorbing=parse_term("mul(y,x)", sig)),
+         "needs an absorbing term"),
+        (TheoryEntry("x:dup", leftzero, "dup", absorbing=Var("x")), "needs an absorbing term"),
+    ]
+    for entry, message in rejected:
+        with pytest.raises(ValueError, match=message):
+            register_theory(entry, _LeftZeroProc())
+        assert theory_ids() == before
+        with pytest.raises(KeyError):
+            lookup_theory("x:dup")
+        with pytest.raises(KeyError):
+            lookup_theory("dup")
+        assert terms.procedure_for("x:dup") is None
+    assert lookup_theory("monoid").theory_id == "boom:UA--"
