@@ -1,7 +1,3 @@
 """Workbench for finitary monads, equational theories, and distributive laws."""
 
 __version__ = "0.1.0"
-
-# Importing the theories module populates the decision-procedure registry as a
-# side effect, so `decide_eq("monoid", ...)` works after `import monadlab`.
-from monadlab import theories as _theories  # noqa: F401

@@ -139,11 +139,12 @@ def theories_list(args):
 def normalize(args):
     """Canonical representative of TERM in THEORY."""
     entry = _theory(args.theory)
-    t = _term(args.term, entry)
-    try:
-        print(_terms.render(_terms.normalize(entry.theory_id, t)))
-    except _terms.NoProcedureError as exc:
-        raise UsageError(str(exc)) from None
+    nf = _terms.normalize(entry.procedure, _term(args.term, entry))
+    if nf is None:
+        raise UsageError(
+            f"theory {entry.theory_id!r} has a decide-only procedure (no normal form)"
+        )
+    print(_terms.render(nf))
 
 
 def prove_eq(args):
@@ -151,7 +152,7 @@ def prove_eq(args):
     entry = _theory(args.theory)
     a, b = _term(args.term1, entry), _term(args.term2, entry)
     if not args.bounded:
-        if _terms.decide_eq(entry.theory_id, a, b):
+        if _terms.decide_eq(entry.procedure, a, b):
             print("EQUAL (decision procedure)")
             return
         print("NOT EQUAL (decision procedure)")

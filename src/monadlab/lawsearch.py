@@ -147,7 +147,8 @@ def search_distlaw_bounded(
     # capped; this is what lets naturality squeeze values between levels
     sizes = [carrier_size]
     while len(sizes) < _MAX_LEVELS:
-        nxt = min(len(t.enumerate(letters(sizes[-1]), bound)), _MAX_CARRIER)
+        level = t.iter_values(letters(sizes[-1]), bound)
+        nxt = sum(1 for _ in itertools.islice(level, _MAX_CARRIER))
         if nxt <= sizes[-1]:
             break
         sizes.append(nxt)
@@ -181,10 +182,20 @@ def _search(
     """Units, naturality edges, propagation, then domain reasoning; every
     map between chain carriers built on the way is appended to `images`.
     Every refutation raises `_Conflict` with the reason."""
+    t_pools: list = []
     pools: list = []
     pool_index: list = []
     for C in carriers:
-        pool = s.enumerate(t.enumerate(C, bound), bound)
+        # every input goes through at least the identity map, so a level
+        # past the edge cap is refused before it is built in full
+        t_pool = list(itertools.islice(t.iter_values(C, bound), _MAX_EDGE_CHECKS + 1))
+        pool = list(itertools.islice(s.iter_values(t_pool, bound), _MAX_EDGE_CHECKS + 1))
+        if len(t_pool) > _MAX_EDGE_CHECKS or len(pool) > _MAX_EDGE_CHECKS:
+            result.conflict = (
+                f"the fragment at |X|={len(C)} has more than {_MAX_EDGE_CHECKS} inputs"
+            )
+            return result
+        t_pools.append(t_pool)
         pools.append(pool)
         pool_index.append(set(pool))
     result.variables = sum(len(p) for p in pools)
@@ -212,7 +223,7 @@ def _search(
     # unit conditions pin the shapes eta-S(t) and S(eta-T)(s) on the inputs
     # of the fragment (at bound 0 some unit inputs lie outside it)
     for level, C in enumerate(carriers):
-        units = [(s.unit(tv), t.fmap(s.unit, tv), "unit-s") for tv in t.enumerate(C, bound)]
+        units = [(s.unit(tv), t.fmap(s.unit, tv), "unit-s") for tv in t_pools[level]]
         units += [(s.fmap(t.unit, sv), t.unit(sv), "unit-t") for sv in s.enumerate(C, bound)]
         for w, v, why in units:
             if w in pool_index[level]:

@@ -870,7 +870,7 @@ def free_model_iso_check(
     report.term_count = count
 
     base = _Evaluation(ops, {x: monad.unit(x) for x in labels})
-    proc = _Product(terms.procedure_for(entry.theory_id), base)
+    proc = _Product(entry.procedure, base)
     by_class: dict = {}  # key -> (first witness, values)
     for (key, val), bucket in terms.classes_by_closure(sig, proc, atoms, depth).items():
         by_class.setdefault(key, (next(iter(bucket.values())), set()))[1].add(val)

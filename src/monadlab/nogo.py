@@ -195,7 +195,7 @@ def _with_binary(entry: TheoryEntry, binary: Optional[Term]) -> TheoryEntry:
 
 def _eq_record(side: str, entry: TheoryEntry, req: str, lhs: Term, rhs: Term) -> CheckRecord:
     text = f"{render(lhs)} = {render(rhs)} (decision procedure)"
-    if decide_eq(entry.theory_id, lhs, rhs):
+    if decide_eq(entry.procedure, lhs, rhs):
         return CheckRecord(side, req, True, text)
     return CheckRecord(side, req, False, f"refuted: {text}")
 
@@ -289,7 +289,7 @@ def _distinct_constants(entry: TheoryEntry) -> list:
     reps: list = []
     for c in entry.presentation.signature.constants:
         term = App(c, ())
-        if not any(decide_eq(entry.theory_id, term, r) for r in reps):
+        if not any(decide_eq(entry.procedure, term, r) for r in reps):
             reps.append(term)
     return reps
 

@@ -4,10 +4,10 @@ The syntax layer is deliberately tiny: plain slotted classes, a
 recursive-descent parser, and a breadth-first prover. `Rewriter` is the one
 rewrite relation (axioms read as rules in both directions): the bounded
 prover and the validation of decision procedures against the axioms go
-through it. Per-theory decision procedures (normal forms, semantic
-evaluation) are registered here by `monadlab.theories`, which registers none
-of its theories without one, and dispatched through `normalize` and
-`decide_eq`.
+through it. A decision procedure (`Procedure`: normal forms or semantic
+evaluation) decides provable equality in one theory; `decide_eq` and
+`normalize` take the procedure itself, which `monadlab.theories` keeps on
+each theory's entry.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ __all__ = [
     "Term",
     "render",
     "term_vars",
-    "term_depth",
     "subterm_paths",
-    "replace_at",
     "substitute",
     "match",
     "Equation",
@@ -38,15 +36,11 @@ __all__ = [
     "enumerate_terms",
     "classes_by_closure",
     "Rewriter",
-    "rewrite_steps",
     "rewrite_components",
     "EqStatus",
     "EqResult",
     "eq_bounded",
     "Procedure",
-    "NoProcedureError",
-    "register_procedure",
-    "procedure_for",
     "decide_eq",
     "normalize",
 ]
@@ -201,13 +195,6 @@ def term_vars(term: Term) -> frozenset[str]:
     return frozenset(out)
 
 
-def term_depth(term: Term) -> int:
-    """Depth of the operation tree. Variables and constants sit at depth 0."""
-    if isinstance(term, Var) or not term.args:
-        return 0
-    return 1 + max(term_depth(a) for a in term.args)
-
-
 def subterm_paths(term: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
     """All (path, subterm) pairs, root first, in left-to-right order."""
     yield (), term
@@ -215,17 +202,6 @@ def subterm_paths(term: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
         for i, arg in enumerate(term.args):
             for path, sub in subterm_paths(arg):
                 yield (i,) + path, sub
-
-
-def replace_at(term: Term, path: tuple[int, ...], replacement: Term) -> Term:
-    if not path:
-        return replacement
-    if isinstance(term, Var):
-        raise IndexError(f"path {path} runs past a variable")
-    i = path[0]
-    args = list(term.args)
-    args[i] = replace_at(args[i], path[1:], replacement)
-    return App(term.op, tuple(args))
 
 
 def substitute(term: Term, mapping: Mapping[str, Term]) -> Term:
@@ -535,17 +511,6 @@ class Rewriter:
         return out
 
 
-def rewrite_steps(
-    presentation: Presentation, term: Term, pool: Sequence[Term] = ()
-) -> list[Term]:
-    """All one-step rewrites of `term`, reading each axiom in both directions.
-
-    Deterministic order (positions in preorder, then rules, then pool
-    fills), duplicates removed.
-    """
-    return list(dict.fromkeys(Rewriter(presentation, pool).steps(term)))
-
-
 def rewrite_components(rewriter: Rewriter, universe: Sequence[Term]) -> list[int]:
     """For each universe term, the index of its class representative under
     the one-step rewrites that stay inside the universe (union-find roots)."""
@@ -643,15 +608,12 @@ def eq_bounded(
 
 
 # ---------------------------------------------------------------------------
-# decision-procedure registry
-
-
-class NoProcedureError(LookupError):
-    pass
+# decision procedures
 
 
 class Procedure:
-    """Decision procedure for one theory.
+    """Decision procedure for one theory; each theory entry of
+    `monadlab.theories` holds its own.
 
     Evaluation is compositional: the canonical key of an application depends
     only on the operation and the keys of its children, which lets
@@ -676,35 +638,12 @@ class Procedure:
         return None
 
 
-_PROCEDURES: dict[str, Procedure] = {}
-
-
-def register_procedure(theory_id: str, proc: Procedure) -> None:
-    if theory_id in _PROCEDURES:
-        raise ValueError(f"procedure already registered for {theory_id!r}")
-    _PROCEDURES[theory_id] = proc
-
-
-def procedure_for(theory_id: str) -> Optional[Procedure]:
-    return _PROCEDURES.get(theory_id)
-
-
-def decide_eq(theory_id: str, t1: Term, t2: Term) -> bool:
-    """Exact provable-equality test via the theory's registered procedure."""
-    proc = _PROCEDURES.get(theory_id)
-    if proc is None:
-        raise NoProcedureError(f"no registered procedure for theory {theory_id!r}")
+def decide_eq(proc: Procedure, t1: Term, t2: Term) -> bool:
+    """Exact provable-equality test: equal procedure keys."""
     return proc.term_key(t1) == proc.term_key(t2)
 
 
-def normalize(theory_id: str, term: Term) -> Term:
-    """Canonical representative of the term's equivalence class."""
-    proc = _PROCEDURES.get(theory_id)
-    if proc is None:
-        raise NoProcedureError(f"no registered procedure for theory {theory_id!r}")
-    nf = proc.reify(proc.term_key(term))
-    if nf is None:
-        raise NoProcedureError(
-            f"theory {theory_id!r} has a decide-only procedure (no normal form)"
-        )
-    return nf
+def normalize(proc: Procedure, term: Term) -> Optional[Term]:
+    """Canonical representative of the term's equivalence class; None when
+    the procedure is decide-only (it has no normal forms)."""
+    return proc.reify(proc.term_key(term))

@@ -1,11 +1,12 @@
 """Equational theories: registry, decision procedures, property certificates.
 
-Each registered theory bundles a finite presentation with an exact decision
-procedure for provable equality (registered into `monadlab.terms`; a theory
-cannot be registered without one), optional designated operations (a binary
-term over y1,y2 and a unit), and cached property certificates. The
+Each theory entry bundles a finite presentation with the exact decision
+procedure for its provable equality (a required field: there is no entry
+without one), optional designated operations (a binary term over y1,y2 and
+a unit), and cached property certificates. The registry maps theory ids
+and aliases to entries; an unregistered entry works all the same. The
 equational properties are equations between designated terms, settled by
-`decide_eq`.
+`decide_eq` through the entry's procedure.
 
 The class-based properties (S1/T1, S2/T2/V2, P3, V3) are facts about the
 variables of the members of equivalence classes, and `class_var_claim` is
@@ -32,7 +33,6 @@ from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
 from monadlab.terms import (
     App,
     Equation,
-    NoProcedureError,
     OpSymbol,
     Presentation,
     Procedure,
@@ -42,8 +42,6 @@ from monadlab.terms import (
     enumerate_terms,
     eq_bounded,
     parse_term,
-    procedure_for,
-    register_procedure,
     render,
     Rewriter,
     rewrite_components,
@@ -428,7 +426,9 @@ def _boom_procedure(flags: BoomFlags) -> Procedure:
 
 
 class TheoryEntry:
-    """A registered theory: its presentation, designated terms and caches.
+    """A theory: its presentation, the procedure that decides its equality,
+    designated terms and caches. An entry works whether or not it is
+    registered.
 
     `designated_binary` is a term over variables y1, y2; `designated_unit`
     a closed term. `absorbing` is a term p over x, y with p = x and y in p,
@@ -442,22 +442,23 @@ class TheoryEntry:
         theory_id: str,
         presentation: Presentation,
         label: str,
+        procedure: Procedure,
         designated_binary: Optional[Term] = None,
         designated_unit: Optional[Term] = None,
         aliases: tuple[str, ...] = (),
-        notes: str = "",
         absorbing: Optional[Term] = None,
     ):
         self.theory_id, self.presentation, self.label = theory_id, presentation, label
+        self.procedure = procedure
         self.designated_binary, self.designated_unit = designated_binary, designated_unit
-        self.aliases, self.notes, self.absorbing = aliases, notes, absorbing
+        self.aliases, self.absorbing = aliases, absorbing
         self._certificates: dict = {}
 
     def with_binary(self, binary: Term) -> TheoryEntry:
         """This theory with `binary` as its designated binary and fresh
         certificates."""
-        return TheoryEntry(self.theory_id, self.presentation, self.label, binary,
-                           self.designated_unit, self.aliases, self.notes, self.absorbing)
+        return TheoryEntry(self.theory_id, self.presentation, self.label, self.procedure,
+                           binary, self.designated_unit, self.aliases, self.absorbing)
 
     def binary_at(self, a: Term, b: Term) -> Term:
         if self.designated_binary is None:
@@ -469,23 +470,21 @@ _REGISTRY: dict[str, TheoryEntry] = {}
 _ALIASES: dict[str, str] = {}
 
 
-def register_theory(entry: TheoryEntry, procedure: Procedure) -> TheoryEntry:
-    """Register `entry` with the procedure that decides its equality: every
-    registered theory has one, and an irregular one an absorbing term that
-    `procedure` decides equal to x. A rejected entry changes no registry."""
+def register_theory(entry: TheoryEntry) -> TheoryEntry:
+    """Add `entry` to the registry under its id and aliases. An irregular
+    theory needs an absorbing term that its procedure decides equal to x.
+    Every check comes first, so a rejected entry changes nothing."""
     tid = entry.theory_id
-    if tid in _REGISTRY or procedure_for(tid) is not None:
+    if tid in _REGISTRY:
         raise ValueError(f"theory {tid!r} already registered")
     for alias in entry.aliases:
         if _ALIASES.get(alias, tid) != tid:
             raise ValueError(f"alias {alias!r} already taken")
     p = entry.absorbing
     if not _regular(entry) and (
-        p is None or term_vars(p) != {"x", "y"}
-        or procedure.term_key(p) != procedure.var_key("x")
+        p is None or term_vars(p) != {"x", "y"} or not decide_eq(entry.procedure, p, Var("x"))
     ):
         raise ValueError(f"irregular theory {tid!r} needs an absorbing term p(x,y) = x")
-    register_procedure(tid, procedure)
     _REGISTRY[tid] = entry
     _ALIASES.update(dict.fromkeys(entry.aliases, tid))
     return entry
@@ -636,7 +635,7 @@ _VACUOUS = "vacuous"
 
 
 def _check_property(entry, prop) -> PropertyCertificate:
-    tid = entry.theory_id
+    proc = entry.procedure
     sig = entry.presentation.signature
 
     if prop is PropertyId.T3:
@@ -662,7 +661,7 @@ def _check_property(entry, prop) -> PropertyCertificate:
         for op in builders:
             for c in sig.constants:
                 units = (App(c, ()),) * op.arity
-                if all(decide_eq(tid, App(op, units[:pos] + (x,) + units[pos + 1 :]), x)
+                if all(decide_eq(proc, App(op, units[:pos] + (x,) + units[pos + 1 :]), x)
                        for pos in range(op.arity)):
                     break
             else:
@@ -685,7 +684,7 @@ def _check_property(entry, prop) -> PropertyCertificate:
     if prop is PropertyId.T4B:
         # holds when the interchange law is NOT provable
         lhs, rhs = _interchange(entry)
-        if decide_eq(tid, lhs, rhs):
+        if decide_eq(proc, lhs, rhs):
             return PropertyCertificate(
                 prop, PropertyStatus.FAILS, _DECIDED, (lhs,), "interchange law is provable"
             )
@@ -700,7 +699,7 @@ def _check_property(entry, prop) -> PropertyCertificate:
     else:  # S4b, V1, P2: idempotence
         equations = ((b(x, x), x),)
     for lhs, rhs in equations:
-        if not decide_eq(tid, lhs, rhs):
+        if not decide_eq(proc, lhs, rhs):
             return PropertyCertificate(prop, PropertyStatus.FAILS, _DECIDED, (lhs, rhs))
     return PropertyCertificate(prop, PropertyStatus.HOLDS, _DECIDED)
 
@@ -792,7 +791,7 @@ def _fewest_member(entry: TheoryEntry, term: Term) -> Term:
     names = sorted(term_vars(term))
     z = next(_fresh_vars(term))
     essential = [x for x in names
-                 if not decide_eq(entry.theory_id, term, substitute(term, {x: z}))]
+                 if not decide_eq(entry.procedure, term, substitute(term, {x: z}))]
     constants = entry.presentation.signature.constants
     if essential:
         into: Term = Var(essential[0])
@@ -860,9 +859,7 @@ def validate_procedure_against_rewrites(
     with eq_bounded allowed to bridge residual components (its proofs may
     pass through terms outside the universe).
     """
-    proc = procedure_for(entry.theory_id)
-    if proc is None:
-        raise NoProcedureError(f"no procedure to validate for {entry.theory_id!r}")
+    proc = entry.procedure
     pres = entry.presentation
     atoms = [Var(f"x{i + 1}") for i in range(num_vars)]
     universe = list(enumerate_terms(pres.signature, atoms, depth))
@@ -971,11 +968,12 @@ def _register_boom() -> None:
                 theory_id=flags.theory_id,
                 presentation=pres,
                 label=display,
+                procedure=_boom_procedure(flags),
                 designated_binary=parse_term("mul(y1,y2)", sig),
                 designated_unit=parse_term("e", sig) if unital else None,
                 aliases=(display,) + word_aliases[flags.theory_id],
             )
-            register_theory(entry, _boom_procedure(flags))
+            register_theory(entry)
 
 
 def exception_labels(name: str) -> Optional[tuple[str, ...]]:
@@ -993,8 +991,9 @@ def exception_theory(labels: Iterable[str]) -> TheoryEntry:
     if tid in _REGISTRY:
         return _REGISTRY[tid]
     pres = presentation(tid, ((lbl, 0) for lbl in labels), ())
-    entry = TheoryEntry(theory_id=tid, presentation=pres, label=tid)
-    return register_theory(entry, SyntacticProc())
+    return register_theory(
+        TheoryEntry(theory_id=tid, presentation=pres, label=tid, procedure=SyntacticProc())
+    )
 
 
 def narytree_theory(n: int) -> TheoryEntry:
@@ -1013,18 +1012,19 @@ def narytree_theory(n: int) -> TheoryEntry:
         theory_id=tid,
         presentation=pres,
         label=tid,
+        procedure=TreeProc(OpSymbol("node", n)),
         # a two-sided unital binary term derived from the n-ary operation
         designated_binary=parse_term("node(y1,y2" + ",e" * (n - 2) + ")", sig),
         designated_unit=parse_term("e", sig),
     )
-    return register_theory(entry, TreeProc(OpSymbol("node", n)))
+    return register_theory(entry)
 
 
 def ring_entry() -> TheoryEntry:
-    """Noncommutative unital rings. Not in the default registry; used as a
-    worked example for the constant-counting obstruction. The annihilation
-    axioms are derivable but registered so bounded rewrite search can use
-    them directly."""
+    """Noncommutative unital rings, as an entry that is not registered; used
+    as a worked example for the constant-counting obstruction. The
+    annihilation axioms are derivable but listed so bounded rewrite search
+    can use them directly."""
     pres = presentation(
         "ring",
         (("plus", 2), ("times", 2), ("neg", 1), ("zero", 0), ("one", 0)),
@@ -1043,25 +1043,21 @@ def ring_entry() -> TheoryEntry:
         ),
     )
     sig = pres.signature
-    entry = TheoryEntry(
+    return TheoryEntry(
         theory_id="ring",
         presentation=pres,
         label="ring",
+        procedure=RingProc(),
         designated_binary=parse_term("times(y1,y2)", sig),
         designated_unit=parse_term("one", sig),
         absorbing=parse_term("plus(x,times(y,zero))", sig),
     )
-    if procedure_for("ring") is None:
-        register_procedure("ring", RingProc())
-    return entry
 
 
 def _register_rest() -> None:
     pointed = presentation("pointed", (("bot", 0),), ())
-    register_theory(
-        TheoryEntry(theory_id="pointed", presentation=pointed, label="pointed"),
-        SyntacticProc(),
-    )
+    register_theory(TheoryEntry(theory_id="pointed", presentation=pointed, label="pointed",
+                                procedure=SyntacticProc()))
 
     exception_theory(("a",))
     exception_theory(("a", "b"))
@@ -1089,11 +1085,11 @@ def _register_rest() -> None:
             theory_id="abgroup",
             presentation=abgroup,
             label="abgroup",
+            procedure=AbGroupProc(),
             designated_binary=parse_term("mul(y1,y2)", ab_sig),
             designated_unit=parse_term("e", ab_sig),
             absorbing=parse_term("mul(mul(x,y),inv(y))", ab_sig),
-        ),
-        AbGroupProc(),
+        )
     )
 
     convex = presentation(
@@ -1110,9 +1106,9 @@ def _register_rest() -> None:
             theory_id="convex",
             presentation=convex,
             label="convex",
+            procedure=ConvexProc(),
             designated_binary=parse_term("mix(y1,y2)", convex.signature),
-        ),
-        ConvexProc(),
+        )
     )
 
     reader = presentation(
@@ -1128,10 +1124,10 @@ def _register_rest() -> None:
             theory_id="reader:2",
             presentation=reader,
             label="reader:2",
+            procedure=ReaderProc(),
             designated_binary=parse_term("mul(y1,y2)", reader.signature),
             absorbing=parse_term("mul(x,mul(y,x))", reader.signature),
-        ),
-        ReaderProc(),
+        )
     )
 
 

@@ -1,6 +1,11 @@
 """Bounded search for distributive-law tables on small carriers."""
 
 import hashlib
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +215,26 @@ def test_huge_result_space_is_counted_lazily(s_id, t_id):
     r = search_distlaw_bounded(s_id, t_id)
     assert r.outcome == SearchOutcome.INCONCLUSIVE
     assert "more than 4096 values" in r.conflict
+
+
+def _limit_address_space_to_1gb():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_oversized_fragment_is_refused_before_it_is_built():
+    # list over list at bound 4 has about 341**4 inputs at |X|=4; they must
+    # be counted past the edge cap, not built, in a 1 GB address space
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    res = subprocess.run(
+        [sys.executable, "-m", "monadlab", "law", "search", "list", "list", "--bound", "4"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        preexec_fn=_limit_address_space_to_1gb,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == (
+        "list over list, carriers (1, 4), bound 4: Inconclusive "
+        "(the fragment at |X|=4 has more than 1000000 inputs)\n"
+    )
 
 
 def _entries_digest(table) -> str:

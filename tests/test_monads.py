@@ -22,10 +22,8 @@ from monadlab.terms import (
     App,
     Var,
     enumerate_terms,
-    procedure_for,
     render,
     substitute,
-    term_depth,
 )
 from monadlab.theories import lookup_theory
 from monadlab.values import (
@@ -559,7 +557,7 @@ def _brute_force_free_model(theory_id, monad_id, labels, bound, depth, subst_dep
         return value
 
     base = evaluator({x: monad.unit(x) for x in labels})
-    proc = procedure_for(entry.theory_id)
+    proc = entry.procedure
     by_class = {}
     for t in universe:
         by_class.setdefault(proc.term_key(t), []).append(t)
@@ -588,7 +586,10 @@ def _brute_force_free_model(theory_id, monad_id, labels, bound, depth, subst_dep
                 first = format_value(sorted(got, key=canon_key)[0])
                 report.problems.append(f"bound {b}: {len(got)} {what}, e.g. {first}")
 
-    small = [t for t in universe if term_depth(t) <= subst_depth]
+    def depth_of(t):
+        return 1 + max(map(depth_of, t.args)) if isinstance(t, App) and t.args else 0
+
+    small = [t for t in universe if depth_of(t) <= subst_depth]
     images = small[: 3 * len(labels)]
     for shift in range(min(3, len(images))):
         sigma = {x: images[(i + shift) % len(images)] for i, x in enumerate(labels)}

@@ -61,3 +61,12 @@ def test_python_dash_m_runs_the_cli():
     res = _python("-m", "monadlab", "--help")
     assert res.returncode == 0, res.stderr
     assert "boom-table" in res.stdout
+
+
+def test_package_import_loads_no_submodule():
+    # theories build their registry on first import of `monadlab.theories`,
+    # not as a side effect of the package
+    res = _python("-c", "import sys, monadlab; "
+                        "print(*sorted(m for m in sys.modules if m.startswith('monadlab.')))")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == []

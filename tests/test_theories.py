@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from monadlab import hierarchy, terms, theories
 from monadlab.terms import (
     App,
-    NoProcedureError,
     OpSymbol,
+    Rewriter,
     Var,
     decide_eq,
     normalize,
     parse_term,
-    rewrite_steps,
 )
 from monadlab.theories import (
     BOOM_EXTENDED,
@@ -44,6 +43,19 @@ def pt(theory_id, text):
     return lookup_theory(theory_id).presentation.parse(text)
 
 
+def decide(theory_id, a, b):
+    return decide_eq(lookup_theory(theory_id).procedure, a, b)
+
+
+def normal_form(theory_id, term):
+    return normalize(lookup_theory(theory_id).procedure, term)
+
+
+def rewrite_steps(pres, term, pool):
+    """One-step rewrites of `term`, each once, in `Rewriter.steps` order."""
+    return list(dict.fromkeys(Rewriter(pres, pool).steps(term)))
+
+
 # ---------------------------------------------------------------------------
 # registry shape
 
@@ -71,12 +83,28 @@ def test_aliases_resolve():
 def test_every_theory_has_a_decision_procedure():
     # the registry, theories built on demand, and the unregistered ring
     for tid in (*theory_ids(), "exception:{a,b,c}", "narytree-theory:4"):
-        assert terms.procedure_for(lookup_theory(tid).theory_id) is not None, tid
-    assert terms.procedure_for(ring_entry().theory_id) is not None
+        assert isinstance(lookup_theory(tid).procedure, terms.Procedure), tid
+    assert isinstance(ring_entry().procedure, terms.Procedure)
     magma = boom_theory(BoomFlags(False, False, False, False))
     with pytest.raises(TypeError):
-        register_theory(TheoryEntry("test:procedure-less", magma, "magma"))
-    assert "test:procedure-less" not in theory_ids()
+        TheoryEntry("test:procedure-less", magma, "magma")
+
+
+def test_unregistered_entries_leave_the_registry_alone():
+    before = theory_ids()
+    first, second = ring_entry(), ring_entry()
+    assert first is not second
+    for ring in (first, second):
+        pres = ring.presentation
+        assert decide_eq(ring.procedure, pres.parse("times(x,zero)"), pres.parse("zero"))
+    magma = boom_theory(BoomFlags(False, False, False, False))
+    local = TheoryEntry("test:local-magma", magma, "magma",
+                        theories.TreeProc(magma.signature.op("mul")))
+    assert not decide_eq(local.procedure, magma.parse("mul(x,y)"), magma.parse("mul(y,x)"))
+    assert check_property(local, PropertyId.T3).status is PropertyStatus.FAILS
+    assert theory_ids() == before
+    with pytest.raises(KeyError):
+        lookup_theory("ring")
 
 
 def test_unknown_theory_suggests():
@@ -120,58 +148,57 @@ def test_boom_label_orders():
 
 def test_monoid_procedure():
     tid = "boom:UA--"
-    assert decide_eq(tid, pt(tid, "mul(mul(x,y),z)"), pt(tid, "mul(x,mul(y,z))"))
-    assert decide_eq(tid, pt(tid, "mul(e,x)"), pt(tid, "x"))
-    assert not decide_eq(tid, pt(tid, "mul(x,y)"), pt(tid, "mul(y,x)"))
-    assert normalize(tid, pt(tid, "mul(mul(x,e),y)")) == pt(tid, "mul(x,y)")
+    assert decide(tid, pt(tid, "mul(mul(x,y),z)"), pt(tid, "mul(x,mul(y,z))"))
+    assert decide(tid, pt(tid, "mul(e,x)"), pt(tid, "x"))
+    assert not decide(tid, pt(tid, "mul(x,y)"), pt(tid, "mul(y,x)"))
+    assert normal_form(tid, pt(tid, "mul(mul(x,e),y)")) == pt(tid, "mul(x,y)")
 
 
 def test_comm_monoid_procedure():
     tid = "boom:UAC-"
-    assert decide_eq(tid, pt(tid, "mul(x,y)"), pt(tid, "mul(y,x)"))
-    assert not decide_eq(tid, pt(tid, "mul(x,x)"), pt(tid, "x"))
-    assert normalize(tid, pt(tid, "mul(y,mul(x,e))")) == pt(tid, "mul(x,y)")
+    assert decide(tid, pt(tid, "mul(x,y)"), pt(tid, "mul(y,x)"))
+    assert not decide(tid, pt(tid, "mul(x,x)"), pt(tid, "x"))
+    assert normal_form(tid, pt(tid, "mul(y,mul(x,e))")) == pt(tid, "mul(x,y)")
 
 
 def test_jsl_procedure():
     tid = "boom:UACI"
-    assert decide_eq(tid, pt(tid, "mul(x,mul(y,x))"), pt(tid, "mul(y,x)"))
-    assert decide_eq(tid, pt(tid, "mul(mul(x,x),e)"), pt(tid, "x"))
-    assert not decide_eq(tid, pt(tid, "mul(x,y)"), pt(tid, "x"))
-    assert normalize(tid, pt(tid, "mul(y,mul(x,y))")) == pt(tid, "mul(x,y)")
+    assert decide(tid, pt(tid, "mul(x,mul(y,x))"), pt(tid, "mul(y,x)"))
+    assert decide(tid, pt(tid, "mul(mul(x,x),e)"), pt(tid, "x"))
+    assert not decide(tid, pt(tid, "mul(x,y)"), pt(tid, "x"))
+    assert normal_form(tid, pt(tid, "mul(y,mul(x,y))")) == pt(tid, "mul(x,y)")
 
 
 def test_tree_procedures():
     t = "boom:U---"
-    assert decide_eq(t, pt(t, "mul(e,x)"), pt(t, "x"))
-    assert not decide_eq(t, pt(t, "mul(mul(x,y),z)"), pt(t, "mul(x,mul(y,z))"))
+    assert decide(t, pt(t, "mul(e,x)"), pt(t, "x"))
+    assert not decide(t, pt(t, "mul(mul(x,y),z)"), pt(t, "mul(x,mul(y,z))"))
     c = "boom:--C-"
-    assert decide_eq(c, pt(c, "mul(x,y)"), pt(c, "mul(y,x)"))
-    assert not decide_eq(c, pt(c, "mul(mul(x,y),z)"), pt(c, "mul(x,mul(y,z))"))
+    assert decide(c, pt(c, "mul(x,y)"), pt(c, "mul(y,x)"))
+    assert not decide(c, pt(c, "mul(mul(x,y),z)"), pt(c, "mul(x,mul(y,z))"))
     i = "boom:---I"
-    assert decide_eq(i, pt(i, "mul(mul(x,x),y)"), pt(i, "mul(x,y)"))
-    assert not decide_eq(i, pt(i, "mul(x,y)"), pt(i, "mul(y,x)"))
+    assert decide(i, pt(i, "mul(mul(x,x),y)"), pt(i, "mul(x,y)"))
+    assert not decide(i, pt(i, "mul(x,y)"), pt(i, "mul(y,x)"))
 
 
 def test_band_procedure_facts():
     tid = "boom:-A-I"
     # xyxyx = xyx is the classic collapse
-    assert decide_eq(
+    assert decide(
         tid,
         pt(tid, "mul(x,mul(y,mul(x,mul(y,x))))"),
         pt(tid, "mul(x,mul(y,x))"),
     )
-    assert decide_eq(tid, pt(tid, "mul(mul(x,y),mul(x,y))"), pt(tid, "mul(x,y)"))
-    assert not decide_eq(tid, pt(tid, "mul(x,y)"), pt(tid, "mul(y,x)"))
-    assert not decide_eq(tid, pt(tid, "mul(x,mul(y,x))"), pt(tid, "mul(x,y)"))
-    with pytest.raises(NoProcedureError):
-        normalize(tid, pt(tid, "mul(x,y)"))  # decide-only
+    assert decide(tid, pt(tid, "mul(mul(x,y),mul(x,y))"), pt(tid, "mul(x,y)"))
+    assert not decide(tid, pt(tid, "mul(x,y)"), pt(tid, "mul(y,x)"))
+    assert not decide(tid, pt(tid, "mul(x,mul(y,x))"), pt(tid, "mul(x,y)"))
+    assert normal_form(tid, pt(tid, "mul(x,y)")) is None  # decide-only
 
 
 def test_unital_band_unit():
     tid = "boom:UA-I"
-    assert decide_eq(tid, pt(tid, "mul(e,mul(x,x))"), pt(tid, "x"))
-    assert not decide_eq(tid, pt(tid, "mul(x,y)"), pt(tid, "e"))
+    assert decide(tid, pt(tid, "mul(e,mul(x,x))"), pt(tid, "x"))
+    assert not decide(tid, pt(tid, "mul(x,y)"), pt(tid, "e"))
 
 
 def free_band_size(n):
@@ -206,69 +233,69 @@ def test_free_band_closure_matches_counting_oracle(n, expected):
 
 def test_abgroup_procedure():
     tid = "abgroup"
-    assert decide_eq(tid, pt(tid, "mul(x,inv(x))"), pt(tid, "e"))
-    assert decide_eq(tid, pt(tid, "inv(mul(x,y))"), pt(tid, "mul(inv(y),inv(x))"))
-    assert decide_eq(tid, pt(tid, "inv(inv(x))"), pt(tid, "x"))
-    assert not decide_eq(tid, pt(tid, "mul(x,x)"), pt(tid, "x"))
-    assert normalize(tid, pt(tid, "mul(x,mul(x,inv(y)))")) == pt(
+    assert decide(tid, pt(tid, "mul(x,inv(x))"), pt(tid, "e"))
+    assert decide(tid, pt(tid, "inv(mul(x,y))"), pt(tid, "mul(inv(y),inv(x))"))
+    assert decide(tid, pt(tid, "inv(inv(x))"), pt(tid, "x"))
+    assert not decide(tid, pt(tid, "mul(x,x)"), pt(tid, "x"))
+    assert normal_form(tid, pt(tid, "mul(x,mul(x,inv(y)))")) == pt(
         tid, "mul(x,mul(x,inv(y)))"
     )
-    assert normalize(tid, pt(tid, "mul(inv(x),x)")) == pt(tid, "e")
+    assert normal_form(tid, pt(tid, "mul(inv(x),x)")) == pt(tid, "e")
 
 
 def test_convex_procedure():
     tid = "convex"
-    assert decide_eq(
+    assert decide(
         tid,
         pt(tid, "mix(mix(a,b),mix(c,d))"),
         pt(tid, "mix(mix(a,c),mix(b,d))"),
     )
     # both sides weigh x at 5/8 and y at 3/8
-    assert decide_eq(
+    assert decide(
         tid,
         pt(tid, "mix(x,mix(y,mix(y,x)))"),
         pt(tid, "mix(mix(x,y),mix(x,mix(x,y)))"),
     )
-    assert not decide_eq(tid, pt(tid, "mix(x,mix(x,y))"), pt(tid, "mix(x,y)"))
-    assert normalize(tid, pt(tid, "mix(x,x)")) == Var("x")
-    two_one = normalize(tid, pt(tid, "mix(x,mix(x,mix(y,x)))"))
-    proc = terms.procedure_for(tid)
+    assert not decide(tid, pt(tid, "mix(x,mix(x,y))"), pt(tid, "mix(x,y)"))
+    assert normal_form(tid, pt(tid, "mix(x,x)")) == Var("x")
+    two_one = normal_form(tid, pt(tid, "mix(x,mix(x,mix(y,x)))"))
+    proc = lookup_theory(tid).procedure
     assert proc.term_key(two_one) == proc.term_key(pt(tid, "mix(x,mix(x,mix(y,x)))"))
 
 
 def test_reader_procedure():
     tid = "reader:2"
-    assert decide_eq(tid, pt(tid, "mul(x,mul(y,x))"), pt(tid, "x"))
-    assert decide_eq(tid, pt(tid, "mul(mul(x,y),z)"), pt(tid, "mul(x,z)"))
-    assert not decide_eq(tid, pt(tid, "mul(x,y)"), pt(tid, "mul(y,x)"))
-    assert normalize(tid, pt(tid, "mul(x,mul(y,x))")) == Var("x")
+    assert decide(tid, pt(tid, "mul(x,mul(y,x))"), pt(tid, "x"))
+    assert decide(tid, pt(tid, "mul(mul(x,y),z)"), pt(tid, "mul(x,z)"))
+    assert not decide(tid, pt(tid, "mul(x,y)"), pt(tid, "mul(y,x)"))
+    assert normal_form(tid, pt(tid, "mul(x,mul(y,x))")) == Var("x")
 
 
 def test_ring_entry_procedure():
     entry = ring_entry()
-    pres = entry.presentation
+    pres, ring = entry.presentation, entry.procedure
     assert decide_eq(
-        "ring",
+        ring,
         pres.parse("times(plus(x,y),z)"),
         pres.parse("plus(times(x,z),times(y,z))"),
     )
-    assert decide_eq("ring", pres.parse("times(x,zero)"), pres.parse("zero"))
-    assert not decide_eq("ring", pres.parse("one"), pres.parse("zero"))
+    assert decide_eq(ring, pres.parse("times(x,zero)"), pres.parse("zero"))
+    assert not decide_eq(ring, pres.parse("one"), pres.parse("zero"))
     assert not decide_eq(
-        "ring", pres.parse("times(x,y)"), pres.parse("times(y,x)")
+        ring, pres.parse("times(x,y)"), pres.parse("times(y,x)")
     )
     assert normalize(
-        "ring", pres.parse("times(plus(x,one),y)")
+        ring, pres.parse("times(plus(x,one),y)")
     ) == pres.parse("plus(times(x,y),y)")
 
 
 def test_narytree_theory_units():
     entry = narytree_theory(3)
     pres = entry.presentation
-    assert decide_eq(entry.theory_id, pres.parse("node(e,x,e)"), pres.parse("x"))
-    assert decide_eq(entry.theory_id, pres.parse("node(e,e,e)"), pres.parse("e"))
+    assert decide_eq(entry.procedure, pres.parse("node(e,x,e)"), pres.parse("x"))
+    assert decide_eq(entry.procedure, pres.parse("node(e,e,e)"), pres.parse("e"))
     assert not decide_eq(
-        entry.theory_id, pres.parse("node(x,y,e)"), pres.parse("node(x,e,y)")
+        entry.procedure, pres.parse("node(x,y,e)"), pres.parse("node(x,e,y)")
     )
     # the derived binary is unital on both sides
     assert check_property(entry, PropertyId.S4A).status is PropertyStatus.HOLDS
@@ -309,7 +336,15 @@ def test_one_step_rewrites_preserve_keys(tid, data):
         App(c, ()) for c in entry.presentation.signature.constants
     )
     for u in rewrite_steps(entry.presentation, t, pool)[:25]:
-        assert decide_eq(tid, t, u), f"{u} should equal {t}"
+        assert decide_eq(entry.procedure, t, u), f"{u} should equal {t}"
+
+
+def _replace_at(term, path, replacement):
+    if not path:
+        return replacement
+    i = path[0]
+    return App(term.op, term.args[:i] + (_replace_at(term.args[i], path[1:], replacement),)
+               + term.args[i + 1 :])
 
 
 def _path_walk_steps(rules, term, pool):
@@ -325,7 +360,7 @@ def _path_walk_steps(rules, term, pool):
             unbound = sorted(repl_vars - bindings.keys())
             for fills in itertools.product(pool, repeat=len(unbound)):
                 full = dict(bindings, **dict(zip(unbound, fills)))
-                rewritten = terms.replace_at(term, path, terms.substitute(repl, full))
+                rewritten = _replace_at(term, path, terms.substitute(repl, full))
                 out.setdefault(rewritten, None)
     out.pop(term, None)
     return list(out)
@@ -424,7 +459,7 @@ def test_ring_fails_closed_class_purity():
     closed, open_member = cert.witness
     assert terms.term_vars(closed) == frozenset()
     assert terms.term_vars(open_member)
-    assert decide_eq("ring", closed, open_member)
+    assert decide_eq(entry.procedure, closed, open_member)
 
 
 def test_abides_holds_matrix():
@@ -486,8 +521,7 @@ def test_validation_catches_broken_procedure():
         def app_key(self, op, child_keys):
             return tuple(sorted(child_keys, key=repr))  # pretends mul is comm
 
-    entry = TheoryEntry("test:wrong-magma", pres, "wrong")
-    terms.register_procedure("test:wrong-magma", Wrong())
+    entry = TheoryEntry("test:wrong-magma", pres, "wrong", Wrong())
     report = validate_procedure_against_rewrites(entry, depth=2, num_vars=2)
     assert not report.ok
     assert report.disconnected_classes  # mul(x,y) and mul(y,x) share a key
@@ -503,12 +537,12 @@ def _class_map(entry, depth, num_vars):
     sig = entry.presentation.signature
     atoms = [Var(f"x{i + 1}") for i in range(num_vars)]
     atoms += [App(c, ()) for c in sig.constants]
-    return terms.classes_by_closure(sig, terms.procedure_for(entry.theory_id), atoms, depth)
+    return terms.classes_by_closure(sig, entry.procedure, atoms, depth)
 
 
 def _brute_force_class_map(entry, depth, num_vars):
     """Walk every term, keeping the first witness per (key, variable mask)."""
-    proc = terms.procedure_for(entry.theory_id)
+    proc = entry.procedure
     sig = entry.presentation.signature
     atoms = [Var(f"x{i + 1}") for i in range(num_vars)]
     atoms += [App(c, ()) for c in sig.constants]
@@ -571,7 +605,7 @@ def _bounded_counterexample(entry, classes, prop):
     if term is None:
         buckets = [bucket for bucket in classes.values() if 0 in bucket]
     else:
-        buckets = [classes.get(terms.procedure_for(entry.theory_id).term_key(term), {})]
+        buckets = [classes.get(entry.procedure.term_key(term), {})]
     for bucket in buckets:
         for member in bucket.values():
             if _breaks(terms.term_vars(member), least, most):
@@ -593,7 +627,7 @@ def _agrees_with_class_map(entry, classes, cert):
         assert cert.witness == (term,) and found is not None, cert
     else:
         rep, member = cert.witness
-        assert decide_eq(entry.theory_id, rep, member), cert
+        assert decide_eq(entry.procedure, rep, member), cert
         assert term is None or rep == term, cert
 
 
@@ -657,7 +691,7 @@ def test_with_binary_starts_fresh_certificates():
     variant = _diagonal_jsl()
     assert variant.designated_binary == pt("jsl", "mul(y1,y1)") != jsl.designated_binary
     assert variant._certificates == {} != jsl._certificates
-    same = ("theory_id", "presentation", "label", "designated_unit", "aliases", "notes",
+    same = ("theory_id", "presentation", "label", "procedure", "designated_unit", "aliases",
             "absorbing")
     assert [getattr(variant, f) for f in same] == [getattr(jsl, f) for f in same]
     abgroup = lookup_theory("abgroup")
@@ -755,11 +789,8 @@ def test_essential_variables_give_the_fewest_member():
     # class holds mul(x1,x1)
     pres = presentation("test:leftzero", (("mul", 2),), (("mul(x,y)", "x", "leftzero"),))
     sig = pres.signature
-    leftzero = register_theory(
-        TheoryEntry("test:leftzero", pres, "leftzero", parse_term("mul(y1,y2)", sig),
-                    absorbing=parse_term("mul(x,y)", sig)),
-        _LeftZeroProc(),
-    )
+    leftzero = TheoryEntry("test:leftzero", pres, "leftzero", _LeftZeroProc(),
+                           parse_term("mul(y1,y2)", sig), absorbing=parse_term("mul(x,y)", sig))
     assert check_property(leftzero, PropertyId.V3).describe() == (
         "Fails(essential variables; class member inside a single variable; "
         "witness mul(x1,x2),mul(x1,x1))"
@@ -778,23 +809,24 @@ def test_rejected_registration_changes_nothing():
     leftzero = presentation("x:dup", (("mul", 2),), (("mul(x,y)", "x", "leftzero"),))
     sig = leftzero.signature
     before = theory_ids()
+    proc = _LeftZeroProc()
     rejected = [
-        (TheoryEntry("x:dup", magma, "dup", aliases=("dup", "monoid")),
+        (TheoryEntry("x:dup", magma, "dup", proc, aliases=("dup", "monoid")),
          "alias 'monoid' already taken"),
-        (TheoryEntry("boom:UA--", magma, "dup"), "already registered"),
-        (TheoryEntry("x:dup", leftzero, "dup"), "needs an absorbing term"),
+        (TheoryEntry("boom:UA--", magma, "dup", proc), "already registered"),
+        (TheoryEntry("x:dup", leftzero, "dup", proc), "needs an absorbing term"),
         # mul(y,x) = y, and x = x has no y
-        (TheoryEntry("x:dup", leftzero, "dup", absorbing=parse_term("mul(y,x)", sig)),
+        (TheoryEntry("x:dup", leftzero, "dup", proc, absorbing=parse_term("mul(y,x)", sig)),
          "needs an absorbing term"),
-        (TheoryEntry("x:dup", leftzero, "dup", absorbing=Var("x")), "needs an absorbing term"),
+        (TheoryEntry("x:dup", leftzero, "dup", proc, absorbing=Var("x")),
+         "needs an absorbing term"),
     ]
     for entry, message in rejected:
         with pytest.raises(ValueError, match=message):
-            register_theory(entry, _LeftZeroProc())
+            register_theory(entry)
         assert theory_ids() == before
         with pytest.raises(KeyError):
             lookup_theory("x:dup")
         with pytest.raises(KeyError):
             lookup_theory("dup")
-        assert terms.procedure_for("x:dup") is None
     assert lookup_theory("monoid").theory_id == "boom:UA--"
