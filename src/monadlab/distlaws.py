@@ -5,6 +5,10 @@ to an inner structure of outer ones, written on values as
 `apply: S(T(X)) -> T(S(X))`. `check_beck` tests naturality, both unit
 conditions, and both multiplication conditions over graded pools, recording
 every counterexample it finds.
+
+The fixed laws are registered once, at import. `law_for` reads that
+registry and never writes it: the choice and exception-over laws come from
+cached constructors, one law per name.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import time
 from itertools import repeat
 from typing import Callable, Iterator, NamedTuple
 
-from monadlab.monads import FinMonad, LawReport, NoMonadError, monad_for
+from monadlab.monads import ALL_MONAD_IDS, FinMonad, LawReport, NoMonadError, monad_for
+from monadlab.theories import unknown_name
 from monadlab.values import Value, letters, memo
 
 __all__ = [
@@ -50,7 +55,8 @@ class DistLaw(NamedTuple):
 # concrete laws
 
 
-def _choice_law(law_id: str, pair: str):
+@functools.cache
+def _choice_law(law_id: str, s: FinMonad, t: FinMonad) -> DistLaw:
     """Choose one element per position of a linear S from the commutative T
     sitting there, weighting each combination of picks by the product of
     the picked weights (the swap construction of Jones & Duponcheel 1993;
@@ -58,26 +64,24 @@ def _choice_law(law_id: str, pair: str):
     sums into sums of products. S builds the picks (`FinMonad.choose`):
     a positional S gives one shape per pick set, so its picks are distinct
     and come in `canon_key` order, and T wraps them without merging or
-    sorting; multiset S merges. `pair` is "S:T"; either id may contain
-    colons, so every split is tried. None when no split names two monads."""
+    sorting; multiset S merges."""
+    if not hasattr(s, "choose"):
+        raise NoLawError(f"{law_id}: {s.monad_id} is not a linear monad")
+    if not hasattr(t, "weighted"):
+        raise NoLawError(f"{law_id}: {t.monad_id} has no (element, weight) view")
+    return DistLaw(law_id, s, t, functools.partial(s.choose, t=t),
+                   f"choose one element per {s.monad_id} position from each {t.monad_id}")
+
+
+def _monad_pair(pair: str):
+    """(S, T) named by "S:T", trying every split since either id may contain
+    colons; None when no split names two monads."""
     parts = pair.split(":")
     for k in range(1, len(parts)):
-        s_name, t_name = ":".join(parts[:k]), ":".join(parts[k:])
         try:
-            s, t = monad_for(s_name), monad_for(t_name)
+            return monad_for(":".join(parts[:k])), monad_for(":".join(parts[k:]))
         except NoMonadError:
             continue
-        if not hasattr(s, "choose"):
-            raise NoLawError(f"{law_id}: {s.monad_id} is not a linear monad")
-        if not hasattr(t, "weighted"):
-            raise NoLawError(f"{law_id}: {t.monad_id} has no (element, weight) view")
-        return DistLaw(
-            law_id,
-            s,
-            t,
-            functools.partial(s.choose, t=t),
-            f"choose one element per {s_name} position from each {t_name}",
-        )
     return None
 
 
@@ -104,7 +108,8 @@ def _mm_project(pick: Callable) -> Callable[[Value], Value]:
     return apply
 
 
-def _exception_over_apply(t: FinMonad) -> Callable[[Value], Value]:
+@functools.cache
+def _exception_over_law(law_id: str, t: FinMonad) -> DistLaw:
     """Push an exceptional structure inside: a bare error becomes a unit
     structure carrying that error, a payload gets ok wrapped on its elements."""
 
@@ -113,7 +118,8 @@ def _exception_over_apply(t: FinMonad) -> Callable[[Value], Value]:
             return t.unit(v)
         return t.fmap(lambda x: ("ok", x), v[1])
 
-    return apply
+    return DistLaw(law_id, monad_for("exception:{a,b}"), t, apply,
+                   "push exceptional values inside the structure")
 
 
 def _faulty_apply(v: Value) -> Value:
@@ -139,42 +145,19 @@ _LAW_ALIASES = {
 
 def _fixed_laws() -> dict:
     nel = monad_for("nonempty-list")
-    exc = monad_for("exception:{a,b}")
-    laws = {
-        "mm-nel-1": DistLaw(
-            "mm-nel-1",
-            nel,
-            nel,
-            _mm1_apply,
-            "regroup: later heads glue left, other adjacencies split",
-        ),
-        "mm-nel-2": DistLaw(
-            "mm-nel-2",
-            nel,
-            nel,
-            _mm_project(lambda inner: inner[1]),
-            "heads of each inner list (singletons when only one inner list)",
-        ),
-        "mm-nel-3": DistLaw(
-            "mm-nel-3",
-            nel,
-            nel,
-            _mm_project(lambda inner: inner[-1]),
-            "lasts of each inner list (singletons when only one inner list)",
-        ),
-        "faulty-list-exception": DistLaw(
-            "faulty-list-exception",
-            monad_for("list"),
-            exc,
-            _faulty_apply,
-            "looks plausible pointwise but forgets which error occurred",
-        ),
-    }
-    return laws
+    return {law.law_id: law for law in (
+        DistLaw("mm-nel-1", nel, nel, _mm1_apply,
+                "regroup: later heads glue left, other adjacencies split"),
+        DistLaw("mm-nel-2", nel, nel, _mm_project(lambda inner: inner[1]),
+                "heads of each inner list (singletons when only one inner list)"),
+        DistLaw("mm-nel-3", nel, nel, _mm_project(lambda inner: inner[-1]),
+                "lasts of each inner list (singletons when only one inner list)"),
+        DistLaw("faulty-list-exception", monad_for("list"), monad_for("exception:{a,b}"),
+                _faulty_apply, "looks plausible pointwise but forgets which error occurred"),
+    )}
 
 
 _LAWS = _fixed_laws()
-_NAMED = tuple(_LAW_ALIASES) + tuple(_LAWS)
 
 
 def law_ids() -> tuple:
@@ -183,39 +166,28 @@ def law_ids() -> tuple:
         for s in ("tree", "list", "multiset")
         for t in ("multiset", "powerset")
     ]
-    from monadlab.monads import ALL_MONAD_IDS
-
     excs = [f"exception-over:{t}" for t in ALL_MONAD_IDS]
-    return _NAMED + tuple(choices + excs)
+    return (*_LAW_ALIASES, *_LAWS, *choices, *excs)
 
 
 def law_for(law_id: str) -> DistLaw:
-    if law_id in _LAWS:
-        return _LAWS[law_id]
+    """The fixed law `law_id`, else the choice or exception-over law that it
+    names or is an alias of, one object per name; reads `_LAWS` and never
+    writes it."""
+    law = _LAWS.get(law_id)
+    if law is not None:
+        return law
     kind, _, rest = _LAW_ALIASES.get(law_id, law_id).partition(":")
-    law = None
     if kind == "choice":
-        law = _choice_law(law_id, rest)
+        pair = _monad_pair(rest)
+        if pair is not None:
+            return _choice_law(law_id, *pair)
     elif kind == "exception-over":
         try:
-            t = monad_for(rest)
+            return _exception_over_law(law_id, monad_for(rest))
         except NoMonadError:
-            t = None
-        if t is not None:
-            law = DistLaw(
-                law_id,
-                monad_for("exception:{a,b}"),
-                t,
-                _exception_over_apply(t),
-                "push exceptional values inside the structure",
-            )
-    if law is not None:
-        return _LAWS.setdefault(law_id, law)
-    import difflib
-
-    near = difflib.get_close_matches(law_id, law_ids(), n=3)
-    hint = f"; did you mean {', '.join(near)}?" if near else ""
-    raise NoLawError(f"unknown law {law_id!r}{hint}")
+            pass
+    raise NoLawError(unknown_name("law", law_id, law_ids()))
 
 
 # ---------------------------------------------------------------------------

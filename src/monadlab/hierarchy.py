@@ -229,8 +229,12 @@ def _show(mark: str, contents) -> str:
 
 def diff_table(table: VerdictTable, golden: Path) -> list[TableMismatch]:
     """Content-level comparison with the golden file at `golden`; raises
-    GoldenFileError on shape problems."""
-    variant, labels, golden_cells = parse_golden(golden.read_text())
+    GoldenFileError when it is not UTF-8 text and on shape problems."""
+    try:
+        text = golden.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GoldenFileError(f"golden file is not UTF-8 text: {exc}") from None
+    variant, labels, golden_cells = parse_golden(text)
     if variant != table.variant or labels != table.labels:
         raise GoldenFileError(
             f"dimension mismatch: golden is {variant} {len(labels)}x{len(labels)}, "

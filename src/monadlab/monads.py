@@ -5,6 +5,11 @@ enumerable over a finite carrier up to a structural size bound. Enumeration
 is deterministic, duplicate-free, and graded by size, so the sequence for a
 smaller bound is a prefix of the sequence for a larger one; law checking and
 the free-model comparisons rely on that.
+
+The registry of named monads is filled once, at import. `monad_for` only
+reads it: the exception and n-ary tree monads it does not hold come from
+cached constructors, so every spelling of one label set or width gives
+the same object.
 """
 
 from __future__ import annotations
@@ -402,10 +407,12 @@ class NaryTreeMonad(FinMonad):
             yield from layer
 
     def _nodes_of_size(self, s, layers):
-        for split in itertools.product(range(s + 1), repeat=self.width):
-            if sum(split) != s:
-                continue
-            if sum(1 for part in split if part > 0) < 2:
+        # the splits of s into `width` child sizes, in lexicographic order:
+        # the gaps between `width` - 1 bars placed among s + width - 1 slots
+        slots = s + self.width - 1
+        for bars in itertools.combinations(range(slots), self.width - 1):
+            split = [b - a - 1 for a, b in zip((-1, *bars), (*bars, slots))]
+            if s in split:  # fewer than two children that are not units
                 continue
             for kids in itertools.product(*(layers[part] for part in split)):
                 yield ("nnode",) + kids
@@ -603,27 +610,25 @@ class AbGroupMonad(WeightedMonad):
 # ---------------------------------------------------------------------------
 # registry
 
-_MONADS: dict = {}
+# one monad per sorted label tuple, and per width
+_exception_monad = functools.cache(ExceptionMonad)
+_narytree_monad = functools.cache(NaryTreeMonad)
 
-
-def _register(m: FinMonad) -> FinMonad:
-    _MONADS[m.monad_id] = m
-    return m
-
-
-_register(ListMonad())
-_register(ListMonad(nonempty=True))
-_register(MultisetMonad())
-_register(PowersetMonad())
-_register(BinTreeMonad())
-_register(NaryTreeMonad(2))
-_register(NaryTreeMonad(3))
-_register(ExceptionMonad(("a",)))
-_register(ExceptionMonad(("a", "b")))
-_register(LiftMonad())
-_register(ReaderMonad())
-_register(DistMonad())
-_register(AbGroupMonad())
+_MONADS: dict = {m.monad_id: m for m in (
+    ListMonad(),
+    ListMonad(nonempty=True),
+    MultisetMonad(),
+    PowersetMonad(),
+    BinTreeMonad(),
+    _narytree_monad(2),
+    _narytree_monad(3),
+    _exception_monad(("a",)),
+    _exception_monad(("a", "b")),
+    LiftMonad(),
+    ReaderMonad(),
+    DistMonad(),
+    AbGroupMonad(),
+)}
 
 ALL_MONAD_IDS = tuple(_MONADS)
 
@@ -641,27 +646,21 @@ def monad_ids() -> tuple:
 
 
 def monad_for(monad_id: str) -> FinMonad:
+    """The registered monad with id or alias `monad_id`, else the exception
+    or n-ary tree monad that it spells, one object per label set or width."""
     key = _MONAD_ALIASES.get(monad_id, monad_id)
-    if key in _MONADS:
-        return _MONADS[key]
+    m = _MONADS.get(key)
+    if m is not None:
+        return m
     labels = theories.exception_labels(key)
-    if labels is not None:
-        if not labels:
-            raise NoMonadError(f"exception monad {monad_id!r} needs at least one label")
-        m = ExceptionMonad(labels)
-        return _MONADS.setdefault(m.monad_id, m)
-    if key.startswith("narytree:"):
-        try:
-            width = int(key.split(":", 1)[1])
-        except ValueError:
-            width = 0
-        if width >= 2:
-            return _MONADS.setdefault(key, NaryTreeMonad(width))
-    import difflib
-
-    near = difflib.get_close_matches(key, list(_MONADS) + list(_MONAD_ALIASES), n=3)
-    hint = f"; did you mean {', '.join(near)}?" if near else ""
-    raise NoMonadError(f"unknown monad {monad_id!r}{hint}")
+    if labels == ():
+        raise NoMonadError(f"exception monad {monad_id!r} needs at least one label")
+    if labels:
+        return _exception_monad(labels)
+    width = theories.tree_width(key, "narytree:")
+    if width is not None:
+        return _narytree_monad(width)
+    raise NoMonadError(theories.unknown_name("monad", monad_id, [*_MONADS, *_MONAD_ALIASES]))
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ __all__ = [
     "Presentation",
     "ParseError",
     "parse_term",
+    "MAX_NESTING",
     "enumerate_terms",
     "classes_by_closure",
     "Rewriter",
@@ -292,13 +293,21 @@ class ParseError(ValueError):
 
 _ATOM = re.compile(r"[A-Za-z0-9_'.+*/-]+")
 
+# The deepest nesting of argument lists that `parse_term`, and of brackets
+# that `monadlab.valuetext`, accept. Rejecting deeper input up front keeps
+# every later stage clear of the interpreter's recursion limit: rendering,
+# procedure keys, substitution, the laws and value printing recurse at most
+# two frames per level, and each handles at least 300 levels.
+MAX_NESTING = 100
+
 
 def parse_term(text: str, sig: Signature) -> Term:
     """Parse `name(arg,...)` syntax against a signature.
 
     Tokens naming a signature operation resolve to applications (constants may
     be written bare); anything else is a variable. Numerals are legal variable
-    names, which the Plotkin-style term checks rely on.
+    names, which the Plotkin-style term checks rely on. Argument lists nest
+    at most `MAX_NESTING` deep.
     """
     pos = 0
     n = len(text)
@@ -311,7 +320,7 @@ def parse_term(text: str, sig: Signature) -> Term:
     def fail(message: str, at: Optional[int] = None) -> ParseError:
         return ParseError(message, text, pos if at is None else at)
 
-    def parse_one() -> Term:
+    def parse_one(level: int) -> Term:
         nonlocal pos
         skip_space()
         if pos >= n:
@@ -326,6 +335,8 @@ def parse_term(text: str, sig: Signature) -> Term:
         if pos < n and text[pos] == "(":
             if not sig.has(name):
                 raise fail(f"unknown operation {name!r}", start)
+            if level == MAX_NESTING:
+                raise fail(f"argument lists nest deeper than {MAX_NESTING} levels", start)
             op = sig.op(name)
             pos += 1
             args: list[Term] = []
@@ -334,7 +345,7 @@ def parse_term(text: str, sig: Signature) -> Term:
                 pos += 1
             else:
                 while True:
-                    args.append(parse_one())
+                    args.append(parse_one(level + 1))
                     skip_space()
                     if pos >= n:
                         raise fail("unclosed '(' in argument list", start)
@@ -357,7 +368,7 @@ def parse_term(text: str, sig: Signature) -> Term:
             return App(op, ())
         return Var(name)
 
-    result = parse_one()
+    result = parse_one(0)
     skip_space()
     if pos < n:
         raise fail(f"trailing input {text[pos:]!r}")

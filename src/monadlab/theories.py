@@ -3,10 +3,15 @@
 Each theory entry bundles a finite presentation with the exact decision
 procedure for its provable equality (a required field: there is no entry
 without one), optional designated operations (a binary term over y1,y2 and
-a unit), and cached property certificates. The registry maps theory ids
-and aliases to entries; an unregistered entry works all the same. The
-equational properties are equations between designated terms, settled by
-`decide_eq` through the entry's procedure.
+a unit), and cached property certificates. `theory_entry` builds every
+built-in entry from its presentation and the texts of its designated
+terms. The registry maps theory ids and aliases to entries; it is filled
+once, at import, and an unregistered entry works all the same.
+`lookup_theory` reads the registry and never writes it: the members of the
+parametric families `exception:{...}` and `narytree-theory:N` that are not
+registered come from cached constructors, one entry per label set or
+width. The equational properties are equations between designated terms,
+settled by `decide_eq` through the entry's procedure.
 
 The class-based properties (S1/T1, S2/T2/V2, P3, V3) are facts about the
 variables of the members of equivalence classes, and `class_var_claim` is
@@ -25,6 +30,7 @@ claims about closed terms hold vacuously.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from enum import Enum
 from fractions import Fraction
@@ -54,6 +60,7 @@ __all__ = [
     "BoomFlags",
     "boom_theory",
     "TheoryEntry",
+    "theory_entry",
     "PropertyId",
     "PropertyStatus",
     "PropertyCertificate",
@@ -67,6 +74,8 @@ __all__ = [
     "theory_ids",
     "registry",
     "exception_labels",
+    "tree_width",
+    "unknown_name",
     "exception_theory",
     "narytree_theory",
     "ring_entry",
@@ -466,6 +475,26 @@ class TheoryEntry:
         return substitute(self.designated_binary, {"y1": a, "y2": b})
 
 
+def theory_entry(
+    pres: Presentation,
+    procedure: Procedure,
+    binary: Optional[str] = None,
+    unit: Optional[str] = None,
+    absorbing: Optional[str] = None,
+    label: Optional[str] = None,
+    aliases: tuple[str, ...] = (),
+) -> TheoryEntry:
+    """The entry of `pres` under its name, decided by `procedure`, with the
+    designated binary, designated unit and absorbing term given as texts
+    over its signature. The label defaults to the name."""
+
+    def parsed(text: Optional[str]) -> Optional[Term]:
+        return None if text is None else pres.parse(text)
+
+    return TheoryEntry(pres.name, pres, label or pres.name, procedure,
+                       parsed(binary), parsed(unit), aliases, parsed(absorbing))
+
+
 _REGISTRY: dict[str, TheoryEntry] = {}
 _ALIASES: dict[str, str] = {}
 
@@ -499,25 +528,29 @@ def registry() -> tuple[TheoryEntry, ...]:
 
 
 def lookup_theory(name: str) -> TheoryEntry:
-    tid = _ALIASES.get(name, name)
-    if tid in _REGISTRY:
-        return _REGISTRY[tid]
+    """The registered theory with id or alias `name`, else the member of a
+    parametric family that `name` spells; reads the registry, never writes
+    it."""
+    entry = _REGISTRY.get(_ALIASES.get(name, name))
+    if entry is not None:
+        return entry
     labels = exception_labels(name)
     if labels:
-        return exception_theory(labels)
-    if name.startswith("narytree-theory:"):
-        try:
-            width = int(name.split(":", 1)[1])
-        except ValueError:
-            width = 0
-        if width >= 2:
-            return narytree_theory(width)
+        return _exception_theory(labels)
+    width = tree_width(name, "narytree-theory:")
+    if width is not None:
+        return narytree_theory(width)
+    raise KeyError(unknown_name("theory", name, [*_REGISTRY, *_ALIASES]))
+
+
+def unknown_name(kind: str, name: str, known: Iterable[str]) -> str:
+    """The message for an unknown `kind` name, with up to three close
+    matches among the `known` names."""
     import difflib
 
-    candidates = list(_REGISTRY) + list(_ALIASES)
-    close = difflib.get_close_matches(name, candidates, n=3)
-    hint = f" (did you mean {', '.join(close)}?)" if close else ""
-    raise KeyError(f"unknown theory {name!r}{hint}")
+    near = difflib.get_close_matches(name, known, n=3)
+    hint = f"; did you mean {', '.join(near)}?" if near else ""
+    return f"unknown {kind} {name!r}{hint}"
 
 
 # ---------------------------------------------------------------------------
@@ -955,69 +988,59 @@ def _register_boom() -> None:
     }
     for label, names in letters.items():
         for unital in (True, False):
-            flags = BoomFlags(
-                unital=unital,
-                assoc="assoc" in names,
-                comm="comm" in names,
-                idem="idem" in names,
-            )
-            pres = boom_theory(flags)
-            sig = pres.signature
+            flags = BoomFlags(unital, "assoc" in names, "comm" in names, "idem" in names)
             display = label if unital else label + "+"
-            entry = TheoryEntry(
-                theory_id=flags.theory_id,
-                presentation=pres,
-                label=display,
-                procedure=_boom_procedure(flags),
-                designated_binary=parse_term("mul(y1,y2)", sig),
-                designated_unit=parse_term("e", sig) if unital else None,
-                aliases=(display,) + word_aliases[flags.theory_id],
-            )
-            register_theory(entry)
+            register_theory(theory_entry(
+                boom_theory(flags), _boom_procedure(flags), "mul(y1,y2)", "e" if unital else None,
+                label=display, aliases=(display,) + word_aliases[flags.theory_id],
+            ))
 
 
 def exception_labels(name: str) -> Optional[tuple[str, ...]]:
     """The sorted distinct labels of an `exception:{a,b}` id, blanks and
     surrounding spaces dropped; None when `name` is not of that form. The
-    theory and monad registries both read exception ids through this."""
+    theory and monad lookups both read exception ids through this."""
     if not (name.startswith("exception:{") and name.endswith("}")):
         return None
     return tuple(sorted({x.strip() for x in name[len("exception:{") : -1].split(",")} - {""}))
 
 
+def tree_width(name: str, prefix: str) -> Optional[int]:
+    """N of an id `prefix` + N with N >= 2, spelled as `int` reads it; None
+    when `name` is not of that form. The theory and monad lookups both read
+    n-ary tree ids through this."""
+    if not name.startswith(prefix):
+        return None
+    try:
+        width = int(name[len(prefix) :])
+    except ValueError:
+        return None
+    return width if width >= 2 else None
+
+
 def exception_theory(labels: Iterable[str]) -> TheoryEntry:
-    labels = tuple(sorted(set(labels)))
+    """The theory of the constants `labels`, one entry per label set."""
+    return _exception_theory(tuple(sorted(set(labels))))
+
+
+@functools.cache
+def _exception_theory(labels: tuple[str, ...]) -> TheoryEntry:
     tid = "exception:{" + ",".join(labels) + "}"
-    if tid in _REGISTRY:
-        return _REGISTRY[tid]
-    pres = presentation(tid, ((lbl, 0) for lbl in labels), ())
-    return register_theory(
-        TheoryEntry(theory_id=tid, presentation=pres, label=tid, procedure=SyntacticProc())
-    )
+    return theory_entry(presentation(tid, ((lbl, 0) for lbl in labels), ()), SyntacticProc())
 
 
+@functools.cache
 def narytree_theory(n: int) -> TheoryEntry:
-    """Unital n-ary node algebra: pruning any single child through units."""
-    tid = f"narytree-theory:{n}"
-    if tid in _REGISTRY:
-        return _REGISTRY[tid]
+    """Unital n-ary node algebra: pruning any single child through units.
+    Its designated binary is a two-sided unital term derived from the node."""
     axioms = []
     for pos in range(n):
         args = ["e"] * n
         args[pos] = "x"
         axioms.append((f"node({','.join(args)})", "x", f"prune{pos}"))
-    pres = presentation(tid, (("node", n), ("e", 0)), axioms)
-    sig = pres.signature
-    entry = TheoryEntry(
-        theory_id=tid,
-        presentation=pres,
-        label=tid,
-        procedure=TreeProc(OpSymbol("node", n)),
-        # a two-sided unital binary term derived from the n-ary operation
-        designated_binary=parse_term("node(y1,y2" + ",e" * (n - 2) + ")", sig),
-        designated_unit=parse_term("e", sig),
-    )
-    return register_theory(entry)
+    pres = presentation(f"narytree-theory:{n}", (("node", n), ("e", 0)), axioms)
+    return theory_entry(pres, TreeProc(OpSymbol("node", n)),
+                        "node(y1,y2" + ",e" * (n - 2) + ")", "e")
 
 
 def ring_entry() -> TheoryEntry:
@@ -1042,25 +1065,13 @@ def ring_entry() -> TheoryEntry:
             ("times(zero,x)", "zero", "annl"),
         ),
     )
-    sig = pres.signature
-    return TheoryEntry(
-        theory_id="ring",
-        presentation=pres,
-        label="ring",
-        procedure=RingProc(),
-        designated_binary=parse_term("times(y1,y2)", sig),
-        designated_unit=parse_term("one", sig),
-        absorbing=parse_term("plus(x,times(y,zero))", sig),
-    )
+    return theory_entry(pres, RingProc(), "times(y1,y2)", "one", "plus(x,times(y,zero))")
 
 
 def _register_rest() -> None:
-    pointed = presentation("pointed", (("bot", 0),), ())
-    register_theory(TheoryEntry(theory_id="pointed", presentation=pointed, label="pointed",
-                                procedure=SyntacticProc()))
-
-    exception_theory(("a",))
-    exception_theory(("a", "b"))
+    register_theory(theory_entry(presentation("pointed", (("bot", 0),), ()), SyntacticProc()))
+    register_theory(exception_theory(("a",)))
+    register_theory(exception_theory(("a", "b")))
 
     abgroup = presentation(
         "abgroup",
@@ -1079,18 +1090,8 @@ def _register_rest() -> None:
             ("inv(e)", "e", "inv-unit"),
         ),
     )
-    ab_sig = abgroup.signature
-    register_theory(
-        TheoryEntry(
-            theory_id="abgroup",
-            presentation=abgroup,
-            label="abgroup",
-            procedure=AbGroupProc(),
-            designated_binary=parse_term("mul(y1,y2)", ab_sig),
-            designated_unit=parse_term("e", ab_sig),
-            absorbing=parse_term("mul(mul(x,y),inv(y))", ab_sig),
-        )
-    )
+    register_theory(theory_entry(abgroup, AbGroupProc(), "mul(y1,y2)", "e",
+                                 "mul(mul(x,y),inv(y))"))
 
     convex = presentation(
         "convex",
@@ -1101,15 +1102,7 @@ def _register_rest() -> None:
             ("mix(mix(a,b),mix(c,d))", "mix(mix(a,c),mix(b,d))", "medial"),
         ),
     )
-    register_theory(
-        TheoryEntry(
-            theory_id="convex",
-            presentation=convex,
-            label="convex",
-            procedure=ConvexProc(),
-            designated_binary=parse_term("mix(y1,y2)", convex.signature),
-        )
-    )
+    register_theory(theory_entry(convex, ConvexProc(), "mix(y1,y2)"))
 
     reader = presentation(
         "reader:2",
@@ -1119,16 +1112,8 @@ def _register_rest() -> None:
             ("mul(mul(w,x),mul(y,z))", "mul(w,z)", "outer"),
         ),
     )
-    register_theory(
-        TheoryEntry(
-            theory_id="reader:2",
-            presentation=reader,
-            label="reader:2",
-            procedure=ReaderProc(),
-            designated_binary=parse_term("mul(y1,y2)", reader.signature),
-            absorbing=parse_term("mul(x,mul(y,x))", reader.signature),
-        )
-    )
+    register_theory(theory_entry(reader, ReaderProc(), "mul(y1,y2)",
+                                 absorbing="mul(x,mul(y,x))"))
 
 
 # table label orders, smallest to largest fragment

@@ -7,6 +7,7 @@ container layers outside-in and bare labels at the bottom. Within a tree
 layer `<` always opens this layer's node, of exactly the tree's width, and
 `e` / `bot` / `err` / `ok` are reserved by the layer that uses them: `e` is
 the unit leaf of the tree monads that have one, and a label under bintree.
+Brackets nest at most `terms.MAX_NESTING` deep.
 """
 
 import re
@@ -14,6 +15,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .monads import FinMonad, monad_for
+from .terms import MAX_NESTING
 from .values import (
     Value,
     mk_bot,
@@ -40,13 +42,18 @@ class ValueSyntaxError(ValueError):
 _PUNCT = set("[]{}<>(),:")
 _TOKEN_RE = re.compile(r"[\[\]{}<>(),:]|[^\[\]{}<>(),:\s]+")
 _LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+_NESTING_STEP = {**dict.fromkeys("[{<(", 1), **dict.fromkeys("]}>)", -1)}
 
 
 class _Tokens:
     def __init__(self, text: str):
-        self.text = text
         self.items = _TOKEN_RE.findall(text)
         self.pos = 0
+        depth = 0
+        for tok in self.items:
+            depth += _NESTING_STEP.get(tok, 0)
+            if depth > MAX_NESTING:
+                raise ValueSyntaxError(f"brackets nest deeper than {MAX_NESTING} levels")
 
     def peek(self):
         return self.items[self.pos] if self.pos < len(self.items) else None
@@ -199,10 +206,7 @@ def _resolve(monads) -> tuple:
 
 def parse_layered(text: str, monads: Sequence[Union[str, FinMonad]]) -> Value:
     """Parse nested container layers, outermost first, labels at the bottom."""
-    try:
-        tokens = _Tokens(text)
-    except ValueError as exc:
-        raise ValueSyntaxError(str(exc)) from None
+    tokens = _Tokens(text)
     v = _layer(tokens, _resolve(monads), 0)
     if not tokens.done():
         raise ValueSyntaxError(f"trailing input {' '.join(tokens.items[tokens.pos:])!r}")

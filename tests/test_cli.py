@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 from cli_run import run_cli
 
+from monadlab import distlaws, monads, theories
 from monadlab.hierarchy import golden_path
+from monadlab.terms import MAX_NESTING
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -79,12 +81,31 @@ class TestTermCommands:
         assert "semigroup" in res.stdout  # aliases ride along
 
     def test_theories_list_bytes(self):
-        # a fresh interpreter: tests register more theories as they run
+        # the module entry point, in a fresh interpreter
         res = subprocess.run([sys.executable, "-m", "monadlab", "theories", "list"],
                              env=dict(os.environ, PYTHONPATH=SRC),
                              capture_output=True, text=True, timeout=60)
         assert res.returncode == 0, res.stderr
         assert res.stdout == THEORIES_LIST
+
+    def test_lookups_leave_the_registries_alone(self, run):
+        def registries():
+            return (theories.theory_ids(), monads.monad_ids(), distlaws.law_ids(),
+                    dict(theories._REGISTRY), dict(theories._ALIASES), dict(monads._MONADS),
+                    dict(distlaws._LAWS), run("theories", "list").stdout)
+
+        before = registries()
+        theories.lookup_theory("exception:{p}")
+        theories.lookup_theory("narytree-theory:5")
+        monads.monad_for("narytree:7")
+        monads.monad_for("narytree:3").pair("a", "b")
+        distlaws.law_for("choice:bintree:dist")
+        assert registries() == before
+        assert before[-1] == THEORIES_LIST
+        # every spelling of one member of a family gives one object
+        assert monads.monad_for("narytree:02") is monads.monad_for("narytree:2")
+        assert (theories.lookup_theory("exception:{b, a}")
+                is theories.lookup_theory("exception:{a,b}"))
 
     def test_normalize(self, run):
         res = run("normalize", "M", "mul(x2, mul(x1, e))")
@@ -218,6 +239,14 @@ class TestBoomTable:
         assert "1 mismatching cell(s)" in res.stdout
         assert "(T, T)" in res.stdout
 
+    def test_golden_not_utf8_is_usage_error(self, run, tmp_path):
+        bad = tmp_path / "golden.csv"
+        bad.write_bytes(b"\xff\xfe")
+        res = run("boom-table", "original", "--golden", str(bad))
+        assert res.exit_code == 2
+        assert "not UTF-8" in res.stderr
+        assert res.stdout == ""
+
     def test_golden_wrong_variant_is_usage_error(self, run):
         res = run("boom-table", "extended", "--golden",
                   str(golden_path("original")))
@@ -256,6 +285,29 @@ class TestUsageErrors:
         res = run(*args)
         assert res.exit_code == 2
         assert fragment in res.output
+
+    @pytest.mark.parametrize("command", ["normalize", "prove-eq"])
+    def test_terms_nest_at_most_max_nesting_deep(self, run, command):
+        def nested(depth):
+            return "mul(x," * depth + "x" + ")" * depth
+
+        extra = ("x",) if command == "prove-eq" else ()
+        res = run(command, "L", nested(MAX_NESTING), *extra)
+        assert res.exit_code == (0 if command == "normalize" else 1)
+        res = run(command, "L", nested(MAX_NESTING + 1), *extra)
+        assert res.exit_code == 2
+        assert f"nest deeper than {MAX_NESTING} levels" in res.stderr
+
+    def test_values_nest_at_most_max_nesting_deep(self, run):
+        def tree(depth):  # a tree of sets, `depth` brackets deep
+            return "<{a}," * (depth - 1) + "{b}" + ">" * (depth - 1)
+
+        res = run("law", "apply", "choice:bintree:powerset", tree(MAX_NESTING))
+        assert res.exit_code == 0
+        assert res.stdout.startswith("{<a,<a,")
+        res = run("law", "apply", "choice:bintree:powerset", tree(MAX_NESTING + 1))
+        assert res.exit_code == 2
+        assert f"nest deeper than {MAX_NESTING} levels" in res.stderr
 
     def test_usage_error_writes_nothing_to_stdout(self, run):
         res = run("normalize", "nosuch", "x1")

@@ -1,5 +1,6 @@
 """Container monads: canonical values, enumeration, laws, free models."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from monadlab.monads import (
     FreeModelReport,
     ListMonad,
     LawReport,
+    NaryTreeMonad,
     NoMonadError,
     PairUnsupportedError,
     check_monad_laws,
@@ -237,6 +239,28 @@ def test_bintree_is_narytree2_without_units(carrier):
     for bound in range(5):
         expected = [v for v in tree.enumerate(carrier, bound) if not _has_unit(v)]
         assert bintree.enumerate(carrier, bound) == expected
+
+
+def _filtered_nodes_of_size(self, s, layers):
+    # reference: every split of s in `width` parts, kept when it sums to s
+    # and has two or more nonzero parts
+    for split in itertools.product(range(s + 1), repeat=self.width):
+        if sum(split) == s and sum(1 for part in split if part > 0) >= 2:
+            for kids in itertools.product(*(layers[part] for part in split)):
+                yield ("nnode",) + kids
+
+
+@pytest.mark.parametrize("mid", ["bintree", *(f"narytree:{w}" for w in range(2, 7))])
+def test_tree_enumeration_matches_the_filtering_reference(mid, monkeypatch):
+    m = monad_for(mid)
+    pools = [m.enumerate(carrier, b) for carrier in ("a", "ab") for b in range(5)]
+    monkeypatch.setattr(NaryTreeMonad, "_nodes_of_size", _filtered_nodes_of_size)
+    assert pools == [m.enumerate(carrier, b) for carrier in ("a", "ab") for b in range(5)]
+
+
+def test_wide_trees_enumerate():
+    # the unit, one leaf, and the 20*19/2 nodes with two leaves
+    assert len(monad_for("narytree:20").enumerate(("a",), 2)) == 192
 
 
 def test_narytree_join_reprunes():

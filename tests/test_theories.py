@@ -113,6 +113,18 @@ def test_unknown_theory_suggests():
     assert "monoid" in str(err.value)
 
 
+def test_theory_entry_reads_its_texts_over_the_signature():
+    pres = boom_theory(BoomFlags(True, True, False, False))
+    entry = theories.theory_entry(pres, theories.WordProc(), "mul(y1,y2)", "e", label="L")
+    assert (entry.theory_id, entry.label, entry.aliases, entry.absorbing) == (
+        "boom:UA--", "L", (), None)
+    assert entry.designated_binary == App(pres.signature.op("mul"), (Var("y1"), Var("y2")))
+    assert entry.designated_unit == App(pres.signature.op("e"), ())
+    assert theories.theory_entry(pres, theories.WordProc()).label == "boom:UA--"
+    with pytest.raises(terms.ParseError):
+        theories.theory_entry(pres, theories.WordProc(), "inv(y1)")
+
+
 def test_exception_theories_on_demand():
     entry = lookup_theory("exception:{p,q,r}")
     assert entry.presentation.signature.constants == (
