@@ -13,11 +13,17 @@ arc-consistency sweep. So each map between chain carriers carries memos of
 its images for the length of one search (`_MapImages`): of T values, of S
 values (which are also the members that set-valued domains transport) and of
 outputs. Edges, propagation and both kinds of domain reasoning read images
-through it, so each (map, value) image is computed once per search. Inputs
-are not memoized: every (map, input) pair is pushed exactly once. The memos
-are locals of the search and die with it; `SearchResult.stats` counts the
-maps, the (map, input) pairs examined, the edges kept, and the images
-requested and computed.
+through it, so each (map, value) image is computed once per search.
+
+An input's naturality edges are built the first time propagation pops it or
+domain reasoning visits it, in (target level, map) order, and kept for the
+rest of the search; so each (map, input) pair is pushed at most once. A
+search that stops at the result-space cap builds edges only for the inputs
+propagation reached; one that reaches domain reasoning visits every input.
+The memos are locals of the search and die with it. `SearchResult.stats`
+counts the maps, the (map, input) pairs the edges are planned over
+(`pairs`, what the edge cap bounds), the edges built (`edges`), and the
+images requested and computed.
 """
 
 from __future__ import annotations
@@ -105,8 +111,9 @@ class SearchResult:
 
 # caps checked before materializing: values in an explicit result domain, and
 # the (map between chain carriers, input) pairs naturality edges are built
-# from. Edges took 250-650 bytes per pair (2.2M pairs needed 1.4 GB), so the
-# cap keeps them under about 650 MB; lift over lift at carrier 6 has 373,248.
+# from; a search that reaches domain reasoning builds an edge for every pair.
+# Edges took 250-650 bytes per pair (2.2M pairs needed 1.4 GB), so the cap
+# keeps them under about 650 MB; lift over lift at carrier 6 has 373,248.
 _MAX_DOMAIN = 4096
 _MAX_LEVELS = 4  # carriers in the chain
 _MAX_CARRIER = 4  # largest carrier size in the chain
@@ -163,11 +170,13 @@ def search_distlaw_bounded(
     )
     result.stats = dict.fromkeys(("maps", "pairs", "edges"), 0)
     images: list = []
+    edges: dict = {}
     try:
-        _search(result, s, t, carriers, bound, images)
+        _search(result, s, t, carriers, bound, images, edges)
     except _Conflict as exc:
         result.outcome = SearchOutcome.NO_LAW
         result.conflict = str(exc)
+    result.stats["edges"] = sum(map(len, edges.values()))
     infos = [image.cache_info() for m in images for image in m.memos]
     result.stats["images_requested"] = sum(i.hits + i.misses for i in infos)
     result.stats["images_computed"] = sum(i.misses for i in infos)
@@ -177,10 +186,11 @@ def search_distlaw_bounded(
 
 def _search(
     result: SearchResult, s: FinMonad, t: FinMonad, carriers: list, bound: int,
-    images: list,
+    images: list, edges: dict,
 ) -> SearchResult:
     """Units, naturality edges, propagation, then domain reasoning; every
-    map between chain carriers built on the way is appended to `images`.
+    map between chain carriers built on the way is appended to `images`,
+    and each input's edges go into `edges` when it is first visited.
     Every refutation raises `_Conflict` with the reason."""
     t_pools: list = []
     pools: list = []
@@ -242,24 +252,34 @@ def _search(
         )
         return result
     result.stats.update(maps=maps, pairs=checks)
-    edges: dict = {}
-    for i, Ci in enumerate(carriers):
+    # per source level, the maps to each target level in (target, map) order
+    level_maps = []
+    for Ci in carriers:
+        row = []
         for j, Cj in enumerate(carriers):
             for f in _all_functions(Ci, Cj):
                 m = _MapImages(f, s, t)
                 images.append(m)
-                for w in pools[i]:
-                    w2 = s.fmap(m.t_image, w)
-                    if w2 in pool_index[j]:
-                        edges.setdefault((i, w), []).append((m, j, w2))
-    result.stats["edges"] = sum(len(e) for e in edges.values())
+                row.append((m, j))
+        level_maps.append(row)
+
+    def edges_of(key) -> list:
+        """The naturality edges of one input, built on first visit."""
+        found = edges.get(key)
+        if found is None:
+            i, w = key
+            found = edges[key] = []
+            for m, j in level_maps[i]:
+                w2 = s.fmap(m.t_image, w)
+                if w2 in pool_index[j]:
+                    found.append((m, j, w2))
+        return found
 
     # forward propagation to a fixpoint
     while worklist:
         key = worklist.pop()
-        level, w = key
         v = assigned[key]
-        for m, j, w2 in edges.get(key, ()):
+        for m, j, w2 in edges_of(key):
             assign(j, w2, m.out(v), "naturality")
 
     result.forced = len(assigned)
@@ -275,17 +295,22 @@ def _search(
         return result
 
     if isinstance(t, PowersetMonad):
-        return _powerset_domains(result, s, carriers, assigned, unknown, edges)
+        return _powerset_domains(result, s, carriers, assigned, unknown, edges_of)
 
     # generic explicit domains, complete only when the result space is small
     full_pools = []
     for C in carriers:
-        s_full = s.enumerate(C, max(bound, len(C)))
-        # count lazily: some result spaces do not fit in memory
-        t_full = list(itertools.islice(
-            t.iter_values(s_full, max(bound, len(s_full))), _MAX_DOMAIN + 1
+        # count lazily: some result spaces do not fit in memory. Every T here
+        # has an injective unit and lists unit(y) at any bound >= 1, so
+        # |T(S(C))| >= |S(C)|: an S(C) over the cap already puts T(S(C)) over it
+        s_full = list(itertools.islice(
+            s.iter_values(C, max(bound, len(C))), _MAX_DOMAIN + 1
         ))
-        if len(t_full) > _MAX_DOMAIN:
+        if len(s_full) <= _MAX_DOMAIN:
+            t_full = list(itertools.islice(
+                t.iter_values(s_full, max(bound, len(s_full))), _MAX_DOMAIN + 1
+            ))
+        if len(s_full) > _MAX_DOMAIN or len(t_full) > _MAX_DOMAIN:
             result.conflict = (
                 f"result space at |X|={len(C)} has more than "
                 f"{_MAX_DOMAIN} values"
@@ -293,10 +318,10 @@ def _search(
             return result
         full_pools.append(t_full)
 
-    return _explicit_domains(result, carriers, assigned, unknown, edges, full_pools)
+    return _explicit_domains(result, carriers, assigned, unknown, edges_of, full_pools)
 
 
-def _explicit_domains(result, carriers, assigned, unknown, edges, full_pools):
+def _explicit_domains(result, carriers, assigned, unknown, edges_of, full_pools):
     """Arc consistency over complete enumerated domains, then backtracking.
     Each domain is an ordered list with its set of members beside it; a
     level's full pool is shared until a sweep narrows a key's domain."""
@@ -311,7 +336,7 @@ def _explicit_domains(result, carriers, assigned, unknown, edges, full_pools):
             level, w = key
             # per edge, the image map and the images its target admits
             rules = []
-            for m, j, w2 in edges.get(key, ()):
+            for m, j, w2 in edges_of(key):
                 tgt = assigned.get((j, w2))
                 rules.append((m.out, members[(j, w2)] if tgt is None else {tgt}))
             kept = [
@@ -333,7 +358,7 @@ def _explicit_domains(result, carriers, assigned, unknown, edges, full_pools):
     solution: dict = {}
 
     def consistent(key, v) -> bool:
-        for m, j, w2 in edges.get(key, ()):
+        for m, j, w2 in edges_of(key):
             tgt = assigned.get((j, w2), solution.get((j, w2)))
             if tgt is not None and m.out(v) != tgt:
                 return False
@@ -359,7 +384,7 @@ def _explicit_domains(result, carriers, assigned, unknown, edges, full_pools):
     return result
 
 
-def _powerset_domains(result, s, carriers, assigned, unknown, edges):
+def _powerset_domains(result, s, carriers, assigned, unknown, edges_of):
     """Domains for set-valued outputs, represented by their allowed members.
 
     An output is a set of S-structures; naturality transports members
@@ -378,7 +403,7 @@ def _powerset_domains(result, s, carriers, assigned, unknown, edges):
         for key in unknown:
             # per edge, the member map and the members its target admits
             rules = []
-            for m, j, w2 in edges.get(key, ()):
+            for m, j, w2 in edges_of(key):
                 tgt = assigned.get((j, w2))
                 rules.append(
                     (m.s_image, allowed[(j, w2)] if tgt is None else set(tgt[1:]))
@@ -395,7 +420,7 @@ def _powerset_domains(result, s, carriers, assigned, unknown, edges):
     # possible output must still reach every member the target requires
     for key in unknown:
         level, w = key
-        for m, j, w2 in edges.get(key, ()):
+        for m, j, w2 in edges_of(key):
             tgt = assigned.get((j, w2))
             if tgt is None:
                 continue
@@ -417,7 +442,7 @@ def _powerset_domains(result, s, carriers, assigned, unknown, edges):
     for key in list(unknown) + list(assigned):
         level, w = key
         v = full[key]
-        for m, j, w2 in edges.get(key, ()):
+        for m, j, w2 in edges_of(key):
             img = mk_set(m.s_image(A) for A in v[1:])
             if img != full[(j, w2)]:
                 result.conflict = (

@@ -657,7 +657,10 @@ def monad_for(monad_id: str) -> FinMonad:
         raise NoMonadError(f"exception monad {monad_id!r} needs at least one label")
     if labels:
         return _exception_monad(labels)
-    width = theories.tree_width(key, "narytree:")
+    try:
+        width = theories.tree_width(key, "narytree:")
+    except ValueError as exc:
+        raise NoMonadError(str(exc)) from None
     if width is not None:
         return _narytree_monad(width)
     raise NoMonadError(theories.unknown_name("monad", monad_id, [*_MONADS, *_MONAD_ALIASES]))

@@ -180,11 +180,28 @@ Term = Union[Var, App]
 
 
 def render(term: Term) -> str:
-    if isinstance(term, Var):
-        return term.name
-    if not term.args:
-        return term.op.name
-    return f"{term.op.name}({','.join(render(a) for a in term.args)})"
+    """The text `parse_term` reads back as `term`. A normal form can nest far
+    deeper than any parsed term (a product of 512 variables reifies to 511
+    right-nested `mul`s), so the walk keeps its own stack: pending subterms
+    and the punctuation between them."""
+    out: list[str] = []
+    stack: list = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif isinstance(t, Var):
+            out.append(t.name)
+        elif not t.args:
+            out.append(t.op.name)
+        else:
+            out.append(t.op.name + "(")
+            stack.append(")")
+            for i, arg in enumerate(reversed(t.args)):
+                if i:
+                    stack.append(",")
+                stack.append(arg)
+    return "".join(out)
 
 
 def term_vars(term: Term) -> frozenset[str]:

@@ -75,6 +75,7 @@ __all__ = [
     "registry",
     "exception_labels",
     "tree_width",
+    "MAX_TREE_WIDTH",
     "unknown_name",
     "exception_theory",
     "narytree_theory",
@@ -537,7 +538,10 @@ def lookup_theory(name: str) -> TheoryEntry:
     labels = exception_labels(name)
     if labels:
         return _exception_theory(labels)
-    width = tree_width(name, "narytree-theory:")
+    try:
+        width = tree_width(name, "narytree-theory:")
+    except ValueError as exc:
+        raise KeyError(str(exc)) from None
     if width is not None:
         return narytree_theory(width)
     raise KeyError(unknown_name("theory", name, [*_REGISTRY, *_ALIASES]))
@@ -1005,16 +1009,24 @@ def exception_labels(name: str) -> Optional[tuple[str, ...]]:
     return tuple(sorted({x.strip() for x in name[len("exception:{") : -1].split(",")} - {""}))
 
 
+# the widest n-ary tree: `narytree_theory(n)` parses n axioms of n arguments
+# each, so its lookup takes time quadratic in n (about 13 ms CPU at 64)
+MAX_TREE_WIDTH = 64
+
+
 def tree_width(name: str, prefix: str) -> Optional[int]:
     """N of an id `prefix` + N with N >= 2, spelled as `int` reads it; None
-    when `name` is not of that form. The theory and monad lookups both read
-    n-ary tree ids through this."""
+    when `name` is not of that form, ValueError when N is above
+    `MAX_TREE_WIDTH`. The theory and monad lookups both read n-ary tree ids
+    through this."""
     if not name.startswith(prefix):
         return None
     try:
         width = int(name[len(prefix) :])
     except ValueError:
         return None
+    if width > MAX_TREE_WIDTH:
+        raise ValueError(f"{name!r} is wider than the maximum tree width {MAX_TREE_WIDTH}")
     return width if width >= 2 else None
 
 

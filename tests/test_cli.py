@@ -298,6 +298,34 @@ class TestUsageErrors:
         assert res.exit_code == 2
         assert f"nest deeper than {MAX_NESTING} levels" in res.stderr
 
+    def test_wide_terms_normalize_past_the_nesting_cap(self, run):
+        # a balanced product of 512 variables nests 9 deep, but its normal
+        # form in the monoid theory is 511 right-nested products
+        leaves = iter("xyz" * 171)
+
+        def balanced(depth):
+            if depth == 0:
+                return next(leaves)
+            return f"mul({balanced(depth - 1)},{balanced(depth - 1)})"
+
+        term = balanced(9)
+        assert len(term) == 3578
+        res = run("normalize", "L", term)
+        assert res.exit_code == 0
+        assert res.stdout == "mul(x," + "mul(y,mul(z,mul(x," * 170 + "y" + ")" * 511 + "\n"
+        res = run("prove-eq", "L", term, term)
+        assert (res.exit_code, res.stdout) == (0, "EQUAL (decision procedure)\n")
+
+    @pytest.mark.parametrize("args", [
+        ("normalize", "narytree-theory:100000", "x"),
+        ("law", "search", "narytree:100000", "list"),
+        ("monad-laws", "narytree:65"),
+    ])
+    def test_trees_wider_than_the_maximum_are_refused(self, run, args):
+        res = run(*args)
+        assert res.exit_code == 2
+        assert f"wider than the maximum tree width {theories.MAX_TREE_WIDTH}" in res.stderr
+
     def test_values_nest_at_most_max_nesting_deep(self, run):
         def tree(depth):  # a tree of sets, `depth` brackets deep
             return "<{a}," * (depth - 1) + "{b}" + ">" * (depth - 1)

@@ -12,8 +12,8 @@ import pytest
 from monadlab import lawsearch
 from monadlab.distlaws import DistLaw, check_beck, law_for
 from monadlab.lawsearch import SearchOutcome, search_distlaw_bounded
-from monadlab.monads import LiftMonad, NoMonadError, monad_for
-from monadlab.values import mk_set
+from monadlab.monads import LiftMonad, NoMonadError, monad_for, monad_ids
+from monadlab.values import letters, mk_set
 
 
 def test_outcome_strings_are_stable():
@@ -171,8 +171,8 @@ class TestExplicitDomainPairs:
             edges = {(0, "u"): [(ident, 0, "w"), (swap, 0, "w")]}
             want = "complete domains admit no assignment consistent with naturality"
         with pytest.raises(lawsearch._Conflict) as exc:
-            lawsearch._explicit_domains(result, [("a",)], assigned, unknown, edges,
-                                        [["x", "y"]])
+            lawsearch._explicit_domains(result, [("a",)], assigned, unknown,
+                                        lambda key: edges.get(key, []), [["x", "y"]])
         assert str(exc.value) == want
 
 
@@ -215,6 +215,38 @@ def test_huge_result_space_is_counted_lazily(s_id, t_id):
     r = search_distlaw_bounded(s_id, t_id)
     assert r.outcome == SearchOutcome.INCONCLUSIVE
     assert "more than 4096 values" in r.conflict
+
+
+@pytest.mark.parametrize("t_id", monad_ids())
+def test_result_space_is_no_smaller_than_its_elements(t_id):
+    # the explicit-domain step stops listing S(C) past the domain cap: that
+    # is sound because |T(Y)| >= |Y| for every T, through an injective unit
+    # whose values T lists at any bound >= 1
+    t = monad_for(t_id)
+    for n in (1, 3, 5):
+        carrier = letters(n)
+        units = {t.unit(y) for y in carrier}
+        assert len(units) == n
+        for bound in (1, 2, 3):
+            assert units <= set(t.iter_values(carrier, bound))
+
+
+def test_result_space_cap_lists_at_most_one_value_past_it(monkeypatch):
+    # S(C) for narytree:3 at |X|=4 holds 39,669 trees; the cap needs 4097
+    s = monad_for("narytree:3")
+    drawn: list = []
+    real = s.iter_values
+
+    def counted(carrier, bound):
+        drawn.append(0)
+        for v in real(carrier, bound):
+            drawn[-1] += 1
+            yield v
+
+    monkeypatch.setattr(s, "iter_values", counted)
+    r = search_distlaw_bounded("narytree:3", "exception:{a}")
+    assert r.conflict == "result space at |X|=4 has more than 4096 values"
+    assert max(drawn) == lawsearch._MAX_DOMAIN + 1
 
 
 def _limit_address_space_to_1gb():
@@ -277,6 +309,34 @@ PINNED_SEARCHES = {
          "result space at |X|=3 has more than 4096 values"),
         [],
     ),
+    # the entries below were recorded before naturality edges were built
+    # per input on first visit
+    # explicit domains with unknown inputs left after propagation
+    ("list", "lift", 1): (
+        ("Candidates", (1, 2, 3, 4), 72, 48, None), [(72, "fecf88b1092f5d4b")],
+    ),
+    ("multiset", "exception:{a,b}", 1): (
+        ("Candidates", (1, 3, 4), 59, 34, None), [(59, "bb728f37a5b8bab0")],
+    ),
+    # set-valued domains cannot cover a forced target
+    ("reader:2", "powerset", 1): (
+        ("NoLawInFragment", (1, 2, 4), 141, 31,
+         "at |X|=4 the input ({a,b},{c,d}) cannot reach member (a,a) of its "
+         "forced image {(a,a)} under naturality; allowed members: []"),
+        [],
+    ),
+    # set-valued domains whose maximal assignment fails an edge
+    ("bintree", "powerset", 1): (
+        ("Inconclusive", (1, 2, 4), 158, 38,
+         "maximal member sets are not exactly natural; smaller subsets not explored"),
+        [],
+    ),
+    # the domain cap at the last level, after three levels fit
+    ("narytree:3", "exception:{a}", 1): (
+        ("Inconclusive", (1, 2, 3, 4), 180, 108,
+         "result space at |X|=4 has more than 4096 values"),
+        [],
+    ),
 }
 
 
@@ -322,13 +382,16 @@ class TestStats:
         "s_id, t_id, stats",
         [
             ("powerset", "powerset", (301, 18550, 18550, 207225, 12628)),
-            ("list", "list", (438, 173434, 173434, 373480, 31636)),
+            ("list", "list", (438, 173434, 15000, 56612, 31636)),
             ("multiset", "exception:{a,b}", (438, 11476, 11476, 179133, 15546)),
         ],
     )
     def test_stats_at_defaults_are_pinned(self, s_id, t_id, stats):
         # recorded before the image memos answered repeated inputs in C:
-        # moving the memo may change no count
+        # moving the memo may change no count. Edges are counted as built:
+        # list over list stops at the result-space cap after propagation
+        # has visited 66 of its 659 inputs, so it builds 15,000 of the
+        # edges its 173,434 planned pairs could give
         r = search_distlaw_bounded(s_id, t_id)
         keys = ("maps", "pairs", "edges", "images_requested", "images_computed")
         assert r.stats == dict(zip(keys, stats))

@@ -107,6 +107,17 @@ def test_unregistered_entries_leave_the_registry_alone():
         lookup_theory("ring")
 
 
+def test_tree_widths_above_the_maximum_are_refused_before_any_axiom_is_built():
+    widest = theories.MAX_TREE_WIDTH
+    assert widest >= 20  # the width test_wide_trees_enumerate uses
+    assert lookup_theory(f"narytree-theory:{widest}").theory_id == f"narytree-theory:{widest}"
+    built = narytree_theory.cache_info().misses
+    for width in (widest + 1, 100000):
+        with pytest.raises(KeyError, match=f"maximum tree width {widest}"):
+            lookup_theory(f"narytree-theory:{width}")
+    assert narytree_theory.cache_info().misses == built
+
+
 def test_unknown_theory_suggests():
     with pytest.raises(KeyError) as err:
         lookup_theory("monoidd")
