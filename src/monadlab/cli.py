@@ -122,6 +122,8 @@ def _existing_file(text: str) -> str:
 # carriers are the letters a..j
 _CARRIER = _IntRange(1, 10)
 _BOUND = _IntRange(0)
+# the search depth of `prove-eq --bounded` without --depth
+_PROOF_DEPTH = 3
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +154,14 @@ def prove_eq(args):
     entry = _theory(args.theory)
     a, b = _term(args.term1, entry), _term(args.term2, entry)
     if not args.bounded:
+        if args.depth is not None:
+            raise UsageError("--depth applies only with --bounded")
         if _terms.decide_eq(entry.procedure, a, b):
             print("EQUAL (decision procedure)")
             return
         print("NOT EQUAL (decision procedure)")
         sys.exit(1)
-    depth = args.depth
+    depth = _PROOF_DEPTH if args.depth is None else args.depth
     res = _terms.eq_bounded(entry.presentation, a, b, depth=depth)
     if res.status is _terms.EqStatus.EQUAL:
         print(f"EQUAL (bounded search, depth {depth}, {res.steps} steps)")
@@ -298,7 +302,9 @@ def _parser() -> argparse.ArgumentParser:
     _command(top, "normalize", normalize, "THEORY", "TERM")
 
     p = _command(top, "prove-eq", prove_eq, "THEORY", "TERM1", "TERM2")
-    _int_option(p, "--depth", 3, _IntRange(0), "bounded-search depth")
+    p.add_argument("--depth", type=_IntRange(0), default=None, metavar="N",
+                   help=f"bounded-search depth, with --bounded only "
+                        f"(default: {_PROOF_DEPTH}; x>=0)")
     p.add_argument("--bounded", action="store_true",
                    help="search for a bounded proof instead of deciding")
 
@@ -334,7 +340,7 @@ def main(argv=None) -> None:
         sys.exit(2)
     try:
         args.run(args)
-    except UsageError as exc:
+    except (UsageError, _monads.PoolTooLargeError) as exc:
         args.parser.error(str(exc))
 
 

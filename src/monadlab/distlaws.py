@@ -17,9 +17,9 @@ import functools
 import itertools
 import time
 from itertools import repeat
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
-from monadlab.monads import ALL_MONAD_IDS, FinMonad, LawReport, NoMonadError, monad_for
+from monadlab.monads import FinMonad, LawReport, NoMonadError, monad_for, monad_ids
 from monadlab.theories import unknown_name
 from monadlab.values import Value, letters, memo
 
@@ -29,8 +29,6 @@ __all__ = [
     "law_for",
     "law_ids",
     "check_beck",
-    "check_times_over_plus_form",
-    "composite_monad",
 ]
 
 
@@ -166,7 +164,7 @@ def law_ids() -> tuple:
         for s in ("tree", "list", "multiset")
         for t in ("multiset", "powerset")
     ]
-    excs = [f"exception-over:{t}" for t in ALL_MONAD_IDS]
+    excs = [f"exception-over:{t}" for t in monad_ids()]
     return (*_LAW_ALIASES, *_LAWS, *choices, *excs)
 
 
@@ -227,13 +225,14 @@ def check_beck(
         if len(report.violations) < _MAX_VIOLATIONS:
             report.violations.append((component, w, lhs, rhs))
 
-    pool_t = t.enumerate(X, bound)
-    pool_s = s.enumerate(X, bound)
+    # the S-over-S-over-T pool, the first to pass the cap as the bound
+    # grows, is built before any condition is checked, so such a bound is
+    # refused at once
+    pool_t = report.pool("T", t, X)
+    pool_s = report.pool("S", s, X)
     carrier_t = pool_t[:cap2]
-    pool_st = s.enumerate(carrier_t, bound)
-    report.pool_sizes["T"] = len(pool_t)
-    report.pool_sizes["S"] = len(pool_s)
-    report.pool_sizes["ST"] = len(pool_st)
+    pool_st = report.pool("ST", s, carrier_t)
+    pool_sst = report.pool("SST", s, pool_st[:cap3])
 
     def compare(component, pool, lhs, rhs):
         for w, l, r in zip(pool, lhs, rhs):
@@ -266,9 +265,6 @@ def check_beck(
         )
 
     # mu-S then lambda versus lambda twice then mu-S inside T
-    carrier_st = pool_st[:cap3]
-    pool_sst = s.enumerate(carrier_st, bound)
-    report.pool_sizes["SST"] = len(pool_sst)
     compare(
         "mult-s",
         pool_sst,
@@ -281,10 +277,8 @@ def check_beck(
     # how many distinct elements the carrier has, so the whole pool is
     # counted over as many stand-in labels, whose values sort natively
     carrier_tt = list(itertools.islice(t.iter_values(carrier_t, bound), cap3))
-    stand_ins = [str(i) for i in range(len(carrier_t))]
-    report.pool_sizes["TT"] = sum(1 for _ in t.iter_values(stand_ins, bound))
-    pool_stt = s.enumerate(carrier_tt, bound)
-    report.pool_sizes["STT"] = len(pool_stt)
+    report.count("TT", t, [str(i) for i in range(len(carrier_t))])
+    pool_stt = report.pool("STT", s, carrier_tt)
     compare(
         "mult-t",
         pool_stt,
@@ -296,63 +290,3 @@ def check_beck(
     report.stats.update(lambda_requested=info.hits + info.misses, lambda_computed=info.misses)
     report.elapsed = time.perf_counter() - start
     return report
-
-
-def check_times_over_plus_form(law: DistLaw) -> bool:
-    """Does the law distribute the outer binary over the inner binary on
-    generators, the way a product distributes over a sum?
-
-    Needs a canonical two-element container on both sides; raises
-    PairUnsupportedError (encoding unsupported) otherwise.
-    """
-    s, t, lam = law.s_monad, law.t_monad, law.apply
-    y1, y2, x0 = "a", "b", "c"
-    lhs1 = lam(s.pair(t.pair(y1, y2), t.unit(x0)))
-    rhs1 = t.pair(s.pair(y1, x0), s.pair(y2, x0))
-    lhs2 = lam(s.pair(t.unit(x0), t.pair(y1, y2)))
-    rhs2 = t.pair(s.pair(x0, y1), s.pair(x0, y2))
-    return lhs1 == rhs1 and lhs2 == rhs2
-
-
-# ---------------------------------------------------------------------------
-# composite monad
-
-
-class _CompositeMonad(FinMonad):
-    """The monad T-after-S induced by a distributive law, on T(S(X)) values."""
-
-    def __init__(self, law: DistLaw, s_cap: int = 16):
-        self.law = law
-        self.s_cap = s_cap
-        self.monad_id = f"composite:{law.law_id}"
-        self.family = "composite"
-
-    def unit(self, x):
-        return self.law.t_monad.unit(self.law.s_monad.unit(x))
-
-    def fmap(self, f, v):
-        t, s = self.law.t_monad, self.law.s_monad
-        return t.fmap(lambda sv: s.fmap(f, sv), v)
-
-    def join(self, v):
-        # T S T S -> T T S S (law inside T) -> T S S (outer mu) -> T S
-        t, s, lam = self.law.t_monad, self.law.s_monad, self.law.apply
-        return t.fmap(s.join, t.bind(v, lam))
-
-    def size(self, v):
-        t, s = self.law.t_monad, self.law.s_monad
-        return sum(s.size(sv) for sv in t.members(v))
-
-    def members(self, v):
-        return self.law.t_monad.members(v)
-
-    def iter_values(self, carrier, bound) -> Iterator:
-        t, s = self.law.t_monad, self.law.s_monad
-        inner = list(
-            itertools.islice(s.iter_values(carrier, bound), self.s_cap)
-        )
-        return t.iter_values(inner, bound)
-
-
-def composite_monad(law: DistLaw, s_cap: int = 16) -> FinMonad:
-    return _CompositeMonad(law, s_cap)

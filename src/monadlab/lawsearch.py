@@ -58,17 +58,18 @@ class LambdaTable:
     def at(self, level: int, w: Value) -> Value:
         return self.entries[(level, w)]
 
-    def describe(self, limit: int = 8) -> str:
+    def describe(self) -> str:
+        shown = 8
         lines = []
         for (level, w), v in sorted(
             self.entries.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))
-        )[:limit]:
+        )[:shown]:
             lines.append(
                 f"  |X|={len(self.carriers[level])}: "
                 f"{format_value(w, explicit_ok=True)} -> "
                 f"{format_value(v, explicit_ok=True)}"
             )
-        more = len(self.entries) - limit
+        more = len(self.entries) - shown
         if more > 0:
             lines.append(f"  ... {more} more entries")
         return "\n".join(lines)

@@ -37,8 +37,9 @@ from monadlab.values import (
 
 __all__ = [
     "FinMonad",
-    "PairUnsupportedError",
     "NoMonadError",
+    "MAX_POOL",
+    "PoolTooLargeError",
     "ListMonad",
     "MultisetMonad",
     "PowersetMonad",
@@ -52,7 +53,6 @@ __all__ = [
     "AbGroupMonad",
     "monad_for",
     "monad_ids",
-    "ALL_MONAD_IDS",
     "LawReport",
     "check_monad_laws",
     "FreeModelReport",
@@ -60,12 +60,19 @@ __all__ = [
 ]
 
 
-class PairUnsupportedError(Exception):
-    """The monad has no two-element container to encode a binary operation."""
-
-
 class NoMonadError(Exception):
     pass
+
+
+# the most values one pool may hold. A bound has no upper limit, so a pool
+# is refused as soon as one value more is listed or counted. The largest
+# pool that tests pin, T over T of exception-over:narytree:3 at bound 3, has
+# 625,697 values; law search caps its inputs at the same number.
+MAX_POOL = 1_000_000
+
+
+class PoolTooLargeError(Exception):
+    """A pool would hold more than `MAX_POOL` values."""
 
 
 def _identity(x):
@@ -109,9 +116,10 @@ class FinMonad:
 
     A monad that names a theory maps each of its operations, in `generics`,
     to the operation's generic element: a value over the argument positions
-    "0", "1", ... `free_model_ops` derives the free models' operations, and
-    `pair(a, b)` is the theory's designated binary evaluated through them
-    at unit(a), unit(b).
+    "0", "1", ... `free_model_ops` derives the free models' operations.
+
+    `enumerate` lists a pool and `count` counts one without listing it; both
+    raise PoolTooLargeError past `MAX_POOL` values.
     """
 
     monad_id: str = ""
@@ -144,19 +152,21 @@ class FinMonad:
         raise NotImplementedError
 
     def enumerate(self, carrier: Sequence[Value], bound: int) -> list:
-        return list(self.iter_values(carrier, bound))
+        pool = list(itertools.islice(self.iter_values(carrier, bound), MAX_POOL + 1))
+        self._within_cap(len(pool), carrier, bound)
+        return pool
 
-    def pair(self, a: Value, b: Value) -> Value:
-        """The two-element container over a then b: the designated binary of
-        the monad's theory, evaluated in the free model."""
-        entry = theories.lookup_theory(self.theory_id) if self.theory_id else None
-        if entry is None or entry.designated_binary is None:
-            raise PairUnsupportedError(
-                f"monad {self.monad_id!r} has no canonical two-element container"
-            )
-        ops = free_model_ops(self.theory_id, self.monad_id)
-        env = {"y1": self.unit(a), "y2": self.unit(b)}
-        return _Evaluation(ops, env).term_key(entry.designated_binary)
+    def count(self, carrier: Sequence[Value], bound: int) -> int:
+        """How many values `enumerate` lists, without listing them."""
+        values = itertools.islice(self.iter_values(carrier, bound), MAX_POOL + 1)
+        return self._within_cap(sum(1 for _ in values), carrier, bound)
+
+    def _within_cap(self, n: int, carrier: Sequence[Value], bound: int) -> int:
+        if n > MAX_POOL:
+            raise PoolTooLargeError(
+                f"{self.monad_id} values over {len(carrier)} elements up to size {bound}: "
+                f"more than {MAX_POOL:,} (the pool cap)")
+        return n
 
     def __repr__(self) -> str:
         return f"<FinMonad {self.monad_id}>"
@@ -630,8 +640,6 @@ _MONADS: dict = {m.monad_id: m for m in (
     AbGroupMonad(),
 )}
 
-ALL_MONAD_IDS = tuple(_MONADS)
-
 _MONAD_ALIASES = {
     "reader": "reader:2",
     "mset": "multiset",
@@ -642,7 +650,7 @@ _MONAD_ALIASES = {
 
 
 def monad_ids() -> tuple:
-    return ALL_MONAD_IDS
+    return tuple(_MONADS)
 
 
 def monad_for(monad_id: str) -> FinMonad:
@@ -683,6 +691,22 @@ class LawReport:
         self.violations: list = []
         self.elapsed = 0.0
         self.stats: dict = {}
+
+    def pool(self, name: str, monad: FinMonad, carrier: Sequence[Value]) -> list:
+        """`monad`'s values over `carrier` up to the bound, as the pool `name`."""
+        values = self._sized(name, monad.enumerate, carrier)
+        self.pool_sizes[name] = len(values)
+        return values
+
+    def count(self, name: str, monad: FinMonad, carrier: Sequence[Value]) -> None:
+        """The size of the pool `name`, counted without listing it."""
+        self.pool_sizes[name] = self._sized(name, monad.count, carrier)
+
+    def _sized(self, name: str, size: Callable, carrier: Sequence[Value]):
+        try:
+            return size(carrier, self.bound)
+        except PoolTooLargeError as exc:
+            raise PoolTooLargeError(f"{self.subject}: the {name} pool of {exc}") from None
 
     def unchecked(self) -> list:
         """Conditions that saw no case: a pass on them would be vacuous."""
@@ -729,8 +753,7 @@ def check_monad_laws(
     carrier = letters(carrier_size)
     report = LawReport(monad.monad_id, carrier, bound, tuple(nested_caps))
 
-    pool1 = monad.enumerate(carrier, bound)
-    report.pool_sizes["T"] = len(pool1)
+    pool1 = report.pool("T", monad, carrier)
 
     for v in pool1:
         lhs = monad.join(monad.fmap(monad.unit, v))
@@ -745,10 +768,9 @@ def check_monad_laws(
     cap2, cap3 = nested_caps
     carrier2 = pool1[:cap2]
     carrier3 = list(itertools.islice(monad.iter_values(carrier2, bound), cap3))
-    pool3 = monad.enumerate(carrier3, bound)
     report.pool_sizes["TT-carrier"] = len(carrier2)
     report.pool_sizes["TTT-carrier"] = len(carrier3)
-    report.pool_sizes["TTT"] = len(pool3)
+    pool3 = report.pool("TTT", monad, carrier3)
 
     for w in pool3:
         lhs = monad.join(monad.fmap(monad.join, w))

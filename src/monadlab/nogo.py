@@ -37,8 +37,6 @@ from monadlab.values import Value, format_value, mk_dist, mk_set
 __all__ = [
     "TheoremId",
     "PermutationSpec",
-    "derangements",
-    "filter_common",
     "CheckRecord",
     "Applicability",
     "check_plotkin_binary",
@@ -46,7 +44,6 @@ __all__ = [
     "check_too_many_constants",
     "check_lacking_abides",
     "check_idem_units",
-    "uniqueness_applies",
     "PositiveEntry",
     "positive_entry",
     "NoGoVerdict",
@@ -66,7 +63,7 @@ class TheoremId:
 
 
 # ---------------------------------------------------------------------------
-# permutations and the row-set intersection bound
+# permutations
 
 
 class _PermutationFields(NamedTuple):
@@ -96,43 +93,6 @@ class PermutationSpec(_PermutationFields):
     @classmethod
     def swap(cls) -> "PermutationSpec":
         return cls(2, (2, 1))
-
-
-def derangements(m: int):
-    """All fixed-point-free permutations of {1..m}."""
-    for perm in itertools.permutations(range(1, m + 1)):
-        spec = PermutationSpec(m, perm)
-        if spec.fixed_point_free:
-            yield spec
-
-
-def filter_common(
-    n: int, m: int, sigma: PermutationSpec, choices: tuple[int, ...]
-) -> frozenset[tuple[int, int]]:
-    """Common elements of the n row-sets built from a choice tuple.
-
-    Variables are (column, subscript) pairs over columns 1..n and
-    subscripts 1..m. Row 1 collects column j's variable at subscript
-    choices[0]; row k >= 2 does the same at subscript choices[k-1] except in
-    column k, where the subscript is twisted to sigma(choices[k-1]).
-    """
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be strictly positive")
-    if sigma.size != m or not sigma.fixed_point_free:
-        raise ValueError("sigma must be a fixed-point-free permutation of {1..m}")
-    if len(choices) != n:
-        raise ValueError(f"need {n} choices, got {len(choices)}")
-    for i in choices:
-        if not 1 <= i <= m:
-            raise ValueError(f"choice {i} out of range 1..{m}")
-
-    rows = [frozenset((j, choices[0]) for j in range(1, n + 1))]
-    for k in range(2, n + 1):
-        i_k = choices[k - 1]
-        row = {(j, i_k) for j in range(1, n + 1) if j != k}
-        row.add((k, sigma(i_k)))
-        rows.append(frozenset(row))
-    return frozenset.intersection(*rows)
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +146,6 @@ def _prop_record(side: str, entry: TheoryEntry, prop: PropertyId) -> CheckRecord
     return CheckRecord(side, prop.value, bool(cert), cert.describe())
 
 
-def _with_binary(entry: TheoryEntry, binary: Optional[Term]) -> TheoryEntry:
-    """Entry variant whose designated binary is `binary` (over y1, y2)."""
-    if binary is None or binary == entry.designated_binary:
-        return entry
-    return entry.with_binary(binary)
-
-
 def _eq_record(side: str, entry: TheoryEntry, req: str, lhs: Term, rhs: Term) -> CheckRecord:
     text = f"{render(lhs)} = {render(rhs)} (decision procedure)"
     if decide_eq(entry.procedure, lhs, rhs):
@@ -207,20 +160,19 @@ def _eq_record(side: str, entry: TheoryEntry, req: str, lhs: Term, rhs: Term) ->
 def check_plotkin_binary(
     p_theory: Union[str, TheoryEntry],
     v_theory: Union[str, TheoryEntry],
-    p: Optional[Term] = None,
-    v: Optional[Term] = None,
 ) -> Applicability:
     """Hypotheses of the binary variable-counting obstruction.
 
     `p_theory` needs a commutative idempotent binary p whose class members
     stay within 2 variables; `v_theory` needs an idempotent binary v whose
-    class never collapses into a single variable. The designated binaries
-    are used unless explicit terms (over y1, y2) are given. When the pair
-    passes, there is no law (v_theory)(p_theory) => (p_theory)(v_theory),
-    so in row-over-column reading the row plays v and the column plays p.
+    class never collapses into a single variable. p and v are the theories'
+    designated binaries; `check_plotkin_general` takes explicit terms. When
+    the pair passes, there is no law (v_theory)(p_theory) =>
+    (p_theory)(v_theory), so in row-over-column reading the row plays v and
+    the column plays p.
     """
-    pe = _with_binary(_as_entry(p_theory), p)
-    ve = _with_binary(_as_entry(v_theory), v)
+    pe = _as_entry(p_theory)
+    ve = _as_entry(v_theory)
     records = []
     for prop in (PropertyId.P1, PropertyId.P2, PropertyId.P3):
         records.append(_prop_record("P", pe, prop))
@@ -355,32 +307,6 @@ def check_idem_units(
     records = _times_over_plus_records(se, te)
     records.append(_prop_record("S", se, PropertyId.S4B))
     return Applicability(TheoremId.IDEM_UNITS, se.theory_id, te.theory_id, tuple(records))
-
-
-def uniqueness_applies(
-    s_theory: Union[str, TheoryEntry],
-    t_theory: Union[str, TheoryEntry],
-) -> bool:
-    """At most one law can exist: both signatures are exactly one constant
-    plus one binary, the constants are units, and variable classes are tame."""
-
-    def shaped(entry: TheoryEntry) -> bool:
-        arities = sorted(op.arity for op in entry.presentation.signature.ops)
-        return arities == [0, 2]
-
-    se = _as_entry(s_theory)
-    te = _as_entry(t_theory)
-    if not (shaped(se) and shaped(te)):
-        return False
-    needed = [
-        check_property(se, PropertyId.S4A),
-        check_property(se, PropertyId.S1),
-        check_property(se, PropertyId.S2),
-        check_property(te, PropertyId.T4A),
-        check_property(te, PropertyId.T1),
-        check_property(te, PropertyId.T2),
-    ]
-    return all(bool(c) for c in needed)
 
 
 # ---------------------------------------------------------------------------
@@ -572,17 +498,18 @@ class RefutationTrace(NamedTuple):
     def candidates(self) -> int:
         return len(self.eliminations) + len(self.survivors)
 
-    def describe(self, limit: int = 6) -> str:
+    def describe(self) -> str:
         lines = [
             f"probe {format_value(self.source)}: {self.candidates} candidate images, "
             f"{len(self.survivors)} survive"
         ]
         for name, _, forced in self.constraints:
             lines.append(f"  {name} forces image {format_value(forced)}")
-        for cand, failed in self.eliminations[:limit]:
+        shown = 6
+        for cand, failed in self.eliminations[:shown]:
             lines.append(f"  {format_value(cand)} fails {', '.join(failed)}")
-        if len(self.eliminations) > limit:
-            lines.append(f"  ... {len(self.eliminations) - limit} more eliminated")
+        if len(self.eliminations) > shown:
+            lines.append(f"  ... {len(self.eliminations) - shown} more eliminated")
         return "\n".join(lines)
 
 

@@ -3,11 +3,11 @@
 The syntax layer is deliberately tiny: plain slotted classes, a
 recursive-descent parser, and a breadth-first prover. `Rewriter` is the one
 rewrite relation (axioms read as rules in both directions): the bounded
-prover and the validation of decision procedures against the axioms go
-through it. A decision procedure (`Procedure`: normal forms or semantic
-evaluation) decides provable equality in one theory; `decide_eq` and
-`normalize` take the procedure itself, which `monadlab.theories` keeps on
-each theory's entry.
+prover goes through it, and so does the tests' validation of decision
+procedures against the axioms. A decision procedure (`Procedure`: normal
+forms or semantic evaluation) decides provable equality in one theory;
+`decide_eq` and `normalize` take the procedure itself, which
+`monadlab.theories` keeps on each theory's entry.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "enumerate_terms",
     "classes_by_closure",
     "Rewriter",
-    "rewrite_components",
     "EqStatus",
     "EqResult",
     "eq_bounded",
@@ -539,26 +538,6 @@ class Rewriter:
         return out
 
 
-def rewrite_components(rewriter: Rewriter, universe: Sequence[Term]) -> list[int]:
-    """For each universe term, the index of its class representative under
-    the one-step rewrites that stay inside the universe (union-find roots)."""
-    index = {t: i for i, t in enumerate(universe)}
-    parent = list(range(len(universe)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, t in enumerate(universe):
-        for u in rewriter.steps(t):
-            j = index.get(u)
-            if j is not None:
-                parent[find(j)] = find(i)
-    return [find(i) for i in range(len(universe))]
-
-
 class EqStatus(Enum):
     EQUAL = "equal"
     UNKNOWN = "unknown"
@@ -582,21 +561,20 @@ def eq_bounded(
     t2: Term,
     depth: int = 3,
     node_cap: int = 50_000,
-    pool: Optional[Sequence[Term]] = None,
 ) -> EqResult:
     """Breadth-first proof search for t1 = t2 under the axioms.
 
     Finds any proof of at most `depth` rule applications (axioms used in
-    both directions, instantiated by matching). Rewriting is symmetric, so
-    the search runs from both ends and meets in the middle; EQUAL is a
-    proof, UNKNOWN is not a refutation, just exhaustion of the bound or
-    the node cap.
+    both directions, instantiated by matching; a variable on one side only
+    is filled with a variable of t1 or t2 or a constant). Rewriting is
+    symmetric, so the search runs from both ends and meets in the middle;
+    EQUAL is a proof, UNKNOWN is not a refutation, just exhaustion of the
+    bound or the node cap.
     """
-    if pool is None:
-        names = sorted(term_vars(t1) | term_vars(t2))
-        pool = tuple(Var(v) for v in names) + tuple(
-            App(c, ()) for c in presentation.signature.constants
-        )
+    names = sorted(term_vars(t1) | term_vars(t2))
+    pool = tuple(Var(v) for v in names) + tuple(
+        App(c, ()) for c in presentation.signature.constants
+    )
     if t1 == t2:
         return EqResult(EqStatus.EQUAL, 0, 1)
     rewriter = Rewriter(presentation, pool)

@@ -45,12 +45,8 @@ from monadlab.terms import (
     Term,
     Var,
     decide_eq,
-    enumerate_terms,
-    eq_bounded,
     parse_term,
     render,
-    Rewriter,
-    rewrite_components,
     signature,
     substitute,
     term_vars,
@@ -67,11 +63,8 @@ __all__ = [
     "check_property",
     "class_vars",
     "class_var_claim",
-    "ProcedureValidation",
-    "validate_procedure_against_rewrites",
     "register_theory",
     "lookup_theory",
-    "theory_ids",
     "registry",
     "exception_labels",
     "tree_width",
@@ -79,7 +72,6 @@ __all__ = [
     "unknown_name",
     "exception_theory",
     "narytree_theory",
-    "ring_entry",
     "BOOM_ORIGINAL",
     "BOOM_EXTENDED",
     "BOOM_FULL",
@@ -371,54 +363,6 @@ class ReaderProc(Procedure):
         return App(OpSymbol("mul", 2), (Var(a), Var(b)))
 
 
-class RingProc(Procedure):
-    """Free (noncommutative, unital) ring: Z-combinations of words."""
-
-    def var_key(self, name):
-        return (((name,), 1),)
-
-    def app_key(self, op, child_keys):
-        if op.name == "zero":
-            return ()
-        if op.name == "one":
-            return (((), 1),)
-        if op.name == "neg":
-            return tuple((w, -c) for w, c in child_keys[0])
-        if op.name == "plus":
-            coeffs: dict[tuple, int] = {}
-            for part in child_keys:
-                for w, c in part:
-                    coeffs[w] = coeffs.get(w, 0) + c
-            return tuple(sorted((w, c) for w, c in coeffs.items() if c != 0))
-        # times: convolution of words
-        out: dict[tuple, int] = {}
-        for w1, c1 in child_keys[0]:
-            for w2, c2 in child_keys[1]:
-                w = w1 + w2
-                out[w] = out.get(w, 0) + c1 * c2
-        return tuple(sorted((w, c) for w, c in out.items() if c != 0))
-
-    def reify(self, key):
-        plus = OpSymbol("plus", 2)
-        times = OpSymbol("times", 2)
-        neg = OpSymbol("neg", 1)
-        if not key:
-            return App(OpSymbol("zero", 0), ())
-
-        def monomial(word: tuple) -> Term:
-            if not word:
-                return App(OpSymbol("one", 0), ())
-            return _right_nested(times, [Var(n) for n in word])
-
-        parts: list[Term] = []
-        for word, c in key:
-            base = monomial(word)
-            if c < 0:
-                base = App(neg, (base,))
-            parts.extend([base] * abs(c))
-        return _right_nested(plus, parts)
-
-
 def _boom_procedure(flags: BoomFlags) -> Procedure:
     if flags.assoc:
         if flags.idem and not flags.comm:
@@ -463,12 +407,6 @@ class TheoryEntry:
         self.designated_binary, self.designated_unit = designated_binary, designated_unit
         self.aliases, self.absorbing = aliases, absorbing
         self._certificates: dict = {}
-
-    def with_binary(self, binary: Term) -> TheoryEntry:
-        """This theory with `binary` as its designated binary and fresh
-        certificates."""
-        return TheoryEntry(self.theory_id, self.presentation, self.label, self.procedure,
-                           binary, self.designated_unit, self.aliases, self.absorbing)
 
     def binary_at(self, a: Term, b: Term) -> Term:
         if self.designated_binary is None:
@@ -518,10 +456,6 @@ def register_theory(entry: TheoryEntry) -> TheoryEntry:
     _REGISTRY[tid] = entry
     _ALIASES.update(dict.fromkeys(entry.aliases, tid))
     return entry
-
-
-def theory_ids() -> tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
 
 
 def registry() -> tuple[TheoryEntry, ...]:
@@ -867,103 +801,6 @@ def _interchange(entry: TheoryEntry) -> tuple[Term, Term]:
     return b(b(y1, y2), b(y3, y4)), b(b(y1, y3), b(y2, y4))
 
 
-class ProcedureValidation(NamedTuple):
-    """Outcome of cross-checking a decision procedure against the axioms."""
-
-    theory_id: str
-    term_count: int
-    class_count: int
-    soundness_violations: list
-    disconnected_classes: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.soundness_violations and not self.disconnected_classes
-
-
-def validate_procedure_against_rewrites(
-    entry: TheoryEntry,
-    depth: int = 3,
-    num_vars: int = 2,
-) -> ProcedureValidation:
-    """Exhaustively compare decide_eq classes with rewrite-derived classes.
-
-    Universe: every term of depth <= depth over bare variables x1..xk
-    (constants enter through rewrites, not as leaves). Soundness: each
-    one-step rewrite of a universe term must preserve the procedure key, even
-    when the rewrite leaves the universe. Completeness: within each procedure
-    class, the members must be connected by in-universe one-step rewrites,
-    with eq_bounded allowed to bridge residual components (its proofs may
-    pass through terms outside the universe).
-    """
-    proc = entry.procedure
-    pres = entry.presentation
-    atoms = [Var(f"x{i + 1}") for i in range(num_vars)]
-    universe = list(enumerate_terms(pres.signature, atoms, depth))
-    rewriter = Rewriter(pres, atoms + [App(c, ()) for c in pres.signature.constants])
-
-    key_memo: dict[Term, Hashable] = {}
-
-    def key_of(t: Term) -> Hashable:
-        k = key_memo.get(t)
-        if k is None:
-            if isinstance(t, Var):
-                k = proc.var_key(t.name)
-            else:
-                k = proc.app_key(t.op, tuple(key_of(a) for a in t.args))
-            key_memo[t] = k
-        return k
-
-    # Soundness needs root positions only: procedures are compositional, so a
-    # key change under a context implies a key change at the rewritten root.
-    soundness: list = []
-    for t in universe:
-        kt = key_of(t)
-        for u in rewriter.at_root(t):
-            if key_of(u) != kt:
-                soundness.append((t, u))
-
-    reps = rewrite_components(rewriter, universe)
-    by_key: dict[Hashable, dict[int, list[int]]] = {}
-    for i, t in enumerate(universe):
-        by_key.setdefault(key_of(t), {}).setdefault(reps[i], []).append(i)
-
-    disconnected: list = []
-    for key, components in by_key.items():
-        if len(components) == 1:
-            continue
-        merged, *pending = sorted(components.values(), key=len, reverse=True)
-        progress = True
-        while pending and progress:
-            progress = False
-            still: list[list[int]] = []
-            for comp in pending:
-                if _bridge(pres, universe, merged, comp):
-                    merged = merged + comp
-                    progress = True
-                else:
-                    still.append(comp)
-            pending = still
-        if pending:
-            disconnected.append(
-                (key, universe[merged[0]], [universe[c[0]] for c in pending])
-            )
-    return ProcedureValidation(
-        entry.theory_id, len(universe), len(by_key), soundness, disconnected
-    )
-
-
-# eq_bounded settings for joining rewrite components of one procedure class
-_BRIDGE_DEPTH = 3
-_BRIDGE_PAIR_LIMIT = 400
-
-
-def _bridge(pres, universe, comp_a, comp_b) -> bool:
-    pairs = itertools.islice(itertools.product(comp_a, comp_b), _BRIDGE_PAIR_LIMIT)
-    return any(eq_bounded(pres, universe[i], universe[j], depth=_BRIDGE_DEPTH)
-               for i, j in pairs)
-
-
 # ---------------------------------------------------------------------------
 # registration of the built-in theories
 
@@ -1053,31 +890,6 @@ def narytree_theory(n: int) -> TheoryEntry:
     pres = presentation(f"narytree-theory:{n}", (("node", n), ("e", 0)), axioms)
     return theory_entry(pres, TreeProc(OpSymbol("node", n)),
                         "node(y1,y2" + ",e" * (n - 2) + ")", "e")
-
-
-def ring_entry() -> TheoryEntry:
-    """Noncommutative unital rings, as an entry that is not registered; used
-    as a worked example for the constant-counting obstruction. The
-    annihilation axioms are derivable but listed so bounded rewrite search
-    can use them directly."""
-    pres = presentation(
-        "ring",
-        (("plus", 2), ("times", 2), ("neg", 1), ("zero", 0), ("one", 0)),
-        (
-            ("plus(plus(x,y),z)", "plus(x,plus(y,z))", "plus-assoc"),
-            ("plus(x,y)", "plus(y,x)", "plus-comm"),
-            ("plus(zero,x)", "x", "plus-unitl"),
-            ("plus(x,neg(x))", "zero", "plus-invr"),
-            ("times(times(x,y),z)", "times(x,times(y,z))", "times-assoc"),
-            ("times(one,x)", "x", "times-unitl"),
-            ("times(x,one)", "x", "times-unitr"),
-            ("times(x,plus(y,z))", "plus(times(x,y),times(x,z))", "distl"),
-            ("times(plus(x,y),z)", "plus(times(x,z),times(y,z))", "distr"),
-            ("times(x,zero)", "zero", "annr"),
-            ("times(zero,x)", "zero", "annl"),
-        ),
-    )
-    return theory_entry(pres, RingProc(), "times(y1,y2)", "one", "plus(x,times(y,zero))")
 
 
 def _register_rest() -> None:

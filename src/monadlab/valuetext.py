@@ -32,7 +32,7 @@ from .values import (
     mk_set,
 )
 
-__all__ = ["ValueSyntaxError", "parse_value", "parse_layered"]
+__all__ = ["ValueSyntaxError", "parse_layered"]
 
 
 class ValueSyntaxError(ValueError):
@@ -211,8 +211,3 @@ def parse_layered(text: str, monads: Sequence[Union[str, FinMonad]]) -> Value:
     if not tokens.done():
         raise ValueSyntaxError(f"trailing input {' '.join(tokens.items[tokens.pos:])!r}")
     return v
-
-
-def parse_value(text: str, monad: Union[str, FinMonad]) -> Value:
-    """Parse a single container layer over bare labels."""
-    return parse_layered(text, (monad,))

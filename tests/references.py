@@ -1,0 +1,314 @@
+"""Reference code that only tests call, kept beside them rather than under
+`src/`, which holds what a command or a benchmark op runs.
+
+- `validate_procedure_against_rewrites` cross-checks a theory's decision
+  procedure against its axioms read as rewrite rules.
+- `ring_entry` is the theory of noncommutative unital rings, a worked
+  example that is not registered.
+- `composite_monad` is the monad T-after-S that a distributive law induces.
+- `derangements` and `filter_common` are the permutation lemmas behind the
+  general variable-counting theorem (`nogo.check_plotkin_general`).
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Hashable, Iterator, NamedTuple, Sequence
+
+from monadlab.distlaws import DistLaw
+from monadlab.monads import FinMonad
+from monadlab.nogo import PermutationSpec
+from monadlab.terms import (
+    App,
+    OpSymbol,
+    Procedure,
+    Rewriter,
+    Term,
+    Var,
+    enumerate_terms,
+    eq_bounded,
+)
+from monadlab.theories import TheoryEntry, _right_nested, presentation, theory_entry
+
+
+# ---------------------------------------------------------------------------
+# decision procedures against the axioms
+
+
+def rewrite_components(rewriter: Rewriter, universe: Sequence[Term]) -> list[int]:
+    """For each universe term, the index of its class representative under
+    the one-step rewrites that stay inside the universe (union-find roots)."""
+    index = {t: i for i, t in enumerate(universe)}
+    parent = list(range(len(universe)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, t in enumerate(universe):
+        for u in rewriter.steps(t):
+            j = index.get(u)
+            if j is not None:
+                parent[find(j)] = find(i)
+    return [find(i) for i in range(len(universe))]
+
+
+class ProcedureValidation(NamedTuple):
+    """Outcome of cross-checking a decision procedure against the axioms."""
+
+    theory_id: str
+    term_count: int
+    class_count: int
+    soundness_violations: list
+    disconnected_classes: list
+
+    @property
+    def ok(self) -> bool:
+        return not self.soundness_violations and not self.disconnected_classes
+
+
+def validate_procedure_against_rewrites(
+    entry: TheoryEntry,
+    depth: int = 3,
+    num_vars: int = 2,
+) -> ProcedureValidation:
+    """Exhaustively compare decide_eq classes with rewrite-derived classes.
+
+    Universe: every term of depth <= depth over bare variables x1..xk
+    (constants enter through rewrites, not as leaves). Soundness: each
+    one-step rewrite of a universe term must preserve the procedure key, even
+    when the rewrite leaves the universe. Completeness: within each procedure
+    class, the members must be connected by in-universe one-step rewrites,
+    with eq_bounded allowed to bridge residual components (its proofs may
+    pass through terms outside the universe).
+    """
+    proc = entry.procedure
+    pres = entry.presentation
+    atoms = [Var(f"x{i + 1}") for i in range(num_vars)]
+    universe = list(enumerate_terms(pres.signature, atoms, depth))
+    rewriter = Rewriter(pres, atoms + [App(c, ()) for c in pres.signature.constants])
+
+    key_memo: dict[Term, Hashable] = {}
+
+    def key_of(t: Term) -> Hashable:
+        k = key_memo.get(t)
+        if k is None:
+            if isinstance(t, Var):
+                k = proc.var_key(t.name)
+            else:
+                k = proc.app_key(t.op, tuple(key_of(a) for a in t.args))
+            key_memo[t] = k
+        return k
+
+    # Soundness needs root positions only: procedures are compositional, so a
+    # key change under a context implies a key change at the rewritten root.
+    soundness: list = []
+    for t in universe:
+        kt = key_of(t)
+        for u in rewriter.at_root(t):
+            if key_of(u) != kt:
+                soundness.append((t, u))
+
+    reps = rewrite_components(rewriter, universe)
+    by_key: dict[Hashable, dict[int, list[int]]] = {}
+    for i, t in enumerate(universe):
+        by_key.setdefault(key_of(t), {}).setdefault(reps[i], []).append(i)
+
+    disconnected: list = []
+    for key, components in by_key.items():
+        if len(components) == 1:
+            continue
+        merged, *pending = sorted(components.values(), key=len, reverse=True)
+        progress = True
+        while pending and progress:
+            progress = False
+            still: list[list[int]] = []
+            for comp in pending:
+                if _bridge(pres, universe, merged, comp):
+                    merged = merged + comp
+                    progress = True
+                else:
+                    still.append(comp)
+            pending = still
+        if pending:
+            disconnected.append(
+                (key, universe[merged[0]], [universe[c[0]] for c in pending])
+            )
+    return ProcedureValidation(
+        entry.theory_id, len(universe), len(by_key), soundness, disconnected
+    )
+
+
+# eq_bounded settings for joining rewrite components of one procedure class
+_BRIDGE_DEPTH = 3
+_BRIDGE_PAIR_LIMIT = 400
+
+
+def _bridge(pres, universe, comp_a, comp_b) -> bool:
+    pairs = itertools.islice(itertools.product(comp_a, comp_b), _BRIDGE_PAIR_LIMIT)
+    return any(eq_bounded(pres, universe[i], universe[j], depth=_BRIDGE_DEPTH)
+               for i, j in pairs)
+
+
+# ---------------------------------------------------------------------------
+# the ring theory
+
+
+class RingProc(Procedure):
+    """Free (noncommutative, unital) ring: Z-combinations of words."""
+
+    def var_key(self, name):
+        return (((name,), 1),)
+
+    def app_key(self, op, child_keys):
+        if op.name == "zero":
+            return ()
+        if op.name == "one":
+            return (((), 1),)
+        if op.name == "neg":
+            return tuple((w, -c) for w, c in child_keys[0])
+        if op.name == "plus":
+            coeffs: dict[tuple, int] = {}
+            for part in child_keys:
+                for w, c in part:
+                    coeffs[w] = coeffs.get(w, 0) + c
+            return tuple(sorted((w, c) for w, c in coeffs.items() if c != 0))
+        # times: convolution of words
+        out: dict[tuple, int] = {}
+        for w1, c1 in child_keys[0]:
+            for w2, c2 in child_keys[1]:
+                w = w1 + w2
+                out[w] = out.get(w, 0) + c1 * c2
+        return tuple(sorted((w, c) for w, c in out.items() if c != 0))
+
+    def reify(self, key):
+        plus = OpSymbol("plus", 2)
+        times = OpSymbol("times", 2)
+        neg = OpSymbol("neg", 1)
+        if not key:
+            return App(OpSymbol("zero", 0), ())
+
+        def monomial(word: tuple) -> Term:
+            if not word:
+                return App(OpSymbol("one", 0), ())
+            return _right_nested(times, [Var(n) for n in word])
+
+        parts: list[Term] = []
+        for word, c in key:
+            base = monomial(word)
+            if c < 0:
+                base = App(neg, (base,))
+            parts.extend([base] * abs(c))
+        return _right_nested(plus, parts)
+
+
+def ring_entry() -> TheoryEntry:
+    """Noncommutative unital rings, as an entry that is not registered; used
+    as a worked example for the constant-counting obstruction. The
+    annihilation axioms are derivable but listed so bounded rewrite search
+    can use them directly."""
+    pres = presentation(
+        "ring",
+        (("plus", 2), ("times", 2), ("neg", 1), ("zero", 0), ("one", 0)),
+        (
+            ("plus(plus(x,y),z)", "plus(x,plus(y,z))", "plus-assoc"),
+            ("plus(x,y)", "plus(y,x)", "plus-comm"),
+            ("plus(zero,x)", "x", "plus-unitl"),
+            ("plus(x,neg(x))", "zero", "plus-invr"),
+            ("times(times(x,y),z)", "times(x,times(y,z))", "times-assoc"),
+            ("times(one,x)", "x", "times-unitl"),
+            ("times(x,one)", "x", "times-unitr"),
+            ("times(x,plus(y,z))", "plus(times(x,y),times(x,z))", "distl"),
+            ("times(plus(x,y),z)", "plus(times(x,z),times(y,z))", "distr"),
+            ("times(x,zero)", "zero", "annr"),
+            ("times(zero,x)", "zero", "annl"),
+        ),
+    )
+    return theory_entry(pres, RingProc(), "times(y1,y2)", "one", "plus(x,times(y,zero))")
+
+
+# ---------------------------------------------------------------------------
+# composite monad
+
+
+class _CompositeMonad(FinMonad):
+    """The monad T-after-S induced by a distributive law, on T(S(X)) values."""
+
+    def __init__(self, law: DistLaw, s_cap: int = 16):
+        self.law = law
+        self.s_cap = s_cap
+        self.monad_id = f"composite:{law.law_id}"
+        self.family = "composite"
+
+    def unit(self, x):
+        return self.law.t_monad.unit(self.law.s_monad.unit(x))
+
+    def fmap(self, f, v):
+        t, s = self.law.t_monad, self.law.s_monad
+        return t.fmap(lambda sv: s.fmap(f, sv), v)
+
+    def join(self, v):
+        # T S T S -> T T S S (law inside T) -> T S S (outer mu) -> T S
+        t, s, lam = self.law.t_monad, self.law.s_monad, self.law.apply
+        return t.fmap(s.join, t.bind(v, lam))
+
+    def size(self, v):
+        t, s = self.law.t_monad, self.law.s_monad
+        return sum(s.size(sv) for sv in t.members(v))
+
+    def members(self, v):
+        return self.law.t_monad.members(v)
+
+    def iter_values(self, carrier, bound) -> Iterator:
+        t, s = self.law.t_monad, self.law.s_monad
+        inner = list(
+            itertools.islice(s.iter_values(carrier, bound), self.s_cap)
+        )
+        return t.iter_values(inner, bound)
+
+
+def composite_monad(law: DistLaw, s_cap: int = 16) -> FinMonad:
+    return _CompositeMonad(law, s_cap)
+
+
+# ---------------------------------------------------------------------------
+# permutations and the row-set intersection bound
+
+
+def derangements(m: int):
+    """All fixed-point-free permutations of {1..m}."""
+    for perm in itertools.permutations(range(1, m + 1)):
+        spec = PermutationSpec(m, perm)
+        if spec.fixed_point_free:
+            yield spec
+
+
+def filter_common(
+    n: int, m: int, sigma: PermutationSpec, choices: tuple[int, ...]
+) -> frozenset[tuple[int, int]]:
+    """Common elements of the n row-sets built from a choice tuple.
+
+    Variables are (column, subscript) pairs over columns 1..n and
+    subscripts 1..m. Row 1 collects column j's variable at subscript
+    choices[0]; row k >= 2 does the same at subscript choices[k-1] except in
+    column k, where the subscript is twisted to sigma(choices[k-1]).
+    """
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be strictly positive")
+    if sigma.size != m or not sigma.fixed_point_free:
+        raise ValueError("sigma must be a fixed-point-free permutation of {1..m}")
+    if len(choices) != n:
+        raise ValueError(f"need {n} choices, got {len(choices)}")
+    for i in choices:
+        if not 1 <= i <= m:
+            raise ValueError(f"choice {i} out of range 1..{m}")
+
+    rows = [frozenset((j, choices[0]) for j in range(1, n + 1))]
+    for k in range(2, n + 1):
+        i_k = choices[k - 1]
+        row = {(j, i_k) for j in range(1, n + 1) if j != k}
+        row.add((k, sigma(i_k)))
+        rows.append(frozenset(row))
+    return frozenset.intersection(*rows)

@@ -7,6 +7,7 @@ on stderr.
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -90,7 +91,7 @@ class TestTermCommands:
 
     def test_lookups_leave_the_registries_alone(self, run):
         def registries():
-            return (theories.theory_ids(), monads.monad_ids(), distlaws.law_ids(),
+            return (theories.registry(), monads.monad_ids(), distlaws.law_ids(),
                     dict(theories._REGISTRY), dict(theories._ALIASES), dict(monads._MONADS),
                     dict(distlaws._LAWS), run("theories", "list").stdout)
 
@@ -98,7 +99,7 @@ class TestTermCommands:
         theories.lookup_theory("exception:{p}")
         theories.lookup_theory("narytree-theory:5")
         monads.monad_for("narytree:7")
-        monads.monad_for("narytree:3").pair("a", "b")
+        monads.free_model_ops("narytree-theory:3", "narytree:3")
         distlaws.law_for("choice:bintree:dist")
         assert registries() == before
         assert before[-1] == THEORIES_LIST
@@ -279,12 +280,32 @@ class TestUsageErrors:
             # depth 0 is syntactic equality, a negative depth is no search
             (("prove-eq", "M", "mul(x,y)", "mul(y,x)", "--bounded", "--depth", "-1"),
              "--depth"),
+            # the decision procedure has no depth to bound
+            (("prove-eq", "P", "mul(x,x)", "x", "--depth", "0"),
+             "--depth applies only with --bounded"),
         ],
     )
     def test_exit_2_with_message(self, run, args, fragment):
         res = run(*args)
         assert res.exit_code == 2
         assert fragment in res.output
+
+    @pytest.mark.parametrize("args,pool", [
+        (("monad-laws", "list", "--carrier", "10", "--bound", "7"), "list: the T pool"),
+        (("law", "check", "choice:list:powerset", "--carrier", "2", "--bound", "9"),
+         "choice:list:powerset: the SST pool"),
+        # counted, never listed: 34,636,833 values
+        (("law", "check", "exception-over:list", "--carrier", "2", "--bound", "5"),
+         "exception-over:list: the TT pool"),
+    ])
+    def test_pools_past_the_cap_are_refused_before_any_check(self, run, args, pool):
+        start = time.perf_counter()
+        res = run(*args)
+        assert time.perf_counter() - start < 10
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert pool in res.stderr
+        assert f"more than {monads.MAX_POOL:,} (the pool cap)" in res.stderr
 
     @pytest.mark.parametrize("command", ["normalize", "prove-eq"])
     def test_terms_nest_at_most_max_nesting_deep(self, run, command):

@@ -8,16 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import composite_monad
 
-from monadlab.distlaws import (
-    NoLawError,
-    check_beck,
-    check_times_over_plus_form,
-    composite_monad,
-    law_for,
-    law_ids,
-)
-from monadlab.monads import PairUnsupportedError, check_monad_laws, monad_for
+from monadlab.distlaws import NoLawError, check_beck, law_for, law_ids
+from monadlab.monads import check_monad_laws, monad_for
 from monadlab.values import (
     format_value,
     letters,
@@ -503,28 +497,6 @@ def test_faulty_law_report_is_pinned(carrier, bound, checked, pool_sizes, witnes
     assert report.violations == [
         ("mult-s", w, ("err", "b"), ("err", "a")) for w in witnesses
     ]
-
-
-# ---------------------------------------------------------------------------
-# times-over-plus shape
-
-
-def test_times_over_plus_shape():
-    assert check_times_over_plus_form(law_for("ring"))
-    assert check_times_over_plus_form(law_for("mset-cartesian"))
-    assert check_times_over_plus_form(law_for("choice:list:powerset"))
-    assert check_times_over_plus_form(law_for("choice:tree:multiset"))
-
-
-def test_times_over_plus_needs_pairs():
-    with pytest.raises(PairUnsupportedError):
-        check_times_over_plus_form(law_for("exception-over:list"))
-
-
-def test_composite_monad_has_no_pair():
-    comp = composite_monad(law_for("ring"))
-    with pytest.raises(PairUnsupportedError, match="no canonical two-element"):
-        comp.pair("a", "b")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import derangements, filter_common, ring_entry
 
 from monadlab.lawsearch import SearchOutcome, search_distlaw_bounded
 from monadlab.nogo import (
@@ -17,11 +18,8 @@ from monadlab.nogo import (
     check_plotkin_binary,
     check_plotkin_general,
     check_too_many_constants,
-    derangements,
-    filter_common,
     plotkin_refute_bounded,
     positive_entry,
-    uniqueness_applies,
     verdict,
 )
 from monadlab.terms import Var, parse_term, render
@@ -30,7 +28,6 @@ from monadlab.theories import (
     PropertyId,
     check_property,
     lookup_theory,
-    ring_entry,
 )
 from monadlab.values import mk_dist, mk_set
 
@@ -295,17 +292,6 @@ class TestIdemUnits:
         app = check_idem_units("comm-monoid", "monoid")
         assert not app.applicable
         assert [r.requirement for r in app.failed()] == ["S4b"]
-
-
-class TestUniqueness:
-    def test_monoid_pair(self):
-        assert uniqueness_applies("monoid", "monoid")
-
-    def test_commutative_monoid_pair(self):
-        assert uniqueness_applies("comm-monoid", "comm-monoid")
-
-    def test_constant_only_signature_is_out(self):
-        assert not uniqueness_applies("exception:{a,b}", "monoid")
 
 
 # ---------------------------------------------------------------------------

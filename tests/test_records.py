@@ -5,6 +5,7 @@ their repr, their truth values, and the validation of the two records
 that check their input."""
 
 import pytest
+from references import ProcedureValidation
 
 from monadlab.distlaws import DistLaw
 from monadlab.hierarchy import TableMismatch, VerdictTable
@@ -28,7 +29,6 @@ from monadlab.terms import (
 )
 from monadlab.theories import (
     BoomFlags,
-    ProcedureValidation,
     PropertyCertificate,
     PropertyId,
     PropertyStatus,

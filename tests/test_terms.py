@@ -306,13 +306,13 @@ def test_eq_bounded_inverse_pool_instantiation():
             ),
         ),
     )
-    # x -> mul(x,e) -> mul(x,mul(y,inv(y))): the y comes from the pool
+    # x -> mul(x,e) -> mul(x,mul(y,inv(y))): the y comes from the pool of
+    # the terms' variables and the constants
     res = eq_bounded(
         group,
         parse_term("x", sig),
         parse_term("mul(x,mul(y,inv(y)))", sig),
         depth=2,
-        pool=(Var("x"), Var("y")),
     )
     assert res.status is EqStatus.EQUAL
 

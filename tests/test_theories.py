@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import ring_entry, validate_procedure_against_rewrites
 
 from monadlab import hierarchy, terms, theories
 from monadlab.terms import (
@@ -33,9 +34,6 @@ from monadlab.theories import (
     presentation,
     register_theory,
     registry,
-    ring_entry,
-    theory_ids,
-    validate_procedure_against_rewrites,
 )
 
 
@@ -61,7 +59,7 @@ def rewrite_steps(pres, term, pool):
 
 
 def test_registry_contents():
-    ids = theory_ids()
+    ids = [entry.theory_id for entry in registry()]
     boom = [t for t in ids if t.startswith("boom:")]
     assert len(boom) == 16
     for expected in ("pointed", "exception:{a}", "exception:{a,b}", "abgroup",
@@ -82,7 +80,7 @@ def test_aliases_resolve():
 
 def test_every_theory_has_a_decision_procedure():
     # the registry, theories built on demand, and the unregistered ring
-    for tid in (*theory_ids(), "exception:{a,b,c}", "narytree-theory:4"):
+    for tid in (*(e.theory_id for e in registry()), "exception:{a,b,c}", "narytree-theory:4"):
         assert isinstance(lookup_theory(tid).procedure, terms.Procedure), tid
     assert isinstance(ring_entry().procedure, terms.Procedure)
     magma = boom_theory(BoomFlags(False, False, False, False))
@@ -91,7 +89,7 @@ def test_every_theory_has_a_decision_procedure():
 
 
 def test_unregistered_entries_leave_the_registry_alone():
-    before = theory_ids()
+    before = registry()
     first, second = ring_entry(), ring_entry()
     assert first is not second
     for ring in (first, second):
@@ -102,7 +100,7 @@ def test_unregistered_entries_leave_the_registry_alone():
                         theories.TreeProc(magma.signature.op("mul")))
     assert not decide_eq(local.procedure, magma.parse("mul(x,y)"), magma.parse("mul(y,x)"))
     assert check_property(local, PropertyId.T3).status is PropertyStatus.FAILS
-    assert theory_ids() == before
+    assert registry() == before
     with pytest.raises(KeyError):
         lookup_theory("ring")
 
@@ -389,7 +387,7 @@ def _path_walk_steps(rules, term, pool):
     return list(out)
 
 
-@pytest.mark.parametrize("tid", [*theory_ids(), "ring"])
+@pytest.mark.parametrize("tid", [*(e.theory_id for e in registry()), "ring"])
 def test_rewrite_steps_match_path_walk(tid):
     pres = (ring_entry() if tid == "ring" else lookup_theory(tid)).presentation
     rules = [(a, b, terms.term_vars(b))
@@ -580,7 +578,7 @@ def _brute_force_class_map(entry, depth, num_vars):
 
 @pytest.mark.parametrize(
     "tid,depth,num_vars",
-    [(tid, 2, 3) for tid in (*theory_ids(), "narytree-theory:2")]
+    [(e.theory_id, 2, 3) for e in registry()] + [("narytree-theory:2", 2, 3)]
     + [("convex", 3, 3)],
 )
 def test_class_map_matches_brute_force(tid, depth, num_vars):
@@ -702,29 +700,19 @@ def test_regular_theories_are_the_expected_ones():
     assert class_vars(ring_entry(), Var("x1")) is None
 
 
-def _diagonal_jsl():
-    # a regular presentation whose designated binary uses one variable
+def _jsl_with_binary(text):
+    """The join-semilattice theory, unregistered, with `text` as its
+    designated binary."""
     jsl = lookup_theory("jsl")
-    return jsl.with_binary(pt("jsl", "mul(y1,y1)"))
-
-
-def test_with_binary_starts_fresh_certificates():
-    jsl = lookup_theory("jsl")
-    check_property(jsl, PropertyId.P3)  # fills the certificate cache
-    variant = _diagonal_jsl()
-    assert variant.designated_binary == pt("jsl", "mul(y1,y1)") != jsl.designated_binary
-    assert variant._certificates == {} != jsl._certificates
-    same = ("theory_id", "presentation", "label", "procedure", "designated_unit", "aliases",
-            "absorbing")
-    assert [getattr(variant, f) for f in same] == [getattr(jsl, f) for f in same]
-    abgroup = lookup_theory("abgroup")
-    assert abgroup.with_binary(pt("abgroup", "mul(y2,y1)")).absorbing is abgroup.absorbing
+    return TheoryEntry(jsl.theory_id, jsl.presentation, jsl.label, jsl.procedure,
+                       pt("jsl", text), jsl.designated_unit)
 
 
 @pytest.mark.parametrize("depth,num_vars", [(2, 3), (3, 3)])
 @pytest.mark.parametrize("tid", [*_REGULAR_IDS, "narytree-theory:2", "diagonal"])
 def test_regular_path_agrees_with_class_maps(tid, depth, num_vars):
-    entry = _diagonal_jsl() if tid == "diagonal" else lookup_theory(tid)
+    # diagonal: a regular presentation whose designated binary uses one variable
+    entry = _jsl_with_binary("mul(y1,y1)") if tid == "diagonal" else lookup_theory(tid)
     classes = _class_map(entry, depth, num_vars)
     for prop in _CLASS_PROPS:
         exact = check_property(entry, prop)
@@ -742,7 +730,7 @@ def test_regular_path_agrees_with_class_maps(tid, depth, num_vars):
 
 
 def test_regular_p3_fails_on_a_third_variable():
-    wide = lookup_theory("jsl").with_binary(pt("jsl", "mul(y1,mul(y2,z))"))
+    wide = _jsl_with_binary("mul(y1,mul(y2,z))")
     p3 = check_property(wide, PropertyId.P3)
     assert p3.describe() == (
         "Fails(regular presentation; class with more than 2 variables; "
@@ -831,7 +819,7 @@ def test_rejected_registration_changes_nothing():
     magma = boom_theory(BoomFlags(False, False, False, False))
     leftzero = presentation("x:dup", (("mul", 2),), (("mul(x,y)", "x", "leftzero"),))
     sig = leftzero.signature
-    before = theory_ids()
+    before = registry()
     proc = _LeftZeroProc()
     rejected = [
         (TheoryEntry("x:dup", magma, "dup", proc, aliases=("dup", "monoid")),
@@ -847,7 +835,7 @@ def test_rejected_registration_changes_nothing():
     for entry, message in rejected:
         with pytest.raises(ValueError, match=message):
             register_theory(entry)
-        assert theory_ids() == before
+        assert registry() == before
         with pytest.raises(KeyError):
             lookup_theory("x:dup")
         with pytest.raises(KeyError):

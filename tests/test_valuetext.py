@@ -14,7 +14,7 @@ from monadlab.values import (
     mk_nunit,
     mk_ok,
 )
-from monadlab.valuetext import ValueSyntaxError, parse_layered, parse_value
+from monadlab.valuetext import ValueSyntaxError, parse_layered
 
 # every shipped monad with a printable form
 _IDS = [
@@ -39,17 +39,17 @@ class TestSingleLayerRoundTrip:
     def test_enumerated_pool_round_trips(self, monad_id):
         m = monad_for(monad_id)
         for v in m.enumerate(("a", "b"), 3):
-            assert parse_value(format_value(v), m) == v
+            assert parse_layered(format_value(v), (m,)) == v
 
     @pytest.mark.parametrize("monad_id", ["exception:{a,b}", "lift"])
     def test_explicit_ok_form_also_parses(self, monad_id):
         m = monad_for(monad_id)
         for v in m.enumerate(("a", "b"), 3):
-            assert parse_value(format_value(v, explicit_ok=True), m) == v
+            assert parse_layered(format_value(v, explicit_ok=True), (m,)) == v
 
     def test_monad_may_be_given_by_id_or_alias(self):
-        assert parse_value("[a,b,a]", "list") == mk_list(["a", "b", "a"])
-        assert parse_value("{a,b}", "set") == parse_value("{b,a}", "powerset")
+        assert parse_layered("[a,b,a]", ("list",)) == mk_list(["a", "b", "a"])
+        assert parse_layered("{a,b}", ("set",)) == parse_layered("{b,a}", ("powerset",))
 
     @given(data=st.data())
     def test_whitespace_is_insignificant(self, data):
@@ -57,7 +57,7 @@ class TestSingleLayerRoundTrip:
         v = data.draw(st.sampled_from(m.enumerate(("a", "b"), 3)))
         text = format_value(v)
         spaced = text.replace(",", " , ").replace("{", "{ ").replace("[", "[ ")
-        assert parse_value(spaced, m) == v
+        assert parse_layered(spaced, (m,)) == v
 
 
 class TestLayered:
@@ -88,8 +88,8 @@ class TestLayered:
         # bintree has no unit leaf, so `e` is not reserved there
         v = parse_layered("<e,<a,e>>", ("bintree",))
         assert v == mk_nnode([mk_nleaf("e"), mk_nnode([mk_nleaf("a"), mk_nleaf("e")])])
-        assert parse_value("e", "bintree") == mk_nleaf("e")
-        assert parse_value("e", "narytree:2") == mk_nunit()
+        assert parse_layered("e", ("bintree",)) == mk_nleaf("e")
+        assert parse_layered("e", ("narytree:2",)) == mk_nunit()
 
     def test_reader_of_lists(self):
         v = parse_layered("([a],[b,a])", ("reader:2", "list"))
@@ -149,7 +149,7 @@ class TestErrors:
     )
     def test_bad_input_is_reported(self, text, monad, fragment):
         with pytest.raises(ValueSyntaxError, match=fragment):
-            parse_value(text, monad)
+            parse_layered(text, (monad,))
 
     def test_layer_count_must_match_nesting(self):
         with pytest.raises(ValueSyntaxError):
@@ -160,4 +160,4 @@ class TestErrors:
     def test_syntax_errors_are_value_errors(self):
         # callers catching ValueError keep working
         with pytest.raises(ValueError):
-            parse_value("[", "list")
+            parse_layered("[", ("list",))
