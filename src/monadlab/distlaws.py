@@ -192,10 +192,6 @@ def law_for(law_id: str) -> DistLaw:
 # Beck conditions
 
 
-# violations recorded per report; the counts in `checked` stay complete
-_MAX_VIOLATIONS = 1000
-
-
 def check_beck(
     law: DistLaw,
     carrier_size: int = 2,
@@ -218,12 +214,8 @@ def check_beck(
     start = time.perf_counter()
     s, t, lam = law.s_monad, law.t_monad, memo(law.apply)
     X = letters(carrier_size)
-    report = LawReport(law.law_id, X, bound, tuple(nested_caps))
+    report = LawReport(law.law_id, X, bound)
     cap2, cap3 = nested_caps
-
-    def note(component, w, lhs, rhs):
-        if len(report.violations) < _MAX_VIOLATIONS:
-            report.violations.append((component, w, lhs, rhs))
 
     # the S-over-S-over-T pool, the first to pass the cap as the bound
     # grows, is built before any condition is checked, so such a bound is
@@ -234,19 +226,13 @@ def check_beck(
     pool_st = report.pool("ST", s, carrier_t)
     pool_sst = report.pool("SST", s, pool_st[:cap3])
 
-    def compare(component, pool, lhs, rhs):
-        for w, l, r in zip(pool, lhs, rhs):
-            if l != r:
-                note(component, w, l, r)
-        report.checked[component] = report.checked.get(component, 0) + len(pool)
-
     # eta-S then lambda is the same as pushing eta-S inside T
-    compare(
+    report.compare(
         "unit-s", pool_t, map(lam, map(s.unit, pool_t)), map(t.fmap, repeat(s.unit), pool_t)
     )
 
     # eta-T inside S then lambda is the same as eta-T outside
-    compare(
+    report.compare(
         "unit-t", pool_s, map(lam, map(s.fmap, repeat(t.unit), pool_s)), map(t.unit, pool_s)
     )
 
@@ -257,7 +243,7 @@ def check_beck(
     for f in renames:
         inner = memo(lambda tv: t.fmap(f.get, tv))
         outer = memo(lambda sv: s.fmap(f.get, sv))
-        compare(
+        report.compare(
             "natural",
             pool_st,
             map(lam, map(s.fmap, repeat(inner), pool_st)),
@@ -265,7 +251,7 @@ def check_beck(
         )
 
     # mu-S then lambda versus lambda twice then mu-S inside T
-    compare(
+    report.compare(
         "mult-s",
         pool_sst,
         map(lam, map(s.join, pool_sst)),
@@ -279,7 +265,7 @@ def check_beck(
     carrier_tt = list(itertools.islice(t.iter_values(carrier_t, bound), cap3))
     report.count("TT", t, [str(i) for i in range(len(carrier_t))])
     pool_stt = report.pool("STT", s, carrier_tt)
-    compare(
+    report.compare(
         "mult-t",
         pool_stt,
         map(lam, map(s.fmap, repeat(memo(t.join)), pool_stt)),

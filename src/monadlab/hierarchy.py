@@ -84,9 +84,6 @@ class VerdictTable(NamedTuple):
     labels: tuple[str, ...]
     cells: dict  # (row label, col label) -> NoGoVerdict
 
-    def verdict_at(self, row: str, col: str) -> NoGoVerdict:
-        return self.cells[(row, col)]
-
     def footnotes(self) -> tuple[tuple[str, ...], dict]:
         """Content strings in first-use order and their 1-based numbering."""
         order: list[str] = []

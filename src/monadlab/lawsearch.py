@@ -3,9 +3,21 @@
 The unknown is a family of maps `lambda_Y: S(T(Y)) -> T(S(Y))` over a small
 chain of carriers. Unit conditions force values outright, naturality under
 every function between chain carriers propagates them, and the remaining
-inputs get domain reasoning. An empty domain is conclusive: any distributive
-law restricts to an assignment in this fragment, so none can exist. A
-surviving assignment is only fragment-consistent, never a proof of existence.
+inputs get domain reasoning: one arc-consistency sweep (`_narrow`; Mackworth,
+"Consistency in Networks of Relations", 1977) drops every candidate that an
+edge sends outside what its target admits. Explicit domains hold whole
+outputs, listed from T(S(C)) under a cap; backtracking then picks one per
+input. When T is powerset, member domains hold the S-values an output set
+may contain, and the maximal surviving set is tried everywhere. One
+naturality test (`_natural`) accepts every table. A surviving assignment is
+only fragment-consistent, never a proof of existence.
+
+`NoLawInFragment` proves that no law restricts to this fragment with its
+outputs in the domains; a forced conflict needs no domain. Member domains
+list only the S-values of size at most |C| (explicit ones: S-values up to
+the bound if larger, T-values up to size |S(C)|), so a refutation through a
+domain leaves open a law whose outputs contain longer values, such as lists
+with repeated letters.
 
 Naturality pushes the same values through the same maps again and again:
 every input through its T values, every output once per edge, key and
@@ -55,9 +67,6 @@ class LambdaTable:
     def __init__(self, carriers: tuple, entries: dict):
         self.carriers, self.entries = carriers, entries
 
-    def at(self, level: int, w: Value) -> Value:
-        return self.entries[(level, w)]
-
     def describe(self) -> str:
         shown = 8
         lines = []
@@ -86,10 +95,6 @@ class SearchResult:
         self.conflict: Optional[str] = None
         self.elapsed = 0.0
         self.stats: dict = {}
-
-    @property
-    def conclusive(self) -> bool:
-        return self.outcome == SearchOutcome.NO_LAW
 
     def describe(self) -> str:
         head = (
@@ -173,10 +178,14 @@ def search_distlaw_bounded(
     images: list = []
     edges: dict = {}
     try:
-        _search(result, s, t, carriers, bound, images, edges)
+        entries = _search(result, s, t, carriers, bound, images, edges)
     except _Conflict as exc:
         result.outcome = SearchOutcome.NO_LAW
         result.conflict = str(exc)
+    else:
+        if entries is not None:
+            result.outcome = SearchOutcome.CANDIDATES
+            result.candidates = [LambdaTable(tuple(carriers), entries)]
     result.stats["edges"] = sum(map(len, edges.values()))
     infos = [image.cache_info() for m in images for image in m.memos]
     result.stats["images_requested"] = sum(i.hits + i.misses for i in infos)
@@ -188,11 +197,13 @@ def search_distlaw_bounded(
 def _search(
     result: SearchResult, s: FinMonad, t: FinMonad, carriers: list, bound: int,
     images: list, edges: dict,
-) -> SearchResult:
+) -> Optional[dict]:
     """Units, naturality edges, propagation, then domain reasoning; every
     map between chain carriers built on the way is appended to `images`,
     and each input's edges go into `edges` when it is first visited.
-    Every refutation raises `_Conflict` with the reason."""
+    Returns the entries of a fragment-consistent table, or None with
+    `result.conflict` saying why the search is inconclusive. Every
+    refutation raises `_Conflict` with the reason."""
     t_pools: list = []
     pools: list = []
     pool_index: list = []
@@ -205,7 +216,7 @@ def _search(
             result.conflict = (
                 f"the fragment at |X|={len(C)} has more than {_MAX_EDGE_CHECKS} inputs"
             )
-            return result
+            return None
         t_pools.append(t_pool)
         pools.append(pool)
         pool_index.append(set(pool))
@@ -213,7 +224,7 @@ def _search(
     if not result.variables:
         # a table over no input would be a green result that checked nothing
         result.conflict = f"the fragment holds no input at bound {bound}"
-        return result
+        return None
 
     assigned: dict = {}
 
@@ -251,7 +262,7 @@ def _search(
             f"naturality needs {checks} (map, input) pairs over {maps} maps "
             f"between carriers, more than {_MAX_EDGE_CHECKS}"
         )
-        return result
+        return None
     result.stats.update(maps=maps, pairs=checks)
     # per source level, the maps to each target level in (target, map) order
     level_maps = []
@@ -290,13 +301,10 @@ def _search(
     ]
 
     if not unknown:
-        table = LambdaTable(tuple(carriers), dict(assigned))
-        result.outcome = SearchOutcome.CANDIDATES
-        result.candidates = [table]
-        return result
+        return assigned
 
     if isinstance(t, PowersetMonad):
-        return _powerset_domains(result, s, carriers, assigned, unknown, edges_of)
+        return _member_domains(result, s, carriers, assigned, unknown, edges_of)
 
     # generic explicit domains, complete only when the result space is small
     full_pools = []
@@ -316,106 +324,88 @@ def _search(
                 f"result space at |X|={len(C)} has more than "
                 f"{_MAX_DOMAIN} values"
             )
-            return result
+            return None
         full_pools.append(t_full)
 
-    return _explicit_domains(result, carriers, assigned, unknown, edges_of, full_pools)
+    return _explicit_domains(carriers, assigned, unknown, edges_of, full_pools)
 
 
-def _explicit_domains(result, carriers, assigned, unknown, edges_of, full_pools):
-    """Arc consistency over complete enumerated domains, then backtracking.
-    Each domain is an ordered list with its set of members beside it; a
-    level's full pool is shared until a sweep narrows a key's domain."""
-    domains = {key: full_pools[key[0]] for key in unknown}
-    pool_sets = [set(pool) for pool in full_pools]
-    members = {key: pool_sets[key[0]] for key in unknown}
-
+def _narrow(unknown: list, domains: dict, assigned: dict, edges_of, push, admits):
+    """Arc consistency (Mackworth 1977): sweep the unknown inputs until a
+    sweep drops nothing, dropping each candidate that some edge's map
+    (`push(m)`) sends outside what the edge's target admits: its own
+    candidates, or `admits` of its forced output. `domains` holds each
+    input's candidates as an insertion-ordered dict; a narrowed input gets
+    a new dict, so the dicts it starts with may be shared. Returns the
+    first input left with no candidate, or None."""
+    emptied = None
     changed = True
     while changed:
         changed = False
         for key in unknown:
-            level, w = key
-            # per edge, the image map and the images its target admits
+            # per edge, the image map and what its target admits
             rules = []
             for m, j, w2 in edges_of(key):
                 tgt = assigned.get((j, w2))
-                rules.append((m.out, members[(j, w2)] if tgt is None else {tgt}))
-            kept = [
-                v for v in domains[key]
-                if all(push(v) in admitted for push, admitted in rules)
-            ]
+                rules.append((push(m), domains[(j, w2)] if tgt is None else admits(tgt)))
+            kept = {v: None for v in domains[key] if all(p(v) in ok for p, ok in rules)}
             if len(kept) != len(domains[key]):
                 domains[key] = kept
-                members[key] = set(kept)
                 changed = True
-            if not kept:
-                raise _Conflict(
-                    f"no value remains for input {format_value(w)} at "
-                    f"|X|={len(carriers[level])} (complete domain emptied)"
-                )
+            if not kept and emptied is None:
+                emptied = key
+    return emptied
 
-    # backtracking over the (small) remaining product space
+
+def _natural(edges_of, key, v: Value, table: dict) -> bool:
+    """Output `v` at `key` agrees with every edge whose target `table` fills."""
+    for m, j, w2 in edges_of(key):
+        tgt = table.get((j, w2))
+        if tgt is not None and m.out(v) != tgt:
+            return False
+    return True
+
+
+def _explicit_domains(carriers, assigned, unknown, edges_of, full_pools) -> dict:
+    """Arc consistency over whole outputs from complete enumerated domains
+    (one per level, shared until a sweep narrows a key), then backtracking."""
+    spaces = [dict.fromkeys(pool) for pool in full_pools]
+    domains = {key: spaces[key[0]] for key in unknown}
+    emptied = _narrow(unknown, domains, assigned, edges_of, lambda m: m.out, lambda v: (v,))
+    if emptied is not None:
+        level, w = emptied
+        raise _Conflict(
+            f"no value remains for input {format_value(w)} at "
+            f"|X|={len(carriers[level])} (complete domain emptied)"
+        )
+
+    # backtracking over the (small) remaining product space. The path holds
+    # one iterator of untried outputs per input on it, not a stack frame:
+    # searches reach domain reasoning with over a thousand unknown inputs
     order = sorted(unknown, key=lambda key: len(domains[key]))
-    solution: dict = {}
-
-    def consistent(key, v) -> bool:
-        for m, j, w2 in edges_of(key):
-            tgt = assigned.get((j, w2), solution.get((j, w2)))
-            if tgt is not None and m.out(v) != tgt:
-                return False
-        return True
-
-    def dfs(idx: int) -> bool:
-        if idx == len(order):
-            return True
-        key = order[idx]
-        for v in domains[key]:
-            if consistent(key, v):
-                solution[key] = v
-                if dfs(idx + 1):
-                    return True
-                del solution[key]
-        return False
-
-    if not dfs(0):
-        raise _Conflict("complete domains admit no assignment consistent with naturality")
-    table = LambdaTable(tuple(carriers), {**assigned, **solution})
-    result.outcome = SearchOutcome.CANDIDATES
-    result.candidates = [table]
-    return result
+    table = dict(assigned)
+    untried = [iter(domains[order[0]])]
+    while untried:
+        key = order[len(untried) - 1]
+        table.pop(key, None)
+        v = next((v for v in untried[-1] if _natural(edges_of, key, v, table)), None)
+        if v is None:
+            untried.pop()
+            continue
+        table[key] = v
+        if len(untried) == len(order):
+            return table
+        untried.append(iter(domains[order[len(untried)]]))
+    raise _Conflict("complete domains admit no assignment consistent with naturality")
 
 
-def _powerset_domains(result, s, carriers, assigned, unknown, edges_of):
-    """Domains for set-valued outputs, represented by their allowed members.
-
-    An output is a set of S-structures; naturality transports members
-    exactly, so a member is allowed only if every edge sends it into an
-    allowed (or present) member on the other side. If the maximal member set
-    cannot cover some forced target, no subset can, which is a conclusive
-    refutation.
-    """
-    # one member space per level, shared until a sweep narrows a key's set
-    member_space = [set(s.enumerate(C, len(C))) for C in carriers]
-    allowed = {key: member_space[key[0]] for key in unknown}
-
-    changed = True
-    while changed:
-        changed = False
-        for key in unknown:
-            # per edge, the member map and the members its target admits
-            rules = []
-            for m, j, w2 in edges_of(key):
-                tgt = assigned.get((j, w2))
-                rules.append(
-                    (m.s_image, allowed[(j, w2)] if tgt is None else set(tgt[1:]))
-                )
-            kept = {
-                A for A in allowed[key]
-                if all(push(A) in admitted for push, admitted in rules)
-            }
-            if kept != allowed[key]:
-                allowed[key] = kept
-                changed = True
+def _member_domains(result, s, carriers, assigned, unknown, edges_of) -> Optional[dict]:
+    """Member domains for set-valued outputs. Naturality transports members
+    exactly, so if the maximal member set cannot cover some forced target,
+    no subset can, which is a conclusive refutation."""
+    spaces = [dict.fromkeys(s.enumerate(C, len(C))) for C in carriers]
+    allowed = {key: spaces[key[0]] for key in unknown}
+    _narrow(unknown, allowed, assigned, edges_of, lambda m: m.s_image, lambda v: set(v[1:]))
 
     # maximal-set test against forced targets: the image of the largest
     # possible output must still reach every member the target requires
@@ -438,21 +428,11 @@ def _powerset_domains(result, s, carriers, assigned, unknown, edges_of):
                 )
 
     # try the maximal assignment everywhere and verify all edges exactly
-    candidate = {key: mk_set(allowed[key]) for key in unknown}
-    full = {**assigned, **candidate}
-    for key in list(unknown) + list(assigned):
-        level, w = key
-        v = full[key]
-        for m, j, w2 in edges_of(key):
-            img = mk_set(m.s_image(A) for A in v[1:])
-            if img != full[(j, w2)]:
-                result.conflict = (
-                    "maximal member sets are not exactly natural; "
-                    "smaller subsets not explored"
-                )
-                return result
-
-    table = LambdaTable(tuple(carriers), full)
-    result.outcome = SearchOutcome.CANDIDATES
-    result.candidates = [table]
-    return result
+    table = {**assigned, **{key: mk_set(allowed[key]) for key in unknown}}
+    if all(_natural(edges_of, key, table[key], table)
+           for key in itertools.chain(unknown, assigned)):
+        return table
+    result.conflict = (
+        "maximal member sets are not exactly natural; smaller subsets not explored"
+    )
+    return None

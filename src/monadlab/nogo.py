@@ -124,9 +124,6 @@ class Applicability(NamedTuple):
     def applicable(self) -> bool:
         return all(r.passed for r in self.records)
 
-    def failed(self) -> tuple[CheckRecord, ...]:
-        return tuple(r for r in self.records if not r.passed)
-
     def describe(self) -> str:
         head = (
             f"{self.theorem} for {self.s_id} over {self.t_id}: "

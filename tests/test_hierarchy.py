@@ -36,8 +36,8 @@ class TestBuild:
 
     def test_rows_and_columns_are_independent(self, tables):
         t = tables["original"]
-        assert t.verdict_at("T", "M").mark == "Y"
-        assert t.verdict_at("M", "T").mark == "N"
+        assert t.cells[("T", "M")].mark == "Y"
+        assert t.cells[("M", "T")].mark == "N"
 
     def test_every_decided_cell_is_justified(self, tables):
         for t in tables.values():
@@ -52,7 +52,7 @@ class TestBuild:
         full = tables["full"]
 
         def content(r, c):
-            return set(cell_content(full.verdict_at(r, c)))
+            return set(cell_content(full.cells[(r, c)]))
 
         assert content("P", "P") == {
             "IdemUnits",
@@ -105,7 +105,7 @@ class TestParsing:
             variant, labels, cells = parse_golden(to_csv(t))
             assert (variant, labels) == (t.variant, t.labels)
             for (r, c), (mark, contents) in cells.items():
-                v = t.verdict_at(r, c)
+                v = t.cells[(r, c)]
                 assert mark == v.mark
                 assert contents == frozenset(cell_content(v))
 

@@ -60,7 +60,6 @@ class TestPowersetOverPowerset:
     def test_refuted_in_fragment(self):
         r = search_distlaw_bounded("powerset", "powerset", carrier_size=1, bound=2)
         assert r.outcome == SearchOutcome.NO_LAW
-        assert r.conclusive
         assert r.candidates == []
 
     def test_fragment_shape(self):
@@ -86,16 +85,15 @@ class TestLiftOverLift:
     def test_single_candidate_is_the_swap(self):
         r = search_distlaw_bounded("lift", "lift", carrier_size=1, bound=2)
         assert r.outcome == SearchOutcome.CANDIDATES
-        assert not r.conclusive
         assert r.carrier_sizes == (1, 2, 3, 4)
         assert len(r.candidates) == 1
         tab = r.candidates[0]
         labels = ("a", "b", "c", "d")
         for level, carrier in enumerate(r.carrier_sizes):
-            assert tab.at(level, ("bot",)) == ("ok", ("bot",))
-            assert tab.at(level, ("ok", ("bot",))) == ("bot",)
+            assert tab.entries[(level, ("bot",))] == ("ok", ("bot",))
+            assert tab.entries[(level, ("ok", ("bot",)))] == ("bot",)
             for x in labels[:carrier]:
-                assert tab.at(level, ("ok", ("ok", x))) == ("ok", ("ok", x))
+                assert tab.entries[(level, ("ok", ("ok", x)))] == ("ok", ("ok", x))
 
     def test_units_force_everything(self):
         # both unit seedings plus naturality pin every table entry before
@@ -140,18 +138,18 @@ class TestExplicitDomainPairs:
         assert r.outcome == SearchOutcome.CANDIDATES
         assert len(r.candidates) == 1
         tab = r.candidates[0]
-        assert tab.at(0, mk_set([])) == ("ok", mk_set([]))
-        assert tab.at(0, mk_set([("bot",)])) == ("bot",)
-        assert tab.at(0, mk_set([("ok", "a")])) == ("ok", mk_set(["a"]))
-        assert tab.at(0, mk_set([("bot",), ("ok", "a")])) == ("bot",)
+        assert tab.entries[(0, mk_set([]))] == ("ok", mk_set([]))
+        assert tab.entries[(0, mk_set([("bot",)]))] == ("bot",)
+        assert tab.entries[(0, mk_set([("ok", "a")]))] == ("ok", mk_set(["a"]))
+        assert tab.entries[(0, mk_set([("bot",), ("ok", "a")]))] == ("bot",)
 
     def test_lift_over_powerset_distributes_pointwise(self):
         r = search_distlaw_bounded("lift", "powerset", carrier_size=1, bound=2)
         assert r.outcome == SearchOutcome.CANDIDATES
         tab = r.candidates[0]
-        assert tab.at(0, ("bot",)) == mk_set([("bot",)])
-        assert tab.at(0, ("ok", mk_set([]))) == mk_set([])
-        assert tab.at(0, ("ok", mk_set(["a"]))) == mk_set([("ok", "a")])
+        assert tab.entries[(0, ("bot",))] == mk_set([("bot",)])
+        assert tab.entries[(0, ("ok", mk_set([])))] == mk_set([])
+        assert tab.entries[(0, ("ok", mk_set(["a"])))] == mk_set([("ok", "a")])
 
     @pytest.mark.parametrize("kind", ["emptied", "backtracking"])
     def test_refutations_raise_one_conflict(self, kind):
@@ -159,7 +157,6 @@ class TestExplicitDomainPairs:
         # the edges are built by hand over the domain {x, y}
         ident = type("Edge", (), {"out": staticmethod(lambda v: v)})
         swap = type("Edge", (), {"out": staticmethod({"x": "y", "y": "x"}.get)})
-        result = lawsearch.SearchResult(SearchOutcome.INCONCLUSIVE, "s", "t", (1,), 1)
         if kind == "emptied":
             # w's only edge needs its output to be z, which the domain lacks
             assigned, unknown = {(0, "u"): "z"}, [(0, "w")]
@@ -171,9 +168,28 @@ class TestExplicitDomainPairs:
             edges = {(0, "u"): [(ident, 0, "w"), (swap, 0, "w")]}
             want = "complete domains admit no assignment consistent with naturality"
         with pytest.raises(lawsearch._Conflict) as exc:
-            lawsearch._explicit_domains(result, [("a",)], assigned, unknown,
+            lawsearch._explicit_domains([("a",)], assigned, unknown,
                                         lambda key: edges.get(key, []), [["x", "y"]])
         assert str(exc.value) == want
+
+    def test_backtracking_path_is_not_bounded_by_the_recursion_limit(self):
+        # multiset over lift at bound 8 backtracks over 1,274 unknown inputs.
+        # Here each of 1,200 inputs must equal the one before it, all x
+        ident = type("Edge", (), {"out": staticmethod(lambda v: v)})
+        swap = type("Edge", (), {"out": staticmethod({"x": "y", "y": "x"}.get)})
+        unknown = [(0, i) for i in range(1200)]
+        edges = {(0, i): [(ident, 0, i - 1)] for i in range(1, 1200)}
+
+        def search():
+            return lawsearch._explicit_domains([("a",)], {}, unknown,
+                                               lambda key: edges.get(key, []), [["x", "y"]])
+
+        assert search() == dict.fromkeys(unknown, "x")
+        # the last must also be the swap of the first: the path runs to the
+        # end twice, once from x and once from y, before it is refuted
+        edges[(0, 1199)].append((swap, 0, 0))
+        with pytest.raises(lawsearch._Conflict):
+            search()
 
 
 def test_conflicting_unit_conditions_are_no_law(monkeypatch):
@@ -347,6 +363,49 @@ def test_search_results_are_pinned(key):
     summary = (r.outcome, r.carrier_sizes, r.variables, r.forced, r.conflict)
     tables = [(len(c.entries), _entries_digest(c)) for c in r.candidates]
     assert (summary, tables) == PINNED_SEARCHES[key]
+
+
+# every other reference pair that reaches domain reasoning at CLI defaults
+# within half a second, as (carrier sizes, forced/variables, candidate
+# tables), recorded before both kinds of domain were narrowed by one
+# arc-consistency sweep; None marks the maximal member sets that fail an edge
+DOMAIN_SEARCHES = {
+    ("list", "powerset"): ((1, 2, 4), None, []),
+    ("list", "exception:{a}"): ((1, 2, 3, 4), "48/72", [(72, "b3a48797dc4509bc")]),
+    ("list", "exception:{a,b}"): ((1, 3, 4), "43/87", [(87, "c84d002e9f0094fb")]),
+    ("nonempty-list", "powerset"): ((1, 2, 4), None, []),
+    ("nonempty-list", "exception:{a}"): ((1, 2, 3, 4), "44/68", [(68, "220b6e1ddb48ab75")]),
+    ("nonempty-list", "exception:{a,b}"): ((1, 3, 4), "40/84", [(84, "e01f8c1b5f7f9ff3")]),
+    ("nonempty-list", "lift"): ((1, 2, 3, 4), "44/68", [(68, "0f6570942444327b")]),
+    ("multiset", "powerset"): ((1, 2, 4), None, []),
+    ("multiset", "exception:{a}"): ((1, 2, 3, 4), "38/52", [(52, "36bdcb19c9311d02")]),
+    ("multiset", "lift"): ((1, 2, 3, 4), "38/52", [(52, "cc58868ac8b30136")]),
+    ("powerset", "exception:{a,b}"): ((1, 3, 4), "26/45", [(45, "25eb8c85a93025c9")]),
+    ("powerset", "lift"): ((1, 2, 3, 4), "28/38", [(38, "d2fb56e295f13e50")]),
+    ("bintree", "exception:{a}"): ((1, 2, 3, 4), "44/68", [(68, "0094f728dfeca11f")]),
+    ("bintree", "exception:{a,b}"): ((1, 3, 4), "40/84", [(84, "f832b2fc4394df0f")]),
+    ("bintree", "lift"): ((1, 2, 3, 4), "44/68", [(68, "0dc1aa26cc1a7193")]),
+    ("narytree:2", "powerset"): ((1, 2, 4), None, []),
+    ("narytree:2", "exception:{a}"): ((1, 2, 3, 4), "48/72", [(72, "d851c012de4ce492")]),
+    ("narytree:2", "exception:{a,b}"): ((1, 3, 4), "43/87", [(87, "405da2c10d042d99")]),
+    ("narytree:2", "lift"): ((1, 2, 3, 4), "48/72", [(72, "1993119b55a49c1a")]),
+    ("reader:2", "exception:{a}"): ((1, 2, 3, 4), "34/54", [(54, "753ba045db6e09a7")]),
+    ("reader:2", "exception:{a,b}"): ((1, 3, 4), "32/70", [(70, "da8bee8ce90539bd")]),
+    ("reader:2", "lift"): ((1, 2, 3, 4), "34/54", [(54, "09e4676fe3ba5687")]),
+}
+
+
+@pytest.mark.parametrize("pair", list(DOMAIN_SEARCHES), ids="|".join)
+def test_domain_reasoning_results_are_pinned(pair):
+    sizes, forced, tables = DOMAIN_SEARCHES[pair]
+    r = search_distlaw_bounded(*pair)
+    tail = (
+        f"Candidates (1 fragment-consistent table(s), {forced} inputs forced)" if forced
+        else "Inconclusive (maximal member sets are not exactly natural; "
+        "smaller subsets not explored)"
+    )
+    assert r.describe() == f"{pair[0]} over {pair[1]}, carriers {sizes}, bound 2: {tail}"
+    assert [(len(c.entries), _entries_digest(c)) for c in r.candidates] == tables
 
 
 class TestStats:

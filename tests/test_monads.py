@@ -468,6 +468,14 @@ def test_negative_control_broken_join():
     assert "VIOLATION" in report.describe()
 
 
+def test_violations_are_capped_and_cases_counted():
+    # 1,023 lists at bound 9; each unit law fails on the 1,020 longer than 1
+    report = check_monad_laws(_BrokenListMonad(), carrier_size=2, bound=9, nested_caps=(2, 1))
+    assert len(report.violations) == 1000
+    assert {law for law, *_ in report.violations} == {"unit-left"}
+    assert report.checked["unit-left"] == report.checked["unit-right"] == 1023
+
+
 def test_law_report_describe_mentions_counts():
     report = check_monad_laws(monad_for("lift"), carrier_size=2, bound=2)
     assert isinstance(report, LawReport)
