@@ -9,8 +9,39 @@ edge sends outside what its target admits. Explicit domains hold whole
 outputs, listed from T(S(C)) under a cap; backtracking then picks one per
 input. When T is powerset, member domains hold the S-values an output set
 may contain, and the maximal surviving set is tried everywhere. One
-naturality test (`_natural`) accepts every table. A surviving assignment is
-only fragment-consistent, never a proof of existence.
+naturality test (`_natural`) accepts every table: backtracking tests each
+output against every edge between its input and the inputs already filled,
+both ways and self-edges included, and the maximal member sets are tested
+input by input over all edges. A surviving assignment is only
+fragment-consistent, never a proof of existence.
+
+The letters of a value, supp, are the carrier elements it holds: for an
+input w in S(T(C)) the members of its S-members, for an output v in
+T(S(C)) the members of its T-members. Two facts about them cut the work.
+
+- Restriction: `fmap` reads a map only at a value's members, so S(T f)(w)
+  depends only on f restricted to supp(w), and T(S f)(v) only on f
+  restricted to supp(v). Maps that agree on supp(w) and supp(v) give w's
+  edge the same target and push v to the same image. So each input gets
+  one edge per target level and restriction of a chain map to its letters,
+  made from the first such map in (target level, map) order, which sends
+  every other letter to the target's first letter: a level-4 input over
+  two letters has 16 edges into level 4, not 256. Edges drop only exact
+  repeats. A forced output with letters outside its input's widens the
+  letters to both supports.
+- Support lemma: supp(lambda(w)) lies in supp(w) for every lambda natural
+  on w's self-edges at level i. If supp(w) is nonempty, let f: Ci -> Ci
+  fix supp(w) and send every other letter into it. Then S(T f)(w) = w, so
+  lambda(w) = T(S f)(lambda(w)), whose letters lie in the image of f,
+  supp(w). If supp(w) is empty and |Ci| >= 2, the constant maps onto two
+  letters a and b both fix w, so the letters of lambda(w) lie in {a} and in
+  {b}: there are none. A letter-free input on the one-letter carrier has no
+  witness (its only self-map is the identity) and keeps the whole carrier.
+  The witness is a self-edge of w, so the lemma holds for every
+  fragment-consistent table, not only for laws: explicit and member domains
+  keep only the values whose letters lie in the input's, in the order of
+  their level's space, one shared dict per (level, letters). No refutation
+  through them is lost.
 
 `NoLawInFragment` proves that no law restricts to this fragment with its
 outputs in the domains; a forced conflict needs no domain. Member domains
@@ -21,21 +52,22 @@ with repeated letters.
 
 Naturality pushes the same values through the same maps again and again:
 every input through its T values, every output once per edge, key and
-arc-consistency sweep. So each map between chain carriers carries memos of
+arc-consistency sweep. So each map an edge is made from carries memos of
 its images for the length of one search (`_MapImages`): of T values, of S
 values (which are also the members that set-valued domains transport) and of
-outputs. Edges, propagation and both kinds of domain reasoning read images
-through it, so each (map, value) image is computed once per search.
+outputs, built when the map is first chosen. Edges, propagation and both
+kinds of domain reasoning read images through it, so each (map, value)
+image is computed once per search.
 
 An input's naturality edges are built the first time propagation pops it or
-domain reasoning visits it, in (target level, map) order, and kept for the
-rest of the search; so each (map, input) pair is pushed at most once. A
-search that stops at the result-space cap builds edges only for the inputs
+domain reasoning visits it and kept for the rest of the search. A search
+that stops at the result-space cap builds edges only for the inputs
 propagation reached; one that reaches domain reasoning visits every input.
 The memos are locals of the search and die with it. `SearchResult.stats`
-counts the maps, the (map, input) pairs the edges are planned over
-(`pairs`, what the edge cap bounds), the edges built (`edges`), and the
-images requested and computed.
+counts the maps between chain carriers and the (map, input) pairs over
+them (`pairs`), which the edge cap bounds as if every map made an edge;
+the edges built, one per (input, restriction) (`edges`); and the images
+requested and computed.
 """
 
 from __future__ import annotations
@@ -116,10 +148,11 @@ class SearchResult:
 
 
 # caps checked before materializing: values in an explicit result domain, and
-# the (map between chain carriers, input) pairs naturality edges are built
-# from; a search that reaches domain reasoning builds an edge for every pair.
-# Edges took 250-650 bytes per pair (2.2M pairs needed 1.4 GB), so the cap
-# keeps them under about 650 MB; lift over lift at carrier 6 has 373,248.
+# the (map between chain carriers, input) pairs naturality edges are planned
+# over. The edge cap was set when every pair made an edge (250-650 bytes
+# each, so under about 650 MB); edges are now made per restriction, far
+# fewer, but the cap still counts pairs so that it refuses the same
+# fragments. lift over lift at carrier 6 has 373,248 pairs.
 _MAX_DOMAIN = 4096
 _MAX_LEVELS = 4  # carriers in the chain
 _MAX_CARRIER = 4  # largest carrier size in the chain
@@ -175,7 +208,7 @@ def search_distlaw_bounded(
         bound,
     )
     result.stats = dict.fromkeys(("maps", "pairs", "edges"), 0)
-    images: list = []
+    images: dict = {}
     edges: dict = {}
     try:
         entries = _search(result, s, t, carriers, bound, images, edges)
@@ -187,7 +220,7 @@ def search_distlaw_bounded(
             result.outcome = SearchOutcome.CANDIDATES
             result.candidates = [LambdaTable(tuple(carriers), entries)]
     result.stats["edges"] = sum(map(len, edges.values()))
-    infos = [image.cache_info() for m in images for image in m.memos]
+    infos = [image.cache_info() for m in images.values() for image in m.memos]
     result.stats["images_requested"] = sum(i.hits + i.misses for i in infos)
     result.stats["images_computed"] = sum(i.misses for i in infos)
     result.elapsed = time.perf_counter() - start
@@ -196,10 +229,10 @@ def search_distlaw_bounded(
 
 def _search(
     result: SearchResult, s: FinMonad, t: FinMonad, carriers: list, bound: int,
-    images: list, edges: dict,
+    images: dict, edges: dict,
 ) -> Optional[dict]:
     """Units, naturality edges, propagation, then domain reasoning; every
-    map between chain carriers built on the way is appended to `images`,
+    map an edge is made from goes into `images` when first chosen,
     and each input's edges go into `edges` when it is first visited.
     Returns the entries of a fragment-consistent table, or None with
     `result.conflict` saying why the search is inconclusive. Every
@@ -251,7 +284,10 @@ def _search(
             if w in pool_index[level]:
                 assign(level, w, v, why)
 
-    # naturality edges between every pair of chain carriers
+    # naturality edges between every pair of chain carriers, planned over
+    # every (map, input) pair as before so that the cap refuses the same
+    # fragments; each input gets one edge per restriction of a map to its
+    # letters (module docstring)
     maps = sum(len(Cj) ** len(Ci) for Ci in carriers for Cj in carriers)
     checks = sum(
         len(Cj) ** len(Ci) * len(pools[i])
@@ -264,24 +300,48 @@ def _search(
         )
         return None
     result.stats.update(maps=maps, pairs=checks)
-    # per source level, the maps to each target level in (target, map) order
-    level_maps = []
-    for Ci in carriers:
-        row = []
-        for j, Cj in enumerate(carriers):
-            for f in _all_functions(Ci, Cj):
-                m = _MapImages(f, s, t)
-                images.append(m)
-                row.append((m, j))
-        level_maps.append(row)
+
+    def out_letters(v: Value) -> frozenset:
+        return frozenset(x for sv in t.members(v) for x in s.members(sv))
+
+    def lemma_letters(key) -> frozenset:
+        """The letters the support lemma allows in the output at `key`."""
+        i, w = key
+        found = frozenset(x for tv in s.members(w) for x in t.members(tv))
+        return found if found or len(carriers[i]) > 1 else frozenset(carriers[i])
+
+    restrictions: dict = {}
+
+    def restricted_maps(i: int, among: frozenset) -> list:
+        """Per target level, the first map from level i of each restriction
+        to the letters `among`, as (map, target level) in (target level,
+        map) order: the one that sends every other letter to the target's
+        first letter. A map's memos are built when it is first chosen."""
+        found = restrictions.get((i, among))
+        if found is None:
+            Ci = carriers[i]
+            found = restrictions[(i, among)] = []
+            for j, Cj in enumerate(carriers):
+                for part in _all_functions(tuple(x for x in Ci if x in among), Cj):
+                    f = {**dict.fromkeys(Ci, Cj[0]), **part}
+                    name = (i, j, tuple(f.values()))
+                    m = images.get(name)
+                    if m is None:
+                        m = images[name] = _MapImages(f, s, t)
+                    found.append((m, j))
+        return found
 
     def edges_of(key) -> list:
-        """The naturality edges of one input, built on first visit."""
+        """The naturality edges of one input, built on first visit; a forced
+        output with letters outside the input's widens them."""
         found = edges.get(key)
         if found is None:
             i, w = key
+            among = lemma_letters(key)
+            if key in assigned:
+                among |= out_letters(assigned[key])
             found = edges[key] = []
-            for m, j in level_maps[i]:
+            for m, j in restricted_maps(i, among):
                 w2 = s.fmap(m.t_image, w)
                 if w2 in pool_index[j]:
                     found.append((m, j, w2))
@@ -303,8 +363,27 @@ def _search(
     if not unknown:
         return assigned
 
+    def lemma_domains(spaces: list, value_letters) -> dict:
+        """Each unknown input's candidates: the values of its level's space,
+        in order, whose letters lie in its lemma letters. Inputs with the
+        same level and letters share one dict."""
+        lettered = [[(v, value_letters(v)) for v in space] for space in spaces]
+        shared: dict = {}
+        found = {}
+        for key in unknown:
+            among = lemma_letters(key)
+            d = shared.get((key[0], among))
+            if d is None:
+                d = shared[(key[0], among)] = {
+                    v: None for v, got in lettered[key[0]] if got <= among
+                }
+            found[key] = d
+        return found
+
     if isinstance(t, PowersetMonad):
-        return _member_domains(result, s, carriers, assigned, unknown, edges_of)
+        spaces = [s.enumerate(C, len(C)) for C in carriers]
+        allowed = lemma_domains(spaces, lambda sv: frozenset(s.members(sv)))
+        return _member_domains(result, carriers, assigned, allowed, edges_of)
 
     # generic explicit domains, complete only when the result space is small
     full_pools = []
@@ -327,51 +406,66 @@ def _search(
             return None
         full_pools.append(t_full)
 
-    return _explicit_domains(carriers, assigned, unknown, edges_of, full_pools)
+    return _explicit_domains(carriers, assigned, lemma_domains(full_pools, out_letters), edges_of)
 
 
-def _narrow(unknown: list, domains: dict, assigned: dict, edges_of, push, admits):
+def _narrow(domains: dict, assigned: dict, edges_of, push, admits):
     """Arc consistency (Mackworth 1977): sweep the unknown inputs until a
     sweep drops nothing, dropping each candidate that some edge's map
     (`push(m)`) sends outside what the edge's target admits: its own
     candidates, or `admits` of its forced output. `domains` holds each
-    input's candidates as an insertion-ordered dict; a narrowed input gets
-    a new dict, so the dicts it starts with may be shared. Returns the
-    first input left with no candidate, or None."""
+    unknown input's candidates as an insertion-ordered dict; a narrowed
+    input gets a new dict, so the dicts it starts with may be shared.
+    An input is filtered again only if the domain of some edge's target
+    (itself, through a self-edge) has shrunk since its last filter: else
+    the filter would drop nothing, so the sweeps pass through the same
+    domains. Returns the first input left with no candidate, or None."""
     emptied = None
+    filtered: dict = {}  # input -> tick of its last filter
+    shrunk: dict = {}  # input -> tick its domain last shrank at
+    tick = 0
     changed = True
     while changed:
         changed = False
-        for key in unknown:
+        for key in domains:
+            tick += 1
+            edges = edges_of(key)
+            last = filtered.get(key)
+            if last is not None and all(shrunk.get((j, w2), 0) < last for _, j, w2 in edges):
+                continue
+            filtered[key] = tick
             # per edge, the image map and what its target admits
             rules = []
-            for m, j, w2 in edges_of(key):
+            for m, j, w2 in edges:
                 tgt = assigned.get((j, w2))
                 rules.append((push(m), domains[(j, w2)] if tgt is None else admits(tgt)))
             kept = {v: None for v in domains[key] if all(p(v) in ok for p, ok in rules)}
             if len(kept) != len(domains[key]):
                 domains[key] = kept
+                shrunk[key] = tick
                 changed = True
             if not kept and emptied is None:
                 emptied = key
     return emptied
 
 
-def _natural(edges_of, key, v: Value, table: dict) -> bool:
-    """Output `v` at `key` agrees with every edge whose target `table` fills."""
+def _natural(edges_of, key, table: dict, incoming=()) -> bool:
+    """The output `table[key]` agrees with every edge between `key` and an
+    input that `table` fills: its own edges, a self-edge among them, and
+    the `incoming` edges, as (source input, map) pairs."""
+    v = table[key]
     for m, j, w2 in edges_of(key):
         tgt = table.get((j, w2))
         if tgt is not None and m.out(v) != tgt:
             return False
-    return True
+    return all(src not in table or m.out(table[src]) == v for src, m in incoming)
 
 
-def _explicit_domains(carriers, assigned, unknown, edges_of, full_pools) -> dict:
-    """Arc consistency over whole outputs from complete enumerated domains
-    (one per level, shared until a sweep narrows a key), then backtracking."""
-    spaces = [dict.fromkeys(pool) for pool in full_pools]
-    domains = {key: spaces[key[0]] for key in unknown}
-    emptied = _narrow(unknown, domains, assigned, edges_of, lambda m: m.out, lambda v: (v,))
+def _explicit_domains(carriers, assigned, domains, edges_of) -> dict:
+    """Arc consistency over whole outputs from complete enumerated domains,
+    one dict of candidates per unknown input (shared until a sweep narrows
+    it), then backtracking."""
+    emptied = _narrow(domains, assigned, edges_of, lambda m: m.out, lambda v: (v,))
     if emptied is not None:
         level, w = emptied
         raise _Conflict(
@@ -381,35 +475,44 @@ def _explicit_domains(carriers, assigned, unknown, edges_of, full_pools) -> dict
 
     # backtracking over the (small) remaining product space. The path holds
     # one iterator of untried outputs per input on it, not a stack frame:
-    # searches reach domain reasoning with over a thousand unknown inputs
-    order = sorted(unknown, key=lambda key: len(domains[key]))
+    # searches reach domain reasoning with over a thousand unknown inputs.
+    # Every forced input's edges end at forced inputs, so the edges that
+    # reach an unknown input start at unknown ones
+    incoming: dict = {key: [] for key in domains}
+    for key in domains:
+        for m, j, w2 in edges_of(key):
+            if (j, w2) in incoming:
+                incoming[(j, w2)].append((key, m))
+    order = sorted(domains, key=lambda key: len(domains[key]))
     table = dict(assigned)
+
+    def fits(key, v) -> bool:
+        table[key] = v
+        return _natural(edges_of, key, table, incoming[key])
+
     untried = [iter(domains[order[0]])]
     while untried:
         key = order[len(untried) - 1]
-        table.pop(key, None)
-        v = next((v for v in untried[-1] if _natural(edges_of, key, v, table)), None)
-        if v is None:
+        if not any(fits(key, v) for v in untried[-1]):
+            del table[key]
             untried.pop()
             continue
-        table[key] = v
         if len(untried) == len(order):
             return table
         untried.append(iter(domains[order[len(untried)]]))
     raise _Conflict("complete domains admit no assignment consistent with naturality")
 
 
-def _member_domains(result, s, carriers, assigned, unknown, edges_of) -> Optional[dict]:
-    """Member domains for set-valued outputs. Naturality transports members
-    exactly, so if the maximal member set cannot cover some forced target,
-    no subset can, which is a conclusive refutation."""
-    spaces = [dict.fromkeys(s.enumerate(C, len(C))) for C in carriers]
-    allowed = {key: spaces[key[0]] for key in unknown}
-    _narrow(unknown, allowed, assigned, edges_of, lambda m: m.s_image, lambda v: set(v[1:]))
+def _member_domains(result, carriers, assigned, allowed, edges_of) -> Optional[dict]:
+    """Member domains for set-valued outputs, one dict of S-values per
+    unknown input. Naturality transports members exactly, so if the
+    maximal member set cannot cover some forced target, no subset can,
+    which is a conclusive refutation."""
+    _narrow(allowed, assigned, edges_of, lambda m: m.s_image, lambda v: set(v[1:]))
 
     # maximal-set test against forced targets: the image of the largest
     # possible output must still reach every member the target requires
-    for key in unknown:
+    for key in allowed:
         level, w = key
         for m, j, w2 in edges_of(key):
             tgt = assigned.get((j, w2))
@@ -428,9 +531,8 @@ def _member_domains(result, s, carriers, assigned, unknown, edges_of) -> Optiona
                 )
 
     # try the maximal assignment everywhere and verify all edges exactly
-    table = {**assigned, **{key: mk_set(allowed[key]) for key in unknown}}
-    if all(_natural(edges_of, key, table[key], table)
-           for key in itertools.chain(unknown, assigned)):
+    table = {**assigned, **{key: mk_set(allowed[key]) for key in allowed}}
+    if all(_natural(edges_of, key, table) for key in itertools.chain(allowed, assigned)):
         return table
     result.conflict = (
         "maximal member sets are not exactly natural; smaller subsets not explored"

@@ -167,10 +167,28 @@ class TestExplicitDomainPairs:
             assigned, unknown = {}, [(0, "w"), (0, "u")]
             edges = {(0, "u"): [(ident, 0, "w"), (swap, 0, "w")]}
             want = "complete domains admit no assignment consistent with naturality"
+        domains = {key: dict.fromkeys("xy") for key in unknown}
         with pytest.raises(lawsearch._Conflict) as exc:
-            lawsearch._explicit_domains([("a",)], assigned, unknown,
-                                        lambda key: edges.get(key, []), [["x", "y"]])
+            lawsearch._explicit_domains([("a",)], assigned, domains,
+                                        lambda key: edges.get(key, []))
         assert str(exc.value) == want
+
+    def test_backtracking_checks_edges_into_filled_inputs_and_self_edges(self):
+        # e's one edge goes to k through the swap; k is filled after e, so
+        # k's output must be checked against the edge that reaches it
+        swap = type("Edge", (), {"out": staticmethod({"x": "y", "y": "x"}.get)})
+        const = type("Edge", (), {"out": staticmethod(lambda v: "y")})
+        edges = {(0, "e"): [(swap, 0, "k")]}
+
+        def search(unknown):
+            domains = {key: dict.fromkeys("xy") for key in unknown}
+            return lawsearch._explicit_domains([("a",)], {}, domains,
+                                               lambda key: edges.get(key, []))
+
+        assert search([(0, "e"), (0, "k")]) == {(0, "e"): "x", (0, "k"): "y"}
+        # a self-edge through a map that sends everything to y leaves y alone
+        edges[(0, "e")].append((const, 0, "e"))
+        assert search([(0, "e"), (0, "k")]) == {(0, "e"): "y", (0, "k"): "x"}
 
     def test_backtracking_path_is_not_bounded_by_the_recursion_limit(self):
         # multiset over lift at bound 8 backtracks over 1,274 unknown inputs.
@@ -181,8 +199,9 @@ class TestExplicitDomainPairs:
         edges = {(0, i): [(ident, 0, i - 1)] for i in range(1, 1200)}
 
         def search():
-            return lawsearch._explicit_domains([("a",)], {}, unknown,
-                                               lambda key: edges.get(key, []), [["x", "y"]])
+            domains = {key: dict.fromkeys("xy") for key in unknown}
+            return lawsearch._explicit_domains([("a",)], {}, domains,
+                                               lambda key: edges.get(key, []))
 
         assert search() == dict.fromkeys(unknown, "x")
         # the last must also be the swap of the first: the path runs to the
@@ -408,6 +427,59 @@ def test_domain_reasoning_results_are_pinned(pair):
     assert [(len(c.entries), _entries_digest(c)) for c in r.candidates] == tables
 
 
+def _naturality_breaks(s_id, t_id, table) -> list:
+    """The (input, map) pairs of a table's edges between chain carriers
+    whose images disagree, found by trying every map."""
+    s, t = monad_for(s_id), monad_for(t_id)
+    breaks = []
+    for (i, w), v in table.entries.items():
+        for j, target in enumerate(table.carriers):
+            for f in lawsearch._all_functions(table.carriers[i], target):
+                w2 = s.fmap(lambda tv: t.fmap(f.get, tv), w)
+                if (j, w2) in table.entries:
+                    if t.fmap(lambda sv: s.fmap(f.get, sv), v) != table.entries[(j, w2)]:
+                        breaks.append(((i, w), f))
+    return breaks
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [(s, t) for (s, t, _), ((outcome, *_), _) in PINNED_SEARCHES.items()
+     if outcome == "Candidates"]
+    + [pair for pair, (_, forced, _) in DOMAIN_SEARCHES.items() if forced],
+    ids="|".join,
+)
+def test_candidate_tables_are_natural_under_every_map(pair):
+    r = search_distlaw_bounded(*pair)
+    assert len(r.candidates) == 1
+    assert _naturality_breaks(*pair, r.candidates[0]) == []
+
+
+@pytest.mark.parametrize("s_id, t_id", [
+    ("list", "powerset"), ("abgroup", "exception:{a,b}"), ("dist", "multiset"),
+    ("reader:2", "narytree:2"), ("multiset", "abgroup"), ("bintree", "lift"),
+])
+def test_maps_that_agree_on_the_letters_give_equal_images(s_id, t_id):
+    # S(T f)(w) and T(S f)(v) read f only at the letters of w and v, which
+    # is what lets a search keep one edge per restriction of a map
+    s, t = monad_for(s_id), monad_for(t_id)
+    src, dst = letters(3), letters(2)
+    inputs = list(s.iter_values(t.enumerate(src, 2), 2))
+    outputs = list(t.iter_values(s.enumerate(src, 2), 2))
+    maps = lawsearch._all_functions(src, dst)
+    for k in range(12):  # twelve (input, output) pairs spread over both pools
+        w, v = inputs[k * len(inputs) // 12], outputs[k * len(outputs) // 12]
+        held = {x for tv in s.members(w) for x in t.members(tv)}
+        held |= {x for sv in t.members(v) for x in s.members(sv)}
+        images: dict = {}
+        for f in maps:
+            image = (s.fmap(lambda tv: t.fmap(f.get, tv), w),
+                     t.fmap(lambda sv: s.fmap(f.get, sv), v))
+            images.setdefault(tuple(f[x] for x in sorted(held)), set()).add(image)
+        assert len(images) == len(dst) ** len(held)
+        assert all(len(found) == 1 for found in images.values())
+
+
 class TestStats:
     def test_each_map_image_is_computed_once(self, monkeypatch):
         # count every image asked for and every image actually computed, per
@@ -440,17 +512,17 @@ class TestStats:
     @pytest.mark.parametrize(
         "s_id, t_id, stats",
         [
-            ("powerset", "powerset", (301, 18550, 18550, 207225, 12628)),
-            ("list", "list", (438, 173434, 15000, 56612, 31636)),
-            ("multiset", "exception:{a,b}", (438, 11476, 11476, 179133, 15546)),
+            ("powerset", "powerset", (301, 18550, 3430, 24249, 4723)),
+            ("list", "list", (438, 173434, 1156, 4504, 3024)),
+            ("multiset", "exception:{a,b}", (438, 11476, 574, 3469, 1428)),
         ],
     )
     def test_stats_at_defaults_are_pinned(self, s_id, t_id, stats):
-        # recorded before the image memos answered repeated inputs in C:
-        # moving the memo may change no count. Edges are counted as built:
-        # list over list stops at the result-space cap after propagation
-        # has visited 66 of its 659 inputs, so it builds 15,000 of the
-        # edges its 173,434 planned pairs could give
+        # maps and pairs are planned over every map, as the edge cap reads
+        # them; edges are counted as built, one per restriction of a map to
+        # an input's letters: list over list stops at the result-space cap
+        # after propagation has visited 66 of its 659 inputs, so it builds
+        # 1,156 edges. Images are counted for the maps edges were built from
         r = search_distlaw_bounded(s_id, t_id)
         keys = ("maps", "pairs", "edges", "images_requested", "images_computed")
         assert r.stats == dict(zip(keys, stats))
@@ -463,8 +535,13 @@ class TestStats:
         assert r.stats["pairs"] == sum(
             j ** i * pool for i, pool in zip(sizes, pools) for j in sizes
         )
-        # lift keeps the shape of a value, so every pushed input is in a pool
-        assert r.stats["edges"] == r.stats["pairs"]
+        # one edge per input, target level and restriction of a map to the
+        # input's letters: bot and ok(bot) hold none (the whole carrier on
+        # the one-letter carrier, where no map witnesses the support lemma),
+        # ok(ok(x)) holds x; lift keeps the shape of a value, so every pushed
+        # input is in a pool
+        held = {i: [int(i == 1)] * 2 + [1] * i for i in sizes}
+        assert r.stats["edges"] == sum(j ** k for i in sizes for k in held[i] for j in sizes)
         assert r.elapsed > 0
 
     def test_capped_search_examines_no_pair(self):
