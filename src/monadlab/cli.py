@@ -6,11 +6,14 @@ parse errors. Data output goes to stdout; timing goes to stderr so runs
 stay byte-stable.
 """
 
+from __future__ import annotations
+
 import argparse
 import os
 import sys
 from pathlib import Path
 
+from . import TABLE_VARIANTS
 from . import distlaws as _distlaws
 from . import hierarchy as _hierarchy
 from . import lawsearch as _lawsearch
@@ -18,7 +21,7 @@ from . import monads as _monads
 from . import nogo as _nogo
 from . import terms as _terms
 from . import theories as _theories
-from .values import format_value
+from . import values as _values
 
 
 class UsageError(Exception):
@@ -64,8 +67,8 @@ def _report(report: _monads.LawReport) -> None:
         return
     for name, w, got, want in report.violations[:5]:
         print(
-            f"{name} violated at {format_value(w)}: "
-            f"{format_value(got)} != {format_value(want)}"
+            f"{name} violated at {_values.format_value(w)}: "
+            f"{_values.format_value(got)} != {_values.format_value(want)}"
         )
     for name in report.unchecked():
         print(f"{name}: no cases checked")
@@ -193,7 +196,7 @@ def law_apply(args):
         v = parse_layered(args.value, (lw.s_monad, lw.t_monad))
     except ValueSyntaxError as exc:
         raise UsageError(str(exc)) from None
-    print(format_value(lw.apply(v)))
+    print(_values.format_value(lw.apply(v)))
 
 
 def law_check(args):
@@ -319,8 +322,8 @@ def _parser() -> argparse.ArgumentParser:
     _command(top, "nogo", nogo, "S", "T")
 
     p = _command(top, "boom-table", boom_table)
-    variants = "{" + "|".join(_hierarchy.VARIANTS) + "}"
-    p.add_argument("variant", type=_choice(_hierarchy.VARIANTS), metavar=variants)
+    p.add_argument("variant", type=_choice(TABLE_VARIANTS),
+                   metavar="{" + "|".join(TABLE_VARIANTS) + "}")
     p.add_argument("--format", dest="fmt", type=_choice(("md", "csv")), default="md",
                    metavar="{md|csv}", help="(default: md)")
     p.add_argument("--golden", type=_existing_file, default=None, metavar="FILE",

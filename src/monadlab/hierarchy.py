@@ -12,11 +12,11 @@ import re
 from pathlib import Path
 from typing import NamedTuple
 
+from . import TABLE_VARIANTS
 from .nogo import NoGoVerdict, verdict
 from .theories import BOOM_EXTENDED, BOOM_FULL, BOOM_ORIGINAL, lookup_theory
 
 __all__ = [
-    "VARIANTS",
     "GoldenFileError",
     "TableMismatch",
     "VerdictTable",
@@ -30,13 +30,7 @@ __all__ = [
     "golden_path",
 ]
 
-VARIANTS = ("original", "extended", "full")
-
-_LABELS = {
-    "original": BOOM_ORIGINAL,
-    "extended": BOOM_EXTENDED,
-    "full": BOOM_FULL,
-}
+_LABELS = dict(zip(TABLE_VARIANTS, (BOOM_ORIGINAL, BOOM_EXTENDED, BOOM_FULL)))
 
 
 class GoldenFileError(ValueError):
@@ -48,7 +42,7 @@ def variant_labels(variant: str) -> tuple[str, ...]:
         return _LABELS[variant]
     except KeyError:
         raise GoldenFileError(
-            f"unknown table variant {variant!r}; pick one of {', '.join(VARIANTS)}"
+            f"unknown table variant {variant!r}; pick one of {', '.join(TABLE_VARIANTS)}"
         ) from None
 
 

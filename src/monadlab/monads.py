@@ -402,28 +402,51 @@ class NaryTreeMonad(FinMonad):
     choose = _choose_positional
 
     def iter_values(self, carrier, bound):
-        # layer s holds the trees of size s; the last one is never reused
+        # layer s holds the trees of size s: each is yielded as soon as it
+        # is built, and kept for the larger sizes unless s is the bound
         layers: list[list] = []
         for s in range(bound + 1):
             if s == 0:
-                layer = list(self.units)
+                layer = self.units
             elif s == 1:
                 layer = [("nleaf", x) for x in carrier]
             else:
                 layer = self._nodes_of_size(s, layers)
-            if s < bound:
-                layer = list(layer)
-                layers.append(layer)
-            yield from layer
+            if s == bound:
+                yield from layer
+                return
+            kept: list = []
+            layers.append(kept)
+            for v in layer:
+                kept.append(v)
+                yield v
 
-    def _nodes_of_size(self, s, layers):
+    def count(self, carrier, bound):
+        # the size of each layer of `iter_values`, from the smaller ones
+        sizes: list[int] = []
+        for s in range(bound + 1):
+            if s == 0:
+                n = len(self.units)
+            elif s == 1:
+                n = len(carrier)
+            else:
+                n = sum(math.prod(sizes[part] for part in split) for split in self._splits(s))
+            sizes.append(n)
+            if sum(sizes) > MAX_POOL:
+                break
+        return self._within_cap(sum(sizes), carrier, bound)
+
+    def _splits(self, s):
         # the splits of s into `width` child sizes, in lexicographic order:
         # the gaps between `width` - 1 bars placed among s + width - 1 slots
         slots = s + self.width - 1
         for bars in itertools.combinations(range(slots), self.width - 1):
             split = [b - a - 1 for a, b in zip((-1, *bars), (*bars, slots))]
-            if s in split:  # fewer than two children that are not units
-                continue
+            if s not in split:  # at least two children that are not units
+                yield split
+
+    def _nodes_of_size(self, s, layers):
+        for split in self._splits(s):
             for kids in itertools.product(*(layers[part] for part in split)):
                 yield ("nnode",) + kids
 

@@ -1,5 +1,6 @@
 """Container monads: canonical values, enumeration, laws, free models."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -12,9 +13,11 @@ from monadlab.monads import (
     FinMonad,
     FreeModelReport,
     ListMonad,
+    MAX_POOL,
     LawReport,
     NaryTreeMonad,
     NoMonadError,
+    PoolTooLargeError,
     check_monad_laws,
     free_model_iso_check,
     monad_for,
@@ -260,6 +263,61 @@ def test_tree_enumeration_matches_the_filtering_reference(mid, monkeypatch):
 def test_wide_trees_enumerate():
     # the unit, one leaf, and the 20*19/2 nodes with two leaves
     assert len(monad_for("narytree:20").enumerate(("a",), 2)) == 192
+
+
+@pytest.mark.parametrize("mid", ["bintree", "narytree:2", "narytree:3"])
+def test_tree_count_is_the_length_of_the_enumeration(mid):
+    m = monad_for(mid)
+    for carrier, bound in itertools.product(("a", "ab", "abc", "abcd"), range(6)):
+        listed = sum(1 for _ in itertools.islice(m.iter_values(carrier, bound), MAX_POOL + 1))
+        if listed > MAX_POOL:  # narytree:3 over four letters at bound 5
+            with pytest.raises(PoolTooLargeError, match=r"more than 1,000,000 \(the pool cap\)"):
+                m.count(carrier, bound)
+        else:
+            assert m.count(carrier, bound) == listed
+
+
+# the order of the tree pools over ("a", "b") at bound 4, pinned as their
+# length and the sha256 of their `repr`
+TREE_ORDER = {
+    "bintree": (102, "49176510a365c324fbe7017244451e467f2f1bc2f935e9483250f5d327e467e3"),
+    "narytree:2": (103, "58e3f7cd40e2557be879d15e91d0ccdef646908a618a3e84a51ff42464522734"),
+    "narytree:3": (2567, "6888eaf45536b3392bc4846663ba4c669588a1797fdf774978d5f4050d655369"),
+}
+
+
+@pytest.mark.parametrize("mid", sorted(TREE_ORDER))
+def test_tree_pool_order_is_pinned(mid):
+    pool = monad_for(mid).enumerate(("a", "b"), 4)
+    assert (len(pool), hashlib.sha256(repr(pool).encode()).hexdigest()) == TREE_ORDER[mid]
+
+
+def test_tree_pool_order_by_size_then_split():
+    assert monad_for("narytree:3").enumerate(("a",), 2) == [
+        ("nunit",),
+        ("nleaf", "a"),
+        ("nnode", ("nunit",), ("nleaf", "a"), ("nleaf", "a")),
+        ("nnode", ("nleaf", "a"), ("nunit",), ("nleaf", "a")),
+        ("nnode", ("nleaf", "a"), ("nleaf", "a"), ("nunit",)),
+    ]
+
+
+def test_a_tree_pool_prefix_builds_only_the_trees_it_reads(monkeypatch):
+    # over 200 labels, the size-2 layer alone holds 3 * 200**2 trees
+    built = []
+    nodes_of_size = NaryTreeMonad._nodes_of_size
+
+    def counted(self, s, layers):
+        for tree in nodes_of_size(self, s, layers):
+            built.append(tree)
+            yield tree
+
+    monkeypatch.setattr(NaryTreeMonad, "_nodes_of_size", counted)
+    labels = [str(i) for i in range(200)]
+    prefix = list(itertools.islice(monad_for("narytree:3").iter_values(labels, 200), 1000))
+    assert len(prefix) == 1000
+    # the unit and 200 leaves come first, then the nodes as they are built
+    assert built == prefix[201:]
 
 
 def test_narytree_join_reprunes():

@@ -2,7 +2,9 @@
 imports monadlab first, so the import must not load what only error paths,
 file I/O or `law apply` use, nor `click`, `dataclasses` or `inspect`, and no
 monadlab class may be a dataclass, whose methods are generated at import.
-Guarded by what is loaded instead of by a timing."""
+The subsystems load lazily, so a command or op runs only the modules it
+uses: a search runs no table code, and a check runs neither. Guarded by what
+is loaded and what has run instead of by a timing."""
 
 import os
 import subprocess
@@ -13,16 +15,33 @@ import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# the imports and registry builds of the benchmark worker's setup op, then
-# which watched modules are loaded and which monadlab classes are dataclasses
-# (a dataclass carries `__dataclass_fields__`)
-_PROBE = """
-import sys
+# `ran()`: the monadlab modules that have run, by short name. A lazily
+# loaded module is registered in `sys.modules` when it is imported and stays
+# a `LazyLoader` module, not a plain one, until its first attribute access
+# runs it
+_RAN = """
+import sys, types
+
+def ran():
+    return sorted(name[len("monadlab."):] for name, mod in sys.modules.items()
+                  if name.startswith("monadlab.") and type(mod) is types.ModuleType)
+"""
+
+# the imports and registry builds of the benchmark worker's setup op and the
+# imports of its op table; then which monadlab modules have run; then, once
+# every module of the op table has run, which error-path and heavy stdlib
+# modules are loaded and which monadlab classes are dataclasses (a dataclass
+# carries `__dataclass_fields__`)
+_PROBE = _RAN + """
 import monadlab.cli
-from monadlab import distlaws, hierarchy, lawsearch, monads, nogo, theories
+from monadlab import distlaws, monads, theories
 theories.registry(); monads.monad_ids(); distlaws.law_ids()
-watched = ("difflib", "json", "csv", "monadlab.valuetext", "click", "dataclasses", "inspect")
-print(*(m for m in watched if m in sys.modules))
+from monadlab import distlaws, hierarchy, lawsearch, monads, nogo, theories
+print(*ran())
+for mod in (distlaws, hierarchy, lawsearch, monads, nogo, theories):
+    vars(mod)
+print(*(m for m in ("difflib", "json", "csv", "monadlab.valuetext") if m in sys.modules))
+print(*(m for m in ("click", "dataclasses", "inspect") if m in sys.modules))
 print(*sorted(
     name for mod_name, mod in list(sys.modules.items()) if mod_name.startswith("monadlab")
     for name, obj in vars(mod).items()
@@ -30,6 +49,18 @@ print(*sorted(
     and hasattr(obj, "__dataclass_fields__")
 ))
 """
+
+# a command run in-process, then `ran()` as the last line of stderr
+_COMMAND = _RAN + """
+from monadlab.cli import main
+try:
+    main(sys.argv[1:])
+finally:
+    print(*ran(), file=sys.stderr)
+"""
+
+# the subsystems no monad-law or Beck check runs
+_TABLE_AND_SEARCH = {"hierarchy", "lawsearch", "nogo"}
 
 
 def _python(*args):
@@ -39,22 +70,57 @@ def _python(*args):
 
 @pytest.fixture(scope="module")
 def setup_probe():
-    """(watched modules loaded, monadlab dataclasses) after the setup op."""
+    """(monadlab modules run after the setup op; error-path and heavy
+    modules loaded and monadlab dataclasses once all have run)."""
     res = _python("-c", _PROBE)
     assert res.returncode == 0, res.stderr
-    loaded, dataclasses = res.stdout.split("\n")[:2]
-    return set(loaded.split()), dataclasses.split()
+    ran, error_paths, heavy, dataclasses = res.stdout.split("\n")[:4]
+    return set(ran.split()), error_paths.split(), heavy.split(), dataclasses.split()
+
+
+def _ran_by(*argv):
+    """The monadlab modules that have run once the command `argv` ends."""
+    res = _python("-c", _COMMAND, *argv)
+    assert res.returncode in (0, 1), res.stderr
+    return set(res.stderr.strip().split("\n")[-1].split())
 
 
 def test_cli_import_loads_no_error_path_modules(setup_probe):
-    loaded, _ = setup_probe
-    assert loaded & {"difflib", "json", "csv", "monadlab.valuetext"} == set()
+    _, error_paths, _, _ = setup_probe
+    assert error_paths == []
 
 
 def test_cli_import_loads_no_click_dataclasses_or_inspect(setup_probe):
-    loaded, dataclasses = setup_probe
-    assert loaded & {"click", "dataclasses", "inspect"} == set()
+    _, _, heavy, dataclasses = setup_probe
+    assert heavy == []
     assert dataclasses == []
+
+
+def test_setup_op_runs_no_table_or_search_code(setup_probe):
+    ran, _, _, _ = setup_probe
+    assert ran == {"cli", "distlaws", "monads", "terms", "theories", "values"}
+
+
+def test_parser_runs_no_subsystem():
+    res = _python("-c", _RAN + "from monadlab.cli import _parser; _parser(); print(*ran())")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["cli"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("law", "check", "mset-cartesian"),
+    ("normalize", "L", "mul(x,e)"),
+    ("monad-laws", "list"),
+])
+def test_checks_run_no_table_or_search_code(argv):
+    ran = _ran_by(*argv)
+    assert "cli" in ran
+    assert ran & _TABLE_AND_SEARCH == set()
+
+
+def test_nogo_runs_no_search_code():
+    ran = _ran_by("nogo", "T+", "C+")
+    assert "nogo" in ran and "lawsearch" not in ran
 
 
 def test_python_dash_m_runs_the_cli():
@@ -70,3 +136,11 @@ def test_package_import_loads_no_submodule():
                         "print(*sorted(m for m in sys.modules if m.startswith('monadlab.')))")
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == []
+
+
+def test_unknown_package_attribute_is_an_attribute_error():
+    import monadlab
+
+    with pytest.raises(AttributeError, match="has no attribute 'cli_'"):
+        monadlab.cli_  # noqa: B018
+    assert not hasattr(monadlab, "data")
