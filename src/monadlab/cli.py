@@ -216,8 +216,8 @@ def law_search(args):
         args.s, args.t, carrier_size=args.carrier, bound=args.bound
     )
     print(res.describe())
-    for table in res.candidates[:3]:
-        print(table.describe())
+    if res.table is not None:
+        print(res.table.describe())
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +343,11 @@ def main(argv=None) -> None:
         sys.exit(2)
     try:
         args.run(args)
-    except (UsageError, _monads.PoolTooLargeError) as exc:
+    except UsageError as exc:
+        args.parser.error(str(exc))
+    except SystemExit:  # leaves before `_monads` is named, which would run it
+        raise
+    except _monads.PoolTooLargeError as exc:
         args.parser.error(str(exc))
 
 

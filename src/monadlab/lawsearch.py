@@ -117,13 +117,14 @@ class LambdaTable:
 
 
 class SearchResult:
-    """Outcome of one bounded law search, with its counts."""
+    """Outcome of one bounded law search, with its counts; `table` is the
+    fragment-consistent table of a Candidates outcome, else None."""
 
     def __init__(self, outcome: str, s_id: str, t_id: str, carrier_sizes: tuple, bound: int):
         self.outcome, self.s_id, self.t_id = outcome, s_id, t_id
         self.carrier_sizes, self.bound = carrier_sizes, bound
         self.forced = self.variables = 0
-        self.candidates: list = []
+        self.table: Optional[LambdaTable] = None
         self.conflict: Optional[str] = None
         self.elapsed = 0.0
         self.stats: dict = {}
@@ -141,7 +142,7 @@ class SearchResult:
             if self.carrier_sizes == (1,):
                 untested = "; no naturality condition tested"
             return (
-                f"{head} ({len(self.candidates)} fragment-consistent table(s), "
+                f"{head} (1 fragment-consistent table(s), "
                 f"{self.forced}/{self.variables} inputs forced{untested})"
             )
         return f"{head} ({self.conflict or 'domains too large to decide'})"
@@ -218,7 +219,7 @@ def search_distlaw_bounded(
     else:
         if entries is not None:
             result.outcome = SearchOutcome.CANDIDATES
-            result.candidates = [LambdaTable(tuple(carriers), entries)]
+            result.table = LambdaTable(tuple(carriers), entries)
     result.stats["edges"] = sum(map(len, edges.values()))
     infos = [image.cache_info() for m in images.values() for image in m.memos]
     result.stats["images_requested"] = sum(i.hits + i.misses for i in infos)

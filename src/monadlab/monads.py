@@ -85,9 +85,9 @@ _NUNIT = ("nunit",)
 class FinMonad:
     """A finitary monad on canonical values.
 
-    Subclasses define `monad_id`, `family`, `theory_id` (the presentation
-    whose free models this monad gives, if registered), `unit`, `fmap`,
-    `size`, the graded generator `iter_values`, and either `bind` or `join`.
+    Subclasses define `monad_id`, `theory_id` (the presentation whose free
+    models this monad gives, if registered), `unit`, `fmap`, `size`, the
+    graded generator `iter_values`, and either `bind` or `join`.
 
     `bind(v, f)` is join(fmap(f, v)) and `join(v)` is bind(v, identity); each
     defaults to the other. List, powerset and the weighted combinations
@@ -123,7 +123,6 @@ class FinMonad:
     """
 
     monad_id: str = ""
-    family: str = ""
     theory_id: Optional[str] = None
     generics: dict = {}
 
@@ -205,12 +204,9 @@ def _choose_positional(self, v, t):
 
 
 class ListMonad(FinMonad):
-    family = "list"
-
     def __init__(self, nonempty: bool = False):
         self.nonempty = nonempty
         self.monad_id = "nonempty-list" if nonempty else "list"
-        self.family = self.monad_id
         self.theory_id = "boom:-A--" if nonempty else "boom:UA--"
         self.generics = {"mul": ("list", "0", "1")}
         if not nonempty:
@@ -285,7 +281,6 @@ class WeightedMonad(FinMonad):
 
 class MultisetMonad(WeightedMonad):
     monad_id = "multiset"
-    family = "multiset"
     theory_id = "boom:UAC-"
     generics = {"mul": ("mset", (("0", 1), ("1", 1))), "e": ("mset", ())}
     tag = "mset"
@@ -309,7 +304,6 @@ class MultisetMonad(WeightedMonad):
 
 class PowersetMonad(FinMonad):
     monad_id = "powerset"
-    family = "powerset"
     theory_id = "boom:UACI"
     generics = {"mul": ("set", "0", "1"), "e": ("set",)}
 
@@ -348,7 +342,6 @@ class NaryTreeMonad(FinMonad):
     leaves `units`: nodes with fewer than two non-unit children are pruned
     away, so values are normal forms."""
 
-    family = "narytree"
     units = (_NUNIT,)
 
     def __init__(self, width: int):
@@ -456,7 +449,6 @@ class BinTreeMonad(NaryTreeMonad):
     so there is no empty tree."""
 
     monad_id = "bintree"
-    family = "bintree"
     theory_id = "boom:----"
     width = 2
     units = ()
@@ -468,8 +460,6 @@ class BinTreeMonad(NaryTreeMonad):
 
 class ExceptionMonad(FinMonad):
     """A value or one of the error values in `errors`, which propagate."""
-
-    family = "exception"
 
     def __init__(self, labels: Sequence[str]):
         self.labels = tuple(sorted(set(labels)))
@@ -504,7 +494,6 @@ class LiftMonad(ExceptionMonad):
     """The exception monad with one error, bot."""
 
     monad_id = "lift"
-    family = "lift"
     theory_id = "pointed"
     errors = (("bot",),)
     generics = {"bot": ("bot",)}
@@ -517,7 +506,6 @@ class ReaderMonad(FinMonad):
     """Functions out of a fixed two-point environment, kept as output tables."""
 
     monad_id = "reader:2"
-    family = "reader"
     theory_id = "reader:2"
     generics = {"mul": ("fun", "0", "1")}
 
@@ -585,7 +573,6 @@ class DistMonad(WeightedMonad):
     """
 
     monad_id = "dist"
-    family = "dist"
     theory_id = "convex"
     generics = {"mix": ("dist", (("0", Fraction(1, 2)), ("1", Fraction(1, 2))))}
     tag = "dist"
@@ -604,7 +591,6 @@ class AbGroupMonad(WeightedMonad):
     """Free abelian groups: finite formal integer combinations."""
 
     monad_id = "abgroup"
-    family = "abgroup"
     theory_id = "abgroup"
     generics = {
         "mul": ("grp", (("0", 1), ("1", 1))),

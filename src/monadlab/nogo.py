@@ -1,8 +1,10 @@
 """Executable applicability checks for the no-composite theorems.
 
-Each checker inspects a pair of theories and reports whether the hypotheses
-of one obstruction theorem are certified, returning the per-hypothesis
-evidence rather than a bare boolean. `verdict` combines the checkers with a
+Each theorem is a row of `_HYPOTHESES`: its hypotheses on the row and the
+column theory of a pair. `check_theorem` checks one row for one pair and
+returns the per-hypothesis evidence rather than a bare boolean;
+`check_plotkin_general` checks the general variable-counting theorem on
+explicit terms. `verdict` runs every row and combines the results with a
 registry of known-positive pairs into a single answer for "is there a
 distributive law (row)(col) => (col)(row)".
 """
@@ -39,11 +41,8 @@ __all__ = [
     "PermutationSpec",
     "CheckRecord",
     "Applicability",
-    "check_plotkin_binary",
+    "check_theorem",
     "check_plotkin_general",
-    "check_too_many_constants",
-    "check_lacking_abides",
-    "check_idem_units",
     "PositiveEntry",
     "positive_entry",
     "NoGoVerdict",
@@ -151,31 +150,82 @@ def _eq_record(side: str, entry: TheoryEntry, req: str, lhs: Term, rhs: Term) ->
 
 
 # ---------------------------------------------------------------------------
-# variable-counting obstructions (the permuted-term family)
+# the theorems as hypothesis tables
 
 
-def check_plotkin_binary(
-    p_theory: Union[str, TheoryEntry],
-    v_theory: Union[str, TheoryEntry],
+def _two_variable_term(entry: TheoryEntry) -> tuple:
+    max_arity = max((op.arity for op in entry.presentation.signature.ops), default=0)
+    return max_arity >= 2, f"largest operation arity is {max_arity}"
+
+
+def _two_distinct_constants(entry: TheoryEntry) -> tuple:
+    """Counts the constants' classes by one representative each: the
+    decision procedure refutes every equation between two of them."""
+    reps: list = []
+    for c in entry.presentation.signature.constants:
+        term = App(c, ())
+        if not any(decide_eq(entry.procedure, term, r) for r in reps):
+            reps.append(term)
+    shown = ",".join(render(r) for r in reps)
+    return len(reps) >= 2, f"{len(reps)} pairwise distinct constants ({shown or 'none'})"
+
+
+_ROW, _COL = 0, 1  # which theory of the pair a hypothesis is about
+
+
+def _on(side: str, theory: int, *hypotheses) -> tuple:
+    return tuple((side, theory, h) for h in hypotheses)
+
+
+_TIMES_OVER_PLUS = (
+    _on("S", _ROW, PropertyId.S1, PropertyId.S2, PropertyId.S3, PropertyId.S4A)
+    + _on("T", _COL, PropertyId.T1, PropertyId.T2, PropertyId.T3, PropertyId.T4A)
+)
+
+# theorem -> its hypotheses in printed order: (side label, row or column
+# theory, a property or a (requirement, test) pair whose test returns
+# (passed, evidence)). When every hypothesis holds, there is no law
+# (row)(col) => (col)(row).
+_HYPOTHESES = {
+    # S has unit constants for all its operations and a two-variable term;
+    # T keeps closed terms closed and has two provably distinct constants
+    TheoremId.TOO_MANY_CONSTANTS: (
+        _on("S", _ROW, PropertyId.S3, ("term with two free variables", _two_variable_term))
+        + _on("T", _COL, PropertyId.T1, ("two distinct constants", _two_distinct_constants))
+    ),
+    # the times-over-plus hypotheses, and T's binary lacks abides
+    TheoremId.LACKING_ABIDES: _TIMES_OVER_PLUS + _on("T", _COL, PropertyId.T4B),
+    # the times-over-plus hypotheses, and S's binary is idempotent
+    TheoremId.IDEM_UNITS: _TIMES_OVER_PLUS + _on("S", _ROW, PropertyId.S4B),
+    # the binary variable-counting theorem on the designated binaries: the
+    # column's p is commutative, idempotent, its class within 2 variables;
+    # the row's v is idempotent, its class never within a single variable
+    TheoremId.PLOTKIN1: (
+        _on("P", _COL, PropertyId.P1, PropertyId.P2, PropertyId.P3)
+        + _on("V", _ROW, PropertyId.V1, PropertyId.V2, PropertyId.V3)
+    ),
+}
+
+
+def check_theorem(
+    theorem: str,
+    s_theory: Union[str, TheoryEntry],
+    t_theory: Union[str, TheoryEntry],
 ) -> Applicability:
-    """Hypotheses of the binary variable-counting obstruction.
+    """The hypotheses of `theorem` (a row of `_HYPOTHESES`) checked for
+    the row theory `s_theory` and the column theory `t_theory`. Plotkin2
+    takes explicit terms: `check_plotkin_general`."""
+    pair = (_as_entry(s_theory), _as_entry(t_theory))
+    records = tuple(
+        _prop_record(side, pair[theory], h) if isinstance(h, PropertyId)
+        else CheckRecord(side, h[0], *h[1](pair[theory]))
+        for side, theory, h in _HYPOTHESES[theorem]
+    )
+    return Applicability(theorem, pair[0].theory_id, pair[1].theory_id, records)
 
-    `p_theory` needs a commutative idempotent binary p whose class members
-    stay within 2 variables; `v_theory` needs an idempotent binary v whose
-    class never collapses into a single variable. p and v are the theories'
-    designated binaries; `check_plotkin_general` takes explicit terms. When
-    the pair passes, there is no law (v_theory)(p_theory) =>
-    (p_theory)(v_theory), so in row-over-column reading the row plays v and
-    the column plays p.
-    """
-    pe = _as_entry(p_theory)
-    ve = _as_entry(v_theory)
-    records = []
-    for prop in (PropertyId.P1, PropertyId.P2, PropertyId.P3):
-        records.append(_prop_record("P", pe, prop))
-    for prop in (PropertyId.V1, PropertyId.V2, PropertyId.V3):
-        records.append(_prop_record("V", ve, prop))
-    return Applicability(TheoremId.PLOTKIN1, ve.theory_id, pe.theory_id, tuple(records))
+
+# ---------------------------------------------------------------------------
+# the general variable-counting theorem
 
 
 def _collapse_to_one(term: Term) -> Term:
@@ -205,6 +255,7 @@ def check_plotkin_general(
     `p` is a term over x1..x{sigma.size} stable under sigma and idempotent,
     whose class members stay within sigma.size variables; `v` is a term
     over x1..xn, idempotent, whose class members never fit in one variable.
+    With the swap and the designated binaries it is Plotkin1.
     """
     pe = _as_entry(p_theory)
     ve = _as_entry(v_theory)
@@ -226,84 +277,6 @@ def check_plotkin_general(
     records.append(_prop_record("V", ve, PropertyId.V2))
     records.append(_class_vars_record("V", ve, v, "class never fits in one variable", least=2))
     return Applicability(TheoremId.PLOTKIN2, ve.theory_id, pe.theory_id, tuple(records))
-
-
-# ---------------------------------------------------------------------------
-# unit-driven obstructions
-
-
-def _distinct_constants(entry: TheoryEntry) -> list:
-    """Representatives of the constants' classes, one per class: the
-    decision procedure refutes every equation between two of them."""
-    reps: list = []
-    for c in entry.presentation.signature.constants:
-        term = App(c, ())
-        if not any(decide_eq(entry.procedure, term, r) for r in reps):
-            reps.append(term)
-    return reps
-
-
-def check_too_many_constants(
-    s_theory: Union[str, TheoryEntry],
-    t_theory: Union[str, TheoryEntry],
-) -> Applicability:
-    """S has unit constants for all its operations and a two-variable term;
-    T keeps closed terms closed and has two provably distinct constants."""
-    se = _as_entry(s_theory)
-    te = _as_entry(t_theory)
-    records = [_prop_record("S", se, PropertyId.S3)]
-
-    arities = [op.arity for op in se.presentation.signature.ops]
-    max_arity = max(arities, default=0)
-    records.append(
-        CheckRecord(
-            "S",
-            "term with two free variables",
-            max_arity >= 2,
-            f"largest operation arity is {max_arity}",
-        )
-    )
-    records.append(_prop_record("T", te, PropertyId.T1))
-
-    reps = _distinct_constants(te)
-    shown = ",".join(render(r) for r in reps)
-    evidence = f"{len(reps)} pairwise distinct constants ({shown or 'none'})"
-    records.append(CheckRecord("T", "two distinct constants", len(reps) >= 2, evidence))
-    return Applicability(TheoremId.TOO_MANY_CONSTANTS, se.theory_id, te.theory_id, tuple(records))
-
-
-_DISTRIB_S = (PropertyId.S1, PropertyId.S2, PropertyId.S3, PropertyId.S4A)
-_DISTRIB_T = (PropertyId.T1, PropertyId.T2, PropertyId.T3, PropertyId.T4A)
-
-
-def _times_over_plus_records(se, te) -> list:
-    recs = [_prop_record("S", se, p) for p in _DISTRIB_S]
-    recs += [_prop_record("T", te, p) for p in _DISTRIB_T]
-    return recs
-
-
-def check_lacking_abides(
-    s_theory: Union[str, TheoryEntry],
-    t_theory: Union[str, TheoryEntry],
-) -> Applicability:
-    """Times-over-plus hypotheses plus: T's binary does not interchange."""
-    se = _as_entry(s_theory)
-    te = _as_entry(t_theory)
-    records = _times_over_plus_records(se, te)
-    records.append(_prop_record("T", te, PropertyId.T4B))
-    return Applicability(TheoremId.LACKING_ABIDES, se.theory_id, te.theory_id, tuple(records))
-
-
-def check_idem_units(
-    s_theory: Union[str, TheoryEntry],
-    t_theory: Union[str, TheoryEntry],
-) -> Applicability:
-    """Times-over-plus hypotheses plus: S's binary is idempotent."""
-    se = _as_entry(s_theory)
-    te = _as_entry(t_theory)
-    records = _times_over_plus_records(se, te)
-    records.append(_prop_record("S", se, PropertyId.S4B))
-    return Applicability(TheoremId.IDEM_UNITS, se.theory_id, te.theory_id, tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -437,28 +410,15 @@ def verdict(
     se = _as_entry(s_theory)
     te = _as_entry(t_theory)
 
-    checks = [
-        check_too_many_constants(se, te),
-        check_lacking_abides(se, te),
-        check_idem_units(se, te),
-    ]
-    if se.designated_binary is not None and te.designated_binary is not None:
-        # row plays the idempotent side, column the commutative side
-        checks.append(check_plotkin_binary(te, se))
-
+    checks = [check_theorem(theorem, se, te) for theorem in _HYPOTHESES]
     applicable = tuple(c for c in checks if c.applicable)
     notes: list[str] = []
     if applicable:
         if se.theory_id == te.theory_id == "boom:UACI":
             notes.append("independently refuted by Klin & Salamanca 2018, Thm 3.2")
-        return NoGoVerdict(
-            se.theory_id,
-            te.theory_id,
-            "NoDistLaw",
-            theorems=tuple(c.theorem for c in applicable),
-            refutations=applicable,
-            notes=tuple(notes),
-        )
+        return NoGoVerdict(se.theory_id, te.theory_id, "NoDistLaw",
+                           theorems=tuple(c.theorem for c in applicable),
+                           refutations=applicable, notes=tuple(notes))
 
     entry = positive_entry(se.theory_id, te.theory_id)
     if entry is not None:
@@ -466,14 +426,8 @@ def verdict(
             _replay(law_id)
         if entry.citation_only:
             notes.append("citation-only")
-        return NoGoVerdict(
-            se.theory_id,
-            te.theory_id,
-            "Exists",
-            positive=entry,
-            verified_laws=entry.law_ids,
-            notes=tuple(notes),
-        )
+        return NoGoVerdict(se.theory_id, te.theory_id, "Exists", positive=entry,
+                           verified_laws=entry.law_ids, notes=tuple(notes))
 
     return NoGoVerdict(se.theory_id, te.theory_id, "Unknown")
 

@@ -555,12 +555,15 @@ class EqResult(NamedTuple):
         return self.status is EqStatus.EQUAL
 
 
+# the terms `eq_bounded` visits, over both balls, before it gives up
+_NODE_CAP = 50_000
+
+
 def eq_bounded(
     presentation: Presentation,
     t1: Term,
     t2: Term,
     depth: int = 3,
-    node_cap: int = 50_000,
 ) -> EqResult:
     """Breadth-first proof search for t1 = t2 under the axioms.
 
@@ -569,7 +572,7 @@ def eq_bounded(
     is filled with a variable of t1 or t2 or a constant). Rewriting is
     symmetric, so the search runs from both ends and meets in the middle;
     EQUAL is a proof, UNKNOWN is not a refutation, just exhaustion of the
-    bound or the node cap.
+    bound or of `_NODE_CAP`.
     """
     names = sorted(term_vars(t1) | term_vars(t2))
     pool = tuple(Var(v) for v in names) + tuple(
@@ -603,7 +606,7 @@ def eq_bounded(
                     return EqResult(EqStatus.EQUAL, grown + met, explored)
                 mine[u] = grown
                 layer.append(u)
-                if len(seen[0]) + len(seen[1]) >= node_cap:
+                if len(seen[0]) + len(seen[1]) >= _NODE_CAP:
                     capped = True
                     break
             if capped:

@@ -15,13 +15,13 @@ settled by `decide_eq` through the entry's procedure.
 
 The class-based properties (S1/T1, S2/T2/V2, P3, V3) are facts about the
 variables of the members of equivalence classes, and `class_var_claim` is
-the one place where such claims, the no-go checkers' included, are settled,
-always exactly. In a regular presentation, where both sides of every axiom
-have the same variables, every step of an equational derivation preserves
-the variable set, so each class shares its representative's variables
-(`class_vars`). Otherwise the decision procedure settles the claim: a member
-contains every variable essential in the term, and an absorbing term
-p(x,y) = x with y in p adds variables to a member at will.
+the one place where such claims, those of the no-go theorems included, are
+settled, always exactly. In a regular presentation, where both sides of
+every axiom have the same variables, every step of an equational derivation
+preserves the variable set, so each class shares its representative's
+variables (`class_vars`). Otherwise the decision procedure settles the
+claim: a member contains every variable essential in the term, and an
+absorbing term p(x,y) = x with y in p adds variables to a member at will.
 `register_theory` requires such a term of an irregular presentation, so
 every irregular theory here is strongly irregular in the sense of Płonka
 (Fund. Math. 1969). Without constants there are no closed terms, so the

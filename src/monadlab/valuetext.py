@@ -14,7 +14,19 @@ import re
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .monads import FinMonad, monad_for
+from .monads import (
+    AbGroupMonad,
+    DistMonad,
+    ExceptionMonad,
+    FinMonad,
+    LiftMonad,
+    ListMonad,
+    MultisetMonad,
+    NaryTreeMonad,
+    PowersetMonad,
+    ReaderMonad,
+    monad_for,
+)
 from .terms import MAX_NESTING
 from .values import (
     Value,
@@ -122,30 +134,29 @@ def _layer(tokens: _Tokens, monads: tuple, i: int) -> Value:
     def inner():
         return _layer(tokens, monads, i + 1)
 
-    fam = m.family
-    if fam in ("list", "nonempty-list"):
+    if isinstance(m, ListMonad):
         tokens.expect("[")
         items = _comma_list(tokens, "]", inner)
         if not items and m.nonempty:
             raise ValueSyntaxError("a nonempty list needs at least one element")
         return mk_list(items)
-    if fam == "powerset":
+    if isinstance(m, PowersetMonad):
         tokens.expect("{")
         return mk_set(_comma_list(tokens, "}", inner))
-    if fam == "multiset":
+    if isinstance(m, MultisetMonad):
         entries = _weighted(tokens, inner, "an integer")
         if any(n < 0 for _, n in entries):
             raise ValueSyntaxError("multiset counts cannot be negative")
         return mk_mset(entries=entries)
-    if fam == "abgroup":
+    if isinstance(m, AbGroupMonad):
         return mk_grp(_weighted(tokens, inner, "an integer"))
-    if fam == "dist":
+    if isinstance(m, DistMonad):
         entries = _weighted(tokens, inner, "a weight")
         try:
             return mk_dist(entries)
         except ValueError as exc:
             raise ValueSyntaxError(str(exc)) from None
-    if fam in ("bintree", "narytree"):
+    if isinstance(m, NaryTreeMonad):  # bintree included
         if m.units and tokens.peek() == "e":
             tokens.expect("e")
             return mk_nunit()
@@ -158,7 +169,12 @@ def _layer(tokens: _Tokens, monads: tuple, i: int) -> Value:
                 )
             return mk_nnode(children)
         return mk_nleaf(inner())
-    if fam == "exception":
+    if isinstance(m, LiftMonad):  # before its base class, ExceptionMonad
+        if tokens.peek() == "bot":
+            tokens.expect("bot")
+            return mk_bot()
+        return mk_ok(_maybe_ok(tokens, inner))
+    if isinstance(m, ExceptionMonad):
         if tokens.peek() == "err":
             tokens.expect("err")
             tokens.expect("(")
@@ -171,12 +187,7 @@ def _layer(tokens: _Tokens, monads: tuple, i: int) -> Value:
                 )
             return mk_err(label)
         return mk_ok(_maybe_ok(tokens, inner))
-    if fam == "lift":
-        if tokens.peek() == "bot":
-            tokens.expect("bot")
-            return mk_bot()
-        return mk_ok(_maybe_ok(tokens, inner))
-    if fam == "reader":
+    if isinstance(m, ReaderMonad):
         tokens.expect("(")
         at0 = inner()
         tokens.expect(",")

@@ -240,7 +240,6 @@ class _CompositeMonad(FinMonad):
         self.law = law
         self.s_cap = s_cap
         self.monad_id = f"composite:{law.law_id}"
-        self.family = "composite"
 
     def unit(self, x):
         return self.law.t_monad.unit(self.law.s_monad.unit(x))

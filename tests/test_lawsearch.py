@@ -36,9 +36,9 @@ def test_bound_zero_forces_only_fragment_inputs(s_id, t_id):
     r = search_distlaw_bounded(s_id, t_id, carrier_size=1, bound=0)
     assert r.forced <= r.variables
     s, t = monad_for(s_id), monad_for(t_id)
-    for table in r.candidates:
-        for level, w in table.entries:
-            assert w in s.enumerate(t.enumerate(table.carriers[level], 0), 0)
+    if r.table is not None:
+        for level, w in r.table.entries:
+            assert w in s.enumerate(t.enumerate(r.table.carriers[level], 0), 0)
 
 
 @pytest.mark.parametrize("s_id,t_id", [
@@ -48,8 +48,8 @@ def test_empty_fragment_is_inconclusive(s_id, t_id):
     # S has no value of size 0, so at bound 0 the fragment holds no input;
     # a table over it would be a green result that checked nothing
     r = search_distlaw_bounded(s_id, t_id, carrier_size=1, bound=0)
-    assert (r.outcome, r.variables, r.forced, r.candidates) == (
-        SearchOutcome.INCONCLUSIVE, 0, 0, [])
+    assert (r.outcome, r.variables, r.forced, r.table) == (
+        SearchOutcome.INCONCLUSIVE, 0, 0, None)
     assert r.describe() == (
         f"{s_id} over {t_id}, carriers (1,), bound 0: Inconclusive "
         "(the fragment holds no input at bound 0)"
@@ -60,7 +60,7 @@ class TestPowersetOverPowerset:
     def test_refuted_in_fragment(self):
         r = search_distlaw_bounded("powerset", "powerset", carrier_size=1, bound=2)
         assert r.outcome == SearchOutcome.NO_LAW
-        assert r.candidates == []
+        assert r.table is None
 
     def test_fragment_shape(self):
         r = search_distlaw_bounded("powerset", "powerset", carrier_size=1, bound=2)
@@ -86,8 +86,8 @@ class TestLiftOverLift:
         r = search_distlaw_bounded("lift", "lift", carrier_size=1, bound=2)
         assert r.outcome == SearchOutcome.CANDIDATES
         assert r.carrier_sizes == (1, 2, 3, 4)
-        assert len(r.candidates) == 1
-        tab = r.candidates[0]
+        tab = r.table
+        assert tab is not None
         labels = ("a", "b", "c", "d")
         for level, carrier in enumerate(r.carrier_sizes):
             assert tab.entries[(level, ("bot",))] == ("ok", ("bot",))
@@ -128,7 +128,7 @@ class TestExplicitDomainPairs:
         assert r.outcome == SearchOutcome.CANDIDATES
         assert r.forced == r.variables == 18
         law = law_for("exception-over:lift")
-        tab = r.candidates[0]
+        tab = r.table
         for (level, w), v in tab.entries.items():
             assert law(w) == v
 
@@ -136,8 +136,8 @@ class TestExplicitDomainPairs:
         # every member must be a success for the whole set to succeed
         r = search_distlaw_bounded("powerset", "lift", carrier_size=1, bound=2)
         assert r.outcome == SearchOutcome.CANDIDATES
-        assert len(r.candidates) == 1
-        tab = r.candidates[0]
+        tab = r.table
+        assert tab is not None
         assert tab.entries[(0, mk_set([]))] == ("ok", mk_set([]))
         assert tab.entries[(0, mk_set([("bot",)]))] == ("bot",)
         assert tab.entries[(0, mk_set([("ok", "a")]))] == ("ok", mk_set(["a"]))
@@ -146,7 +146,7 @@ class TestExplicitDomainPairs:
     def test_lift_over_powerset_distributes_pointwise(self):
         r = search_distlaw_bounded("lift", "powerset", carrier_size=1, bound=2)
         assert r.outcome == SearchOutcome.CANDIDATES
-        tab = r.candidates[0]
+        tab = r.table
         assert tab.entries[(0, ("bot",))] == mk_set([("bot",)])
         assert tab.entries[(0, ("ok", mk_set([])))] == mk_set([])
         assert tab.entries[(0, ("ok", mk_set(["a"])))] == mk_set([("ok", "a")])
@@ -240,7 +240,7 @@ def test_repeated_runs_are_identical():
     )
     a2 = search_distlaw_bounded("lift", "lift", carrier_size=1, bound=2)
     b2 = search_distlaw_bounded("lift", "lift", carrier_size=1, bound=2)
-    assert a2.candidates[0].entries == b2.candidates[0].entries
+    assert a2.table.entries == b2.table.entries
 
 
 @pytest.mark.parametrize("s_id,t_id", [("list", "list"), ("multiset", "multiset")])
@@ -307,6 +307,11 @@ def test_oversized_fragment_is_refused_before_it_is_built():
 def _entries_digest(table) -> str:
     lines = sorted(f"{level} {w!r} -> {v!r}" for (level, w), v in table.entries.items())
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def _tables(r) -> list:
+    """The search's table as (entries, digest), in a list of none or one."""
+    return [] if r.table is None else [(len(r.table.entries), _entries_digest(r.table))]
 
 
 # one search per exit path, with its (outcome, carrier sizes, variables,
@@ -380,8 +385,7 @@ def test_search_results_are_pinned(key):
     s_id, t_id, carrier = key
     r = search_distlaw_bounded(s_id, t_id, carrier_size=carrier, bound=2)
     summary = (r.outcome, r.carrier_sizes, r.variables, r.forced, r.conflict)
-    tables = [(len(c.entries), _entries_digest(c)) for c in r.candidates]
-    assert (summary, tables) == PINNED_SEARCHES[key]
+    assert (summary, _tables(r)) == PINNED_SEARCHES[key]
 
 
 # every other reference pair that reaches domain reasoning at CLI defaults
@@ -424,7 +428,7 @@ def test_domain_reasoning_results_are_pinned(pair):
         "smaller subsets not explored)"
     )
     assert r.describe() == f"{pair[0]} over {pair[1]}, carriers {sizes}, bound 2: {tail}"
-    assert [(len(c.entries), _entries_digest(c)) for c in r.candidates] == tables
+    assert _tables(r) == tables
 
 
 def _naturality_breaks(s_id, t_id, table) -> list:
@@ -451,8 +455,8 @@ def _naturality_breaks(s_id, t_id, table) -> list:
 )
 def test_candidate_tables_are_natural_under_every_map(pair):
     r = search_distlaw_bounded(*pair)
-    assert len(r.candidates) == 1
-    assert _naturality_breaks(*pair, r.candidates[0]) == []
+    assert r.table is not None
+    assert _naturality_breaks(*pair, r.table) == []
 
 
 @pytest.mark.parametrize("s_id, t_id", [

@@ -1,4 +1,4 @@
-"""Applicability checkers, the filter lemma, verdicts, and the two-layer
+"""Theorem applicability, the filter lemma, verdicts, and the two-layer
 counterexample replay."""
 
 from fractions import Fraction
@@ -13,11 +13,8 @@ from monadlab.nogo import (
     Applicability,
     PermutationSpec,
     TheoremId,
-    check_idem_units,
-    check_lacking_abides,
-    check_plotkin_binary,
     check_plotkin_general,
-    check_too_many_constants,
+    check_theorem,
     plotkin_refute_bounded,
     positive_entry,
     verdict,
@@ -28,6 +25,7 @@ from monadlab.theories import (
     PropertyId,
     check_property,
     lookup_theory,
+    registry,
 )
 from monadlab.values import mk_dist, mk_set
 
@@ -128,7 +126,7 @@ class TestFilterCommon:
 
 class TestPlotkinBinary:
     def test_jsl_over_convex_applies(self):
-        app = check_plotkin_binary("jsl", "convex")
+        app = check_theorem(TheoremId.PLOTKIN1, "convex", "jsl")
         assert app.applicable
         assert app.theorem == TheoremId.PLOTKIN1
         # the obstruction kills (convex)(jsl) => (jsl)(convex): the verdict
@@ -136,13 +134,22 @@ class TestPlotkinBinary:
         assert app.s_id == "convex" and app.t_id == "boom:UACI"
 
     def test_jsl_over_itself_applies(self):
-        assert check_plotkin_binary("jsl", "jsl").applicable
+        assert check_theorem(TheoremId.PLOTKIN1, "jsl", "jsl").applicable
 
     def test_reader_binary_is_not_commutative(self):
-        app = check_plotkin_binary("reader:2", "reader:2")
+        app = check_theorem(TheoremId.PLOTKIN1, "reader:2", "reader:2")
         assert not app.applicable
         assert {r.requirement for r in app.records if not r.passed} == {"P1", "P3", "V2"}
         assert "not applicable" in app.describe()
+
+    def test_no_designated_binary_fails_p1_and_v1(self):
+        # why `verdict` needs no guard for theories without a designated binary
+        bare = [entry for entry in registry() if entry.designated_binary is None]
+        assert bare
+        for entry in bare:
+            app = check_theorem(TheoremId.PLOTKIN1, entry, entry)
+            failed = {r.requirement: r.evidence for r in app.records if not r.passed}
+            assert failed["P1"] == failed["V1"] == "Fails(syntactic; no designated binary)"
 
 
 class TestPlotkinGeneral:
@@ -151,7 +158,7 @@ class TestPlotkinGeneral:
             "jsl", "jsl", pt("mul(x1,x2)", "jsl"), pt("mul(x1,x2)", "jsl"),
             PermutationSpec.swap(),
         )
-        b = check_plotkin_binary("jsl", "jsl")
+        b = check_theorem(TheoremId.PLOTKIN1, "jsl", "jsl")
         assert g.applicable and b.applicable
 
     def test_ternary_join_under_a_three_cycle(self):
@@ -241,7 +248,7 @@ class TestPlotkinGeneral:
 
 class TestTooManyConstants:
     def test_monoid_over_two_exceptions(self):
-        app = check_too_many_constants("monoid", "exception:{a,b}")
+        app = check_theorem(TheoremId.TOO_MANY_CONSTANTS, "monoid", "exception:{a,b}")
         assert app.applicable
         assert app.theorem == TheoremId.TOO_MANY_CONSTANTS
 
@@ -250,7 +257,7 @@ class TestTooManyConstants:
         # x*0 = 0 puts an open term in the class of a closed one, so the
         # closed-stays-closed hypothesis fails and the theorem does not
         # apply to rings as stated.
-        app = check_too_many_constants("monoid", ring_entry())
+        app = check_theorem(TheoremId.TOO_MANY_CONSTANTS, "monoid", ring_entry())
         assert not app.applicable
         failed = [r for r in app.records if not r.passed]
         assert [r.requirement for r in failed] == ["T1"]
@@ -261,7 +268,7 @@ class TestTooManyConstants:
                           "two distinct constants"}
 
     def test_single_exception_has_no_wide_term(self):
-        app = check_too_many_constants("exception:{a}", "exception:{a,b}")
+        app = check_theorem(TheoremId.TOO_MANY_CONSTANTS, "exception:{a}", "exception:{a,b}")
         assert not app.applicable
         assert [r.requirement for r in app.records if not r.passed] == [
             "term with two free variables"
@@ -270,26 +277,26 @@ class TestTooManyConstants:
 
 class TestLackingAbides:
     def test_monoid_over_itself(self):
-        assert check_lacking_abides("monoid", "monoid").applicable
+        assert check_theorem(TheoremId.LACKING_ABIDES, "monoid", "monoid").applicable
 
     def test_unital_magma_over_itself(self):
-        assert check_lacking_abides("boom:U---", "boom:U---").applicable
+        assert check_theorem(TheoremId.LACKING_ABIDES, "boom:U---", "boom:U---").applicable
 
     def test_commutative_target_abides(self):
-        app = check_lacking_abides("monoid", "comm-monoid")
+        app = check_theorem(TheoremId.LACKING_ABIDES, "monoid", "comm-monoid")
         assert not app.applicable
         assert [r.requirement for r in app.records if not r.passed] == ["T4b"]
 
 
 class TestIdemUnits:
     def test_jsl_over_commutative_monoid(self):
-        assert check_idem_units("jsl", "comm-monoid").applicable
+        assert check_theorem(TheoremId.IDEM_UNITS, "jsl", "comm-monoid").applicable
 
     def test_jsl_over_itself(self):
-        assert check_idem_units("jsl", "jsl").applicable
+        assert check_theorem(TheoremId.IDEM_UNITS, "jsl", "jsl").applicable
 
     def test_non_idempotent_source_fails(self):
-        app = check_idem_units("comm-monoid", "monoid")
+        app = check_theorem(TheoremId.IDEM_UNITS, "comm-monoid", "monoid")
         assert not app.applicable
         assert [r.requirement for r in app.records if not r.passed] == ["S4b"]
 

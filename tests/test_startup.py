@@ -78,10 +78,11 @@ def setup_probe():
     return set(ran.split()), error_paths.split(), heavy.split(), dataclasses.split()
 
 
-def _ran_by(*argv):
-    """The monadlab modules that have run once the command `argv` ends."""
+def _ran_by(*argv, codes=(0, 1)):
+    """The monadlab modules that have run once the command `argv` ends with
+    one of the exit codes `codes`."""
     res = _python("-c", _COMMAND, *argv)
-    assert res.returncode in (0, 1), res.stderr
+    assert res.returncode in codes, res.stderr
     return set(res.stderr.strip().split("\n")[-1].split())
 
 
@@ -116,6 +117,16 @@ def test_checks_run_no_table_or_search_code(argv):
     ran = _ran_by(*argv)
     assert "cli" in ran
     assert ran & _TABLE_AND_SEARCH == set()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("prove-eq", "L", "x", "y"), 1),  # NOT EQUAL
+    (("normalize", "L", "mul("), 2),  # a usage error
+])
+def test_exits_run_no_monad_code(argv, code):
+    # leaving a command by `SystemExit` or a usage error runs no module the
+    # command did not
+    assert _ran_by(*argv, codes=(code,)) == {"cli", "terms", "theories"}
 
 
 def test_nogo_runs_no_search_code():

@@ -12,8 +12,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # the paper's general variable-counting theorem (Plotkin2) and the
 # permutation it is usually applied with. `verdict` runs its m = 2 instance,
-# `check_plotkin_binary`, whose records the printed claims pin, and the
-# general search refutes no pair beyond the binary one
+# the Plotkin1 row of `nogo._HYPOTHESES`, whose records the printed claims
+# pin, and the general search refutes no pair beyond the binary one
 EXCEPTIONS = {"check_plotkin_general", "PermutationSpec.swap"}
 
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monadlab import terms
 from monadlab.terms import (
     App,
     EqStatus,
@@ -323,10 +324,9 @@ def test_eq_bounded_medial_chain_depth3():
     assert eq_bounded(MIX, t1, t2, depth=3).status is EqStatus.EQUAL
 
 
-def test_eq_bounded_node_cap_reports_capped():
-    res = eq_bounded(
-        JSL, p("mul(x,mul(y,z))"), p("mul(mul(q,q),q)"), depth=6, node_cap=40
-    )
+def test_eq_bounded_node_cap_reports_capped(monkeypatch):
+    monkeypatch.setattr(terms, "_NODE_CAP", 40)
+    res = eq_bounded(JSL, p("mul(x,mul(y,z))"), p("mul(mul(q,q),q)"), depth=6)
     assert res.status is EqStatus.UNKNOWN
     assert res.capped
 
