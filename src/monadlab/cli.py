@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 when a checked property fails (law violation,
 refuted verdict, failed golden diff, unproved equation), 2 on usage or
-parse errors. Data output goes to stdout; timing goes to stderr so runs
-stay byte-stable.
+parse errors, 141 (128 + SIGPIPE) when the reader closes stdout before the
+output is written. Data output goes to stdout; timing goes to stderr so
+runs stay byte-stable.
 """
 
 from __future__ import annotations
@@ -333,8 +334,27 @@ def _parser() -> argparse.ArgumentParser:
     return root
 
 
+# the exit status when the reader of stdout closes it early
+CLOSED_PIPE = 141
+
+
 def main(argv=None) -> None:
-    """Run the command in `argv` (default: the process arguments)."""
+    """Run the command in `argv` (default: the process arguments). When the
+    reader of stdout closes it early (`monadlab theories list | head -1`),
+    stop writing and exit with `CLOSED_PIPE`: stdout then points at
+    `os.devnull`, so the interpreter's last flush cannot fail again, as
+    Python's `signal` documentation recommends."""
+    try:
+        try:
+            _run(argv)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(CLOSED_PIPE)
+
+
+def _run(argv) -> None:
     args, extra = _parser().parse_known_args(argv)
     if extra:  # reported with the usage of the command they were given to
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")

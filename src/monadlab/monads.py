@@ -807,36 +807,6 @@ def free_model_ops(theory_id: str, monad_id: str) -> dict:
     return {name: interpret(generic) for name, generic in monad.generics.items()}
 
 
-class _Evaluation(terms.Procedure):
-    """A free-model evaluation as a compositional semantics: variables to
-    their values in `env`, operations through their interpretations."""
-
-    def __init__(self, ops: dict, env: dict):
-        self.ops, self.env = ops, env
-
-    def var_key(self, name):
-        return self.env[name]
-
-    def app_key(self, op, child_keys):
-        return self.ops[op.name](*child_keys)
-
-
-class _Product(terms.Procedure):
-    """Pairs of keys of two procedures; compositional when both are."""
-
-    def __init__(self, first: terms.Procedure, second: terms.Procedure):
-        self.first, self.second = first, second
-
-    def var_key(self, name):
-        return self.first.var_key(name), self.second.var_key(name)
-
-    def app_key(self, op, child_keys):
-        return (
-            self.first.app_key(op, tuple(k[0] for k in child_keys)),
-            self.second.app_key(op, tuple(k[1] for k in child_keys)),
-        )
-
-
 class FreeModelReport:
     """Outcome of comparing a theory's free model with a monad."""
 
@@ -899,8 +869,8 @@ def free_model_iso_check(
         count = leaves + sum(count**op.arity for op in sig.ops if op.arity >= 1)
     report.term_count = count
 
-    base = _Evaluation(ops, {x: monad.unit(x) for x in labels})
-    proc = _Product(entry.procedure, base)
+    base = terms.Evaluation(ops, {x: monad.unit(x) for x in labels})
+    proc = terms.Product(entry.procedure, base)
     by_class: dict = {}  # key -> (first witness, values)
     for (key, val), bucket in terms.classes_by_closure(sig, proc, atoms, depth).items():
         by_class.setdefault(key, (next(iter(bucket.values())), set()))[1].add(val)
@@ -941,9 +911,9 @@ def free_model_iso_check(
             x: base.term_key(subst_images[(i + shift) % len(subst_images)])
             for i, x in enumerate(labels)
         }
-        direct = _Evaluation(ops, images)
-        outer = _Evaluation(ops, {x: monad.unit(v) for x, v in images.items()})
-        pairs = terms.classes_by_closure(sig, _Product(direct, outer), atoms, small_depth)
+        direct = terms.Evaluation(ops, images)
+        outer = terms.Evaluation(ops, {x: monad.unit(v) for x, v in images.items()})
+        pairs = terms.classes_by_closure(sig, terms.Product(direct, outer), atoms, small_depth)
         for (want, got), bucket in pairs.items():
             if monad.join(got) != want:
                 witness = terms.render(next(iter(bucket.values())))

@@ -7,7 +7,12 @@ prover goes through it, and so does the tests' validation of decision
 procedures against the axioms. A decision procedure (`Procedure`: normal
 forms or semantic evaluation) decides provable equality in one theory;
 `decide_eq` and `normalize` take the procedure itself, which
-`monadlab.theories` keeps on each theory's entry.
+`monadlab.theories` keeps on each theory's entry. The procedures of the
+registered theories are defined here too (`WordProc` ... `ReaderProc`,
+chosen for the Boom theories by `boom_procedure`), as are `Evaluation` and
+`Product`, the compositional semantics of the free-model checks. A process
+runs this module only when it reads a presentation, a procedure or a term:
+`monadlab.theories` builds its entries from here on first use.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import itertools
 import re
 from enum import Enum
+from fractions import Fraction
 from typing import Hashable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 __all__ = [
@@ -43,6 +49,18 @@ __all__ = [
     "Procedure",
     "decide_eq",
     "normalize",
+    "WordProc",
+    "MultisetProc",
+    "SetProc",
+    "BandProc",
+    "TreeProc",
+    "SyntacticProc",
+    "AbGroupProc",
+    "ConvexProc",
+    "ReaderProc",
+    "boom_procedure",
+    "Evaluation",
+    "Product",
 ]
 
 
@@ -300,11 +318,22 @@ class Presentation(_PresentationFields):
 # parsing
 
 
+# the characters of the input a parse error quotes on each side of its
+# position; `...` outside the quotes marks where the quote cuts the input
+_QUOTED = 32
+
+
 class ParseError(ValueError):
+    """Why and where `text` does not parse; the message quotes at most
+    `_QUOTED` characters of the input on each side of the position."""
+
     def __init__(self, message: str, text: str, pos: int):
         self.text = text
         self.pos = pos
-        super().__init__(f"{message} (at position {pos} in {text!r})")
+        start, end = max(pos - _QUOTED, 0), pos + _QUOTED
+        quoted = repr(text[start:end])
+        quoted = ("..." if start else "") + quoted + ("..." if end < len(text) else "")
+        super().__init__(f"{message} (at position {pos} in {quoted})")
 
 
 _ATOM = re.compile(r"[A-Za-z0-9_'.+*/-]+")
@@ -387,7 +416,7 @@ def parse_term(text: str, sig: Signature) -> Term:
     result = parse_one(0)
     skip_space()
     if pos < n:
-        raise fail(f"trailing input {text[pos:]!r}")
+        raise fail("trailing input")
     return result
 
 
@@ -656,3 +685,286 @@ def normalize(proc: Procedure, term: Term) -> Optional[Term]:
     """Canonical representative of the term's equivalence class; None when
     the procedure is decide-only (it has no normal forms)."""
     return proc.reify(proc.term_key(term))
+
+
+# ---------------------------------------------------------------------------
+# the procedures of the registered theories, and two combinators
+
+_UNIT_KEY = ("e",)
+
+
+def _right_nested(op: OpSymbol, parts: Sequence[Term]) -> Term:
+    """op(t1, op(t2, ... op(t(n-1), tn))) over the nonempty `parts`."""
+    out = parts[-1]
+    for t in reversed(parts[:-1]):
+        out = App(op, (t, out))
+    return out
+
+
+class WordProc(Procedure):
+    """Free monoid / semigroup: terms evaluate to words of variable names."""
+
+    def var_key(self, name: str) -> Hashable:
+        return (name,)
+
+    def app_key(self, op: OpSymbol, child_keys: tuple) -> Hashable:
+        if op.name == "e":
+            return ()
+        word: tuple = ()
+        for part in child_keys:
+            word += part
+        return word
+
+    def reify(self, key) -> Optional[Term]:
+        if not key:
+            return App(OpSymbol("e", 0), ())
+        return _right_nested(OpSymbol("mul", 2), [Var(name) for name in key])
+
+
+class MultisetProc(WordProc):
+    """Free commutative monoid / semigroup: sorted words."""
+
+    def app_key(self, op, child_keys):
+        word = super().app_key(op, child_keys)
+        return tuple(sorted(word))
+
+
+class SetProc(WordProc):
+    """Free commutative idempotent monoid / semigroup: sorted, deduplicated."""
+
+    def app_key(self, op, child_keys):
+        word = super().app_key(op, child_keys)
+        return tuple(sorted(set(word)))
+
+
+class BandProc(Procedure):
+    """Free band (idempotent semigroup), with or without a unit. Decide-only.
+
+    Keys are the classical invariants: content, plus recursively the longest
+    prefix missing one letter together with the letter that completes the
+    content, and the dual on the right. Multiplication of keys goes through a
+    memoized representative word per class, which is well defined because the
+    invariant is a semigroup congruence.
+    """
+
+    def __init__(self):
+        self._rep: dict[Hashable, tuple[str, ...]] = {}
+        self._memo: dict[tuple[str, ...], Hashable] = {}
+
+    def var_key(self, name: str) -> Hashable:
+        return self._intern((name,))
+
+    def app_key(self, op, child_keys):
+        if op.name == "e":
+            return self._intern(())
+        word: tuple[str, ...] = ()
+        for part in child_keys:
+            word += self._rep[part]
+        return self._intern(word)
+
+    def _intern(self, word: tuple[str, ...]) -> Hashable:
+        key = self._struct(word)
+        self._rep.setdefault(key, word)
+        return key
+
+    def _struct(self, word: tuple[str, ...]) -> Hashable:
+        cached = self._memo.get(word)
+        if cached is not None:
+            return cached
+        content = sorted(set(word))
+        if not word:
+            key: Hashable = ("0",)
+        elif len(content) == 1:
+            key = ("1", word[0])
+        else:
+            seen: set[str] = set()
+            for i, ch in enumerate(word):
+                seen.add(ch)
+                if len(seen) == len(content):
+                    break
+            prefix, first_new = word[:i], word[i]
+            seen = set()
+            for j in range(len(word) - 1, -1, -1):
+                seen.add(word[j])
+                if len(seen) == len(content):
+                    break
+            suffix, last_new = word[j + 1 :], word[j]
+            key = (
+                "n",
+                tuple(content),
+                self._struct(prefix),
+                first_new,
+                last_new,
+                self._struct(suffix),
+            )
+        self._memo[word] = key
+        return key
+
+
+class TreeProc(Procedure):
+    """Tree theories: the non-associative Boom flavors over `mul`/2 and the
+    unital n-ary node algebras over `node`/n, as bottom-up canonical trees.
+
+    A node with fewer than two non-unit children is that child, or the unit
+    (only theories with `e` have unit keys). Under idempotence equal
+    children collapse and under commutativity they are ordered; both are
+    binary axioms. Each rewrite system involved is terminating with joinable
+    critical pairs, so innermost normalization decides equality. `reify`
+    builds nodes with `op`.
+    """
+
+    def __init__(self, op: OpSymbol, comm: bool = False, idem: bool = False):
+        self.op, self.comm, self.idem = op, comm, idem
+
+    def var_key(self, name: str) -> Hashable:
+        return ("v", name)
+
+    def app_key(self, op, child_keys):
+        if op.name == "e":
+            return _UNIT_KEY
+        if len(child_keys) - child_keys.count(_UNIT_KEY) < 2:
+            return next((k for k in child_keys if k != _UNIT_KEY), _UNIT_KEY)
+        if self.idem and child_keys[0] == child_keys[1]:
+            return child_keys[0]
+        if self.comm and child_keys[1] < child_keys[0]:
+            return ("n", child_keys[1], child_keys[0])
+        return ("n", *child_keys)
+
+    def reify(self, key) -> Optional[Term]:
+        if key == _UNIT_KEY:
+            return App(OpSymbol("e", 0), ())
+        if key[0] == "v":
+            return Var(key[1])
+        return App(self.op, tuple(map(self.reify, key[1:])))
+
+
+class SyntacticProc(Procedure):
+    """Theories with no axioms: the term is its own normal form."""
+
+    def var_key(self, name):
+        return Var(name)
+
+    def app_key(self, op, child_keys):
+        return App(op, tuple(child_keys))
+
+    def reify(self, key):
+        return key
+
+
+class AbGroupProc(Procedure):
+    """Free Abelian group: integer coefficient vectors over variable names."""
+
+    def var_key(self, name):
+        return ((name, 1),)
+
+    def app_key(self, op, child_keys):
+        if op.name == "e":
+            return ()
+        if op.name == "inv":
+            return tuple((n, -c) for n, c in child_keys[0])
+        coeffs: dict[str, int] = {}
+        for part in child_keys:
+            for n, c in part:
+                coeffs[n] = coeffs.get(n, 0) + c
+        return tuple(sorted((n, c) for n, c in coeffs.items() if c != 0))
+
+    def reify(self, key):
+        if not key:
+            return App(OpSymbol("e", 0), ())
+        mul = OpSymbol("mul", 2)
+        inv = OpSymbol("inv", 1)
+        factors: list[Term] = []
+        for name, c in key:
+            atom: Term = Var(name)
+            if c < 0:
+                atom = App(inv, (atom,))
+            factors.extend([atom] * abs(c))
+        return _right_nested(mul, factors)
+
+
+class ConvexProc(Procedure):
+    """Even-weight mixtures evaluate to dyadic distributions over variables."""
+
+    def var_key(self, name):
+        return ((name, Fraction(1)),)
+
+    def app_key(self, op, child_keys):
+        weights: dict[str, Fraction] = {}
+        for part in child_keys:
+            for n, w in part:
+                weights[n] = weights.get(n, Fraction(0)) + w / 2
+        return tuple(sorted(weights.items()))
+
+    def reify(self, key):
+        denom = max(w.denominator for _, w in key)
+        leaves: list[str] = []
+        for name, w in key:
+            leaves.extend([name] * int(w * denom))
+
+        def build(chunk: list[str]) -> Term:
+            if len(chunk) == 1:
+                return Var(chunk[0])
+            half = len(chunk) // 2
+            return App(OpSymbol("mix", 2), (build(chunk[:half]), build(chunk[half:])))
+
+        return build(leaves)
+
+
+class ReaderProc(Procedure):
+    """Rectangular band with idempotence: terms evaluate to (first, last)."""
+
+    def var_key(self, name):
+        return (name, name)
+
+    def app_key(self, op, child_keys):
+        return (child_keys[0][0], child_keys[1][1])
+
+    def reify(self, key):
+        a, b = key
+        if a == b:
+            return Var(a)
+        return App(OpSymbol("mul", 2), (Var(a), Var(b)))
+
+
+def boom_procedure(assoc: bool, comm: bool, idem: bool) -> Procedure:
+    """The procedure of the Boom theory over `mul` with the flagged axioms
+    (a unit, if any, is decided by every one of them)."""
+    if assoc:
+        if idem and not comm:
+            return BandProc()
+        if comm and idem:
+            return SetProc()
+        if comm:
+            return MultisetProc()
+        return WordProc()
+    return TreeProc(OpSymbol("mul", 2), comm, idem)
+
+
+class Evaluation(Procedure):
+    """Evaluation in an algebra as a compositional semantics: variables to
+    their values in `env`, operations through the functions `ops` names."""
+
+    def __init__(self, ops: dict, env: dict):
+        self.ops, self.env = ops, env
+
+    def var_key(self, name):
+        return self.env[name]
+
+    def app_key(self, op, child_keys):
+        return self.ops[op.name](*child_keys)
+
+
+class Product(Procedure):
+    """Pairs of keys of two procedures; compositional when both are."""
+
+    def __init__(self, first: Procedure, second: Procedure):
+        self.first, self.second = first, second
+
+    def var_key(self, name):
+        return self.first.var_key(name), self.second.var_key(name)
+
+    def app_key(self, op, child_keys):
+        return (
+            self.first.app_key(op, tuple(k[0] for k in child_keys)),
+            self.second.app_key(op, tuple(k[1] for k in child_keys)),
+        )

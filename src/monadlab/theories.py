@@ -1,12 +1,17 @@
-"""Equational theories: registry, decision procedures, property certificates.
+"""Equational theories: registry and property certificates.
 
 Each theory entry bundles a finite presentation with the exact decision
 procedure for its provable equality (a required field: there is no entry
-without one), optional designated operations (a binary term over y1,y2 and
-a unit), and cached property certificates. `theory_entry` builds every
-built-in entry from its presentation and the texts of its designated
-terms. The registry maps theory ids and aliases to entries; it is filled
-once, at import, and an unregistered entry works all the same.
+without one; the procedures are defined in `monadlab.terms`), optional
+designated operations (a binary term over y1,y2 and a unit), and cached
+property certificates. `theory_entry` builds an entry from its
+presentation and the texts of its designated terms. The registry maps
+theory ids and aliases to entries; it is filled once, at import, and an
+unregistered entry works all the same. Every built-in entry is deferred:
+until its presentation, procedure or a designated term is first read, it
+holds only its id, label and aliases and the means to build the rest. So
+importing this module, `registry()` and `lookup_theory` parse nothing and
+run no `monadlab.terms`, and a process builds only the theories it reads.
 `lookup_theory` reads the registry and never writes it: the members of the
 parametric families `exception:{...}` and `narytree-theory:N` that are not
 registered come from cached constructors, one entry per label set or
@@ -33,24 +38,9 @@ from __future__ import annotations
 import functools
 import itertools
 from enum import Enum
-from fractions import Fraction
-from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional
 
-from monadlab.terms import (
-    App,
-    Equation,
-    OpSymbol,
-    Presentation,
-    Procedure,
-    Term,
-    Var,
-    decide_eq,
-    parse_term,
-    render,
-    signature,
-    substitute,
-    term_vars,
-)
+from monadlab import terms
 
 __all__ = [
     "BoomFlags",
@@ -100,17 +90,17 @@ class BoomFlags(NamedTuple):
 
 def presentation(
     tid: str, ops: Iterable[tuple[str, int]], axioms: Iterable[tuple[str, str, str]]
-) -> Presentation:
+) -> terms.Presentation:
     """The presentation over operations (name, arity) whose axioms are
     (lhs, rhs, name) texts in `parse_term` syntax."""
-    sig = signature(*ops)
-    return Presentation(tid, sig, tuple(
-        Equation(parse_term(lhs, sig), parse_term(rhs, sig), name)
+    sig = terms.signature(*ops)
+    return terms.Presentation(tid, sig, tuple(
+        terms.Equation(terms.parse_term(lhs, sig), terms.parse_term(rhs, sig), name)
         for lhs, rhs, name in axioms
     ))
 
 
-def boom_theory(flags: BoomFlags) -> Presentation:
+def boom_theory(flags: BoomFlags) -> terms.Presentation:
     """Presentation with exactly the flagged axioms over mul (and e if unital)."""
     axioms = [
         ("mul(e,x)", "x", "unitl"),
@@ -125,258 +115,11 @@ def boom_theory(flags: BoomFlags) -> Presentation:
 
 
 # ---------------------------------------------------------------------------
-# decision procedures
-
-_UNIT_KEY = ("e",)
-
-
-def _right_nested(op: OpSymbol, parts: Sequence[Term]) -> Term:
-    """op(t1, op(t2, ... op(t(n-1), tn))) over the nonempty `parts`."""
-    out = parts[-1]
-    for t in reversed(parts[:-1]):
-        out = App(op, (t, out))
-    return out
-
-
-class WordProc(Procedure):
-    """Free monoid / semigroup: terms evaluate to words of variable names."""
-
-    def var_key(self, name: str) -> Hashable:
-        return (name,)
-
-    def app_key(self, op: OpSymbol, child_keys: tuple) -> Hashable:
-        if op.name == "e":
-            return ()
-        word: tuple = ()
-        for part in child_keys:
-            word += part
-        return word
-
-    def reify(self, key) -> Optional[Term]:
-        if not key:
-            return App(OpSymbol("e", 0), ())
-        return _right_nested(OpSymbol("mul", 2), [Var(name) for name in key])
-
-
-class MultisetProc(WordProc):
-    """Free commutative monoid / semigroup: sorted words."""
-
-    def app_key(self, op, child_keys):
-        word = super().app_key(op, child_keys)
-        return tuple(sorted(word))
-
-
-class SetProc(WordProc):
-    """Free commutative idempotent monoid / semigroup: sorted, deduplicated."""
-
-    def app_key(self, op, child_keys):
-        word = super().app_key(op, child_keys)
-        return tuple(sorted(set(word)))
-
-
-class BandProc(Procedure):
-    """Free band (idempotent semigroup), with or without a unit. Decide-only.
-
-    Keys are the classical invariants: content, plus recursively the longest
-    prefix missing one letter together with the letter that completes the
-    content, and the dual on the right. Multiplication of keys goes through a
-    memoized representative word per class, which is well defined because the
-    invariant is a semigroup congruence.
-    """
-
-    def __init__(self):
-        self._rep: dict[Hashable, tuple[str, ...]] = {}
-        self._memo: dict[tuple[str, ...], Hashable] = {}
-
-    def var_key(self, name: str) -> Hashable:
-        return self._intern((name,))
-
-    def app_key(self, op, child_keys):
-        if op.name == "e":
-            return self._intern(())
-        word: tuple[str, ...] = ()
-        for part in child_keys:
-            word += self._rep[part]
-        return self._intern(word)
-
-    def _intern(self, word: tuple[str, ...]) -> Hashable:
-        key = self._struct(word)
-        self._rep.setdefault(key, word)
-        return key
-
-    def _struct(self, word: tuple[str, ...]) -> Hashable:
-        cached = self._memo.get(word)
-        if cached is not None:
-            return cached
-        content = sorted(set(word))
-        if not word:
-            key: Hashable = ("0",)
-        elif len(content) == 1:
-            key = ("1", word[0])
-        else:
-            seen: set[str] = set()
-            for i, ch in enumerate(word):
-                seen.add(ch)
-                if len(seen) == len(content):
-                    break
-            prefix, first_new = word[:i], word[i]
-            seen = set()
-            for j in range(len(word) - 1, -1, -1):
-                seen.add(word[j])
-                if len(seen) == len(content):
-                    break
-            suffix, last_new = word[j + 1 :], word[j]
-            key = (
-                "n",
-                tuple(content),
-                self._struct(prefix),
-                first_new,
-                last_new,
-                self._struct(suffix),
-            )
-        self._memo[word] = key
-        return key
-
-
-class TreeProc(Procedure):
-    """Tree theories: the non-associative Boom flavors over `mul`/2 and the
-    unital n-ary node algebras over `node`/n, as bottom-up canonical trees.
-
-    A node with fewer than two non-unit children is that child, or the unit
-    (only theories with `e` have unit keys). Under idempotence equal
-    children collapse and under commutativity they are ordered; both are
-    binary axioms. Each rewrite system involved is terminating with joinable
-    critical pairs, so innermost normalization decides equality. `reify`
-    builds nodes with `op`.
-    """
-
-    def __init__(self, op: OpSymbol, comm: bool = False, idem: bool = False):
-        self.op, self.comm, self.idem = op, comm, idem
-
-    def var_key(self, name: str) -> Hashable:
-        return ("v", name)
-
-    def app_key(self, op, child_keys):
-        if op.name == "e":
-            return _UNIT_KEY
-        if len(child_keys) - child_keys.count(_UNIT_KEY) < 2:
-            return next((k for k in child_keys if k != _UNIT_KEY), _UNIT_KEY)
-        if self.idem and child_keys[0] == child_keys[1]:
-            return child_keys[0]
-        if self.comm and child_keys[1] < child_keys[0]:
-            return ("n", child_keys[1], child_keys[0])
-        return ("n", *child_keys)
-
-    def reify(self, key) -> Optional[Term]:
-        if key == _UNIT_KEY:
-            return App(OpSymbol("e", 0), ())
-        if key[0] == "v":
-            return Var(key[1])
-        return App(self.op, tuple(map(self.reify, key[1:])))
-
-
-class SyntacticProc(Procedure):
-    """Theories with no axioms: the term is its own normal form."""
-
-    def var_key(self, name):
-        return Var(name)
-
-    def app_key(self, op, child_keys):
-        return App(op, tuple(child_keys))
-
-    def reify(self, key):
-        return key
-
-
-class AbGroupProc(Procedure):
-    """Free Abelian group: integer coefficient vectors over variable names."""
-
-    def var_key(self, name):
-        return ((name, 1),)
-
-    def app_key(self, op, child_keys):
-        if op.name == "e":
-            return ()
-        if op.name == "inv":
-            return tuple((n, -c) for n, c in child_keys[0])
-        coeffs: dict[str, int] = {}
-        for part in child_keys:
-            for n, c in part:
-                coeffs[n] = coeffs.get(n, 0) + c
-        return tuple(sorted((n, c) for n, c in coeffs.items() if c != 0))
-
-    def reify(self, key):
-        if not key:
-            return App(OpSymbol("e", 0), ())
-        mul = OpSymbol("mul", 2)
-        inv = OpSymbol("inv", 1)
-        factors: list[Term] = []
-        for name, c in key:
-            atom: Term = Var(name)
-            if c < 0:
-                atom = App(inv, (atom,))
-            factors.extend([atom] * abs(c))
-        return _right_nested(mul, factors)
-
-
-class ConvexProc(Procedure):
-    """Even-weight mixtures evaluate to dyadic distributions over variables."""
-
-    def var_key(self, name):
-        return ((name, Fraction(1)),)
-
-    def app_key(self, op, child_keys):
-        weights: dict[str, Fraction] = {}
-        for part in child_keys:
-            for n, w in part:
-                weights[n] = weights.get(n, Fraction(0)) + w / 2
-        return tuple(sorted(weights.items()))
-
-    def reify(self, key):
-        denom = max(w.denominator for _, w in key)
-        leaves: list[str] = []
-        for name, w in key:
-            leaves.extend([name] * int(w * denom))
-
-        def build(chunk: list[str]) -> Term:
-            if len(chunk) == 1:
-                return Var(chunk[0])
-            half = len(chunk) // 2
-            return App(OpSymbol("mix", 2), (build(chunk[:half]), build(chunk[half:])))
-
-        return build(leaves)
-
-
-class ReaderProc(Procedure):
-    """Rectangular band with idempotence: terms evaluate to (first, last)."""
-
-    def var_key(self, name):
-        return (name, name)
-
-    def app_key(self, op, child_keys):
-        return (child_keys[0][0], child_keys[1][1])
-
-    def reify(self, key):
-        a, b = key
-        if a == b:
-            return Var(a)
-        return App(OpSymbol("mul", 2), (Var(a), Var(b)))
-
-
-def _boom_procedure(flags: BoomFlags) -> Procedure:
-    if flags.assoc:
-        if flags.idem and not flags.comm:
-            return BandProc()
-        if flags.comm and flags.idem:
-            return SetProc()
-        if flags.comm:
-            return MultisetProc()
-        return WordProc()
-    return TreeProc(OpSymbol("mul", 2), flags.comm, flags.idem)
-
-
-# ---------------------------------------------------------------------------
 # theory entries and registry
+
+
+# the fields a deferred entry builds on the first read of any of them
+_BUILT = ("presentation", "procedure", "designated_binary", "designated_unit", "absorbing")
 
 
 class TheoryEntry:
@@ -389,18 +132,22 @@ class TheoryEntry:
     which an irregular presentation must have (`class_var_claim` builds
     class members with it). The certificate cache depends on the
     designated terms.
+
+    A deferred entry (`TheoryEntry.deferred`) holds only its id, label and
+    aliases until one of the other fields is read, and then builds them all
+    at once.
     """
 
     def __init__(
         self,
         theory_id: str,
-        presentation: Presentation,
+        presentation: terms.Presentation,
         label: str,
-        procedure: Procedure,
-        designated_binary: Optional[Term] = None,
-        designated_unit: Optional[Term] = None,
+        procedure: terms.Procedure,
+        designated_binary: Optional[terms.Term] = None,
+        designated_unit: Optional[terms.Term] = None,
         aliases: tuple[str, ...] = (),
-        absorbing: Optional[Term] = None,
+        absorbing: Optional[terms.Term] = None,
     ):
         self.theory_id, self.presentation, self.label = theory_id, presentation, label
         self.procedure = procedure
@@ -408,15 +155,41 @@ class TheoryEntry:
         self.aliases, self.absorbing = aliases, absorbing
         self._certificates: dict = {}
 
-    def binary_at(self, a: Term, b: Term) -> Term:
+    @classmethod
+    def deferred(cls, theory_id: str, label: str, aliases: tuple[str, ...],
+                 build: Callable[[], TheoryEntry]) -> TheoryEntry:
+        """The entry `theory_id` whose other fields are those of the entry
+        `build()` returns, built on the first read of any of them. The build
+        holds an irregular theory to the absorbing term `register_theory`
+        requires; a build that fails leaves the entry unbuilt."""
+        entry = cls.__new__(cls)
+        entry.theory_id, entry.label, entry.aliases = theory_id, label, aliases
+        entry._build = build
+        entry._certificates = {}
+        return entry
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute that is not set: a field of a
+        # deferred entry that is not built yet
+        build = vars(self).get("_build")
+        if build is None or name not in _BUILT:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        built = build()
+        _require_absorbing(self.theory_id, built)
+        for field in _BUILT:
+            setattr(self, field, getattr(built, field))
+        del self._build
+        return getattr(self, name)
+
+    def binary_at(self, a: terms.Term, b: terms.Term) -> terms.Term:
         if self.designated_binary is None:
             raise ValueError(f"{self.theory_id} has no designated binary operation")
-        return substitute(self.designated_binary, {"y1": a, "y2": b})
+        return terms.substitute(self.designated_binary, {"y1": a, "y2": b})
 
 
 def theory_entry(
-    pres: Presentation,
-    procedure: Procedure,
+    pres: terms.Presentation,
+    procedure: terms.Procedure,
     binary: Optional[str] = None,
     unit: Optional[str] = None,
     absorbing: Optional[str] = None,
@@ -427,7 +200,7 @@ def theory_entry(
     designated binary, designated unit and absorbing term given as texts
     over its signature. The label defaults to the name."""
 
-    def parsed(text: Optional[str]) -> Optional[Term]:
+    def parsed(text: Optional[str]) -> Optional[terms.Term]:
         return None if text is None else pres.parse(text)
 
     return TheoryEntry(pres.name, pres, label or pres.name, procedure,
@@ -440,22 +213,31 @@ _ALIASES: dict[str, str] = {}
 
 def register_theory(entry: TheoryEntry) -> TheoryEntry:
     """Add `entry` to the registry under its id and aliases. An irregular
-    theory needs an absorbing term that its procedure decides equal to x.
-    Every check comes first, so a rejected entry changes nothing."""
+    theory needs an absorbing term that its procedure decides equal to x;
+    a deferred entry is held to that when it is built. Every check comes
+    first, so a rejected entry changes nothing."""
     tid = entry.theory_id
     if tid in _REGISTRY:
         raise ValueError(f"theory {tid!r} already registered")
     for alias in entry.aliases:
         if _ALIASES.get(alias, tid) != tid:
             raise ValueError(f"alias {alias!r} already taken")
-    p = entry.absorbing
-    if not _regular(entry) and (
-        p is None or term_vars(p) != {"x", "y"} or not decide_eq(entry.procedure, p, Var("x"))
-    ):
-        raise ValueError(f"irregular theory {tid!r} needs an absorbing term p(x,y) = x")
+    if "_build" not in vars(entry):
+        _require_absorbing(tid, entry)
     _REGISTRY[tid] = entry
     _ALIASES.update(dict.fromkeys(entry.aliases, tid))
     return entry
+
+
+def _require_absorbing(tid: str, entry: TheoryEntry) -> None:
+    """Refuse the irregular theory `tid` unless `entry` has an absorbing
+    term p(x,y) that its procedure decides equal to x."""
+    p = entry.absorbing
+    if not _regular(entry) and (
+        p is None or terms.term_vars(p) != {"x", "y"}
+        or not terms.decide_eq(entry.procedure, p, terms.Var("x"))
+    ):
+        raise ValueError(f"irregular theory {tid!r} needs an absorbing term p(x,y) = x")
 
 
 def registry() -> tuple[TheoryEntry, ...]:
@@ -534,7 +316,7 @@ class PropertyCertificate(NamedTuple):
     def describe(self) -> str:
         inner = self.method if not self.detail else f"{self.method}; {self.detail}"
         if self.witness:
-            shown = ",".join(render(t) for t in self.witness)
+            shown = ",".join(terms.render(t) for t in self.witness)
             inner = f"{inner}; witness {shown}"
         return f"{self.status.value}({inner})"
 
@@ -551,15 +333,15 @@ _NEEDS = {
 }
 
 
-def _b12(entry: TheoryEntry) -> Term:
-    return entry.binary_at(Var("x1"), Var("x2"))
+def _b12(entry: TheoryEntry) -> terms.Term:
+    return entry.binary_at(terms.Var("x1"), terms.Var("x2"))
 
 
 # class-based properties: the probed class (None: every class with a closed
 # member), the fewest and the most variables a member may have (None: no
 # most), and the failure detail
 _CLOSED_STAYS_CLOSED = (lambda entry: None, 0, 0, "open term in a closed term's class")
-_VAR_STAYS_ITSELF = (lambda entry: Var("x1"), 0, 1, "foreign variable in a variable's class")
+_VAR_STAYS_ITSELF = (lambda entry: terms.Var("x1"), 0, 1, "foreign variable in a variable's class")
 _CLASS_PROPERTIES = {
     PropertyId.S1: _CLOSED_STAYS_CLOSED,
     PropertyId.T1: _CLOSED_STAYS_CLOSED,
@@ -628,12 +410,13 @@ def _check_property(entry, prop) -> PropertyCertificate:
             return PropertyCertificate(
                 prop, PropertyStatus.FAILS, "syntactic", detail="no constants to act as units"
             )
-        x = Var("x")
+        x = terms.Var("x")
         for op in builders:
             for c in sig.constants:
-                units = (App(c, ()),) * op.arity
-                if all(decide_eq(proc, App(op, units[:pos] + (x,) + units[pos + 1 :]), x)
-                       for pos in range(op.arity)):
+                units = (terms.App(c, ()),) * op.arity
+                at = (terms.App(op, units[:pos] + (x,) + units[pos + 1 :])
+                      for pos in range(op.arity))
+                if all(terms.decide_eq(proc, t, x) for t in at):
                     break
             else:
                 return PropertyCertificate(
@@ -655,14 +438,14 @@ def _check_property(entry, prop) -> PropertyCertificate:
     if prop is PropertyId.T4B:
         # holds when the interchange law is NOT provable
         lhs, rhs = _interchange(entry)
-        if decide_eq(proc, lhs, rhs):
+        if terms.decide_eq(proc, lhs, rhs):
             return PropertyCertificate(
                 prop, PropertyStatus.FAILS, _DECIDED, (lhs,), "interchange law is provable"
             )
         return PropertyCertificate(prop, PropertyStatus.HOLDS, _DECIDED)
 
     b, u = entry.binary_at, entry.designated_unit
-    x, x1, x2 = Var("x"), Var("x1"), Var("x2")
+    x, x1, x2 = terms.Var("x"), terms.Var("x1"), terms.Var("x2")
     if prop in (PropertyId.S4A, PropertyId.T4A):
         equations = ((b(u, x), x), (b(x, u), x))
     elif prop is PropertyId.P1:
@@ -670,17 +453,18 @@ def _check_property(entry, prop) -> PropertyCertificate:
     else:  # S4b, V1, P2: idempotence
         equations = ((b(x, x), x),)
     for lhs, rhs in equations:
-        if not decide_eq(proc, lhs, rhs):
+        if not terms.decide_eq(proc, lhs, rhs):
             return PropertyCertificate(prop, PropertyStatus.FAILS, _DECIDED, (lhs, rhs))
     return PropertyCertificate(prop, PropertyStatus.HOLDS, _DECIDED)
 
 
 def _regular(entry: TheoryEntry) -> bool:
     """Both sides of every axiom have the same variables."""
-    return all(term_vars(eq.lhs) == term_vars(eq.rhs) for eq in entry.presentation.equations)
+    return all(terms.term_vars(eq.lhs) == terms.term_vars(eq.rhs)
+               for eq in entry.presentation.equations)
 
 
-def class_vars(entry: TheoryEntry, term: Optional[Term]) -> Optional[frozenset[str]]:
+def class_vars(entry: TheoryEntry, term: Optional[terms.Term]) -> Optional[frozenset[str]]:
     """The variables that every member of `term`'s class contains, exactly;
     `term` None stands for any closed term.
 
@@ -692,7 +476,7 @@ def class_vars(entry: TheoryEntry, term: Optional[Term]) -> Optional[frozenset[s
     """
     if not _regular(entry):
         return None
-    return frozenset() if term is None else term_vars(term)
+    return frozenset() if term is None else terms.term_vars(term)
 
 
 _REGULAR = "regular presentation"
@@ -700,7 +484,7 @@ _ESSENTIAL = "essential variables"
 
 
 def class_var_claim(
-    entry: TheoryEntry, term: Optional[Term], least: int = 0, most: Optional[int] = None
+    entry: TheoryEntry, term: Optional[terms.Term], least: int = 0, most: Optional[int] = None
 ) -> tuple:
     """Whether every member of `term`'s class has at least `least` and at
     most `most` (None: any number of) variables; when `term` is None, every
@@ -731,23 +515,23 @@ def class_var_claim(
     if term is None:
         if not constants:
             return True, _VACUOUS, None, "no closed terms"
-        term = App(constants[0], ())
+        term = terms.App(constants[0], ())
     if most is None:
         method, member = _ESSENTIAL, _fewest_member(entry, term)
     else:
-        method = f"absorbing term {render(entry.absorbing)}"
+        method = f"absorbing term {terms.render(entry.absorbing)}"
         member = _widened_member(entry.absorbing, term, most + 1)
-    ok = fits(term_vars(member))
+    ok = fits(terms.term_vars(member))
     return ok, method, None if ok else (term, member), ""
 
 
-def _fresh_vars(term: Term):
+def _fresh_vars(term: terms.Term):
     """The variables x1, x2, ... that `term` does not use."""
-    used = term_vars(term)
-    return (Var(f"x{i}") for i in itertools.count(1) if f"x{i}" not in used)
+    used = terms.term_vars(term)
+    return (terms.Var(f"x{i}") for i in itertools.count(1) if f"x{i}" not in used)
 
 
-def _fewest_member(entry: TheoryEntry, term: Term) -> Term:
+def _fewest_member(entry: TheoryEntry, term: terms.Term) -> terms.Term:
     """A member of `term`'s class with the fewest variables.
 
     x is essential in `term` when the procedure refutes term = term[x := z]
@@ -759,27 +543,27 @@ def _fewest_member(entry: TheoryEntry, term: Term) -> Term:
     variables as any (Burris & Sankappanavar, A Course in Universal Algebra,
     1981).
     """
-    names = sorted(term_vars(term))
+    names = sorted(terms.term_vars(term))
     z = next(_fresh_vars(term))
     essential = [x for x in names
-                 if not decide_eq(entry.procedure, term, substitute(term, {x: z}))]
+                 if not terms.decide_eq(entry.procedure, term, terms.substitute(term, {x: z}))]
     constants = entry.presentation.signature.constants
     if essential:
-        into: Term = Var(essential[0])
+        into: terms.Term = terms.Var(essential[0])
     elif constants:
-        into = App(constants[0], ())
+        into = terms.App(constants[0], ())
     else:
-        into = Var(names[0])
-    return substitute(term, {x: into for x in names if x not in essential})
+        into = terms.Var(names[0])
+    return terms.substitute(term, {x: into for x in names if x not in essential})
 
 
-def _widened_member(absorbing: Term, term: Term, at_least: int) -> Term:
+def _widened_member(absorbing: terms.Term, term: terms.Term, at_least: int) -> terms.Term:
     """A member of `term`'s class with at least `at_least` variables:
     `term` under p(-, z) for fresh variables z, where p(x,y) = x."""
     member = term
-    extra = at_least - len(term_vars(term))
+    extra = at_least - len(terms.term_vars(term))
     for z in itertools.islice(_fresh_vars(term), max(extra, 0)):
-        member = substitute(absorbing, {"x": member, "y": z})
+        member = terms.substitute(absorbing, {"x": member, "y": z})
     return member
 
 
@@ -794,10 +578,10 @@ def _class_certificate(entry, prop) -> PropertyCertificate:
     return PropertyCertificate(prop, PropertyStatus.FAILS, method, witness, detail)
 
 
-def _interchange(entry: TheoryEntry) -> tuple[Term, Term]:
+def _interchange(entry: TheoryEntry) -> tuple[terms.Term, terms.Term]:
     """(y1*y2)*(y3*y4) = (y1*y3)*(y2*y4) over the designated binary."""
     b = entry.binary_at
-    y1, y2, y3, y4 = (Var(f"y{i}") for i in (1, 2, 3, 4))
+    y1, y2, y3, y4 = (terms.Var(f"y{i}") for i in (1, 2, 3, 4))
     return b(b(y1, y2), b(y3, y4)), b(b(y1, y3), b(y2, y4))
 
 
@@ -831,10 +615,37 @@ def _register_boom() -> None:
         for unital in (True, False):
             flags = BoomFlags(unital, "assoc" in names, "comm" in names, "idem" in names)
             display = label if unital else label + "+"
-            register_theory(theory_entry(
-                boom_theory(flags), _boom_procedure(flags), "mul(y1,y2)", "e" if unital else None,
-                label=display, aliases=(display,) + word_aliases[flags.theory_id],
-            ))
+            register_theory(_boom_builtin(flags, (display,) + word_aliases[flags.theory_id]))
+
+
+def _boom_builtin(flags: BoomFlags, aliases: tuple[str, ...]) -> TheoryEntry:
+    """The deferred entry of a Boom theory, labelled by its first alias."""
+
+    def build() -> TheoryEntry:
+        procedure = terms.boom_procedure(flags.assoc, flags.comm, flags.idem)
+        return theory_entry(boom_theory(flags), procedure, "mul(y1,y2)",
+                            "e" if flags.unital else None)
+
+    return TheoryEntry.deferred(flags.theory_id, aliases[0], aliases, build)
+
+
+def _builtin(
+    tid: str,
+    ops: tuple[tuple[str, int], ...],
+    axioms: tuple[tuple[str, str, str], ...],
+    procedure: Callable[[], terms.Procedure],
+    binary: Optional[str] = None,
+    unit: Optional[str] = None,
+    absorbing: Optional[str] = None,
+) -> TheoryEntry:
+    """The deferred entry of the presentation `tid` over `ops` with
+    `axioms` (see `presentation`), decided by `procedure()`, with the texts
+    of its designated terms (see `theory_entry`)."""
+
+    def build() -> TheoryEntry:
+        return theory_entry(presentation(tid, ops, axioms), procedure(), binary, unit, absorbing)
+
+    return TheoryEntry.deferred(tid, tid, (), build)
 
 
 def exception_labels(name: str) -> Optional[tuple[str, ...]]:
@@ -875,7 +686,7 @@ def exception_theory(labels: Iterable[str]) -> TheoryEntry:
 @functools.cache
 def _exception_theory(labels: tuple[str, ...]) -> TheoryEntry:
     tid = "exception:{" + ",".join(labels) + "}"
-    return theory_entry(presentation(tid, ((lbl, 0) for lbl in labels), ()), SyntacticProc())
+    return _builtin(tid, tuple((lbl, 0) for lbl in labels), (), lambda: terms.SyntacticProc())
 
 
 @functools.cache
@@ -888,16 +699,15 @@ def narytree_theory(n: int) -> TheoryEntry:
         args[pos] = "x"
         axioms.append((f"node({','.join(args)})", "x", f"prune{pos}"))
     pres = presentation(f"narytree-theory:{n}", (("node", n), ("e", 0)), axioms)
-    return theory_entry(pres, TreeProc(OpSymbol("node", n)),
+    return theory_entry(pres, terms.TreeProc(terms.OpSymbol("node", n)),
                         "node(y1,y2" + ",e" * (n - 2) + ")", "e")
 
 
 def _register_rest() -> None:
-    register_theory(theory_entry(presentation("pointed", (("bot", 0),), ()), SyntacticProc()))
+    register_theory(_builtin("pointed", (("bot", 0),), (), lambda: terms.SyntacticProc()))
     register_theory(exception_theory(("a",)))
     register_theory(exception_theory(("a", "b")))
-
-    abgroup = presentation(
+    register_theory(_builtin(
         "abgroup",
         (("mul", 2), ("inv", 1), ("e", 0)),
         (
@@ -913,11 +723,9 @@ def _register_rest() -> None:
             ("inv(mul(x,y))", "mul(inv(x),inv(y))", "inv-mul"),
             ("inv(e)", "e", "inv-unit"),
         ),
-    )
-    register_theory(theory_entry(abgroup, AbGroupProc(), "mul(y1,y2)", "e",
-                                 "mul(mul(x,y),inv(y))"))
-
-    convex = presentation(
+        lambda: terms.AbGroupProc(), "mul(y1,y2)", "e", "mul(mul(x,y),inv(y))",
+    ))
+    register_theory(_builtin(
         "convex",
         (("mix", 2),),
         (
@@ -925,19 +733,17 @@ def _register_rest() -> None:
             ("mix(x,y)", "mix(y,x)", "comm"),
             ("mix(mix(a,b),mix(c,d))", "mix(mix(a,c),mix(b,d))", "medial"),
         ),
-    )
-    register_theory(theory_entry(convex, ConvexProc(), "mix(y1,y2)"))
-
-    reader = presentation(
+        lambda: terms.ConvexProc(), "mix(y1,y2)",
+    ))
+    register_theory(_builtin(
         "reader:2",
         (("mul", 2),),
         (
             ("mul(x,x)", "x", "idem"),
             ("mul(mul(w,x),mul(y,z))", "mul(w,z)", "outer"),
         ),
-    )
-    register_theory(theory_entry(reader, ReaderProc(), "mul(y1,y2)",
-                                 absorbing="mul(x,mul(y,x))"))
+        lambda: terms.ReaderProc(), "mul(y1,y2)", absorbing="mul(x,mul(y,x))",
+    ))
 
 
 # table label orders, smallest to largest fragment

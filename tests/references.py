@@ -25,10 +25,11 @@ from monadlab.terms import (
     Rewriter,
     Term,
     Var,
+    _right_nested,
     enumerate_terms,
     eq_bounded,
 )
-from monadlab.theories import TheoryEntry, _right_nested, presentation, theory_entry
+from monadlab.theories import TheoryEntry, presentation, theory_entry
 
 
 # ---------------------------------------------------------------------------

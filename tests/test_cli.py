@@ -14,6 +14,7 @@ import pytest
 from cli_run import run_cli
 
 from monadlab import distlaws, monads, theories
+from monadlab.cli import CLOSED_PIPE
 from monadlab.hierarchy import golden_path
 from monadlab.terms import MAX_NESTING
 
@@ -337,6 +338,24 @@ class TestUsageErrors:
         res = run("prove-eq", "L", term, term)
         assert (res.exit_code, res.stdout) == (0, "EQUAL (decision procedure)\n")
 
+    def test_parse_errors_quote_a_bounded_slice_of_their_input(self, run):
+        # the monoid normal form of a balanced 512-leaf product nests 511
+        # deep, past the nesting cap, so it does not parse back
+        leaves = iter("xyz" * 171)
+
+        def balanced(depth):
+            if depth == 0:
+                return next(leaves)
+            return f"mul({balanced(depth - 1)},{balanced(depth - 1)})"
+
+        term = balanced(9)
+        nf = run("normalize", "L", term).stdout.strip()
+        assert len(nf) > 3000
+        res = run("prove-eq", "L", term, nf)
+        assert res.exit_code == 2
+        assert f"nest deeper than {MAX_NESTING} levels (at position 600 in ..." in res.stderr
+        assert len(res.stderr.encode()) < 300
+
     @pytest.mark.parametrize("args", [
         ("normalize", "narytree-theory:100000", "x"),
         ("law", "search", "narytree:100000", "list"),
@@ -379,6 +398,29 @@ class TestUsageErrors:
         assert res.stdout == ""
         assert res.stderr.startswith("usage: monadlab nogo ")
         assert "unrecognized arguments: extra" in res.stderr
+
+
+class TestClosedStdout:
+    # a reader that closes stdout before the output is written
+    # (`monadlab theories list | head -1`) ends the run without a traceback
+
+    @pytest.mark.parametrize("args", [
+        ("theories", "list"),
+        ("boom-table", "full"),
+        ("nogo", "T+", "C+"),
+        ("law", "search", "list", "list"),
+    ])
+    def test_closed_stdout_exits_with_the_documented_status(self, args):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            res = subprocess.run([sys.executable, "-m", "monadlab", *args], stdout=write_end,
+                                 stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=SRC),
+                                 text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in res.stderr
+        assert res.returncode == CLOSED_PIPE == 141
 
 
 class TestHelp:

@@ -3,8 +3,11 @@ imports monadlab first, so the import must not load what only error paths,
 file I/O or `law apply` use, nor `click`, `dataclasses` or `inspect`, and no
 monadlab class may be a dataclass, whose methods are generated at import.
 The subsystems load lazily, so a command or op runs only the modules it
-uses: a search runs no table code, and a check runs neither. Guarded by what
-is loaded and what has run instead of by a timing."""
+uses: a search runs no table code, and a check runs neither. The built-in
+theories are built on first read, so only a process that reads a
+presentation, a procedure or a term runs `terms`, and it builds only the
+theories it reads. Guarded by what is loaded, what has run and what is
+built instead of by a timing."""
 
 import os
 import subprocess
@@ -99,7 +102,7 @@ def test_cli_import_loads_no_click_dataclasses_or_inspect(setup_probe):
 
 def test_setup_op_runs_no_table_or_search_code(setup_probe):
     ran, _, _, _ = setup_probe
-    assert ran == {"cli", "distlaws", "monads", "terms", "theories", "values"}
+    assert ran == {"cli", "distlaws", "monads", "theories", "values"}
 
 
 def test_parser_runs_no_subsystem():
@@ -117,6 +120,28 @@ def test_checks_run_no_table_or_search_code(argv):
     ran = _ran_by(*argv)
     assert "cli" in ran
     assert ran & _TABLE_AND_SEARCH == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ("law", "check", "mset-cartesian"),
+    ("monad-laws", "list"),
+    ("law", "search", "list", "list"),
+])
+def test_checks_and_searches_run_no_term_code(argv):
+    assert "terms" not in _ran_by(*argv)
+
+
+def test_nogo_builds_only_its_two_theories():
+    # the ids of the registered theories that are built, after the command
+    probe = _RAN + """
+from monadlab.cli import main
+from monadlab import theories
+main(sys.argv[1:])
+print(*(e.theory_id for e in theories.registry() if "_build" not in vars(e)))
+"""
+    res = _python("-c", probe, "nogo", "T+", "C+")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip().split("\n")[-1].split() == ["boom:----", "boom:--C-"]
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -9,18 +9,19 @@ from references import ring_entry, validate_procedure_against_rewrites
 from monadlab import hierarchy, terms, theories
 from monadlab.terms import (
     App,
+    BandProc,
     OpSymbol,
     Rewriter,
     Var,
     decide_eq,
     normalize,
     parse_term,
+    render,
 )
 from monadlab.theories import (
     BOOM_EXTENDED,
     BOOM_FULL,
     BOOM_ORIGINAL,
-    BandProc,
     BoomFlags,
     PropertyId,
     PropertyStatus,
@@ -97,7 +98,7 @@ def test_unregistered_entries_leave_the_registry_alone():
         assert decide_eq(ring.procedure, pres.parse("times(x,zero)"), pres.parse("zero"))
     magma = boom_theory(BoomFlags(False, False, False, False))
     local = TheoryEntry("test:local-magma", magma, "magma",
-                        theories.TreeProc(magma.signature.op("mul")))
+                        terms.TreeProc(magma.signature.op("mul")))
     assert not decide_eq(local.procedure, magma.parse("mul(x,y)"), magma.parse("mul(y,x)"))
     assert check_property(local, PropertyId.T3).status is PropertyStatus.FAILS
     assert registry() == before
@@ -124,14 +125,14 @@ def test_unknown_theory_suggests():
 
 def test_theory_entry_reads_its_texts_over_the_signature():
     pres = boom_theory(BoomFlags(True, True, False, False))
-    entry = theories.theory_entry(pres, theories.WordProc(), "mul(y1,y2)", "e", label="L")
+    entry = theories.theory_entry(pres, terms.WordProc(), "mul(y1,y2)", "e", label="L")
     assert (entry.theory_id, entry.label, entry.aliases, entry.absorbing) == (
         "boom:UA--", "L", (), None)
     assert entry.designated_binary == App(pres.signature.op("mul"), (Var("y1"), Var("y2")))
     assert entry.designated_unit == App(pres.signature.op("e"), ())
-    assert theories.theory_entry(pres, theories.WordProc()).label == "boom:UA--"
+    assert theories.theory_entry(pres, terms.WordProc()).label == "boom:UA--"
     with pytest.raises(terms.ParseError):
-        theories.theory_entry(pres, theories.WordProc(), "inv(y1)")
+        theories.theory_entry(pres, terms.WordProc(), "inv(y1)")
 
 
 def test_exception_theories_on_demand():
@@ -841,3 +842,51 @@ def test_rejected_registration_changes_nothing():
         with pytest.raises(KeyError):
             lookup_theory("dup")
     assert lookup_theory("monoid").theory_id == "boom:UA--"
+
+
+def test_every_builtin_entry_builds_and_passes_the_registration_checks():
+    # a built-in entry is registered unbuilt; building it checks what
+    # registration checks of an entry that is built already
+    for entry in registry():
+        assert entry.presentation.name == entry.theory_id
+        assert isinstance(entry.procedure, terms.Procedure)
+        if class_vars(entry, Var("x")) is None:  # irregular
+            p = entry.absorbing
+            assert terms.term_vars(p) == {"x", "y"}, entry.theory_id
+            assert decide_eq(entry.procedure, p, Var("x")), entry.theory_id
+    # the registered exception theories are the family's members
+    assert exception_theory(("a",)) is lookup_theory("exception:{a}")
+    assert exception_theory(("b", "a")) is lookup_theory("exception:{a,b}")
+
+
+def test_a_deferred_entry_is_built_once_and_checked_on_first_read(monkeypatch):
+    monkeypatch.setattr(theories, "_REGISTRY", dict(theories._REGISTRY))
+    monkeypatch.setattr(theories, "_ALIASES", dict(theories._ALIASES))
+    builds = []
+
+    def leftzero(absorbing):
+        def build():
+            builds.append(absorbing)
+            pres = presentation("x:lazy", (("mul", 2),), (("mul(x,y)", "x", "leftzero"),))
+            return TheoryEntry("x:lazy", pres, "lazy", _LeftZeroProc(),
+                               pres.parse("mul(y1,y2)"), absorbing=pres.parse(absorbing))
+        return build
+
+    wrong = register_theory(TheoryEntry.deferred("x:lazy", "lazy", ("lazy",),
+                                                 leftzero("mul(y,x)")))
+    assert builds == [] and lookup_theory("lazy") is wrong
+    for _ in range(2):  # a failed build leaves the entry unbuilt
+        with pytest.raises(ValueError, match=r"^irregular theory 'x:lazy' needs an "
+                                             r"absorbing term p\(x,y\) = x$"):
+            wrong.procedure  # noqa: B018
+    assert builds == ["mul(y,x)"] * 2
+
+    right = TheoryEntry.deferred("x:lazy", "lazy", (), leftzero("mul(x,y)"))
+    assert (right.theory_id, right.label, right.aliases, builds) == (
+        "x:lazy", "lazy", (), ["mul(y,x)"] * 2)
+    assert right.designated_unit is None
+    assert render(right.absorbing) == "mul(x,y)"
+    assert check_property(right, PropertyId.V3).status is PropertyStatus.FAILS
+    assert builds == ["mul(y,x)"] * 2 + ["mul(x,y)"]
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        right.missing  # noqa: B018
