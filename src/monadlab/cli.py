@@ -5,11 +5,13 @@ refuted verdict, failed golden diff, unproved equation), 2 on usage or
 parse errors, 141 (128 + SIGPIPE) when the reader closes stdout before the
 output is written. Data output goes to stdout; timing goes to stderr so
 runs stay byte-stable.
+
+`argparse` is imported by `_parser()`, which every CLI run calls, and not
+at import: the benchmark ops import this module without parsing.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from pathlib import Path
@@ -81,6 +83,13 @@ def _report(report: _monads.LawReport) -> None:
 # usage error naming the argument
 
 
+def _invalid(message: str) -> Exception:
+    # argparse is loaded: only a parser built by `_parser()` calls these types
+    import argparse
+
+    return argparse.ArgumentTypeError(f"Invalid value: {message}")
+
+
 class _IntRange:
     """Integers in lo..hi, or at least lo when hi is None."""
 
@@ -92,11 +101,9 @@ class _IntRange:
         try:
             n = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"Invalid value: {text!r} is not a valid integer.") from None
+            raise _invalid(f"{text!r} is not a valid integer.") from None
         if n < self.lo or (self.hi is not None and n > self.hi):
-            raise argparse.ArgumentTypeError(
-                f"Invalid value: {n} is not in the range {self.span}.")
+            raise _invalid(f"{n} is not in the range {self.span}.")
         return n
 
 
@@ -106,8 +113,7 @@ def _choice(options):
     def parse(text: str) -> str:
         if text not in options:
             listed = ", ".join(repr(o) for o in options)
-            raise argparse.ArgumentTypeError(
-                f"Invalid value: {text!r} is not one of {listed}.")
+            raise _invalid(f"{text!r} is not one of {listed}.")
         return text
 
     return parse
@@ -115,11 +121,11 @@ def _choice(options):
 
 def _existing_file(text: str) -> str:
     if not os.path.exists(text):
-        raise argparse.ArgumentTypeError(f"Invalid value: File {text!r} does not exist.")
+        raise _invalid(f"File {text!r} does not exist.")
     if os.path.isdir(text):
-        raise argparse.ArgumentTypeError(f"Invalid value: File {text!r} is a directory.")
+        raise _invalid(f"File {text!r} is a directory.")
     if not os.access(text, os.R_OK):
-        raise argparse.ArgumentTypeError(f"Invalid value: File {text!r} is not readable.")
+        raise _invalid(f"File {text!r} is not readable.")
     return text
 
 
@@ -293,7 +299,10 @@ def _size_options(p, carrier: int, bound: int, carrier_help: str = "carrier size
     _int_option(p, "--bound", bound, _BOUND, "value size bound")
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser():
+    """The `argparse.ArgumentParser` of every command."""
+    import argparse
+
     root = argparse.ArgumentParser(
         prog="monadlab", allow_abbrev=False,
         description="Monads, equational theories, and distributive-law checking.")

@@ -9,7 +9,8 @@ the free-model comparisons rely on that.
 The registry of named monads is filled once, at import. `monad_for` only
 reads it: the exception and n-ary tree monads it does not hold come from
 cached constructors, so every spelling of one label set or width gives
-the same object.
+the same object. Filling it loads no `fractions`: the distribution monad
+makes its first exact weight when it is first used.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import functools
 import itertools
 import math
 import time
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from monadlab import terms, theories
@@ -539,6 +539,8 @@ _MAX_DENOMINATOR = 4
 def _weight_tuples(slots: int) -> list[tuple]:
     """All tuples of `slots` positive weights with small denominators summing
     to one, in lexicographic order over the ascending weight alphabet."""
+    from fractions import Fraction
+
     alphabet = sorted(
         {
             Fraction(p, q)
@@ -549,7 +551,7 @@ def _weight_tuples(slots: int) -> list[tuple]:
     allowed = set(alphabet)
     out: list[tuple] = []
 
-    def go(prefix: list, remaining: Fraction, left: int):
+    def go(prefix: list, remaining, left: int):
         if left == 1:
             if remaining in allowed:
                 out.append(tuple(prefix + [remaining]))
@@ -570,14 +572,25 @@ class DistMonad(WeightedMonad):
     built by join keep exact arbitrary-denominator weights. `mk_dist`
     checks that the weights of parsed and enumerated values sum to one;
     `fmap` and `bind` keep that sum, so they build without the check.
+    The unit weight and the `mix` generic are `Fraction`s, built on first
+    use so that the registry does not load `fractions`.
     """
 
     monad_id = "dist"
     theory_id = "convex"
-    generics = {"mix": ("dist", (("0", Fraction(1, 2)), ("1", Fraction(1, 2))))}
     tag = "dist"
-    one = Fraction(1)
     make = staticmethod(mk_dist)
+
+    @functools.cached_property
+    def one(self):
+        from fractions import Fraction
+
+        return Fraction(1)
+
+    @functools.cached_property
+    def generics(self):
+        half = self.one / 2
+        return {"mix": ("dist", (("0", half), ("1", half)))}
 
     def iter_values(self, carrier, bound):
         for s in range(1, bound + 1):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
 from monadlab import distlaws
@@ -473,6 +472,8 @@ def plotkin_refute_bounded() -> RefutationTrace:
     denominator-<=2 distributions satisfies all three, so no law of
     dist-over-powerset shape survives even in this fragment.
     """
+    from fractions import Fraction
+
     carrier = ("a", "b", "c", "d")
     dist = monad_for("dist")
     pset = monad_for("powerset")
@@ -509,20 +510,24 @@ def plotkin_refute_bounded() -> RefutationTrace:
     for name, f in renamings.items():
         constraints.append((name, f, forced_image(f)))
 
-    def push(f: dict, subset: tuple) -> Value:
-        return mk_set([dist.fmap(lambda x: f[x], d) for d in subset])
+    # each member of the universe with its image under every renaming, in
+    # the order of `constraints`: a subset's push is the set of its images
+    rows = [(d, *(dist.fmap(f.__getitem__, d) for _, f, _ in constraints))
+            for d in universe]
 
     eliminations = []
     survivors = []
     for r in range(len(universe) + 1):
-        for subset in itertools.combinations(universe, r):
+        for combo in itertools.combinations(rows, r):
             failed = tuple(
-                name for name, f, forced in constraints if push(f, subset) != forced
+                name for k, (name, _, forced) in enumerate(constraints, 1)
+                if mk_set([row[k] for row in combo]) != forced
             )
+            candidate = mk_set([row[0] for row in combo])
             if failed:
-                eliminations.append((mk_set(list(subset)), failed))
+                eliminations.append((candidate, failed))
             else:
-                survivors.append(mk_set(list(subset)))
+                survivors.append(candidate)
     return RefutationTrace(
         source,
         tuple(universe),

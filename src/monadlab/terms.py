@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import re
 from enum import Enum
-from fractions import Fraction
 from typing import Hashable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 __all__ = [
@@ -886,13 +885,16 @@ class ConvexProc(Procedure):
     """Even-weight mixtures evaluate to dyadic distributions over variables."""
 
     def var_key(self, name):
+        from fractions import Fraction
+
         return ((name, Fraction(1)),)
 
     def app_key(self, op, child_keys):
-        weights: dict[str, Fraction] = {}
+        # every weight is a Fraction, made by `var_key`
+        weights: dict = {}
         for part in child_keys:
             for n, w in part:
-                weights[n] = weights.get(n, Fraction(0)) + w / 2
+                weights[n] = weights.get(n, 0) + w / 2
         return tuple(sorted(weights.items()))
 
     def reify(self, key):

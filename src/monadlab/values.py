@@ -27,12 +27,17 @@ one shape, so no sort is needed either (`monads.FinMonad`).
 `memo(f)` is an unbounded `functools.lru_cache` of `f` for the life of one
 call (a Beck check, a law search): a repeated input is answered in C, and
 `cache_info()` counts inputs asked for (hits + misses) and computed (misses).
+
+Distribution weights are exact `fractions.Fraction`s. `fractions` (with the
+`decimal` and `numbers` it imports) is loaded by the code that makes a
+weight, `mk_dist` here, not at import: a process that builds no
+distribution never loads it.
 """
 
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
+import sys
 from typing import Callable, Iterable, Sequence, Union
 
 __all__ = [
@@ -65,7 +70,8 @@ _WEIGHTED_TAGS = ("mset", "dist", "grp")
 
 
 def canon_key(v: Value):
-    """Total order key over nested values (labels, containers, weights)."""
+    """Total order key over nested values (labels, containers, weights).
+    Any other atom, `None` or a float, raises TypeError."""
     # exact-class tests first: Fraction's metaclass is ABCMeta, which makes
     # isinstance against it slow on this hot path
     cls = v.__class__
@@ -74,7 +80,11 @@ def canon_key(v: Value):
     if cls is not tuple:
         if isinstance(v, str):
             return (0, v)
-        if isinstance(v, (int, Fraction)):
+        if isinstance(v, int):
+            return (1, v)
+        # a Fraction exists only once `fractions` is loaded
+        fractions = sys.modules.get("fractions")
+        if fractions is not None and isinstance(v, fractions.Fraction):
             return (1, v)
     if v and v[0] in _WEIGHTED_TAGS:
         inner = ((0, v[0]),) + tuple((canon_key(x), -n) for x, n in v[1])
@@ -137,6 +147,8 @@ def mk_set(items: Iterable[Value]) -> Value:
 
 
 def mk_dist(entries: Iterable[tuple]) -> Value:
+    from fractions import Fraction
+
     weights: dict = {}
     for x, w in entries:
         weights[x] = weights.get(x, Fraction(0)) + Fraction(w)

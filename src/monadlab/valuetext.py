@@ -7,7 +7,8 @@ container layers outside-in and bare labels at the bottom. Within a tree
 layer `<` always opens this layer's node, of exactly the tree's width, and
 `e` / `bot` / `err` / `ok` are reserved by the layer that uses them: `e` is
 the unit leaf of the tree monads that have one, and a label under bintree.
-Brackets nest at most `terms.MAX_NESTING` deep.
+Brackets nest at most `terms.MAX_NESTING` deep. An error message quotes at
+most `_QUOTED` characters of a token or of the trailing input.
 """
 
 import re
@@ -51,6 +52,17 @@ class ValueSyntaxError(ValueError):
     pass
 
 
+# the characters of input text an error message quotes; `...` after the
+# quote marks where it cuts the text
+_QUOTED = 32
+
+
+def _quote(text: str) -> str:
+    if len(text) <= _QUOTED:
+        return repr(text)
+    return repr(text[:_QUOTED]) + "..."
+
+
 _PUNCT = set("[]{}<>(),:")
 _TOKEN_RE = re.compile(r"[\[\]{}<>(),:]|[^\[\]{}<>(),:\s]+")
 _LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -80,7 +92,7 @@ class _Tokens:
     def expect(self, want: str):
         tok = self.next(repr(want))
         if tok != want:
-            raise ValueSyntaxError(f"expected {want!r}, found {tok!r}")
+            raise ValueSyntaxError(f"expected {want!r}, found {_quote(tok)}")
 
     def done(self) -> bool:
         return self.pos >= len(self.items)
@@ -89,7 +101,7 @@ class _Tokens:
 def _label(tokens: _Tokens) -> str:
     tok = tokens.next("a label")
     if tok in _PUNCT or not _LABEL_RE.match(tok):
-        raise ValueSyntaxError(f"expected a label, found {tok!r}")
+        raise ValueSyntaxError(f"expected a label, found {_quote(tok)}")
     return tok
 
 
@@ -113,7 +125,7 @@ def _number(tokens: _Tokens, kind: str):
             return int(tok)
         return Fraction(tok)
     except (ValueError, ZeroDivisionError):
-        raise ValueSyntaxError(f"expected {kind}, found {tok!r}") from None
+        raise ValueSyntaxError(f"expected {kind}, found {_quote(tok)}") from None
 
 
 def _weighted(tokens: _Tokens, inner, kind: str) -> list:
@@ -182,7 +194,7 @@ def _layer(tokens: _Tokens, monads: tuple, i: int) -> Value:
             tokens.expect(")")
             if label not in m.labels:
                 raise ValueSyntaxError(
-                    f"unknown error label {label!r}; this monad raises "
+                    f"unknown error label {_quote(label)}; this monad raises "
                     f"{', '.join(m.labels)}"
                 )
             return mk_err(label)
@@ -220,5 +232,5 @@ def parse_layered(text: str, monads: Sequence[Union[str, FinMonad]]) -> Value:
     tokens = _Tokens(text)
     v = _layer(tokens, _resolve(monads), 0)
     if not tokens.done():
-        raise ValueSyntaxError(f"trailing input {' '.join(tokens.items[tokens.pos:])!r}")
+        raise ValueSyntaxError(f"trailing input {_quote(' '.join(tokens.items[tokens.pos:]))}")
     return v

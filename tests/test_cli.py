@@ -377,6 +377,12 @@ class TestUsageErrors:
         assert res.exit_code == 2
         assert f"nest deeper than {MAX_NESTING} levels" in res.stderr
 
+    def test_value_errors_quote_a_bounded_slice_of_their_input(self, run):
+        res = run("law", "apply", "mset-cartesian", "{{a:1}:1} " + "a," * 2000)
+        assert res.exit_code == 2
+        assert "trailing input 'a , a , a , a , a , a , a , a , '..." in res.stderr
+        assert len(res.stderr.encode()) < 300
+
     def test_usage_error_writes_nothing_to_stdout(self, run):
         res = run("normalize", "nosuch", "x1")
         assert res.exit_code == 2

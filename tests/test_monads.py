@@ -60,6 +60,26 @@ def test_canon_key_orders_mixed_values():
     assert ordered[:2] == ["a", "b"]  # labels before containers
 
 
+@pytest.mark.parametrize("atom,key", [
+    ("a", (0, "a")),
+    (3, (1, 3)),
+    (True, (1, True)),
+    (Fraction(1, 2), (1, Fraction(1, 2))),
+])
+def test_canon_key_accepts_labels_ints_and_fractions(atom, key):
+    assert canon_key(atom) == key
+
+
+@pytest.mark.parametrize("atom", [None, 0.5, 0.0, object()])
+def test_canon_key_refuses_any_other_atom(atom):
+    # the naturality renames of `check_beck` at carrier 3 send a letter to
+    # None; the TypeError is how that check fails
+    with pytest.raises(TypeError):
+        canon_key(atom)
+    with pytest.raises(TypeError):
+        canon_key(("list", "a", atom))
+
+
 def test_mset_value_order_label_asc_count_desc():
     # {a:2} < {a:1,b:1} < {b:2}: ties on label break by larger count first
     a2 = mk_mset(entries=[("a", 2)])

@@ -2,6 +2,8 @@
 imports monadlab first, so the import must not load what only error paths,
 file I/O or `law apply` use, nor `click`, `dataclasses` or `inspect`, and no
 monadlab class may be a dataclass, whose methods are generated at import.
+Nor may it load `argparse`, which only a parser uses, or `fractions`, which
+only a distribution weight does (each with the stdlib modules it imports).
 The subsystems load lazily, so a command or op runs only the modules it
 uses: a search runs no table code, and a check runs neither. The built-in
 theories are built on first read, so only a process that reads a
@@ -13,6 +15,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -30,19 +33,27 @@ def ran():
                   if name.startswith("monadlab.") and type(mod) is types.ModuleType)
 """
 
+# the stdlib modules that only parsing and exact weights use: `argparse`
+# with `gettext`, `fractions` with `decimal` and `numbers`
+_PARSE_AND_WEIGHT = ("argparse", "gettext", "fractions", "decimal", "numbers")
+
 # the imports and registry builds of the benchmark worker's setup op and the
-# imports of its op table; then which monadlab modules have run; then, once
-# every module of the op table has run, which error-path and heavy stdlib
-# modules are loaded and which monadlab classes are dataclasses (a dataclass
-# carries `__dataclass_fields__`)
-_PROBE = _RAN + """
+# imports of its op table; then which monadlab modules have run and which
+# parse and weight modules are loaded; then, once every subsystem module has
+# run, which parse and weight, error-path and heavy stdlib modules are loaded
+# and which monadlab classes are dataclasses (a dataclass carries
+# `__dataclass_fields__`)
+_PROBE = _RAN + f"""
+_PARSE_AND_WEIGHT = {_PARSE_AND_WEIGHT!r}
 import monadlab.cli
 from monadlab import distlaws, monads, theories
 theories.registry(); monads.monad_ids(); distlaws.law_ids()
-from monadlab import distlaws, hierarchy, lawsearch, monads, nogo, theories
+from monadlab import distlaws, hierarchy, lawsearch, monads, nogo, terms, theories
 print(*ran())
-for mod in (distlaws, hierarchy, lawsearch, monads, nogo, theories):
+print(*(m for m in _PARSE_AND_WEIGHT if m in sys.modules))
+for mod in (distlaws, hierarchy, lawsearch, monads, nogo, terms, theories):
     vars(mod)
+print(*(m for m in _PARSE_AND_WEIGHT if m in sys.modules))
 print(*(m for m in ("difflib", "json", "csv", "monadlab.valuetext") if m in sys.modules))
 print(*(m for m in ("click", "dataclasses", "inspect") if m in sys.modules))
 print(*sorted(
@@ -71,14 +82,21 @@ def _python(*args):
                           capture_output=True, text=True, timeout=60)
 
 
+class _SetupProbe(NamedTuple):
+    ran: set  # monadlab modules run by the setup op
+    setup_loads: list  # parse and weight modules it loads
+    modules_load: list  # those loaded once every subsystem module has run
+    error_paths: list  # error-path modules loaded then
+    heavy: list  # heavy modules loaded then
+    dataclasses: list  # monadlab dataclasses then
+
+
 @pytest.fixture(scope="module")
 def setup_probe():
-    """(monadlab modules run after the setup op; error-path and heavy
-    modules loaded and monadlab dataclasses once all have run)."""
     res = _python("-c", _PROBE)
     assert res.returncode == 0, res.stderr
-    ran, error_paths, heavy, dataclasses = res.stdout.split("\n")[:4]
-    return set(ran.split()), error_paths.split(), heavy.split(), dataclasses.split()
+    ran, *loaded = res.stdout.split("\n")[:6]
+    return _SetupProbe(set(ran.split()), *(line.split() for line in loaded))
 
 
 def _ran_by(*argv, codes=(0, 1)):
@@ -90,25 +108,35 @@ def _ran_by(*argv, codes=(0, 1)):
 
 
 def test_cli_import_loads_no_error_path_modules(setup_probe):
-    _, error_paths, _, _ = setup_probe
-    assert error_paths == []
+    assert setup_probe.error_paths == []
 
 
 def test_cli_import_loads_no_click_dataclasses_or_inspect(setup_probe):
-    _, _, heavy, dataclasses = setup_probe
-    assert heavy == []
-    assert dataclasses == []
+    assert setup_probe.heavy == []
+    assert setup_probe.dataclasses == []
 
 
 def test_setup_op_runs_no_table_or_search_code(setup_probe):
-    ran, _, _, _ = setup_probe
-    assert ran == {"cli", "distlaws", "monads", "theories", "values"}
+    assert setup_probe.ran == {"cli", "distlaws", "monads", "theories", "values"}
+
+
+def test_setup_op_and_subsystem_modules_load_no_parser_or_fractions(setup_probe):
+    assert setup_probe.setup_loads == []
+    assert setup_probe.modules_load == []
 
 
 def test_parser_runs_no_subsystem():
-    res = _python("-c", _RAN + "from monadlab.cli import _parser; _parser(); print(*ran())")
+    res = _python("-c", _RAN + "from monadlab.cli import _parser; _parser(); print(*ran()); "
+                               "print('argparse' in sys.modules)")
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["cli"]
+    assert res.stdout.split("\n")[:2] == ["cli", "True"]
+
+
+def test_a_distribution_check_loads_fractions():
+    probe = _COMMAND + "print(*(m for m in ('argparse', 'fractions') if m in sys.modules))"
+    res = _python("-c", probe, "law", "check", "exception-over:dist")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip().split("\n")[-1].split() == ["argparse", "fractions"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -157,6 +157,19 @@ class TestErrors:
         with pytest.raises(ValueSyntaxError, match="expected '\\{'"):
             parse_layered("{a:1}", ("multiset", "multiset"))
 
+    @pytest.mark.parametrize("text,monad,fragment", [
+        ("x" * 1000, "list", "expected '\\[', found 'x{32}'...$"),
+        ("[" + "-" * 1000 + "]", "list", "expected a label, found '-{32}'...$"),
+        ("{a:" + "x" * 1000 + "}", "multiset", "expected an integer, found 'x{32}'...$"),
+        ("err(" + "c" * 1000 + ")", "exception:{a}", "unknown error label 'c{32}'...;"),
+        ("[a] " + "b " * 1000, "list", "^trailing input '(b ){16}'...$"),
+        # short input is quoted whole
+        ("[a] b", "list", "^trailing input 'b'$"),
+    ], ids=["token", "label", "number", "error-label", "trailing", "short"])
+    def test_errors_quote_at_most_32_characters_of_input(self, text, monad, fragment):
+        with pytest.raises(ValueSyntaxError, match=fragment):
+            parse_layered(text, (monad,))
+
     def test_syntax_errors_are_value_errors(self):
         # callers catching ValueError keep working
         with pytest.raises(ValueError):
