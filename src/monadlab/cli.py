@@ -176,7 +176,11 @@ def prove_eq(args):
     if res.status is _terms.EqStatus.EQUAL:
         print(f"EQUAL (bounded search, depth {depth}, {res.steps} steps)")
         return
-    print(f"NOT PROVED (bounded search, depth {depth})")
+    if res.capped:  # the search visits at most `terms._NODE_CAP` terms
+        print(f"NOT PROVED (bounded search stopped at the node cap of {res.explored:,} "
+              f"terms, before depth {depth})")
+    else:
+        print(f"NOT PROVED (bounded search, depth {depth})")
     sys.exit(1)
 
 

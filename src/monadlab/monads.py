@@ -28,7 +28,6 @@ from monadlab.values import (
     format_value,
     letters,
     mk_dist,
-    mk_grp,
     mk_mset,
     mk_nnode,
     mk_set,
@@ -39,6 +38,7 @@ __all__ = [
     "FinMonad",
     "NoMonadError",
     "MAX_POOL",
+    "NESTED_CAPS",
     "PoolTooLargeError",
     "ListMonad",
     "MultisetMonad",
@@ -65,9 +65,8 @@ class NoMonadError(Exception):
 
 
 # the most values one pool may hold. A bound has no upper limit, so a pool
-# is refused as soon as one value more is listed or counted. The largest
-# pool that tests pin, T over T of exception-over:narytree:3 at bound 3, has
-# 625,697 values; law search caps its inputs at the same number.
+# is refused as soon as one value more is listed. Law search caps its
+# inputs at the same number.
 MAX_POOL = 1_000_000
 
 
@@ -100,26 +99,26 @@ class FinMonad:
 
     Two optional views feed the choice laws of `distlaws`. A commutative
     monad T defines `weighted(v)`, its elements and their weights as two
-    tuples in `canon_key` order, and two inverses: `from_weighted(entries)`
-    sums the weights of repeated (element, weight) entries and sorts, while
-    `from_canonical(xs, ws)` wraps elements that are already distinct and
-    in `canon_key` order. A linear monad S (each element occurrence sits at
-    its own position) defines `choose(v, t)`: the T combination of every S
-    value that picks one element of T at each position of `v`, weighted by
-    the product of the picked weights. Positional S (list, the trees) build
-    the picks by their own structure. All picks of `v` share its shape, so
-    a pick is fixed by its elements and no two coincide; taking each
+    tuples in `canon_key` order, and its inverse `from_canonical(xs, ws)`,
+    which wraps elements that are already distinct and in `canon_key`
+    order. A linear monad S (each element occurrence sits at its own
+    position) defines `choose(v, t)`: the T combination of every S value
+    that picks one element of T at each position of `v`, weighted by the
+    product of the picked weights. Positional S (list, the trees) build the
+    picks by their own structure. All picks of `v` share its shape, so a
+    pick is fixed by its elements and no two coincide; taking each
     position's elements in order and the positions in product order lists
     the picks lexicographically over their leaves, which is `canon_key`
-    order. So they need no merge and no sort. Multiset S sorts each pick
-    into a multiset; that map is not injective, so its picks merge.
+    order. So they need no merge and no sort. Multiset S chooses over the
+    list of its members, then maps each pick to a multiset with T's `fmap`;
+    that map is not injective, so its picks merge there.
 
     A monad that names a theory maps each of its operations, in `generics`,
     to the operation's generic element: a value over the argument positions
     "0", "1", ... `free_model_ops` derives the free models' operations.
 
-    `enumerate` lists a pool and `count` counts one without listing it; both
-    raise PoolTooLargeError past `MAX_POOL` values.
+    `enumerate` lists a pool, raising PoolTooLargeError past `MAX_POOL`
+    values.
     """
 
     monad_id: str = ""
@@ -152,20 +151,11 @@ class FinMonad:
 
     def enumerate(self, carrier: Sequence[Value], bound: int) -> list:
         pool = list(itertools.islice(self.iter_values(carrier, bound), MAX_POOL + 1))
-        self._within_cap(len(pool), carrier, bound)
-        return pool
-
-    def count(self, carrier: Sequence[Value], bound: int) -> int:
-        """How many values `enumerate` lists, without listing them."""
-        values = itertools.islice(self.iter_values(carrier, bound), MAX_POOL + 1)
-        return self._within_cap(sum(1 for _ in values), carrier, bound)
-
-    def _within_cap(self, n: int, carrier: Sequence[Value], bound: int) -> int:
-        if n > MAX_POOL:
+        if len(pool) > MAX_POOL:
             raise PoolTooLargeError(
                 f"{self.monad_id} values over {len(carrier)} elements up to size {bound}: "
                 f"more than {MAX_POOL:,} (the pool cap)")
-        return n
+        return pool
 
     def __repr__(self) -> str:
         return f"<FinMonad {self.monad_id}>"
@@ -240,14 +230,12 @@ class WeightedMonad(FinMonad):
     """Finite formal combinations (tag, ((x, w), ...)) with nonzero weights:
     counts (multiset), convex weights (dist) or integers (abgroup), the
     commutative setting of Manes & Mulry 2007, Thm 4.3.4. Subclasses set
-    `tag`, the unit weight `one` and the canonical constructor `make`.
-    The `fmap` and `bind` of valid values give valid values, so here they
-    sum the weights into one dict and sort it once, without `make`'s
-    checks."""
+    `tag` and the unit weight `one`. The `fmap` and `bind` of valid values
+    give valid values, so here they sum the weights into one dict and sort
+    it once, without the checks of the `values` constructors."""
 
     tag: str = ""
     one = 1
-    make: Callable = None
 
     def unit(self, x):
         return (self.tag, ((x, self.one),))
@@ -272,9 +260,6 @@ class WeightedMonad(FinMonad):
     def weighted(self, v):
         return tuple(zip(*v[1])) or ((), ())
 
-    def from_weighted(self, entries):
-        return self.make(entries)
-
     def from_canonical(self, xs, ws):
         return (self.tag, tuple(zip(xs, ws)))
 
@@ -284,17 +269,13 @@ class MultisetMonad(WeightedMonad):
     theory_id = "boom:UAC-"
     generics = {"mul": ("mset", (("0", 1), ("1", 1))), "e": ("mset", ())}
     tag = "mset"
-    make = functools.partial(mk_mset, ())
 
     def members(self, v):
         return tuple(x for x, n in v[1] for _ in range(n))
 
     def choose(self, v, t):
-        if not v[1]:
-            return t.unit(v)
-        xs, ws = zip(*map(t.weighted, self.members(v)))
-        picks = map(mk_mset, itertools.product(*xs))
-        return t.from_weighted(zip(picks, map(math.prod, itertools.product(*ws))))
+        picks = _choose_positional(self, ("list", *self.members(v)), t)
+        return t.fmap(lambda pick: mk_mset(pick[1:]), picks)
 
     def iter_values(self, carrier, bound):
         for s in range(bound + 1):
@@ -324,9 +305,6 @@ class PowersetMonad(FinMonad):
 
     def weighted(self, v):
         return v[1:], (1,) * (len(v) - 1)
-
-    def from_weighted(self, entries):
-        return mk_set(x for x, _ in entries)
 
     def from_canonical(self, xs, ws):
         return ("set", *xs)
@@ -413,21 +391,6 @@ class NaryTreeMonad(FinMonad):
             for v in layer:
                 kept.append(v)
                 yield v
-
-    def count(self, carrier, bound):
-        # the size of each layer of `iter_values`, from the smaller ones
-        sizes: list[int] = []
-        for s in range(bound + 1):
-            if s == 0:
-                n = len(self.units)
-            elif s == 1:
-                n = len(carrier)
-            else:
-                n = sum(math.prod(sizes[part] for part in split) for split in self._splits(s))
-            sizes.append(n)
-            if sum(sizes) > MAX_POOL:
-                break
-        return self._within_cap(sum(sizes), carrier, bound)
 
     def _splits(self, s):
         # the splits of s into `width` child sizes, in lexicographic order:
@@ -579,7 +542,6 @@ class DistMonad(WeightedMonad):
     monad_id = "dist"
     theory_id = "convex"
     tag = "dist"
-    make = staticmethod(mk_dist)
 
     @functools.cached_property
     def one(self):
@@ -611,7 +573,6 @@ class AbGroupMonad(WeightedMonad):
         "inv": ("grp", (("0", -1),)),
     }
     tag = "grp"
-    make = staticmethod(mk_grp)
 
     def size(self, v):
         return sum(abs(c) for _, c in v[1])
@@ -703,6 +664,12 @@ def monad_for(monad_id: str) -> FinMonad:
 # violations recorded per report; the counts in `checked` stay complete
 _MAX_VIOLATIONS = 1000
 
+# the sizes of the enumeration prefixes that serve as the carriers of the
+# nested pools: the second level of `check_monad_laws` and `check_beck`
+# takes the first NESTED_CAPS[0] values of the single-level pool, the third
+# level the first NESTED_CAPS[1] values over those
+NESTED_CAPS = (32, 12)
+
 
 class LawReport:
     """Bounded check of named conditions (monad laws or Beck conditions) on
@@ -719,19 +686,12 @@ class LawReport:
 
     def pool(self, name: str, monad: FinMonad, carrier: Sequence[Value]) -> list:
         """`monad`'s values over `carrier` up to the bound, as the pool `name`."""
-        values = self._sized(name, monad.enumerate, carrier)
-        self.pool_sizes[name] = len(values)
-        return values
-
-    def count(self, name: str, monad: FinMonad, carrier: Sequence[Value]) -> None:
-        """The size of the pool `name`, counted without listing it."""
-        self.pool_sizes[name] = self._sized(name, monad.count, carrier)
-
-    def _sized(self, name: str, size: Callable, carrier: Sequence[Value]):
         try:
-            return size(carrier, self.bound)
+            values = monad.enumerate(carrier, self.bound)
         except PoolTooLargeError as exc:
             raise PoolTooLargeError(f"{self.subject}: the {name} pool of {exc}") from None
+        self.pool_sizes[name] = len(values)
+        return values
 
     def compare(self, condition: str, pool: list, lhs: Iterable, rhs: Iterable) -> None:
         """Check `condition` on every input of `pool`: the two sides, in pool
@@ -766,17 +726,12 @@ class LawReport:
         return f"{head} OK ({counts}) in {self.elapsed:.2f}s"
 
 
-def check_monad_laws(
-    monad: FinMonad,
-    carrier_size: int = 2,
-    bound: int = 3,
-    nested_caps: tuple = (32, 12),
-) -> LawReport:
+def check_monad_laws(monad: FinMonad, carrier_size: int = 2, bound: int = 3) -> LawReport:
     """Exhaustively test unit and associativity laws over graded pools.
 
     The single-level pool is complete up to the bound. For associativity the
     carriers of the two deeper levels are deterministic prefixes of the
-    canonical enumeration (sizes in `nested_caps`), so a pass is a bounded
+    canonical enumeration (sizes in `NESTED_CAPS`), so a pass is a bounded
     claim; the report records how many values each law saw.
     """
     start = time.perf_counter()
@@ -788,7 +743,7 @@ def check_monad_laws(
     report.compare("unit-left", pool1, join_unit, pool1)
     report.compare("unit-right", pool1, map(monad.join, map(monad.unit, pool1)), pool1)
 
-    cap2, cap3 = nested_caps
+    cap2, cap3 = NESTED_CAPS
     carrier2 = pool1[:cap2]
     carrier3 = list(itertools.islice(monad.iter_values(carrier2, bound), cap3))
     report.pool_sizes["TT-carrier"] = len(carrier2)

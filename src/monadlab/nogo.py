@@ -283,10 +283,9 @@ def check_plotkin_general(
 
 
 class PositiveEntry(NamedTuple):
-    """A pair known to have a distributive law, with its citation."""
+    """A pair known to have a distributive law, with its citation; the
+    registry `_POSITIVE` keys it by the pair."""
 
-    s_theory: str
-    t_theory: str
     law_ids: tuple[str, ...]  # implemented witnesses, empty when citation-only
     citation: str
 
@@ -322,19 +321,13 @@ def _positive_registry() -> dict:
     for s in _LINEAR_ROWS:
         for t in _COMMUTATIVE_COLS:
             laws = _IMPLEMENTED_LAWS.get((s, t), ())
-            reg[(s, t)] = PositiveEntry(s, t, laws, "Manes & Mulry 2007, Thm 4.3.4")
+            reg[(s, t)] = PositiveEntry(laws, "Manes & Mulry 2007, Thm 4.3.4")
         # nonempty binary trees absorb any linear theory on the left
         if s == "boom:----":
-            reg[(s, "boom:----")] = PositiveEntry(
-                s, "boom:----", (), "Manes & Mulry 2008, Ex 3.9"
-            )
+            reg[(s, "boom:----")] = PositiveEntry((), "Manes & Mulry 2008, Ex 3.9")
         else:
-            reg[(s, "boom:----")] = PositiveEntry(
-                s, "boom:----", (), "Manes & Mulry 2008, Ex 4.9"
-            )
+            reg[(s, "boom:----")] = PositiveEntry((), "Manes & Mulry 2008, Ex 4.9")
     reg[("boom:-A--", "boom:-A--")] = PositiveEntry(
-        "boom:-A--",
-        "boom:-A--",
         ("mm-nel-1", "mm-nel-2", "mm-nel-3"),
         "Manes & Mulry 2007, Ex 5.1.10; Manes & Mulry 2008, Ex 4.10",
     )

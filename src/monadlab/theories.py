@@ -268,9 +268,11 @@ def unknown_name(kind: str, name: str, known: Iterable[str]) -> str:
     matches among the `known` names."""
     import difflib
 
+    from monadlab.values import quote
+
     near = difflib.get_close_matches(name, known, n=3)
     hint = f"; did you mean {', '.join(near)}?" if near else ""
-    return f"unknown {kind} {name!r}{hint}"
+    return f"unknown {kind} {quote(name)}{hint}"
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,7 @@ __all__ = [
     "mk_bot",
     "mk_fun",
     "format_value",
+    "quote",
 ]
 
 Value = Union[str, tuple]
@@ -154,7 +155,7 @@ def mk_dist(entries: Iterable[tuple]) -> Value:
         weights[x] = weights.get(x, Fraction(0)) + Fraction(w)
     total = sum(weights.values(), Fraction(0))
     if total != 1:
-        raise ValueError(f"distribution weights sum to {total}, not 1")
+        raise ValueError(f"distribution weights sum to {quote(str(total), str)}, not 1")
     if any(w < 0 for w in weights.values()):
         raise ValueError("negative weight in distribution")
     return weighted_value("dist", weights)
@@ -213,6 +214,17 @@ def mk_fun(at0: Value, at1: Value) -> Value:
 
 # ---------------------------------------------------------------------------
 # display
+
+# the characters of outside input that an error message quotes
+_QUOTED = 32
+
+
+def quote(text: str, show: Callable[[str], str] = repr) -> str:
+    """`show` of at most `_QUOTED` characters of `text`, for an error
+    message that echoes outside input; `...` after it marks a cut."""
+    if len(text) <= _QUOTED:
+        return show(text)
+    return show(text[:_QUOTED]) + "..."
 
 
 def format_value(v: Value, explicit_ok: bool = False) -> str:

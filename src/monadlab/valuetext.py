@@ -7,8 +7,8 @@ container layers outside-in and bare labels at the bottom. Within a tree
 layer `<` always opens this layer's node, of exactly the tree's width, and
 `e` / `bot` / `err` / `ok` are reserved by the layer that uses them: `e` is
 the unit leaf of the tree monads that have one, and a label under bintree.
-Brackets nest at most `terms.MAX_NESTING` deep. An error message quotes at
-most `_QUOTED` characters of a token or of the trailing input.
+Brackets nest at most `terms.MAX_NESTING` deep. An error message quotes a
+bounded slice of a token or of the trailing input (`values.quote`).
 """
 
 import re
@@ -43,6 +43,7 @@ from .values import (
     mk_nunit,
     mk_ok,
     mk_set,
+    quote,
 )
 
 __all__ = ["ValueSyntaxError", "parse_layered"]
@@ -50,17 +51,6 @@ __all__ = ["ValueSyntaxError", "parse_layered"]
 
 class ValueSyntaxError(ValueError):
     pass
-
-
-# the characters of input text an error message quotes; `...` after the
-# quote marks where it cuts the text
-_QUOTED = 32
-
-
-def _quote(text: str) -> str:
-    if len(text) <= _QUOTED:
-        return repr(text)
-    return repr(text[:_QUOTED]) + "..."
 
 
 _PUNCT = set("[]{}<>(),:")
@@ -92,7 +82,7 @@ class _Tokens:
     def expect(self, want: str):
         tok = self.next(repr(want))
         if tok != want:
-            raise ValueSyntaxError(f"expected {want!r}, found {_quote(tok)}")
+            raise ValueSyntaxError(f"expected {want!r}, found {quote(tok)}")
 
     def done(self) -> bool:
         return self.pos >= len(self.items)
@@ -101,7 +91,7 @@ class _Tokens:
 def _label(tokens: _Tokens) -> str:
     tok = tokens.next("a label")
     if tok in _PUNCT or not _LABEL_RE.match(tok):
-        raise ValueSyntaxError(f"expected a label, found {_quote(tok)}")
+        raise ValueSyntaxError(f"expected a label, found {quote(tok)}")
     return tok
 
 
@@ -125,7 +115,7 @@ def _number(tokens: _Tokens, kind: str):
             return int(tok)
         return Fraction(tok)
     except (ValueError, ZeroDivisionError):
-        raise ValueSyntaxError(f"expected {kind}, found {_quote(tok)}") from None
+        raise ValueSyntaxError(f"expected {kind}, found {quote(tok)}") from None
 
 
 def _weighted(tokens: _Tokens, inner, kind: str) -> list:
@@ -194,7 +184,7 @@ def _layer(tokens: _Tokens, monads: tuple, i: int) -> Value:
             tokens.expect(")")
             if label not in m.labels:
                 raise ValueSyntaxError(
-                    f"unknown error label {_quote(label)}; this monad raises "
+                    f"unknown error label {quote(label)}; this monad raises "
                     f"{', '.join(m.labels)}"
                 )
             return mk_err(label)
@@ -232,5 +222,5 @@ def parse_layered(text: str, monads: Sequence[Union[str, FinMonad]]) -> Value:
     tokens = _Tokens(text)
     v = _layer(tokens, _resolve(monads), 0)
     if not tokens.done():
-        raise ValueSyntaxError(f"trailing input {_quote(' '.join(tokens.items[tokens.pos:]))}")
+        raise ValueSyntaxError(f"trailing input {quote(' '.join(tokens.items[tokens.pos:]))}")
     return v

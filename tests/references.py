@@ -6,6 +6,10 @@
 - `ring_entry` is the theory of noncommutative unital rings, a worked
   example that is not registered.
 - `composite_monad` is the monad T-after-S that a distributive law induces.
+- `tree_pool_size` counts a tree pool layer by layer without listing it.
+- `multiset_choose_by_merge` is the multiset choice law as first written:
+  it sorts each pick into a multiset and merges repeated picks with the
+  checked constructor of T.
 - `derangements` and `filter_common` are the permutation lemmas behind the
   general variable-counting theorem (`nogo.check_plotkin_general`).
 """
@@ -13,10 +17,11 @@
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Hashable, Iterator, NamedTuple, Sequence
 
 from monadlab.distlaws import DistLaw
-from monadlab.monads import FinMonad
+from monadlab.monads import FinMonad, NaryTreeMonad, monad_for
 from monadlab.nogo import PermutationSpec
 from monadlab.terms import (
     App,
@@ -30,6 +35,7 @@ from monadlab.terms import (
     eq_bounded,
 )
 from monadlab.theories import TheoryEntry, presentation, theory_entry
+from monadlab.values import Value, mk_dist, mk_grp, mk_mset, mk_set
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +277,46 @@ class _CompositeMonad(FinMonad):
 
 def composite_monad(law: DistLaw, s_cap: int = 16) -> FinMonad:
     return _CompositeMonad(law, s_cap)
+
+
+# ---------------------------------------------------------------------------
+# pool sizes and the multiset choice law by merging
+
+
+def tree_pool_size(m: NaryTreeMonad, carrier_size: int, bound: int) -> int:
+    """How many trees `m` has over `carrier_size` elements up to size
+    `bound`: a node of size s splits s among its `width` children, two or
+    more of them not units, and the trees of each size multiply."""
+    sizes: list[int] = [len(m.units), carrier_size][: bound + 1]
+    for s in range(2, bound + 1):
+        splits = (
+            split for split in itertools.product(range(s + 1), repeat=m.width)
+            if sum(split) == s and sum(1 for part in split if part) >= 2
+        )
+        sizes.append(sum(math.prod(sizes[part] for part in split) for split in splits))
+    return sum(sizes)
+
+
+# T's constructor from (element, weight) entries that may repeat: it sums
+# their weights and sorts, by the tag of T's values
+_FROM_ENTRIES = {
+    "mset": lambda entries: mk_mset(entries=entries),
+    "dist": mk_dist,
+    "grp": mk_grp,
+    "set": lambda entries: mk_set(x for x, _ in entries),
+}
+
+
+def multiset_choose_by_merge(v: Value, t: FinMonad) -> Value:
+    """The T combination of every multiset that picks one element of T per
+    member of the multiset `v`, weighted by the product of the picked
+    weights: each pick is sorted into a multiset, and equal multisets merge."""
+    if not v[1]:
+        return t.unit(v)
+    xs, ws = zip(*map(t.weighted, monad_for("multiset").members(v)))
+    picks = map(mk_mset, itertools.product(*xs))
+    entries = zip(picks, map(math.prod, itertools.product(*ws)))
+    return _FROM_ENTRIES[t.unit("a")[0]](entries)
 
 
 # ---------------------------------------------------------------------------

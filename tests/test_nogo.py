@@ -355,7 +355,7 @@ class TestVerdict:
         from monadlab import nogo
 
         key = ("boom:UA--", "boom:UACI")
-        broken = nogo.PositiveEntry(*key, ("faulty-list-exception",), "test")
+        broken = nogo.PositiveEntry(("faulty-list-exception",), "test")
         monkeypatch.setitem(nogo._POSITIVE, key, broken)
         with pytest.raises(nogo.ReplayError) as exc:
             verdict(*key)

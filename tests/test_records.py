@@ -50,13 +50,13 @@ RECORDS = [
     (PermutationSpec, (2, (2, 1)), "mapping", (1, 2), True),
     (CheckRecord, ("S", "S1", True, "ok"), "passed", False, True),
     (Applicability, ("Plotkin1", "s", "t", ()), "theorem", "Plotkin2", True),
-    (PositiveEntry, ("s", "t", ("mm-nel-1",), "cite"), "law_ids", (), True),
+    (PositiveEntry, (("mm-nel-1",), "cite"), "law_ids", (), True),
     (NoGoVerdict, ("s", "t", "Unknown"), "status", "Exists", True),
     (RefutationTrace, ("v", ("u",), (), (), ("u",)), "survivors", (), True),
     (TableMismatch, ("T", "L", "N", "Y"), "got", "?", True),
     (VerdictTable, ("original", ("T",), {}), "variant", "full", False),
-    (DistLaw, ("id", monad_for("list"), monad_for("powerset"), repr), "description",
-     "d", True),
+    (DistLaw, ("id", monad_for("list"), monad_for("powerset"), repr), "law_id",
+     "other", True),
 ]
 
 

@@ -1,8 +1,9 @@
 """`src/` holds only what a command or a benchmark op runs: every name a
 module exports in `__all__` is used in the code of some module under `src/`,
 or named by the benchmark's worker or tracer, and every public method or
-property of a class under `src/` is read as an attribute by that code.
-Reference code that only tests call lives in `tests/references.py`."""
+property of a class under `src/`, and every field of a `NamedTuple` record
+there, is read as an attribute by that code. Reference code that only tests
+call lives in `tests/references.py`."""
 
 import ast
 import re
@@ -15,6 +16,16 @@ ROOT = Path(__file__).resolve().parents[1]
 # the Plotkin1 row of `nogo._HYPOTHESES`, whose records the printed claims
 # pin, and the general search refutes no pair beyond the binary one
 EXCEPTIONS = {"check_plotkin_general", "PermutationSpec.swap"}
+
+# record fields that no code reads by name, each kept as evidence
+FIELD_EXCEPTIONS = {
+    # the distributions the Plotkin replay searches: every candidate image
+    # is a subset of them, and tests check how many there are
+    "RefutationTrace.universe",
+    # the property a certificate settles; tests replay each certificate's
+    # claim through it
+    "PropertyCertificate.prop",
+}
 
 
 def _exports(tree: ast.Module) -> list:
@@ -53,10 +64,28 @@ def _attributes(tree: ast.Module) -> set:
     return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
-def test_every_export_is_used_by_a_command_or_the_benchmark():
+def _fields(tree: ast.Module):
+    """(class, name) of every field of a class that subclasses `NamedTuple`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases
+        ):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+
+
+def _sources():
+    """The parsed modules under `src/`, and the benchmark's worker and tracer
+    as text."""
     trees = [ast.parse(path.read_text()) for path in sorted(ROOT.glob("src/monadlab/*.py"))]
-    used = set().union(*map(_used, trees))
     bench = [(ROOT / "perfbench" / name).read_text() for name in ("worker.py", "tracer.py")]
+    return trees, bench
+
+
+def test_every_export_is_used_by_a_command_or_the_benchmark():
+    trees, bench = _sources()
+    used = set().union(*map(_used, trees))
     unused = {
         name for tree in trees for name in _exports(tree)
         if name not in used and not re.search(rf"\b{re.escape(name)}\b", "\n".join(bench))
@@ -68,3 +97,12 @@ def test_every_export_is_used_by_a_command_or_the_benchmark():
         f"{cls}.{name}" for tree in trees for cls, name in _methods(tree) if name not in read
     }
     assert unused == EXCEPTIONS
+
+
+def test_every_record_field_is_read_by_a_command_or_the_benchmark():
+    # a field is read through an attribute; positional unpacking, a keyword
+    # argument or a local variable of the same name does not count
+    trees, bench = _sources()
+    read = set().union(*map(_attributes, trees + [ast.parse(text) for text in bench]))
+    unread = {f"{cls}.{name}" for tree in trees for cls, name in _fields(tree) if name not in read}
+    assert unread == FIELD_EXCEPTIONS
