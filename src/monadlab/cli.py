@@ -60,22 +60,12 @@ def _term(text: str, entry: _theories.TheoryEntry) -> _terms.Term:
 
 
 def _report(report: _monads.LawReport) -> None:
-    """Case counts, then OK or the first violations (exit 1); a condition
-    that saw no case fails too, since its pass would be vacuous."""
-    for name in sorted(report.checked):
-        print(f"{name}: {report.checked[name]} cases")
+    """The report, exit 1 unless OK: a condition that saw no case fails
+    too, since its pass would be vacuous."""
+    print(report.describe())
     print(f"elapsed {report.elapsed:.2f}s", file=sys.stderr)
-    if report.ok:
-        print("OK")
-        return
-    for name, w, got, want in report.violations[:5]:
-        print(
-            f"{name} violated at {_values.format_value(w)}: "
-            f"{_values.format_value(got)} != {_values.format_value(want)}"
-        )
-    for name in report.unchecked():
-        print(f"{name}: no cases checked")
-    sys.exit(1)
+    if not report.ok:
+        sys.exit(1)
 
 
 # ---------------------------------------------------------------------------

@@ -204,7 +204,7 @@ def check_beck(law: DistLaw, carrier_size: int = 2, bound: int = 3) -> LawReport
     start = time.perf_counter()
     s, t, lam = law.s_monad, law.t_monad, memo(law.apply)
     X = letters(carrier_size)
-    report = LawReport(law.law_id, X, bound)
+    report = LawReport(law.law_id, bound)
     cap2, cap3 = monads.NESTED_CAPS
 
     # the S-over-S-over-T pool, the first to pass the cap as the bound

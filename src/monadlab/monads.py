@@ -31,6 +31,7 @@ from monadlab.values import (
     mk_mset,
     mk_nnode,
     mk_set,
+    quote,
     weighted_value,
 )
 
@@ -645,7 +646,7 @@ def monad_for(monad_id: str) -> FinMonad:
         return m
     labels = theories.exception_labels(key)
     if labels == ():
-        raise NoMonadError(f"exception monad {monad_id!r} needs at least one label")
+        raise NoMonadError(f"exception monad {quote(monad_id)} needs at least one label")
     if labels:
         return _exception_monad(labels)
     try:
@@ -676,8 +677,8 @@ class LawReport:
     one subject, a monad id or a law id. `checked` counts the cases each
     condition saw; violations are (condition, input, lhs, rhs)."""
 
-    def __init__(self, subject: str, carrier: tuple, bound: int):
-        self.subject, self.carrier, self.bound = subject, carrier, bound
+    def __init__(self, subject: str, bound: int):
+        self.subject, self.bound = subject, bound
         self.checked: dict = {}
         self.pool_sizes: dict = {}
         self.violations: list = []
@@ -713,17 +714,15 @@ class LawReport:
         return self.ok
 
     def describe(self) -> str:
-        head = f"{self.subject}: carrier={len(self.carrier)} bound={self.bound}"
-        counts = ", ".join(f"{k}={v}" for k, v in sorted(self.checked.items()))
-        if self.violations:
-            law, v, lhs, rhs = self.violations[0]
-            return (
-                f"{head} VIOLATION of {law} at {format_value(v)}: "
-                f"{format_value(lhs)} != {format_value(rhs)}"
-            )
-        if not self.ok:
-            return f"{head} NO CASES for {', '.join(self.unchecked())} ({counts})"
-        return f"{head} OK ({counts}) in {self.elapsed:.2f}s"
+        """What `law check` and `monad-laws` print: the case counts, then OK,
+        or the first five violations and the conditions that saw no case."""
+        lines = [f"{name}: {n} cases" for name, n in sorted(self.checked.items())]
+        if self.ok:
+            return "\n".join(lines + ["OK"])
+        lines += [f"{name} violated at {format_value(w)}: "
+                  f"{format_value(got)} != {format_value(want)}"
+                  for name, w, got, want in self.violations[:5]]
+        return "\n".join(lines + [f"{name}: no cases checked" for name in self.unchecked()])
 
 
 def check_monad_laws(monad: FinMonad, carrier_size: int = 2, bound: int = 3) -> LawReport:
@@ -736,7 +735,7 @@ def check_monad_laws(monad: FinMonad, carrier_size: int = 2, bound: int = 3) -> 
     """
     start = time.perf_counter()
     carrier = letters(carrier_size)
-    report = LawReport(monad.monad_id, carrier, bound)
+    report = LawReport(monad.monad_id, bound)
 
     pool1 = report.pool("T", monad, carrier)
     join_unit = (monad.join(monad.fmap(monad.unit, v)) for v in pool1)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from monadlab import distlaws
 from monadlab.monads import monad_for
@@ -31,7 +31,6 @@ from monadlab.theories import (
     TheoryEntry,
     check_property,
     class_var_claim,
-    lookup_theory,
 )
 from monadlab.values import Value, format_value, mk_dist, mk_set
 
@@ -130,12 +129,6 @@ class Applicability(NamedTuple):
         return "\n".join([head] + [f"  {r.describe()}" for r in self.records])
 
 
-def _as_entry(theory: Union[str, TheoryEntry]) -> TheoryEntry:
-    if isinstance(theory, TheoryEntry):
-        return theory
-    return lookup_theory(theory)
-
-
 def _prop_record(side: str, entry: TheoryEntry, prop: PropertyId) -> CheckRecord:
     cert = check_property(entry, prop)
     return CheckRecord(side, prop.value, bool(cert), cert.describe())
@@ -208,13 +201,13 @@ _HYPOTHESES = {
 
 def check_theorem(
     theorem: str,
-    s_theory: Union[str, TheoryEntry],
-    t_theory: Union[str, TheoryEntry],
+    s_theory: TheoryEntry,
+    t_theory: TheoryEntry,
 ) -> Applicability:
     """The hypotheses of `theorem` (a row of `_HYPOTHESES`) checked for
     the row theory `s_theory` and the column theory `t_theory`. Plotkin2
     takes explicit terms: `check_plotkin_general`."""
-    pair = (_as_entry(s_theory), _as_entry(t_theory))
+    pair = (s_theory, t_theory)
     records = tuple(
         _prop_record(side, pair[theory], h) if isinstance(h, PropertyId)
         else CheckRecord(side, h[0], *h[1](pair[theory]))
@@ -243,8 +236,8 @@ def _class_vars_record(
 
 
 def check_plotkin_general(
-    p_theory: Union[str, TheoryEntry],
-    v_theory: Union[str, TheoryEntry],
+    p_theory: TheoryEntry,
+    v_theory: TheoryEntry,
     p: Term,
     v: Term,
     sigma: PermutationSpec,
@@ -256,8 +249,6 @@ def check_plotkin_general(
     over x1..xn, idempotent, whose class members never fit in one variable.
     With the swap and the designated binaries it is Plotkin1.
     """
-    pe = _as_entry(p_theory)
-    ve = _as_entry(v_theory)
     if not sigma.fixed_point_free:
         raise ValueError("sigma must be fixed point free")
     m = sigma.size
@@ -268,14 +259,19 @@ def check_plotkin_general(
 
     records = []
     p_sigma = substitute(p, {f"x{i}": Var(f"x{sigma(i)}") for i in range(1, m + 1)})
-    records.append(_eq_record("P", pe, "stable under sigma", p, p_sigma))
-    records.append(_eq_record("P", pe, "idempotent", _collapse_to_one(p), Var("x1")))
+    records.append(_eq_record("P", p_theory, "stable under sigma", p, p_sigma))
+    records.append(_eq_record("P", p_theory, "idempotent", _collapse_to_one(p), Var("x1")))
 
-    records.append(_class_vars_record("P", pe, p, f"class stays within {m} variables", most=m))
-    records.append(_eq_record("V", ve, "idempotent", _collapse_to_one(v), Var("x1")))
-    records.append(_prop_record("V", ve, PropertyId.V2))
-    records.append(_class_vars_record("V", ve, v, "class never fits in one variable", least=2))
-    return Applicability(TheoremId.PLOTKIN2, ve.theory_id, pe.theory_id, tuple(records))
+    records.append(
+        _class_vars_record("P", p_theory, p, f"class stays within {m} variables", most=m)
+    )
+    records.append(_eq_record("V", v_theory, "idempotent", _collapse_to_one(v), Var("x1")))
+    records.append(_prop_record("V", v_theory, PropertyId.V2))
+    records.append(
+        _class_vars_record("V", v_theory, v, "class never fits in one variable", least=2)
+    )
+    return Applicability(TheoremId.PLOTKIN2, v_theory.theory_id, p_theory.theory_id,
+                         tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +384,8 @@ class NoGoVerdict(NamedTuple):
 
 
 def verdict(
-    s_theory: Union[str, TheoryEntry],
-    t_theory: Union[str, TheoryEntry],
+    s_theory: TheoryEntry,
+    t_theory: TheoryEntry,
     depth: int = 3,
     num_vars: int = 4,
 ) -> NoGoVerdict:
@@ -399,29 +395,26 @@ def verdict(
 
     Every certificate is exact, so `depth` and `num_vars` are ignored; they
     stay only for callers that still pass them positionally."""
-    se = _as_entry(s_theory)
-    te = _as_entry(t_theory)
-
-    checks = [check_theorem(theorem, se, te) for theorem in _HYPOTHESES]
+    checks = [check_theorem(theorem, s_theory, t_theory) for theorem in _HYPOTHESES]
     applicable = tuple(c for c in checks if c.applicable)
     notes: list[str] = []
     if applicable:
-        if se.theory_id == te.theory_id == "boom:UACI":
+        if s_theory.theory_id == t_theory.theory_id == "boom:UACI":
             notes.append("independently refuted by Klin & Salamanca 2018, Thm 3.2")
-        return NoGoVerdict(se.theory_id, te.theory_id, "NoDistLaw",
+        return NoGoVerdict(s_theory.theory_id, t_theory.theory_id, "NoDistLaw",
                            theorems=tuple(c.theorem for c in applicable),
                            refutations=applicable, notes=tuple(notes))
 
-    entry = positive_entry(se.theory_id, te.theory_id)
+    entry = positive_entry(s_theory.theory_id, t_theory.theory_id)
     if entry is not None:
         for law_id in entry.law_ids:
             _replay(law_id)
         if entry.citation_only:
             notes.append("citation-only")
-        return NoGoVerdict(se.theory_id, te.theory_id, "Exists", positive=entry,
-                           verified_laws=entry.law_ids, notes=tuple(notes))
+        return NoGoVerdict(s_theory.theory_id, t_theory.theory_id, "Exists",
+                           positive=entry, verified_laws=entry.law_ids, notes=tuple(notes))
 
-    return NoGoVerdict(se.theory_id, te.theory_id, "Unknown")
+    return NoGoVerdict(s_theory.theory_id, t_theory.theory_id, "Unknown")
 
 
 # ---------------------------------------------------------------------------

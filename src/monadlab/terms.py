@@ -31,7 +31,6 @@ __all__ = [
     "Term",
     "render",
     "term_vars",
-    "subterm_paths",
     "substitute",
     "match",
     "Equation",
@@ -229,15 +228,6 @@ def term_vars(term: Term) -> frozenset[str]:
     return frozenset(out)
 
 
-def subterm_paths(term: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
-    """All (path, subterm) pairs, root first, in left-to-right order."""
-    yield (), term
-    if isinstance(term, App):
-        for i, arg in enumerate(term.args):
-            for path, sub in subterm_paths(arg):
-                yield (i,) + path, sub
-
-
 def substitute(term: Term, mapping: Mapping[str, Term]) -> Term:
     if isinstance(term, Var):
         return mapping.get(term.name, term)
@@ -287,27 +277,12 @@ class Equation(NamedTuple):
         return f"{label}{render(self.lhs)} = {render(self.rhs)}"
 
 
-class _PresentationFields(NamedTuple):
+class Presentation(NamedTuple):
+    """A named signature with axioms over its operations."""
+
     name: str
     signature: Signature
     equations: tuple[Equation, ...]
-
-
-class Presentation(_PresentationFields):
-    """A named signature with axioms that use only its operations."""
-
-    __slots__ = ()
-
-    def __new__(cls, name: str, signature: Signature, equations: tuple[Equation, ...]):
-        for eqn in equations:
-            for side in (eqn.lhs, eqn.rhs):
-                for _, sub in subterm_paths(side):
-                    if isinstance(sub, App) and sub.op not in signature.ops:
-                        raise ValueError(
-                            f"axiom {eqn} of {name} uses {sub.op.name}/"
-                            f"{sub.op.arity}, which is not in the signature"
-                        )
-        return super().__new__(cls, name, signature, equations)
 
     def parse(self, text: str) -> Term:
         return parse_term(text, self.signature)

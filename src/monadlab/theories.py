@@ -4,19 +4,20 @@ Each theory entry bundles a finite presentation with the exact decision
 procedure for its provable equality (a required field: there is no entry
 without one; the procedures are defined in `monadlab.terms`), optional
 designated operations (a binary term over y1,y2 and a unit), and cached
-property certificates. `theory_entry` builds an entry from its
-presentation and the texts of its designated terms. The registry maps
-theory ids and aliases to entries; it is filled once, at import, and an
-unregistered entry works all the same. Every built-in entry is deferred:
-until its presentation, procedure or a designated term is first read, it
-holds only its id, label and aliases and the means to build the rest. So
-importing this module, `registry()` and `lookup_theory` parse nothing and
-run no `monadlab.terms`, and a process builds only the theories it reads.
-`lookup_theory` reads the registry and never writes it: the members of the
-parametric families `exception:{...}` and `narytree-theory:N` that are not
-registered come from cached constructors, one entry per label set or
-width. The equational properties are equations between designated terms,
-settled by `decide_eq` through the entry's procedure.
+property certificates. An entry is made one way, `TheoryEntry(...)`, from
+texts: its operations, its axioms and its designated terms in `parse_term`
+syntax, with a zero-argument factory of its procedure. It holds only its
+id, label and aliases until its presentation, procedure or a designated
+term is first read, and then builds them all at once. So importing this
+module, `registry()` and `lookup_theory` parse nothing and run no
+`monadlab.terms`, and a process builds only the theories it reads. The
+registry maps theory ids and aliases to entries; it is filled once, at
+import, and an unregistered entry works all the same. `lookup_theory`
+reads the registry and never writes it: the members of the parametric
+families `exception:{...}` and `narytree-theory:N` that are not registered
+come from cached constructors, one entry per label set or width. The
+equational properties are equations between designated terms, settled by
+`decide_eq` through the entry's procedure.
 
 The class-based properties (S1/T1, S2/T2/V2, P3, V3) are facts about the
 variables of the members of equivalence classes, and `class_var_claim` is
@@ -27,7 +28,7 @@ preserves the variable set, so each class shares its representative's
 variables (`class_vars`). Otherwise the decision procedure settles the
 claim: a member contains every variable essential in the term, and an
 absorbing term p(x,y) = x with y in p adds variables to a member at will.
-`register_theory` requires such a term of an irregular presentation, so
+An entry's build requires such a term of an irregular presentation, so
 every irregular theory here is strongly irregular in the sense of Płonka
 (Fund. Math. 1969). Without constants there are no closed terms, so the
 claims about closed terms hold vacuously.
@@ -38,7 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from monadlab import terms
 
@@ -46,7 +47,6 @@ __all__ = [
     "BoomFlags",
     "boom_theory",
     "TheoryEntry",
-    "theory_entry",
     "PropertyId",
     "PropertyStatus",
     "PropertyCertificate",
@@ -88,20 +88,9 @@ class BoomFlags(NamedTuple):
         )
 
 
-def presentation(
-    tid: str, ops: Iterable[tuple[str, int]], axioms: Iterable[tuple[str, str, str]]
-) -> terms.Presentation:
-    """The presentation over operations (name, arity) whose axioms are
-    (lhs, rhs, name) texts in `parse_term` syntax."""
-    sig = terms.signature(*ops)
-    return terms.Presentation(tid, sig, tuple(
-        terms.Equation(terms.parse_term(lhs, sig), terms.parse_term(rhs, sig), name)
-        for lhs, rhs, name in axioms
-    ))
-
-
-def boom_theory(flags: BoomFlags) -> terms.Presentation:
-    """Presentation with exactly the flagged axioms over mul (and e if unital)."""
+def boom_theory(flags: BoomFlags) -> tuple[tuple, tuple]:
+    """The operations, mul (and e if unital), and exactly the flagged
+    axioms."""
     axioms = [
         ("mul(e,x)", "x", "unitl"),
         ("mul(x,e)", "x", "unitr"),
@@ -110,15 +99,15 @@ def boom_theory(flags: BoomFlags) -> terms.Presentation:
         ("mul(x,x)", "x", "idem"),
     ]
     on = (flags.unital, flags.unital, flags.assoc, flags.comm, flags.idem)
-    ops = [("mul", 2)] + ([("e", 0)] if flags.unital else [])
-    return presentation(flags.theory_id, ops, itertools.compress(axioms, on))
+    ops = (("mul", 2),) + ((("e", 0),) if flags.unital else ())
+    return ops, tuple(itertools.compress(axioms, on))
 
 
 # ---------------------------------------------------------------------------
 # theory entries and registry
 
 
-# the fields a deferred entry builds on the first read of any of them
+# the fields an entry builds on the first read of any of them
 _BUILT = ("presentation", "procedure", "designated_binary", "designated_unit", "absorbing")
 
 
@@ -127,58 +116,59 @@ class TheoryEntry:
     designated terms and caches. An entry works whether or not it is
     registered.
 
-    `designated_binary` is a term over variables y1, y2; `designated_unit`
-    a closed term. `absorbing` is a term p over x, y with p = x and y in p,
-    which an irregular presentation must have (`class_var_claim` builds
-    class members with it). The certificate cache depends on the
-    designated terms.
+    It is made from `ops` (name, arity), `axioms` (lhs, rhs, name) and the
+    texts of its designated terms over those operations, in `parse_term`
+    syntax: `binary` over the variables y1, y2, `unit` a closed term, and
+    `absorbing` a term p over x, y with p = x and y in p, which an
+    irregular presentation must have (`class_var_claim` builds class
+    members with it). `procedure` is a zero-argument factory of the
+    decision procedure. The label is the first alias, else the id.
 
-    A deferred entry (`TheoryEntry.deferred`) holds only its id, label and
-    aliases until one of the other fields is read, and then builds them all
-    at once.
+    Until one of the fields in `_BUILT` is first read, the entry holds only
+    its id, label, aliases and texts; that read builds them all at once and
+    holds an irregular presentation to its absorbing term. A build that
+    fails leaves the entry unbuilt. The certificate cache depends on the
+    designated terms.
     """
 
     def __init__(
         self,
         theory_id: str,
-        presentation: terms.Presentation,
-        label: str,
-        procedure: terms.Procedure,
-        designated_binary: Optional[terms.Term] = None,
-        designated_unit: Optional[terms.Term] = None,
+        ops: Sequence[tuple[str, int]],
+        axioms: Sequence[tuple[str, str, str]],
+        procedure: Callable[[], terms.Procedure],
+        binary: Optional[str] = None,
+        unit: Optional[str] = None,
+        absorbing: Optional[str] = None,
         aliases: tuple[str, ...] = (),
-        absorbing: Optional[terms.Term] = None,
     ):
-        self.theory_id, self.presentation, self.label = theory_id, presentation, label
-        self.procedure = procedure
-        self.designated_binary, self.designated_unit = designated_binary, designated_unit
-        self.aliases, self.absorbing = aliases, absorbing
+        self.theory_id, self.aliases = theory_id, aliases
+        self.label = aliases[0] if aliases else theory_id
+        self._texts = (ops, axioms, procedure, binary, unit, absorbing)
         self._certificates: dict = {}
 
-    @classmethod
-    def deferred(cls, theory_id: str, label: str, aliases: tuple[str, ...],
-                 build: Callable[[], TheoryEntry]) -> TheoryEntry:
-        """The entry `theory_id` whose other fields are those of the entry
-        `build()` returns, built on the first read of any of them. The build
-        holds an irregular theory to the absorbing term `register_theory`
-        requires; a build that fails leaves the entry unbuilt."""
-        entry = cls.__new__(cls)
-        entry.theory_id, entry.label, entry.aliases = theory_id, label, aliases
-        entry._build = build
-        entry._certificates = {}
-        return entry
-
     def __getattr__(self, name: str):
-        # reached only for an attribute that is not set: a field of a
-        # deferred entry that is not built yet
-        build = vars(self).get("_build")
-        if build is None or name not in _BUILT:
+        # reached only for an attribute that is not set: a field that is not
+        # built yet
+        if name not in _BUILT:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        built = build()
-        _require_absorbing(self.theory_id, built)
-        for field in _BUILT:
-            setattr(self, field, getattr(built, field))
-        del self._build
+        ops, axioms, procedure, *designated = self._texts
+        sig = terms.signature(*ops)
+        pres = terms.Presentation(self.theory_id, sig, tuple(
+            terms.Equation(terms.parse_term(lhs, sig), terms.parse_term(rhs, sig), axiom)
+            for lhs, rhs, axiom in axioms
+        ))
+        binary, unit, p = (None if text is None else pres.parse(text) for text in designated)
+        proc = procedure()
+        if not _regular(pres) and (
+            p is None or terms.term_vars(p) != {"x", "y"}
+            or not terms.decide_eq(proc, p, terms.Var("x"))
+        ):
+            raise ValueError(
+                f"irregular theory {self.theory_id!r} needs an absorbing term p(x,y) = x"
+            )
+        self.presentation, self.procedure = pres, proc
+        self.designated_binary, self.designated_unit, self.absorbing = binary, unit, p
         return getattr(self, name)
 
     def binary_at(self, a: terms.Term, b: terms.Term) -> terms.Term:
@@ -187,57 +177,23 @@ class TheoryEntry:
         return terms.substitute(self.designated_binary, {"y1": a, "y2": b})
 
 
-def theory_entry(
-    pres: terms.Presentation,
-    procedure: terms.Procedure,
-    binary: Optional[str] = None,
-    unit: Optional[str] = None,
-    absorbing: Optional[str] = None,
-    label: Optional[str] = None,
-    aliases: tuple[str, ...] = (),
-) -> TheoryEntry:
-    """The entry of `pres` under its name, decided by `procedure`, with the
-    designated binary, designated unit and absorbing term given as texts
-    over its signature. The label defaults to the name."""
-
-    def parsed(text: Optional[str]) -> Optional[terms.Term]:
-        return None if text is None else pres.parse(text)
-
-    return TheoryEntry(pres.name, pres, label or pres.name, procedure,
-                       parsed(binary), parsed(unit), aliases, parsed(absorbing))
-
-
 _REGISTRY: dict[str, TheoryEntry] = {}
 _ALIASES: dict[str, str] = {}
 
 
 def register_theory(entry: TheoryEntry) -> TheoryEntry:
-    """Add `entry` to the registry under its id and aliases. An irregular
-    theory needs an absorbing term that its procedure decides equal to x;
-    a deferred entry is held to that when it is built. Every check comes
-    first, so a rejected entry changes nothing."""
+    """Add `entry` to the registry under its id and aliases. Both checks
+    come first, so a rejected entry changes nothing; the entry is built,
+    and an irregular one held to its absorbing term, on its first read."""
     tid = entry.theory_id
     if tid in _REGISTRY:
         raise ValueError(f"theory {tid!r} already registered")
     for alias in entry.aliases:
         if _ALIASES.get(alias, tid) != tid:
             raise ValueError(f"alias {alias!r} already taken")
-    if "_build" not in vars(entry):
-        _require_absorbing(tid, entry)
     _REGISTRY[tid] = entry
     _ALIASES.update(dict.fromkeys(entry.aliases, tid))
     return entry
-
-
-def _require_absorbing(tid: str, entry: TheoryEntry) -> None:
-    """Refuse the irregular theory `tid` unless `entry` has an absorbing
-    term p(x,y) that its procedure decides equal to x."""
-    p = entry.absorbing
-    if not _regular(entry) and (
-        p is None or terms.term_vars(p) != {"x", "y"}
-        or not terms.decide_eq(entry.procedure, p, terms.Var("x"))
-    ):
-        raise ValueError(f"irregular theory {tid!r} needs an absorbing term p(x,y) = x")
 
 
 def registry() -> tuple[TheoryEntry, ...]:
@@ -460,10 +416,9 @@ def _check_property(entry, prop) -> PropertyCertificate:
     return PropertyCertificate(prop, PropertyStatus.HOLDS, _DECIDED)
 
 
-def _regular(entry: TheoryEntry) -> bool:
+def _regular(pres: terms.Presentation) -> bool:
     """Both sides of every axiom have the same variables."""
-    return all(terms.term_vars(eq.lhs) == terms.term_vars(eq.rhs)
-               for eq in entry.presentation.equations)
+    return all(terms.term_vars(eq.lhs) == terms.term_vars(eq.rhs) for eq in pres.equations)
 
 
 def class_vars(entry: TheoryEntry, term: Optional[terms.Term]) -> Optional[frozenset[str]]:
@@ -476,7 +431,7 @@ def class_vars(entry: TheoryEntry, term: Optional[terms.Term]) -> Optional[froze
     term's own (Baader & Nipkow, Term Rewriting and All That, 1998). None
     when the presentation is not regular.
     """
-    if not _regular(entry):
+    if not _regular(entry.presentation):
         return None
     return frozenset() if term is None else terms.term_vars(term)
 
@@ -617,37 +572,12 @@ def _register_boom() -> None:
         for unital in (True, False):
             flags = BoomFlags(unital, "assoc" in names, "comm" in names, "idem" in names)
             display = label if unital else label + "+"
-            register_theory(_boom_builtin(flags, (display,) + word_aliases[flags.theory_id]))
-
-
-def _boom_builtin(flags: BoomFlags, aliases: tuple[str, ...]) -> TheoryEntry:
-    """The deferred entry of a Boom theory, labelled by its first alias."""
-
-    def build() -> TheoryEntry:
-        procedure = terms.boom_procedure(flags.assoc, flags.comm, flags.idem)
-        return theory_entry(boom_theory(flags), procedure, "mul(y1,y2)",
-                            "e" if flags.unital else None)
-
-    return TheoryEntry.deferred(flags.theory_id, aliases[0], aliases, build)
-
-
-def _builtin(
-    tid: str,
-    ops: tuple[tuple[str, int], ...],
-    axioms: tuple[tuple[str, str, str], ...],
-    procedure: Callable[[], terms.Procedure],
-    binary: Optional[str] = None,
-    unit: Optional[str] = None,
-    absorbing: Optional[str] = None,
-) -> TheoryEntry:
-    """The deferred entry of the presentation `tid` over `ops` with
-    `axioms` (see `presentation`), decided by `procedure()`, with the texts
-    of its designated terms (see `theory_entry`)."""
-
-    def build() -> TheoryEntry:
-        return theory_entry(presentation(tid, ops, axioms), procedure(), binary, unit, absorbing)
-
-    return TheoryEntry.deferred(tid, tid, (), build)
+            register_theory(TheoryEntry(
+                flags.theory_id, *boom_theory(flags),
+                lambda flags=flags: terms.boom_procedure(flags.assoc, flags.comm, flags.idem),
+                "mul(y1,y2)", "e" if flags.unital else None,
+                aliases=(display,) + word_aliases[flags.theory_id],
+            ))
 
 
 def exception_labels(name: str) -> Optional[tuple[str, ...]]:
@@ -659,8 +589,9 @@ def exception_labels(name: str) -> Optional[tuple[str, ...]]:
     return tuple(sorted({x.strip() for x in name[len("exception:{") : -1].split(",")} - {""}))
 
 
-# the widest n-ary tree: `narytree_theory(n)` parses n axioms of n arguments
-# each, so its lookup takes time quadratic in n (about 13 ms CPU at 64)
+# the widest n-ary tree: the entry `narytree_theory(n)` has n axioms of n
+# arguments each. A lookup parses none of them; the first read of a field
+# parses them all, in time quadratic in n (about 13 ms CPU at 64)
 MAX_TREE_WIDTH = 64
 
 
@@ -676,7 +607,9 @@ def tree_width(name: str, prefix: str) -> Optional[int]:
     except ValueError:
         return None
     if width > MAX_TREE_WIDTH:
-        raise ValueError(f"{name!r} is wider than the maximum tree width {MAX_TREE_WIDTH}")
+        from monadlab.values import quote
+
+        raise ValueError(f"{quote(name)} is wider than the maximum tree width {MAX_TREE_WIDTH}")
     return width if width >= 2 else None
 
 
@@ -687,8 +620,8 @@ def exception_theory(labels: Iterable[str]) -> TheoryEntry:
 
 @functools.cache
 def _exception_theory(labels: tuple[str, ...]) -> TheoryEntry:
-    tid = "exception:{" + ",".join(labels) + "}"
-    return _builtin(tid, tuple((lbl, 0) for lbl in labels), (), lambda: terms.SyntacticProc())
+    return TheoryEntry("exception:{" + ",".join(labels) + "}", tuple((lbl, 0) for lbl in labels),
+                       (), lambda: terms.SyntacticProc())
 
 
 @functools.cache
@@ -700,16 +633,16 @@ def narytree_theory(n: int) -> TheoryEntry:
         args = ["e"] * n
         args[pos] = "x"
         axioms.append((f"node({','.join(args)})", "x", f"prune{pos}"))
-    pres = presentation(f"narytree-theory:{n}", (("node", n), ("e", 0)), axioms)
-    return theory_entry(pres, terms.TreeProc(terms.OpSymbol("node", n)),
-                        "node(y1,y2" + ",e" * (n - 2) + ")", "e")
+    return TheoryEntry(f"narytree-theory:{n}", (("node", n), ("e", 0)), axioms,
+                       lambda: terms.TreeProc(terms.OpSymbol("node", n)),
+                       "node(y1,y2" + ",e" * (n - 2) + ")", "e")
 
 
 def _register_rest() -> None:
-    register_theory(_builtin("pointed", (("bot", 0),), (), lambda: terms.SyntacticProc()))
+    register_theory(TheoryEntry("pointed", (("bot", 0),), (), lambda: terms.SyntacticProc()))
     register_theory(exception_theory(("a",)))
     register_theory(exception_theory(("a", "b")))
-    register_theory(_builtin(
+    register_theory(TheoryEntry(
         "abgroup",
         (("mul", 2), ("inv", 1), ("e", 0)),
         (
@@ -727,7 +660,7 @@ def _register_rest() -> None:
         ),
         lambda: terms.AbGroupProc(), "mul(y1,y2)", "e", "mul(mul(x,y),inv(y))",
     ))
-    register_theory(_builtin(
+    register_theory(TheoryEntry(
         "convex",
         (("mix", 2),),
         (
@@ -737,7 +670,7 @@ def _register_rest() -> None:
         ),
         lambda: terms.ConvexProc(), "mix(y1,y2)",
     ))
-    register_theory(_builtin(
+    register_theory(TheoryEntry(
         "reader:2",
         (("mul", 2),),
         (

@@ -2,7 +2,8 @@
 `src/`, which holds what a command or a benchmark op runs.
 
 - `validate_procedure_against_rewrites` cross-checks a theory's decision
-  procedure against its axioms read as rewrite rules.
+  procedure against its axioms read as rewrite rules; `subterm_paths`
+  lists the positions of a term for the reference one-step rewrites.
 - `ring_entry` is the theory of noncommutative unital rings, a worked
   example that is not registered.
 - `composite_monad` is the monad T-after-S that a distributive law induces.
@@ -34,12 +35,21 @@ from monadlab.terms import (
     enumerate_terms,
     eq_bounded,
 )
-from monadlab.theories import TheoryEntry, presentation, theory_entry
+from monadlab.theories import TheoryEntry
 from monadlab.values import Value, mk_dist, mk_grp, mk_mset, mk_set
 
 
 # ---------------------------------------------------------------------------
 # decision procedures against the axioms
+
+
+def subterm_paths(term: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
+    """All (path, subterm) pairs, root first, in left-to-right order."""
+    yield (), term
+    if isinstance(term, App):
+        for i, arg in enumerate(term.args):
+            for path, sub in subterm_paths(arg):
+                yield (i,) + path, sub
 
 
 def rewrite_components(rewriter: Rewriter, universe: Sequence[Term]) -> list[int]:
@@ -216,7 +226,7 @@ def ring_entry() -> TheoryEntry:
     as a worked example for the constant-counting obstruction. The
     annihilation axioms are derivable but listed so bounded rewrite search
     can use them directly."""
-    pres = presentation(
+    return TheoryEntry(
         "ring",
         (("plus", 2), ("times", 2), ("neg", 1), ("zero", 0), ("one", 0)),
         (
@@ -232,8 +242,8 @@ def ring_entry() -> TheoryEntry:
             ("times(x,zero)", "zero", "annr"),
             ("times(zero,x)", "zero", "annl"),
         ),
+        RingProc, "times(y1,y2)", "one", "plus(x,times(y,zero))",
     )
-    return theory_entry(pres, RingProc(), "times(y1,y2)", "one", "plus(x,times(y,zero))")
 
 
 # ---------------------------------------------------------------------------

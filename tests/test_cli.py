@@ -384,6 +384,28 @@ class TestUsageErrors:
         assert res.exit_code == 2
         assert f"wider than the maximum tree width {theories.MAX_TREE_WIDTH}" in res.stderr
 
+    @pytest.mark.parametrize("args, message", [
+        (("monad-laws", "narytree:" + "9" * 4000),
+         f"{'narytree:' + '9' * 23!r}... is wider than the maximum tree width"),
+        (("law", "search", "list", "narytree:" + "9" * 4000),
+         f"{'narytree:' + '9' * 23!r}... is wider than the maximum tree width"),
+        (("normalize", "narytree-theory:" + "9" * 4000, "x"),
+         f"{'narytree-theory:' + '9' * 16!r}... is wider than the maximum tree width"),
+        (("nogo", "narytree-theory:" + "9" * 4000, "L"),
+         f"{'narytree-theory:' + '9' * 16!r}... is wider than the maximum tree width"),
+        (("monad-laws", "exception:{" + "," * 4000 + "}"),
+         f"exception monad {'exception:{' + ',' * 21!r}... needs at least one label"),
+        # ids of 32 characters or fewer are quoted whole
+        (("monad-laws", "narytree:65"), "'narytree:65' is wider than the maximum tree width 64"),
+        (("monad-laws", "exception:{,}"),
+         "exception monad 'exception:{,}' needs at least one label"),
+    ])
+    def test_family_ids_are_quoted_in_a_bounded_slice(self, run, args, message):
+        res = run(*args)
+        assert res.exit_code == 2
+        assert message in res.stderr
+        assert len(res.stderr.encode()) < 300
+
     def test_values_nest_at_most_max_nesting_deep(self, run):
         def tree(depth):  # a tree of sets, `depth` brackets deep
             return "<{a}," * (depth - 1) + "{b}" + ">" * (depth - 1)

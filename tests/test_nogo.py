@@ -32,6 +32,11 @@ from monadlab.values import mk_dist, mk_set
 HALF = Fraction(1, 2)
 
 
+def _entries(*names):
+    """The theories `names`, looked up."""
+    return [lookup_theory(name) for name in names]
+
+
 def pt(text: str, theory_id: str):
     return parse_term(text, lookup_theory(theory_id).presentation.signature)
 
@@ -126,7 +131,7 @@ class TestFilterCommon:
 
 class TestPlotkinBinary:
     def test_jsl_over_convex_applies(self):
-        app = check_theorem(TheoremId.PLOTKIN1, "convex", "jsl")
+        app = check_theorem(TheoremId.PLOTKIN1, *_entries("convex", "jsl"))
         assert app.applicable
         assert app.theorem == TheoremId.PLOTKIN1
         # the obstruction kills (convex)(jsl) => (jsl)(convex): the verdict
@@ -134,10 +139,10 @@ class TestPlotkinBinary:
         assert app.s_id == "convex" and app.t_id == "boom:UACI"
 
     def test_jsl_over_itself_applies(self):
-        assert check_theorem(TheoremId.PLOTKIN1, "jsl", "jsl").applicable
+        assert check_theorem(TheoremId.PLOTKIN1, *_entries("jsl", "jsl")).applicable
 
     def test_reader_binary_is_not_commutative(self):
-        app = check_theorem(TheoremId.PLOTKIN1, "reader:2", "reader:2")
+        app = check_theorem(TheoremId.PLOTKIN1, *_entries("reader:2", "reader:2"))
         assert not app.applicable
         assert {r.requirement for r in app.records if not r.passed} == {"P1", "P3", "V2"}
         assert "not applicable" in app.describe()
@@ -155,15 +160,15 @@ class TestPlotkinBinary:
 class TestPlotkinGeneral:
     def test_swap_specializes_to_the_binary_form(self):
         g = check_plotkin_general(
-            "jsl", "jsl", pt("mul(x1,x2)", "jsl"), pt("mul(x1,x2)", "jsl"),
+            *_entries("jsl", "jsl"), pt("mul(x1,x2)", "jsl"), pt("mul(x1,x2)", "jsl"),
             PermutationSpec.swap(),
         )
-        b = check_theorem(TheoremId.PLOTKIN1, "jsl", "jsl")
+        b = check_theorem(TheoremId.PLOTKIN1, *_entries("jsl", "jsl"))
         assert g.applicable and b.applicable
 
     def test_ternary_join_under_a_three_cycle(self):
         app = check_plotkin_general(
-            "jsl", "convex",
+            *_entries("jsl", "convex"),
             pt("mul(x1,mul(x2,x3))", "jsl"), pt("mix(x1,x2)", "convex"),
             PermutationSpec(3, (2, 3, 1)),
         )
@@ -172,7 +177,7 @@ class TestPlotkinGeneral:
 
     def test_monoid_multiplication_fails_both_p_conditions(self):
         app = check_plotkin_general(
-            "monoid", "jsl", pt("mul(x1,x2)", "monoid"), pt("mul(x1,x2)", "jsl"),
+            *_entries("monoid", "jsl"), pt("mul(x1,x2)", "monoid"), pt("mul(x1,x2)", "jsl"),
             PermutationSpec.swap(),
         )
         assert not app.applicable
@@ -183,7 +188,7 @@ class TestPlotkinGeneral:
 
     def test_class_records_are_exact_for_regular_theories(self):
         app = check_plotkin_general(
-            "jsl", "convex",
+            *_entries("jsl", "convex"),
             pt("mul(x1,mul(x2,x3))", "jsl"), pt("mix(x1,x2)", "convex"),
             PermutationSpec(3, (2, 3, 1)),
         )
@@ -195,7 +200,7 @@ class TestPlotkinGeneral:
         # reader:2 is not regular: mul(mul(x1,x2),mul(x3,mul(x1,x2))) =
         # mul(x1,x2) brings in x3, and both x1 and x2 are essential
         app = check_plotkin_general(
-            "reader:2", "reader:2",
+            *_entries("reader:2", "reader:2"),
             pt("mul(x1,x2)", "reader:2"), pt("mul(x1,x2)", "reader:2"),
             PermutationSpec.swap(),
         )
@@ -230,14 +235,14 @@ class TestPlotkinGeneral:
     def test_sigma_with_fixed_point_is_rejected(self):
         with pytest.raises(ValueError):
             check_plotkin_general(
-                "jsl", "jsl", pt("mul(x1,x2)", "jsl"), pt("mul(x1,x2)", "jsl"),
+                *_entries("jsl", "jsl"), pt("mul(x1,x2)", "jsl"), pt("mul(x1,x2)", "jsl"),
                 PermutationSpec(2, (1, 2)),
             )
 
     def test_p_variables_must_match_sigma_size(self):
         with pytest.raises(ValueError):
             check_plotkin_general(
-                "jsl", "jsl", pt("mul(x1,x3)", "jsl"), pt("mul(x1,x2)", "jsl"),
+                *_entries("jsl", "jsl"), pt("mul(x1,x3)", "jsl"), pt("mul(x1,x2)", "jsl"),
                 PermutationSpec.swap(),
             )
 
@@ -248,7 +253,7 @@ class TestPlotkinGeneral:
 
 class TestTooManyConstants:
     def test_monoid_over_two_exceptions(self):
-        app = check_theorem(TheoremId.TOO_MANY_CONSTANTS, "monoid", "exception:{a,b}")
+        app = check_theorem(TheoremId.TOO_MANY_CONSTANTS, *_entries("monoid", "exception:{a,b}"))
         assert app.applicable
         assert app.theorem == TheoremId.TOO_MANY_CONSTANTS
 
@@ -257,7 +262,7 @@ class TestTooManyConstants:
         # x*0 = 0 puts an open term in the class of a closed one, so the
         # closed-stays-closed hypothesis fails and the theorem does not
         # apply to rings as stated.
-        app = check_theorem(TheoremId.TOO_MANY_CONSTANTS, "monoid", ring_entry())
+        app = check_theorem(TheoremId.TOO_MANY_CONSTANTS, lookup_theory("monoid"), ring_entry())
         assert not app.applicable
         failed = [r for r in app.records if not r.passed]
         assert [r.requirement for r in failed] == ["T1"]
@@ -268,7 +273,8 @@ class TestTooManyConstants:
                           "two distinct constants"}
 
     def test_single_exception_has_no_wide_term(self):
-        app = check_theorem(TheoremId.TOO_MANY_CONSTANTS, "exception:{a}", "exception:{a,b}")
+        app = check_theorem(TheoremId.TOO_MANY_CONSTANTS,
+                            *_entries("exception:{a}", "exception:{a,b}"))
         assert not app.applicable
         assert [r.requirement for r in app.records if not r.passed] == [
             "term with two free variables"
@@ -277,26 +283,27 @@ class TestTooManyConstants:
 
 class TestLackingAbides:
     def test_monoid_over_itself(self):
-        assert check_theorem(TheoremId.LACKING_ABIDES, "monoid", "monoid").applicable
+        assert check_theorem(TheoremId.LACKING_ABIDES, *_entries("monoid", "monoid")).applicable
 
     def test_unital_magma_over_itself(self):
-        assert check_theorem(TheoremId.LACKING_ABIDES, "boom:U---", "boom:U---").applicable
+        app = check_theorem(TheoremId.LACKING_ABIDES, *_entries("boom:U---", "boom:U---"))
+        assert app.applicable
 
     def test_commutative_target_abides(self):
-        app = check_theorem(TheoremId.LACKING_ABIDES, "monoid", "comm-monoid")
+        app = check_theorem(TheoremId.LACKING_ABIDES, *_entries("monoid", "comm-monoid"))
         assert not app.applicable
         assert [r.requirement for r in app.records if not r.passed] == ["T4b"]
 
 
 class TestIdemUnits:
     def test_jsl_over_commutative_monoid(self):
-        assert check_theorem(TheoremId.IDEM_UNITS, "jsl", "comm-monoid").applicable
+        assert check_theorem(TheoremId.IDEM_UNITS, *_entries("jsl", "comm-monoid")).applicable
 
     def test_jsl_over_itself(self):
-        assert check_theorem(TheoremId.IDEM_UNITS, "jsl", "jsl").applicable
+        assert check_theorem(TheoremId.IDEM_UNITS, *_entries("jsl", "jsl")).applicable
 
     def test_non_idempotent_source_fails(self):
-        app = check_theorem(TheoremId.IDEM_UNITS, "comm-monoid", "monoid")
+        app = check_theorem(TheoremId.IDEM_UNITS, *_entries("comm-monoid", "monoid"))
         assert not app.applicable
         assert [r.requirement for r in app.records if not r.passed] == ["S4b"]
 
@@ -322,30 +329,30 @@ class TestVerdict:
     @pytest.mark.parametrize("pair", sorted(VERDICT_PINS))
     def test_status_and_theorems(self, pair):
         status, theorems = VERDICT_PINS[pair]
-        v = verdict(*pair)
+        v = verdict(*_entries(*pair))
         assert (v.status, v.theorems) == (status, theorems)
 
     def test_marks(self):
-        assert verdict("monoid", "monoid").mark == "N"
-        assert verdict("monoid", "jsl").mark == "Y"
-        assert verdict("boom:U---", "boom:--CI").mark == "?"
+        assert verdict(*_entries("monoid", "monoid")).mark == "N"
+        assert verdict(*_entries("monoid", "jsl")).mark == "Y"
+        assert verdict(*_entries("boom:U---", "boom:--CI")).mark == "?"
 
     def test_positive_cells_replay_their_laws(self):
-        v = verdict("monoid", "jsl")
+        v = verdict(*_entries("monoid", "jsl"))
         assert v.verified_laws == ("choice:list:powerset",)
-        v = verdict("boom:-A--", "boom:-A--")
+        v = verdict(*_entries("boom:-A--", "boom:-A--"))
         assert v.verified_laws == ("mm-nel-1", "mm-nel-2", "mm-nel-3")
         assert "Manes & Mulry" in v.positive.citation
 
     def test_too_few_variables_is_not_a_refutation(self):
         # reader:2's V2 fails exactly, whatever bound a caller passes, so
         # reader:2 cannot play the idempotent side of Plotkin1
-        v = verdict("reader:2", "jsl", num_vars=1)
+        v = verdict(*_entries("reader:2", "jsl"), num_vars=1)
         assert v.status != "NoDistLaw"
         assert not check_property(lookup_theory("reader:2"), PropertyId.V2)
 
     def test_citation_only_cells_are_flagged(self):
-        v = verdict("boom:U-C-", "boom:UAC-")
+        v = verdict(*_entries("boom:U-C-", "boom:UAC-"))
         assert v.status == "Exists"
         assert v.positive.citation_only
         assert "citation-only" in v.notes
@@ -358,12 +365,12 @@ class TestVerdict:
         broken = nogo.PositiveEntry(("faulty-list-exception",), "test")
         monkeypatch.setitem(nogo._POSITIVE, key, broken)
         with pytest.raises(nogo.ReplayError) as exc:
-            verdict(*key)
+            verdict(*_entries(*key))
         assert "faulty-list-exception" in str(exc.value)
         assert "mult-s" in str(exc.value)
 
     def test_jsl_pair_gets_the_independent_refutation_note(self):
-        v = verdict("jsl", "jsl")
+        v = verdict(*_entries("jsl", "jsl"))
         assert any("Klin & Salamanca 2018, Thm 3.2" in n for n in v.notes)
 
     def test_registry_shape(self):
@@ -381,21 +388,22 @@ class TestVerdict:
         assert positive_entry("boom:UACI", "boom:UACI") is None
 
     def test_no_designated_binary_still_yields_a_verdict(self):
-        v = verdict("exception:{a}", "exception:{a,b}")
+        v = verdict(*_entries("exception:{a}", "exception:{a,b}"))
         assert v.status == "Unknown"
 
     def test_raising_depth_does_not_flip_decided_statuses(self):
         # every certificate is exact: the bounds a caller passes are ignored
         for s, t in (("monoid", "monoid"), ("monoid", "jsl"), ("reader:2", "jsl"),
                      ("abgroup", "abgroup")):
-            assert verdict(s, t, 0, 1) == verdict(s, t, 3, 4) == verdict(s, t)
+            pair = _entries(s, t)
+            assert verdict(*pair, 0, 1) == verdict(*pair, 3, 4) == verdict(*pair)
 
     def test_refutation_certificates_replay_green(self):
         for (s, t), (status, _) in VERDICT_PINS.items():
             if status != "NoDistLaw":
                 continue
-            v = verdict(s, t)
-            se, te = lookup_theory(s), lookup_theory(t)
+            se, te = _entries(s, t)
+            v = verdict(se, te)
             # P/V sides come from the variable-counting check, where the
             # column is p and the row is v
             sides = {"S": se, "T": te, "P": te, "V": se}
@@ -413,7 +421,7 @@ class TestVerdict:
         # powerset-over-powerset must not coexist with an Exists verdict
         res = search_distlaw_bounded("powerset", "powerset", carrier_size=1, bound=2)
         assert res.outcome == SearchOutcome.NO_LAW
-        assert verdict("jsl", "jsl").status != "Exists"
+        assert verdict(*_entries("jsl", "jsl")).status != "Exists"
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,7 @@ def test_nogo_builds_only_its_two_theories():
 from monadlab.cli import main
 from monadlab import theories
 main(sys.argv[1:])
-print(*(e.theory_id for e in theories.registry() if "_build" not in vars(e)))
+print(*(e.theory_id for e in theories.registry() if "presentation" in vars(e)))
 """
     res = _python("-c", probe, "nogo", "T+", "C+")
     assert res.returncode == 0, res.stderr

@@ -1,9 +1,10 @@
 """`src/` holds only what a command or a benchmark op runs: every name a
-module exports in `__all__` is used in the code of some module under `src/`,
-or named by the benchmark's worker or tracer, and every public method or
-property of a class under `src/`, and every field of a `NamedTuple` record
-there, is read as an attribute by that code. Reference code that only tests
-call lives in `tests/references.py`."""
+module exports in `__all__`, and every private module-level function, class
+and constant, is used in the code of some module under `src/`, or named by
+the benchmark's worker or tracer, and every public method or property of a
+class under `src/`, and every field of a `NamedTuple` record there, is read
+as an attribute by that code. Reference code that only tests call lives in
+`tests/references.py`."""
 
 import ast
 import re
@@ -51,6 +52,21 @@ def _used(tree: ast.Module) -> set:
     return used
 
 
+def _private(tree: ast.Module):
+    """The private module-level functions, classes and constants; dunders
+    such as `__all__` are not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.endswith("__"))
+
+
 def _methods(tree: ast.Module):
     """(class, name) of every public method and property defined in a class."""
     for node in ast.walk(tree):
@@ -83,13 +99,17 @@ def _sources():
     return trees, bench
 
 
+def _unused(names, trees, bench) -> set:
+    """The `names` that no module under `src/` uses and that the benchmark's
+    worker and tracer do not name."""
+    used = set().union(*map(_used, trees))
+    return {name for name in names
+            if name not in used and not re.search(rf"\b{re.escape(name)}\b", "\n".join(bench))}
+
+
 def test_every_export_is_used_by_a_command_or_the_benchmark():
     trees, bench = _sources()
-    used = set().union(*map(_used, trees))
-    unused = {
-        name for tree in trees for name in _exports(tree)
-        if name not in used and not re.search(rf"\b{re.escape(name)}\b", "\n".join(bench))
-    }
+    unused = _unused((name for tree in trees for name in _exports(tree)), trees, bench)
     # a method is reached only through an attribute; a local variable or a
     # string of the same name does not count
     read = set().union(*map(_attributes, trees + [ast.parse(text) for text in bench]))
@@ -97,6 +117,11 @@ def test_every_export_is_used_by_a_command_or_the_benchmark():
         f"{cls}.{name}" for tree in trees for cls, name in _methods(tree) if name not in read
     }
     assert unused == EXCEPTIONS
+
+
+def test_every_private_module_name_is_used_by_a_command_or_the_benchmark():
+    trees, bench = _sources()
+    assert _unused((name for tree in trees for name in _private(tree)), trees, bench) == set()
 
 
 def test_every_record_field_is_read_by_a_command_or_the_benchmark():

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import subterm_paths
 
 from monadlab import terms
 from monadlab.terms import (
@@ -22,7 +23,6 @@ from monadlab.terms import (
     render,
     signature,
     substitute,
-    subterm_paths,
     term_vars,
 )
 

@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from references import ring_entry, validate_procedure_against_rewrites
+from references import ring_entry, subterm_paths, validate_procedure_against_rewrites
 
 from monadlab import hierarchy, terms, theories
 from monadlab.terms import (
@@ -15,7 +15,6 @@ from monadlab.terms import (
     Var,
     decide_eq,
     normalize,
-    parse_term,
     render,
 )
 from monadlab.theories import (
@@ -32,7 +31,6 @@ from monadlab.theories import (
     exception_theory,
     lookup_theory,
     narytree_theory,
-    presentation,
     register_theory,
     registry,
 )
@@ -84,9 +82,8 @@ def test_every_theory_has_a_decision_procedure():
     for tid in (*(e.theory_id for e in registry()), "exception:{a,b,c}", "narytree-theory:4"):
         assert isinstance(lookup_theory(tid).procedure, terms.Procedure), tid
     assert isinstance(ring_entry().procedure, terms.Procedure)
-    magma = boom_theory(BoomFlags(False, False, False, False))
     with pytest.raises(TypeError):
-        TheoryEntry("test:procedure-less", magma, "magma")
+        TheoryEntry("test:procedure-less", *boom_theory(BoomFlags(False, False, False, False)))
 
 
 def test_unregistered_entries_leave_the_registry_alone():
@@ -96,9 +93,9 @@ def test_unregistered_entries_leave_the_registry_alone():
     for ring in (first, second):
         pres = ring.presentation
         assert decide_eq(ring.procedure, pres.parse("times(x,zero)"), pres.parse("zero"))
-    magma = boom_theory(BoomFlags(False, False, False, False))
-    local = TheoryEntry("test:local-magma", magma, "magma",
-                        terms.TreeProc(magma.signature.op("mul")))
+    local = TheoryEntry("test:local-magma", *boom_theory(BoomFlags(False, False, False, False)),
+                        lambda: terms.TreeProc(OpSymbol("mul", 2)))
+    magma = local.presentation
     assert not decide_eq(local.procedure, magma.parse("mul(x,y)"), magma.parse("mul(y,x)"))
     assert check_property(local, PropertyId.T3).status is PropertyStatus.FAILS
     assert registry() == before
@@ -124,15 +121,16 @@ def test_unknown_theory_suggests():
 
 
 def test_theory_entry_reads_its_texts_over_the_signature():
-    pres = boom_theory(BoomFlags(True, True, False, False))
-    entry = theories.theory_entry(pres, terms.WordProc(), "mul(y1,y2)", "e", label="L")
+    monoid = boom_theory(BoomFlags(True, True, False, False))
+    entry = TheoryEntry("boom:UA--", *monoid, terms.WordProc, "mul(y1,y2)", "e",
+                        aliases=("L", "monoid"))
     assert (entry.theory_id, entry.label, entry.aliases, entry.absorbing) == (
-        "boom:UA--", "L", (), None)
-    assert entry.designated_binary == App(pres.signature.op("mul"), (Var("y1"), Var("y2")))
-    assert entry.designated_unit == App(pres.signature.op("e"), ())
-    assert theories.theory_entry(pres, terms.WordProc()).label == "boom:UA--"
-    with pytest.raises(terms.ParseError):
-        theories.theory_entry(pres, terms.WordProc(), "inv(y1)")
+        "boom:UA--", "L", ("L", "monoid"), None)
+    sig = entry.presentation.signature
+    assert entry.designated_binary == App(sig.op("mul"), (Var("y1"), Var("y2")))
+    assert entry.designated_unit == App(sig.op("e"), ())
+    assert [eq.name for eq in entry.presentation.equations] == ["unitl", "unitr", "assoc"]
+    assert TheoryEntry("boom:UA--", *monoid, terms.WordProc).label == "boom:UA--"
 
 
 def test_exception_theories_on_demand():
@@ -145,15 +143,12 @@ def test_exception_theories_on_demand():
 
 
 def test_boom_axioms_exactly_flagged():
-    monoid = boom_theory(BoomFlags(True, True, False, False))
-    assert [a.name for a in monoid.equations] == ["unitl", "unitr", "assoc"]
-    magma = boom_theory(BoomFlags(False, False, False, False))
-    assert magma.equations == ()
-    assert not magma.signature.has("e")
-    jsl = boom_theory(BoomFlags(True, True, True, True))
-    assert [a.name for a in jsl.equations] == [
-        "unitl", "unitr", "assoc", "comm", "idem",
-    ]
+    ops, axioms = boom_theory(BoomFlags(True, True, False, False))
+    assert ops == (("mul", 2), ("e", 0))
+    assert [name for _, _, name in axioms] == ["unitl", "unitr", "assoc"]
+    assert boom_theory(BoomFlags(False, False, False, False)) == ((("mul", 2),), ())
+    _, axioms = boom_theory(BoomFlags(True, True, True, True))
+    assert [name for _, _, name in axioms] == ["unitl", "unitr", "assoc", "comm", "idem"]
 
 
 def test_boom_label_orders():
@@ -374,7 +369,7 @@ def _path_walk_steps(rules, term, pool):
     (an axiom read one way, with its right side's variables), pool fills for
     one-sided variables, first occurrence kept and `term` itself dropped."""
     out = {}
-    for path, sub in terms.subterm_paths(term):
+    for path, sub in subterm_paths(term):
         for pat, repl, repl_vars in rules:
             bindings = terms.match(pat, sub)
             if bindings is None:
@@ -533,9 +528,6 @@ def test_procedures_match_rewrite_classes_three_vars(tid):
 
 
 def test_validation_catches_broken_procedure():
-    flags = BoomFlags(False, False, False, False)
-    pres = boom_theory(flags)
-
     class Wrong(terms.Procedure):
         def var_key(self, name):
             return name
@@ -543,7 +535,8 @@ def test_validation_catches_broken_procedure():
         def app_key(self, op, child_keys):
             return tuple(sorted(child_keys, key=repr))  # pretends mul is comm
 
-    entry = TheoryEntry("test:wrong-magma", pres, "wrong", Wrong())
+    entry = TheoryEntry("test:wrong-magma", *boom_theory(BoomFlags(False, False, False, False)),
+                        Wrong)
     report = validate_procedure_against_rewrites(entry, depth=2, num_vars=2)
     assert not report.ok
     assert report.disconnected_classes  # mul(x,y) and mul(y,x) share a key
@@ -705,8 +698,8 @@ def _jsl_with_binary(text):
     """The join-semilattice theory, unregistered, with `text` as its
     designated binary."""
     jsl = lookup_theory("jsl")
-    return TheoryEntry(jsl.theory_id, jsl.presentation, jsl.label, jsl.procedure,
-                       pt("jsl", text), jsl.designated_unit)
+    return TheoryEntry(jsl.theory_id, *boom_theory(BoomFlags(True, True, True, True)),
+                       lambda: jsl.procedure, text, "e")
 
 
 @pytest.mark.parametrize("depth,num_vars", [(2, 3), (3, 3)])
@@ -783,6 +776,10 @@ def test_loaded_regular_theory_is_exact(monkeypatch, closure_calls):
     assert closure_calls == []
 
 
+# the left-zero theory: its operations and its one axiom
+_LEFT_ZERO = ((("mul", 2),), (("mul(x,y)", "x", "leftzero"),))
+
+
 class _LeftZeroProc(terms.Procedure):
     """mul(x,y) = x: every term equals its leftmost variable."""
 
@@ -799,10 +796,8 @@ class _LeftZeroProc(terms.Procedure):
 def test_essential_variables_give_the_fewest_member():
     # in the left-zero theory only x1 is essential in mul(x1,x2), so its
     # class holds mul(x1,x1)
-    pres = presentation("test:leftzero", (("mul", 2),), (("mul(x,y)", "x", "leftzero"),))
-    sig = pres.signature
-    leftzero = TheoryEntry("test:leftzero", pres, "leftzero", _LeftZeroProc(),
-                           parse_term("mul(y1,y2)", sig), absorbing=parse_term("mul(x,y)", sig))
+    leftzero = TheoryEntry("test:leftzero", *_LEFT_ZERO, _LeftZeroProc, "mul(y1,y2)",
+                           absorbing="mul(x,y)")
     assert check_property(leftzero, PropertyId.V3).describe() == (
         "Fails(essential variables; class member inside a single variable; "
         "witness mul(x1,x2),mul(x1,x1))"
@@ -818,20 +813,11 @@ def test_essential_variables_give_the_fewest_member():
 
 def test_rejected_registration_changes_nothing():
     magma = boom_theory(BoomFlags(False, False, False, False))
-    leftzero = presentation("x:dup", (("mul", 2),), (("mul(x,y)", "x", "leftzero"),))
-    sig = leftzero.signature
     before = registry()
-    proc = _LeftZeroProc()
     rejected = [
-        (TheoryEntry("x:dup", magma, "dup", proc, aliases=("dup", "monoid")),
+        (TheoryEntry("x:dup", *magma, _LeftZeroProc, aliases=("dup", "monoid")),
          "alias 'monoid' already taken"),
-        (TheoryEntry("boom:UA--", magma, "dup", proc), "already registered"),
-        (TheoryEntry("x:dup", leftzero, "dup", proc), "needs an absorbing term"),
-        # mul(y,x) = y, and x = x has no y
-        (TheoryEntry("x:dup", leftzero, "dup", proc, absorbing=parse_term("mul(y,x)", sig)),
-         "needs an absorbing term"),
-        (TheoryEntry("x:dup", leftzero, "dup", proc, absorbing=Var("x")),
-         "needs an absorbing term"),
+        (TheoryEntry("boom:UA--", *magma, _LeftZeroProc), "already registered"),
     ]
     for entry, message in rejected:
         with pytest.raises(ValueError, match=message):
@@ -845,8 +831,8 @@ def test_rejected_registration_changes_nothing():
 
 
 def test_every_builtin_entry_builds_and_passes_the_registration_checks():
-    # a built-in entry is registered unbuilt; building it checks what
-    # registration checks of an entry that is built already
+    # a registered entry is built on first read, and the build holds an
+    # irregular theory to its absorbing term
     for entry in registry():
         assert entry.presentation.name == entry.theory_id
         assert isinstance(entry.procedure, terms.Procedure)
@@ -859,34 +845,66 @@ def test_every_builtin_entry_builds_and_passes_the_registration_checks():
     assert exception_theory(("b", "a")) is lookup_theory("exception:{a,b}")
 
 
-def test_a_deferred_entry_is_built_once_and_checked_on_first_read(monkeypatch):
+def test_an_entry_parses_nothing_until_a_field_is_read(monkeypatch):
+    parsed = []
+    real = terms.parse_term
+    monkeypatch.setattr(terms, "parse_term",
+                        lambda text, sig: parsed.append(text) or real(text, sig))
+    narytree_theory.cache_clear()  # an entry built by an earlier test would hide the build
+    tree = lookup_theory("narytree-theory:64")
+    labels = lookup_theory("exception:{first,read}")
+    assert parsed == []
+    for entry in (tree, labels):
+        assert not set(theories._BUILT) & vars(entry).keys()
+    assert render(tree.designated_binary) == "node(y1,y2" + ",e" * 62 + ")"
+    # the sides of the 64 axioms, then the designated binary and unit
+    assert len(parsed) == 2 * 64 + 2
+    assert labels.designated_binary is None
+    for entry in (tree, labels):
+        assert set(theories._BUILT) <= vars(entry).keys()
+    tree.procedure, labels.procedure  # noqa: B018
+    assert len(parsed) == 2 * 64 + 2
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        tree.missing  # noqa: B018
+
+
+def test_an_entry_is_built_once_and_checked_on_first_read(monkeypatch):
     monkeypatch.setattr(theories, "_REGISTRY", dict(theories._REGISTRY))
     monkeypatch.setattr(theories, "_ALIASES", dict(theories._ALIASES))
     builds = []
 
-    def leftzero(absorbing):
-        def build():
-            builds.append(absorbing)
-            pres = presentation("x:lazy", (("mul", 2),), (("mul(x,y)", "x", "leftzero"),))
-            return TheoryEntry("x:lazy", pres, "lazy", _LeftZeroProc(),
-                               pres.parse("mul(y1,y2)"), absorbing=pres.parse(absorbing))
-        return build
+    def procedure():
+        builds.append(None)
+        return _LeftZeroProc()
 
-    wrong = register_theory(TheoryEntry.deferred("x:lazy", "lazy", ("lazy",),
-                                                 leftzero("mul(y,x)")))
-    assert builds == [] and lookup_theory("lazy") is wrong
-    for _ in range(2):  # a failed build leaves the entry unbuilt
-        with pytest.raises(ValueError, match=r"^irregular theory 'x:lazy' needs an "
-                                             r"absorbing term p\(x,y\) = x$"):
-            wrong.procedure  # noqa: B018
-    assert builds == ["mul(y,x)"] * 2
+    # none; mul(y,x) = y; x has no y
+    for absorbing in (None, "mul(y,x)", "x"):
+        builds.clear()
+        wrong = TheoryEntry("x:lazy", *_LEFT_ZERO, procedure, "mul(y1,y2)",
+                            absorbing=absorbing, aliases=("lazy",))
+        assert register_theory(wrong) is lookup_theory("lazy") is wrong
+        assert builds == [] and wrong.label == "lazy"
+        for field in ("procedure", "absorbing"):  # a failed build leaves the entry unbuilt
+            with pytest.raises(ValueError, match=r"^irregular theory 'x:lazy' needs an "
+                                                 r"absorbing term p\(x,y\) = x$"):
+                getattr(wrong, field)
+        assert len(builds) == 2 and "presentation" not in vars(wrong)
+        del theories._REGISTRY["x:lazy"], theories._ALIASES["lazy"]
 
-    right = TheoryEntry.deferred("x:lazy", "lazy", (), leftzero("mul(x,y)"))
-    assert (right.theory_id, right.label, right.aliases, builds) == (
-        "x:lazy", "lazy", (), ["mul(y,x)"] * 2)
+    builds.clear()
+    right = TheoryEntry("x:lazy", *_LEFT_ZERO, procedure, "mul(y1,y2)", absorbing="mul(x,y)")
     assert right.designated_unit is None
     assert render(right.absorbing) == "mul(x,y)"
     assert check_property(right, PropertyId.V3).status is PropertyStatus.FAILS
-    assert builds == ["mul(y,x)"] * 2 + ["mul(x,y)"]
-    with pytest.raises(AttributeError, match="no attribute 'missing'"):
-        right.missing  # noqa: B018
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("axioms, binary", [
+    ((("inv(x)", "x", "inv"),), None),  # an axiom
+    ((), "inv(y1)"),  # a designated term
+])
+def test_a_text_outside_the_operations_fails_on_first_read(axioms, binary):
+    entry = TheoryEntry("x:foreign", (("mul", 2),), axioms, _LeftZeroProc, binary)
+    for _ in range(2):
+        with pytest.raises(terms.ParseError, match="unknown operation 'inv'"):
+            entry.presentation  # noqa: B018
