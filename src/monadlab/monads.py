@@ -93,10 +93,13 @@ class FinMonad:
     defaults to the other. List, powerset and the weighted combinations
     (`WeightedMonad`: multiset, dist, abgroup) define `bind`, flattening in
     one pass with one canonicalisation instead of building T(T(X)); the
-    other monads define `join`. The tree monads share one encoding: leaves
-    ("nleaf", x), nodes ("nnode", child, ...) and, in the monads that have
-    one, the unit leaf ("nunit",). bintree is the width-2 `NaryTreeMonad`
-    with no unit leaf.
+    other monads define `join`. Powerset and the weighted combinations
+    have an unordered form (`values`): `fmap_unordered` and `bind_unordered`
+    stop at it, `unordered(v)` views a value in it, and `fmap` and `bind`
+    end with `canonical(u)`, which sorts it. The tree monads share one
+    encoding: leaves ("nleaf", x), nodes ("nnode", child, ...) and, in the
+    monads that have one, the unit leaf ("nunit",). bintree is the width-2
+    `NaryTreeMonad` with no unit leaf.
 
     Two optional views feed the choice laws of `distlaws`. A commutative
     monad T defines `weighted(v)`, its elements and their weights as two
@@ -167,7 +170,7 @@ def _picks(v, t, ws):
     or tree `v`, in `canon_key` order (see `FinMonad`); each position's
     weights go onto `ws`, left to right. A node's picks are the products of
     its children's, so each node is built once per combination of them,
-    and in C."""
+    and in C; a leaf child's picks are made here, without a call."""
     tag = v[0]
     if tag == "list":
         xs, w = zip(*map(t.weighted, v[1:]))
@@ -179,7 +182,14 @@ def _picks(v, t, ws):
     elif tag == "nunit":
         return (v,)
     else:
-        xs = [_picks(c, t, ws) for c in v[1:]]
+        xs = []
+        for c in v[1:]:
+            if c[0] == "nleaf":
+                cx, w = t.weighted(c[1])
+                ws.append(w)
+                xs.append(tuple(zip(itertools.repeat("nleaf"), cx)))
+            else:
+                xs.append(_picks(c, t, ws))
     return tuple(map((tag,).__add__, itertools.product(*xs)))
 
 
@@ -242,18 +252,30 @@ class WeightedMonad(FinMonad):
         return (self.tag, ((x, self.one),))
 
     def fmap(self, f, v):
+        return weighted_value(self.tag, self.fmap_unordered(f, v))
+
+    def bind(self, v, f):
+        return weighted_value(self.tag, self.bind_unordered(v, f))
+
+    def fmap_unordered(self, f, v):
         acc: dict = {}
         for x, w in v[1]:
             y = f(x)
             acc[y] = acc.get(y, 0) + w
-        return weighted_value(self.tag, acc)
+        return {x: w for x, w in acc.items() if w} if 0 in acc.values() else acc
 
-    def bind(self, v, f):
+    def bind_unordered(self, v, f):
         acc: dict = {}
         for y, w in v[1]:
             for x, u in f(y)[1]:
                 acc[x] = acc.get(x, 0) + w * u
-        return weighted_value(self.tag, acc)
+        return {x: w for x, w in acc.items() if w} if 0 in acc.values() else acc
+
+    def unordered(self, v):
+        return dict(v[1])
+
+    def canonical(self, u):
+        return weighted_value(self.tag, u)
 
     def members(self, v):
         return tuple(x for x, _ in v[1])
@@ -293,13 +315,21 @@ class PowersetMonad(FinMonad):
         return ("set", x)
 
     def fmap(self, f, v):
-        return mk_set(f(x) for x in v[1:])
+        return mk_set(self.fmap_unordered(f, v))
 
     def bind(self, v, f):
-        out: list = []
-        for x in v[1:]:
-            out += f(x)[1:]
-        return mk_set(out)
+        return mk_set(self.bind_unordered(v, f))
+
+    def fmap_unordered(self, f, v):
+        return {*map(f, v[1:])}
+
+    def bind_unordered(self, v, f):
+        return {y for x in v[1:] for y in f(x)[1:]}
+
+    def unordered(self, v):
+        return {*v[1:]}
+
+    canonical = staticmethod(mk_set)
 
     def members(self, v):
         return v[1:]
@@ -694,11 +724,20 @@ class LawReport:
         self.pool_sizes[name] = len(values)
         return values
 
-    def compare(self, condition: str, pool: list, lhs: Iterable, rhs: Iterable) -> None:
+    def compare(self, condition: str, pool: list, lhs: Iterable, rhs: Iterable,
+                t: Optional[FinMonad] = None) -> None:
         """Check `condition` on every input of `pool`: the two sides, in pool
-        order, must agree."""
+        order, must agree. If `t` has an unordered form (`FinMonad`), `lhs`
+        holds canonical T values and `rhs` unordered ones, and they are
+        compared unordered. A violation records the input and both sides,
+        canonical, up to `_MAX_VIOLATIONS`."""
+        unordered = hasattr(t, "unordered")
+        if unordered:
+            lhs = map(t.unordered, lhs)
         for w, left, right in zip(pool, lhs, rhs):
             if left != right and len(self.violations) < _MAX_VIOLATIONS:
+                if unordered:
+                    left, right = t.canonical(left), t.canonical(right)
                 self.violations.append((condition, w, left, right))
         self.checked[condition] = self.checked.get(condition, 0) + len(pool)
 
@@ -749,8 +788,11 @@ def check_monad_laws(monad: FinMonad, carrier_size: int = 2, bound: int = 3) -> 
     report.pool_sizes["TTT-carrier"] = len(carrier3)
     pool3 = report.pool("TTT", monad, carrier3)
 
+    # the outer join of the right-hand side stops at the unordered form, if any
+    bind_u = getattr(monad, "bind_unordered", None)
+    outer = monad.join if bind_u is None else functools.partial(bind_u, f=_identity)
     join_join = (monad.join(monad.fmap(monad.join, w)) for w in pool3)
-    report.compare("assoc", pool3, join_join, map(monad.join, map(monad.join, pool3)))
+    report.compare("assoc", pool3, join_join, map(outer, map(monad.join, pool3)), monad)
 
     report.elapsed = time.perf_counter() - start
     return report

@@ -14,8 +14,10 @@ needs no sort, and entries that are all labels (a test made in C over their
 types) sort natively, since `canon_key` of a label is (0, label). Any other
 entries sort by their top-level key through a bounded LRU store
 (`_KEY_CACHE_SIZE` values). A flattening monad's `bind` sorts once, over
-every entry of the flattened value; multiset and abgroup sum their weights
-in one dict and hand it to `weighted_value`.
+every entry of the flattened value. Before that sort it holds an unordered
+form, the element -> weight dict with zero weights dropped (multiset, dist,
+abgroup) or the member set (powerset); a check that only compares values
+compares those and sorts nothing (`monads.LawReport.compare`).
 
 Some values are built canonical and skip the constructors. The choice laws
 of `distlaws` over a list or tree S give T combinations of picks that all

@@ -1,6 +1,7 @@
 """Distributive laws: pinned examples, Beck conditions, the broken control."""
 
 import collections
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -363,9 +364,14 @@ def test_check_beck_applies_the_law_once_per_input_per_call(law_id):
 
 
 # the nine positive laws that every cold Boom table replays, at carrier 2 and
-# bound 3, as recorded before the Kleisli `bind` and the C-level memo:
+# bound 3, as recorded before the Kleisli `bind` and the C-level memo, and
+# ring, the costliest law at those settings, as recorded before the
+# order-free comparison of commutative T values:
 # (checked per condition, pool sizes, law applications requested, computed)
 _REPLAYED = {
+    "ring": (
+        (25, 15, 32552, 1885, 1885), (25, 15, 16276, 1885, 1885), 79632, 20038
+    ),
     "choice:tree:multiset": (
         (10, 23, 4222, 3613, 3613), (10, 23, 2111, 3613, 3613), 36392, 9170
     ),
@@ -402,6 +408,57 @@ def test_replayed_law_counts_are_pinned(law_id):
     assert report.checked == dict(zip(conditions, checked))
     assert report.pool_sizes == dict(zip(("T", "S", "ST", "SST", "STT"), pools))
     assert report.stats == {"lambda_requested": requested, "lambda_computed": computed}
+
+
+def _weigh_doubles(from_canonical):
+    """`from_canonical` that gives each pick of two equal elements one
+    more than its weight."""
+    return lambda self, xs, ws: from_canonical(
+        self, xs, [w + (len(x) == 3 and x[1] == x[2]) for x, w in zip(xs, ws)])
+
+
+def _drop_last_pick(from_canonical):
+    """`from_canonical` that drops the last of two or more picks."""
+    return lambda self, xs, ws: from_canonical(self, xs[:-1] if len(xs) > 1 else xs, ws)
+
+
+# two broken choice laws over a commutative T, as recorded before the
+# order-free comparison of T values: (checked per condition, number of
+# violations, sha256 of the repr of the whole violation list, the first
+# violation). Their violations record canonical values, in pool order.
+_BROKEN = {
+    ("choice:list:multiset", _weigh_doubles): (
+        (10, 15, 2222, 1885, 1885), 228,
+        "1477258eb09c4b1913a2621412ebe06e46518c2fa85b3e7c95455e030fc43831",
+        ("unit-t", ("list", "a", "a"), ("mset", ((("list", "a", "a"), 2),)),
+         ("mset", ((("list", "a", "a"), 1),))),
+    ),
+    ("choice:list:powerset", _drop_last_pick): (
+        (4, 15, 170, 1885, 1885), 628,
+        "fd3d54ed5f5e70f4a599d494ead36a9eee5c30cbe77ad183f615b1af4bb76244",
+        ("unit-s", ("set", "a", "b"), ("set", ("list", "a")),
+         ("set", ("list", "a"), ("list", "b"))),
+    ),
+}
+
+
+@pytest.mark.parametrize("law_id,patch", sorted(_BROKEN, key=lambda k: k[0]))
+def test_broken_commutative_law_reports_are_pinned(law_id, patch, monkeypatch):
+    checked, count, digest, first = _BROKEN[law_id, patch]
+    law = law_for(law_id)
+    t = law.t_monad
+    monkeypatch.setattr(type(t), "from_canonical", patch(type(t).from_canonical))
+    report = check_beck(law, carrier_size=2, bound=3)
+    conditions = ("unit-s", "unit-t", "natural", "mult-s", "mult-t")
+    assert report.checked == dict(zip(conditions, checked))
+    assert len(report.violations) == count
+    assert report.violations[0] == first
+    assert hashlib.sha256(repr(report.violations).encode()).hexdigest() == digest
+    # every condition that compares order-free records canonical values
+    assert {c for c, *_ in report.violations} >= {"natural", "mult-s", "mult-t"}
+    for _, _, left, right in report.violations:
+        assert t.canonical(t.unordered(left)) == left
+        assert t.canonical(t.unordered(right)) == right
 
 
 # the sizes of the T-over-T pools at carriers 1, 2 and 3 (bound 3) whose

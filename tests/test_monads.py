@@ -609,6 +609,42 @@ def test_fmap_functorial_and_join_natural(mid, data):
     assert m.fmap(f.get, m.join(w)) == m.join(m.fmap(lift_f, w))
 
 
+# the commutative monads, whose fmap and bind stop at an unordered form
+_UNORDERED_IDS = ["multiset", "dist", "abgroup", "powerset"]
+# images of the letters: labels, to collapse letters onto one, and values
+_IMAGES = ["a", "b", "c", mk_list(("a",)), mk_set(("b",))]
+
+
+@pytest.mark.parametrize("mid", _UNORDERED_IDS)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_unordered_maps_agree_with_canonical_ones(mid, data):
+    m = monad_for(mid)
+    pool = m.enumerate(("a", "b", "c"), 2)
+    v, w = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+    f = dict(zip("abc", data.draw(st.tuples(*[st.sampled_from(_IMAGES)] * 3))))
+    assert m.fmap_unordered(f.get, v) == m.unordered(m.fmap(f.get, v))
+    k = dict(zip("abc", data.draw(st.tuples(*[st.sampled_from(pool)] * 3))))
+    assert m.bind_unordered(v, k.get) == m.unordered(m.bind(v, k.get))
+    # the unordered form is a faithful view of canonical values
+    assert m.canonical(m.unordered(v)) == v
+    assert (v == w) == (m.unordered(v) == m.unordered(w))
+
+
+def test_unordered_abgroup_maps_drop_cancelled_weights():
+    m = monad_for("abgroup")
+    v = mk_grp([("a", 2), ("b", -2), ("c", 1)])
+    collapse = {"a": "a", "b": "a", "c": "c"}.get
+    assert m.fmap_unordered(collapse, v) == {"c": 1} == m.unordered(m.fmap(collapse, v))
+    merge = {"a": mk_grp([("b", 1)]), "b": mk_grp([("b", 1)]), "c": mk_grp([("a", 1)])}.get
+    assert m.bind_unordered(v, merge) == {"a": 1} == m.unordered(m.bind(v, merge))
+    assert m.canonical(m.fmap_unordered(collapse, mk_grp([("a", 1), ("b", -1)]))) == ("grp", ())
+    # a collapsing map merges powerset members
+    p = monad_for("powerset")
+    assert p.fmap_unordered(collapse, mk_set("abc")) == {"a", "c"} == p.unordered(
+        p.fmap(collapse, mk_set("abc")))
+
+
 # ---------------------------------------------------------------------------
 # free models
 
