@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 from monadlab import monads
 from monadlab.monads import FinMonad, LawReport, NoMonadError, monad_for, monad_ids
 from monadlab.theories import unknown_name
-from monadlab.values import Value, letters, memo
+from monadlab.values import Value, gc_paused, letters, memo
 
 __all__ = [
     "DistLaw",
@@ -187,6 +187,7 @@ def law_for(law_id: str) -> DistLaw:
 # Beck conditions
 
 
+@gc_paused
 def check_beck(law: DistLaw, carrier_size: int = 2, bound: int = 3) -> LawReport:
     """Test the four Beck conditions plus naturality over graded pools.
 

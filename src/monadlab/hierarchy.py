@@ -15,6 +15,7 @@ from typing import NamedTuple
 from . import TABLE_VARIANTS
 from .nogo import NoGoVerdict, verdict
 from .theories import BOOM_EXTENDED, BOOM_FULL, BOOM_ORIGINAL, lookup_theory
+from .values import gc_paused
 
 __all__ = [
     "GoldenFileError",
@@ -97,6 +98,7 @@ class VerdictTable(NamedTuple):
         return out
 
 
+@gc_paused
 def build_table(variant: str, depth: int = 3, num_vars: int = 4) -> VerdictTable:
     """The verdict of every ordered pair of the variant's theories.
 

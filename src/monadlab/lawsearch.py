@@ -77,7 +77,7 @@ import time
 from typing import Optional
 
 from monadlab.monads import FinMonad, PowersetMonad, monad_for
-from monadlab.values import Value, format_value, letters, memo, mk_set
+from monadlab.values import Value, format_value, gc_paused, letters, memo, mk_set
 
 __all__ = [
     "SearchOutcome",
@@ -175,11 +175,14 @@ class _MapImages:
 
     def __init__(self, f: dict, s: FinMonad, t: FinMonad):
         self.t_image = memo(lambda tv: t.fmap(f.get, tv))
-        self.s_image = memo(lambda sv: s.fmap(f.get, sv))
-        self.out = memo(lambda v: t.fmap(self.s_image, v))
+        # `out` closes over the memo, not `self`, so that no cycle keeps a
+        # map's memos alive after its search
+        s_image = self.s_image = memo(lambda sv: s.fmap(f.get, sv))
+        self.out = memo(lambda v: t.fmap(s_image, v))
         self.memos = (self.t_image, self.s_image, self.out)
 
 
+@gc_paused
 def search_distlaw_bounded(
     s_id: str,
     t_id: str,

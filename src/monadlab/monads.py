@@ -26,6 +26,7 @@ from monadlab.values import (
     Value,
     canon_key,
     format_value,
+    gc_paused,
     letters,
     mk_dist,
     mk_mset,
@@ -542,21 +543,24 @@ def _weight_tuples(slots: int) -> list[tuple]:
             for p in range(1, q + 1)
         }
     )
-    allowed = set(alphabet)
     out: list[tuple] = []
-
-    def go(prefix: list, remaining, left: int):
-        if left == 1:
-            if remaining in allowed:
-                out.append(tuple(prefix + [remaining]))
-            return
-        for w in alphabet:
-            if w >= remaining:
-                break
-            go(prefix + [w], remaining - w, left - 1)
-
-    go([], Fraction(1), slots)
+    _extend_weights(out, alphabet, set(alphabet), (), Fraction(1), slots)
     return out
+
+
+def _extend_weights(out: list, alphabet: list, allowed: set, prefix: tuple, remaining,
+                    left: int) -> None:
+    """Append to `out` every `prefix` extended by `left` weights of `alphabet`
+    that sum to `remaining`, in lexicographic order. A module function, not
+    a closure: a closure that calls itself is a reference cycle."""
+    if left == 1:
+        if remaining in allowed:
+            out.append(prefix + (remaining,))
+        return
+    for w in alphabet:
+        if w >= remaining:
+            break
+        _extend_weights(out, alphabet, allowed, prefix + (w,), remaining - w, left - 1)
 
 
 class DistMonad(WeightedMonad):
@@ -764,6 +768,7 @@ class LawReport:
         return "\n".join(lines + [f"{name}: no cases checked" for name in self.unchecked()])
 
 
+@gc_paused
 def check_monad_laws(monad: FinMonad, carrier_size: int = 2, bound: int = 3) -> LawReport:
     """Exhaustively test unit and associativity laws over graded pools.
 
@@ -846,6 +851,7 @@ class FreeModelReport:
 _SUBST_DEPTH = 2
 
 
+@gc_paused
 def free_model_iso_check(
     theory_id: str,
     monad_id: str,

@@ -2,11 +2,10 @@
 
 Each theorem is a row of `_HYPOTHESES`: its hypotheses on the row and the
 column theory of a pair. `check_theorem` checks one row for one pair and
-returns the per-hypothesis evidence rather than a bare boolean;
-`check_plotkin_general` checks the general variable-counting theorem on
-explicit terms. `verdict` runs every row and combines the results with a
-registry of known-positive pairs into a single answer for "is there a
-distributive law (row)(col) => (col)(row)".
+returns the per-hypothesis evidence rather than a bare boolean. `verdict`
+runs every row and combines the results with a registry of known-positive
+pairs into a single answer for "is there a distributive law (row)(col) =>
+(col)(row)".
 """
 
 from __future__ import annotations
@@ -17,30 +16,19 @@ from typing import NamedTuple, Optional
 
 from monadlab import distlaws
 from monadlab.monads import monad_for
-from monadlab.terms import (
-    App,
-    Term,
-    Var,
-    decide_eq,
-    render,
-    substitute,
-    term_vars,
-)
+from monadlab.terms import App, decide_eq, render
 from monadlab.theories import (
     PropertyId,
     TheoryEntry,
     check_property,
-    class_var_claim,
 )
-from monadlab.values import Value, format_value, mk_dist, mk_set
+from monadlab.values import Value, format_value, gc_paused, mk_dist, mk_set
 
 __all__ = [
     "TheoremId",
-    "PermutationSpec",
     "CheckRecord",
     "Applicability",
     "check_theorem",
-    "check_plotkin_general",
     "PositiveEntry",
     "positive_entry",
     "NoGoVerdict",
@@ -53,43 +41,9 @@ __all__ = [
 
 class TheoremId:
     PLOTKIN1 = "Plotkin1"
-    PLOTKIN2 = "Plotkin2"
     TOO_MANY_CONSTANTS = "TooManyConstants"
     LACKING_ABIDES = "LackingAbides"
     IDEM_UNITS = "IdemUnits"
-
-
-# ---------------------------------------------------------------------------
-# permutations
-
-
-class _PermutationFields(NamedTuple):
-    size: int
-    mapping: tuple[int, ...]
-
-
-class PermutationSpec(_PermutationFields):
-    """A bijection on {1..size}, stored as mapping[i-1] = image of i."""
-
-    __slots__ = ()
-
-    def __new__(cls, size: int, mapping: tuple[int, ...]):
-        if size < 1 or len(mapping) != size:
-            raise ValueError(f"mapping must list images of 1..{size}")
-        if sorted(mapping) != list(range(1, size + 1)):
-            raise ValueError(f"{mapping} is not a permutation of 1..{size}")
-        return super().__new__(cls, size, mapping)
-
-    def __call__(self, i: int) -> int:
-        return self.mapping[i - 1]
-
-    @property
-    def fixed_point_free(self) -> bool:
-        return all(self.mapping[i] != i + 1 for i in range(self.size))
-
-    @classmethod
-    def swap(cls) -> "PermutationSpec":
-        return cls(2, (2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +86,6 @@ class Applicability(NamedTuple):
 def _prop_record(side: str, entry: TheoryEntry, prop: PropertyId) -> CheckRecord:
     cert = check_property(entry, prop)
     return CheckRecord(side, prop.value, bool(cert), cert.describe())
-
-
-def _eq_record(side: str, entry: TheoryEntry, req: str, lhs: Term, rhs: Term) -> CheckRecord:
-    text = f"{render(lhs)} = {render(rhs)} (decision procedure)"
-    if decide_eq(entry.procedure, lhs, rhs):
-        return CheckRecord(side, req, True, text)
-    return CheckRecord(side, req, False, f"refuted: {text}")
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +152,7 @@ def check_theorem(
     t_theory: TheoryEntry,
 ) -> Applicability:
     """The hypotheses of `theorem` (a row of `_HYPOTHESES`) checked for
-    the row theory `s_theory` and the column theory `t_theory`. Plotkin2
-    takes explicit terms: `check_plotkin_general`."""
+    the row theory `s_theory` and the column theory `t_theory`."""
     pair = (s_theory, t_theory)
     records = tuple(
         _prop_record(side, pair[theory], h) if isinstance(h, PropertyId)
@@ -214,64 +160,6 @@ def check_theorem(
         for side, theory, h in _HYPOTHESES[theorem]
     )
     return Applicability(theorem, pair[0].theory_id, pair[1].theory_id, records)
-
-
-# ---------------------------------------------------------------------------
-# the general variable-counting theorem
-
-
-def _collapse_to_one(term: Term) -> Term:
-    return substitute(term, {x: Var("x1") for x in term_vars(term)})
-
-
-def _class_vars_record(
-    side: str, entry: TheoryEntry, term: Term, req: str, least: int = 0,
-    most: Optional[int] = None,
-) -> CheckRecord:
-    """`class_var_claim` as a record."""
-    verdict, how, witness, _ = class_var_claim(entry, term, least, most)
-    return CheckRecord(
-        side, req, verdict, how if verdict else f"{how}; witness {render(witness[-1])}"
-    )
-
-
-def check_plotkin_general(
-    p_theory: TheoryEntry,
-    v_theory: TheoryEntry,
-    p: Term,
-    v: Term,
-    sigma: PermutationSpec,
-) -> Applicability:
-    """Arbitrary-arity version of the variable-counting obstruction.
-
-    `p` is a term over x1..x{sigma.size} stable under sigma and idempotent,
-    whose class members stay within sigma.size variables; `v` is a term
-    over x1..xn, idempotent, whose class members never fit in one variable.
-    With the swap and the designated binaries it is Plotkin1.
-    """
-    if not sigma.fixed_point_free:
-        raise ValueError("sigma must be fixed point free")
-    m = sigma.size
-    p_vars = term_vars(p)
-    allowed = {f"x{i}" for i in range(1, m + 1)}
-    if not p_vars <= allowed:
-        raise ValueError(f"p must use variables x1..x{m}, got {sorted(p_vars)}")
-
-    records = []
-    p_sigma = substitute(p, {f"x{i}": Var(f"x{sigma(i)}") for i in range(1, m + 1)})
-    records.append(_eq_record("P", p_theory, "stable under sigma", p, p_sigma))
-    records.append(_eq_record("P", p_theory, "idempotent", _collapse_to_one(p), Var("x1")))
-
-    records.append(
-        _class_vars_record("P", p_theory, p, f"class stays within {m} variables", most=m)
-    )
-    records.append(_eq_record("V", v_theory, "idempotent", _collapse_to_one(v), Var("x1")))
-    records.append(_prop_record("V", v_theory, PropertyId.V2))
-    records.append(
-        _class_vars_record("V", v_theory, v, "class never fits in one variable", least=2)
-    )
-    return Applicability(TheoremId.PLOTKIN2, v_theory.theory_id, p_theory.theory_id,
-                         tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +337,7 @@ class RefutationTrace(NamedTuple):
         return "\n".join(lines)
 
 
+@gc_paused
 def plotkin_refute_bounded() -> RefutationTrace:
     """Replay the classic two-layer obstruction on a fixed small instance.
 

@@ -30,6 +30,14 @@ one shape, so no sort is needed either (`monads.FinMonad`).
 call (a Beck check, a law search): a repeated input is answered in C, and
 `cache_info()` counts inputs asked for (hits + misses) and computed (misses).
 
+The compute entry points (Beck and monad-law checks, free-model checks, law
+search, the Plotkin replay, the Boom table) run with Python's cyclic
+garbage collector paused (`gc_paused`): values are trees of tuples over
+labels and weights, and neither they nor the dicts and sets a check builds
+from them form reference cycles, so reference counting frees what a check
+allocates and the collector's rescans of its short-lived tuples are pure
+cost.
+
 Distribution weights are exact `fractions.Fraction`s. `fractions` (with the
 `decimal` and `numbers` it imports) is loaded by the code that makes a
 weight, `mk_dist` here, not at import: a process that builds no
@@ -45,6 +53,7 @@ from typing import Callable, Iterable, Sequence, Union
 __all__ = [
     "Value",
     "memo",
+    "gc_paused",
     "canon_key",
     "letters",
     "mk_list",
@@ -114,6 +123,35 @@ def _canonical_order(xs) -> list:
 def memo(f: Callable[[Value], Value]) -> Callable[[Value], Value]:
     """`f` computed once per distinct input for as long as the wrapper lives."""
     return functools.lru_cache(maxsize=None)(f)
+
+
+def gc_paused(f: Callable) -> Callable:
+    """`f` run with Python's cyclic garbage collector off, and turned back on
+    when it returns or raises.
+
+    The premise is that `f` makes no reference cycles, so reference counting
+    alone frees what it allocates. When the collector is already off, as in
+    a paused call nested in another or under a caller who turned it off, the
+    call leaves it off. The collector's state belongs to the process, not
+    the thread: other threads run with it off while a paused call is in
+    progress, and a paused call that ends turns it back on for all of them.
+    """
+
+    @functools.wraps(f)
+    def paused(*args, **kwargs):
+        # imported here, so that importing monadlab loads no module beyond
+        # the interpreter's startup set
+        import gc
+
+        if not gc.isenabled():
+            return f(*args, **kwargs)
+        gc.disable()
+        try:
+            return f(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def letters(n: int) -> tuple:
@@ -238,31 +276,29 @@ def format_value(v: Value, explicit_ok: bool = False) -> str:
     bot, reader tables are (at0,at1). `explicit_ok` wraps ok payloads as
     ok(...) so nested exceptional layers stay distinguishable.
     """
+    if isinstance(v, str):
+        return v
+    tag = v[0]
+    if tag == "list":
+        return "[" + ",".join(format_value(x, explicit_ok) for x in v[1:]) + "]"
+    if tag == "set":
+        return "{" + ",".join(format_value(x, explicit_ok) for x in v[1:]) + "}"
+    if tag in _WEIGHTED_TAGS:
+        return "{" + ",".join(f"{format_value(x, explicit_ok)}:{w}" for x, w in v[1]) + "}"
+    if tag == "nunit":
+        return "e"
+    if tag == "nleaf":
+        return format_value(v[1], explicit_ok)
+    if tag == "nnode":
+        return "<" + ",".join(format_value(c, explicit_ok) for c in v[1:]) + ">"
+    if tag == "ok":
+        inner = format_value(v[1], explicit_ok)
+        return f"ok({inner})" if explicit_ok else inner
+    if tag == "err":
+        return f"err({v[1]})"
+    if tag == "bot":
+        return "bot"
+    if tag == "fun":
+        return f"({format_value(v[1], explicit_ok)},{format_value(v[2], explicit_ok)})"
+    raise ValueError(f"unknown value tag {tag!r}")
 
-    def go(v):
-        if isinstance(v, str):
-            return v
-        tag = v[0]
-        if tag == "list":
-            return "[" + ",".join(go(x) for x in v[1:]) + "]"
-        if tag == "set":
-            return "{" + ",".join(go(x) for x in v[1:]) + "}"
-        if tag in _WEIGHTED_TAGS:
-            return "{" + ",".join(f"{go(x)}:{w}" for x, w in v[1]) + "}"
-        if tag == "nunit":
-            return "e"
-        if tag == "nleaf":
-            return go(v[1])
-        if tag == "nnode":
-            return "<" + ",".join(go(c) for c in v[1:]) + ">"
-        if tag == "ok":
-            return f"ok({go(v[1])})" if explicit_ok else go(v[1])
-        if tag == "err":
-            return f"err({v[1]})"
-        if tag == "bot":
-            return "bot"
-        if tag == "fun":
-            return f"({go(v[1])},{go(v[2])})"
-        raise ValueError(f"unknown value tag {tag!r}")
-
-    return go(v)

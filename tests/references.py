@@ -11,19 +11,23 @@
 - `multiset_choose_by_merge` is the multiset choice law as first written:
   it sorts each pick into a multiset and merges repeated picks with the
   checked constructor of T.
-- `derangements` and `filter_common` are the permutation lemmas behind the
-  general variable-counting theorem (`nogo.check_plotkin_general`).
+- `check_plotkin_general` checks the hypotheses of the paper's general
+  variable-counting theorem (Plotkin2) on explicit terms and a permutation
+  (`PermutationSpec`). No verdict runs it: within the bounds measured, it
+  refutes no pair that the binary form (the Plotkin1 row of
+  `nogo._HYPOTHESES`) does not already refute. `derangements` and
+  `filter_common` are the permutation lemmas behind it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Hashable, Iterator, NamedTuple, Sequence
+from typing import Hashable, Iterator, NamedTuple, Optional, Sequence
 
 from monadlab.distlaws import DistLaw
 from monadlab.monads import FinMonad, NaryTreeMonad, monad_for
-from monadlab.nogo import PermutationSpec
+from monadlab.nogo import Applicability, CheckRecord, _prop_record
 from monadlab.terms import (
     App,
     OpSymbol,
@@ -32,10 +36,14 @@ from monadlab.terms import (
     Term,
     Var,
     _right_nested,
+    decide_eq,
     enumerate_terms,
     eq_bounded,
+    render,
+    substitute,
+    term_vars,
 )
-from monadlab.theories import TheoryEntry
+from monadlab.theories import PropertyId, TheoryEntry, class_var_claim
 from monadlab.values import Value, mk_dist, mk_grp, mk_mset, mk_set
 
 
@@ -327,6 +335,100 @@ def multiset_choose_by_merge(v: Value, t: FinMonad) -> Value:
     picks = map(mk_mset, itertools.product(*xs))
     entries = zip(picks, map(math.prod, itertools.product(*ws)))
     return _FROM_ENTRIES[t.unit("a")[0]](entries)
+
+
+# ---------------------------------------------------------------------------
+# the general variable-counting theorem (Plotkin2)
+
+
+class _PermutationFields(NamedTuple):
+    size: int
+    mapping: tuple[int, ...]
+
+
+class PermutationSpec(_PermutationFields):
+    """A bijection on {1..size}, stored as mapping[i-1] = image of i."""
+
+    __slots__ = ()
+
+    def __new__(cls, size: int, mapping: tuple[int, ...]):
+        if size < 1 or len(mapping) != size:
+            raise ValueError(f"mapping must list images of 1..{size}")
+        if sorted(mapping) != list(range(1, size + 1)):
+            raise ValueError(f"{mapping} is not a permutation of 1..{size}")
+        return super().__new__(cls, size, mapping)
+
+    def __call__(self, i: int) -> int:
+        return self.mapping[i - 1]
+
+    @property
+    def fixed_point_free(self) -> bool:
+        return all(self.mapping[i] != i + 1 for i in range(self.size))
+
+    @classmethod
+    def swap(cls) -> "PermutationSpec":
+        return cls(2, (2, 1))
+
+
+def _eq_record(side: str, entry: TheoryEntry, req: str, lhs: Term, rhs: Term) -> CheckRecord:
+    text = f"{render(lhs)} = {render(rhs)} (decision procedure)"
+    if decide_eq(entry.procedure, lhs, rhs):
+        return CheckRecord(side, req, True, text)
+    return CheckRecord(side, req, False, f"refuted: {text}")
+
+
+def _collapse_to_one(term: Term) -> Term:
+    return substitute(term, {x: Var("x1") for x in term_vars(term)})
+
+
+def _class_vars_record(
+    side: str, entry: TheoryEntry, term: Term, req: str, least: int = 0,
+    most: Optional[int] = None,
+) -> CheckRecord:
+    """`class_var_claim` as a record."""
+    verdict, how, witness, _ = class_var_claim(entry, term, least, most)
+    return CheckRecord(
+        side, req, verdict, how if verdict else f"{how}; witness {render(witness[-1])}"
+    )
+
+
+def check_plotkin_general(
+    p_theory: TheoryEntry,
+    v_theory: TheoryEntry,
+    p: Term,
+    v: Term,
+    sigma: PermutationSpec,
+) -> Applicability:
+    """Arbitrary-arity version of the variable-counting obstruction.
+
+    `p` is a term over x1..x{sigma.size} stable under sigma and idempotent,
+    whose class members stay within sigma.size variables; `v` is a term
+    over x1..xn, idempotent, whose class members never fit in one variable.
+    With the swap and the designated binaries it is Plotkin1.
+    """
+    if not sigma.fixed_point_free:
+        raise ValueError("sigma must be fixed point free")
+    m = sigma.size
+    p_vars = term_vars(p)
+    allowed = {f"x{i}" for i in range(1, m + 1)}
+    if not p_vars <= allowed:
+        raise ValueError(f"p must use variables x1..x{m}, got {sorted(p_vars)}")
+
+    records = []
+    p_sigma = substitute(p, {f"x{i}": Var(f"x{sigma(i)}") for i in range(1, m + 1)})
+    records.append(_eq_record("P", p_theory, "stable under sigma", p, p_sigma))
+    records.append(_eq_record("P", p_theory, "idempotent", _collapse_to_one(p), Var("x1")))
+
+    records.append(
+        _class_vars_record("P", p_theory, p, f"class stays within {m} variables", most=m)
+    )
+    records.append(_eq_record("V", v_theory, "idempotent", _collapse_to_one(v), Var("x1")))
+    records.append(_prop_record("V", v_theory, PropertyId.V2))
+    records.append(
+        _class_vars_record("V", v_theory, v, "class never fits in one variable", least=2)
+    )
+    return Applicability("Plotkin2", v_theory.theory_id, p_theory.theory_id,
+                         tuple(records))
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from references import derangements, filter_common, ring_entry
+from references import (
+    PermutationSpec,
+    check_plotkin_general,
+    derangements,
+    filter_common,
+    ring_entry,
+)
 
 from monadlab.lawsearch import SearchOutcome, search_distlaw_bounded
 from monadlab.nogo import (
     Applicability,
-    PermutationSpec,
     TheoremId,
-    check_plotkin_general,
     check_theorem,
     plotkin_refute_bounded,
     positive_entry,
@@ -173,7 +177,7 @@ class TestPlotkinGeneral:
             PermutationSpec(3, (2, 3, 1)),
         )
         assert app.applicable
-        assert app.theorem == TheoremId.PLOTKIN2
+        assert app.theorem == "Plotkin2"
 
     def test_monoid_multiplication_fails_both_p_conditions(self):
         app = check_plotkin_general(

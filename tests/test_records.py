@@ -5,7 +5,7 @@ their repr, their truth values, and the validation of the one record that
 checks its input."""
 
 import pytest
-from references import ProcedureValidation
+from references import PermutationSpec, ProcedureValidation
 
 from monadlab.distlaws import DistLaw
 from monadlab.hierarchy import TableMismatch, VerdictTable
@@ -14,7 +14,6 @@ from monadlab.nogo import (
     Applicability,
     CheckRecord,
     NoGoVerdict,
-    PermutationSpec,
     PositiveEntry,
     RefutationTrace,
 )

@@ -9,7 +9,8 @@ uses: a search runs no table code, and a check runs neither. The built-in
 theories are built on first read, so only a process that reads a
 presentation, a procedure or a term runs `terms`, and it builds only the
 theories it reads. Guarded by what is loaded, what has run and what is
-built instead of by a timing."""
+built instead of by a timing. A command also leaves Python's cyclic garbage
+collector on, though its checks pause it."""
 
 import os
 import subprocess
@@ -64,12 +65,15 @@ print(*sorted(
 ))
 """
 
-# a command run in-process, then `ran()` as the last line of stderr
+# a command run in-process, then whether the cyclic garbage collector is
+# on and `ran()` as the last two lines of stderr
 _COMMAND = _RAN + """
+import gc
 from monadlab.cli import main
 try:
     main(sys.argv[1:])
 finally:
+    print(gc.isenabled(), file=sys.stderr)
     print(*ran(), file=sys.stderr)
 """
 
@@ -157,6 +161,17 @@ def test_checks_run_no_table_or_search_code(argv):
 ])
 def test_checks_and_searches_run_no_term_code(argv):
     assert "terms" not in _ran_by(*argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("law", "check", "mset-cartesian"),
+    ("boom-table", "original"),
+])
+def test_commands_leave_the_collector_on(argv):
+    # the checks pause Python's cyclic garbage collector and turn it back on
+    res = _python("-c", _COMMAND, *argv)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.strip().split("\n")[-2] == "True"
 
 
 def test_nogo_builds_only_its_two_theories():

@@ -12,12 +12,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# the paper's general variable-counting theorem (Plotkin2) and the
-# permutation it is usually applied with. `verdict` runs its m = 2 instance,
-# the Plotkin1 row of `nogo._HYPOTHESES`, whose records the printed claims
-# pin, and the general search refutes no pair beyond the binary one
-EXCEPTIONS = {"check_plotkin_general", "PermutationSpec.swap"}
-
 # record fields that no code reads by name, each kept as evidence
 FIELD_EXCEPTIONS = {
     # the distributions the Plotkin replay searches: every candidate image
@@ -116,7 +110,7 @@ def test_every_export_is_used_by_a_command_or_the_benchmark():
     unused |= {
         f"{cls}.{name}" for tree in trees for cls, name in _methods(tree) if name not in read
     }
-    assert unused == EXCEPTIONS
+    assert unused == set()
 
 
 def test_every_private_module_name_is_used_by_a_command_or_the_benchmark():
