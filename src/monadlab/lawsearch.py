@@ -64,10 +64,14 @@ domain reasoning visits it and kept for the rest of the search. A search
 that stops at the result-space cap builds edges only for the inputs
 propagation reached; one that reaches domain reasoning visits every input.
 The memos are locals of the search and die with it. `SearchResult.stats`
-counts the maps between chain carriers and the (map, input) pairs over
-them (`pairs`), which the edge cap bounds as if every map made an edge;
-the edges built, one per (input, restriction) (`edges`); and the images
-requested and computed.
+counts the edges built, one per (input, restriction) (`edges`), and the
+images requested and computed.
+
+A search stops Inconclusive, naming the cap or check that stopped it, when
+a pool passes `MAX_POOL` (`FinMonad.enumerate`), an input's edges would
+take the total past `_MAX_EDGES`, a result space passes `_MAX_DOMAIN`, the
+fragment holds no input, or the maximal member sets are not exactly
+natural.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ import itertools
 import time
 from typing import Optional
 
-from monadlab.monads import FinMonad, PowersetMonad, monad_for
+from monadlab.monads import FinMonad, PoolTooLargeError, PowersetMonad, monad_for
 from monadlab.values import Value, format_value, gc_paused, letters, memo, mk_set
 
 __all__ = [
@@ -145,23 +149,34 @@ class SearchResult:
                 f"{head} (1 fragment-consistent table(s), "
                 f"{self.forced}/{self.variables} inputs forced{untested})"
             )
-        return f"{head} ({self.conflict or 'domains too large to decide'})"
+        return f"{head} ({self.conflict})"
 
 
 # caps checked before materializing: values in an explicit result domain, and
-# the (map between chain carriers, input) pairs naturality edges are planned
-# over. The edge cap was set when every pair made an edge (250-650 bytes
-# each, so under about 650 MB); edges are now made per restriction, far
-# fewer, but the cap still counts pairs so that it refuses the same
-# fragments. lift over lift at carrier 6 has 373,248 pairs.
+# naturality edges, counted before each input's are built. An edge with its
+# share of the map memos costs about 1.1 KB: `powerset powerset --carrier 8`
+# peaked at 1,233 MB RSS with 999,810 edges under a cap of 1,000,000, and
+# stops at 685 MB with 497,026 under this one, inside a 1 GB address space.
 _MAX_DOMAIN = 4096
 _MAX_LEVELS = 4  # carriers in the chain
 _MAX_CARRIER = 4  # largest carrier size in the chain
-_MAX_EDGE_CHECKS = 1_000_000
+_MAX_EDGES = 500_000
 
 
 class _Conflict(Exception):
     """Naturality leaves some input no output: no law in the fragment."""
+
+
+class _Inconclusive(Exception):
+    """A cap or the maximal-set check stops the search short of a verdict."""
+
+
+def _pool(m: FinMonad, carrier, bound: int) -> list:
+    """`m.enumerate(carrier, bound)`; past the pool cap the search stops."""
+    try:
+        return m.enumerate(carrier, bound)
+    except PoolTooLargeError as exc:
+        raise _Inconclusive(str(exc)) from None
 
 
 def _all_functions(src: tuple, dst: tuple) -> list:
@@ -211,19 +226,16 @@ def search_distlaw_bounded(
         tuple(sizes),
         bound,
     )
-    result.stats = dict.fromkeys(("maps", "pairs", "edges"), 0)
+    result.stats["edges"] = 0
     images: dict = {}
-    edges: dict = {}
     try:
-        entries = _search(result, s, t, carriers, bound, images, edges)
+        result.table = LambdaTable(tuple(carriers), _search(result, s, t, carriers, bound, images))
+        result.outcome = SearchOutcome.CANDIDATES
     except _Conflict as exc:
         result.outcome = SearchOutcome.NO_LAW
         result.conflict = str(exc)
-    else:
-        if entries is not None:
-            result.outcome = SearchOutcome.CANDIDATES
-            result.table = LambdaTable(tuple(carriers), entries)
-    result.stats["edges"] = sum(map(len, edges.values()))
+    except _Inconclusive as exc:
+        result.conflict = str(exc)
     infos = [image.cache_info() for m in images.values() for image in m.memos]
     result.stats["images_requested"] = sum(i.hits + i.misses for i in infos)
     result.stats["images_computed"] = sum(i.misses for i in infos)
@@ -232,36 +244,20 @@ def search_distlaw_bounded(
 
 
 def _search(
-    result: SearchResult, s: FinMonad, t: FinMonad, carriers: list, bound: int,
-    images: dict, edges: dict,
-) -> Optional[dict]:
+    result: SearchResult, s: FinMonad, t: FinMonad, carriers: list, bound: int, images: dict,
+) -> dict:
     """Units, naturality edges, propagation, then domain reasoning; every
-    map an edge is made from goes into `images` when first chosen,
-    and each input's edges go into `edges` when it is first visited.
-    Returns the entries of a fragment-consistent table, or None with
-    `result.conflict` saying why the search is inconclusive. Every
-    refutation raises `_Conflict` with the reason."""
-    t_pools: list = []
-    pools: list = []
-    pool_index: list = []
-    for C in carriers:
-        # every input goes through at least the identity map, so a level
-        # past the edge cap is refused before it is built in full
-        t_pool = list(itertools.islice(t.iter_values(C, bound), _MAX_EDGE_CHECKS + 1))
-        pool = list(itertools.islice(s.iter_values(t_pool, bound), _MAX_EDGE_CHECKS + 1))
-        if len(t_pool) > _MAX_EDGE_CHECKS or len(pool) > _MAX_EDGE_CHECKS:
-            result.conflict = (
-                f"the fragment at |X|={len(C)} has more than {_MAX_EDGE_CHECKS} inputs"
-            )
-            return None
-        t_pools.append(t_pool)
-        pools.append(pool)
-        pool_index.append(set(pool))
+    map an edge is made from goes into `images` when first chosen, and
+    `result.stats["edges"]` counts the edges as they are built. Returns the
+    entries of a fragment-consistent table. Every refutation raises
+    `_Conflict` and every other stop `_Inconclusive`, with the reason."""
+    t_pools = [_pool(t, C, bound) for C in carriers]
+    pools = [_pool(s, t_pool, bound) for t_pool in t_pools]
+    pool_index = [set(pool) for pool in pools]
     result.variables = sum(len(p) for p in pools)
     if not result.variables:
         # a table over no input would be a green result that checked nothing
-        result.conflict = f"the fragment holds no input at bound {bound}"
-        return None
+        raise _Inconclusive(f"the fragment holds no input at bound {bound}")
 
     assigned: dict = {}
 
@@ -283,27 +279,10 @@ def _search(
     # of the fragment (at bound 0 some unit inputs lie outside it)
     for level, C in enumerate(carriers):
         units = [(s.unit(tv), t.fmap(s.unit, tv), "unit-s") for tv in t_pools[level]]
-        units += [(s.fmap(t.unit, sv), t.unit(sv), "unit-t") for sv in s.enumerate(C, bound)]
+        units += [(s.fmap(t.unit, sv), t.unit(sv), "unit-t") for sv in _pool(s, C, bound)]
         for w, v, why in units:
             if w in pool_index[level]:
                 assign(level, w, v, why)
-
-    # naturality edges between every pair of chain carriers, planned over
-    # every (map, input) pair as before so that the cap refuses the same
-    # fragments; each input gets one edge per restriction of a map to its
-    # letters (module docstring)
-    maps = sum(len(Cj) ** len(Ci) for Ci in carriers for Cj in carriers)
-    checks = sum(
-        len(Cj) ** len(Ci) * len(pools[i])
-        for i, Ci in enumerate(carriers) for Cj in carriers
-    )
-    if checks > _MAX_EDGE_CHECKS:
-        result.conflict = (
-            f"naturality needs {checks} (map, input) pairs over {maps} maps "
-            f"between carriers, more than {_MAX_EDGE_CHECKS}"
-        )
-        return None
-    result.stats.update(maps=maps, pairs=checks)
 
     def out_letters(v: Value) -> frozenset:
         return frozenset(x for sv in t.members(v) for x in s.members(sv))
@@ -315,6 +294,7 @@ def _search(
         return found if found or len(carriers[i]) > 1 else frozenset(carriers[i])
 
     restrictions: dict = {}
+    edges: dict = {}
 
     def restricted_maps(i: int, among: frozenset) -> list:
         """Per target level, the first map from level i of each restriction
@@ -336,19 +316,24 @@ def _search(
         return found
 
     def edges_of(key) -> list:
-        """The naturality edges of one input, built on first visit; a forced
-        output with letters outside the input's widens them."""
+        """The naturality edges of one input, built on first visit unless
+        its restrictions would take the edges past the edge cap; a forced
+        output with letters outside the input's widens its letters."""
         found = edges.get(key)
         if found is None:
             i, w = key
             among = lemma_letters(key)
             if key in assigned:
                 among |= out_letters(assigned[key])
+            restricted = sum(len(Cj) ** len(among) for Cj in carriers)
+            if result.stats["edges"] + restricted > _MAX_EDGES:
+                raise _Inconclusive(f"naturality needs more than {_MAX_EDGES:,} edges (the edge cap)")
             found = edges[key] = []
             for m, j in restricted_maps(i, among):
                 w2 = s.fmap(m.t_image, w)
                 if w2 in pool_index[j]:
                     found.append((m, j, w2))
+            result.stats["edges"] += len(found)
         return found
 
     # forward propagation to a fixpoint
@@ -385,9 +370,9 @@ def _search(
         return found
 
     if isinstance(t, PowersetMonad):
-        spaces = [s.enumerate(C, len(C)) for C in carriers]
+        spaces = [_pool(s, C, len(C)) for C in carriers]
         allowed = lemma_domains(spaces, lambda sv: frozenset(s.members(sv)))
-        return _member_domains(result, carriers, assigned, allowed, edges_of)
+        return _member_domains(carriers, assigned, allowed, edges_of)
 
     # generic explicit domains, complete only when the result space is small
     full_pools = []
@@ -403,11 +388,7 @@ def _search(
                 t.iter_values(s_full, max(bound, len(s_full))), _MAX_DOMAIN + 1
             ))
         if len(s_full) > _MAX_DOMAIN or len(t_full) > _MAX_DOMAIN:
-            result.conflict = (
-                f"result space at |X|={len(C)} has more than "
-                f"{_MAX_DOMAIN} values"
-            )
-            return None
+            raise _Inconclusive(f"result space at |X|={len(C)} has more than {_MAX_DOMAIN} values")
         full_pools.append(t_full)
 
     return _explicit_domains(carriers, assigned, lemma_domains(full_pools, out_letters), edges_of)
@@ -507,7 +488,7 @@ def _explicit_domains(carriers, assigned, domains, edges_of) -> dict:
     raise _Conflict("complete domains admit no assignment consistent with naturality")
 
 
-def _member_domains(result, carriers, assigned, allowed, edges_of) -> Optional[dict]:
+def _member_domains(carriers, assigned, allowed, edges_of) -> dict:
     """Member domains for set-valued outputs, one dict of S-values per
     unknown input. Naturality transports members exactly, so if the
     maximal member set cannot cover some forced target, no subset can,
@@ -538,7 +519,4 @@ def _member_domains(result, carriers, assigned, allowed, edges_of) -> Optional[d
     table = {**assigned, **{key: mk_set(allowed[key]) for key in allowed}}
     if all(_natural(edges_of, key, table) for key in itertools.chain(allowed, assigned)):
         return table
-    result.conflict = (
-        "maximal member sets are not exactly natural; smaller subsets not explored"
-    )
-    return None
+    raise _Inconclusive("maximal member sets are not exactly natural; smaller subsets not explored")

@@ -193,18 +193,19 @@ class TestLawCommands:
         assert "ok(bot) -> bot" in res.stdout
 
     def test_law_search_too_many_maps_is_inconclusive(self, run):
-        # the 7^7 maps on 9 inputs do not fit in memory; at carrier 6 the
-        # 6^6 maps on 8 inputs still run
-        res = run("law", "search", "lift", "lift", "--carrier", "7")
+        # an input over six of ten letters has 10^6 restrictions of maps, one
+        # edge each; the 7^7 maps at carrier 7 need only one edge per
+        # restriction to each input's letters
+        res = run("law", "search", "exception:{a}", "powerset", "--carrier", "10", "--bound", "6")
         assert res.exit_code == 0
         assert res.stdout == (
-            "lift over lift, carriers (7,), bound 2: Inconclusive (naturality "
-            "needs 7411887 (map, input) pairs over 823543 maps between "
-            "carriers, more than 1000000)\n"
+            "exception:{a} over powerset, carriers (10,), bound 6: Inconclusive "
+            "(naturality needs more than 500,000 edges (the edge cap))\n"
         )
-        assert "Candidates" in run(
-            "law", "search", "lift", "lift", "--carrier", "6"
-        ).stdout
+        assert run("law", "search", "lift", "lift", "--carrier", "7").stdout.startswith(
+            "lift over lift, carriers (7,), bound 2: Candidates "
+            "(1 fragment-consistent table(s), 9/9 inputs forced)\n"
+        )
 
 
 class TestVerdictCommands:

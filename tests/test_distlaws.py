@@ -25,10 +25,6 @@ from monadlab.values import (
 )
 
 
-def _parse_free(*args):
-    raise AssertionError("unused")
-
-
 # ---------------------------------------------------------------------------
 # registry
 

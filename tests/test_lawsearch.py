@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from monadlab import lawsearch
+from monadlab import lawsearch, monads
 from monadlab.distlaws import DistLaw, check_beck, law_for
 from monadlab.lawsearch import SearchOutcome, search_distlaw_bounded
 from monadlab.monads import LiftMonad, NoMonadError, monad_for, monad_ids
@@ -221,7 +221,7 @@ def test_conflicting_unit_conditions_are_no_law(monkeypatch):
     r = search_distlaw_bounded("forgetful", "lift")
     assert r.outcome == SearchOutcome.NO_LAW
     assert r.conflict == "at |X|=1 the input bot is forced to both bot and bot (unit-s)"
-    assert r.forced == 0 and r.stats["maps"] == 0
+    assert r.forced == 0 and r.stats["edges"] == 0
 
 
 def test_repeated_runs_are_identical():
@@ -283,20 +283,48 @@ def _limit_address_space_to_1gb():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def test_oversized_fragment_is_refused_before_it_is_built():
-    # list over list at bound 4 has about 341**4 inputs at |X|=4; they must
-    # be counted past the edge cap, not built, in a 1 GB address space
+def _search_in_1gb(*args: str) -> str:
+    """The stdout of `monadlab law search ARGS` in a 1 GB address space."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     res = subprocess.run(
-        [sys.executable, "-m", "monadlab", "law", "search", "list", "list", "--bound", "4"],
+        [sys.executable, "-m", "monadlab", "law", "search", *args],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
         preexec_fn=_limit_address_space_to_1gb,
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout == (
+    return res.stdout
+
+
+def test_oversized_fragment_is_refused_before_it_is_built():
+    # list over list at bound 4 has about 341**4 inputs at |X|=4; they must
+    # be counted past the pool cap, not built
+    assert _search_in_1gb("list", "list", "--bound", "4") == (
         "list over list, carriers (1, 4), bound 4: Inconclusive "
-        "(the fragment at |X|=4 has more than 1000000 inputs)\n"
+        "(list values over 341 elements up to size 4: more than 1,000,000 (the pool cap))\n"
     )
+
+
+def test_edges_past_the_cap_are_refused_before_they_are_built():
+    # an input over six of ten letters has 10**6 restrictions, one edge each
+    assert _search_in_1gb("exception:{a}", "powerset", "--carrier", "10", "--bound", "6") == (
+        "exception:{a} over powerset, carriers (10,), bound 6: Inconclusive "
+        "(naturality needs more than 500,000 edges (the edge cap))\n"
+    )
+
+
+@pytest.mark.parametrize("s_id, t_id, level", [
+    ("narytree:3", "narytree:3", 1), ("narytree:3", "abgroup", 4), ("abgroup", "narytree:3", 1),
+    ("dist", "narytree:3", 4), ("dist", "abgroup", 4),
+])
+def test_pairs_past_the_result_space_cap_build_few_edges(s_id, t_id, level):
+    # the planned (map, input) pairs of these five passed a million, but
+    # propagation builds about a thousand edges before the result space stops it
+    r = search_distlaw_bounded(s_id, t_id)
+    assert r.describe() == (
+        f"{s_id} over {t_id}, carriers (1, 4), bound 2: Inconclusive "
+        f"(result space at |X|={level} has more than 4096 values)"
+    )
+    assert 0 < r.stats["edges"] < 2000
 
 
 def _entries_digest(table) -> str:
@@ -331,12 +359,9 @@ PINNED_SEARCHES = {
          "forced image {{a}} under naturality; allowed members: []"),
         [],
     ),
-    # the edge cap, checked before any edge is built
+    # 7**7 maps, but one edge per restriction to an input's letters: 51 edges
     ("lift", "lift", 7): (
-        ("Inconclusive", (7,), 9, 0,
-         "naturality needs 7411887 (map, input) pairs over 823543 maps "
-         "between carriers, more than 1000000"),
-        [],
+        ("Candidates", (7,), 9, 9, None), [(9, "d3a4669d82fd57b2")],
     ),
     # the domain cap, checked after propagation
     ("list", "list", 1): (
@@ -443,8 +468,8 @@ def _naturality_breaks(s_id, t_id, table) -> list:
 
 @pytest.mark.parametrize(
     "pair",
-    [(s, t) for (s, t, _), ((outcome, *_), _) in PINNED_SEARCHES.items()
-     if outcome == "Candidates"]
+    [(s, t) for (s, t, carrier), ((outcome, *_), _) in PINNED_SEARCHES.items()
+     if outcome == "Candidates" and carrier == 1]
     + [pair for pair, (_, forced, _) in DOMAIN_SEARCHES.items() if forced],
     ids="|".join,
 )
@@ -511,29 +536,23 @@ class TestStats:
     @pytest.mark.parametrize(
         "s_id, t_id, stats",
         [
-            ("powerset", "powerset", (301, 18550, 3430, 24249, 4723)),
-            ("list", "list", (438, 173434, 1156, 4504, 3024)),
-            ("multiset", "exception:{a,b}", (438, 11476, 574, 3469, 1428)),
+            ("powerset", "powerset", (3430, 24249, 4723)),
+            ("list", "list", (1156, 4504, 3024)),
+            ("multiset", "exception:{a,b}", (574, 3469, 1428)),
         ],
     )
     def test_stats_at_defaults_are_pinned(self, s_id, t_id, stats):
-        # maps and pairs are planned over every map, as the edge cap reads
-        # them; edges are counted as built, one per restriction of a map to
-        # an input's letters: list over list stops at the result-space cap
+        # edges are counted as built, one per restriction of a map to an
+        # input's letters: list over list stops at the result-space cap
         # after propagation has visited 66 of its 659 inputs, so it builds
         # 1,156 edges. Images are counted for the maps edges were built from
         r = search_distlaw_bounded(s_id, t_id)
-        keys = ("maps", "pairs", "edges", "images_requested", "images_computed")
+        keys = ("edges", "images_requested", "images_computed")
         assert r.stats == dict(zip(keys, stats))
 
-    def test_counts_maps_pairs_and_edges(self):
+    def test_counts_edges_per_restriction(self):
         r = search_distlaw_bounded("lift", "lift", carrier_size=1, bound=2)
         sizes = r.carrier_sizes
-        pools = [2 + n for n in sizes]  # bot, ok(bot) and ok(ok(x)) per label
-        assert r.stats["maps"] == sum(j ** i for i in sizes for j in sizes)
-        assert r.stats["pairs"] == sum(
-            j ** i * pool for i, pool in zip(sizes, pools) for j in sizes
-        )
         # one edge per input, target level and restriction of a map to the
         # input's letters: bot and ok(bot) hold none (the whole carrier on
         # the one-letter carrier, where no map witnesses the support lemma),
@@ -543,11 +562,16 @@ class TestStats:
         assert r.stats["edges"] == sum(j ** k for i in sizes for k in held[i] for j in sizes)
         assert r.elapsed > 0
 
-    def test_capped_search_examines_no_pair(self):
-        r = search_distlaw_bounded("lift", "lift", carrier_size=7, bound=2)
-        assert r.stats == dict.fromkeys(
-            ("maps", "pairs", "edges", "images_requested", "images_computed"), 0
+    def test_capped_search_examines_no_pair(self, monkeypatch):
+        # every pool comes from `FinMonad.enumerate`, so its cap ends the
+        # search before any edge is built
+        monkeypatch.setattr(monads, "MAX_POOL", 5)
+        r = search_distlaw_bounded("lift", "lift", carrier_size=1, bound=2)
+        assert r.describe() == (
+            "lift over lift, carriers (1, 2, 3, 4), bound 2: Inconclusive "
+            "(lift values over 5 elements up to size 2: more than 5 (the pool cap))"
         )
+        assert r.stats == dict.fromkeys(("edges", "images_requested", "images_computed"), 0)
 
 
 @pytest.mark.parametrize("s_id, t_id, inputs", [("bintree", "dist", 2), ("list", "reader:2", 3)])
@@ -556,7 +580,8 @@ def test_candidates_on_the_one_element_carrier_say_no_naturality_was_tested(
 ):
     # the chain stops at |X|=1, whose one map is the identity
     r = search_distlaw_bounded(s_id, t_id)
-    assert r.carrier_sizes == (1,) and r.stats["maps"] == 1
+    # one edge per input, through the identity
+    assert r.carrier_sizes == (1,) and r.stats["edges"] == inputs
     assert r.describe() == (
         f"{s_id} over {t_id}, carriers (1,), bound 2: Candidates (1 fragment-consistent "
         f"table(s), {inputs}/{inputs} inputs forced; no naturality condition tested)"
