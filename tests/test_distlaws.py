@@ -4,7 +4,11 @@ import collections
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -359,36 +363,80 @@ def test_check_beck_applies_the_law_once_per_input_per_call(law_id):
     assert again.stats == report.stats
 
 
+def test_injective_rename_keeps_no_result_outside_the_pool():
+    # at carrier 3 the swap sends c to None and merges no letters, so its
+    # renamed inputs fall outside the ST pool: each is applied once in that
+    # pass and not kept. The few that the collapse pass met as well are
+    # applied again, and every application is counted
+    law, seen = _counting(law_for("mm-nel-1"))
+    report = check_beck(law, carrier_size=3, bound=3)
+    assert report.stats["lambda_computed"] == sum(seen.values())
+    assert report.stats["lambda_kept"] < len(seen) < report.stats["lambda_computed"]
+    assert set(seen.values()) == {1, 2}
+
+
+# a fresh interpreter's peak RSS growth over one Beck check, in kB, measured
+# once monadlab is imported and the law built. It reads the peak of its own
+# address space, VmHWM: `ru_maxrss` starts from the peak of the process that
+# forked it, here the test runner's
+_RSS_PROBE = """
+from monadlab.distlaws import check_beck, law_for
+
+def peak_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+law = law_for("mm-nel-1")
+before = peak_kb()
+check_beck(law, 3, 3)
+print(peak_kb() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_carrier3_check_keeps_its_memo_small():
+    # mm-nel-1 at carrier 3, bound 3 sets the peak RSS of the benchmark's
+    # laws workload. Keeping every λ result grew it by about 40 MB, keeping
+    # none for renamed inputs outside the pool by about 24 MB
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    res = subprocess.run([sys.executable, "-c", _RSS_PROBE], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) < 30 * 1024
+
+
 # the nine positive laws that every cold Boom table replays, at carrier 2 and
 # bound 3, as recorded before the Kleisli `bind` and the C-level memo, and
 # ring, the costliest law at those settings, as recorded before the
 # order-free comparison of commutative T values:
-# (checked per condition, pool sizes, law applications requested, computed)
+# (checked per condition, pool sizes, law applications requested, computed,
+# results kept). Every result is kept: at carrier 2 no rename sends an input
+# of these laws outside the ST pool
 _REPLAYED = {
     "ring": (
-        (25, 15, 32552, 1885, 1885), (25, 15, 16276, 1885, 1885), 79632, 20038
+        (25, 15, 32552, 1885, 1885), (25, 15, 16276, 1885, 1885), 79632, 20038, 20038
     ),
     "choice:tree:multiset": (
-        (10, 23, 4222, 3613, 3613), (10, 23, 2111, 3613, 3613), 36392, 9170
+        (10, 23, 4222, 3613, 3613), (10, 23, 2111, 3613, 3613), 36392, 9170, 9170
     ),
     "choice:tree:powerset": (
-        (4, 23, 298, 3613, 3613), (4, 23, 149, 3613, 3613), 39842, 6980
+        (4, 23, 298, 3613, 3613), (4, 23, 149, 3613, 3613), 39842, 6980, 6980
     ),
     "choice:list:multiset": (
-        (10, 15, 2222, 1885, 1885), (10, 15, 1111, 1885, 1885), 18957, 4761
+        (10, 15, 2222, 1885, 1885), (10, 15, 1111, 1885, 1885), 18957, 4761, 4761
     ),
     "choice:list:powerset": (
-        (4, 15, 170, 1885, 1885), (4, 15, 85, 1885, 1885), 20623, 3300
+        (4, 15, 170, 1885, 1885), (4, 15, 85, 1885, 1885), 20623, 3300, 3300
     ),
     "mset-cartesian": (
-        (10, 10, 572, 455, 455), (10, 10, 286, 455, 455), 4440, 1132
+        (10, 10, 572, 455, 455), (10, 10, 286, 455, 455), 4440, 1132, 1132
     ),
     "choice:multiset:powerset": (
-        (4, 10, 70, 455, 455), (4, 10, 35, 455, 455), 4539, 767
+        (4, 10, 70, 455, 455), (4, 10, 35, 455, 455), 4539, 767, 767
     ),
     **{
         law_id: (
-            (14, 14, 5908, 1884, 1884), (14, 14, 2954, 1884, 1884), 26748, 6708
+            (14, 14, 5908, 1884, 1884), (14, 14, 2954, 1884, 1884), 26748, 6708, 6708
         )
         for law_id in ("mm-nel-1", "mm-nel-2", "mm-nel-3")
     },
@@ -397,13 +445,14 @@ _REPLAYED = {
 
 @pytest.mark.parametrize("law_id", sorted(_REPLAYED))
 def test_replayed_law_counts_are_pinned(law_id):
-    checked, pools, requested, computed = _REPLAYED[law_id]
+    checked, pools, requested, computed, kept = _REPLAYED[law_id]
     report = check_beck(law_for(law_id), carrier_size=2, bound=3)
     assert report.ok
     conditions = ("unit-s", "unit-t", "natural", "mult-s", "mult-t")
     assert report.checked == dict(zip(conditions, checked))
     assert report.pool_sizes == dict(zip(("T", "S", "ST", "SST", "STT"), pools))
-    assert report.stats == {"lambda_requested": requested, "lambda_computed": computed}
+    assert report.stats == {"lambda_requested": requested, "lambda_computed": computed,
+                            "lambda_kept": kept}
 
 
 def _weigh_doubles(from_canonical):
@@ -564,6 +613,67 @@ def test_faulty_law_report_is_pinned(carrier, bound, checked, pool_sizes, witnes
     assert report.violations == [
         ("mult-s", w, ("err", "b"), ("err", "a")) for w in witnesses
     ]
+
+
+# every law at carrier 3, bound 2, as recorded before λ results for inputs
+# outside the ST pool stopped being kept: (checked per condition, pool
+# sizes, number of violations, the first violation), or the exception
+# raised, for the twelve laws whose T sorts what the naturality renames send
+# c to (None)
+_RENAMED_NONE = (TypeError, "'NoneType' object is not iterable")
+_NEL3 = ((12, 12, 312, 156, 156), (12, 12, 156, 156, 156), 0, None)
+_CARRIER3 = {
+    "ring": _RENAMED_NONE,
+    "mset-cartesian": _RENAMED_NONE,
+    "mm-nel-1": _NEL3,
+    "mm-nel-2": _NEL3,
+    "mm-nel-3": _NEL3,
+    "faulty-list-exception": (
+        (5, 13, 62, 157, 57), (5, 13, 31, 157, 57), 2,
+        ("mult-s", _ERR_B_LEFT, ("err", "b"), ("err", "a")),
+    ),
+    "choice:tree:multiset": _RENAMED_NONE,
+    "choice:tree:powerset": _RENAMED_NONE,
+    "choice:list:multiset": _RENAMED_NONE,
+    "choice:list:powerset": _RENAMED_NONE,
+    "choice:multiset:multiset": _RENAMED_NONE,
+    "choice:multiset:powerset": _RENAMED_NONE,
+    "exception-over:list": ((13, 5, 30, 14, 14), (13, 5, 15, 14, 14), 0, None),
+    "exception-over:nonempty-list": ((12, 5, 28, 14, 14), (12, 5, 14, 14, 14), 0, None),
+    "exception-over:multiset": _RENAMED_NONE,
+    "exception-over:powerset": _RENAMED_NONE,
+    "exception-over:bintree": ((12, 5, 28, 14, 14), (12, 5, 14, 14, 14), 0, None),
+    "exception-over:narytree:2": ((13, 5, 30, 14, 14), (13, 5, 15, 14, 14), 0, None),
+    "exception-over:narytree:3": ((31, 5, 66, 14, 14), (31, 5, 33, 14, 14), 0, None),
+    "exception-over:exception:{a}": ((4, 5, 12, 8, 7), (4, 5, 6, 8, 7), 0, None),
+    "exception-over:exception:{a,b}": ((5, 5, 14, 9, 9), (5, 5, 7, 9, 9), 0, None),
+    "exception-over:lift": ((4, 5, 12, 8, 7), (4, 5, 6, 8, 7), 0, None),
+    "exception-over:reader:2": ((9, 5, 22, 13, 14), (9, 5, 11, 13, 14), 0, None),
+    "exception-over:dist": _RENAMED_NONE,
+    "exception-over:abgroup": _RENAMED_NONE,
+}
+
+
+def test_carrier3_reports_cover_every_law():
+    assert sorted(_CARRIER3) == sorted(law_ids())
+
+
+@pytest.mark.parametrize("law_id", sorted(_CARRIER3))
+def test_carrier3_report_is_pinned(law_id):
+    law = law_for(law_id)
+    if _CARRIER3[law_id] is _RENAMED_NONE:
+        error, message = _RENAMED_NONE
+        with pytest.raises(error) as exc:
+            check_beck(law, carrier_size=3, bound=2)
+        assert str(exc.value) == message
+        return
+    checked, pools, count, first = _CARRIER3[law_id]
+    report = check_beck(law, carrier_size=3, bound=2)
+    conditions = ("unit-s", "unit-t", "natural", "mult-s", "mult-t")
+    assert report.checked == dict(zip(conditions, checked))
+    assert report.pool_sizes == dict(zip(("T", "S", "ST", "SST", "STT"), pools))
+    assert len(report.violations) == count
+    assert (report.violations or [None])[0] == first
 
 
 # ---------------------------------------------------------------------------
