@@ -121,6 +121,9 @@ class FinMonad:
     A monad that names a theory maps each of its operations, in `generics`,
     to the operation's generic element: a value over the argument positions
     "0", "1", ... `free_model_ops` derives the free models' operations.
+    The monads of the theories outside the Boom family also define
+    `normal_form(v)`: the term whose value is `v` when each variable x is
+    sent to unit(x), the normal form by which their theories decide.
 
     `enumerate` lists a pool, raising PoolTooLargeError past `MAX_POOL`
     values.
@@ -478,6 +481,10 @@ class ExceptionMonad(FinMonad):
     def members(self, v):
         return (v[1],) if v[0] == "ok" else ()
 
+    def normal_form(self, v):
+        # ok(x) is the variable x, err(label) and bot their constants
+        return terms.Var(v[1]) if v[0] == "ok" else terms.App(terms.OpSymbol(v[-1], 0), ())
+
     def iter_values(self, carrier, bound):
         yield from self.errors
         if bound >= 1:
@@ -520,6 +527,10 @@ class ReaderMonad(FinMonad):
 
     def members(self, v):
         return (v[1], v[2])
+
+    def normal_form(self, v):
+        a, b = map(terms.Var, v[1:])
+        return a if a == b else terms.App(terms.OpSymbol("mul", 2), (a, b))
 
     def iter_values(self, carrier, bound):
         if bound >= 1:
@@ -596,6 +607,18 @@ class DistMonad(WeightedMonad):
                 for weights in tuples:
                     yield mk_dist(zip(support, weights))
 
+    def normal_form(self, v):
+        # the balanced mix with w * denom leaves of each element of weight w:
+        # mix terms denote the values whose denominators are powers of two
+        if any(w.denominator & (w.denominator - 1) for _, w in v[1]):
+            raise ValueError(f"no mix term has the weights of {format_value(v)}")
+        denom = max(w.denominator for _, w in v[1])
+        mix = terms.OpSymbol("mix", 2)
+        level = [terms.Var(x) for x, w in v[1] for _ in range(int(w * denom))]
+        while len(level) > 1:
+            level = [terms.App(mix, pair) for pair in zip(level[::2], level[1::2])]
+        return level[0]
+
 
 class AbGroupMonad(WeightedMonad):
     """Free abelian groups: finite formal integer combinations."""
@@ -611,6 +634,14 @@ class AbGroupMonad(WeightedMonad):
 
     def size(self, v):
         return sum(abs(c) for _, c in v[1])
+
+    def normal_form(self, v):
+        inv = terms.OpSymbol("inv", 1)
+        factors = [terms.Var(x) if c > 0 else terms.App(inv, (terms.Var(x),))
+                   for x, c in v[1] for _ in range(abs(c))]
+        if not factors:
+            return terms.App(terms.OpSymbol("e", 0), ())
+        return terms.right_nested(terms.OpSymbol("mul", 2), factors)
 
     def iter_values(self, carrier, bound):
         for s in range(bound + 1):
@@ -867,6 +898,11 @@ def free_model_iso_check(
     enumeration at bound b; and substitution followed by evaluation agrees
     with evaluating into nested values and joining.
 
+    A theory that decides equality by evaluating into the monad passes the
+    first check by construction. Its procedure is checked independently by
+    evaluating both sides of each axiom in the monad and by random one-step
+    rewrites, which must keep its keys.
+
     Evaluation is compositional, so each check closes the universe under
     the product of two compositional semantics (`terms.classes_by_closure`)
     and sees every pair of results that some term has, one term per pair.
@@ -884,7 +920,7 @@ def free_model_iso_check(
         count = leaves + sum(count**op.arity for op in sig.ops if op.arity >= 1)
     report.term_count = count
 
-    base = terms.Evaluation(ops, {x: monad.unit(x) for x in labels})
+    base = terms.Evaluation(ops, monad.unit, None)
     proc = terms.Product(entry.procedure, base)
     by_class: dict = {}  # key -> (first witness, values)
     for (key, val), bucket in terms.classes_by_closure(sig, proc, atoms, depth).items():
@@ -926,8 +962,8 @@ def free_model_iso_check(
             x: base.term_key(subst_images[(i + shift) % len(subst_images)])
             for i, x in enumerate(labels)
         }
-        direct = terms.Evaluation(ops, images)
-        outer = terms.Evaluation(ops, {x: monad.unit(v) for x, v in images.items()})
+        direct = terms.Evaluation(ops, images.__getitem__, None)
+        outer = terms.Evaluation(ops, lambda x: monad.unit(images[x]), None)
         pairs = terms.classes_by_closure(sig, terms.Product(direct, outer), atoms, small_depth)
         for (want, got), bucket in pairs.items():
             if monad.join(got) != want:

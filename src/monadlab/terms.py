@@ -8,9 +8,9 @@ procedures against the axioms. A decision procedure (`Procedure`: normal
 forms or semantic evaluation) decides provable equality in one theory;
 `decide_eq` and `normalize` take the procedure itself, which
 `monadlab.theories` keeps on each theory's entry. The procedures of the
-registered theories are defined here too (`WordProc` ... `ReaderProc`,
-chosen for the Boom theories by `boom_procedure`), as are `Evaluation` and
-`Product`, the compositional semantics of the free-model checks. A process
+Boom and n-ary tree theories are defined here (`WordProc` ... `TreeProc`,
+chosen for the Boom theories by `boom_procedure`), as are `Evaluation`
+and `Product`: the other theories evaluate into their monad. A process
 runs this module only when it reads a presentation, a procedure or a term:
 `monadlab.theories` builds its entries from here on first use.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import re
 from enum import Enum
-from typing import Hashable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 __all__ = [
     "OpSymbol",
@@ -47,15 +47,12 @@ __all__ = [
     "Procedure",
     "decide_eq",
     "normalize",
+    "right_nested",
     "WordProc",
     "MultisetProc",
     "SetProc",
     "BandProc",
     "TreeProc",
-    "SyntacticProc",
-    "AbGroupProc",
-    "ConvexProc",
-    "ReaderProc",
     "boom_procedure",
     "Evaluation",
     "Product",
@@ -662,12 +659,12 @@ def normalize(proc: Procedure, term: Term) -> Optional[Term]:
 
 
 # ---------------------------------------------------------------------------
-# the procedures of the registered theories, and two combinators
+# the procedures of the Boom and n-ary tree theories, and two combinators
 
 _UNIT_KEY = ("e",)
 
 
-def _right_nested(op: OpSymbol, parts: Sequence[Term]) -> Term:
+def right_nested(op: OpSymbol, parts: Sequence[Term]) -> Term:
     """op(t1, op(t2, ... op(t(n-1), tn))) over the nonempty `parts`."""
     out = parts[-1]
     for t in reversed(parts[:-1]):
@@ -692,7 +689,7 @@ class WordProc(Procedure):
     def reify(self, key) -> Optional[Term]:
         if not key:
             return App(OpSymbol("e", 0), ())
-        return _right_nested(OpSymbol("mul", 2), [Var(name) for name in key])
+        return right_nested(OpSymbol("mul", 2), [Var(name) for name in key])
 
 
 class MultisetProc(WordProc):
@@ -812,97 +809,6 @@ class TreeProc(Procedure):
         return App(self.op, tuple(map(self.reify, key[1:])))
 
 
-class SyntacticProc(Procedure):
-    """Theories with no axioms: the term is its own normal form."""
-
-    def var_key(self, name):
-        return Var(name)
-
-    def app_key(self, op, child_keys):
-        return App(op, tuple(child_keys))
-
-    def reify(self, key):
-        return key
-
-
-class AbGroupProc(Procedure):
-    """Free Abelian group: integer coefficient vectors over variable names."""
-
-    def var_key(self, name):
-        return ((name, 1),)
-
-    def app_key(self, op, child_keys):
-        if op.name == "e":
-            return ()
-        if op.name == "inv":
-            return tuple((n, -c) for n, c in child_keys[0])
-        coeffs: dict[str, int] = {}
-        for part in child_keys:
-            for n, c in part:
-                coeffs[n] = coeffs.get(n, 0) + c
-        return tuple(sorted((n, c) for n, c in coeffs.items() if c != 0))
-
-    def reify(self, key):
-        if not key:
-            return App(OpSymbol("e", 0), ())
-        mul = OpSymbol("mul", 2)
-        inv = OpSymbol("inv", 1)
-        factors: list[Term] = []
-        for name, c in key:
-            atom: Term = Var(name)
-            if c < 0:
-                atom = App(inv, (atom,))
-            factors.extend([atom] * abs(c))
-        return _right_nested(mul, factors)
-
-
-class ConvexProc(Procedure):
-    """Even-weight mixtures evaluate to dyadic distributions over variables."""
-
-    def var_key(self, name):
-        from fractions import Fraction
-
-        return ((name, Fraction(1)),)
-
-    def app_key(self, op, child_keys):
-        # every weight is a Fraction, made by `var_key`
-        weights: dict = {}
-        for part in child_keys:
-            for n, w in part:
-                weights[n] = weights.get(n, 0) + w / 2
-        return tuple(sorted(weights.items()))
-
-    def reify(self, key):
-        denom = max(w.denominator for _, w in key)
-        leaves: list[str] = []
-        for name, w in key:
-            leaves.extend([name] * int(w * denom))
-
-        def build(chunk: list[str]) -> Term:
-            if len(chunk) == 1:
-                return Var(chunk[0])
-            half = len(chunk) // 2
-            return App(OpSymbol("mix", 2), (build(chunk[:half]), build(chunk[half:])))
-
-        return build(leaves)
-
-
-class ReaderProc(Procedure):
-    """Rectangular band with idempotence: terms evaluate to (first, last)."""
-
-    def var_key(self, name):
-        return (name, name)
-
-    def app_key(self, op, child_keys):
-        return (child_keys[0][0], child_keys[1][1])
-
-    def reify(self, key):
-        a, b = key
-        if a == b:
-            return Var(a)
-        return App(OpSymbol("mul", 2), (Var(a), Var(b)))
-
-
 def boom_procedure(assoc: bool, comm: bool, idem: bool) -> Procedure:
     """The procedure of the Boom theory over `mul` with the flagged axioms
     (a unit, if any, is decided by every one of them)."""
@@ -919,16 +825,19 @@ def boom_procedure(assoc: bool, comm: bool, idem: bool) -> Procedure:
 
 class Evaluation(Procedure):
     """Evaluation in an algebra as a compositional semantics: variables to
-    their values in `env`, operations through the functions `ops` names."""
+    their values by the function `var`, operations through the functions
+    `ops` names; in a free algebra, `reify` (None: decide-only) maps each
+    value back to its normal form."""
 
-    def __init__(self, ops: dict, env: dict):
-        self.ops, self.env = ops, env
-
-    def var_key(self, name):
-        return self.env[name]
+    def __init__(self, ops: dict, var: Callable[[str], Hashable],
+                 reify: Optional[Callable[[Hashable], Term]]):
+        self.ops, self.var_key, self._reify = ops, var, reify
 
     def app_key(self, op, child_keys):
         return self.ops[op.name](*child_keys)
+
+    def reify(self, key):
+        return None if self._reify is None else self._reify(key)
 
 
 class Product(Procedure):

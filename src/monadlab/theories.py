@@ -17,7 +17,9 @@ reads the registry and never writes it: the members of the parametric
 families `exception:{...}` and `narytree-theory:N` that are not registered
 come from cached constructors, one entry per label set or width. The
 equational properties are equations between designated terms, settled by
-`decide_eq` through the entry's procedure.
+`decide_eq` through the entry's procedure. The theories other than the Boom
+and n-ary tree ones decide by evaluating into their free-model monad
+(`_free_model`), so building one of those runs `monadlab.monads`.
 
 The class-based properties (S1/T1, S2/T2/V2, P3, V3) are facts about the
 variables of the members of equivalence classes, and `class_var_claim` is
@@ -620,8 +622,18 @@ def exception_theory(labels: Iterable[str]) -> TheoryEntry:
 
 @functools.cache
 def _exception_theory(labels: tuple[str, ...]) -> TheoryEntry:
-    return TheoryEntry("exception:{" + ",".join(labels) + "}", tuple((lbl, 0) for lbl in labels),
-                       (), lambda: terms.SyntacticProc())
+    theory_id = "exception:{" + ",".join(labels) + "}"
+    return TheoryEntry(theory_id, tuple((lbl, 0) for lbl in labels), (),
+                       lambda: _free_model(theory_id))
+
+
+def _free_model(monad_id: str) -> terms.Procedure:
+    """Evaluation into the free model `monad_id`, variables to units: a
+    free algebra decides provable equality (Birkhoff 1935)."""
+    from monadlab import monads
+
+    m = monads.monad_for(monad_id)
+    return terms.Evaluation(monads.free_model_ops(m.theory_id, monad_id), m.unit, m.normal_form)
 
 
 @functools.cache
@@ -639,7 +651,7 @@ def narytree_theory(n: int) -> TheoryEntry:
 
 
 def _register_rest() -> None:
-    register_theory(TheoryEntry("pointed", (("bot", 0),), (), lambda: terms.SyntacticProc()))
+    register_theory(TheoryEntry("pointed", (("bot", 0),), (), lambda: _free_model("lift")))
     register_theory(exception_theory(("a",)))
     register_theory(exception_theory(("a", "b")))
     register_theory(TheoryEntry(
@@ -658,7 +670,7 @@ def _register_rest() -> None:
             ("inv(mul(x,y))", "mul(inv(x),inv(y))", "inv-mul"),
             ("inv(e)", "e", "inv-unit"),
         ),
-        lambda: terms.AbGroupProc(), "mul(y1,y2)", "e", "mul(mul(x,y),inv(y))",
+        lambda: _free_model("abgroup"), "mul(y1,y2)", "e", "mul(mul(x,y),inv(y))",
     ))
     register_theory(TheoryEntry(
         "convex",
@@ -668,7 +680,7 @@ def _register_rest() -> None:
             ("mix(x,y)", "mix(y,x)", "comm"),
             ("mix(mix(a,b),mix(c,d))", "mix(mix(a,c),mix(b,d))", "medial"),
         ),
-        lambda: terms.ConvexProc(), "mix(y1,y2)",
+        lambda: _free_model("dist"), "mix(y1,y2)",
     ))
     register_theory(TheoryEntry(
         "reader:2",
@@ -677,7 +689,7 @@ def _register_rest() -> None:
             ("mul(x,x)", "x", "idem"),
             ("mul(mul(w,x),mul(y,z))", "mul(w,z)", "outer"),
         ),
-        lambda: terms.ReaderProc(), "mul(y1,y2)", absorbing="mul(x,mul(y,x))",
+        lambda: _free_model("reader:2"), "mul(y1,y2)", absorbing="mul(x,mul(y,x))",
     ))
 
 

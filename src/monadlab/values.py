@@ -278,8 +278,9 @@ def format_value(v: Value, explicit_ok: bool = False) -> str:
     Lists are [a,b], sets {a,b}, weighted containers {a:1,b:2} (with p/q
     weights for distributions), trees <c1,...,cn> with e for the unit leaf,
     exceptions err(label) with ok values written transparently, bottom is
-    bot, reader tables are (at0,at1). `explicit_ok` wraps ok payloads as
-    ok(...) so nested exceptional layers stay distinguishable.
+    bot, reader tables are (at0,at1). An ok payload is written ok(...)
+    under `explicit_ok`, or when its text would read as its layer's own
+    value (ok(...), err(...), bot).
     """
     if isinstance(v, str):
         return v
@@ -298,7 +299,8 @@ def format_value(v: Value, explicit_ok: bool = False) -> str:
         return "<" + ",".join(format_value(c, explicit_ok) for c in v[1:]) + ">"
     if tag == "ok":
         inner = format_value(v[1], explicit_ok)
-        return f"ok({inner})" if explicit_ok else inner
+        wrap = explicit_ok or inner == "bot" or inner.startswith(("ok(", "err("))
+        return f"ok({inner})" if wrap else inner
     if tag == "err":
         return f"err({v[1]})"
     if tag == "bot":

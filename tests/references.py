@@ -35,11 +35,11 @@ from monadlab.terms import (
     Rewriter,
     Term,
     Var,
-    _right_nested,
     decide_eq,
     enumerate_terms,
     eq_bounded,
     render,
+    right_nested,
     substitute,
     term_vars,
 )
@@ -218,7 +218,7 @@ class RingProc(Procedure):
         def monomial(word: tuple) -> Term:
             if not word:
                 return App(OpSymbol("one", 0), ())
-            return _right_nested(times, [Var(n) for n in word])
+            return right_nested(times, [Var(n) for n in word])
 
         parts: list[Term] = []
         for word, c in key:
@@ -226,7 +226,7 @@ class RingProc(Procedure):
             if c < 0:
                 base = App(neg, (base,))
             parts.extend([base] * abs(c))
-        return _right_nested(plus, parts)
+        return right_nested(plus, parts)
 
 
 def ring_entry() -> TheoryEntry:

@@ -220,7 +220,7 @@ def test_conflicting_unit_conditions_are_no_law(monkeypatch):
                         lambda mid: Forgetful() if mid == "forgetful" else real(mid))
     r = search_distlaw_bounded("forgetful", "lift")
     assert r.outcome == SearchOutcome.NO_LAW
-    assert r.conflict == "at |X|=1 the input bot is forced to both bot and bot (unit-s)"
+    assert r.conflict == "at |X|=1 the input bot is forced to both bot and ok(bot) (unit-s)"
     assert r.forced == 0 and r.stats["edges"] == 0
 
 

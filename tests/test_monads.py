@@ -28,6 +28,7 @@ from monadlab.monads import (
 )
 from monadlab.terms import (
     App,
+    Evaluation,
     Var,
     enumerate_terms,
     render,
@@ -685,6 +686,37 @@ def test_dist_is_not_free_over_binary_mix():
     report = free_model_iso_check("convex", "dist", bound=2, depth=3)
     assert not report.ok
     assert any("unreachable" in p for p in report.problems)
+
+
+@pytest.mark.parametrize("monad_id", ALL_IDS)
+def test_every_axiom_holds_in_its_monad(monad_id):
+    # with every variable sent to unit, both sides of each axiom take one
+    # value: the monad's free algebra is a finite model of the theory, so a
+    # procedure that evaluates into it refutes only what the axioms do not
+    # prove
+    m = monad_for(monad_id)
+    entry = lookup_theory(m.theory_id)
+    value = Evaluation(monads.free_model_ops(m.theory_id, monad_id), m.unit, None).term_key
+    for axiom in entry.presentation.equations:
+        assert value(axiom.lhs) == value(axiom.rhs), str(axiom)
+    # every theory but the Boom and n-ary tree ones decides equality by
+    # evaluating into its monad, and prints the monad's normal forms
+    if not m.theory_id.startswith(("boom:", "narytree-theory:")):
+        assert type(entry.procedure) is Evaluation and entry.procedure.var_key == m.unit
+        assert entry.procedure.reify(m.unit("x")) == Var("x")
+
+
+def test_dist_normal_forms_are_dyadic():
+    dist = monad_for("dist")
+    mix = lookup_theory("convex").presentation.parse
+    assert dist.normal_form(mk_dist([("a", Fraction(3, 4)), ("b", Fraction(1, 4))])) == mix(
+        "mix(mix(a,a),mix(a,b))")
+    # no mix term weighs a at a third, even where the largest denominator
+    # is a power of two
+    for weights in ((1, 3), (2, 3)), ((1, 3), (1, 6), (1, 8), (3, 8)):
+        v = mk_dist(zip("abcd", itertools.starmap(Fraction, weights)))
+        with pytest.raises(ValueError, match="no mix term"):
+            dist.normal_form(v)
 
 
 def _brute_force_free_model(theory_id, monad_id, labels, bound, depth, subst_depth=2):

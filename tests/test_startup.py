@@ -8,9 +8,11 @@ The subsystems load lazily, so a command or op runs only the modules it
 uses: a search runs no table code, and a check runs neither. The built-in
 theories are built on first read, so only a process that reads a
 presentation, a procedure or a term runs `terms`, and it builds only the
-theories it reads. Guarded by what is loaded, what has run and what is
-built instead of by a timing. A command also leaves Python's cyclic garbage
-collector on, though its checks pause it."""
+theories it reads; the procedure of a theory outside the Boom family
+(abgroup, convex, ...) evaluates into its monad, so it runs `monads` too.
+Guarded by what is loaded, what has run and what is built instead of by a
+timing. A command also leaves Python's cyclic garbage collector on, though
+its checks pause it."""
 
 import os
 import subprocess
@@ -195,6 +197,16 @@ def test_exits_run_no_monad_code(argv, code):
     # leaving a command by `SystemExit` or a usage error runs no module the
     # command did not
     assert _ran_by(*argv, codes=(code,)) == {"cli", "terms", "theories"}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("normalize", "abgroup", "mul(x,inv(x))"), 0),
+    (("prove-eq", "convex", "mix(x,y)", "mix(y,x)"), 0),
+    (("prove-eq", "reader:2", "mul(x,y)", "x"), 1),  # NOT EQUAL
+])
+def test_theories_outside_the_boom_family_run_their_monad(argv, code):
+    # they decide equality by evaluating into their free-model monad
+    assert _ran_by(*argv, codes=(code,)) == {"cli", "monads", "terms", "theories", "values"}
 
 
 def test_nogo_runs_no_search_code():

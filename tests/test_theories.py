@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -286,6 +287,34 @@ def test_reader_procedure():
     assert decide(tid, pt(tid, "mul(mul(x,y),z)"), pt(tid, "mul(x,z)"))
     assert not decide(tid, pt(tid, "mul(x,y)"), pt(tid, "mul(y,x)"))
     assert normal_form(tid, pt(tid, "mul(x,mul(y,x))")) == Var("x")
+
+
+# (terms, sha256 of their normal forms, one rendered term a line) for the
+# first 2,000 terms over x, y, z and the constants, to depth 3 (abgroup: all
+# of depth 2), as recorded when hand-written procedures decided these
+# theories
+_NORMAL_FORMS = {
+    "exception:{a}": (4, "d1a0fa0584e54f87387ebc37a0c7272ef3a8fa2bb47eb88ffb5932b714b8be3c"),
+    "exception:{a,b}": (5, "2e1af2176f9588638481cf0367aa32553209b9f607d35a150b79e66a135e901c"),
+    "pointed": (4, "c7ced7c2811a5c5e47fb52d28243b3fe3d7f3a1477f756d49e644f8d9fc56b0d"),
+    "abgroup": (604, "6db8519a1bd29f78d087fd9ad4e1e82fda157aa7eb01957a25866385c57f3a94"),
+    "convex": (2000, "d3a2d1b310e641df5f361dbbb439cca6649aa10715724335e8195f19748fda7b"),
+    "reader:2": (2000, "e2b3deb27a7eace673f7bcd8f451fef47fbf42f3cf7361a1b72be2decc506408"),
+}
+
+
+@pytest.mark.parametrize("tid", list(_NORMAL_FORMS))
+def test_normal_forms_are_pinned(tid):
+    entry = lookup_theory(tid)
+    sig = entry.presentation.signature
+    atoms = [Var(v) for v in "xyz"] + [App(c, ()) for c in sig.constants]
+    depth = 2 if tid == "abgroup" else 3
+    universe = list(itertools.islice(terms.enumerate_terms(sig, atoms, depth), 2000))
+    forms = [normal_form(tid, t) for t in universe]
+    for t, nf in zip(universe, forms):
+        assert normal_form(tid, nf) == nf and decide(tid, t, nf), render(t)
+    digest = hashlib.sha256("\n".join(map(render, forms)).encode()).hexdigest()
+    assert (len(universe), digest) == _NORMAL_FORMS[tid]
 
 
 def test_ring_entry_procedure():
