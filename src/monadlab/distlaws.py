@@ -63,7 +63,7 @@ def _choice_law(law_id: str, s: FinMonad, t: FinMonad) -> DistLaw:
     a positional S gives one shape per pick set, so its picks are distinct
     and come in `canon_key` order, and T wraps them without merging or
     sorting; multiset S merges them through T's `fmap`."""
-    if not hasattr(s, "choose"):
+    if getattr(s, "choose", None) is None:
         raise NoLawError(f"{law_id}: {s.monad_id} is not a linear monad")
     if not hasattr(t, "weighted"):
         raise NoLawError(f"{law_id}: {t.monad_id} has no (element, weight) view")
@@ -203,8 +203,8 @@ def check_beck(law: DistLaw, carrier_size: int = 2, bound: int = 3) -> LawReport
     of the carrier, and does not map the ST pool's carrier into itself (the
     swap at carrier 3, which sends c to None, or at carrier 2 over a T pool
     cut to its first values, as narytree:3's), applies the law to a
-    renamed input outside the ST pool directly and keeps no result. Each of
-    the 13 monads preserves injective maps, so S(T f) is injective and no
+    renamed input outside the ST pool directly and keeps no result. Every
+    monad here preserves injective maps, so S(T f) is injective and no
     other case of that pass asks for such an input; a case of another pass
     that does has it applied again. The pool's membership set is built when
     such a pass starts, so a check that raises before then does no new work.

@@ -6,11 +6,17 @@ is deterministic, duplicate-free, and graded by size, so the sequence for a
 smaller bound is a prefix of the sequence for a larger one; law checking and
 the free-model comparisons rely on that.
 
+A monad that names a theory is its free model, and the theory decides
+equality by evaluating into it (`theories._free_model`), with the monad's
+`normal_form`: every built-in theory but the two bands, AI and AI+, has
+such a monad.
+
 The registry of named monads is filled once, at import. `monad_for` only
 reads it: the exception and n-ary tree monads it does not hold come from
 cached constructors, so every spelling of one label set or width gives
-the same object. Filling it loads no `fractions`: the distribution monad
-makes its first exact weight when it is first used.
+the same object, and the free models of the Boom theories are named by
+their theory ids too. Filling it loads no `fractions`: the distribution
+monad makes its first exact weight when it is first used.
 """
 
 from __future__ import annotations
@@ -45,8 +51,8 @@ __all__ = [
     "ListMonad",
     "MultisetMonad",
     "PowersetMonad",
-    "BinTreeMonad",
     "NaryTreeMonad",
+    "CommIdemTreeMonad",
     "WeightedMonad",
     "ExceptionMonad",
     "LiftMonad",
@@ -121,9 +127,9 @@ class FinMonad:
     A monad that names a theory maps each of its operations, in `generics`,
     to the operation's generic element: a value over the argument positions
     "0", "1", ... `free_model_ops` derives the free models' operations.
-    The monads of the theories outside the Boom family also define
-    `normal_form(v)`: the term whose value is `v` when each variable x is
-    sent to unit(x), the normal form by which their theories decide.
+    It also defines `normal_form(v)`: the term whose value is `v` when each
+    variable x is sent to unit(x), the normal form by which its theory
+    decides.
 
     `enumerate` lists a pool, raising PoolTooLargeError past `MAX_POOL`
     values.
@@ -197,6 +203,18 @@ def _picks(v, t, ws):
     return tuple(map((tag,).__add__, itertools.product(*xs)))
 
 
+def _product(factors: list) -> terms.Term:
+    """The right-nested `mul` of `factors`, or `e` when there are none."""
+    if not factors:
+        return terms.App(terms.OpSymbol("e", 0), ())
+    return terms.right_nested(terms.OpSymbol("mul", 2), factors)
+
+
+def _word_form(self, v):
+    """`normal_form` for list, multiset and powerset."""
+    return _product([*map(terms.Var, self.members(v))])
+
+
 def _choose_positional(self, v, t):
     """`choose` for positional monads: distinct picks, already in order.
     The picks come in the product order of their positions, so their
@@ -233,6 +251,7 @@ class ListMonad(FinMonad):
         return v[1:]
 
     choose = _choose_positional
+    normal_form = _word_form
 
     def iter_values(self, carrier, bound):
         lo = 1 if self.nonempty else 0
@@ -292,28 +311,39 @@ class WeightedMonad(FinMonad):
 
 
 class MultisetMonad(WeightedMonad):
-    monad_id = "multiset"
-    theory_id = "boom:UAC-"
-    generics = {"mul": ("mset", (("0", 1), ("1", 1))), "e": ("mset", ())}
     tag = "mset"
+
+    def __init__(self, nonempty: bool = False):
+        self.nonempty = nonempty
+        self.monad_id = "boom:-AC-" if nonempty else "multiset"
+        self.theory_id = "boom:-AC-" if nonempty else "boom:UAC-"
+        self.generics = {"mul": ("mset", (("0", 1), ("1", 1)))}
+        if not nonempty:
+            self.generics["e"] = ("mset", ())
 
     def members(self, v):
         return tuple(x for x, n in v[1] for _ in range(n))
+
+    normal_form = _word_form
 
     def choose(self, v, t):
         picks = _choose_positional(self, ("list", *self.members(v)), t)
         return t.fmap(lambda pick: mk_mset(pick[1:]), picks)
 
     def iter_values(self, carrier, bound):
-        for s in range(bound + 1):
+        for s in range(1 if self.nonempty else 0, bound + 1):
             for combo in itertools.combinations_with_replacement(carrier, s):
                 yield mk_mset(items=combo)
 
 
 class PowersetMonad(FinMonad):
-    monad_id = "powerset"
-    theory_id = "boom:UACI"
-    generics = {"mul": ("set", "0", "1"), "e": ("set",)}
+    def __init__(self, nonempty: bool = False):
+        self.nonempty = nonempty
+        self.monad_id = "boom:-ACI" if nonempty else "powerset"
+        self.theory_id = "boom:-ACI" if nonempty else "boom:UACI"
+        self.generics = {"mul": ("set", "0", "1")}
+        if not nonempty:
+            self.generics["e"] = ("set",)
 
     def unit(self, x):
         return ("set", x)
@@ -338,6 +368,8 @@ class PowersetMonad(FinMonad):
     def members(self, v):
         return v[1:]
 
+    normal_form = _word_form
+
     def weighted(self, v):
         return v[1:], (1,) * (len(v) - 1)
 
@@ -345,26 +377,29 @@ class PowersetMonad(FinMonad):
         return ("set", *xs)
 
     def iter_values(self, carrier, bound):
-        for s in range(bound + 1):
+        for s in range(1 if self.nonempty else 0, bound + 1):
             for combo in itertools.combinations(carrier, s):
                 yield mk_set(combo)
 
 
 class NaryTreeMonad(FinMonad):
     """Leaf-labelled trees whose nodes have `width` children, with the unit
-    leaves `units`: nodes with fewer than two non-unit children are pruned
-    away, so values are normal forms."""
+    leaves `units` (none unless `unital`): nodes with fewer than two
+    non-unit children are pruned away (`node`), so values are normal forms.
+    The node operation `op` is `mul` in a Boom theory (T for narytree:2,
+    T+ for bintree), else `node` (narytree-theory:N)."""
 
-    units = (_NUNIT,)
+    node = staticmethod(mk_nnode)
 
-    def __init__(self, width: int):
+    def __init__(self, width: int, monad_id: str, theory_id: str, unital: bool = True):
         if width < 2:
             raise ValueError("tree width must be at least 2")
-        self.width = width
-        self.monad_id = f"narytree:{width}"
-        self.theory_id = "boom:U---" if width == 2 else f"narytree-theory:{width}"
-        node = ("nnode",) + tuple(("nleaf", str(i)) for i in range(width))
-        self.generics = {"mul" if width == 2 else "node": node, "e": ("nunit",)}
+        self.width, self.monad_id, self.theory_id = width, monad_id, theory_id
+        self.units = (_NUNIT,) if unital else ()
+        self.op = "mul" if theory_id.startswith("boom:") else "node"
+        self.generics = {self.op: ("nnode",) + tuple(("nleaf", str(i)) for i in range(width))}
+        if unital:
+            self.generics["e"] = _NUNIT
 
     def unit(self, x):
         return ("nleaf", x)
@@ -407,6 +442,14 @@ class NaryTreeMonad(FinMonad):
 
     choose = _choose_positional
 
+    def normal_form(self, v):
+        tag = v[0]
+        if tag == "nleaf":
+            return terms.Var(v[1])
+        if tag == "nunit":
+            return terms.App(terms.OpSymbol("e", 0), ())
+        return terms.App(terms.OpSymbol(self.op, self.width), tuple(map(self.normal_form, v[1:])))
+
     def iter_values(self, carrier, bound):
         # layer s holds the trees of size s: each is yielded as soon as it
         # is built, and kept for the larger sizes unless s is the bound
@@ -442,18 +485,56 @@ class NaryTreeMonad(FinMonad):
                 yield ("nnode",) + kids
 
 
-class BinTreeMonad(NaryTreeMonad):
-    """Leaf-labelled binary trees: the binary tree monad with no unit leaf,
-    so there is no empty tree."""
+def _tree_before(a, b):
+    """Whether a goes before b among commutative children: a node before a
+    leaf, leaves by `canon_key` of their labels, nodes by their children in
+    turn."""
+    while a[0] == b[0] == "nnode":
+        a, b = (a[1], b[1]) if a[1] != b[1] else (a[2], b[2])
+    if a[0] != b[0]:
+        return a[0] == "nnode"
+    return canon_key(a[1]) < canon_key(b[1])
 
-    monad_id = "bintree"
-    theory_id = "boom:----"
-    width = 2
-    units = ()
-    generics = {"mul": ("nnode", ("nleaf", "0"), ("nleaf", "1"))}
 
-    def __init__(self):
-        pass
+class CommIdemTreeMonad(NaryTreeMonad):
+    """Binary trees over `mul` whose node constructor orders the two
+    children by `_tree_before` (`comm`) or collapses equal ones (`idem`):
+    the free models of C, I, CI and their nonunital forms. A rename can make
+    two children equal or swap them, so `fmap` and `bind` rebuild every
+    node; enumeration skips nodes that are not canonical. Children have no
+    fixed positions, so there is no `choose`."""
+
+    choose = None
+
+    def __init__(self, theory_id: str):
+        super().__init__(2, theory_id, theory_id, unital="U" in theory_id)
+        self.comm, self.idem = "C" in theory_id, "I" in theory_id
+
+    def node(self, children):
+        v = mk_nnode(children)
+        if v[0] != "nnode":
+            return v
+        a, b = v[1:]
+        if self.idem and a == b:
+            return a
+        if self.comm and _tree_before(b, a):
+            return ("nnode", b, a)
+        return v
+
+    def fmap(self, f, v):
+        return self.bind(v, lambda x: ("nleaf", f(x)))
+
+    def bind(self, v, f):
+        if v[0] != "nnode":
+            return f(v[1]) if v[0] == "nleaf" else v
+        return self.node([self.bind(c, f) for c in v[1:]])
+
+    join = FinMonad.join
+
+    def _nodes_of_size(self, s, layers):
+        for v in super()._nodes_of_size(s, layers):
+            if self.node(v[1:]) == v:
+                yield v
 
 
 class ExceptionMonad(FinMonad):
@@ -637,11 +718,8 @@ class AbGroupMonad(WeightedMonad):
 
     def normal_form(self, v):
         inv = terms.OpSymbol("inv", 1)
-        factors = [terms.Var(x) if c > 0 else terms.App(inv, (terms.Var(x),))
-                   for x, c in v[1] for _ in range(abs(c))]
-        if not factors:
-            return terms.App(terms.OpSymbol("e", 0), ())
-        return terms.right_nested(terms.OpSymbol("mul", 2), factors)
+        return _product([terms.Var(x) if c > 0 else terms.App(inv, (terms.Var(x),))
+                         for x, c in v[1] for _ in range(abs(c))])
 
     def iter_values(self, carrier, bound):
         for s in range(bound + 1):
@@ -671,14 +749,20 @@ class AbGroupMonad(WeightedMonad):
 
 # one monad per sorted label tuple, and per width
 _exception_monad = functools.cache(ExceptionMonad)
-_narytree_monad = functools.cache(NaryTreeMonad)
+
+
+@functools.cache
+def _narytree_monad(width: int) -> NaryTreeMonad:
+    theory_id = "boom:U---" if width == 2 else f"narytree-theory:{width}"
+    return NaryTreeMonad(width, f"narytree:{width}", theory_id)
+
 
 _MONADS: dict = {m.monad_id: m for m in (
     ListMonad(),
     ListMonad(nonempty=True),
     MultisetMonad(),
     PowersetMonad(),
-    BinTreeMonad(),
+    NaryTreeMonad(2, "bintree", "boom:----", unital=False),
     _narytree_monad(2),
     _narytree_monad(3),
     _exception_monad(("a",)),
@@ -687,6 +771,16 @@ _MONADS: dict = {m.monad_id: m for m in (
     ReaderMonad(),
     DistMonad(),
     AbGroupMonad(),
+)}
+
+# the free models of the Boom theories but the two bands, by theory id: six
+# of the monads above, and eight that only their theory ids name
+_BOOM_MONADS: dict = {m.theory_id: m for m in (
+    *(m for m in _MONADS.values() if m.theory_id.startswith("boom:")),
+    MultisetMonad(nonempty=True),
+    PowersetMonad(nonempty=True),
+    *map(CommIdemTreeMonad, ("boom:U--I", "boom:U-C-", "boom:U-CI", "boom:---I", "boom:--C-",
+                             "boom:--CI")),
 )}
 
 _MONAD_ALIASES = {
@@ -703,10 +797,11 @@ def monad_ids() -> tuple:
 
 
 def monad_for(monad_id: str) -> FinMonad:
-    """The registered monad with id or alias `monad_id`, else the exception
-    or n-ary tree monad that it spells, one object per label set or width."""
+    """The registered monad with id or alias `monad_id`, else the free model
+    of the Boom theory with that id, else the exception or n-ary tree monad
+    that it spells, one object per label set or width."""
     key = _MONAD_ALIASES.get(monad_id, monad_id)
-    m = _MONADS.get(key)
+    m = _MONADS.get(key) or _BOOM_MONADS.get(key)
     if m is not None:
         return m
     labels = theories.exception_labels(key)
@@ -720,7 +815,8 @@ def monad_for(monad_id: str) -> FinMonad:
         raise NoMonadError(str(exc)) from None
     if width is not None:
         return _narytree_monad(width)
-    raise NoMonadError(theories.unknown_name("monad", monad_id, [*_MONADS, *_MONAD_ALIASES]))
+    known = [*_MONADS, *_BOOM_MONADS, *_MONAD_ALIASES]
+    raise NoMonadError(theories.unknown_name("monad", monad_id, known))
 
 
 # ---------------------------------------------------------------------------
@@ -838,13 +934,12 @@ def check_monad_laws(monad: FinMonad, carrier_size: int = 2, bound: int = 3) -> 
 # free-model comparison
 
 
-def free_model_ops(theory_id: str, monad_id: str) -> dict:
-    """The operations of the theory on the monad's values, when the monad is
-    the theory's free-model construction: the algebra structure its own join
-    gives, op(v0, v1, ...) = join(fmap(i -> vi, generic element of op))."""
-    monad = monad_for(monad_id)
+def free_model_ops(theory_id: str, monad: FinMonad) -> dict:
+    """The operations of the theory on the values of `monad`, when the monad
+    is the theory's free-model construction: the algebra structure its own
+    join gives, op(v0, v1, ...) = join(fmap(i -> vi, generic element of op))."""
     if monad.theory_id != theory_id:
-        raise NoMonadError(f"{monad_id} is not the free-model monad of {theory_id}")
+        raise NoMonadError(f"{monad.monad_id} is not the free-model monad of {theory_id}")
 
     def interpret(generic):
         return lambda *args: monad.bind(generic, lambda i: args[int(i)])
@@ -892,24 +987,22 @@ def free_model_iso_check(
 ) -> FreeModelReport:
     """Compare the theory's free model on `labels` with the monad.
 
-    Three checks over the full term universe up to `depth`:
-    term classes (by the theory's decision procedure) map one-to-one onto
-    values; for every b <= bound the values of size <= b are exactly the
-    enumeration at bound b; and substitution followed by evaluation agrees
-    with evaluating into nested values and joining.
+    Two checks over the full term universe up to `depth`: for every b <=
+    bound the values of size <= b are exactly the enumeration at bound b;
+    and substitution followed by evaluation agrees with evaluating into
+    nested values and joining. Each closes the universe under a
+    compositional evaluation (`terms.classes_by_closure`), one term per
+    result.
 
-    A theory that decides equality by evaluating into the monad passes the
-    first check by construction. Its procedure is checked independently by
-    evaluating both sides of each axiom in the monad and by random one-step
-    rewrites, which must keep its keys.
-
-    Evaluation is compositional, so each check closes the universe under
-    the product of two compositional semantics (`terms.classes_by_closure`)
-    and sees every pair of results that some term has, one term per pair.
+    A theory with a monad decides equality by evaluating into it, so its
+    classes are the values and `class_count` is `value_count`. The tests
+    check its procedure independently: both sides of each axiom take one
+    value in the monad, and one-step rewrites keep its keys
+    (`validate_procedure_against_rewrites`).
     """
     entry = theories.lookup_theory(theory_id)
     monad = monad_for(monad_id)
-    ops = free_model_ops(entry.theory_id, monad.monad_id)
+    ops = free_model_ops(entry.theory_id, monad)
     report = FreeModelReport(entry.theory_id, monad.monad_id, tuple(labels), bound, depth)
 
     sig = entry.presentation.signature
@@ -921,26 +1014,10 @@ def free_model_iso_check(
     report.term_count = count
 
     base = terms.Evaluation(ops, monad.unit, None)
-    proc = terms.Product(entry.procedure, base)
-    by_class: dict = {}  # key -> (first witness, values)
-    for (key, val), bucket in terms.classes_by_closure(sig, proc, atoms, depth).items():
-        by_class.setdefault(key, (next(iter(bucket.values())), set()))[1].add(val)
-    report.class_count = len(by_class)
+    values = terms.classes_by_closure(sig, base, atoms, depth)
+    report.class_count = report.value_count = len(values)
 
-    class_values = []
-    for first, vals in by_class.values():
-        if len(vals) > 1:
-            shown = terms.render(first)
-            report.problems.append(f"class of {shown} maps to {len(vals)} values")
-        class_values.append(vals.pop())
-    seen: set = set()
-    for val in class_values:
-        if val in seen:
-            report.problems.append(f"distinct classes share value {format_value(val)}")
-        seen.add(val)
-    report.value_count = len(seen)
-
-    sizes = {v: monad.size(v) for v in seen}
+    sizes = {v: monad.size(v) for v in values}
     for b in range(bound + 1):
         enumerated = set(monad.enumerate(tuple(labels), b))
         reached = {v for v, n in sizes.items() if n <= b}

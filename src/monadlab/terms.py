@@ -7,11 +7,11 @@ prover goes through it, and so does the tests' validation of decision
 procedures against the axioms. A decision procedure (`Procedure`: normal
 forms or semantic evaluation) decides provable equality in one theory;
 `decide_eq` and `normalize` take the procedure itself, which
-`monadlab.theories` keeps on each theory's entry. The procedures of the
-Boom and n-ary tree theories are defined here (`WordProc` ... `TreeProc`,
-chosen for the Boom theories by `boom_procedure`), as are `Evaluation`
-and `Product`: the other theories evaluate into their monad. A process
-runs this module only when it reads a presentation, a procedure or a term:
+`monadlab.theories` keeps on each theory's entry. Every theory with a
+free-model monad decides by `Evaluation` into it, with the monad's normal
+forms; the two band theories, which have no monad, decide by `BandProc`,
+which has none. `Product` pairs two procedures. A process runs this
+module only when it reads a presentation, a procedure or a term:
 `monadlab.theories` builds its entries from here on first use.
 """
 
@@ -48,12 +48,7 @@ __all__ = [
     "decide_eq",
     "normalize",
     "right_nested",
-    "WordProc",
-    "MultisetProc",
-    "SetProc",
     "BandProc",
-    "TreeProc",
-    "boom_procedure",
     "Evaluation",
     "Product",
 ]
@@ -231,6 +226,14 @@ def substitute(term: Term, mapping: Mapping[str, Term]) -> Term:
     if not term.args:
         return term
     return App(term.op, tuple(substitute(a, mapping) for a in term.args))
+
+
+def right_nested(op: OpSymbol, parts: Sequence[Term]) -> Term:
+    """op(t1, op(t2, ... op(t(n-1), tn))) over the nonempty `parts`."""
+    out = parts[-1]
+    for t in reversed(parts[:-1]):
+        out = App(op, (t, out))
+    return out
 
 
 def match(pattern: Term, term: Term, bindings: Optional[dict] = None) -> Optional[dict]:
@@ -659,53 +662,7 @@ def normalize(proc: Procedure, term: Term) -> Optional[Term]:
 
 
 # ---------------------------------------------------------------------------
-# the procedures of the Boom and n-ary tree theories, and two combinators
-
-_UNIT_KEY = ("e",)
-
-
-def right_nested(op: OpSymbol, parts: Sequence[Term]) -> Term:
-    """op(t1, op(t2, ... op(t(n-1), tn))) over the nonempty `parts`."""
-    out = parts[-1]
-    for t in reversed(parts[:-1]):
-        out = App(op, (t, out))
-    return out
-
-
-class WordProc(Procedure):
-    """Free monoid / semigroup: terms evaluate to words of variable names."""
-
-    def var_key(self, name: str) -> Hashable:
-        return (name,)
-
-    def app_key(self, op: OpSymbol, child_keys: tuple) -> Hashable:
-        if op.name == "e":
-            return ()
-        word: tuple = ()
-        for part in child_keys:
-            word += part
-        return word
-
-    def reify(self, key) -> Optional[Term]:
-        if not key:
-            return App(OpSymbol("e", 0), ())
-        return right_nested(OpSymbol("mul", 2), [Var(name) for name in key])
-
-
-class MultisetProc(WordProc):
-    """Free commutative monoid / semigroup: sorted words."""
-
-    def app_key(self, op, child_keys):
-        word = super().app_key(op, child_keys)
-        return tuple(sorted(word))
-
-
-class SetProc(WordProc):
-    """Free commutative idempotent monoid / semigroup: sorted, deduplicated."""
-
-    def app_key(self, op, child_keys):
-        word = super().app_key(op, child_keys)
-        return tuple(sorted(set(word)))
+# the free band's procedure, and two combinators
 
 
 class BandProc(Procedure):
@@ -770,57 +727,6 @@ class BandProc(Procedure):
             )
         self._memo[word] = key
         return key
-
-
-class TreeProc(Procedure):
-    """Tree theories: the non-associative Boom flavors over `mul`/2 and the
-    unital n-ary node algebras over `node`/n, as bottom-up canonical trees.
-
-    A node with fewer than two non-unit children is that child, or the unit
-    (only theories with `e` have unit keys). Under idempotence equal
-    children collapse and under commutativity they are ordered; both are
-    binary axioms. Each rewrite system involved is terminating with joinable
-    critical pairs, so innermost normalization decides equality. `reify`
-    builds nodes with `op`.
-    """
-
-    def __init__(self, op: OpSymbol, comm: bool = False, idem: bool = False):
-        self.op, self.comm, self.idem = op, comm, idem
-
-    def var_key(self, name: str) -> Hashable:
-        return ("v", name)
-
-    def app_key(self, op, child_keys):
-        if op.name == "e":
-            return _UNIT_KEY
-        if len(child_keys) - child_keys.count(_UNIT_KEY) < 2:
-            return next((k for k in child_keys if k != _UNIT_KEY), _UNIT_KEY)
-        if self.idem and child_keys[0] == child_keys[1]:
-            return child_keys[0]
-        if self.comm and child_keys[1] < child_keys[0]:
-            return ("n", child_keys[1], child_keys[0])
-        return ("n", *child_keys)
-
-    def reify(self, key) -> Optional[Term]:
-        if key == _UNIT_KEY:
-            return App(OpSymbol("e", 0), ())
-        if key[0] == "v":
-            return Var(key[1])
-        return App(self.op, tuple(map(self.reify, key[1:])))
-
-
-def boom_procedure(assoc: bool, comm: bool, idem: bool) -> Procedure:
-    """The procedure of the Boom theory over `mul` with the flagged axioms
-    (a unit, if any, is decided by every one of them)."""
-    if assoc:
-        if idem and not comm:
-            return BandProc()
-        if comm and idem:
-            return SetProc()
-        if comm:
-            return MultisetProc()
-        return WordProc()
-    return TreeProc(OpSymbol("mul", 2), comm, idem)
 
 
 class Evaluation(Procedure):

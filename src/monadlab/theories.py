@@ -17,9 +17,10 @@ reads the registry and never writes it: the members of the parametric
 families `exception:{...}` and `narytree-theory:N` that are not registered
 come from cached constructors, one entry per label set or width. The
 equational properties are equations between designated terms, settled by
-`decide_eq` through the entry's procedure. The theories other than the Boom
-and n-ary tree ones decide by evaluating into their free-model monad
-(`_free_model`), so building one of those runs `monadlab.monads`.
+`decide_eq` through the entry's procedure. Every built-in theory but the
+two bands decides by evaluating into its free-model monad (`_free_model`),
+so building one runs `monadlab.monads`; the bands, AI and AI+, decide by
+`terms.BandProc`, which has no normal forms.
 
 The class-based properties (S1/T1, S2/T2/V2, P3, V3) are facts about the
 variables of the members of equivalence classes, and `class_var_claim` is
@@ -574,9 +575,11 @@ def _register_boom() -> None:
         for unital in (True, False):
             flags = BoomFlags(unital, "assoc" in names, "comm" in names, "idem" in names)
             display = label if unital else label + "+"
+            # the bands have no monad; `terms` is read on the first build
+            procedure = ((lambda: terms.BandProc()) if label == "AI"
+                         else lambda tid=flags.theory_id: _free_model(tid))
             register_theory(TheoryEntry(
-                flags.theory_id, *boom_theory(flags),
-                lambda flags=flags: terms.boom_procedure(flags.assoc, flags.comm, flags.idem),
+                flags.theory_id, *boom_theory(flags), procedure,
                 "mul(y1,y2)", "e" if flags.unital else None,
                 aliases=(display,) + word_aliases[flags.theory_id],
             ))
@@ -627,13 +630,22 @@ def _exception_theory(labels: tuple[str, ...]) -> TheoryEntry:
                        lambda: _free_model(theory_id))
 
 
-def _free_model(monad_id: str) -> terms.Procedure:
-    """Evaluation into the free model `monad_id`, variables to units: a
-    free algebra decides provable equality (Birkhoff 1935)."""
+def _free_model(monad) -> terms.Procedure:
+    """Evaluation into the free-model monad `monad` (or its id), variables
+    to units: a free algebra decides provable equality (Birkhoff 1935)."""
     from monadlab import monads
 
-    m = monads.monad_for(monad_id)
-    return terms.Evaluation(monads.free_model_ops(m.theory_id, monad_id), m.unit, m.normal_form)
+    m = monads.monad_for(monad) if isinstance(monad, str) else monad
+    return terms.Evaluation(monads.free_model_ops(m.theory_id, m), m.unit, m.normal_form)
+
+
+def _narytree_model(n: int) -> terms.Procedure:
+    """Evaluation into narytree:n, or at width 2, where narytree:2 is T's
+    monad over `mul`, into an unregistered width-2 tree monad over `node`."""
+    from monadlab import monads
+
+    tid = f"narytree-theory:{n}"
+    return _free_model(f"narytree:{n}" if n > 2 else monads.NaryTreeMonad(2, tid, tid))
 
 
 @functools.cache
@@ -646,7 +658,7 @@ def narytree_theory(n: int) -> TheoryEntry:
         args[pos] = "x"
         axioms.append((f"node({','.join(args)})", "x", f"prune{pos}"))
     return TheoryEntry(f"narytree-theory:{n}", (("node", n), ("e", 0)), axioms,
-                       lambda: terms.TreeProc(terms.OpSymbol("node", n)),
+                       lambda: _narytree_model(n),
                        "node(y1,y2" + ",e" * (n - 2) + ")", "e")
 
 

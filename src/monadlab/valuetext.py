@@ -39,7 +39,6 @@ from .values import (
     mk_list,
     mk_mset,
     mk_nleaf,
-    mk_nnode,
     mk_nunit,
     mk_ok,
     mk_set,
@@ -138,18 +137,15 @@ def _layer(tokens: _Tokens, monads: tuple, i: int) -> Value:
 
     if isinstance(m, ListMonad):
         tokens.expect("[")
-        items = _comma_list(tokens, "]", inner)
-        if not items and m.nonempty:
-            raise ValueSyntaxError("a nonempty list needs at least one element")
-        return mk_list(items)
+        return _nonempty(m, "list", mk_list(_comma_list(tokens, "]", inner)))
     if isinstance(m, PowersetMonad):
         tokens.expect("{")
-        return mk_set(_comma_list(tokens, "}", inner))
+        return _nonempty(m, "set", mk_set(_comma_list(tokens, "}", inner)))
     if isinstance(m, MultisetMonad):
         entries = _weighted(tokens, inner, "an integer")
         if any(n < 0 for _, n in entries):
             raise ValueSyntaxError("multiset counts cannot be negative")
-        return mk_mset(entries=entries)
+        return _nonempty(m, "multiset", mk_mset(entries=entries))
     if isinstance(m, AbGroupMonad):
         return mk_grp(_weighted(tokens, inner, "an integer"))
     if isinstance(m, DistMonad):
@@ -158,7 +154,7 @@ def _layer(tokens: _Tokens, monads: tuple, i: int) -> Value:
             return mk_dist(entries)
         except ValueError as exc:
             raise ValueSyntaxError(str(exc)) from None
-    if isinstance(m, NaryTreeMonad):  # bintree included
+    if isinstance(m, NaryTreeMonad):  # every tree monad
         if m.units and tokens.peek() == "e":
             tokens.expect("e")
             return mk_nunit()
@@ -169,7 +165,7 @@ def _layer(tokens: _Tokens, monads: tuple, i: int) -> Value:
                 raise ValueSyntaxError(
                     f"node of width {len(children)} in a width-{m.width} tree"
                 )
-            return mk_nnode(children)
+            return m.node(children)
         return mk_nleaf(inner())
     if isinstance(m, LiftMonad):  # before its base class, ExceptionMonad
         if tokens.peek() == "bot":
@@ -197,6 +193,13 @@ def _layer(tokens: _Tokens, monads: tuple, i: int) -> Value:
         tokens.expect(")")
         return mk_fun(at0, at1)
     raise ValueSyntaxError(f"no text form for monad {m.monad_id}")  # pragma: no cover
+
+
+def _nonempty(m: FinMonad, kind: str, v: Value) -> Value:
+    """`v`, unless it is empty and `m` has no empty value."""
+    if m.nonempty and not m.members(v):
+        raise ValueSyntaxError(f"a nonempty {kind} needs at least one element")
+    return v
 
 
 def _maybe_ok(tokens: _Tokens, inner):

@@ -100,7 +100,7 @@ class TestTermCommands:
         theories.lookup_theory("exception:{p}")
         theories.lookup_theory("narytree-theory:5")
         monads.monad_for("narytree:7")
-        monads.free_model_ops("narytree-theory:3", "narytree:3")
+        monads.free_model_ops("narytree-theory:3", monads.monad_for("narytree:3"))
         distlaws.law_for("choice:bintree:dist")
         assert registries() == before
         assert before[-1] == THEORIES_LIST
@@ -306,6 +306,17 @@ class TestUsageErrors:
             # the decision procedure has no depth to bound
             (("prove-eq", "P", "mul(x,x)", "x", "--depth", "0"),
              "--depth applies only with --bounded"),
+            # the free models that only Boom theory ids name: no empty value
+            # in a nonempty container, no choice law over a tree with no
+            # positions
+            (("law", "apply", "exception-over:boom:-ACI", "{}"),
+             "a nonempty set needs at least one element"),
+            (("law", "apply", "exception-over:boom:-AC-", "{}"),
+             "a nonempty multiset needs at least one element"),
+            (("law", "apply", "choice:boom:U-C-:multiset", "<{a:1},{b:1}>"),
+             "boom:U-C- is not a linear monad"),
+            (("law", "apply", "choice:boom:---I:powerset", "<{a},{b}>"),
+             "boom:---I is not a linear monad"),
         ],
     )
     def test_exit_2_with_message(self, run, args, fragment):

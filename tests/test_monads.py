@@ -49,6 +49,9 @@ from monadlab.values import (
 )
 
 ALL_IDS = list(monads.monad_ids())
+# the free models of the Boom theories that only their theory ids name
+BOOM_IDS = ["boom:U--I", "boom:U-C-", "boom:U-CI", "boom:---I", "boom:--C-", "boom:--CI",
+            "boom:-AC-", "boom:-ACI"]
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +177,9 @@ def test_mk_grp_cancels_to_zero():
 def test_registry_has_thirteen_instances():
     assert len(ALL_IDS) == 13
     # list and nonempty-list share a class, as do the two exception monads
-    # and the two n-ary trees
+    # and the three trees
     classes = {type(monad_for(mid)) for mid in ALL_IDS}
-    assert len(classes) == 10
+    assert len(classes) == 9
 
 
 def test_monad_aliases_resolve():
@@ -419,7 +422,7 @@ def test_enumerate_counts(mid, carrier, bound, count):
     assert len(m.enumerate(labels, bound)) == count
 
 
-@pytest.mark.parametrize("mid", ALL_IDS)
+@pytest.mark.parametrize("mid", ALL_IDS + BOOM_IDS)
 def test_enumerate_well_behaved(mid):
     m = monad_for(mid)
     labels = ("a", "b")
@@ -432,7 +435,7 @@ def test_enumerate_well_behaved(mid):
     assert all(s <= 3 for s in sizes)
 
 
-@pytest.mark.parametrize("mid", ALL_IDS)
+@pytest.mark.parametrize("mid", ALL_IDS + BOOM_IDS)
 def test_unit_is_enumerated(mid):
     m = monad_for(mid)
     pool = m.enumerate(("a", "b"), 1)
@@ -461,7 +464,7 @@ def _flatten(m, w):
     return m.join(w)
 
 
-@pytest.mark.parametrize("mid", ALL_IDS)
+@pytest.mark.parametrize("mid", ALL_IDS + BOOM_IDS)
 def test_bind_is_join_after_fmap(mid):
     m = monad_for(mid)
     # FinMonad's bind and join call each other: a monad must define one
@@ -482,7 +485,8 @@ def test_bind_is_join_after_fmap(mid):
             assert m.bind(v, f) == m.join(m.fmap(f, v)) == want, (name, format_value(v))
 
 
-@pytest.mark.parametrize("mid", [i for i in ALL_IDS if hasattr(monad_for(i), "choose")])
+@pytest.mark.parametrize("mid", [i for i in ALL_IDS + BOOM_IDS
+                                 if getattr(monad_for(i), "choose", None)])
 def test_choose_keeps_members_in_order(mid):
     m = monad_for(mid)
     for t in map(monad_for, ("powerset", "multiset")):
@@ -524,7 +528,7 @@ def test_constructors_order_mixed_entries_by_canon_key():
 # laws
 
 
-@pytest.mark.parametrize("mid", ALL_IDS)
+@pytest.mark.parametrize("mid", ALL_IDS + BOOM_IDS)
 def test_monad_laws_hold(mid):
     report = check_monad_laws(monad_for(mid), carrier_size=2, bound=2)
     assert report.ok, report.describe()
@@ -665,6 +669,7 @@ MORE_PAIRS = [
     ("abgroup", "abgroup", 2, 2),
     ("exception:{a,b}", "exception:{a,b}", 1, 1),
 ]
+BOOM_PAIRS = [(tid, tid, 3, 2) for tid in BOOM_IDS]
 
 
 @pytest.mark.parametrize("theory_id,monad_id", CORE_PAIRS)
@@ -674,7 +679,7 @@ def test_free_model_iso_core_pairs(theory_id, monad_id):
     assert report.value_count == report.class_count
 
 
-@pytest.mark.parametrize("theory_id,monad_id,bound,depth", MORE_PAIRS)
+@pytest.mark.parametrize("theory_id,monad_id,bound,depth", MORE_PAIRS + BOOM_PAIRS)
 def test_free_model_iso_more_pairs(theory_id, monad_id, bound, depth):
     report = free_model_iso_check(theory_id, monad_id, bound=bound, depth=depth)
     assert report.ok, report.problems
@@ -688,7 +693,7 @@ def test_dist_is_not_free_over_binary_mix():
     assert any("unreachable" in p for p in report.problems)
 
 
-@pytest.mark.parametrize("monad_id", ALL_IDS)
+@pytest.mark.parametrize("monad_id", ALL_IDS + BOOM_IDS)
 def test_every_axiom_holds_in_its_monad(monad_id):
     # with every variable sent to unit, both sides of each axiom take one
     # value: the monad's free algebra is a finite model of the theory, so a
@@ -696,14 +701,13 @@ def test_every_axiom_holds_in_its_monad(monad_id):
     # prove
     m = monad_for(monad_id)
     entry = lookup_theory(m.theory_id)
-    value = Evaluation(monads.free_model_ops(m.theory_id, monad_id), m.unit, None).term_key
+    value = Evaluation(monads.free_model_ops(m.theory_id, m), m.unit, None).term_key
     for axiom in entry.presentation.equations:
         assert value(axiom.lhs) == value(axiom.rhs), str(axiom)
-    # every theory but the Boom and n-ary tree ones decides equality by
-    # evaluating into its monad, and prints the monad's normal forms
-    if not m.theory_id.startswith(("boom:", "narytree-theory:")):
-        assert type(entry.procedure) is Evaluation and entry.procedure.var_key == m.unit
-        assert entry.procedure.reify(m.unit("x")) == Var("x")
+    # every theory with a monad decides equality by evaluating into it, and
+    # prints the monad's normal forms
+    assert type(entry.procedure) is Evaluation and entry.procedure.var_key == m.unit
+    assert entry.procedure.reify(m.unit("x")) == Var("x")
 
 
 def test_dist_normal_forms_are_dyadic():
@@ -723,7 +727,7 @@ def _brute_force_free_model(theory_id, monad_id, labels, bound, depth, subst_dep
     """The free-model report computed term by term over the whole universe."""
     entry = lookup_theory(theory_id)
     monad = monad_for(monad_id)
-    ops = monads.free_model_ops(entry.theory_id, monad.monad_id)
+    ops = monads.free_model_ops(entry.theory_id, monad)
     report = FreeModelReport(entry.theory_id, monad.monad_id, labels, bound, depth)
     sig = entry.presentation.signature
     atoms = [Var(x) for x in labels] + [App(c, ()) for c in sig.constants]
@@ -744,24 +748,8 @@ def _brute_force_free_model(theory_id, monad_id, labels, bound, depth, subst_dep
         return value
 
     base = evaluator({x: monad.unit(x) for x in labels})
-    proc = entry.procedure
-    by_class = {}
-    for t in universe:
-        by_class.setdefault(proc.term_key(t), []).append(t)
-    report.class_count = len(by_class)
-    class_values = {}
-    for key, members in by_class.items():
-        vals = {base(t) for t in members}
-        if len(vals) > 1:
-            shown = render(members[0])
-            report.problems.append(f"class of {shown} maps to {len(vals)} values")
-        class_values[key] = vals.pop()
-    seen = {}
-    for key, val in class_values.items():
-        if val in seen:
-            report.problems.append(f"distinct classes share value {format_value(val)}")
-        seen[val] = key
-    report.value_count = len(seen)
+    seen = {base(t) for t in universe}
+    report.class_count = report.value_count = len(seen)
     for b in range(bound + 1):
         enumerated = set(monad.enumerate(labels, b))
         reached = {v for v in seen if monad.size(v) <= b}
@@ -800,7 +788,8 @@ def _brute_force_free_model(theory_id, monad_id, labels, bound, depth, subst_dep
         (th, m, ("a", "b") if th == "narytree-theory:3" else ("a", "b", "c"), b, d)
         for th, m, b, d in MORE_PAIRS
     ]
-    + [("convex", "dist", ("a", "b", "c"), 2, 3)],
+    + [("convex", "dist", ("a", "b", "c"), 2, 3)]
+    + [(th, m, ("a", "b", "c"), b, d) for th, m, b, d in BOOM_PAIRS],
 )
 def test_free_model_closure_matches_brute_force(theory_id, monad_id, labels, bound, depth):
     got = free_model_iso_check(theory_id, monad_id, labels, bound, depth)
@@ -834,11 +823,11 @@ def test_free_model_reports_one_substitution_mismatch_per_value_pair(monkeypatch
     assert any(p.startswith("substitution mismatch") for p in got.problems)
 
 
-@pytest.mark.parametrize("monad_id", ALL_IDS)
+@pytest.mark.parametrize("monad_id", ALL_IDS + BOOM_IDS)
 def test_free_model_ops_cover_the_signature(monad_id):
     m = monad_for(monad_id)
     sig = lookup_theory(m.theory_id).presentation.signature
-    ops = monads.free_model_ops(m.theory_id, monad_id)
+    ops = monads.free_model_ops(m.theory_id, m)
     assert sorted(ops) == sorted(op.name for op in sig.ops)
     for op in sig.ops:
         if op.arity == 2:
@@ -848,7 +837,7 @@ def test_free_model_ops_cover_the_signature(monad_id):
 def _pair(m, a, b):
     """The designated binary of `m`'s theory at unit(a), unit(b), evaluated
     through the free model's operations."""
-    ops = monads.free_model_ops(m.theory_id, m.monad_id)
+    ops = monads.free_model_ops(m.theory_id, m)
     env = {"y1": m.unit(a), "y2": m.unit(b)}
 
     def value(term):
@@ -886,7 +875,7 @@ def test_pair_is_pinned(mid):
 def test_free_model_detects_wrong_ops():
     import monadlab.monads as M
 
-    good = M.free_model_ops("boom:UA--", "list")
+    good = M.free_model_ops("boom:UA--", monad_for("list"))
     assert good["mul"](mk_list("ab"), mk_list("c")) == mk_list("abc")
     with pytest.raises(NoMonadError):
-        M.free_model_ops("boom:UA--", "powerset")
+        M.free_model_ops("boom:UA--", monad_for("powerset"))

@@ -8,8 +8,8 @@ The subsystems load lazily, so a command or op runs only the modules it
 uses: a search runs no table code, and a check runs neither. The built-in
 theories are built on first read, so only a process that reads a
 presentation, a procedure or a term runs `terms`, and it builds only the
-theories it reads; the procedure of a theory outside the Boom family
-(abgroup, convex, ...) evaluates into its monad, so it runs `monads` too.
+theories it reads; the procedure of every theory but the two bands
+evaluates into its free-model monad, so it runs `monads` too.
 Guarded by what is loaded, what has run and what is built instead of by a
 timing. A command also leaves Python's cyclic garbage collector on, though
 its checks pause it."""
@@ -190,22 +190,23 @@ print(*(e.theory_id for e in theories.registry() if "presentation" in vars(e)))
 
 
 @pytest.mark.parametrize("argv, code", [
-    (("prove-eq", "L", "x", "y"), 1),  # NOT EQUAL
-    (("normalize", "L", "mul("), 2),  # a usage error
-])
-def test_exits_run_no_monad_code(argv, code):
-    # leaving a command by `SystemExit` or a usage error runs no module the
-    # command did not
-    assert _ran_by(*argv, codes=(code,)) == {"cli", "terms", "theories"}
-
-
-@pytest.mark.parametrize("argv, code", [
     (("normalize", "abgroup", "mul(x,inv(x))"), 0),
     (("prove-eq", "convex", "mix(x,y)", "mix(y,x)"), 0),
     (("prove-eq", "reader:2", "mul(x,y)", "x"), 1),  # NOT EQUAL
 ])
 def test_theories_outside_the_boom_family_run_their_monad(argv, code):
     # they decide equality by evaluating into their free-model monad
+    assert _ran_by(*argv, codes=(code,)) == {"cli", "monads", "terms", "theories", "values"}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("prove-eq", "L", "x", "y"), 1),  # NOT EQUAL
+    (("normalize", "L", "mul("), 2),  # a usage error
+])
+def test_boom_theories_run_their_monad(argv, code):
+    # every Boom theory but the bands decides by evaluating into its monad
+    # too, so a command that builds one has run `monads`, even when it ends
+    # by `SystemExit` or a usage error
     assert _ran_by(*argv, codes=(code,)) == {"cli", "monads", "terms", "theories", "values"}
 
 

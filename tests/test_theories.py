@@ -95,7 +95,7 @@ def test_unregistered_entries_leave_the_registry_alone():
         pres = ring.presentation
         assert decide_eq(ring.procedure, pres.parse("times(x,zero)"), pres.parse("zero"))
     local = TheoryEntry("test:local-magma", *boom_theory(BoomFlags(False, False, False, False)),
-                        lambda: terms.TreeProc(OpSymbol("mul", 2)))
+                        lambda: lookup_theory("magma").procedure)
     magma = local.presentation
     assert not decide_eq(local.procedure, magma.parse("mul(x,y)"), magma.parse("mul(y,x)"))
     assert check_property(local, PropertyId.T3).status is PropertyStatus.FAILS
@@ -123,7 +123,8 @@ def test_unknown_theory_suggests():
 
 def test_theory_entry_reads_its_texts_over_the_signature():
     monoid = boom_theory(BoomFlags(True, True, False, False))
-    entry = TheoryEntry("boom:UA--", *monoid, terms.WordProc, "mul(y1,y2)", "e",
+    procedure = lambda: lookup_theory("monoid").procedure  # noqa: E731
+    entry = TheoryEntry("boom:UA--", *monoid, procedure, "mul(y1,y2)", "e",
                         aliases=("L", "monoid"))
     assert (entry.theory_id, entry.label, entry.aliases, entry.absorbing) == (
         "boom:UA--", "L", ("L", "monoid"), None)
@@ -131,7 +132,7 @@ def test_theory_entry_reads_its_texts_over_the_signature():
     assert entry.designated_binary == App(sig.op("mul"), (Var("y1"), Var("y2")))
     assert entry.designated_unit == App(sig.op("e"), ())
     assert [eq.name for eq in entry.presentation.equations] == ["unitl", "unitr", "assoc"]
-    assert TheoryEntry("boom:UA--", *monoid, terms.WordProc).label == "boom:UA--"
+    assert TheoryEntry("boom:UA--", *monoid, procedure).label == "boom:UA--"
 
 
 def test_exception_theories_on_demand():
@@ -291,9 +292,25 @@ def test_reader_procedure():
 
 # (terms, sha256 of their normal forms, one rendered term a line) for the
 # first 2,000 terms over x, y, z and the constants, to depth 3 (abgroup: all
-# of depth 2), as recorded when hand-written procedures decided these
-# theories
+# of depth 2; narytree-theory:3: depth 2), as recorded when hand-written
+# procedures decided these theories. The two band theories are decide-only.
 _NORMAL_FORMS = {
+    "boom:----": (2000, "cf62bb1d6477dafb2581163cd627637565139b2a156263b20a43d5956858f732"),
+    "boom:---I": (2000, "8914279f84b95f11a85c100cbc1fa361a54eef731061b06fd3827f30f4a42441"),
+    "boom:--C-": (2000, "f60bc0c2bb1f75c071f6c561e194aa0a41bb0f381ab8a20b5c06a5622f93cd7b"),
+    "boom:--CI": (2000, "3c0e12ff3eaea8a7410e7b7b4968993e9088caf081106b7bf365cdb0c5cb65b5"),
+    "boom:-A--": (2000, "c11ebbaa8de60a56072e8ff77ae55f53d3f0fe61313e393a3f77e1ce03027a28"),
+    "boom:-AC-": (2000, "fba5e49862b09546a90a103ac5e5597a194506b552b7f59fabf2097c5a48120e"),
+    "boom:-ACI": (2000, "542141b3e7ae6f1754902da690189623afddfe72bf4ba22e26536de7ffc03edf"),
+    "boom:U---": (2000, "c37afeb4c5f8ac98c0b376b75e8b2b9797dcd89849f8bca8185f87318c86043e"),
+    "boom:U--I": (2000, "17ad569c5845e98fc33244cb5de6f2bc356e51f5fa0b78c39ed7ee07d2cf75db"),
+    "boom:U-C-": (2000, "c34363a0a5b147efe0e619cd7bdfc27d06c9a70ebb9a4d8aaeb65ae6f3899fd9"),
+    "boom:U-CI": (2000, "6a79c5c5a85f26f5ef63d18cb85de4254da805677f9e49706a908f215080325c"),
+    "boom:UA--": (2000, "22772704c1527baa218558e5f732263a3e7a9cea0abb91f792b3f6ff45579bd6"),
+    "boom:UAC-": (2000, "0d7bb74f2caf08b37ba6fa6e04b432a57754ef9cd143a068dddc675c7ef74e6d"),
+    "boom:UACI": (2000, "67db928623db3714ac9108cbb015e9d2b6bccfe151993a5e79f993dc02ef5e65"),
+    "narytree-theory:2": (2000, "23e5a37095b70295cc99b21821e92cfbdfccb88c710a0eeb024ec3b8d9e1c917"),
+    "narytree-theory:3": (2000, "5e8cd7f4d16c8c6b6604965218b44be594dd0b43165a1905293d2465f5f19ab1"),
     "exception:{a}": (4, "d1a0fa0584e54f87387ebc37a0c7272ef3a8fa2bb47eb88ffb5932b714b8be3c"),
     "exception:{a,b}": (5, "2e1af2176f9588638481cf0367aa32553209b9f607d35a150b79e66a135e901c"),
     "pointed": (4, "c7ced7c2811a5c5e47fb52d28243b3fe3d7f3a1477f756d49e644f8d9fc56b0d"),
@@ -308,7 +325,7 @@ def test_normal_forms_are_pinned(tid):
     entry = lookup_theory(tid)
     sig = entry.presentation.signature
     atoms = [Var(v) for v in "xyz"] + [App(c, ()) for c in sig.constants]
-    depth = 2 if tid == "abgroup" else 3
+    depth = 2 if tid in ("abgroup", "narytree-theory:3") else 3
     universe = list(itertools.islice(terms.enumerate_terms(sig, atoms, depth), 2000))
     forms = [normal_form(tid, t) for t in universe]
     for t, nf in zip(universe, forms):

@@ -35,6 +35,15 @@ _IDS = [
     "reader:2",
     "dist",
     "abgroup",
+    # the free models of Boom theories that only their theory ids name
+    "boom:U--I",
+    "boom:U-C-",
+    "boom:U-CI",
+    "boom:---I",
+    "boom:--C-",
+    "boom:--CI",
+    "boom:-AC-",
+    "boom:-ACI",
 ]
 
 
@@ -95,6 +104,20 @@ class TestLayered:
         assert parse_layered("e", ("bintree",)) == mk_nleaf("e")
         assert parse_layered("e", ("narytree:2",)) == mk_nunit()
 
+    @pytest.mark.parametrize("text,monad,want", [
+        ("<b,a>", "boom:U-C-", "<a,b>"),
+        ("<a,<b,c>>", "boom:--C-", "<<b,c>,a>"),  # a node before a leaf
+        ("<a,a>", "boom:---I", "a"),
+        ("<<a,b>,<a,b>>", "boom:U--I", "<a,b>"),
+        ("<<b,a>,<a,b>>", "boom:--CI", "<a,b>"),
+        ("<e,<b,a>>", "boom:U-CI", "<a,b>"),
+    ])
+    def test_tree_nodes_are_built_by_the_monad(self, text, monad, want):
+        # a commutative or idempotent tree orders or collapses what it reads
+        v = parse_layered(text, (monad,))
+        assert format_value(v) == want
+        assert parse_layered(want, (monad,)) == v
+
     def test_reader_of_lists(self):
         v = parse_layered("([a],[b,a])", ("reader:2", "list"))
         assert v == ("fun", ("list", "a"), ("list", "b", "a"))
@@ -151,6 +174,9 @@ class TestErrors:
             ("[a,:]", "list", "expected a label"),
             ("{a,b}", "list", "expected '\\['"),
             ("[]", "nonempty-list", "at least one element"),
+            ("{}", "boom:-ACI", "^a nonempty set needs at least one element$"),
+            ("{}", "boom:-AC-", "^a nonempty multiset needs at least one element$"),
+            ("{a:0}", "boom:-AC-", "^a nonempty multiset needs at least one element$"),
             ("{a:-1}", "multiset", "cannot be negative"),
             ("{a:x}", "multiset", "expected an integer"),
             ("{a:1/0}", "dist", "expected a weight"),
