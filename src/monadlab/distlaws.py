@@ -187,6 +187,22 @@ def law_for(law_id: str) -> DistLaw:
 # Beck conditions
 
 
+class _PoolResults(dict):
+    """The law's results on a pool, by input, in pool order. Looking up an
+    input outside the pool applies the law, keeps the result nowhere, and
+    counts it in `unkept`."""
+
+    __slots__ = ("apply", "unkept")
+
+    def __init__(self, apply: Callable[[Value], Value], items):
+        super().__init__(items)
+        self.apply, self.unkept = apply, 0
+
+    def __missing__(self, sv: Value) -> Value:
+        self.unkept += 1
+        return self.apply(sv)
+
+
 @gc_paused
 def check_beck(law: DistLaw, carrier_size: int = 2, bound: int = 3) -> LawReport:
     """Test the four Beck conditions plus naturality over graded pools.
@@ -196,23 +212,32 @@ def check_beck(law: DistLaw, carrier_size: int = 2, bound: int = 3) -> LawReport
     (`monads.NESTED_CAPS`) as carriers, and the report records the pool
     sizes so a pass is an explicit bounded claim.
 
-    Within one call the law, the naturality renames on T and S values, and
-    the joins that the multiplication conditions push through fmap are each
-    computed once per distinct input (`values.memo`); mult-t binds the law
-    through T. One exception: a naturality rename f that merges no letters
-    of the carrier, and does not map the ST pool's carrier into itself (the
-    swap at carrier 3, which sends c to None, or at carrier 2 over a T pool
-    cut to its first values, as narytree:3's), applies the law to a
-    renamed input outside the ST pool directly and keeps no result. Every
-    monad here preserves injective maps, so S(T f) is injective and no
-    other case of that pass asks for such an input; a case of another pass
-    that does has it applied again. The pool's membership set is built when
-    such a pass starts, so a check that raises before then does no new work.
-    The memos die with the call; `stats` counts law applications requested
-    (`lambda_requested`) and computed (`lambda_computed`), the unkept ones
-    included, and the results kept (`lambda_kept`). The right-hand sides of
-    naturality, mult-s and mult-t stop at T's unordered form, if it has one
-    (`FinMonad`), so a case that holds sorts no T value.
+    Every S pool is S listed over a carrier, and that listing is natural in
+    the carrier (`FinMonad`). So each S-side map of a pool is S listed over
+    the mapped carrier, which maps each carrier value once: S(T f) of the
+    ST pool in naturality, S(λ) of the SST pool in mult-s, S(μ^T) of the
+    STT pool in mult-t and S(η^T) of the S pool in unit-t. Maps of T
+    values use T's `fmap`.
+
+    Within one call the law, the naturality renames of S values, and the
+    joins that mult-s pushes through T's fmap are each computed once per
+    distinct input (`values.memo`); mult-t binds the law through T. The
+    law's results on the ST pool are held by input, in pool order
+    (`_PoolResults`), for every rename's right-hand side. They are computed
+    after the first rename has mapped the carrier, so a check that raises
+    there does no new work. A rename that merges letters asks the memo for
+    λ of its renamed inputs. One that merges none looks each up among the
+    pool's results: every monad here preserves injective maps, so S(T f) is
+    injective and a renamed input outside the pool is asked for once in that
+    pass. It has the law applied and its result kept nowhere; a case of
+    another pass that asks for it has it applied again. That happens under
+    the swap at carrier 3, which sends c to None, and at carrier 2 over a T
+    pool cut to its first values, as narytree:3's. The memos die with the
+    call; `stats` counts λ results requested from the memo or the pool's
+    results (`lambda_requested`), law applications (`lambda_computed`, the
+    unkept ones included), and results kept (`lambda_kept`). The right-hand
+    sides of naturality, mult-s and mult-t stop at T's unordered form, if it
+    has one (`FinMonad`), so a case that holds sorts no T value.
     """
     start = time.perf_counter()
     s, t, lam = law.s_monad, law.t_monad, memo(law.apply)
@@ -221,6 +246,11 @@ def check_beck(law: DistLaw, carrier_size: int = 2, bound: int = 3) -> LawReport
     cap2, cap3 = monads.NESTED_CAPS
     fmap_t = getattr(t, "fmap_unordered", t.fmap)
     bind_t = getattr(t, "bind_unordered", t.bind)
+    looked_up = 0
+
+    def mapped_s(g, carrier):
+        # S(g) of each value of the S pool over `carrier`, in pool order
+        return s.iter_values([*map(g, carrier)], bound)
 
     # the S-over-S-over-T pool, the first to pass the cap as the bound
     # grows, is built before any condition is checked, so such a bound is
@@ -237,9 +267,7 @@ def check_beck(law: DistLaw, carrier_size: int = 2, bound: int = 3) -> LawReport
     )
 
     # eta-T inside S then lambda is the same as eta-T outside
-    report.compare(
-        "unit-t", pool_s, map(lam, map(s.fmap, repeat(t.unit), pool_s)), map(t.unit, pool_s)
-    )
+    report.compare("unit-t", pool_s, map(lam, mapped_s(t.unit, X)), map(t.unit, pool_s))
 
     # naturality in the carrier. A rename that merges no letters sends
     # distinct inputs to distinct inputs, so a renamed input outside the
@@ -247,36 +275,25 @@ def check_beck(law: DistLaw, carrier_size: int = 2, bound: int = 3) -> LawReport
     renames = [{"a": "a", "b": "a"}, {"a": "b", "b": "a"}]
     if carrier_size == 1:
         renames = [{"a": "a"}]
-    in_pool, unkept = None, 0
-
-    def lam_unkept(sv: Value) -> Value:
-        nonlocal unkept
-        if sv in in_pool:
-            return lam(sv)
-        unkept += 1
-        return law.apply(sv)
-
+    results = None
     for f in renames:
-        inner = memo(lambda tv: t.fmap(f.get, tv))
+        renamed = mapped_s(functools.partial(t.fmap, f.get), carrier_t)
+        if results is None:
+            results = _PoolResults(law.apply, zip(pool_st, map(lam, pool_st)))
+        if len({*map(f.get, X)}) < len(X):
+            lhs = map(lam, renamed)
+        else:
+            lhs = map(results.__getitem__, renamed)
+            looked_up += len(pool_st)
         outer = memo(lambda sv: s.fmap(f.get, sv))
-        renamed_lam = lam
-        if len({*map(f.get, X)}) == len(X) and not {*map(inner, carrier_t)} <= {*carrier_t}:
-            in_pool = in_pool or frozenset(pool_st)
-            renamed_lam = lam_unkept
-        report.compare(
-            "natural",
-            pool_st,
-            map(renamed_lam, map(s.fmap, repeat(inner), pool_st)),
-            map(fmap_t, repeat(outer), map(lam, pool_st)),
-            t,
-        )
+        report.compare("natural", pool_st, lhs, map(fmap_t, repeat(outer), results.values()), t)
 
     # mu-S then lambda versus lambda twice then mu-S inside T
     report.compare(
         "mult-s",
         pool_sst,
         map(lam, map(s.join, pool_sst)),
-        map(fmap_t, repeat(memo(s.join)), map(lam, map(s.fmap, repeat(lam), pool_sst))),
+        map(fmap_t, repeat(memo(s.join)), map(lam, mapped_s(lam, pool_st[:cap3]))),
         t,
     )
 
@@ -287,13 +304,13 @@ def check_beck(law: DistLaw, carrier_size: int = 2, bound: int = 3) -> LawReport
     report.compare(
         "mult-t",
         pool_stt,
-        map(lam, map(s.fmap, repeat(memo(t.join)), pool_stt)),
+        map(lam, mapped_s(t.join, carrier_tt)),
         map(bind_t, map(lam, pool_stt), repeat(lam)),
         t,
     )
 
     info = lam.cache_info()
-    report.stats.update(lambda_requested=info.hits + info.misses + unkept,
-                        lambda_computed=info.misses + unkept, lambda_kept=info.misses)
+    report.stats.update(lambda_requested=info.hits + info.misses + looked_up,
+                        lambda_computed=info.misses + results.unkept, lambda_kept=info.misses)
     report.elapsed = time.perf_counter() - start
     return report

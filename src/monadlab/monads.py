@@ -132,7 +132,16 @@ class FinMonad:
     decides.
 
     `enumerate` lists a pool, raising PoolTooLargeError past `MAX_POOL`
-    values.
+    values. The enumeration of every monad that a distributive law of
+    `distlaws` can have as its outer monad S (list and the trees, multiset,
+    exception and lift, with their nonempty forms) is natural in the
+    carrier: for any map g, listing over `[*map(g, carrier)]` yields
+    `fmap(g, v)` of each value v listed over `carrier`, in order, because a
+    value is a shape filled from the carrier and its constructor makes it
+    canonical. `distlaws.check_beck` maps its S pools that way. The
+    enumeration of abgroup is not natural (a merging map cancels
+    coefficients), nor that of the commutative or idempotent trees (it
+    skips the nodes that are not canonical).
     """
 
     monad_id: str = ""
@@ -902,7 +911,9 @@ def check_monad_laws(monad: FinMonad, carrier_size: int = 2, bound: int = 3) -> 
     The single-level pool is complete up to the bound. For associativity the
     carriers of the two deeper levels are deterministic prefixes of the
     canonical enumeration (sizes in `NESTED_CAPS`), so a pass is a bounded
-    claim; the report records how many values each law saw.
+    claim; the report records how many values each law saw. Pools are
+    mapped by `fmap`, value by value, since not every monad lists its
+    values naturally in the carrier (`FinMonad`).
     """
     start = time.perf_counter()
     carrier = letters(carrier_size)

@@ -29,11 +29,12 @@ one shape, so no sort is needed either (`monads.FinMonad`).
 `memo(f)` is an unbounded `functools.lru_cache` of `f` for the life of one
 call (a Beck check, a law search): a repeated input is answered in C, and
 `cache_info()` counts inputs asked for (hits + misses) and computed (misses).
-`distlaws.check_beck` passes by its law memo what no later case of a pass
-asks for. Every monad here preserves injective maps, so a rename of the
-carrier that merges no letters sends distinct Beck inputs to distinct ones,
-and a renamed input outside the pool has its law result computed and not
-kept.
+`distlaws.check_beck` also holds the law's results on its ST pool by
+input, in a dict that its naturality renames read, and a rename of the
+carrier that merges no letters passes by the law memo altogether. Every
+monad here preserves injective maps, so such a rename sends distinct Beck
+inputs to distinct ones: a renamed input outside the pool is asked for once
+in its pass, and has its law result computed and not kept.
 
 The compute entry points (Beck and monad-law checks, free-model checks, law
 search, the Plotkin replay, the Boom table) run with Python's cyclic
