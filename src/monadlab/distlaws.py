@@ -62,12 +62,19 @@ def _choice_law(law_id: str, s: FinMonad, t: FinMonad) -> DistLaw:
     sums into sums of products. S builds the picks (`FinMonad.choose`):
     a positional S gives one shape per pick set, so its picks are distinct
     and come in `canon_key` order, and T wraps them without merging or
-    sorting; multiset S merges them through T's `fmap`."""
+    sorting; multiset S merges them through T's `fmap`. The law owns the
+    dict in which S keeps each position's picks and weights, computed the
+    first time the law meets that position and kept as long as the law
+    (one per name, like the law itself). One law has one S and one T, so
+    no two kinds of position meet in one dict; its entries are bounded by
+    the distinct T values (or leaves) the law's inputs hold. An input with
+    T's empty value at some position has no pick, and its picks stop
+    there."""
     if getattr(s, "choose", None) is None:
         raise NoLawError(f"{law_id}: {s.monad_id} is not a linear monad")
     if not hasattr(t, "weighted"):
         raise NoLawError(f"{law_id}: {t.monad_id} has no (element, weight) view")
-    return DistLaw(law_id, s, t, functools.partial(s.choose, t=t))
+    return DistLaw(law_id, s, t, functools.partial(s.choose, t=t, positions={}))
 
 
 def _monad_pair(pair: str):

@@ -122,7 +122,12 @@ class FinMonad:
     the picks lexicographically over their leaves, which is `canon_key`
     order. So they need no merge and no sort. Multiset S chooses over the
     list of its members, then maps each pick to a multiset with T's `fmap`;
-    that map is not injective, so its picks merge there.
+    that map is not injective, so its picks merge there. A position's picks
+    depend only on the T value there, so `choose(v, t, positions)` keeps
+    them in the dict `positions` across calls: `distlaws._choice_law` gives
+    each law its own, and a call without one keeps them for that call
+    alone. A position that holds T's empty value has no pick, so `v` has
+    none: the picks stop there, and `choose` gives T's empty combination.
 
     A monad that names a theory maps each of its operations, in `generics`,
     to the operation's generic element: a value over the argument positions
@@ -184,32 +189,44 @@ class FinMonad:
         return f"<FinMonad {self.monad_id}>"
 
 
-def _picks(v, t, ws):
+def _picks(v, t, ws, positions):
     """The S values that pick one element of T at each position of the list
-    or tree `v`, in `canon_key` order (see `FinMonad`); each position's
-    weights go onto `ws`, left to right. A node's picks are the products of
-    its children's, so each node is built once per combination of them,
-    and in C; a leaf child's picks are made here, without a call."""
+    or tree `v`, in `canon_key` order (see `FinMonad`), or () at the first
+    position that holds T's empty value, where there is nothing to pick;
+    each position's weights go onto `ws`, left to right. A node's picks are
+    the products of its children's, so each node is built once per
+    combination of them, and in C. `positions` holds each position's picks
+    and weights (`_position`), keyed by the T value of a list position and
+    by the leaf of a tree, and gains the positions met here for the first
+    time: as many entries as distinct positions, far fewer than inputs."""
     tag = v[0]
-    if tag == "list":
-        xs, w = zip(*map(t.weighted, v[1:]))
-        ws += w
-    elif tag == "nleaf":
-        xs, w = t.weighted(v[1])
-        ws.append(w)
-        return tuple(zip(itertools.repeat(tag), xs))
-    elif tag == "nunit":
+    if tag == "nunit":
         return (v,)
-    else:
-        xs = []
-        for c in v[1:]:
-            if c[0] == "nleaf":
-                cx, w = t.weighted(c[1])
-                ws.append(w)
-                xs.append(tuple(zip(itertools.repeat("nleaf"), cx)))
-            else:
-                xs.append(_picks(c, t, ws))
+    if tag == "nleaf":
+        xs, w = positions.get(v) or positions.setdefault(v, _position(v, t))
+        ws.append(w)
+        return xs
+    xs = []
+    for c in v[1:]:
+        if tag == "list" or c[0] == "nleaf":
+            cx, w = positions.get(c) or positions.setdefault(c, _position(c, t))
+            ws.append(w)
+        else:
+            cx = _picks(c, t, ws, positions)
+        if not cx:
+            return ()
+        xs.append(cx)
     return tuple(map((tag,).__add__, itertools.product(*xs)))
+
+
+def _position(p, t):
+    """The picks and weights of one position: T's elements and weights for
+    the T value `p` of a list, and leaves of those elements for the leaf `p`
+    of a tree (T's values are never leaves)."""
+    if p[0] != "nleaf":
+        return t.weighted(p)
+    xs, w = t.weighted(p[1])
+    return tuple(zip(itertools.repeat("nleaf"), xs)), w
 
 
 def _product(factors: list) -> terms.Term:
@@ -224,14 +241,19 @@ def _word_form(self, v):
     return _product([*map(terms.Var, self.members(v))])
 
 
-def _choose_positional(self, v, t):
+def _choose_positional(self, v, t, positions=None):
     """`choose` for positional monads: distinct picks, already in order.
     The picks come in the product order of their positions, so their
-    weights are the products of one weight per position in that order."""
+    weights are the products of one weight per position in that order. A
+    position that holds T's empty value leaves no pick, and the result is
+    T's empty combination. `positions` keeps each position's picks across
+    calls (`_picks`); without it, they are kept for this call alone."""
     if len(v) == 1:  # the empty list or the unit tree: nothing to pick
         return t.unit(v)
     ws: list = []
-    xs = _picks(v, t, ws)
+    xs = _picks(v, t, ws, {} if positions is None else positions)
+    if not xs:
+        return t.from_canonical((), ())
     return t.from_canonical(xs, map(math.prod, itertools.product(*ws)))
 
 
@@ -335,8 +357,8 @@ class MultisetMonad(WeightedMonad):
 
     normal_form = _word_form
 
-    def choose(self, v, t):
-        picks = _choose_positional(self, ("list", *self.members(v)), t)
+    def choose(self, v, t, positions=None):
+        picks = _choose_positional(self, ("list", *self.members(v)), t, positions)
         return t.fmap(lambda pick: mk_mset(pick[1:]), picks)
 
     def iter_values(self, carrier, bound):

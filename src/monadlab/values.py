@@ -34,7 +34,12 @@ input, in a dict that its naturality renames read, and a rename of the
 carrier that merges no letters passes by the law memo altogether. Every
 monad here preserves injective maps, so such a rename sends distinct Beck
 inputs to distinct ones: a renamed input outside the pool is asked for once
-in its pass, and has its law result computed and not kept.
+in its pass, and has its law result computed and not kept. A choice law
+keeps one more store, inside its application and so under the law memo's
+counts: each position's picks and weights, by the T value (or tree leaf)
+at that position. That store lives with the law, not the call, and is
+bounded by the distinct position values the law meets, a few dozen in a
+Beck check at carrier 2 (`monads.FinMonad`).
 
 The compute entry points (Beck and monad-law checks, free-model checks, law
 search, the Plotkin replay, the Boom table) run with Python's cyclic

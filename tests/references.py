@@ -11,6 +11,9 @@
 - `multiset_choose_by_merge` is the multiset choice law as first written:
   it sorts each pick into a multiset and merges repeated picks with the
   checked constructor of T.
+- `reference_choose` is S's `choose` as it was before each position's
+  picks were kept with the law: it builds every position's picks on every
+  call, an empty one included.
 - `check_plotkin_general` checks the hypotheses of the paper's general
   variable-counting theorem (Plotkin2) on explicit terms and a permutation
   (`PermutationSpec`). No verdict runs it: within the bounds measured, it
@@ -26,7 +29,7 @@ import math
 from typing import Hashable, Iterator, NamedTuple, Optional, Sequence
 
 from monadlab.distlaws import DistLaw
-from monadlab.monads import FinMonad, NaryTreeMonad, monad_for
+from monadlab.monads import FinMonad, MultisetMonad, NaryTreeMonad, monad_for
 from monadlab.nogo import Applicability, CheckRecord, _prop_record
 from monadlab.terms import (
     App,
@@ -335,6 +338,49 @@ def multiset_choose_by_merge(v: Value, t: FinMonad) -> Value:
     picks = map(mk_mset, itertools.product(*xs))
     entries = zip(picks, map(math.prod, itertools.product(*ws)))
     return _FROM_ENTRIES[t.unit("a")[0]](entries)
+
+
+def _reference_picks(v, t, ws):
+    """The picks of the list or tree `v` in `canon_key` order, each
+    position's weights appended to `ws` left to right."""
+    tag = v[0]
+    if tag == "list":
+        xs, w = zip(*map(t.weighted, v[1:]))
+        ws += w
+    elif tag == "nleaf":
+        xs, w = t.weighted(v[1])
+        ws.append(w)
+        return tuple(zip(itertools.repeat(tag), xs))
+    elif tag == "nunit":
+        return (v,)
+    else:
+        xs = []
+        for c in v[1:]:
+            if c[0] == "nleaf":
+                cx, w = t.weighted(c[1])
+                ws.append(w)
+                xs.append(tuple(zip(itertools.repeat("nleaf"), cx)))
+            else:
+                xs.append(_reference_picks(c, t, ws))
+    return tuple(map((tag,).__add__, itertools.product(*xs)))
+
+
+def _reference_positional(v, t):
+    if len(v) == 1:  # the empty list or the unit tree: nothing to pick
+        return t.unit(v)
+    ws: list = []
+    xs = _reference_picks(v, t, ws)
+    return t.from_canonical(xs, map(math.prod, itertools.product(*ws)))
+
+
+def reference_choose(s: FinMonad, v: Value, t: FinMonad) -> Value:
+    """`s.choose(v, t)`: for a list or tree S, the T combination of the
+    picks of `v`, which come distinct and in order; for multiset S, those of
+    the list of its members, each mapped to a multiset by T's `fmap`."""
+    if isinstance(s, MultisetMonad):
+        picks = _reference_positional(("list", *s.members(v)), t)
+        return t.fmap(lambda pick: mk_mset(pick[1:]), picks)
+    return _reference_positional(v, t)
 
 
 # ---------------------------------------------------------------------------

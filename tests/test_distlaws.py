@@ -1,21 +1,23 @@
 """Distributive laws: pinned examples, Beck conditions, the broken control."""
 
 import collections
+import contextlib
 import hashlib
 import itertools
 import math
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from references import composite_monad, multiset_choose_by_merge
+from references import composite_monad, multiset_choose_by_merge, reference_choose
 
-from monadlab import monads
+from monadlab import cli, distlaws, monads, nogo
 from monadlab.distlaws import NoLawError, check_beck, law_for, law_ids
 from monadlab.monads import check_monad_laws, monad_for
 from monadlab.values import (
@@ -710,6 +712,88 @@ def test_multiset_choice_matches_the_merge_reference(t_id, inputs):
     pool = law.s_monad.enumerate(t_values, 3)
     assert len(pool) == inputs
     assert [law(v) for v in pool] == [multiset_choose_by_merge(v, law.t_monad) for v in pool]
+
+
+# the choice laws, ring and mset-cartesian among them
+_CHOICE_IDS = ["ring", "mset-cartesian", *(i for i in law_ids() if i.startswith("choice:"))]
+
+
+def _beck_results(law, carrier):
+    """Every (input, result) of `law` in `check_beck` at `carrier`, bound 3.
+    At carrier 3 the check raises where the naturality renames send c to
+    None (see `_CARRIER3`), after the law has seen its first inputs."""
+    results = []
+
+    def apply(v):
+        results.append((v, law.apply(v)))
+        return results[-1][1]
+
+    raises = pytest.raises(TypeError) if carrier == 3 else contextlib.nullcontext()
+    with raises:
+        check_beck(law._replace(apply=apply), carrier, 3)
+    return results
+
+
+def _with_an_empty_position(s, t):
+    """S values with three positions that hold T's empty value at the first,
+    the middle or the last position and nonempty T values at the others,
+    over every shape of S (a multiset sorts the empty value first)."""
+    empty = t.from_canonical((), ())
+    full = t.enumerate(letters(2), 2)[-2:]
+    for shape in s.enumerate(["x", "y", "z"], 3):
+        if s.members(shape) == ("x", "y", "z"):
+            for i in range(3):
+                yield s.fmap(dict(zip("xyz", [*full[:i], empty, *full[i:]])).get, shape)
+
+
+@pytest.mark.parametrize("law_id", _CHOICE_IDS)
+def test_choice_law_matches_its_reference_on_every_beck_input(law_id):
+    # a law built afresh starts with no position picks, as in a new process;
+    # the second pass finds every position's picks already kept
+    cached = law_for(law_id)
+    s, t = cached.s_monad, cached.t_monad
+    law = distlaws._choice_law.__wrapped__(law_id, s, t)
+    results = _beck_results(law, 2) + _beck_results(law, 3)
+    assert len(results) > 500
+    for v, out in results:
+        assert out == reference_choose(s, v, t), format_value(v)
+    for v, _ in results:
+        assert law(v) == reference_choose(s, v, t), format_value(v)
+    empty = t.from_canonical((), ())
+    inputs = [*_with_an_empty_position(s, t)]
+    assert len(inputs) >= 3
+    for v in inputs * 2:
+        assert law(v) == reference_choose(s, v, t) == empty, format_value(v)
+
+
+@pytest.mark.parametrize("law_id", _CHOICE_IDS)
+def test_choice_law_keeps_few_positions_and_no_more_on_a_rerun(law_id):
+    # the law's dict of position picks lives as long as the law: it holds
+    # one entry per distinct position, which a repeated check does not add to
+    law = law_for(law_id)
+    positions = law.apply.keywords["positions"]
+    _beck_results(law, 2)
+    _beck_results(law, 3)
+    kept = len(positions)
+    assert 0 < kept <= 200
+    _beck_results(law, 2)
+    _beck_results(law, 3)
+    assert len(positions) == kept
+
+
+def test_the_replay_and_law_check_share_one_law(monkeypatch):
+    # one law object per name, so a table's replay and `law check` in the
+    # same process share its position picks
+    checked = []
+
+    def check(law, **bounds):
+        checked.append(law)
+        return types.SimpleNamespace(ok=True)
+
+    monkeypatch.setattr(distlaws, "check_beck", check)
+    for law_id in ("ring", "choice:tree:multiset"):
+        nogo._replay.__wrapped__(law_id)
+        assert checked.pop() is cli._law(law_id) is law_for(law_id)
 
 
 _ERR_B_LEFT = ("list", ("list",), ("list", ("err", "b")))
