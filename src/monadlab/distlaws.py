@@ -91,13 +91,16 @@ def _monad_pair(pair: str):
 
 def _mm1_apply(v: Value) -> Value:
     """Glue the head of every later inner list onto the group before it;
-    every other adjacency starts a new group."""
-    first, *later = v[1:]
-    groups = [("list", x) for x in first[1:]]
-    for inner in later:
-        groups[-1] += inner[1:2]
-        groups += [("list", x) for x in inner[2:]]
-    return ("list", *groups)
+    every other element starts a new group. One pass over the elements,
+    appending to the groups in place: the open group is the last one."""
+    out = ["list"]
+    for x in v[1][1:]:
+        out.append(("list", x))
+    for inner in v[2:]:
+        out[-1] += inner[1:2]
+        for x in inner[2:]:
+            out.append(("list", x))
+    return tuple(out)
 
 
 def _mm_project(pick: Callable) -> Callable[[Value], Value]:

@@ -77,6 +77,7 @@ natural.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from typing import Optional
 
@@ -107,7 +108,7 @@ class LambdaTable:
         shown = 8
         lines = []
         for (level, w), v in sorted(
-            self.entries.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))
+            self.entries.items(), key=lambda kv: (kv[0][0], _listing_text(kv[0][1]))
         )[:shown]:
             lines.append(
                 f"  |X|={len(self.carriers[level])}: "
@@ -118,6 +119,28 @@ class LambdaTable:
         if more > 0:
             lines.append(f"  ... {more} more entries")
         return "\n".join(lines)
+
+
+def _listing_text(v: Value) -> str:
+    """The text by which a table lists its inputs within a level: `repr` of
+    the value as it was written while distribution weights were `Fraction`s,
+    each weight `Fraction(p, q)`, so that tables keep the order they have
+    always been printed in."""
+    if v.__class__ is not tuple:
+        return repr(v)
+    if not (v and v[0] == "dist"):
+        return _tuple_text([*map(_listing_text, v)])
+    total = sum([n for _, n in v[1]])
+    entries = []
+    for x, n in v[1]:
+        g = math.gcd(n, total)
+        entries.append(f"({_listing_text(x)}, Fraction({n // g}, {total // g}))")
+    return _tuple_text(["'dist'", _tuple_text(entries)])
+
+
+def _tuple_text(parts: list) -> str:
+    """`repr` of a tuple whose items have the texts `parts`."""
+    return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
 
 
 class SearchResult:

@@ -15,8 +15,7 @@ The registry of named monads is filled once, at import. `monad_for` only
 reads it: the exception and n-ary tree monads it does not hold come from
 cached constructors, so every spelling of one label set or width gives
 the same object, and the free models of the Boom theories are named by
-their theory ids too. Filling it loads no `fractions`: the distribution
-monad makes its first exact weight when it is first used.
+their theory ids too.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from monadlab.values import (
     format_value,
     gc_paused,
     letters,
-    mk_dist,
+    lowest_terms,
     mk_mset,
     mk_nnode,
     mk_set,
@@ -292,18 +291,18 @@ class ListMonad(FinMonad):
 
 
 class WeightedMonad(FinMonad):
-    """Finite formal combinations (tag, ((x, w), ...)) with nonzero weights:
-    counts (multiset), convex weights (dist) or integers (abgroup), the
-    commutative setting of Manes & Mulry 2007, Thm 4.3.4. Subclasses set
-    `tag` and the unit weight `one`. The `fmap` and `bind` of valid values
-    give valid values, so here they sum the weights into one dict and sort
-    it once, without the checks of the `values` constructors."""
+    """Finite formal combinations (tag, ((x, w), ...)) with nonzero integer
+    weights: counts (multiset), counts over their sum (dist) or integers
+    (abgroup), the commutative setting of Manes & Mulry 2007, Thm 4.3.4.
+    Subclasses set `tag`; a unit has weight 1. The `fmap` and `bind` of
+    valid values give valid values, so here they sum the weights into one
+    dict and sort it once, without the checks of the `values`
+    constructors."""
 
     tag: str = ""
-    one = 1
 
     def unit(self, x):
-        return (self.tag, ((x, self.one),))
+        return (self.tag, ((x, 1),))
 
     def fmap(self, f, v):
         return weighted_value(self.tag, self.fmap_unordered(f, v))
@@ -650,83 +649,67 @@ class ReaderMonad(FinMonad):
                 yield ("fun", a, b)
 
 
-# DistMonad enumerates weights with denominators up to this
+# DistMonad enumerates weights with denominators up to this. `_COUNTS`
+# holds those weights over the lcm of the denominators, ascending.
 _MAX_DENOMINATOR = 4
+_SCALE = math.lcm(*range(1, _MAX_DENOMINATOR + 1))
+_COUNTS = sorted({_SCALE * p // q for q in range(1, _MAX_DENOMINATOR + 1) for p in range(1, q + 1)})
 
 
-def _weight_tuples(slots: int) -> list[tuple]:
-    """All tuples of `slots` positive weights with small denominators summing
-    to one, in lexicographic order over the ascending weight alphabet."""
-    from fractions import Fraction
-
-    alphabet = sorted(
-        {
-            Fraction(p, q)
-            for q in range(1, _MAX_DENOMINATOR + 1)
-            for p in range(1, q + 1)
-        }
-    )
-    out: list[tuple] = []
-    _extend_weights(out, alphabet, set(alphabet), (), Fraction(1), slots)
-    return out
-
-
-def _extend_weights(out: list, alphabet: list, allowed: set, prefix: tuple, remaining,
-                    left: int) -> None:
-    """Append to `out` every `prefix` extended by `left` weights of `alphabet`
-    that sum to `remaining`, in lexicographic order. A module function, not
-    a closure: a closure that calls itself is a reference cycle."""
-    if left == 1:
-        if remaining in allowed:
-            out.append(prefix + (remaining,))
-        return
-    for w in alphabet:
-        if w >= remaining:
-            break
-        _extend_weights(out, alphabet, allowed, prefix + (w,), remaining - w, left - 1)
+def _weight_counts(slots: int, left: int = _SCALE) -> list[tuple]:
+    """All tuples of `slots` enumerated weights summing to `left` / `_SCALE`,
+    in lexicographic order over the weights, as counts over `_SCALE`."""
+    if slots == 1:
+        return [(left,)] if left in _COUNTS else []
+    return [(n, *rest) for n in _COUNTS if n < left for rest in _weight_counts(slots - 1, left - n)]
 
 
 class DistMonad(WeightedMonad):
-    """Finitely supported probability distributions with exact weights.
-
-    The denominator bound `_MAX_DENOMINATOR` only limits enumeration; values
-    built by join keep exact arbitrary-denominator weights. `mk_dist`
-    checks that the weights of parsed and enumerated values sum to one;
-    `fmap` and `bind` keep that sum, so they build without the check.
-    The unit weight and the `mix` generic are `Fraction`s, built on first
-    use so that the registry does not load `fractions`.
-    """
+    """Finitely supported probability distributions with exact weights, held
+    as positive integer counts with gcd 1 (`values`): a weight is its count
+    over the sum of the counts. `fmap` divides the merged counts by their
+    gcd; `bind` brings the inner values to the lcm of their totals, weights
+    each by its outer count, and divides by the gcd. So both keep exact
+    weights of any denominator, which `_MAX_DENOMINATOR` bounds only in
+    enumeration."""
 
     monad_id = "dist"
     theory_id = "convex"
     tag = "dist"
+    generics = {"mix": ("dist", (("0", 1), ("1", 1)))}
 
-    @functools.cached_property
-    def one(self):
-        from fractions import Fraction
+    def fmap_unordered(self, f, v):
+        return lowest_terms(super().fmap_unordered(f, v))
 
-        return Fraction(1)
-
-    @functools.cached_property
-    def generics(self):
-        half = self.one / 2
-        return {"mix": ("dist", (("0", half), ("1", half)))}
+    def bind_unordered(self, v, f):
+        inner = [f(y)[1] for y, _ in v[1]]
+        totals = [sum([n for _, n in entries]) for entries in inner]
+        scale = math.lcm(*totals)
+        acc: dict = {}
+        for (_, w), entries, total in zip(v[1], inner, totals):
+            k = w * (scale // total)
+            for x, n in entries:
+                acc[x] = acc.get(x, 0) + k * n
+        return lowest_terms(acc)
 
     def iter_values(self, carrier, bound):
         for s in range(1, bound + 1):
-            tuples = _weight_tuples(s)
+            tuples = [tuple(n // math.gcd(*t) for n in t) for t in _weight_counts(s)]
             for support in itertools.combinations(carrier, s):
-                for weights in tuples:
-                    yield mk_dist(zip(support, weights))
+                for counts in tuples:
+                    acc: dict = {}
+                    for x, n in zip(support, counts):
+                        acc[x] = acc.get(x, 0) + n
+                    yield weighted_value("dist", lowest_terms(acc))
 
     def normal_form(self, v):
-        # the balanced mix with w * denom leaves of each element of weight w:
-        # mix terms denote the values whose denominators are powers of two
-        if any(w.denominator & (w.denominator - 1) for _, w in v[1]):
+        # the balanced mix with n leaves of each element of count n: mix
+        # terms denote the values whose total is a power of two
+        total = sum([n for _, n in v[1]])
+        if total & (total - 1):
             raise ValueError(f"no mix term has the weights of {format_value(v)}")
-        denom = max(w.denominator for _, w in v[1])
         mix = terms.OpSymbol("mix", 2)
-        level = [terms.Var(x) for x, w in v[1] for _ in range(int(w * denom))]
+        level = [terms.Var(x) for x, n in v[1] for _ in range(n)]
         while len(level) > 1:
             level = [terms.App(mix, pair) for pair in zip(level[::2], level[1::2])]
         return level[0]

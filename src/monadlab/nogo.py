@@ -347,18 +347,15 @@ def plotkin_refute_bounded() -> RefutationTrace:
     denominator-<=2 distributions satisfies all three, so no law of
     dist-over-powerset shape survives even in this fragment.
     """
-    from fractions import Fraction
-
     carrier = ("a", "b", "c", "d")
     dist = monad_for("dist")
     pset = monad_for("powerset")
-    half = Fraction(1, 2)
 
-    source = mk_dist([(mk_set(["a", "b"]), half), (mk_set(["c", "d"]), half)])
+    source = mk_dist([(mk_set(["a", "b"]), "1/2"), (mk_set(["c", "d"]), "1/2")])
 
-    universe = [mk_dist([(x, Fraction(1))]) for x in carrier]
+    universe = [mk_dist([(x, 1)]) for x in carrier]
     universe += [
-        mk_dist([(x, half), (y, half)])
+        mk_dist([(x, "1/2"), (y, "1/2")])
         for x, y in itertools.combinations(carrier, 2)
     ]
 
@@ -378,7 +375,7 @@ def plotkin_refute_bounded() -> RefutationTrace:
             inner_set = entries[0][0]
             return mk_set([dist.unit(x) for x in inner_set[1:]])
         if all(len(A[1:]) == 1 for A, _ in entries):
-            return mk_set([mk_dist([(A[1], w) for A, w in entries])])
+            return mk_set([dist.fmap(lambda A: A[1], moved)])
         raise AssertionError("renaming does not reach a unit shape")
 
     constraints = []

@@ -49,16 +49,20 @@ from them form reference cycles, so reference counting frees what a check
 allocates and the collector's rescans of its short-lived tuples are pure
 cost.
 
-Distribution weights are exact `fractions.Fraction`s. `fractions` (with the
-`decimal` and `numbers` it imports) is loaded by the code that makes a
-weight, `mk_dist` here, not at import: a process that builds no
-distribution never loads it.
+Distribution weights are exact and held as integer counts: a distribution
+is ("dist", ((x, n), ...)) with positive counts whose gcd is 1, and the
+weight of x is n over the sum of the counts, so {a:1/4,b:3/4} is
+("dist", (("a", 1), ("b", 3))). Each weight has one representation, and
+every hash and equality test of a distribution runs in C on ints.
+`mk_dist` reads weights as rationals that sum to one, `format_value` prints
+each weight as a reduced p/q, and `canon_key` orders weights by an exact
+key computed in ints (`_share_key`). No `fractions` is loaded.
 """
 
 from __future__ import annotations
 
 import functools
-import sys
+import math
 from typing import Callable, Iterable, Sequence, Union
 
 __all__ = [
@@ -73,6 +77,7 @@ __all__ = [
     "mk_dist",
     "mk_grp",
     "weighted_value",
+    "lowest_terms",
     "mk_nunit",
     "mk_nleaf",
     "mk_nnode",
@@ -95,8 +100,6 @@ _WEIGHTED_TAGS = ("mset", "dist", "grp")
 def canon_key(v: Value):
     """Total order key over nested values (labels, containers, weights).
     Any other atom, `None` or a float, raises TypeError."""
-    # exact-class tests first: Fraction's metaclass is ABCMeta, which makes
-    # isinstance against it slow on this hot path
     cls = v.__class__
     if cls is str:
         return (0, v)
@@ -105,14 +108,33 @@ def canon_key(v: Value):
             return (0, v)
         if isinstance(v, int):
             return (1, v)
-        # a Fraction exists only once `fractions` is loaded
-        fractions = sys.modules.get("fractions")
-        if fractions is not None and isinstance(v, fractions.Fraction):
-            return (1, v)
     if v and v[0] in _WEIGHTED_TAGS:
-        inner = ((0, v[0]),) + tuple((canon_key(x), -n) for x, n in v[1])
-        return (2, inner)
+        if v[0] == "dist":
+            total = sum([n for _, n in v[1]])
+            inner = tuple((canon_key(x), _share_key(n, total)) for x, n in v[1])
+        else:
+            inner = tuple((canon_key(x), -n) for x, n in v[1])
+        return (2, ((0, v[0]),) + inner)
     return (2, tuple(canon_key(x) for x in v))
+
+
+_INF = float("inf")
+
+
+def _share_key(n: int, total: int) -> tuple:
+    """A key that orders the ratios n/total (n >= 0, total >= 1) as
+    `Fraction`s do, largest first, in ints: the continued fraction of
+    n/total with its terms negated at even places, closed by an infinite
+    term of the next place's sign (a shorter expansion is what a longer
+    one becomes as its next term grows)."""
+    key = []
+    sign = -1
+    while total:
+        a, r = divmod(n, total)
+        key.append(sign * a)
+        n, total, sign = total, r, -sign
+    key.append(sign * _INF)
+    return tuple(key)
 
 
 # values whose sort key is kept; the nine positive-law Beck replays at
@@ -199,17 +221,43 @@ def mk_set(items: Iterable[Value]) -> Value:
 
 
 def mk_dist(entries: Iterable[tuple]) -> Value:
-    from fractions import Fraction
-
-    weights: dict = {}
-    for x, w in entries:
-        weights[x] = weights.get(x, Fraction(0)) + Fraction(w)
-    total = sum(weights.values(), Fraction(0))
-    if total != 1:
-        raise ValueError(f"distribution weights sum to {quote(str(total), str)}, not 1")
-    if any(w < 0 for w in weights.values()):
+    """Distribution from (element, weight) entries, repeats summed; the
+    weights are rationals (ints, `Fraction`s or "p/q" text) that sum to 1.
+    The weights are brought over their least common denominator, whose
+    numerators are the counts."""
+    ratios = [(x, *_ratio(w)) for x, w in entries]
+    scale = math.lcm(*(q for _, _, q in ratios))
+    counts: dict = {}
+    for x, p, q in ratios:
+        counts[x] = counts.get(x, 0) + p * (scale // q)
+    total = sum(counts.values())
+    if total != scale:
+        raise ValueError(f"distribution weights sum to {quote(_ratio_text(total, scale), str)}, "
+                         "not 1")
+    if any(n < 0 for n in counts.values()):
         raise ValueError("negative weight in distribution")
-    return weighted_value("dist", weights)
+    return weighted_value("dist", lowest_terms(counts))
+
+
+def _ratio(w) -> tuple:
+    """The rational `w` (an int, a `Fraction`, "p/q" text) as (p, q)."""
+    if isinstance(w, str):
+        p, _, q = w.partition("/")
+        return int(p), int(q or 1)
+    return w.as_integer_ratio()
+
+
+def _ratio_text(p: int, q: int) -> str:
+    """p/q reduced, as `str` of a `Fraction` writes it: p alone over 1."""
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
+def lowest_terms(counts: dict) -> dict:
+    """The element -> count dict `counts` divided by the gcd of its counts."""
+    g = math.gcd(*counts.values())
+    return counts if g == 1 else {x: n // g for x, n in counts.items()}
 
 
 def mk_grp(entries: Iterable[tuple]) -> Value:
@@ -295,6 +343,10 @@ def format_value(v: Value, explicit_ok: bool = False) -> str:
         return "[" + ",".join(format_value(x, explicit_ok) for x in v[1:]) + "]"
     if tag == "set":
         return "{" + ",".join(format_value(x, explicit_ok) for x in v[1:]) + "}"
+    if tag == "dist":
+        total = sum([n for _, n in v[1]])
+        return "{" + ",".join(f"{format_value(x, explicit_ok)}:{_ratio_text(n, total)}"
+                              for x, n in v[1]) + "}"
     if tag in _WEIGHTED_TAGS:
         return "{" + ",".join(f"{format_value(x, explicit_ok)}:{w}" for x, w in v[1]) + "}"
     if tag == "nunit":

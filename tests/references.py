@@ -14,6 +14,13 @@
 - `reference_choose` is S's `choose` as it was before each position's
   picks were kept with the law: it builds every position's picks on every
   call, an empty one included.
+- `mm1_apply_by_slices` is the `mm-nel-1` law as first written, by slices
+  of each inner list.
+- `dist_shares` reads a distribution's integer counts as `Fraction`
+  weights, `with_fraction_weights` rewrites every distribution in a value
+  that way, and `fraction_canon_key` is `values.canon_key` as it was when
+  distributions held `Fraction` weights: it orders those weights by
+  comparing the `Fraction`s themselves.
 - `check_plotkin_general` checks the hypotheses of the paper's general
   variable-counting theorem (Plotkin2) on explicit terms and a permutation
   (`PermutationSpec`). No verdict runs it: within the bounds measured, it
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from typing import Hashable, Iterator, NamedTuple, Optional, Sequence
 
 from monadlab.distlaws import DistLaw
@@ -318,11 +326,49 @@ def tree_pool_size(m: NaryTreeMonad, carrier_size: int, bound: int) -> int:
     return sum(sizes)
 
 
+def dist_shares(v: Value) -> list:
+    """The entries of the distribution `v` with their weights as `Fraction`s."""
+    total = sum(n for _, n in v[1])
+    return [(x, Fraction(n, total)) for x, n in v[1]]
+
+
+def with_fraction_weights(v: Value) -> Value:
+    """`v` with the integer counts of every distribution in it replaced by
+    their `Fraction` weights."""
+    if not isinstance(v, tuple):
+        return v
+    if v and v[0] == "dist":
+        return ("dist", tuple((with_fraction_weights(x), w) for x, w in dist_shares(v)))
+    return tuple(map(with_fraction_weights, v))
+
+
+def fraction_canon_key(v: Value):
+    """`values.canon_key` with each distribution weight compared as a
+    `Fraction`, largest first."""
+    if isinstance(v, str):
+        return (0, v)
+    if isinstance(v, int):
+        return (1, v)
+    if v[0] in ("mset", "grp"):
+        return (2, ((0, v[0]), *((fraction_canon_key(x), -n) for x, n in v[1])))
+    if v[0] == "dist":
+        return (2, ((0, "dist"), *((fraction_canon_key(x), -w) for x, w in dist_shares(v))))
+    return (2, tuple(fraction_canon_key(x) for x in v))
+
+
+def _dist_from_counts(entries) -> Value:
+    """The distribution whose weights are the nonnegative `entries` counts
+    over their sum, through the `Fraction` weights `mk_dist` reads."""
+    entries = list(entries)
+    total = sum(n for _, n in entries)
+    return mk_dist((x, Fraction(n, total)) for x, n in entries)
+
+
 # T's constructor from (element, weight) entries that may repeat: it sums
 # their weights and sorts, by the tag of T's values
 _FROM_ENTRIES = {
     "mset": lambda entries: mk_mset(entries=entries),
-    "dist": mk_dist,
+    "dist": _dist_from_counts,
     "grp": mk_grp,
     "set": lambda entries: mk_set(x for x, _ in entries),
 }
@@ -381,6 +427,17 @@ def reference_choose(s: FinMonad, v: Value, t: FinMonad) -> Value:
         picks = _reference_positional(("list", *s.members(v)), t)
         return t.fmap(lambda pick: mk_mset(pick[1:]), picks)
     return _reference_positional(v, t)
+
+
+def mm1_apply_by_slices(v: Value) -> Value:
+    """Glue the head of every later inner list onto the group before it;
+    every other adjacency starts a new group."""
+    first, *later = v[1:]
+    groups = [("list", x) for x in first[1:]]
+    for inner in later:
+        groups[-1] += inner[1:2]
+        groups += [("list", x) for x in inner[2:]]
+    return ("list", *groups)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from references import composite_monad, multiset_choose_by_merge, reference_choose
+from references import (
+    composite_monad,
+    dist_shares,
+    mm1_apply_by_slices,
+    multiset_choose_by_merge,
+    reference_choose,
+)
 
 from monadlab import cli, distlaws, monads, nogo
 from monadlab.distlaws import NoLawError, check_beck, law_for, law_ids
@@ -200,7 +206,7 @@ def _refill(s, shape, elems):
 _ENTRIES = {
     "multiset": (lambda tv: tv[1], lambda es: mk_mset(entries=es)),
     "powerset": (lambda tv: [(x, 1) for x in tv[1:]], lambda es: mk_set(x for x, _ in es)),
-    "dist": (lambda tv: tv[1], mk_dist),
+    "dist": (dist_shares, mk_dist),
     "abgroup": (lambda tv: tv[1], mk_grp),
 }
 
@@ -248,6 +254,22 @@ def _mm1_reference(v):
                 current = [x]
     groups.append(current)
     return mk_list(mk_list(g) for g in groups)
+
+
+def test_mm1_matches_the_sliced_reference_on_every_beck_input():
+    # every input that `check_beck` gives the law at carriers 2 and 3
+    law = law_for("mm-nel-1")
+    inputs = []
+
+    def apply(v):
+        inputs.append(v)
+        return law.apply(v)
+
+    for carrier in (2, 3):
+        assert check_beck(law._replace(apply=apply), carrier, 3).ok
+    assert len(inputs) > 30_000
+    for v in inputs:
+        assert law.apply(v) == mm1_apply_by_slices(v), format_value(v)
 
 
 def _mm_project_reference(pick):

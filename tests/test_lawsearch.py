@@ -8,12 +8,29 @@ import sys
 from pathlib import Path
 
 import pytest
+from references import with_fraction_weights
 
 from monadlab import lawsearch, monads
 from monadlab.distlaws import DistLaw, check_beck, law_for
 from monadlab.lawsearch import SearchOutcome, search_distlaw_bounded
 from monadlab.monads import LiftMonad, NoMonadError, monad_for, monad_ids
 from monadlab.values import letters, mk_set
+
+
+def test_tables_list_inputs_in_the_order_of_their_fraction_text():
+    # a table lists each level's inputs by `str` (for a tuple, `repr`) of
+    # the input as it read while distribution weights were `Fraction`s
+    dist, lift = monad_for("dist"), monad_for("lift")
+    pool = dist.enumerate(letters(3), 3)
+    values = [*pool, *lift.enumerate(pool, 2), *dist.enumerate(lift.enumerate(letters(2), 2), 2),
+              *dist.enumerate(pool[:4], 2), *monad_for("multiset").enumerate(pool[:3], 2),
+              mk_set(pool[:5]), ("list",), "a"]
+    for v in values:
+        assert lawsearch._listing_text(v) == repr(with_fraction_weights(v))
+    table = search_distlaw_bounded("dist", "lift").table
+    listed = [line.split(": ", 1)[1] for line in table.describe().split("\n")[:-1]]
+    assert listed[:3] == ["{bot:1} -> bot", "{bot:1/2,ok(a):1/2} -> bot",
+                          "{bot:1/3,ok(a):2/3} -> bot"]
 
 
 def test_outcome_strings_are_stable():

@@ -2,14 +2,15 @@
 
 import hashlib
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from references import tree_pool_size
+from references import dist_shares, fraction_canon_key, tree_pool_size
 
-from monadlab import monads
+from monadlab import monads, values
 from monadlab.monads import (
     AbGroupMonad,
     DistMonad,
@@ -38,6 +39,7 @@ from monadlab.theories import lookup_theory
 from monadlab.values import (
     canon_key,
     format_value,
+    letters,
     mk_dist,
     mk_grp,
     mk_list,
@@ -68,13 +70,14 @@ def test_canon_key_orders_mixed_values():
     ("a", (0, "a")),
     (3, (1, 3)),
     (True, (1, True)),
-    (Fraction(1, 2), (1, Fraction(1, 2))),
 ])
 def test_canon_key_accepts_labels_ints_and_fractions(atom, key):
+    # a distribution holds its weights as int counts, so no value holds a
+    # `Fraction`, and one is refused below
     assert canon_key(atom) == key
 
 
-@pytest.mark.parametrize("atom", [None, 0.5, 0.0, object()])
+@pytest.mark.parametrize("atom", [None, 0.5, 0.0, object(), Fraction(1, 2)])
 def test_canon_key_refuses_any_other_atom(atom):
     # the naturality renames of `check_beck` at carrier 3 send a letter to
     # None; the TypeError is how that check fails
@@ -155,14 +158,27 @@ def test_constructors_order_entries_by_canon_key(elems, counts):
     if positive:
         total = sum(n for _, n in positive)
         shares = [(x, Fraction(n, total)) for x, n in positive]
-        assert mk_dist(shares) == ("dist", _merged(shares, Fraction(0)))
+        assert dist_shares(mk_dist(shares)) == list(_merged(shares, Fraction(0)))
 
 
 def test_mk_dist_rejects_bad_weights():
-    with pytest.raises(ValueError):
-        mk_dist([("a", Fraction(1, 2))])
-    with pytest.raises(ValueError):
-        mk_dist([("a", Fraction(3, 2)), ("b", Fraction(-1, 2))])
+    # a wrong sum is printed as `str` of its `Fraction` prints it, quoted in
+    # a bounded slice; int, `Fraction` and "p/q" weights mix
+    for entries, message in [
+        ([("a", Fraction(1, 2))], "distribution weights sum to 1/2, not 1"),
+        ([("a", Fraction(2, 3)), ("b", Fraction(2, 3))], "distribution weights sum to 4/3, not 1"),
+        ([("a", 2), ("a", Fraction(-1, 3)), ("b", "1/3")], "distribution weights sum to 2, not 1"),
+        ([("a", Fraction(-1, 4))], "distribution weights sum to -1/4, not 1"),
+        ([], "distribution weights sum to 0, not 1"),
+        ([("a", Fraction(1, 10**40))], f"distribution weights sum to 1/{10**29}..., not 1"),
+        ([("a", Fraction(3, 2)), ("b", Fraction(-1, 2))], "negative weight in distribution"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            mk_dist(entries)
+        assert str(info.value) == message
+    # weights that cancel to zero drop their entries
+    entries = [("a", 1), ("b", Fraction(1, 3)), ("b", Fraction(-1, 3)), ("c", -1), ("c", 1)]
+    assert mk_dist(entries) == mk_dist([("a", 1)])
 
 
 def test_mk_grp_cancels_to_zero():
@@ -378,7 +394,35 @@ def test_dist_join_exact_beyond_enumeration_bound():
     inner = mk_dist([("a", quarter), ("b", 3 * quarter)])
     v = mk_dist([(inner, quarter), (m.unit("b"), 3 * quarter)])
     joined = m.join(v)
-    assert dict(joined[1])["a"] == Fraction(1, 16)  # denominator exceeds 4
+    # denominators exceed 4
+    assert dist_shares(joined) == [("a", Fraction(1, 16)), ("b", Fraction(15, 16))]
+    assert format_value(joined) == "{a:1/16,b:15/16}"
+    assert m.bind_unordered(v, lambda x: x) == m.unordered(joined)
+
+
+def test_share_key_orders_ratios_as_fractions_do():
+    # every p/q with q <= 60 and 0 <= p <= 3q, largest first as `canon_key`
+    # orders distribution weights
+    ratios = {(p // math.gcd(p, q), q // math.gcd(p, q))
+              for q in range(1, 61) for p in range(3 * q + 1)}
+    assert len(ratios) == 3307
+    by_key = sorted(ratios, key=lambda r: values._share_key(*r))
+    assert by_key == sorted(ratios, key=lambda r: -Fraction(*r))
+    assert len({values._share_key(*r) for r in ratios}) == len(ratios)
+
+
+def test_sets_and_distributions_of_distributions_keep_the_fraction_order():
+    # sets and distributions of distributions list their members as a key
+    # that compares the weights as `Fraction`s orders them
+    dist, pset = monad_for("dist"), monad_for("powerset")
+    pool = dist.enumerate(letters(3), 3)
+    nested = [*pool, *dist.enumerate(pool[:6], 2), *dist.enumerate(pset.enumerate(letters(2), 2), 2)]
+    assert len(nested) == 137
+    order = sorted(nested, key=fraction_canon_key)
+    assert mk_set(nested)[1:] == tuple(order)
+    assert sorted(nested, key=canon_key) == order
+    for v in dist.enumerate(nested[::7], 2):
+        assert [x for x, _ in v[1]] == sorted((x for x, _ in v[1]), key=fraction_canon_key)
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +501,9 @@ def _flatten(m, w):
         return ("list",) + tuple(x for inner in w[1:] for x in inner[1:])
     if isinstance(m, PowersetMonad):
         return mk_set(x for inner in w[1:] for x in inner[1:])
-    build = {MultisetMonad: lambda es: mk_mset(entries=es), DistMonad: mk_dist,
-             AbGroupMonad: mk_grp}.get(type(m))
+    if isinstance(m, DistMonad):
+        return mk_dist((x, p * q) for inner, p in dist_shares(w) for x, q in dist_shares(inner))
+    build = {MultisetMonad: lambda es: mk_mset(entries=es), AbGroupMonad: mk_grp}.get(type(m))
     if build is not None:
         return build([(x, n * k) for inner, n in w[1] for x, k in inner[1]])
     return m.join(w)
@@ -501,7 +546,7 @@ _MIXED = [
     "b",
     mk_list(("a", "b")),
     "a",
-    Fraction(1, 3),
+    mk_dist([("a", Fraction(1, 3)), ("b", Fraction(2, 3))]),
     mk_set(("a",)),
     2,
     mk_mset(entries=[("a", 2)]),
@@ -858,7 +903,7 @@ _PAIRS = {
     "narytree:2": ("nnode", ("nleaf", "a"), ("nleaf", "b")),
     "narytree:3": ("nnode", ("nleaf", "a"), ("nleaf", "b"), ("nunit",)),
     "reader:2": ("fun", "a", "b"),
-    "dist": ("dist", (("a", Fraction(1, 2)), ("b", Fraction(1, 2)))),
+    "dist": mk_dist([("a", Fraction(1, 2)), ("b", Fraction(1, 2))]),
     "abgroup": ("grp", (("a", 1), ("b", 1))),
 }
 

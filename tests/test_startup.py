@@ -3,7 +3,9 @@ imports monadlab first, so the import must not load what only error paths,
 file I/O or `law apply` use, nor `click`, `dataclasses` or `inspect`, and no
 monadlab class may be a dataclass, whose methods are generated at import.
 Nor may it load `argparse`, which only a parser uses, or `fractions`, which
-only a distribution weight does (each with the stdlib modules it imports).
+only `law apply`'s value parser does (each with the stdlib modules it
+imports): distribution weights are integer counts, so no command that
+computes with distributions loads `fractions` either.
 The subsystems load lazily, so a command or op runs only the modules it
 uses: a search runs no table code, and a check runs neither. The built-in
 theories are built on first read, so only a process that reads a
@@ -36,8 +38,8 @@ def ran():
                   if name.startswith("monadlab.") and type(mod) is types.ModuleType)
 """
 
-# the stdlib modules that only parsing and exact weights use: `argparse`
-# with `gettext`, `fractions` with `decimal` and `numbers`
+# the stdlib modules that only parsing uses: `argparse` with `gettext`, and
+# the value parser's `fractions` with `decimal` and `numbers`
 _PARSE_AND_WEIGHT = ("argparse", "gettext", "fractions", "decimal", "numbers")
 
 # the imports and registry builds of the benchmark worker's setup op and the
@@ -138,11 +140,27 @@ def test_parser_runs_no_subsystem():
     assert res.stdout.split("\n")[:2] == ["cli", "True"]
 
 
-def test_a_distribution_check_loads_fractions():
-    probe = _COMMAND + "print(*(m for m in ('argparse', 'fractions') if m in sys.modules))"
-    res = _python("-c", probe, "law", "check", "exception-over:dist")
+@pytest.mark.parametrize("argv", [
+    ("law", "check", "exception-over:dist"),
+    ("monad-laws", "dist"),
+    ("plotkin-refute",),
+    ("law", "search", "dist", "powerset"),
+    ("nogo", "convex", "P"),  # NO, exit 1
+])
+def test_distribution_commands_load_no_fractions(argv):
+    # the parse modules loaded once the command ends, on the last line
+    probe = f"""
+import sys
+from monadlab.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    assert exc.code == 1
+print(*(m for m in {_PARSE_AND_WEIGHT!r} if m in sys.modules))
+"""
+    res = _python("-c", probe, *argv)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip().split("\n")[-1].split() == ["argparse", "fractions"]
+    assert res.stdout.strip().split("\n")[-1].split() == ["argparse", "gettext"]
 
 
 @pytest.mark.parametrize("argv", [

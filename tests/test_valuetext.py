@@ -1,16 +1,22 @@
 """Round trips and error reporting for the value text format."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from references import dist_shares
 
+from monadlab import terms
 from monadlab.distlaws import law_for, law_ids
-from monadlab.monads import monad_for
+from monadlab.lawsearch import search_distlaw_bounded
+from monadlab.monads import monad_for, monad_ids
+from monadlab.theories import lookup_theory
 from monadlab.values import (
     format_value,
     letters,
+    mk_dist,
     mk_err,
     mk_list,
     mk_nleaf,
@@ -149,6 +155,66 @@ class TestLayered:
         for v in s.enumerate(s.enumerate(("a",), 2), 2):
             text = format_value(v, explicit_ok=True)
             assert parse_layered(text, (s, s)) == v
+
+    @pytest.mark.parametrize("monad_id", monad_ids())
+    def test_law_search_tables_read_back(self, monad_id):
+        # one search with the monad as S and one with it as T; every entry
+        # of their tables, and each line a table prints, reads back as the
+        # value it shows
+        lines = 0
+        for s_id, t_id in ((monad_id, "dist"), ("lift", monad_id)):
+            res = search_distlaw_bounded(s_id, t_id)
+            assert res.table is not None, (s_id, t_id)
+            s, t = monad_for(s_id), monad_for(t_id)
+            for (_, w), v in res.table.entries.items():
+                assert parse_layered(format_value(w, explicit_ok=True), (s, t)) == w
+                assert parse_layered(format_value(v, explicit_ok=True), (t, s)) == v
+            printed = {}
+            for line in res.table.describe().split("\n"):
+                if line.startswith("  |X|="):
+                    w_text, v_text = line.split(": ", 1)[1].split(" -> ")
+                    printed[parse_layered(w_text, (s, t))] = parse_layered(v_text, (t, s))
+            assert printed.items() <= {w: v for (_, w), v in res.table.entries.items()}.items()
+            lines += len(printed)
+        assert lines >= 2
+
+    def test_distribution_weights_read_back(self):
+        # weights past the enumeration's denominators, as a join makes them
+        dist, pset = monad_for("dist"), monad_for("powerset")
+        weights = [(1, 3), (2, 3), (3, 8), (5, 8), (1, 16), (15, 16), (7, 16)]
+        values = [mk_dist([("a", Fraction(*w)), ("b", 1 - Fraction(*w))]) for w in weights]
+        values.append(mk_dist([("a", Fraction(3, 8)), ("b", Fraction(1, 16)), ("c", Fraction(9, 16))]))
+        values.append(mk_dist([("a", Fraction(1, 3)), ("b", Fraction(1, 3)), ("c", Fraction(1, 3))]))
+        for v in values:
+            assert parse_layered(format_value(v), (dist,)) == v
+        assert format_value(values[2]) == "{a:3/8,b:5/8}"
+        assert format_value(values[-1]) == "{a:1/3,b:1/3,c:1/3}"
+        for v in dist.enumerate(values, 2):
+            assert parse_layered(format_value(v), (dist, dist)) == v
+            assert parse_layered(format_value(dist.join(v)), (dist,)) == dist.join(v)
+        for v in pset.enumerate(values, 2):
+            assert parse_layered(format_value(v), (pset, dist)) == v
+        for v in dist.enumerate(pset.enumerate(letters(2), 2), 3):
+            assert parse_layered(format_value(v), (dist, pset)) == v
+
+    def test_convex_normal_forms_read_back(self):
+        # a dyadic distribution prints as a mix term that parses and
+        # evaluates back to it
+        dist = monad_for("dist")
+        convex = lookup_theory("convex")
+
+        def is_dyadic(v):
+            return all(w.denominator & (w.denominator - 1) == 0 for _, w in dist_shares(v))
+
+        dyadic = [v for v in dist.enumerate(letters(3), 3) if is_dyadic(v)]
+        dyadic += [dist.join(v) for v in dist.enumerate(dyadic[:8], 3) if is_dyadic(v)]
+        dyadic.append(mk_dist([("a", Fraction(1, 16)), ("b", Fraction(3, 8)), ("c", Fraction(9, 16))]))
+        assert len(dyadic) >= 50
+        for v in dyadic:
+            text = terms.render(dist.normal_form(v))
+            term = convex.presentation.parse(text)
+            assert convex.procedure.term_key(term) == v, text
+            assert terms.render(terms.normalize(convex.procedure, term)) == text
 
     def test_printed_law_outputs_read_back(self):
         # what `law apply` prints for the first 300 inputs of each law at
